@@ -29,6 +29,10 @@ EXIT_UNSOLVABLE = 2
 EXIT_TIMEOUT = 3
 EXIT_VIOLATIONS = 4
 
+# Failures that every command reports as "error: ..." with exit 1.
+ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
+          encoder.EncoderError, engine.EngineError, satcore.SatCoreError)
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -74,8 +78,6 @@ def load_policy(text: str) -> PolicyRules:
 
 
 def _request_from_args(args, mode: str, target: Package | None = None) -> MigrationRequest:
-    encoding = {"p5": "p5-pruned", "p2-oracle": "p2-oracle"}.get(
-        args.encoding, args.encoding)
     policy = None
     if args.policy:
         policy = load_policy(Path(args.policy).read_text())
@@ -83,7 +85,7 @@ def _request_from_args(args, mode: str, target: Package | None = None) -> Migrat
     budgets = Budgets()
     if args.timeout is not None:
         budgets = Budgets(sat_timeout=args.timeout, pmax_timeout=args.timeout)
-    return MigrationRequest(mode=mode, target=target, encoding=encoding,
+    return MigrationRequest(mode=mode, target=target, encoding=args.encoding,
                             policy=policy, solver_command=solver,
                             budgets=budgets)
 
@@ -110,8 +112,7 @@ def cmd_migrate(args) -> int:
     except engine.SolveTimedOut as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
-            encoder.EncoderError, engine.EngineError, satcore.SatCoreError) as exc:
+    except ERRORS as exc:
         return _fail(str(exc))
     if args.format == "structured":
         documents = [engine.structured_report(r) for r in results]
@@ -132,8 +133,7 @@ def cmd_explain(args) -> int:
     try:
         universe = _load_universe(args)
         target = Package.parse(args.package)
-    except (OSError, ValueError, controlfile.ControlFileError,
-            repo.RepoError) as exc:
+    except ERRORS as exc:
         return _fail(str(exc))
     if target not in universe.packages:
         close = difflib.get_close_matches(
@@ -142,12 +142,11 @@ def cmd_explain(args) -> int:
         return _fail(f"unknown package {target}{hint}")
     try:
         request = _request_from_args(args, "target", target)
-        idx = ClosureIndex(universe) \
-            if request.encoding not in ("p1", "p2", "p2-oracle") else None
         try:
             result = engine.solve_migration(request, universe)
         except engine.Unsolvable:
-            explanation = engine.explain_non_migration(target, universe, idx, request)
+            explanation = engine.explain_non_migration(target, universe, None,
+                                                       request)
             if args.format == "structured":
                 _print_structured({"package": str(target), "migrates": False,
                                    "explanation": list(explanation.facts)})
@@ -157,8 +156,7 @@ def cmd_explain(args) -> int:
     except engine.SolveTimedOut as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (ValueError, OSError, encoder.EncoderError, engine.EngineError,
-            satcore.SatCoreError) as exc:
+    except ERRORS as exc:
         return _fail(str(exc))
     if args.format == "structured":
         _print_structured({"package": str(target), "migrates": True,
@@ -171,25 +169,23 @@ def cmd_explain(args) -> int:
 
 
 def cmd_check(args) -> int:
+    entries = []
     try:
         universe = _load_universe(args)
-        violations = repo.check_testing(universe)
-    except (OSError, ValueError, controlfile.ControlFileError,
-            repo.RepoError) as exc:
+        for violation in repo.check_testing(universe):
+            entry = {"kind": violation.kind, "detail": violation.detail,
+                     "packages": [str(p) for p in violation.subjects],
+                     "explanation": None}
+            if violation.kind == "trimmedness":
+                pkg = violation.subjects[0]
+                clauses, info, ctx = repo.installability_clauses(
+                    pkg, universe.testing, universe)
+                mus = satcore.extract_mus(clauses, num_vars=len(ctx))
+                entry["explanation"] = [engine.describe_clause(info[i])
+                                        for i in mus.core]
+            entries.append(entry)
+    except ERRORS as exc:
         return _fail(str(exc))
-    entries = []
-    for violation in violations:
-        entry = {"kind": violation.kind, "detail": violation.detail,
-                 "packages": [str(p) for p in violation.subjects],
-                 "explanation": None}
-        if violation.kind == "trimmedness":
-            pkg = violation.subjects[0]
-            clauses, info, ctx = repo.installability_clauses(
-                pkg, universe.testing, universe)
-            mus = satcore.extract_mus(clauses, num_vars=len(ctx))
-            entry["explanation"] = [engine.describe_clause(info[i])
-                                    for i in mus.core]
-        entries.append(entry)
     if args.format == "structured":
         _print_structured({"clean": not entries, "violations": entries})
     elif not entries:
@@ -225,8 +221,7 @@ def cmd_stats(args) -> int:
         universe = _load_universe(args)
         idx = ClosureIndex(universe)
         rows = _stats_rows(universe, idx)
-    except (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
-            encoder.EncoderError) as exc:
+    except ERRORS as exc:
         return _fail(str(exc))
     def _distribution(values):
         return {"min": min(values, default=0),
@@ -270,9 +265,7 @@ def cmd_emit(args) -> int:
         if mode == "target" and target is None:
             return _fail("--mode target needs --target NAME/VER")
         request = _request_from_args(args, mode, target)
-        idx = ClosureIndex(universe) \
-            if request.encoding not in ("p1", "p2", "p2-oracle") else None
-        problem = engine.build_problem(request, universe, idx)
+        problem = engine.build_problem(request, universe)
         engine.attach_objective(request, universe, problem)
         if args.kind == "cnf" and problem.soft:
             return _fail("cnf cannot carry the soft clauses of this objective")
@@ -283,8 +276,7 @@ def cmd_emit(args) -> int:
         out.write_bytes(payload)
         map_path = Path(str(out) + ".map")
         map_path.write_text(problem.atoms.render_map())
-    except (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
-            encoder.EncoderError, engine.EngineError) as exc:
+    except ERRORS as exc:
         return _fail(str(exc))
     if args.format == "structured":
         _print_structured({"instance": str(out), "atom_map": str(map_path),
@@ -307,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--solver", help="external solver command")
     common.add_argument("--timeout", type=float, help="solver budget in seconds")
     common.add_argument("--format", default="text", choices=["text", "structured"])
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for test-instance generation (reserved)")
     modeful = argparse.ArgumentParser(add_help=False)
     modeful.add_argument("--mode", default="max", choices=["max", "min", "target"])
     modeful.add_argument("--target", help="candidate package as NAME/VER")

@@ -6,8 +6,9 @@ restricted to hard packages, and — lazily — the relevant conflicts and
 connecting dependencies of individual packages.
 
 Closures are computed bottom-up over the condensation of the may-depend
-graph into strongly connected components; package sets are held as integer
-bitmasks internally and exposed as frozensets.
+graph into strongly connected components. Package sets are integer
+bitmasks over the packages' sorted ids; the encoder reads them as such,
+and the Package-level methods expose them as frozensets.
 """
 
 from __future__ import annotations
@@ -78,31 +79,39 @@ def _scc_closures(n: int, succ: list[list[int]]) -> list[int]:
 
 
 class ClosureIndex:
-    """Immutable closure data for one universe."""
+    """Immutable closure data for one universe.
+
+    Packages are interned as their rank in sorted order. ``deps``,
+    ``conflict_pairs`` and the ``*_mask`` methods speak in these ids, for
+    the encoder; the Package-level methods translate them back.
+    """
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        self._pkgs = universe.sorted_packages()
-        self._index = {p: i for i, p in enumerate(self._pkgs)}
-        n = len(self._pkgs)
-        succ: list[list[int]] = []
-        for p in self._pkgs:
-            union: set[int] = set()
-            for disjunction in universe.dep.get(p, ()):
-                union.update(self._index[q] for q in disjunction)
-            succ.append(sorted(union))
+        self.packages: tuple[Package, ...] = tuple(universe.sorted_packages())
+        self.ids = {p: i for i, p in enumerate(self.packages)}
+        ids = self.ids
+        # per package, its disjunctions in the universe's order, each paired
+        # with the sorted ids of its members
+        self.deps = [tuple((d, tuple(sorted(ids[q] for q in d)))
+                           for d in universe.dep.get(p, ()))
+                     for p in self.packages]
+        # each conflict once, as (a, b) with a < b, in sorted order
+        self.conflict_pairs = sorted(
+            (ids[a], ids[b]) for a, b in universe.conflicts if a < b)
+        n = len(self.packages)
+        succ = [sorted({q for _, targets in deps for q in targets})
+                for deps in self.deps]
         self._succ = succ
         self._closure = _scc_closures(n, succ)
         ends = 0
-        for a, b in universe.conflicts:
-            ends |= 1 << self._index[a]
-            ends |= 1 << self._index[b]
-        self._conflict_ends = ends
+        for a, b in self.conflict_pairs:
+            ends |= 1 << a | 1 << b
         easy_mask = 0
         for i in range(n):
             if not self._closure[i] & ends:
                 easy_mask |= 1 << i
-        self._easy_mask = easy_mask
+        self.easy_mask = easy_mask
         hard_succ = [[w for w in succ[v] if not easy_mask >> w & 1]
                      if not easy_mask >> v & 1 else []
                      for v in range(n)]
@@ -110,112 +119,91 @@ class ClosureIndex:
         for i in range(n):
             if easy_mask >> i & 1:
                 self._hard_closure[i] = 1 << i
-        self._relevant: dict[int, frozenset] = {}
+        self._relevant_ends: dict[int, int] = {}
         self._connecting: dict[int, int] = {}
 
-    # -- helpers -------------------------------------------------------------
+    # -- integer surface -------------------------------------------------------
 
-    def _mask_to_set(self, mask: int) -> frozenset[Package]:
-        pkgs = self._pkgs
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(pkgs[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+    def closure_mask(self, i: int) -> int:
+        return self._closure[i]
 
-    # -- public surface -------------------------------------------------------
+    def hard_closure_mask(self, i: int) -> int:
+        return self._hard_closure[i]
 
-    @property
-    def packages(self) -> list[Package]:
-        return list(self._pkgs)
-
-    def may_dep(self, p: Package) -> frozenset[Package]:
-        return frozenset(self._pkgs[w] for w in self._succ[self._index[p]])
-
-    def closure(self, p: Package) -> frozenset[Package]:
-        return self._mask_to_set(self._closure[self._index[p]])
-
-    def closure_size(self, p: Package) -> int:
-        return self._closure[self._index[p]].bit_count()
-
-    @property
-    def easy(self) -> frozenset[Package]:
-        return self._mask_to_set(self._easy_mask)
-
-    def is_easy(self, p: Package) -> bool:
-        return bool(self._easy_mask >> self._index[p] & 1)
-
-    def hard_closure(self, p: Package) -> frozenset[Package]:
-        return self._mask_to_set(self._hard_closure[self._index[p]])
-
-    def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
-        """Conflicts with both endpoints inside p's dependency closure."""
-        i = self._index[p]
-        cached = self._relevant.get(i)
+    def relevant_ends(self, i: int) -> int:
+        """Mask of the endpoints of conflicts inside i's closure."""
+        cached = self._relevant_ends.get(i)
         if cached is None:
             mask = self._closure[i]
-            idx = self._index
-            cached = frozenset(
-                (a, b) for a, b in self.universe.conflicts
-                if mask >> idx[a] & 1 and mask >> idx[b] & 1)
-            self._relevant[i] = cached
+            cached = 0
+            for a, b in self.conflict_pairs:
+                if mask >> a & 1 and mask >> b & 1:
+                    cached |= 1 << a | 1 << b
+            self._relevant_ends[i] = cached
         return cached
 
-    def _connecting_mask(self, p: Package) -> int:
-        i = self._index[p]
+    def connecting_mask(self, i: int) -> int:
+        """Closure members whose own closure reaches a relevant-conflict
+        endpoint, plus i itself."""
         cached = self._connecting.get(i)
         if cached is None:
-            ends = 0
-            for a, b in self.relevant_conflicts(p):
-                ends |= 1 << self._index[a]
-                ends |= 1 << self._index[b]
+            ends = self.relevant_ends(i)
             cached = 1 << i
             if ends:
-                mask = self._closure[i]
-                mm = mask
+                mm = self._closure[i]
                 while mm:
                     low = mm & -mm
-                    w = low.bit_length() - 1
-                    if self._closure[w] & ends:
+                    if self._closure[low.bit_length() - 1] & ends:
                         cached |= low
                     mm ^= low
             self._connecting[i] = cached
         return cached
 
+    # -- package surface -------------------------------------------------------
+
+    def _mask_to_set(self, mask: int) -> frozenset[Package]:
+        return frozenset(self.packages[i] for i in bits(mask))
+
+    def may_dep(self, p: Package) -> frozenset[Package]:
+        return frozenset(self.packages[w] for w in self._succ[self.ids[p]])
+
+    def closure(self, p: Package) -> frozenset[Package]:
+        return self._mask_to_set(self._closure[self.ids[p]])
+
+    def closure_size(self, p: Package) -> int:
+        return self._closure[self.ids[p]].bit_count()
+
+    @property
+    def easy(self) -> frozenset[Package]:
+        return self._mask_to_set(self.easy_mask)
+
+    def is_easy(self, p: Package) -> bool:
+        return bool(self.easy_mask >> self.ids[p] & 1)
+
+    def hard_closure(self, p: Package) -> frozenset[Package]:
+        return self._mask_to_set(self._hard_closure[self.ids[p]])
+
+    def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
+        """Conflicts with both endpoints inside p's dependency closure."""
+        mask = self._closure[self.ids[p]]
+        pkgs = self.packages
+        return frozenset(pair for a, b in self.conflict_pairs
+                         if mask >> a & 1 and mask >> b & 1
+                         for pair in ((pkgs[a], pkgs[b]), (pkgs[b], pkgs[a])))
+
     def connecting(self, p: Package) -> frozenset[Package]:
         """Closure members whose own closure reaches a relevant-conflict
         endpoint, plus p itself."""
-        return self._mask_to_set(self._connecting_mask(p))
+        return self._mask_to_set(self.connecting_mask(self.ids[p]))
 
     def closure_sizes(self) -> dict[Package, int]:
         return {p: self._closure[i].bit_count()
-                for i, p in enumerate(self._pkgs)}
+                for i, p in enumerate(self.packages)}
 
 
-# Operation-style wrappers around the index.
-
-def may_depend(u: Universe) -> dict[Package, frozenset[Package]]:
-    idx = ClosureIndex(u)
-    return {p: idx.may_dep(p) for p in idx.packages}
-
-
-def dependency_closure(u: Universe) -> dict[Package, frozenset[Package]]:
-    idx = ClosureIndex(u)
-    return {p: idx.closure(p) for p in idx.packages}
-
-
-def easy_packages(idx: ClosureIndex) -> frozenset[Package]:
-    return idx.easy
-
-
-def hard_closure(idx: ClosureIndex) -> dict[Package, frozenset[Package]]:
-    return {p: idx.hard_closure(p) for p in idx.packages}
-
-
-def relevant_conflicts(idx: ClosureIndex, p: Package):
-    return idx.relevant_conflicts(p)
-
-
-def connecting_dependencies(idx: ClosureIndex, p: Package):
-    return idx.connecting(p)
+def bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -1,7 +1,9 @@
 """Clause systems for the migration problem.
 
-Five encodings share the uniqueness clauses (one per duplicate-name pair)
-and the pluggable policy clauses:
+Every encoding shares the uniqueness clauses (one per duplicate-name pair)
+and the pluggable policy clauses. The encodings differ only in which
+installation contexts they track and in each context's member set; one
+generator emits the e, i, d and c families for the entry of SCHEMES:
 
 * p1        — packages only; sound exactly when there are no conflicts.
 * p2        — installation atoms for every package pair; the tiny-scale
@@ -20,14 +22,13 @@ installation atoms sorted by (context, member).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import satcore
-from .closure import ClosureIndex
+from .closure import ClosureIndex, bits
 from .repo import Package, Universe, unique_pairs
 
 DEFAULT_P2_BOUND = 10
-
-ENCODING_NAMES = ("p1", "p2", "p3", "p4", "p5-strict", "p5-pruned")
 
 
 class EncoderError(Exception):
@@ -74,39 +75,50 @@ class Atom:
 
 
 class AtomTable:
-    """Dense, deterministic bijection between atoms and 1-based indices."""
+    """Dense, deterministic bijection between atoms and 1-based indices.
+
+    Package atom i+1 stands for the i-th package in sorted order; the
+    installation atoms follow, keyed by (context id, member id) over those
+    same ids. Atom objects are built only on request.
+    """
 
     def __init__(self, packages, inst_pairs=()):
-        pkg_atoms = [Atom(p) for p in sorted(packages)]
-        inst_atoms = [Atom(member, context) for context, member in
-                      sorted((c, m) for m, c in inst_pairs)]
-        self.atoms: tuple[Atom, ...] = tuple(pkg_atoms + inst_atoms)
-        self.num_package_atoms = len(pkg_atoms)
-        self.num_inst_atoms = len(inst_atoms)
-        self._index = {atom: i + 1 for i, atom in enumerate(self.atoms)}
+        self.packages: tuple[Package, ...] = tuple(sorted(packages))
+        self._ids = {p: i for i, p in enumerate(self.packages)}
+        self.num_package_atoms = len(self.packages)
+        self.inst_pairs: list[tuple[int, int]] = sorted(inst_pairs)
+        self.num_inst_atoms = len(self.inst_pairs)
+        first = self.num_package_atoms + 1
+        self.inst_ids = {pair: first + k for k, pair in enumerate(self.inst_pairs)}
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.num_package_atoms + self.num_inst_atoms
 
     def pkg(self, p: Package) -> int:
-        return self._index[Atom(p)]
+        return self._ids[p] + 1
 
     def inst(self, member: Package, context: Package) -> int:
-        return self._index[Atom(member, context)]
+        return self.inst_ids[self._ids[context], self._ids[member]]
 
     def has_inst(self, member: Package, context: Package) -> bool:
-        return Atom(member, context) in self._index
+        return (self._ids[context], self._ids[member]) in self.inst_ids
 
     def atom(self, index: int) -> Atom:
-        return self.atoms[index - 1]
+        if index <= self.num_package_atoms:
+            return Atom(self.packages[index - 1])
+        context, member = self.inst_pairs[index - self.num_package_atoms - 1]
+        return Atom(self.packages[member], self.packages[context])
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(self.atom(i) for i in range(1, len(self) + 1))
 
     def render_map(self) -> str:
-        lines = []
-        for i, atom in enumerate(self.atoms, start=1):
-            if atom.is_package_atom:
-                lines.append(f"{i} pkg {atom.package}")
-            else:
-                lines.append(f"{i} inst {atom.package} @ {atom.context}")
+        pkgs = self.packages
+        lines = [f"{i} pkg {p}" for i, p in enumerate(pkgs, start=1)]
+        lines += [f"{i} inst {pkgs[member]} @ {pkgs[context]}"
+                  for i, (context, member) in
+                  enumerate(self.inst_pairs, start=self.num_package_atoms + 1)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -121,10 +133,11 @@ def parse_atom_map(text: str) -> AtomTable:
         if parts[1] == "pkg":
             packages.append(Package.parse(parts[2]))
         elif parts[1] == "inst" and parts[3] == "@":
-            inst_pairs.append((Package.parse(parts[2]), Package.parse(parts[4])))
+            inst_pairs.append((Package.parse(parts[4]), Package.parse(parts[2])))
         else:
             raise ValueError(f"bad atom map line {line!r}")
-    return AtomTable(packages, inst_pairs)
+    ids = {p: i for i, p in enumerate(sorted(packages))}
+    return AtomTable(packages, [(ids[c], ids[m]) for c, m in inst_pairs])
 
 
 @dataclass
@@ -201,14 +214,8 @@ def instance_stats(problem: EncodedProblem) -> InstanceStats:
 
 def uniqueness_clauses(u: Universe, problem: EncodedProblem):
     """One binary clause per unordered duplicate-name pair."""
-    done = set()
-    for a, b in sorted(unique_pairs(u)):
-        key = (min(a, b), max(a, b))
-        if key in done:
-            continue
-        done.add(key)
-        problem.add((-problem.atoms.pkg(key[0]), -problem.atoms.pkg(key[1])),
-                    ("u", key[0], key[1]))
+    for a, b in sorted(pair for pair in unique_pairs(u) if pair[0] < pair[1]):
+        problem.add((-problem.atoms.pkg(a), -problem.atoms.pkg(b)), ("u", a, b))
 
 
 def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
@@ -232,216 +239,103 @@ def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
         problem.add(tuple(lit(s, p) for s, p in clause), ("v", "clause", desc))
 
 
-def _finish(problem: EncodedProblem, u: Universe, rules: PolicyRules | None):
-    if rules is not None:
-        policy_clauses(rules, u, problem)
-    return problem
-
-
 # ---------------------------------------------------------------------------
 # Encodings
 
 
-def encode_p1(u: Universe, rules: PolicyRules | None = None) -> EncodedProblem:
-    """Package atoms only; dependencies become direct implications.
+def _everything(idx: ClosureIndex, context: int) -> int:
+    return (1 << len(idx.packages)) - 1
 
-    Sound only without conflicts, which affect installations rather than
-    repositories and therefore cannot be stated over package atoms.
+
+@dataclass(frozen=True)
+class Scheme:
+    """How one named encoding tracks installation contexts.
+
+    ``members(idx, c)`` is the bitmask of packages that get an installation
+    atom in context c; None tracks no context (p1). With
+    ``conflicting_only`` a context is tracked only when its closure holds a
+    conflict, and an untracked one gets p1-style dependency clauses. A
+    dependency target points at its installation atom when it is a member,
+    unless ``easy_direct`` sends easy targets to their package atom: p4
+    does so even when the target is the context itself.
     """
-    if u.conflicts:
-        raise ConflictsPresent("p1 requires a conflict-free universe")
-    problem = EncodedProblem("p1", AtomTable(u.packages))
-    atoms = problem.atoms
-    uniqueness_clauses(u, problem)
-    for p in u.sorted_packages():
-        for disjunction in u.dep.get(p, ()):
-            problem.add([-atoms.pkg(p)] + [atoms.pkg(q) for q in sorted(disjunction)],
-                        ("d", None, p, disjunction))
-    return _finish(problem, u, rules)
+
+    members: Callable[[ClosureIndex, int], int] | None
+    conflicting_only: bool = False
+    easy_direct: bool = False
 
 
-def encode_p2(u: Universe, rules: PolicyRules | None = None,
-              bound: int = DEFAULT_P2_BOUND) -> EncodedProblem:
-    """Installation atoms for every package pair: the reference semantics.
-
-    Size is quadratic in the universe, so this encoding is capped and only
-    serves as a small-scale oracle against which the others are checked.
-    """
-    pkgs = u.sorted_packages()
-    if len(pkgs) > bound:
-        raise UniverseTooLarge(f"{len(pkgs)} packages exceed the p2 bound {bound}")
-    pairs = [(member, context) for context in pkgs for member in pkgs]
-    problem = EncodedProblem("p2", AtomTable(u.packages, pairs))
-    atoms = problem.atoms
-    uniqueness_clauses(u, problem)
-    for context in pkgs:
-        for member in pkgs:
-            problem.add((-atoms.inst(member, context), atoms.pkg(member)),
-                        ("e", context, member))
-    for p in pkgs:
-        problem.add((-atoms.pkg(p), atoms.inst(p, p)), ("i", p))
-    for context in pkgs:
-        for p in pkgs:
-            for disjunction in u.dep.get(p, ()):
-                problem.add([-atoms.inst(p, context)] +
-                            [atoms.inst(q, context) for q in sorted(disjunction)],
-                            ("d", context, p, disjunction))
-    for context in pkgs:
-        for a, b in sorted(u.conflicts):
-            if a < b:
-                problem.add((-atoms.inst(a, context), -atoms.inst(b, context)),
-                            ("c", context, a, b))
-    return _finish(problem, u, rules)
-
-
-def encode_p3(u: Universe, idx: ClosureIndex,
-              rules: PolicyRules | None = None) -> EncodedProblem:
-    """Installation atoms restricted to each context's dependency closure."""
-    pkgs = u.sorted_packages()
-    closures = {p: idx.closure(p) for p in pkgs}
-    pairs = [(member, context) for context in pkgs
-             for member in sorted(closures[context])]
-    problem = EncodedProblem("p3", AtomTable(u.packages, pairs))
-    atoms = problem.atoms
-    uniqueness_clauses(u, problem)
-    for context in pkgs:
-        for member in sorted(closures[context]):
-            problem.add((-atoms.inst(member, context), atoms.pkg(member)),
-                        ("e", context, member))
-    for p in pkgs:
-        problem.add((-atoms.pkg(p), atoms.inst(p, p)), ("i", p))
-    for context in pkgs:
-        for p in sorted(closures[context]):
-            for disjunction in u.dep.get(p, ()):
-                problem.add([-atoms.inst(p, context)] +
-                            [atoms.inst(q, context) for q in sorted(disjunction)],
-                            ("d", context, p, disjunction))
-    for context in pkgs:
-        closure = closures[context]
-        for a, b in sorted(u.conflicts):
-            if a < b and a in closure and b in closure:
-                problem.add((-atoms.inst(a, context), -atoms.inst(b, context)),
-                            ("c", context, a, b))
-    return _finish(problem, u, rules)
-
-
-def encode_p4(u: Universe, idx: ClosureIndex,
-              rules: PolicyRules | None = None) -> EncodedProblem:
-    """Hard-restricted closures; easy dependencies use package atoms.
-
-    An easy package in a dependency disjunction never needs per-context
-    tracking: its presence in T' suffices, so the split in the d-family
-    references the package atom directly.
-    """
-    pkgs = u.sorted_packages()
-    hard_closures = {p: idx.hard_closure(p) for p in pkgs}
-    easy = idx.easy
-    pairs = [(member, context) for context in pkgs
-             for member in sorted(hard_closures[context])]
-    problem = EncodedProblem("p4", AtomTable(u.packages, pairs))
-    atoms = problem.atoms
-    uniqueness_clauses(u, problem)
-    for context in pkgs:
-        for member in sorted(hard_closures[context]):
-            problem.add((-atoms.inst(member, context), atoms.pkg(member)),
-                        ("e", context, member))
-    for p in pkgs:
-        problem.add((-atoms.pkg(p), atoms.inst(p, p)), ("i", p))
-    for context in pkgs:
-        for p in sorted(hard_closures[context]):
-            for disjunction in u.dep.get(p, ()):
-                lits = [-atoms.inst(p, context)]
-                for q in sorted(disjunction):
-                    if q in easy:
-                        lits.append(atoms.pkg(q))
-                    else:
-                        lits.append(atoms.inst(q, context))
-                problem.add(lits, ("d", context, p, disjunction))
-    for context in pkgs:
-        closure = hard_closures[context]
-        for a, b in sorted(u.conflicts):
-            if a < b and a in closure and b in closure:
-                problem.add((-atoms.inst(a, context), -atoms.inst(b, context)),
-                            ("c", context, a, b))
-    return _finish(problem, u, rules)
-
-
-def encode_p5(u: Universe, idx: ClosureIndex, rules: PolicyRules | None = None,
-              mode: str = "pruned") -> EncodedProblem:
-    """Installation atoms only for connecting dependencies.
-
-    strict mode follows the formal definition, keeping the seed atom p@p
-    for every package; pruned mode omits the seed (and its i-clause) for
-    contexts without relevant conflicts and encodes their dependencies over
-    package atoms, p1-style.
-    """
-    if mode not in ("strict", "pruned"):
-        raise ValueError(f"unknown p5 mode {mode!r}")
-    pkgs = u.sorted_packages()
-    connecting = {p: idx.connecting(p) for p in pkgs}
-    tracked = {p: (mode == "strict" or bool(idx.relevant_conflicts(p)))
-               for p in pkgs}
-    pairs = [(member, context) for context in pkgs if tracked[context]
-             for member in sorted(connecting[context])]
-    problem = EncodedProblem(f"p5-{mode}", AtomTable(u.packages, pairs))
-    atoms = problem.atoms
-    uniqueness_clauses(u, problem)
-    for context in pkgs:
-        if not tracked[context]:
-            continue
-        for member in sorted(connecting[context]):
-            problem.add((-atoms.inst(member, context), atoms.pkg(member)),
-                        ("e", context, member))
-    for p in pkgs:
-        if tracked[p]:
-            problem.add((-atoms.pkg(p), atoms.inst(p, p)), ("i", p))
-    for context in pkgs:
-        if tracked[context]:
-            members = connecting[context]
-            for p in sorted(members):
-                for disjunction in u.dep.get(p, ()):
-                    lits = [-atoms.inst(p, context)]
-                    for q in sorted(disjunction):
-                        if q in members:
-                            lits.append(atoms.inst(q, context))
-                        else:
-                            lits.append(atoms.pkg(q))
-                    problem.add(lits, ("d", context, p, disjunction))
-        else:
-            for disjunction in u.dep.get(context, ()):
-                problem.add([-atoms.pkg(context)] +
-                            [atoms.pkg(q) for q in sorted(disjunction)],
-                            ("d", None, context, disjunction))
-    for context in pkgs:
-        if not tracked[context]:
-            continue
-        members = connecting[context]
-        for a, b in sorted(u.conflicts):
-            if a < b and a in members and b in members:
-                problem.add((-atoms.inst(a, context), -atoms.inst(b, context)),
-                            ("c", context, a, b))
-    return _finish(problem, u, rules)
+SCHEMES = {
+    "p1": Scheme(None),
+    "p2": Scheme(_everything),
+    "p3": Scheme(ClosureIndex.closure_mask),
+    "p4": Scheme(ClosureIndex.hard_closure_mask, easy_direct=True),
+    "p5-strict": Scheme(ClosureIndex.connecting_mask),
+    "p5-pruned": Scheme(ClosureIndex.connecting_mask, conflicting_only=True),
+}
+ALIASES = {"p2-oracle": "p2", "p5": "p5-pruned"}
 
 
 def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
                    rules: PolicyRules | None = None,
                    p2_bound: int = DEFAULT_P2_BOUND) -> EncodedProblem:
-    """Dispatch by encoding name; p5 without suffix means pruned."""
-    if name == "p1":
-        return encode_p1(u, rules)
-    if name in ("p2", "p2-oracle"):
-        return encode_p2(u, rules, bound=p2_bound)
+    """Encode u under the named scheme ("p5" means p5-pruned).
+
+    Clause order: uniqueness; the e, i, d and c families, each over the
+    contexts in package order and the members in package order; policy.
+    p2's size is quadratic in the universe, so it is capped by p2_bound and
+    only serves as a small-scale oracle for the others.
+    """
+    encoding_id = ALIASES.get(name, name)
+    scheme = SCHEMES.get(encoding_id)
+    if scheme is None:
+        raise ValueError(f"unknown encoding {name!r}")
+    if scheme.members is None and u.conflicts:
+        raise ConflictsPresent("p1 requires a conflict-free universe")
+    if encoding_id == "p2" and len(u.packages) > p2_bound:
+        raise UniverseTooLarge(
+            f"{len(u.packages)} packages exceed the p2 bound {p2_bound}")
     if idx is None:
         idx = ClosureIndex(u)
-    if name == "p3":
-        return encode_p3(u, idx, rules)
-    if name == "p4":
-        return encode_p4(u, idx, rules)
-    if name in ("p5", "p5-pruned"):
-        return encode_p5(u, idx, rules, mode="pruned")
-    if name == "p5-strict":
-        return encode_p5(u, idx, rules, mode="strict")
-    raise ValueError(f"unknown encoding {name!r}")
+    pkgs = idx.packages
+    tracked: dict[int, int] = {}  # context id -> member mask, in id order
+    if scheme.members is not None:
+        for c in range(len(pkgs)):
+            if not scheme.conflicting_only or idx.relevant_ends(c):
+                tracked[c] = scheme.members(idx, c)
+    atoms = AtomTable(pkgs, [(c, m) for c, mask in tracked.items()
+                             for m in bits(mask)])
+    problem = EncodedProblem(encoding_id, atoms)
+    add = problem.add
+    inst = atoms.inst_ids
+    uniqueness_clauses(u, problem)
+    for c, mask in tracked.items():
+        for m in bits(mask):
+            add((-inst[c, m], m + 1), ("e", pkgs[c], pkgs[m]))
+    for c in tracked:
+        add((-(c + 1), inst[c, c]), ("i", pkgs[c]))
+    easy = idx.easy_mask if scheme.easy_direct else 0
+    for c in range(len(pkgs)):
+        mask = tracked.get(c)
+        if mask is None:
+            for disjunction, targets in idx.deps[c]:
+                add([-(c + 1)] + [q + 1 for q in targets],
+                    ("d", None, pkgs[c], disjunction))
+            continue
+        local = mask & ~easy
+        for m in bits(mask):
+            head = -inst[c, m]
+            for disjunction, targets in idx.deps[m]:
+                add([head] + [inst[c, q] if local >> q & 1 else q + 1
+                              for q in targets],
+                    ("d", pkgs[c], pkgs[m], disjunction))
+    for c, mask in tracked.items():
+        for a, b in idx.conflict_pairs:
+            if mask >> a & 1 and mask >> b & 1:
+                add((-inst[c, a], -inst[c, b]), ("c", pkgs[c], pkgs[a], pkgs[b]))
+    if rules is not None:
+        policy_clauses(rules, u, problem)
+    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ class MigrationRequest:
     solver_command: list[str] | None = None
     budgets: Budgets = field(default_factory=Budgets)
     p2_bound: int = encoder.DEFAULT_P2_BOUND
-    abort_on_broken_testing: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -131,8 +130,7 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
 def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
     """Project an assignment onto the package atoms; installation atoms are
     ignored."""
-    return frozenset(atoms.atom(i).package
-                     for i in range(1, atoms.num_package_atoms + 1)
+    return frozenset(p for i, p in enumerate(atoms.packages, start=1)
                      if i in true_atoms)
 
 
@@ -172,14 +170,38 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe,
     return frozenset(current)
 
 
+def _verified_result(req: MigrationRequest, u: Universe,
+                     problem: EncodedProblem, model, optimum: int,
+                     externally_claimed: bool = False,
+                     warnings=()) -> MigrationResult:
+    """Decode a model, restore the shared packages and re-verify the result
+    from the raw model data."""
+    t_prime = _restore_shared(decode_solution(model, problem.atoms), u,
+                              req.policy)
+    verdict = repo.is_admissible(t_prime, u, req.policy)
+    if not verdict:
+        raise VerificationFailed(
+            f"decoded repository failed verification: {verdict.detail}")
+    migrated_in = tuple(sorted(t_prime - u.testing))
+    removed = tuple(sorted(u.testing - t_prime))
+    return MigrationResult(
+        t_prime=t_prime,
+        migrated_in=migrated_in,
+        removed=removed,
+        delta=len(migrated_in) + len(removed),
+        verified=True,
+        optimum=optimum,
+        externally_claimed=externally_claimed,
+        encoding_id=problem.encoding_id,
+        warnings=tuple(warnings),
+    )
+
+
 def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
     warnings = []
     for violation in repo.check_testing(u):
         warnings.append(f"testing violates assumptions: {violation.detail}")
-    if warnings and req.abort_on_broken_testing:
-        raise EngineError("; ".join(warnings))
-    idx = ClosureIndex(u) if req.encoding not in ("p1", "p2", "p2-oracle") else None
-    problem = build_problem(req, u, idx)
+    problem = build_problem(req, u)
     attach_objective(req, u, problem)
     result = _solve(req, problem)
     if result.status is SolveStatus.UNSAT:
@@ -200,25 +222,9 @@ def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
     if result.status is SolveStatus.SAT:
         warnings.append("external solver returned a model without an"
                         " optimality claim")
-    t_prime = _restore_shared(decode_solution(model, problem.atoms), u,
-                              req.policy)
-    verdict = repo.is_admissible(t_prime, u, req.policy)
-    if not verdict:
-        raise VerificationFailed(
-            f"decoded repository failed verification: {verdict.detail}")
-    migrated_in = tuple(sorted(t_prime - u.testing))
-    removed = tuple(sorted(u.testing - t_prime))
-    return MigrationResult(
-        t_prime=t_prime,
-        migrated_in=migrated_in,
-        removed=removed,
-        delta=len(migrated_in) + len(removed),
-        verified=True,
-        optimum=recount,
-        externally_claimed=result.externally_claimed,
-        encoding_id=problem.encoding_id,
-        warnings=tuple(problem.warnings + warnings),
-    )
+    return _verified_result(req, u, problem, model, recount,
+                            result.externally_claimed,
+                            problem.warnings + warnings)
 
 
 def alternative_optima(req: MigrationRequest, u: Universe,
@@ -229,8 +235,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     if req.solver_command is not None:
         raise EngineError("alternative enumeration needs the embedded solver")
     results = [solve_migration(req, u)]
-    idx = ClosureIndex(u) if req.encoding not in ("p1", "p2", "p2-oracle") else None
-    problem = build_problem(req, u, idx)
+    problem = build_problem(req, u)
     attach_objective(req, u, problem)
     incoming, outgoing = encoder.migration_candidates(u)
     candidates = incoming + outgoing
@@ -250,17 +255,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
         count = satcore.count_satisfied(problem.soft, result.true_atoms)
         if count != results[0].optimum:
             break
-        t_prime = _restore_shared(decode_solution(result.true_atoms,
-                                                  problem.atoms), u, req.policy)
-        if not repo.is_admissible(t_prime, u, req.policy):
-            raise VerificationFailed("alternative failed verification")
-        migrated_in = tuple(sorted(t_prime - u.testing))
-        removed = tuple(sorted(u.testing - t_prime))
-        results.append(MigrationResult(
-            t_prime=t_prime, migrated_in=migrated_in, removed=removed,
-            delta=len(migrated_in) + len(removed), verified=True,
-            optimum=count, externally_claimed=False,
-            encoding_id=problem.encoding_id))
+        results.append(_verified_result(req, u, problem, result.true_atoms, count))
     return results
 
 

@@ -1,0 +1,194 @@
+"""Exhaustive reference oracles for the test suite.
+
+Each one enumerates subsets or assignments, so it is exponential by design
+and bounded to small inputs. The runtime modules never import this one;
+numpy is needed only here.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
+
+from .repo import (Package, RepoError, Universe, is_healthy, reachable,
+                   unique_pairs)
+from .satcore import (SatCoreError, SolveResult, SolveStatus,
+                      infer_num_vars)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .encoder import PolicyRules
+
+DEFAULT_INSTALLABILITY_BOUND = 20
+ENUMERATION_BOUND = 16
+BRUTE_FORCE_MAX_VARS = 24
+
+
+class ContextTooLarge(RepoError):
+    """An exhaustive model oracle was asked beyond its bound."""
+
+
+class TooLarge(SatCoreError):
+    """Exhaustive enumeration was requested beyond its variable bound."""
+
+
+def brute_force_solve(hard, soft=None, num_vars: int | None = None) -> SolveResult:
+    """Exhaustive oracle: enumerate all assignments, exact optimum.
+
+    Assignments are encoded as integers; bit v-1 is the value of atom v.
+    """
+    hard = [tuple(c) for c in hard]
+    soft = [tuple(c) for c in soft] if soft is not None else None
+    if num_vars is None:
+        num_vars = infer_num_vars(hard, soft or [])
+    if num_vars > BRUTE_FORCE_MAX_VARS:
+        raise TooLarge(f"{num_vars} variables exceed the enumeration bound")
+    masks = np.arange(1 << num_vars, dtype=np.uint32)
+
+    def clause_ok(clause):
+        ok = np.zeros(len(masks), dtype=bool)
+        for lit in clause:
+            bit = (masks >> (abs(lit) - 1)) & 1
+            ok |= (bit == 1) if lit > 0 else (bit == 0)
+        return ok
+
+    hard_ok = np.ones(len(masks), dtype=bool)
+    for clause in hard:
+        hard_ok &= clause_ok(clause)
+    if not hard_ok.any():
+        return SolveResult(SolveStatus.UNSAT)
+
+    def model_of(index):
+        return frozenset(v for v in range(1, num_vars + 1)
+                         if (index >> (v - 1)) & 1)
+
+    if soft is None:
+        index = int(np.argmax(hard_ok))
+        return SolveResult(SolveStatus.SAT, true_atoms=model_of(index))
+    counts = np.zeros(len(masks), dtype=np.int32)
+    for clause in soft:
+        counts += clause_ok(clause)
+    counts[~hard_ok] = -1
+    index = int(np.argmax(counts))
+    return SolveResult(SolveStatus.OPTIMAL, true_atoms=model_of(index),
+                       satisfied_soft=int(counts[index]))
+
+
+def is_installable(p: Package, r: Iterable[Package], u: Universe,
+                   bound: int = DEFAULT_INSTALLABILITY_BOUND) -> bool:
+    """Reference for repo.is_installable: enumerate every subset of p's
+    closure restricted to r."""
+    rset = frozenset(r)
+    if p not in rset or not rset <= u.packages:
+        raise ValueError("need p ∈ r ⊆ packages")
+    ctx = reachable(p, u) & rset
+    if len(ctx) > bound:
+        raise ContextTooLarge(
+            f"context of {p} has {len(ctx)} packages (> {bound})")
+    others = sorted(ctx - {p})
+    for mask in range(1 << len(others)):
+        members = {p}
+        for i in range(len(others)):
+            if mask >> i & 1:
+                members.add(others[i])
+        if is_healthy(members, u):
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_clear_pattern(n: int, b: int) -> int:
+    """2**n-bit integer with ones at mask-indices whose bit b is clear."""
+    step = 1 << b
+    period = step * 2
+    reps = (1 << n) // period
+    block = (1 << step) - 1
+    return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+
+
+def admissible_masks(u: Universe, policy: "PolicyRules | None" = None):
+    """Enumerate every admissible T' as a bitmask over the sorted packages.
+
+    Healthy subsets are found by direct enumeration; per-package
+    installability over all candidate repositories follows by closing the
+    healthy-set family upward in the subset lattice.
+    """
+    pkgs = u.sorted_packages()
+    n = len(pkgs)
+    if n > ENUMERATION_BOUND:
+        raise ContextTooLarge(f"{n} packages exceed the enumeration bound")
+    index = {p: i for i, p in enumerate(pkgs)}
+    dep_masks: list[list[int]] = []
+    for p in pkgs:
+        masks = []
+        for disjunction in u.dep.get(p, ()):
+            m = 0
+            for q in disjunction:
+                m |= 1 << index[q]
+            masks.append(m)
+        dep_masks.append(masks)
+    pair_masks = sorted({(1 << index[a]) | (1 << index[b])
+                         for a, b in u.conflicts})
+    size = 1 << n
+    full = (1 << size) - 1
+
+    def healthy(mask: int) -> bool:
+        for pm in pair_masks:
+            if mask & pm == pm:
+                return False
+        mm = mask
+        while mm:
+            low = mm & -mm
+            for dm in dep_masks[low.bit_length() - 1]:
+                if not dm & mask:
+                    return False
+            mm ^= low
+        return True
+
+    healthy_masks = [m for m in range(size) if healthy(m)]
+    trimmed_space = full
+    for i in range(n):
+        seed = 0
+        bit = 1 << i
+        for h in healthy_masks:
+            if h & bit:
+                seed |= 1 << h
+        g = seed
+        for b in range(n):
+            g |= (g & _bit_clear_pattern(n, b)) << (1 << b)
+        # packages absent from a repository do not constrain it
+        trimmed_space &= g | _bit_clear_pattern(n, i)
+    bad = 0
+    for a, b in unique_pairs(u):
+        if a < b:
+            has_a = full ^ _bit_clear_pattern(n, index[a])
+            has_b = full ^ _bit_clear_pattern(n, index[b])
+            bad |= has_a & has_b
+    space = trimmed_space & (full ^ bad)
+    if policy is not None:
+        def literal_space(sign: int, pkg: Package) -> int:
+            clear = _bit_clear_pattern(n, index[pkg])
+            return (full ^ clear) if sign > 0 else clear
+
+        for group in policy.groups:
+            all_true = full
+            all_false = full
+            for sign, pkg in group:
+                all_true &= literal_space(sign, pkg)
+                all_false &= full ^ literal_space(sign, pkg)
+            space &= all_true | all_false
+        for clause in policy.extra_clauses:
+            acc = 0
+            for sign, pkg in clause:
+                acc |= literal_space(sign, pkg)
+            space &= acc
+    masks = [m for m in range(size) if space >> m & 1]
+    return pkgs, masks
+
+
+def admissible_sets(u: Universe,
+                    policy: "PolicyRules | None" = None) -> list[frozenset[Package]]:
+    pkgs, masks = admissible_masks(u, policy)
+    return [frozenset(pkgs[i] for i in range(len(pkgs)) if mask >> i & 1)
+            for mask in masks]

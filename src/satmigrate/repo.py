@@ -1,14 +1,13 @@
 """Formal repository model.
 
 Packages, the fully expanded dependency function, the conflict relation,
-installations, installability, trimmedness and admissibility — together
-with exhaustive oracles (subset enumeration) used to verify everything the
-solver pipeline produces.
+installations, installability, trimmedness and admissibility, used to
+verify everything the solver pipeline produces. The exhaustive reference
+oracles live in ``satmigrate.oracle``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -18,16 +17,8 @@ from .controlfile import PackageStanza, VersionConstraint
 if TYPE_CHECKING:  # pragma: no cover
     from .encoder import PolicyRules
 
-DEFAULT_ORACLE_BOUND = 20
-ENUMERATION_BOUND = 16
-
-
 class RepoError(Exception):
     """Base class for repository-model failures."""
-
-
-class ContextTooLarge(RepoError):
-    """The exhaustive installability oracle was asked beyond its bound."""
 
 
 class DuplicateIdentity(RepoError):
@@ -70,18 +61,6 @@ class Universe:
 
     def sorted_packages(self) -> list[Package]:
         return sorted(self.packages)
-
-
-@dataclass(frozen=True)
-class Installation:
-    """A selection of packages drawn from a context repository."""
-
-    members: frozenset[Package]
-    context: frozenset[Package]
-
-    def __post_init__(self):
-        if not self.members <= self.context:
-            raise ValueError("installation members must lie in the context")
 
 
 def make_universe(packages: Iterable[Package],
@@ -237,51 +216,29 @@ def installability_clauses(p: Package, r: Iterable[Package], u: Universe):
             clauses.append(tuple([-index[q]] +
                                  sorted(index[x] for x in available)))
             info.append(("inst-dep", q, available))
-    for a, b in sorted(u.conflicts):
-        if a < b and a in index and b in index:
-            clauses.append((-index[a], -index[b]))
-            info.append(("inst-conflict", a, b))
+    for a, b in sorted((a, b) for a, b in u.conflicts
+                       if a in index and b in index and a < b):
+        clauses.append((-index[a], -index[b]))
+        info.append(("inst-conflict", a, b))
     return clauses, info, ctx
 
 
-def is_installable(p: Package, r: Iterable[Package], u: Universe,
-                   method: str = "sat",
-                   oracle_bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    """Decide whether some healthy installation within r contains p.
-
-    method="sat" runs a per-package SAT query over p's dependency closure;
-    method="oracle" enumerates every subset of the closure restricted to r
-    and is the independent reference for small contexts.
-    """
+def is_installable(p: Package, r: Iterable[Package], u: Universe) -> bool:
+    """Decide whether some healthy installation within r contains p, by one
+    SAT query over p's dependency closure."""
     rset = frozenset(r)
     if p not in rset or not rset <= u.packages:
         raise ValueError("need p ∈ r ⊆ packages")
-    if method == "oracle":
-        ctx = reachable(p, u) & rset
-        if len(ctx) > oracle_bound:
-            raise ContextTooLarge(
-                f"context of {p} has {len(ctx)} packages (> {oracle_bound})")
-        others = sorted(ctx - {p})
-        for mask in range(1 << len(others)):
-            members = {p}
-            for i in range(len(others)):
-                if mask >> i & 1:
-                    members.add(others[i])
-            if is_healthy(members, u):
-                return True
-        return False
-    if method == "sat":
-        clauses, _, ctx = installability_clauses(p, rset, u)
-        result = satcore.solve_sat(clauses, num_vars=len(ctx))
-        if result.status is satcore.SolveStatus.TIMEOUT:
-            raise RepoError(f"installability query for {p} timed out")
-        return result.status is satcore.SolveStatus.SAT
-    raise ValueError(f"unknown method {method!r}")
+    clauses, _, ctx = installability_clauses(p, rset, u)
+    result = satcore.solve_sat(clauses, num_vars=len(ctx))
+    if result.status is satcore.SolveStatus.TIMEOUT:
+        raise RepoError(f"installability query for {p} timed out")
+    return result.status is satcore.SolveStatus.SAT
 
 
-def is_trimmed(r: Iterable[Package], u: Universe, method: str = "sat") -> bool:
+def is_trimmed(r: Iterable[Package], u: Universe) -> bool:
     rset = frozenset(r)
-    return all(is_installable(p, rset, u, method=method) for p in sorted(rset))
+    return all(is_installable(p, rset, u) for p in sorted(rset))
 
 
 @dataclass(frozen=True)
@@ -371,104 +328,3 @@ def check_testing(u: Universe) -> list[AdmissibilityVerdict]:
             violations.append(AdmissibilityVerdict(
                 False, "trimmedness", f"{p} is not installable in testing", (p,)))
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration of admissible migrations (test / verification oracle)
-
-
-@functools.lru_cache(maxsize=None)
-def _bit_clear_pattern(n: int, b: int) -> int:
-    """2**n-bit integer with ones at mask-indices whose bit b is clear."""
-    step = 1 << b
-    period = step * 2
-    reps = (1 << n) // period
-    block = (1 << step) - 1
-    return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
-
-
-def admissible_masks(u: Universe, policy: "PolicyRules | None" = None):
-    """Enumerate every admissible T' as a bitmask over the sorted packages.
-
-    Healthy subsets are found by direct enumeration; per-package
-    installability over all candidate repositories follows by closing the
-    healthy-set family upward in the subset lattice.
-    """
-    pkgs = u.sorted_packages()
-    n = len(pkgs)
-    if n > ENUMERATION_BOUND:
-        raise ContextTooLarge(f"{n} packages exceed the enumeration bound")
-    index = {p: i for i, p in enumerate(pkgs)}
-    dep_masks: list[list[int]] = []
-    for p in pkgs:
-        masks = []
-        for disjunction in u.dep.get(p, ()):
-            m = 0
-            for q in disjunction:
-                m |= 1 << index[q]
-            masks.append(m)
-        dep_masks.append(masks)
-    pair_masks = sorted({(1 << index[a]) | (1 << index[b])
-                         for a, b in u.conflicts})
-    size = 1 << n
-    full = (1 << size) - 1
-
-    def healthy(mask: int) -> bool:
-        for pm in pair_masks:
-            if mask & pm == pm:
-                return False
-        mm = mask
-        while mm:
-            low = mm & -mm
-            for dm in dep_masks[low.bit_length() - 1]:
-                if not dm & mask:
-                    return False
-            mm ^= low
-        return True
-
-    healthy_masks = [m for m in range(size) if healthy(m)]
-    trimmed_space = full
-    for i in range(n):
-        seed = 0
-        bit = 1 << i
-        for h in healthy_masks:
-            if h & bit:
-                seed |= 1 << h
-        g = seed
-        for b in range(n):
-            g |= (g & _bit_clear_pattern(n, b)) << (1 << b)
-        # packages absent from a repository do not constrain it
-        trimmed_space &= g | _bit_clear_pattern(n, i)
-    bad = 0
-    for a, b in unique_pairs(u):
-        if a < b:
-            has_a = full ^ _bit_clear_pattern(n, index[a])
-            has_b = full ^ _bit_clear_pattern(n, index[b])
-            bad |= has_a & has_b
-    space = trimmed_space & (full ^ bad)
-    if policy is not None:
-        def literal_space(sign: int, pkg: Package) -> int:
-            clear = _bit_clear_pattern(n, index[pkg])
-            return (full ^ clear) if sign > 0 else clear
-
-        for group in policy.groups:
-            all_true = full
-            all_false = full
-            for sign, pkg in group:
-                all_true &= literal_space(sign, pkg)
-                all_false &= full ^ literal_space(sign, pkg)
-            space &= all_true | all_false
-        for clause in policy.extra_clauses:
-            acc = 0
-            for sign, pkg in clause:
-                acc |= literal_space(sign, pkg)
-            space &= acc
-    masks = [m for m in range(size) if space >> m & 1]
-    return pkgs, masks
-
-
-def admissible_sets(u: Universe,
-                    policy: "PolicyRules | None" = None) -> list[frozenset[Package]]:
-    pkgs, masks = admissible_masks(u, policy)
-    return [frozenset(pkgs[i] for i in range(len(pkgs)) if mask >> i & 1)
-            for mask in masks]

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
 
 DEFAULT_SAT_TIMEOUT = 60.0
 DEFAULT_PMAX_TIMEOUT = 300.0
-BRUTE_FORCE_MAX_VARS = 24
 
 
 class SatCoreError(Exception):
@@ -31,10 +29,6 @@ class SatCoreError(Exception):
 
 class NotUnsat(SatCoreError):
     """MUS extraction was asked to explain a satisfiable instance."""
-
-
-class TooLarge(SatCoreError):
-    """Exhaustive enumeration was requested beyond its variable bound."""
 
 
 class SolverCrashed(SatCoreError):
@@ -375,48 +369,6 @@ def solve_pmaxsat(hard, soft, num_vars: int | None = None,
         raise SatCoreError("internal error: model failed re-verification")
     return SolveResult(SolveStatus.OPTIMAL, true_atoms=best.true_atoms,
                        satisfied_soft=best_count)
-
-
-def brute_force_solve(hard, soft=None, num_vars: int | None = None) -> SolveResult:
-    """Exhaustive oracle: enumerate all assignments, exact optimum.
-
-    Assignments are encoded as integers; bit v-1 is the value of atom v.
-    """
-    hard = [tuple(c) for c in hard]
-    soft = [tuple(c) for c in soft] if soft is not None else None
-    if num_vars is None:
-        num_vars = infer_num_vars(hard, soft or [])
-    if num_vars > BRUTE_FORCE_MAX_VARS:
-        raise TooLarge(f"{num_vars} variables exceed the enumeration bound")
-    masks = np.arange(1 << num_vars, dtype=np.uint32)
-
-    def clause_ok(clause):
-        ok = np.zeros(len(masks), dtype=bool)
-        for lit in clause:
-            bit = (masks >> (abs(lit) - 1)) & 1
-            ok |= (bit == 1) if lit > 0 else (bit == 0)
-        return ok
-
-    hard_ok = np.ones(len(masks), dtype=bool)
-    for clause in hard:
-        hard_ok &= clause_ok(clause)
-    if not hard_ok.any():
-        return SolveResult(SolveStatus.UNSAT)
-
-    def model_of(index):
-        return frozenset(v for v in range(1, num_vars + 1)
-                         if (index >> (v - 1)) & 1)
-
-    if soft is None:
-        index = int(np.argmax(hard_ok))
-        return SolveResult(SolveStatus.SAT, true_atoms=model_of(index))
-    counts = np.zeros(len(masks), dtype=np.int32)
-    for clause in soft:
-        counts += clause_ok(clause)
-    counts[~hard_ok] = -1
-    index = int(np.argmax(counts))
-    return SolveResult(SolveStatus.OPTIMAL, true_atoms=model_of(index),
-                       satisfied_soft=int(counts[index]))
 
 
 def extract_mus(hard, num_vars: int | None = None,

@@ -12,14 +12,14 @@ import time
 
 import pytest
 
-from satmigrate import repo
+from satmigrate import oracle, repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import compare_versions
-from satmigrate.encoder import (encode_p1, encode_p2, encode_p3, encode_p4,
-                                encode_p5)
+from satmigrate.encoder import build_encoding
 from satmigrate.engine import (MigrationRequest, Unsolvable, solve_migration)
 from satmigrate.cli import main as cli_main
-from satmigrate.satcore import (SolveStatus, brute_force_solve, emit_dimacs,
+from satmigrate.oracle import brute_force_solve
+from satmigrate.satcore import (SolveStatus, emit_dimacs,
                                 extract_mus, normalize_clause, parse_dimacs,
                                 solve_pmaxsat, solve_sat)
 
@@ -46,15 +46,15 @@ def corpus():
             universes.append(random_universe(
                 rng, size=(i % 10) + 1, dep_density=dep_density,
                 conflict_density=conflict_density))
-    admissible = [repo.admissible_masks(u) for u in universes]
+    admissible = [oracle.admissible_masks(u) for u in universes]
     return universes, admissible
 
 
 def _encodings(universe, idx):
-    return [encode_p2(universe), encode_p3(universe, idx),
-            encode_p4(universe, idx),
-            encode_p5(universe, idx, mode="strict"),
-            encode_p5(universe, idx, mode="pruned")]
+    return [build_encoding(universe, idx, "p2"), build_encoding(universe, idx, "p3"),
+            build_encoding(universe, idx, "p4"),
+            build_encoding(universe, idx, "p5-strict"),
+            build_encoding(universe, idx, "p5-pruned")]
 
 
 def test_encoding_equivalence_suite(corpus):
@@ -84,11 +84,11 @@ def test_conflict_free_collapse(corpus):
             continue
         checked += 1
         idx = ClosureIndex(universe)
-        pruned = encode_p5(universe, idx, mode="pruned")
+        pruned = build_encoding(universe, idx, "p5-pruned")
         if pruned.atoms.num_inst_atoms != 0:
             mismatches += 1
             continue
-        if projected_solutions(encode_p1(universe), universe) != set(masks):
+        if projected_solutions(build_encoding(universe, idx, "p1"), universe) != set(masks):
             mismatches += 1
     _report("conflict-free-collapse", checked >= 200 and mismatches == 0,
             f"{checked} conflict-free universes, {mismatches} mismatches")
@@ -153,8 +153,8 @@ def test_size_monotonicity(corpus):
         if not any(idx.relevant_conflicts(p) for p in idx.packages):
             continue
         reachable_conflict += 1
-        p3 = encode_p3(universe, idx)
-        p5s = encode_p5(universe, idx, mode="strict")
+        p3 = build_encoding(universe, idx, "p3")
+        p5s = build_encoding(universe, idx, "p5-strict")
         if p5s.num_vars < p3.num_vars and len(p5s.hard) < len(p3.hard):
             strictly_smaller += 1
     ratio = strictly_smaller / reachable_conflict if reachable_conflict else 1.0
@@ -172,7 +172,7 @@ def test_p2_closed_form_counts():
             universe = random_universe(rng, size=n, dep_density=0.7,
                                        conflict_density=0.5) if n else \
                 repo.make_universe([], {}, [], [], [])
-            problem = encode_p2(universe)
+            problem = build_encoding(universe, None, "p2")
             if problem.num_vars != n + n * n:
                 failures += 1
             d_clauses = sum(1 for info in problem.info if info[0] == "d")

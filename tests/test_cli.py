@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,38 @@ def test_timeout_exit_code(repos, capsys, monkeypatch):
     code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE)])
     assert code == EXIT_TIMEOUT
     assert "timeout" in capsys.readouterr().err
+
+
+def test_explain_reports_repo_error(repos, capsys, monkeypatch):
+    import satmigrate.engine as engine_mod
+    import satmigrate.repo as repo_mod
+
+    def fake_solve(req, u):
+        raise repo_mod.RepoError("installability query timed out")
+
+    monkeypatch.setattr(engine_mod, "solve_migration", fake_solve)
+    code = main(["explain", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE), "a/2"])
+    assert code == EXIT_ERROR
+    assert "error: installability query timed out" in capsys.readouterr().err
+
+
+def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):
+    import satmigrate.satcore as satcore_mod
+
+    def fake_mus(hard, num_vars=None, timeout=None):
+        raise satcore_mod.SatCoreError("timeout during core minimization")
+
+    monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
+    broken = "Package: a\nVersion: 1\nDepends: nosuch\n\n"
+    code = main(["check", *repos(broken, broken)])
+    assert code == EXIT_ERROR
+    assert "error: timeout during core minimization" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, satmigrate.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

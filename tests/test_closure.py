@@ -2,10 +2,7 @@ from __future__ import annotations
 
 import random
 
-from satmigrate.closure import (ClosureIndex, connecting_dependencies,
-                                dependency_closure, easy_packages,
-                                hard_closure, may_depend,
-                                relevant_conflicts)
+from satmigrate.closure import ClosureIndex
 from satmigrate.repo import make_universe
 
 from .generators import P, random_universe, tiny_universe
@@ -16,17 +13,17 @@ from .generators import P, random_universe, tiny_universe
 def test_may_depend_is_union_of_disjunctions():
     u = tiny_universe(["p/1", "a/1", "b/1", "c/1"],
                       dep={"p/1": [["a/1", "b/1"], ["c/1"]]})
-    assert may_depend(u)[P("p/1")] == {P("a/1"), P("b/1"), P("c/1")}
+    assert ClosureIndex(u).may_dep(P("p/1")) == {P("a/1"), P("b/1"), P("c/1")}
 
 
 def test_may_depend_empty_without_dependencies():
     u = tiny_universe(["p/1"])
-    assert may_depend(u)[P("p/1")] == frozenset()
+    assert ClosureIndex(u).may_dep(P("p/1")) == frozenset()
 
 
 def test_empty_disjunction_contributes_nothing():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert may_depend(u)[P("p/1")] == frozenset()
+    assert ClosureIndex(u).may_dep(P("p/1")) == frozenset()
 
 
 # -- dependency closure -----------------------------------------------------------
@@ -34,21 +31,21 @@ def test_empty_disjunction_contributes_nothing():
 def test_closure_of_chain():
     u = tiny_universe(["p/1", "q/1", "r/1"],
                       dep={"p/1": [["q/1"]], "q/1": [["r/1"]]})
-    closure = dependency_closure(u)
-    assert closure[P("p/1")] == {P("p/1"), P("q/1"), P("r/1")}
-    assert closure[P("q/1")] == {P("q/1"), P("r/1")}
+    idx = ClosureIndex(u)
+    assert idx.closure(P("p/1")) == {P("p/1"), P("q/1"), P("r/1")}
+    assert idx.closure(P("q/1")) == {P("q/1"), P("r/1")}
 
 
 def test_closure_of_cycle_is_whole_component():
     u = tiny_universe(["p/1", "q/1"],
                       dep={"p/1": [["q/1"]], "q/1": [["p/1"]]})
-    closure = dependency_closure(u)
-    assert closure[P("p/1")] == closure[P("q/1")] == {P("p/1"), P("q/1")}
+    idx = ClosureIndex(u)
+    assert idx.closure(P("p/1")) == idx.closure(P("q/1")) == {P("p/1"), P("q/1")}
 
 
 def test_closure_of_isolated_package_is_reflexive():
     u = tiny_universe(["p/1"])
-    assert dependency_closure(u)[P("p/1")] == {P("p/1")}
+    assert ClosureIndex(u).closure(P("p/1")) == {P("p/1")}
 
 
 def test_closure_is_transitive_and_idempotent():
@@ -68,7 +65,7 @@ def test_closure_is_transitive_and_idempotent():
 def test_everything_easy_without_conflicts():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
     idx = ClosureIndex(u)
-    assert easy_packages(idx) == u.packages
+    assert idx.easy == u.packages
 
 
 def test_conflict_in_closure_makes_packages_hard():
@@ -77,13 +74,13 @@ def test_conflict_in_closure_makes_packages_hard():
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
     # closure(p)={p,q} meets {q,r}; q and r are endpoints themselves
-    assert easy_packages(idx) == frozenset()
+    assert idx.easy == frozenset()
 
 
 def test_isolated_package_stays_easy_despite_remote_conflict():
     u = tiny_universe(["p/1", "q/1", "r/1"], conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert P("p/1") in easy_packages(idx)
+    assert P("p/1") in idx.easy
 
 
 # -- hard closure -----------------------------------------------------------------
@@ -91,7 +88,8 @@ def test_isolated_package_stays_easy_despite_remote_conflict():
 def test_hard_closure_reduces_to_seed_when_all_easy():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
     idx = ClosureIndex(u)
-    assert hard_closure(idx) == {P("p/1"): {P("p/1")}, P("q/1"): {P("q/1")}}
+    assert idx.hard_closure(P("p/1")) == {P("p/1")}
+    assert idx.hard_closure(P("q/1")) == {P("q/1")}
 
 
 def test_hard_closure_excludes_easy_successors():
@@ -117,7 +115,7 @@ def test_conflict_with_endpoint_outside_closure_is_irrelevant():
                       dep={"p/1": [["q/1"]]},
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert relevant_conflicts(idx, P("p/1")) == frozenset()
+    assert idx.relevant_conflicts(P("p/1")) == frozenset()
 
 
 def test_conflict_inside_closure_is_relevant_both_ways():
@@ -125,7 +123,7 @@ def test_conflict_inside_closure_is_relevant_both_ways():
                       dep={"p/1": [["q/1"], ["r/1"]]},
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert relevant_conflicts(idx, P("p/1")) == {
+    assert idx.relevant_conflicts(P("p/1")) == {
         (P("q/1"), P("r/1")), (P("r/1"), P("q/1"))}
 
 
@@ -133,7 +131,7 @@ def test_no_conflicts_nothing_relevant():
     rng = random.Random(5)
     u = random_universe(rng, max_size=6, conflict_density=0.0)
     idx = ClosureIndex(u)
-    assert all(relevant_conflicts(idx, p) == frozenset() for p in idx.packages)
+    assert all(idx.relevant_conflicts(p) == frozenset() for p in idx.packages)
 
 
 # -- connecting dependencies ----------------------------------------------------------
@@ -141,7 +139,7 @@ def test_no_conflicts_nothing_relevant():
 def test_connecting_is_only_the_seed_without_relevant_conflicts():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
     idx = ClosureIndex(u)
-    assert connecting_dependencies(idx, P("p/1")) == {P("p/1")}
+    assert idx.connecting(P("p/1")) == {P("p/1")}
 
 
 def test_connecting_includes_both_conflict_sides():
@@ -149,7 +147,7 @@ def test_connecting_includes_both_conflict_sides():
                       dep={"p/1": [["q/1"], ["r/1"]]},
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert connecting_dependencies(idx, P("p/1")) == {
+    assert idx.connecting(P("p/1")) == {
         P("p/1"), P("q/1"), P("r/1")}
 
 
@@ -159,7 +157,7 @@ def test_connecting_tracks_paths_to_conflict_endpoints():
                       dep={"p/1": [["q/1"], ["t/1"]], "q/1": [["s/1"]]},
                       conflicts=[("s/1", "t/1")])
     idx = ClosureIndex(u)
-    assert P("q/1") in connecting_dependencies(idx, P("p/1"))
+    assert P("q/1") in idx.connecting(P("p/1"))
 
 
 # -- cross-cutting invariants ----------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,11 +10,11 @@ from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
                                 PolicyRules, UniverseTooLarge, UnknownPackage,
-                                build_encoding, encode_p1, encode_p2,
-                                encode_p3, encode_p4, encode_p5,
-                                instance_stats, parse_atom_map, soft_max,
-                                soft_min_with_nontriviality, target_clause)
-from satmigrate.repo import admissible_masks, make_universe
+                                build_encoding, instance_stats, parse_atom_map,
+                                soft_max, soft_min_with_nontriviality,
+                                target_clause)
+from satmigrate.oracle import admissible_masks, admissible_sets, brute_force_solve
+from satmigrate.repo import make_universe
 from satmigrate.satcore import SolveStatus
 
 from .generators import P, projected_solutions, random_universe, tiny_universe
@@ -28,7 +29,7 @@ def _clauses(problem, family):
 
 def test_uniqueness_clause_per_duplicate_pair():
     u = tiny_universe(["a/1", "a/2"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     a1, a2 = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("a/2"))
     assert _clauses(problem, "u") == [tuple(sorted((-a1, -a2),
                                                    key=lambda l: (abs(l), l)))]
@@ -36,12 +37,12 @@ def test_uniqueness_clause_per_duplicate_pair():
 
 def test_no_duplicates_no_uniqueness_clauses():
     u = tiny_universe(["a/1", "b/1"])
-    assert _clauses(encode_p1(u), "u") == []
+    assert _clauses(build_encoding(u, None, "p1"), "u") == []
 
 
 def test_three_versions_three_clauses():
     u = tiny_universe(["a/1", "a/2", "a/3"])
-    assert len(_clauses(encode_p1(u), "u")) == 3  # C(3,2)
+    assert len(_clauses(build_encoding(u, None, "p1"), "u")) == 3  # C(3,2)
 
 
 # -- policy ---------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_three_versions_three_clauses():
 def test_policy_group_becomes_biconditional():
     u = tiny_universe(["b1/2", "b2/2"])
     rules = PolicyRules(groups=[[(1, P("b1/2")), (1, P("b2/2"))]])
-    problem = encode_p1(u, rules)
+    problem = build_encoding(u, None, "p1", rules)
     i1, i2 = problem.atoms.pkg(P("b1/2")), problem.atoms.pkg(P("b2/2"))
     assert set(_clauses(problem, "v")) == {
         satcore.normalize_clause((-i1, i2)),
@@ -58,48 +59,49 @@ def test_policy_group_becomes_biconditional():
 
 def test_empty_policy_no_clauses():
     u = tiny_universe(["a/1"])
-    assert _clauses(encode_p1(u, PolicyRules()), "v") == []
+    assert _clauses(build_encoding(u, None, "p1", PolicyRules()), "v") == []
 
 
 def test_mixed_sign_group_two_implications():
     u = tiny_universe(["b/1", "b/2"])
     rules = PolicyRules(groups=[[(1, P("b/2")), (-1, P("b/1"))]])
-    problem = encode_p1(u, rules)
+    problem = build_encoding(u, None, "p1", rules)
     assert len(_clauses(problem, "v")) == 2
 
 
 def test_policy_unknown_package_rejected():
     u = tiny_universe(["a/1"])
     with pytest.raises(UnknownPackage):
-        encode_p1(u, PolicyRules(extra_clauses=[[(1, P("ghost/1"))]]))
+        build_encoding(u, None, "p1",
+                       PolicyRules(extra_clauses=[[(1, P("ghost/1"))]]))
 
 
 # -- p1 ----------------------------------------------------------------------------
 
 def test_p1_isolated_package():
     u = tiny_universe(["a/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     assert problem.num_vars == 1
     assert _clauses(problem, "d") == []
 
 
 def test_p1_dependency_is_implication():
     u = tiny_universe(["a/1", "b/1"], dep={"a/1": [["b/1"]]})
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     a, b = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("b/1"))
     assert _clauses(problem, "d") == [satcore.normalize_clause((-a, b))]
 
 
 def test_p1_empty_disjunction_forces_removal():
     u = tiny_universe(["a/1"], dep={"a/1": [[]]})
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     assert _clauses(problem, "d") == [(-problem.atoms.pkg(P("a/1")),)]
 
 
 def test_p1_rejects_conflicts():
     u = tiny_universe(["a/1", "b/1"], conflicts=[("a/1", "b/1")])
     with pytest.raises(ConflictsPresent):
-        encode_p1(u)
+        build_encoding(u, None, "p1")
 
 
 # -- p2 ----------------------------------------------------------------------------
@@ -107,12 +109,12 @@ def test_p1_rejects_conflicts():
 def test_p2_atom_count_is_n_plus_n_squared():
     for n in range(1, 6):
         u = tiny_universe([f"x{i}/1" for i in range(n)])
-        assert encode_p2(u).num_vars == n + n * n
+        assert build_encoding(u, None, "p2").num_vars == n + n * n
 
 
 def test_p2_isolated_package_clauses():
     u = tiny_universe(["a/1"])
-    problem = encode_p2(u)
+    problem = build_encoding(u, None, "p2")
     a = problem.atoms.pkg(P("a/1"))
     aa = problem.atoms.inst(P("a/1"), P("a/1"))
     assert _clauses(problem, "e") == [satcore.normalize_clause((-aa, a))]
@@ -121,7 +123,7 @@ def test_p2_isolated_package_clauses():
 
 def test_p2_conflict_clause_per_context():
     u = tiny_universe(["p/1", "q/1"], conflicts=[("p/1", "q/1")])
-    problem = encode_p2(u)
+    problem = build_encoding(u, None, "p2")
     atoms = problem.atoms
     expected = {
         satcore.normalize_clause((-atoms.inst(P("p/1"), ctx),
@@ -133,14 +135,14 @@ def test_p2_conflict_clause_per_context():
 def test_p2_bound_enforced():
     u = tiny_universe([f"x{i}/1" for i in range(4)])
     with pytest.raises(UniverseTooLarge):
-        encode_p2(u, bound=3)
+        build_encoding(u, None, "p2", p2_bound=3)
 
 
 def test_p2_d_clause_count_matches_direct_summation():
     rng = random.Random(59)
     for _ in range(10):
         u = random_universe(rng, max_size=6, dep_density=0.8)
-        problem = encode_p2(u)
+        problem = build_encoding(u, None, "p2")
         n = len(u.packages)
         expected = n * sum(len(u.dep[p]) for p in u.packages)
         assert len(_clauses(problem, "d")) == expected
@@ -151,13 +153,13 @@ def test_p2_d_clause_count_matches_direct_summation():
 def test_p3_inst_atoms_follow_closure_sizes():
     u = tiny_universe(["p/1", "q/1", "r/1"],
                       dep={"p/1": [["q/1"]], "q/1": [["r/1"]]})
-    problem = encode_p3(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p3")
     assert problem.atoms.num_inst_atoms == 3 + 2 + 1
 
 
 def test_p3_isolated_package_single_inst_atom():
     u = tiny_universe(["p/1"])
-    problem = encode_p3(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p3")
     assert problem.atoms.num_inst_atoms == 1
 
 
@@ -165,7 +167,7 @@ def test_p3_conflicts_restricted_to_closures():
     u = tiny_universe(["p/1", "q/1", "r/1"],
                       dep={"p/1": [["q/1"]]},
                       conflicts=[("q/1", "r/1")])
-    problem = encode_p3(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p3")
     contexts = {info[1] for info in problem.info if info[0] == "c"}
     # only contexts whose closure holds both endpoints: q and r alone do not
     # reach each other; no closure contains both except none here
@@ -176,7 +178,7 @@ def test_p3_conflicts_restricted_to_closures():
 
 def test_p4_all_easy_keeps_only_seed_atoms():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    problem = encode_p4(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p4")
     assert problem.atoms.num_inst_atoms == 2  # p@p and q@q
     for clause, info in zip(problem.hard, problem.info):
         if info[0] == "d":
@@ -191,7 +193,7 @@ def test_p4_easy_dependency_referenced_as_package_atom():
                       conflicts=[("p/1", "x/1")])
     idx = ClosureIndex(u)
     assert idx.is_easy(P("e/1")) and not idx.is_easy(P("p/1"))
-    problem = encode_p4(u, idx)
+    problem = build_encoding(u, idx, "p4")
     atoms = problem.atoms
     expected = satcore.normalize_clause(
         (-atoms.inst(P("p/1"), P("p/1")), atoms.pkg(P("e/1"))))
@@ -202,15 +204,15 @@ def test_p4_easy_dependency_referenced_as_package_atom():
 
 def test_p5_pruned_collapses_to_p1_without_conflicts():
     u = tiny_universe(["a/1", "b/1", "a/2"], dep={"a/1": [["b/1"]]})
-    pruned = encode_p5(u, ClosureIndex(u), mode="pruned")
-    p1 = encode_p1(u)
+    pruned = build_encoding(u, None, "p5-pruned")
+    p1 = build_encoding(u, None, "p1")
     assert pruned.atoms.num_inst_atoms == 0
     assert sorted(pruned.hard) == sorted(p1.hard)
 
 
 def test_p5_strict_keeps_seed_atoms():
     u = tiny_universe(["a/1", "b/1"], dep={"a/1": [["b/1"]]})
-    strict = encode_p5(u, ClosureIndex(u), mode="strict")
+    strict = build_encoding(u, None, "p5-strict")
     assert strict.atoms.num_inst_atoms == 2
 
 
@@ -218,12 +220,12 @@ def test_p5_tracks_conflicting_alternatives_and_blocks_package():
     u = tiny_universe(["p/1", "q/1", "r/1"],
                       dep={"p/1": [["q/1"], ["r/1"]]},
                       conflicts=[("q/1", "r/1")])
-    problem = encode_p5(u, ClosureIndex(u), mode="pruned")
+    problem = build_encoding(u, None, "p5-pruned")
     atoms = problem.atoms
     for member in ("p/1", "q/1", "r/1"):
         assert atoms.has_inst(P(member), P("p/1"))
     # brute-force enumeration: no assignment makes PkgVar p true
-    blocked = satcore.brute_force_solve(
+    blocked = brute_force_solve(
         problem.hard + [(atoms.pkg(P("p/1")),)], num_vars=problem.num_vars)
     assert blocked.status is SolveStatus.UNSAT
 
@@ -232,7 +234,7 @@ def test_p5_tracks_conflicting_alternatives_and_blocks_package():
 
 def test_soft_max_units():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     soft, _ = soft_max(u, problem.atoms)
     assert soft == [(problem.atoms.pkg(P("a/2")),),
                     (-problem.atoms.pkg(P("a/1")),)]
@@ -240,14 +242,14 @@ def test_soft_max_units():
 
 def test_soft_max_empty_when_repositories_equal():
     u = tiny_universe(["a/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     assert soft_max(u, problem.atoms)[0] == []
 
 
 def test_soft_max_set_differences():
     u = tiny_universe(["a/1", "a/2", "b/1"], testing=["a/1", "b/1"],
                       unstable=["a/2", "b/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     soft, _ = soft_max(u, problem.atoms)
     assert soft == [(problem.atoms.pkg(P("a/2")),),
                     (-problem.atoms.pkg(P("a/1")),)]
@@ -255,7 +257,7 @@ def test_soft_max_set_differences():
 
 def test_soft_min_with_nontriviality():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     (clause, info), (soft, _) = soft_min_with_nontriviality(u, problem.atoms)
     a1, a2 = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("a/2"))
     assert clause == satcore.normalize_clause((a2, -a1))
@@ -265,7 +267,7 @@ def test_soft_min_with_nontriviality():
 
 def test_soft_min_outgoing_only():
     u = tiny_universe(["a/1"], testing=[], unstable=["a/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     (clause, _), (soft, _) = soft_min_with_nontriviality(u, problem.atoms)
     assert clause == (problem.atoms.pkg(P("a/1")),)
     assert soft == [(-problem.atoms.pkg(P("a/1")),)]
@@ -274,7 +276,7 @@ def test_soft_min_outgoing_only():
 def test_soft_min_three_candidates():
     u = tiny_universe(["a/1", "b/1", "c/1"], testing=["a/1"],
                       unstable=["b/1", "c/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     (clause, _), (soft, _) = soft_min_with_nontriviality(u, problem.atoms)
     assert len(clause) == 3
     assert len(soft) == 3
@@ -282,14 +284,14 @@ def test_soft_min_three_candidates():
 
 def test_soft_min_requires_candidates():
     u = tiny_universe(["a/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     with pytest.raises(NoChangeCandidates):
         soft_min_with_nontriviality(u, problem.atoms)
 
 
 def test_target_clause_unit():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     clause, info = target_clause(P("a/2"), u, problem.atoms)
     assert clause == (problem.atoms.pkg(P("a/2")),)
     assert info == ("target", P("a/2"))
@@ -297,7 +299,7 @@ def test_target_clause_unit():
 
 def test_target_must_be_candidate():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     with pytest.raises(NotAMigrationCandidate):
         target_clause(P("a/1"), u, problem.atoms)
     with pytest.raises(NotAMigrationCandidate):
@@ -308,7 +310,7 @@ def test_target_must_be_candidate():
 
 def test_clause_hygiene_dedup_and_empty_reporting():
     u = tiny_universe(["a/1"])
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     a = problem.atoms.pkg(P("a/1"))
     before = len(problem.hard)
     problem.add((a, a, -a), ("d", None, P("a/1"), frozenset()))
@@ -323,14 +325,14 @@ def test_clause_hygiene_dedup_and_empty_reporting():
 
 def test_stats_zero_for_empty_universe():
     u = make_universe([], {}, [], [], [])
-    stats = instance_stats(encode_p1(u))
+    stats = instance_stats(build_encoding(u, None, "p1"))
     assert (stats.atoms_total, stats.hard_clauses, stats.soft_clauses) == (0, 0, 0)
 
 
 def test_stats_counts_by_family():
     u = tiny_universe(["a/1", "a/2", "b/1"], dep={"a/1": [["b/1"]]},
                       conflicts=[("a/2", "b/1")])
-    problem = encode_p2(u)
+    problem = build_encoding(u, None, "p2")
     stats = instance_stats(problem)
     assert stats.package_atoms == 3
     assert stats.inst_atoms == 9
@@ -343,7 +345,7 @@ def test_stats_counts_by_family():
 
 def test_atom_numbering_packages_first_then_context_member():
     u = tiny_universe(["b/1", "a/1"], dep={"a/1": [["b/1"]]})
-    problem = encode_p3(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p3")
     atoms = problem.atoms
     assert [str(atoms.atom(i)) for i in range(1, len(atoms) + 1)] == [
         "a/1", "b/1", "a/1 @ a/1", "b/1 @ a/1", "b/1 @ b/1"]
@@ -351,15 +353,14 @@ def test_atom_numbering_packages_first_then_context_member():
 
 def test_atom_map_round_trip():
     u = tiny_universe(["a/1", "b/1"], dep={"a/1": [["b/1"]]})
-    problem = encode_p3(u, ClosureIndex(u))
+    problem = build_encoding(u, None, "p3")
     parsed = parse_atom_map(problem.atoms.render_map())
     assert parsed.atoms == problem.atoms.atoms
 
 
 def test_atom_table_orders_inst_by_context_then_member():
-    table = AtomTable([P("a/1"), P("b/1")],
-                      [(P("b/1"), P("a/1")), (P("a/1"), P("a/1")),
-                       (P("a/1"), P("b/1"))])
+    # (context id, member id) over the sorted packages: a/1 is 0, b/1 is 1
+    table = AtomTable([P("b/1"), P("a/1")], [(1, 0), (0, 0), (0, 1)])
     rendered = [str(a) for a in table.atoms]
     assert rendered == ["a/1", "b/1", "a/1 @ a/1", "b/1 @ a/1", "a/1 @ b/1"]
 
@@ -368,12 +369,10 @@ def test_atom_table_orders_inst_by_context_then_member():
 
 
 def _all_encodings(u, idx):
-    problems = [encode_p2(u), encode_p3(u, idx), encode_p4(u, idx),
-                encode_p5(u, idx, mode="strict"),
-                encode_p5(u, idx, mode="pruned")]
+    names = ["p2", "p3", "p4", "p5-strict", "p5-pruned"]
     if not u.conflicts:
-        problems.append(encode_p1(u))
-    return problems
+        names.append("p1")
+    return [build_encoding(u, idx, name) for name in names]
 
 
 def test_projection_equivalence_small_scale():
@@ -394,12 +393,8 @@ def test_size_monotonicity_small_scale():
         u = random_universe(rng, max_size=7, dep_density=0.6,
                             conflict_density=0.7)
         idx = ClosureIndex(u)
-        p2 = encode_p2(u)
-        p3 = encode_p3(u, idx)
-        p4 = encode_p4(u, idx)
-        p5s = encode_p5(u, idx, mode="strict")
-        p5p = encode_p5(u, idx, mode="pruned")
-        chain = [p5p, p5s, p4, p3, p2]
+        chain = [build_encoding(u, idx, name)
+                 for name in ("p5-pruned", "p5-strict", "p4", "p3", "p2")]
         for smaller, larger in zip(chain, chain[1:]):
             assert smaller.num_vars <= larger.num_vars
             assert len(smaller.hard) <= len(larger.hard)
@@ -429,10 +424,9 @@ def test_soft_max_count_equals_symmetric_difference():
     checked = 0
     for _ in range(30):
         u = random_universe(rng, max_size=7, conflict_density=0.5)
-        problem = encode_p2(u)
+        problem = build_encoding(u, None, "p2")
         soft, _ = soft_max(u, problem.atoms)
         shared = u.testing & u.unstable
-        from satmigrate.repo import admissible_sets
         for t_prime in admissible_sets(u):
             if not shared <= t_prime:
                 continue
@@ -457,3 +451,68 @@ def test_identical_inputs_identical_dimacs():
         second = build_encoding(permuted, None, name)
         assert satcore.emit_dimacs(first.hard, num_vars=first.num_vars) == \
             satcore.emit_dimacs(second.hard, num_vars=second.num_vars)
+
+
+# -- golden output ---------------------------------------------------------------------
+
+# sha256 of the WCNF (max objective) plus the atom map of every encoding.
+# The deletion-based MUS behind `explain` depends on the exact atom
+# numbering and clause order, which these digests pin.
+GOLDEN_UNIVERSES = {
+    "conflict-free": lambda: tiny_universe(
+        ["a/1", "a/2", "b/1", "c/1", "d/1"],
+        dep={"a/1": [["b/1"]], "a/2": [["b/1", "c/1"], ["d/1"]],
+             "b/1": [["c/1"]]},
+        testing=["a/1", "b/1", "c/1"], unstable=["a/2", "b/1", "c/1", "d/1"]),
+    # p: p | q with everything easy; p4 keeps -inst(p@p) v pkg(p) v pkg(q),
+    # p5-strict drops the clause as a tautology
+    "easy-self-dependency": lambda: tiny_universe(
+        ["p/1", "q/1"], dep={"p/1": [["p/1", "q/1"]]},
+        testing=["q/1"], unstable=["p/1", "q/1"]),
+    "conflicts": lambda: random_universe(random.Random(5), size=9,
+                                         dep_density=0.7, conflict_density=0.9),
+    "conflicts-2": lambda: random_universe(random.Random(11), size=10,
+                                           dep_density=0.8, conflict_density=1.5),
+}
+GOLDEN = {
+    ("conflict-free", "p1"): "7624030b1631853deca14cd97c729924a1c77285add64cab87b683bc1204bce1",
+    ("conflict-free", "p2"): "ae21d5533011948d57928e15109f755dceac97675ffabdc0bcfe789fbab7b423",
+    ("conflict-free", "p3"): "5b5d9f5f2160617a6d1b3bbd68d783bfd0fc8015be76ade9d2ac6b2b5d9aed11",
+    ("conflict-free", "p4"): "bbd988841fcb1968441eaefb74178b93d7963d9daa78f67308a73568430be71a",
+    ("conflict-free", "p5-strict"): "bbd988841fcb1968441eaefb74178b93d7963d9daa78f67308a73568430be71a",
+    ("conflict-free", "p5-pruned"): "7624030b1631853deca14cd97c729924a1c77285add64cab87b683bc1204bce1",
+    ("easy-self-dependency", "p1"): "b2c134021baf2ead5f12a6b5a9620451f42f4761abf7cb1d70832a3142052edc",
+    ("easy-self-dependency", "p2"): "01193e95e7930e45a30b4afc96628964f1c7bffe8e404aadb96c77d9d18c6ac8",
+    ("easy-self-dependency", "p3"): "1837f4efdaafc012642fc91684a5135cfeb85d94c54b0b45474510d8b2ce16ed",
+    ("easy-self-dependency", "p4"): "db989023452362f0921d45e301535f97b17f33552c31cbf38b8bfdba9967b01a",
+    ("easy-self-dependency", "p5-strict"): "66a57f82f03e7bc13794c6c2fc2639163f23aed847bd9766e695486064b60c21",
+    ("easy-self-dependency", "p5-pruned"): "b2c134021baf2ead5f12a6b5a9620451f42f4761abf7cb1d70832a3142052edc",
+    ("conflicts", "p2"): "268b582fb8f99d645d6c66cafa3ac066c2c8061acdfb9abcd4d7efba162f6da9",
+    ("conflicts", "p3"): "c5a35aa8d8c8cc3b24396d88eaa6a3884ce0a7a5b9576e8e389d1d6f037742ce",
+    ("conflicts", "p4"): "c5a35aa8d8c8cc3b24396d88eaa6a3884ce0a7a5b9576e8e389d1d6f037742ce",
+    ("conflicts", "p5-strict"): "ba5921da9aee8d9f8fd99bc2c9fdbb845e0980802397b90075268ba0bd6980f6",
+    ("conflicts", "p5-pruned"): "645b4f799a29a19c9adf19d86a00fb63acba6ed75a96a1aac9fdb0ea6468c2cc",
+    ("conflicts-2", "p2"): "a758d1f67a14917b6dbad2bd933013909e9690189d3b279159bba1e0564db5b5",
+    ("conflicts-2", "p3"): "54dc45315f80b1a3d3d62328586a3651f817c7915745fe867949b2e4467092b7",
+    ("conflicts-2", "p4"): "54dc45315f80b1a3d3d62328586a3651f817c7915745fe867949b2e4467092b7",
+    ("conflicts-2", "p5-strict"): "54dc45315f80b1a3d3d62328586a3651f817c7915745fe867949b2e4467092b7",
+    ("conflicts-2", "p5-pruned"): "0804523a7168bbe35fcfeae7d44d0e0ef690b07173679be003f1c84fa4112f2b",
+}
+
+
+@pytest.mark.parametrize("label,name", sorted(GOLDEN))
+def test_golden_emit_digest(label, name):
+    u = GOLDEN_UNIVERSES[label]()
+    problem = build_encoding(u, None, name)
+    soft, _ = soft_max(u, problem.atoms)
+    payload = satcore.emit_dimacs(problem.hard, soft, num_vars=problem.num_vars,
+                                  kind="wcnf")
+    payload += problem.atoms.render_map().encode()
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN[label, name]
+
+
+def test_golden_universes_without_p1_have_conflicts():
+    for label, make in GOLDEN_UNIVERSES.items():
+        if (label, "p1") not in GOLDEN:
+            with pytest.raises(ConflictsPresent):
+                build_encoding(make(), None, "p1")

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from satmigrate.closure import ClosureIndex
-from satmigrate.encoder import PolicyRules, encode_p1
+from satmigrate.encoder import PolicyRules, build_encoding
 from satmigrate.engine import (ActuallySolvable,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, Unsolvable,
@@ -15,7 +15,8 @@ from satmigrate.engine import (ActuallySolvable,
                                parse_structured_report, render_hints,
                                render_report, solve_migration,
                                structured_report)
-from satmigrate.repo import admissible_sets, is_admissible
+from satmigrate.oracle import admissible_sets
+from satmigrate.repo import is_admissible
 
 from .generators import P, tiny_universe
 
@@ -137,14 +138,13 @@ def test_alternative_optima_reports_equal_count_alternatives():
 
 def test_decode_all_false():
     u = _upgrade_universe()
-    problem = encode_p1(u)
+    problem = build_encoding(u, None, "p1")
     assert decode_solution(frozenset(), problem.atoms) == frozenset()
 
 
 def test_decode_ignores_inst_atoms():
     u = tiny_universe(["a/1"])
-    from satmigrate.encoder import encode_p2
-    problem = encode_p2(u)
+    problem = build_encoding(u, None, "p2")
     a = problem.atoms.pkg(P("a/1"))
     aa = problem.atoms.inst(P("a/1"), P("a/1"))
     assert decode_solution(frozenset({a, aa}), problem.atoms) == {P("a/1")}

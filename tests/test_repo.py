@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from satmigrate import oracle
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
-from satmigrate.repo import (ContextTooLarge,
-                             DuplicateIdentity, Installation,
-                             admissible_sets, build_universe, is_admissible,
+from satmigrate.oracle import ContextTooLarge, admissible_sets
+from satmigrate.repo import (DuplicateIdentity, build_universe, is_admissible,
                              is_healthy, is_installable, is_trimmed,
                              reachable, check_testing, unique_pairs)
 
@@ -122,17 +122,12 @@ def test_healthy_rejects_unmet_dependency():
     assert is_healthy({P("p/1"), P("q/1")}, u)
 
 
-def test_installation_requires_members_in_context():
-    with pytest.raises(ValueError):
-        Installation(members=frozenset({P("a/1")}), context=frozenset())
-
-
 # -- installability ---------------------------------------------------------------
 
 def test_empty_disjunction_is_uninstallable():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert not is_installable(P("p/1"), u.packages, u, method="oracle")
-    assert not is_installable(P("p/1"), u.packages, u, method="sat")
+    assert not oracle.is_installable(P("p/1"), u.packages, u)
+    assert not is_installable(P("p/1"), u.packages, u)
 
 
 def test_conflicting_alternatives_block_installation():
@@ -144,14 +139,14 @@ def test_conflicting_alternatives_block_installation():
                       for s in itertools.combinations(u.packages, k)
                       if P("p/1") in s and is_healthy(s, u)]
     assert healthy_with_p == []
-    assert not is_installable(P("p/1"), u.packages, u, method="oracle")
-    assert not is_installable(P("p/1"), u.packages, u, method="sat")
+    assert not oracle.is_installable(P("p/1"), u.packages, u)
+    assert not is_installable(P("p/1"), u.packages, u)
 
 
 def test_isolated_package_is_installable():
     u = tiny_universe(["p/1"])
-    assert is_installable(P("p/1"), u.packages, u, method="oracle")
-    assert is_installable(P("p/1"), u.packages, u, method="sat")
+    assert oracle.is_installable(P("p/1"), u.packages, u)
+    assert is_installable(P("p/1"), u.packages, u)
 
 
 def test_oracle_refuses_large_contexts():
@@ -159,7 +154,7 @@ def test_oracle_refuses_large_contexts():
     dep = {f"p{i}/1": [[f"p{i+1}/1"]] for i in range(5)}
     u = tiny_universe(pkgs, dep=dep)
     with pytest.raises(ContextTooLarge):
-        is_installable(P("p0/1"), u.packages, u, method="oracle", oracle_bound=3)
+        oracle.is_installable(P("p0/1"), u.packages, u, bound=3)
 
 
 def test_reachable_is_reflexive_transitive():
@@ -180,9 +175,8 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
                                       if rng.random() < 0.6))
         for r in contexts:
             for p in sorted(r):
-                oracle = is_installable(p, r, u, method="oracle")
-                sat = is_installable(p, r, u, method="sat")
-                assert oracle == sat, (p, r, u)
+                reference = oracle.is_installable(p, r, u)
+                assert reference == is_installable(p, r, u), (p, r, u)
 
 
 # -- trimmedness / admissibility -------------------------------------------------

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from satmigrate.oracle import TooLarge, brute_force_solve
 from satmigrate.satcore import (AssignmentInvalid, DpllSolver,
                                 NotUnsat, SolveStatus, SolverCrashed,
-                                TooLarge, UnparsableOutput, brute_force_solve,
+                                UnparsableOutput,
                                 count_satisfied, emit_dimacs, extract_mus,
                                 normalize_clause, parse_dimacs, run_external,
                                 solve_pmaxsat, solve_sat, verify_model)
