@@ -170,6 +170,8 @@ def cmd_explain(args) -> int:
 
 def cmd_check(args) -> int:
     entries = []
+    timeout = (satcore.DEFAULT_SAT_TIMEOUT if args.timeout is None
+               else args.timeout)
     try:
         universe = _load_universe(args)
         for violation in repo.check_testing(universe):
@@ -180,10 +182,14 @@ def cmd_check(args) -> int:
                 pkg = violation.subjects[0]
                 clauses, info, ctx = repo.installability_clauses(
                     pkg, universe.testing, universe)
-                mus = satcore.extract_mus(clauses, num_vars=len(ctx))
+                mus = satcore.extract_mus(clauses, num_vars=len(ctx),
+                                          timeout=timeout)
                 entry["explanation"] = [engine.describe_clause(info[i])
                                         for i in mus.core]
             entries.append(entry)
+    except satcore.MusTimedOut as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
     except ERRORS as exc:
         return _fail(str(exc))
     if args.format == "structured":

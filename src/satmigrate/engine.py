@@ -313,14 +313,13 @@ def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
     clause, info = encoder.target_clause(p, u, problem.atoms)
     problem.hard.append(clause)
     problem.info.append(info)
-    check = satcore.solve_sat(problem.hard, num_vars=problem.num_vars,
-                              timeout=req.budgets.sat_timeout)
-    if check.status is SolveStatus.SAT:
-        raise ActuallySolvable(f"{p} migrates; nothing to explain")
-    if check.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut("satisfiability check timed out")
-    mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
-                              timeout=req.budgets.sat_timeout)
+    try:
+        mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
+                                  timeout=req.budgets.sat_timeout)
+    except satcore.NotUnsat:
+        raise ActuallySolvable(f"{p} migrates; nothing to explain") from None
+    except satcore.MusTimedOut as exc:
+        raise SolveTimedOut(str(exc)) from None
     facts = tuple(describe_clause(problem.info[i]) for i in mus.core)
     return Explanation(package=p, core=mus.core, facts=facts)
 

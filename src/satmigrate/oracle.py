@@ -1,8 +1,9 @@
-"""Exhaustive reference oracles for the test suite.
+"""Reference oracles for the test suite.
 
-Each one enumerates subsets or assignments, so it is exponential by design
-and bounded to small inputs. The runtime modules never import this one;
-numpy is needed only here.
+The exhaustive ones enumerate subsets or assignments, so they are
+exponential by design and bounded to small inputs; `deletion_mus` is the
+plain one-clause-at-a-time core loop. The runtime modules never import this
+one; numpy is needed only here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from .repo import (Package, RepoError, Universe, is_healthy, reachable,
                    unique_pairs)
-from .satcore import (SatCoreError, SolveResult, SolveStatus,
-                      infer_num_vars)
+from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
+                      infer_num_vars, solve_sat)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .encoder import PolicyRules
@@ -73,6 +74,33 @@ def brute_force_solve(hard, soft=None, num_vars: int | None = None) -> SolveResu
     index = int(np.argmax(counts))
     return SolveResult(SolveStatus.OPTIMAL, true_atoms=model_of(index),
                        satisfied_soft=int(counts[index]))
+
+
+def deletion_mus(hard, num_vars: int | None = None) -> tuple[int, ...]:
+    """Reference for satcore.extract_mus: drop one clause at a time, in
+    clause order, whenever the rest stays UNSAT; the indices left form the
+    core."""
+    hard = [tuple(c) for c in hard]
+    if num_vars is None:
+        num_vars = infer_num_vars(hard)
+
+    def status_of(indices):
+        status = solve_sat([hard[i] for i in indices], num_vars=num_vars).status
+        if status is SolveStatus.TIMEOUT:
+            raise SatCoreError("timeout in the reference core loop")
+        return status
+
+    if status_of(range(len(hard))) is not SolveStatus.UNSAT:
+        raise NotUnsat("instance is satisfiable")
+    core = list(range(len(hard)))
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1:]
+        if status_of(trial) is SolveStatus.UNSAT:
+            core = trial
+        else:
+            i += 1
+    return tuple(core)
 
 
 def is_installable(p: Package, r: Iterable[Package], u: Universe,

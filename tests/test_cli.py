@@ -110,6 +110,65 @@ def test_explain_blocked_package(repos, capsys):
     assert "requires one of [nothing]" in out
 
 
+# A blocked update whose core (6 facts) lies among 52 hard clauses: mutt/2.2
+# needs both postfix and, through exim-base, exim, and the two conflict
+# through the mail-transport-agent they both provide.
+GOLDEN_TESTING = (
+    "Package: libc6\nVersion: 2.31\n\n"
+    "Package: libssl\nVersion: 1.1\nDepends: libc6\n\n"
+    "Package: zlib\nVersion: 1.2\nDepends: libc6\n\n"
+    "Package: curl\nVersion: 7.68\nDepends: libc6, libssl, zlib\n\n"
+    "Package: git\nVersion: 2.25\nDepends: libc6, curl, zlib | busybox\n\n"
+    "Package: busybox\nVersion: 1.30\nDepends: libc6\n\n"
+    "Package: exim\nVersion: 4.93\nDepends: libc6\n"
+    "Provides: mail-transport-agent\nConflicts: mail-transport-agent\n\n"
+    "Package: mutt\nVersion: 1.13\n"
+    "Depends: libc6, libssl, exim | mail-transport-agent\n\n")
+
+GOLDEN_UNSTABLE = (
+    "Package: libc6\nVersion: 2.36\n\n"
+    "Package: libssl\nVersion: 3.0\nDepends: libc6 (>= 2.36)\n\n"
+    "Package: libpcre\nVersion: 10.42\nDepends: libc6\n\n"
+    "Package: curl\nVersion: 7.88\n"
+    "Depends: libc6 (>= 2.36), libssl (>= 3.0), zlib\n\n"
+    "Package: mutt\nVersion: 2.2\n"
+    "Depends: libc6 (>= 2.36), libssl (>= 3.0), postfix, exim-base\n\n"
+    "Package: exim-base\nVersion: 4.96\nDepends: exim\n\n"
+    "Package: postfix\nVersion: 3.7\nDepends: libc6 (>= 2.36), libpcre\n"
+    "Provides: mail-transport-agent\nConflicts: mail-transport-agent\n\n"
+    "Package: git\nVersion: 2.39\n"
+    "Depends: libc6 (>= 2.36), curl (>= 7.88), perl-base (>= 5.36)\n\n")
+
+GOLDEN_FACTS = [
+    "mutt/2.2 needs an installation containing itself",
+    "exim-base/4.96 requires one of [exim/4.93] "
+    "in the installation for mutt/2.2",
+    "mutt/2.2 requires one of [exim-base/4.96] "
+    "in the installation for mutt/2.2",
+    "mutt/2.2 requires one of [postfix/3.7] in the installation for mutt/2.2",
+    "exim/4.93 conflicts with postfix/3.7 (installation for mutt/2.2)",
+    "the migration of mutt/2.2 was requested",
+]
+
+
+def test_explain_golden_text(repos, capsys):
+    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "mutt/2.2"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "mutt/2.2 cannot migrate; minimal blocking facts:\n"
+        + "".join(f"  - {fact}\n" for fact in GOLDEN_FACTS))
+
+
+def test_explain_golden_structured(repos, capsys):
+    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "mutt/2.2", "--format", "structured"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(
+        {"explanation": GOLDEN_FACTS, "migrates": False,
+         "package": "mutt/2.2"}, indent=2) + "\n"
+
+
 def test_explain_typo_suggests_names(repos, capsys):
     code = main(["explain", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
                  "aa/2"])
@@ -271,6 +330,49 @@ def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):
     code = main(["check", *repos(broken, broken)])
     assert code == EXIT_ERROR
     assert "error: timeout during core minimization" in capsys.readouterr().err
+
+
+def _raise_mus_timeout(hard, num_vars=None, timeout=None):
+    import satmigrate.satcore as satcore_mod
+    raise satcore_mod.MusTimedOut("timeout during core minimization")
+
+
+def test_check_core_extraction_timeout_exit_code(repos, capsys, monkeypatch):
+    import satmigrate.satcore as satcore_mod
+
+    monkeypatch.setattr(satcore_mod, "extract_mus", _raise_mus_timeout)
+    broken = "Package: a\nVersion: 1\nDepends: nosuch\n\n"
+    code = main(["check", *repos(broken, broken)])
+    assert code == EXIT_TIMEOUT
+    assert "timeout: timeout during core minimization" in capsys.readouterr().err
+
+
+def test_explain_core_extraction_timeout_exit_code(repos, capsys, monkeypatch):
+    import satmigrate.satcore as satcore_mod
+
+    monkeypatch.setattr(satcore_mod, "extract_mus", _raise_mus_timeout)
+    unstable = "Package: a\nVersion: 2\nDepends: nosuch\n\n"
+    code = main(["explain", *repos(UPGRADE_TESTING, unstable), "a/2"])
+    assert code == EXIT_TIMEOUT
+    assert "timeout: timeout during core minimization" in capsys.readouterr().err
+
+
+def test_check_passes_timeout_to_core_extraction(repos, capsys, monkeypatch):
+    import satmigrate.satcore as satcore_mod
+
+    budgets = []
+    original = satcore_mod.extract_mus
+
+    def recording(hard, num_vars=None, timeout=None):
+        budgets.append(timeout)
+        return original(hard, num_vars=num_vars, timeout=timeout)
+
+    monkeypatch.setattr(satcore_mod, "extract_mus", recording)
+    broken = "Package: a\nVersion: 1\nDepends: nosuch\n\n"
+    assert main(["check", *repos(broken, ""), "--timeout", "7.5"]) == \
+        EXIT_VIOLATIONS
+    assert main(["check", *repos(broken, "")]) == EXIT_VIOLATIONS
+    assert budgets == [7.5, satcore_mod.DEFAULT_SAT_TIMEOUT]
 
 
 def test_cli_import_leaves_numpy_unloaded():

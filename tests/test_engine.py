@@ -5,17 +5,19 @@ import sys
 
 import pytest
 
+import satmigrate.satcore as satcore_mod
 from satmigrate.closure import ClosureIndex
-from satmigrate.encoder import PolicyRules, build_encoding
+from satmigrate.encoder import PolicyRules, build_encoding, target_clause
 from satmigrate.engine import (ActuallySolvable,
                                MigrationRequest, OptimumMismatch,
-                               RefuseUnverified, Unsolvable,
-                               alternative_optima, decode_solution,
+                               RefuseUnverified, SolveTimedOut, Unsolvable,
+                               alternative_optima, build_problem,
+                               decode_solution,
                                dump_structured, explain_non_migration,
                                parse_structured_report, render_hints,
                                render_report, solve_migration,
                                structured_report)
-from satmigrate.oracle import admissible_sets
+from satmigrate.oracle import admissible_sets, deletion_mus
 from satmigrate.repo import is_admissible
 
 from .generators import P, tiny_universe
@@ -179,6 +181,38 @@ def test_explanation_names_conflict_pair_and_context():
                for fact in explanation.facts)
     assert any("migration of p/2 was requested" in fact
                for fact in explanation.facts)
+
+
+def test_explanation_core_equals_one_by_one_deletion():
+    u = tiny_universe(
+        ["p/1", "p/2", "n/1", "k/1"],
+        dep={"p/2": [["n/1"], ["k/1"]]},
+        conflicts=[("n/1", "k/1")],
+        testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
+    req = MigrationRequest(mode="target", target=P("p/2"))
+    problem = build_problem(req, u)
+    problem.hard.append(target_clause(P("p/2"), u, problem.atoms)[0])
+    explanation = explain_non_migration(P("p/2"), u, ClosureIndex(u), req)
+    assert explanation.core == deletion_mus(problem.hard,
+                                            num_vars=problem.num_vars)
+    assert explanation.facts == (
+        "p/2 needs an installation containing itself",
+        "p/2 requires one of [k/1] in the installation for p/2",
+        "p/2 requires one of [n/1] in the installation for p/2",
+        "k/1 conflicts with n/1 (installation for p/2)",
+        "the migration of p/2 was requested")
+
+
+def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
+    def fake_mus(hard, num_vars=None, timeout=None):
+        raise satcore_mod.MusTimedOut("timeout during core minimization")
+
+    monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
+    u = tiny_universe(["a/1", "a/2"], dep={"a/2": [[]]},
+                      testing=["a/1"], unstable=["a/2"])
+    req = MigrationRequest(mode="target", target=P("a/2"))
+    with pytest.raises(SolveTimedOut, match="core minimization"):
+        explain_non_migration(P("a/2"), u, None, req)
 
 
 def test_explaining_migratable_package_raises():

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from satmigrate.oracle import TooLarge, brute_force_solve
-from satmigrate.satcore import (AssignmentInvalid, DpllSolver,
+import satmigrate.satcore as satcore_mod
+from satmigrate.oracle import TooLarge, brute_force_solve, deletion_mus
+from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
                                 NotUnsat, SolveStatus, SolverCrashed,
                                 UnparsableOutput,
                                 count_satisfied, emit_dimacs, extract_mus,
@@ -169,6 +170,60 @@ def test_mus_minimality_on_random_unsat_instances():
         for i in range(len(core)):
             rest = core[:i] + core[i + 1:]
             assert solve_sat(rest, num_vars=num_vars).status is SolveStatus.SAT
+
+
+def test_mus_equals_one_by_one_deletion_on_random_instances():
+    rng = random.Random(53)
+    found = 0
+    while found < 1000:
+        num_vars, clauses = random_instance(rng, max_vars=10, max_clauses=60)
+        if solve_sat(clauses, num_vars=num_vars).status is not SolveStatus.UNSAT:
+            continue
+        found += 1
+        assert extract_mus(clauses, num_vars=num_vars).core == \
+            deletion_mus(clauses, num_vars=num_vars), clauses
+
+
+def _sparse_core_instance():
+    # 512 clauses; the only core is (1,) at index 100 and (-1,) at index 400,
+    # every other clause is a satisfiable pair of positive literals
+    clauses = [(2 + i % 50, 2 + (i * 7 + 3) % 50) for i in range(512)]
+    clauses[100] = (1,)
+    clauses[400] = (-1,)
+    return clauses
+
+
+def test_mus_sparse_core_takes_few_sat_calls(monkeypatch):
+    calls = []
+    original = satcore_mod.solve_sat
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", counting)
+    assert extract_mus(_sparse_core_instance()).core == (100, 400)
+    assert len(calls) <= 64
+
+
+def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
+    budgets = []
+    original = satcore_mod.solve_sat
+
+    def recording(*args, timeout, **kwargs):
+        budgets.append(timeout)
+        return original(*args, timeout=timeout, **kwargs)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", recording)
+    extract_mus(_sparse_core_instance(), timeout=30.0)
+    # each trial gets what is left of the one deadline, not a fresh 30 s
+    assert len(budgets) > 2 and budgets[0] <= 30.0
+    assert all(a > b for a, b in zip(budgets, budgets[1:]))
+
+
+def test_mus_with_exhausted_budget_raises_timeout():
+    with pytest.raises(MusTimedOut):
+        extract_mus([(1,), (-1,)], timeout=0.0)
 
 
 # -- DIMACS -----------------------------------------------------------------------
