@@ -32,6 +32,10 @@ EXIT_VIOLATIONS = 4
 # Failures that every command reports as "error: ..." with exit 1.
 ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
           encoder.EncoderError, engine.EngineError, satcore.SatCoreError)
+# Running out of a time budget, reported as "timeout: ..." with exit 3;
+# caught before ERRORS, which holds their base classes.
+TIMEOUTS = (engine.SolveTimedOut, satcore.MusTimedOut,
+            repo.InstallabilityTimedOut)
 
 
 def _fail(message: str) -> int:
@@ -109,7 +113,7 @@ def cmd_migrate(args) -> int:
     except engine.Unsolvable as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    except engine.SolveTimedOut as exc:
+    except TIMEOUTS as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except ERRORS as exc:
@@ -142,10 +146,11 @@ def cmd_explain(args) -> int:
         return _fail(f"unknown package {target}{hint}")
     try:
         request = _request_from_args(args, "target", target)
+        idx = ClosureIndex(universe)
         try:
-            result = engine.solve_migration(request, universe)
+            result = engine.solve_migration(request, universe, idx)
         except engine.Unsolvable:
-            explanation = engine.explain_non_migration(target, universe, None,
+            explanation = engine.explain_non_migration(target, universe, idx,
                                                        request)
             if args.format == "structured":
                 _print_structured({"package": str(target), "migrates": False,
@@ -153,7 +158,7 @@ def cmd_explain(args) -> int:
             else:
                 sys.stdout.write(explanation.render())
             return EXIT_OK
-    except engine.SolveTimedOut as exc:
+    except TIMEOUTS as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except ERRORS as exc:
@@ -174,7 +179,7 @@ def cmd_check(args) -> int:
                else args.timeout)
     try:
         universe = _load_universe(args)
-        for violation in repo.check_testing(universe):
+        for violation in repo.check_testing(universe, ClosureIndex(universe)):
             entry = {"kind": violation.kind, "detail": violation.detail,
                      "packages": [str(p) for p in violation.subjects],
                      "explanation": None}
@@ -187,7 +192,7 @@ def cmd_check(args) -> int:
                 entry["explanation"] = [engine.describe_clause(info[i])
                                         for i in mus.core]
             entries.append(entry)
-    except satcore.MusTimedOut as exc:
+    except TIMEOUTS as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except ERRORS as exc:

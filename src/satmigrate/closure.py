@@ -13,7 +13,9 @@ and the Package-level methods expose them as frozensets.
 
 from __future__ import annotations
 
-from .repo import Package, Universe
+from functools import cached_property
+
+from .repo import Package, Universe, bits
 
 
 def _scc_closures(n: int, succ: list[list[int]]) -> list[int]:
@@ -82,8 +84,10 @@ class ClosureIndex:
     """Immutable closure data for one universe.
 
     Packages are interned as their rank in sorted order. ``deps``,
-    ``conflict_pairs`` and the ``*_mask`` methods speak in these ids, for
-    the encoder; the Package-level methods translate them back.
+    ``dep_masks``, ``dependents``, ``conflict_pairs``, ``partners`` and the
+    ``*_mask`` methods speak in these ids, for the encoder and the
+    installability pass of ``repo``; the Package-level methods translate
+    them back.
     """
 
     def __init__(self, universe: Universe):
@@ -104,9 +108,14 @@ class ClosureIndex:
                 for deps in self.deps]
         self._succ = succ
         self._closure = _scc_closures(n, succ)
+        # per package, the mask of its conflict partners
+        self.partners = [0] * n
         ends = 0
         for a, b in self.conflict_pairs:
+            self.partners[a] |= 1 << b
+            self.partners[b] |= 1 << a
             ends |= 1 << a | 1 << b
+        self.conflict_ends = ends
         easy_mask = 0
         for i in range(n):
             if not self._closure[i] & ends:
@@ -124,6 +133,21 @@ class ClosureIndex:
 
     # -- integer surface -------------------------------------------------------
 
+    @cached_property
+    def dep_masks(self) -> list[tuple[int, ...]]:
+        """Per package, each disjunction as a mask of its members."""
+        return [tuple(sum(1 << q for q in targets) for _, targets in deps)
+                for deps in self.deps]
+
+    @cached_property
+    def dependents(self) -> list[list[int]]:
+        """Per package, the packages that may depend on it."""
+        dependents: list[list[int]] = [[] for _ in self.packages]
+        for v, targets in enumerate(self._succ):
+            for w in targets:
+                dependents[w].append(v)
+        return dependents
+
     def closure_mask(self, i: int) -> int:
         return self._closure[i]
 
@@ -136,9 +160,9 @@ class ClosureIndex:
         if cached is None:
             mask = self._closure[i]
             cached = 0
-            for a, b in self.conflict_pairs:
-                if mask >> a & 1 and mask >> b & 1:
-                    cached |= 1 << a | 1 << b
+            for a in bits(mask & self.conflict_ends):
+                if self.partners[a] & mask:
+                    cached |= 1 << a
             self._relevant_ends[i] = cached
         return cached
 
@@ -199,11 +223,3 @@ class ClosureIndex:
     def closure_sizes(self) -> dict[Package, int]:
         return {p: self._closure[i].bit_count()
                 for i, p in enumerate(self.packages)}
-
-
-def bits(mask: int):
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

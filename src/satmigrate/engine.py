@@ -170,7 +170,7 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe,
     return frozenset(current)
 
 
-def _verified_result(req: MigrationRequest, u: Universe,
+def _verified_result(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                      problem: EncodedProblem, model, optimum: int,
                      externally_claimed: bool = False,
                      warnings=()) -> MigrationResult:
@@ -178,7 +178,7 @@ def _verified_result(req: MigrationRequest, u: Universe,
     from the raw model data."""
     t_prime = _restore_shared(decode_solution(model, problem.atoms), u,
                               req.policy)
-    verdict = repo.is_admissible(t_prime, u, req.policy)
+    verdict = repo.is_admissible(t_prime, u, req.policy, idx)
     if not verdict:
         raise VerificationFailed(
             f"decoded repository failed verification: {verdict.detail}")
@@ -197,11 +197,14 @@ def _verified_result(req: MigrationRequest, u: Universe,
     )
 
 
-def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
+def solve_migration(req: MigrationRequest, u: Universe,
+                    idx: ClosureIndex | None = None) -> MigrationResult:
+    if idx is None:
+        idx = ClosureIndex(u)
     warnings = []
-    for violation in repo.check_testing(u):
+    for violation in repo.check_testing(u, idx):
         warnings.append(f"testing violates assumptions: {violation.detail}")
-    problem = build_problem(req, u)
+    problem = build_problem(req, u, idx)
     attach_objective(req, u, problem)
     result = _solve(req, problem)
     if result.status is SolveStatus.UNSAT:
@@ -222,7 +225,7 @@ def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
     if result.status is SolveStatus.SAT:
         warnings.append("external solver returned a model without an"
                         " optimality claim")
-    return _verified_result(req, u, problem, model, recount,
+    return _verified_result(req, u, idx, problem, model, recount,
                             result.externally_claimed,
                             problem.warnings + warnings)
 
@@ -234,8 +237,9 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     the same objective value. Embedded solver only."""
     if req.solver_command is not None:
         raise EngineError("alternative enumeration needs the embedded solver")
-    results = [solve_migration(req, u)]
-    problem = build_problem(req, u)
+    idx = ClosureIndex(u)
+    results = [solve_migration(req, u, idx)]
+    problem = build_problem(req, u, idx)
     attach_objective(req, u, problem)
     incoming, outgoing = encoder.migration_candidates(u)
     candidates = incoming + outgoing
@@ -255,7 +259,8 @@ def alternative_optima(req: MigrationRequest, u: Universe,
         count = satcore.count_satisfied(problem.soft, result.true_atoms)
         if count != results[0].optimum:
             break
-        results.append(_verified_result(req, u, problem, result.true_atoms, count))
+        results.append(_verified_result(req, u, idx, problem, result.true_atoms,
+                                        count))
     return results
 
 

@@ -4,6 +4,33 @@ Packages, the fully expanded dependency function, the conflict relation,
 installations, installability, trimmedness and admissibility, used to
 verify everything the solver pipeline produces. The exhaustive reference
 oracles live in ``satmigrate.oracle``.
+
+``installable_mask`` decides installability for every member of a
+repository r at once, on ``ClosureIndex`` ids and bitmasks, in three exact
+steps:
+
+1. Fixpoint. ``live`` is the greatest subset of r that meets every
+   dependency disjunction of its own members: packages are dropped until
+   none has a disjunction with no member left. Every healthy installation
+   inside r is such a subset, so it lies inside ``live``, and a package
+   outside ``live`` is not installable.
+2. Conflict-free closures. If closure(p) ∩ live holds no conflict pair,
+   it is itself a healthy installation of p: each of its members has a
+   live member in every disjunction, and that member lies in the member's
+   closure, so inside closure(p).
+3. SAT over the connecting members. Otherwise one query over
+   connecting(p) ∩ live decides p. A live non-connecting member's closure
+   holds no endpoint of a conflict inside closure(p), so a disjunction
+   with such a member is met by the conflict-free rest N = closure(p) ∩
+   live minus connecting(p) and is dropped, and only conflicts among the
+   query's members stay. A model together with N is a healthy
+   installation, and a healthy installation cut down to the query's
+   members is a model, so the query is SAT exactly when p is installable.
+   The witness is checked before p is reported installable; the solver is
+   never trusted.
+
+The per-package ``is_installable`` query over the whole closure stays for
+single questions and for ``check``'s explanations.
 """
 
 from __future__ import annotations
@@ -15,10 +42,16 @@ from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .closure import ClosureIndex
     from .encoder import PolicyRules
+
 
 class RepoError(Exception):
     """Base class for repository-model failures."""
+
+
+class InstallabilityTimedOut(RepoError):
+    """An installability query ran out of its time budget."""
 
 
 class DuplicateIdentity(RepoError):
@@ -232,13 +265,100 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe) -> bool:
     clauses, _, ctx = installability_clauses(p, rset, u)
     result = satcore.solve_sat(clauses, num_vars=len(ctx))
     if result.status is satcore.SolveStatus.TIMEOUT:
-        raise RepoError(f"installability query for {p} timed out")
+        raise InstallabilityTimedOut(f"installability query for {p} timed out")
     return result.status is satcore.SolveStatus.SAT
 
 
-def is_trimmed(r: Iterable[Package], u: Universe) -> bool:
-    rset = frozenset(r)
-    return all(is_installable(p, rset, u) for p in sorted(rset))
+def bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _has_conflict(mask: int, idx: "ClosureIndex") -> bool:
+    partners = idx.partners
+    return any(partners[a] & mask for a in bits(mask & idx.conflict_ends))
+
+
+def _is_installation(witness: int, p: int, r: int, idx: "ClosureIndex") -> bool:
+    """An installation of p inside r: healthy, contains p, lies inside r."""
+    dep_masks = idx.dep_masks
+    return (bool(witness >> p & 1) and not witness & ~r
+            and all(d & witness for q in bits(witness) for d in dep_masks[q])
+            and not _has_conflict(witness, idx))
+
+
+def _installable_by_query(p: int, r: int, live: int,
+                          idx: "ClosureIndex") -> bool:
+    """Step 3 of the module docstring: one SAT query over the live
+    connecting members of p's closure, its witness checked."""
+    connecting = idx.connecting_mask(p)
+    members = connecting & live
+    rest = live & ~connecting
+    ids = list(bits(members))
+    atom = {q: k for k, q in enumerate(ids, start=1)}
+    clauses = [(atom[p],)]
+    for q in ids:
+        for d in idx.dep_masks[q]:
+            if not d & rest:
+                clauses.append((-atom[q], *(atom[x] for x in bits(d & members))))
+    for a in bits(members & idx.conflict_ends):
+        clauses += [(-atom[a], -atom[b])
+                    for b in bits(idx.partners[a] & members) if a < b]
+    result = satcore.solve_sat(clauses, num_vars=len(ids))
+    if result.status is satcore.SolveStatus.TIMEOUT:
+        raise InstallabilityTimedOut(
+            f"installability query for {idx.packages[p]} timed out")
+    if result.status is not satcore.SolveStatus.SAT:
+        return False
+    witness = idx.closure_mask(p) & rest
+    for k in result.true_atoms:
+        witness |= 1 << ids[k - 1]
+    if not _is_installation(witness, p, r, idx):
+        raise satcore.SatCoreError(
+            f"internal error: installation witness for {idx.packages[p]}"
+            " failed verification")
+    return True
+
+
+def installable_mask(r: int, idx: "ClosureIndex") -> int:
+    """The members of r (a mask over idx's ids) that are installable in r,
+    by the three steps of the module docstring."""
+    dep_masks = idx.dep_masks
+    live = r
+    todo = list(bits(r))
+    while todo:
+        p = todo.pop()
+        if live >> p & 1 and not all(d & live for d in dep_masks[p]):
+            live ^= 1 << p
+            todo += idx.dependents[p]
+    found = 0
+    for p in bits(live):
+        if (not _has_conflict(idx.closure_mask(p) & live, idx)
+                or _installable_by_query(p, r, live, idx)):
+            found |= 1 << p
+    return found
+
+
+def uninstallable(r: Iterable[Package], u: Universe,
+                  idx: "ClosureIndex | None" = None) -> list[Package]:
+    """The members of r that are not installable in r, in sorted order."""
+    if idx is None:
+        from .closure import ClosureIndex  # closure imports this module
+        idx = ClosureIndex(u)
+    mask = 0
+    for p in r:
+        if p not in idx.ids:
+            raise ValueError(f"repository references unknown package {p}")
+        mask |= 1 << idx.ids[p]
+    return [idx.packages[i] for i in bits(mask & ~installable_mask(mask, idx))]
+
+
+def is_trimmed(r: Iterable[Package], u: Universe,
+               idx: "ClosureIndex | None" = None) -> bool:
+    return not uninstallable(r, u, idx)
 
 
 @dataclass(frozen=True)
@@ -271,7 +391,8 @@ def policy_satisfied(t_prime: frozenset[Package],
 
 
 def is_admissible(t_prime: Iterable[Package], u: Universe,
-                  policy: "PolicyRules | None" = None) -> AdmissibilityVerdict:
+                  policy: "PolicyRules | None" = None,
+                  idx: "ClosureIndex | None" = None) -> AdmissibilityVerdict:
     """Check Uniqueness, Trimmedness and the policy rules on a migration.
 
     Reports the first witnessed violation in a deterministic order.
@@ -287,10 +408,11 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
                 f"name {p.name} occurs twice: {seen[p.name]} and {p}",
                 (seen[p.name], p))
         seen[p.name] = p
-    for p in sorted(chosen):
-        if not is_installable(p, chosen, u):
-            return AdmissibilityVerdict(
-                False, "trimmedness", f"{p} is not installable", (p,))
+    broken = uninstallable(chosen, u, idx)
+    if broken:
+        return AdmissibilityVerdict(
+            False, "trimmedness", f"{broken[0]} is not installable",
+            (broken[0],))
     if policy is not None:
         for group in policy.groups:
             values = {_policy_literal_true(sign, pkg, chosen)
@@ -311,7 +433,8 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
     return AdmissibilityVerdict(True)
 
 
-def check_testing(u: Universe) -> list[AdmissibilityVerdict]:
+def check_testing(u: Universe, idx: "ClosureIndex | None" = None
+                  ) -> list[AdmissibilityVerdict]:
     """All uniqueness/trimmedness defects of the incoming testing repository."""
     violations = []
     by_name: dict[str, list[Package]] = {}
@@ -323,8 +446,7 @@ def check_testing(u: Universe) -> list[AdmissibilityVerdict]:
                 False, "uniqueness",
                 f"name {name} occurs {len(group)} times in testing",
                 tuple(group)))
-    for p in sorted(u.testing):
-        if not is_installable(p, u.testing, u):
-            violations.append(AdmissibilityVerdict(
-                False, "trimmedness", f"{p} is not installable in testing", (p,)))
+    for p in uninstallable(u.testing, u, idx):
+        violations.append(AdmissibilityVerdict(
+            False, "trimmedness", f"{p} is not installable in testing", (p,)))
     return violations

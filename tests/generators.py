@@ -86,6 +86,47 @@ def random_universe(rng: random.Random, size: int | None = None,
     return make_universe(pkgs, dep, conflicts, testing, unstable)
 
 
+def clustered_universe(rng: random.Random, size: int, conflicts: int,
+                       cluster: int = 12, base: int = 6,
+                       empty_dep_prob: float = 0.02) -> Universe:
+    """A mid-scale universe of clusters of ``cluster`` packages. Each
+    package has up to three disjunctions of one to three packages of its
+    own cluster (in either direction, so dependency cycles form), or now
+    and then of the first ``base`` packages, which every cluster shares;
+    a few disjunctions are empty. ``conflicts`` random pairs join packages
+    of one cluster. Some names have two versions, and about a fifth of
+    the packages are missing from testing."""
+    pkgs = []
+    for i in range(size):
+        name = f"n{i // 2}" if rng.random() < 0.2 else f"m{i}"
+        pkgs.append(Package(name, str(i)))
+
+    def cluster_of(i: int) -> range:
+        start = i - i % cluster
+        return range(start, min(size, start + cluster))
+
+    dep = {}
+    for i, p in enumerate(pkgs):
+        groups = []
+        while rng.random() < 0.6 and len(groups) < 3:
+            if rng.random() < empty_dep_prob:
+                groups.append([])
+                continue
+            pool = range(min(base, size)) if rng.random() < 0.2 else cluster_of(i)
+            pool = [pkgs[j] for j in pool if j != i]
+            if pool:
+                groups.append(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        dep[p] = groups
+    pairs = set()
+    while len(pairs) < conflicts:
+        i = rng.randrange(size)
+        j = rng.choice(cluster_of(i))
+        if i != j:
+            pairs.add((pkgs[min(i, j)], pkgs[max(i, j)]))
+    testing = [p for p in pkgs if rng.random() < 0.8]
+    return make_universe(pkgs, dep, sorted(pairs), testing, pkgs)
+
+
 def random_instance(rng: random.Random, max_vars: int = 16,
                     max_clauses: int = 60):
     num_vars = rng.randint(1, max_vars)

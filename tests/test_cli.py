@@ -310,7 +310,7 @@ def test_explain_reports_repo_error(repos, capsys, monkeypatch):
     import satmigrate.engine as engine_mod
     import satmigrate.repo as repo_mod
 
-    def fake_solve(req, u):
+    def fake_solve(req, u, idx=None):
         raise repo_mod.RepoError("installability query timed out")
 
     monkeypatch.setattr(engine_mod, "solve_migration", fake_solve)
@@ -382,3 +382,44 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):
+    from satmigrate.closure import ClosureIndex
+
+    built = []
+    original = ClosureIndex.__init__
+
+    def counting(self, universe):
+        built.append(universe)
+        original(self, universe)
+
+    monkeypatch.setattr(ClosureIndex, "__init__", counting)
+    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "mutt/2.2"])
+    assert code == EXIT_OK
+    assert "cannot migrate" in capsys.readouterr().out
+    assert len(built) == 1
+
+
+# a/1 needs b or c, which conflict, so its installability reaches a SAT query
+CONFLICTED_TESTING = ("Package: a\nVersion: 1\nDepends: b | c\n\n"
+                      "Package: b\nVersion: 1\nConflicts: c\n\n"
+                      "Package: c\nVersion: 1\n\n")
+
+
+@pytest.mark.parametrize("command", [["migrate"], ["explain", "a/2"],
+                                     ["check"]])
+def test_installability_timeout_exit_code(repos, capsys, monkeypatch,
+                                          command):
+    import satmigrate.satcore as satcore_mod
+
+    def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
+        return satcore_mod.SolveResult(satcore_mod.SolveStatus.TIMEOUT)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", timed_out)
+    code = main([command[0], *repos(CONFLICTED_TESTING, UPGRADE_UNSTABLE),
+                 *command[1:]])
+    assert code == EXIT_TIMEOUT
+    assert capsys.readouterr().err == \
+        "timeout: installability query for a/1 timed out\n"

@@ -111,6 +111,24 @@ def test_result_is_independently_verified():
     assert is_admissible(result.t_prime, u).ok
 
 
+def test_solve_migration_builds_the_closure_index_once(monkeypatch):
+    built = []
+    original = ClosureIndex.__init__
+
+    def counting(self, universe):
+        built.append(universe)
+        original(self, universe)
+
+    monkeypatch.setattr(ClosureIndex, "__init__", counting)
+    u = tiny_universe(["a/1", "a/2", "b/1", "c/1"],
+                      dep={"a/2": [["b/1", "c/1"]]},
+                      conflicts=[("b/1", "c/1")],
+                      testing=["a/1", "b/1"], unstable=["a/2", "b/1", "c/1"])
+    result = solve_migration(MigrationRequest(mode="max"), u)
+    assert P("a/2") in result.t_prime
+    assert len(built) == 1
+
+
 def test_alternative_optima_enumerates_ties():
     # two independent incoming packages that conflict pairwise in testing
     u = tiny_universe(["x/1", "y/1", "z/1"],

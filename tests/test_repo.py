@@ -5,15 +5,18 @@ import random
 
 import pytest
 
-from satmigrate import oracle
+from satmigrate import oracle, satcore
+from satmigrate.closure import ClosureIndex, bits
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
 from satmigrate.oracle import ContextTooLarge, admissible_sets
-from satmigrate.repo import (DuplicateIdentity, build_universe, is_admissible,
-                             is_healthy, is_installable, is_trimmed,
-                             reachable, check_testing, unique_pairs)
+from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
+                             build_universe, is_admissible, is_healthy,
+                             is_installable, is_trimmed, policy_satisfied,
+                             reachable, check_testing, uninstallable,
+                             unique_pairs)
 
-from .generators import P, random_universe, tiny_universe
+from .generators import P, clustered_universe, random_universe, tiny_universe
 
 
 def _stanzas(text: str):
@@ -276,3 +279,151 @@ def test_admissible_sets_respect_policy():
     policy = PolicyRules(groups=[[(1, P("a/1")), (1, P("b/1"))]])
     sets = set(admissible_sets(u, policy))
     assert sets == {frozenset(), frozenset({P("a/1"), P("b/1")})}
+
+
+# -- the installability pass ------------------------------------------------------
+
+def _per_package(r, u):
+    return [p for p in sorted(r) if not is_installable(p, r, u)]
+
+
+def _recording_solve_sat(monkeypatch):
+    """Wrap satcore.solve_sat; returns the list of (num_vars, status) of
+    every call."""
+    calls = []
+    original = satcore.solve_sat
+
+    def recording(hard, **kwargs):
+        result = original(hard, **kwargs)
+        calls.append((kwargs["num_vars"], result.status))
+        return result
+
+    monkeypatch.setattr(satcore, "solve_sat", recording)
+    return calls
+
+
+def test_pass_equals_per_package_queries_on_random_universes():
+    rng = random.Random(29)
+    for _ in range(1200):
+        u = random_universe(rng, max_size=12, dep_density=0.6,
+                            conflict_density=0.8)
+        idx = ClosureIndex(u)
+        subset = frozenset(p for p in u.packages if rng.random() < 0.6)
+        for r in (u.packages, subset):
+            assert uninstallable(r, u, idx) == _per_package(r, u), (r, u)
+
+
+def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
+    calls = _recording_solve_sat(monkeypatch)
+    rng = random.Random(71)
+    seen = {"empty": 0, "cycle": 0, "conflict": 0, "broken": 0}
+    for _ in range(50):
+        size = rng.randint(100, 300)
+        u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
+        idx = ClosureIndex(u)
+        subset = frozenset(p for p in u.packages if rng.random() < 0.8)
+        for r in (u.packages, subset):
+            found = uninstallable(r, u, idx)
+            assert found == _per_package(r, u)
+            seen["broken"] += len(found)
+        seen["empty"] += sum(not d for ds in u.dep.values() for d in ds)
+        seen["cycle"] += sum(
+            any(idx.closure_mask(q) >> i & 1 for q in bits(idx.closure_mask(i))
+                if q != i) for i in range(size))
+        seen["conflict"] += len(idx.conflict_pairs)
+    assert min(seen.values()) > 0, seen
+    statuses = {status for _, status in calls}
+    assert {satcore.SolveStatus.SAT, satcore.SolveStatus.UNSAT} <= statuses
+
+
+def _reference_verdict(chosen, u, policy):
+    """Uniqueness, then per-package installability, then the policy."""
+    seen = {}
+    for p in sorted(chosen):
+        if p.name in seen:
+            return ("uniqueness",
+                    f"name {p.name} occurs twice: {seen[p.name]} and {p}")
+        seen[p.name] = p
+    broken = _per_package(chosen, u)
+    if broken:
+        return "trimmedness", f"{broken[0]} is not installable"
+    if not policy_satisfied(chosen, policy):
+        return "policy", None
+    return None
+
+
+def test_is_admissible_matches_per_package_reference():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(600):
+        u = random_universe(rng, max_size=10, dep_density=0.6,
+                            conflict_density=0.8)
+        pkgs = u.sorted_packages()
+        chosen = frozenset(p for p in pkgs if rng.random() < 0.6)
+        policy = None
+        if pkgs and rng.random() < 0.3:
+            policy = PolicyRules(extra_clauses=[[(1, rng.choice(pkgs))]])
+        verdict = is_admissible(chosen, u, policy)
+        expected = _reference_verdict(chosen, u, policy)
+        if expected is None:
+            assert verdict.ok
+            continue
+        kinds.add(expected[0])
+        assert (verdict.ok, verdict.kind) == (False, expected[0])
+        if expected[1] is not None:
+            assert verdict.detail == expected[1]
+    assert kinds == {"uniqueness", "trimmedness", "policy"}
+
+
+def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
+    # p needs q or r, which conflict: the closure holds a conflict, so p
+    # reaches the SAT step, where the fake model installs p alone
+    u = tiny_universe(["p/1", "q/1", "r/1"], dep={"p/1": [["q/1", "r/1"]]},
+                      conflicts=[("q/1", "r/1")])
+
+    def fake_solve_sat(hard, num_vars=None, assumptions=(), timeout=None):
+        return satcore.SolveResult(satcore.SolveStatus.SAT,
+                                   true_atoms=frozenset({1}))
+
+    monkeypatch.setattr(satcore, "solve_sat", fake_solve_sat)
+    with pytest.raises(satcore.SatCoreError):
+        uninstallable(u.packages, u)
+
+
+def test_pass_timeout_raises_installability_timeout(monkeypatch):
+    u = tiny_universe(["p/1", "q/1", "r/1"], dep={"p/1": [["q/1", "r/1"]]},
+                      conflicts=[("q/1", "r/1")])
+
+    def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
+        return satcore.SolveResult(satcore.SolveStatus.TIMEOUT)
+
+    monkeypatch.setattr(satcore, "solve_sat", timed_out)
+    with pytest.raises(InstallabilityTimedOut, match="p/1"):
+        check_testing(u)
+    with pytest.raises(InstallabilityTimedOut, match="p/1"):
+        is_installable(P("p/1"), u.packages, u)
+
+
+def test_check_testing_on_conflict_free_universe_makes_no_sat_call(monkeypatch):
+    u = clustered_universe(random.Random(37), 240, conflicts=0)
+    calls = _recording_solve_sat(monkeypatch)
+    violations = check_testing(u)
+    assert calls == []
+    assert any(v.kind == "trimmedness" for v in violations)
+    assert len(violations) < len(u.testing) // 2
+
+
+def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
+        monkeypatch):
+    # no empty disjunctions: every package of the universe stays live
+    u = clustered_universe(random.Random(41), 200, conflicts=1,
+                           empty_dep_prob=0.0)
+    idx = ClosureIndex(u)
+    (a, b), = idx.conflict_pairs
+    both = [i for i in range(len(idx.packages))
+            if idx.closure_mask(i) >> a & 1 and idx.closure_mask(i) >> b & 1]
+    calls = _recording_solve_sat(monkeypatch)
+    uninstallable(u.packages, u, idx)
+    assert len(both) > 1
+    assert [n for n, _ in calls] == \
+        [idx.connecting_mask(i).bit_count() for i in both]
