@@ -149,9 +149,9 @@ def cmd_explain(args) -> int:
         idx = ClosureIndex(universe)
         try:
             result = engine.solve_migration(request, universe, idx)
-        except engine.Unsolvable:
+        except engine.Unsolvable as exc:
             explanation = engine.explain_non_migration(target, universe, idx,
-                                                       request)
+                                                       request, exc.problem)
             if args.format == "structured":
                 _print_structured({"package": str(target), "migrates": False,
                                    "explanation": list(explanation.facts)})

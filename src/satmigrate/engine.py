@@ -29,8 +29,13 @@ class Unsolvable(EngineError):
 
     Without a target clause this indicates a malformed policy, since the
     trivial migration satisfies everything else; in target mode it means
-    the requested package cannot migrate (explanations start here).
+    the requested package cannot migrate (explanations start here), and
+    ``problem`` is the encoding whose hard clauses have no model.
     """
+
+    def __init__(self, message: str, problem: EncodedProblem | None = None):
+        super().__init__(message)
+        self.problem = problem
 
 
 class SolveTimedOut(EngineError):
@@ -208,7 +213,8 @@ def solve_migration(req: MigrationRequest, u: Universe,
     attach_objective(req, u, problem)
     result = _solve(req, problem)
     if result.status is SolveStatus.UNSAT:
-        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable")
+        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
+                         problem)
     if result.status is SolveStatus.TIMEOUT:
         raise SolveTimedOut(f"solver exceeded {req.budgets.pmax_timeout}s")
     model = result.true_atoms
@@ -311,13 +317,20 @@ def describe_clause(info: tuple) -> str:
 
 
 def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
-                          req: MigrationRequest) -> Explanation:
+                          req: MigrationRequest,
+                          problem: EncodedProblem | None = None) -> Explanation:
     """Minimal unsatisfiable core of the targeted migration, mapped back to
-    domain statements via the per-clause provenance tags."""
-    problem = build_problem(req, u, idx)
-    clause, info = encoder.target_clause(p, u, problem.atoms)
-    problem.hard.append(clause)
-    problem.info.append(info)
+    domain statements via the per-clause provenance tags.
+
+    ``problem`` is the target-mode encoding of p that ``solve_migration``
+    found unsatisfiable (see ``Unsolvable``); without it the encoding is
+    built here. Either way its hard clauses end with p's target clause.
+    """
+    if problem is None:
+        problem = build_problem(req, u, idx)
+        clause, info = encoder.target_clause(p, u, problem.atoms)
+        problem.hard.append(clause)
+        problem.info.append(info)
     try:
         mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
                                   timeout=req.budgets.sat_timeout)

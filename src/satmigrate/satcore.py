@@ -1,9 +1,10 @@
 """SAT / partial MaxSAT core.
 
-Instance model, an embedded DPLL solver with two-watched-literal unit
-propagation, exact unit-soft PMAX-SAT by linear lower-bound search,
-deletion-based minimal unsatisfiable subset extraction, DIMACS CNF/WCNF
-serialization, and an adapter for external solver executables.
+Instance model, an embedded conflict-driven clause-learning (CDCL) solver
+with a native bound on the satisfied soft units, exact unit-soft PMAX-SAT
+by linear lower-bound search over one such solver, deletion-based minimal
+unsatisfiable subset extraction, DIMACS CNF/WCNF serialization, and an
+adapter for external solver executables.
 
 Atoms are positive integers; a literal is an atom or its negation as a
 signed int. An assignment is the set of true atoms (everything else false).
@@ -11,6 +12,7 @@ signed int. An assignment is the set of true atoms (everything else false).
 
 from __future__ import annotations
 
+import heapq
 import subprocess
 import tempfile
 import time
@@ -21,6 +23,13 @@ from pathlib import Path
 
 DEFAULT_SAT_TIMEOUT = 60.0
 DEFAULT_PMAX_TIMEOUT = 300.0
+
+# CDCL search constants, MiniSat's defaults: activity decay per conflict,
+# conflicts per unit of the Luby restart sequence, and the activity above
+# which every activity is scaled down.
+VAR_DECAY = 0.95
+RESTART_FIRST = 100
+ACTIVITY_LIMIT = 1e100
 
 
 class SatCoreError(Exception):
@@ -97,6 +106,19 @@ def count_satisfied(soft, true_atoms) -> int:
     return sum(1 for c in soft if clause_satisfied(c, true_atoms))
 
 
+def luby(i: int) -> int:
+    """The i-th term, from 0, of the Luby sequence 1 1 2 1 1 2 4 1 1 2 ..."""
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i %= size
+    return 1 << seq
+
+
 def infer_num_vars(*clause_sets) -> int:
     num = 0
     for clauses in clause_sets:
@@ -108,13 +130,30 @@ def infer_num_vars(*clause_sets) -> int:
 
 
 class DpllSolver:
-    """Iterative DPLL over a fixed clause set, reusable across solve calls.
+    """Conflict-driven clause learning over a fixed clause set, reusable
+    across solve calls.
 
-    Branching is deterministic (lowest-index unassigned variable, true
-    first), so identical inputs yield identical models. An optional budget
-    over soft unit literals prunes branches that can no longer reach the
-    required number of satisfied soft units; this is the engine behind the
-    linear-search PMAX-SAT strategy.
+    The search is MiniSat's (Eén & Sörensson, SAT 2003): two-watched-literal
+    unit propagation, first-UIP conflict analysis with non-chronological
+    backjumping, VSIDS activities with ties broken by the lowest variable
+    index, phase saving and Luby restarts. Until the first conflict every
+    activity is zero, so the solver decides in index order and builds its
+    activity heap only then; small fresh instances stay cheap. Initial
+    phases follow the soft units' polarity, true where a variable has none.
+    Assumptions are the first decisions, so clauses learned under them
+    hold for every later call. Everything is deterministic: identical
+    calls yield identical models.
+
+    ``required_soft`` is a native constraint over the soft unit literals:
+    when more soft weight is falsified than the bound allows, the clause of
+    the falsified soft literals is the conflict; at zero slack it forces the
+    remaining soft literals, with that clause as their reason. A clause
+    learned under bound k holds for every bound ≥ k, so learned clauses are
+    kept across the rising bounds of the PMAX-SAT search; a call with a
+    lower bound drops those learned under a higher one.
+
+    ``decisions``, ``propagations``, ``conflicts``, ``learned`` and
+    ``restarts`` count the work of all calls so far.
     """
 
     def __init__(self, num_vars: int, clauses, soft_literals=()):
@@ -137,186 +176,351 @@ class DpllSolver:
                 self.initial_units.append(clause[0])
             else:
                 self.clauses.append(list(clause))
-        # soft budget bookkeeping: per-variable counts of +v / -v soft units
-        self.soft_pos = [0] * (num_vars + 1)
-        self.soft_neg = [0] * (num_vars + 1)
+        # Arrays indexed by literal have 2 * num_vars + 2 entries: literal v
+        # sits at v and, by Python's negative indexing, -v at len - v.
+        size = 2 * num_vars + 2
+        # soft units: a variable's net weight, signed by the polarity that
+        # satisfies it; units of both signs on one variable cost the smaller
+        # count whatever its value (soft_fixed)
+        weight = [0] * (num_vars + 1)
         self.soft_total = 0
         for lit in soft_literals:
             if abs(lit) > num_vars:
                 raise ValueError(f"soft literal {lit} exceeds num_vars={num_vars}")
-            if lit > 0:
-                self.soft_pos[lit] += 1
-            else:
-                self.soft_neg[-lit] += 1
+            weight[abs(lit)] += 1 if lit > 0 else -1
             self.soft_total += 1
             occurs[abs(lit)] = 1
+        self.soft_vars = [v for v in range(1, num_vars + 1) if weight[v]]
+        self.soft_fixed = (self.soft_total
+                           - sum(abs(weight[v]) for v in self.soft_vars)) // 2
+        self.max_weight = max((abs(weight[v]) for v in self.soft_vars), default=0)
+        self.weight = weight
+        # falsifies[lit]: soft weight falsified by making lit true
+        self.falsifies = [0] * size if self.soft_vars else None
+        self.phase = bytearray(b"\x01") * (num_vars + 1)
+        for v in self.soft_vars:
+            if weight[v] > 0:
+                self.falsifies[-v] = weight[v]
+            else:
+                self.falsifies[v] = -weight[v]
+                self.phase[v] = 0
         self.branch_vars = [v for v in range(1, num_vars + 1) if occurs[v]]
-        # watch lists indexed by literal + num_vars
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
-        for ci, clause in enumerate(self.clauses):
-            self.watches[clause[0] + num_vars].append(ci)
-            self.watches[clause[1] + num_vars].append(ci)
-        # clause polarity census for root-level pure literal elimination
-        self._pos_occ = [0] * (num_vars + 1)
-        self._neg_occ = [0] * (num_vars + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(size)]
         for clause in self.clauses:
-            for lit in clause:
-                if lit > 0:
-                    self._pos_occ[lit] += 1
-                else:
-                    self._neg_occ[-lit] += 1
-        for lit in self.initial_units:
-            if lit > 0:
-                self._pos_occ[lit] += 1
-            else:
-                self._neg_occ[-lit] += 1
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        # learned clauses and units, each with the bound it was learned under
+        self.learnt: list[tuple[int, list[int]]] = []
+        self.learnt_units: list[tuple[int, int]] = []
+        self.learnt_bound = 0
+        self.activity: list[float] | None = None
+        self.var_inc = 1.0
+        self.decisions = self.propagations = self.conflicts = 0
+        self.learned = self.restarts = 0
 
-    # -- per-solve state ----------------------------------------------------
+    # -- learned clauses ------------------------------------------------------
 
-    def _reset(self):
-        self.assign = [0] * (self.num_vars + 1)
-        self.trail: list[int] = []
-        self.qhead = 0
-        self.soft_falsified = 0
+    def _drop_learned_above(self, bound: int):
+        """Forget what was learned under a bound above ``bound``: it may
+        rest on the budget of that bound."""
+        self.learnt = [(t, c) for t, c in self.learnt if t <= bound]
+        self.learnt_units = [(t, l) for t, l in self.learnt_units if t <= bound]
+        self.learnt_bound = bound
+        self.watches = [[] for _ in range(2 * self.num_vars + 2)]
+        for clause in self.clauses + [c for _, c in self.learnt]:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
 
-    def _enqueue(self, lit: int) -> bool:
-        """Assign lit true; False on contradiction with current value."""
+    # -- trail ----------------------------------------------------------------
+
+    def _assign(self, lit: int, reason):
         var = abs(lit)
-        val = 1 if lit > 0 else -1
-        cur = self.assign[var]
-        if cur:
-            return cur == val
-        self.assign[var] = val
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
         self.trail.append(lit)
-        if val > 0:
-            self.soft_falsified += self.soft_neg[var]
-        else:
-            self.soft_falsified += self.soft_pos[var]
-        return True
 
-    def _undo_to(self, mark: int):
-        assign = self.assign
-        for lit in reversed(self.trail[mark:]):
-            var = abs(lit)
-            if lit > 0:
-                self.soft_falsified -= self.soft_neg[var]
-            else:
-                self.soft_falsified -= self.soft_pos[var]
-            assign[var] = 0
-        del self.trail[mark:]
-        self.qhead = mark
+    def _cancel_until(self, lvl: int):
+        if len(self.trail_lim) <= lvl:
+            return
+        start = self.trail_lim[lvl]
+        trail, value, phase = self.trail, self.value, self.phase
+        heap, activity = self.heap, self.activity
+        for lit in trail[start:]:
+            value[lit] = value[-lit] = 0
+            phase[abs(lit)] = lit > 0
+            if heap is not None:
+                heapq.heappush(heap, (-activity[abs(lit)], abs(lit)))
+        if self.budget_head > start:
+            falsifies = self.falsifies
+            self.falsified -= sum(falsifies[lit]
+                                  for lit in trail[start:self.budget_head])
+            self.budget_head = start
+        self.forced_slack = self.max_weight
+        del trail[start:]
+        if heap is not None and len(heap) > 4 * len(self.branch_vars):
+            self._build_heap()
+        del self.trail_lim[lvl:]
+        self.qhead = start
 
-    def _propagate(self) -> bool:
-        """Two-watched-literal unit propagation; False on conflict."""
-        n = self.num_vars
-        assign = self.assign
-        clauses = self.clauses
-        watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            flit = -lit
-            watchlist = watches[flit + n]
+    def _build_heap(self):
+        activity, value = self.activity, self.value
+        self.heap = [(-activity[v], v) for v in self.branch_vars if not value[v]]
+        heapq.heapify(self.heap)
+
+    # -- propagation ----------------------------------------------------------
+
+    def _propagate_clauses(self):
+        """Two-watched-literal unit propagation; the conflict clause or None."""
+        value, level, reason = self.value, self.level, self.reason
+        trail, watches = self.trail, self.watches
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            flit = -trail[qhead]
+            qhead += 1
+            watchlist = watches[flit]
             i = 0
             while i < len(watchlist):
-                ci = watchlist[i]
-                clause = clauses[ci]
+                clause = watchlist[i]
                 if clause[0] == flit:
                     clause[0] = clause[1]
                     clause[1] = flit
                 first = clause[0]
-                if assign[abs(first)] == (1 if first > 0 else -1):
+                if value[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
                     lk = clause[k]
-                    if assign[abs(lk)] != (-1 if lk > 0 else 1):
+                    if value[lk] != -1:
                         clause[1] = lk
                         clause[k] = flit
-                        watches[lk + n].append(ci)
+                        watches[lk].append(clause)
                         watchlist[i] = watchlist[-1]
                         watchlist.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if assign[abs(first)] == 0:
-                    self._enqueue(first)
-                    i += 1
                 else:
-                    return False
-        return True
+                    if value[first]:
+                        conflict = clause
+                        break
+                    value[first] = 1
+                    value[-first] = -1
+                    level[abs(first)] = lvl
+                    reason[abs(first)] = clause
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
+        self.propagations += qhead - start
+        return conflict
 
-    def _budget_ok(self, required: int) -> bool:
-        return self.soft_total - self.soft_falsified >= required
+    def _falsified_soft(self) -> list[int]:
+        falsifies = self.falsifies
+        return [-lit for lit in self.trail if falsifies[lit]]
 
-    def _pure_literals(self):
-        # Safe only without assumptions and without a soft budget: a model
-        # stays a model when a pure variable takes its sole polarity.
-        for var in self.branch_vars:
-            if self.assign[var]:
-                continue
-            pos, neg = self._pos_occ[var], self._neg_occ[var]
-            if pos and not neg:
-                self._enqueue(var)
-            elif neg and not pos:
-                self._enqueue(-var)
+    def _propagate(self):
+        """Unit propagation over the clauses and the soft budget; the
+        conflict clause or None."""
+        while True:
+            conflict = self._propagate_clauses()
+            if conflict is not None or self.slack_limit is None:
+                return conflict
+            trail, falsifies = self.trail, self.falsifies
+            self.falsified += sum(falsifies[lit] for lit in trail[self.budget_head:])
+            self.budget_head = len(trail)
+            slack = self.slack_limit - self.falsified
+            if slack < 0:
+                return self._falsified_soft()
+            if slack >= self.forced_slack:
+                return None
+            # every soft literal whose loss the slack cannot absorb is forced
+            self.forced_slack = slack
+            because = self._falsified_soft()
+            value, weight = self.value, self.weight
+            forced = [v if weight[v] > 0 else -v for v in self.soft_vars
+                      if not value[v] and abs(weight[v]) > slack]
+            if not forced:
+                return None
+            for lit in forced:
+                self._assign(lit, because)
+
+    # -- conflict analysis ----------------------------------------------------
+
+    def _rescale(self):
+        activity = self.activity
+        for v in range(len(activity)):
+            activity[v] *= 1 / ACTIVITY_LIMIT
+        self.var_inc *= 1 / ACTIVITY_LIMIT
+        if self.heap is not None:
+            self._build_heap()
+
+    def _analyze(self, conflict):
+        """First-UIP learned clause (asserting literal first, a literal of
+        the backjump level second) and the level to backjump to."""
+        if self.activity is None:
+            self.activity = [0.0] * (self.num_vars + 1)
+        level, reason, trail = self.level, self.reason, self.trail
+        activity, var_inc = self.activity, self.var_inc
+        lvl = len(self.trail_lim)
+        seen = bytearray(self.num_vars + 1)
+        learnt = [0]
+        pending = 0
+        index = len(trail) - 1
+        clause = conflict
+        while True:
+            for q in clause:
+                var = abs(q)
+                if not seen[var] and level[var]:
+                    seen[var] = 1
+                    activity[var] += var_inc
+                    if activity[var] > ACTIVITY_LIMIT:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    if level[var] == lvl:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(trail[index])]:
+                index -= 1
+            uip = trail[index]
+            index -= 1
+            pending -= 1
+            if not pending:
+                break
+            clause = reason[abs(uip)]
+        learnt[0] = -uip
+        # drop literals implied by the rest of the clause through their reason
+        kept = [learnt[0]]
+        for q in learnt[1:]:
+            why = reason[abs(q)]
+            if why is None or any(not seen[abs(r)] and level[abs(r)] for r in why):
+                kept.append(q)
+        if len(kept) == 1:
+            return kept, 0
+        top = max(range(1, len(kept)), key=lambda k: level[abs(kept[k])])
+        kept[1], kept[top] = kept[top], kept[1]
+        return kept, level[abs(kept[1])]
+
+    def _learn(self, clause: list[int], bound: int):
+        self.learned += 1
+        if len(clause) == 1:
+            self.learnt_units.append((bound, clause[0]))
+            self._assign(clause[0], None)
+            return
+        self.learnt.append((bound, clause))
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
+        self._assign(clause[0], clause)
+
+    # -- search ---------------------------------------------------------------
+
+    def _pick(self) -> int:
+        """The unassigned variable of highest activity, lowest index first;
+        0 when every variable is assigned."""
+        value = self.value
+        if self.heap is None:
+            branch_vars = self.branch_vars
+            k = self.next_var
+            while k < len(branch_vars) and value[branch_vars[k]]:
+                k += 1
+            self.next_var = k
+            return branch_vars[k] if k < len(branch_vars) else 0
+        heap, activity = self.heap, self.activity
+        while heap:
+            act, var = heapq.heappop(heap)
+            if not value[var] and -act == activity[var]:
+                return var
+        return 0
 
     def solve(self, assumptions=(), required_soft: int = 0,
               timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
         deadline = time.monotonic() + timeout
-        self._reset()
+        bound = max(required_soft, 0)
+        if bound < self.learnt_bound:
+            self._drop_learned_above(bound)
+        self.learnt_bound = max(self.learnt_bound, bound)
+        n = self.num_vars
+        self.value = [0] * (2 * n + 2)
+        self.level = [0] * (n + 1)
+        self.reason: list = [None] * (n + 1)
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = self.next_var = 0
+        self.heap = None
+        self.falsified = self.budget_head = 0
+        self.forced_slack = self.max_weight
+        # largest soft weight that may still be falsified; None: no budget
+        self.slack_limit = None
+        if bound:
+            self.slack_limit = self.soft_total - self.soft_fixed - bound
+            if self.slack_limit < 0:
+                return SolveResult(SolveStatus.UNSAT)
         if self.has_empty:
             return SolveResult(SolveStatus.UNSAT)
-        for lit in self.initial_units:
-            if not self._enqueue(lit):
+        value = self.value
+        for lit in self.initial_units + [l for _, l in self.learnt_units]:
+            if value[lit] == -1:
                 return SolveResult(SolveStatus.UNSAT)
-        if not self._propagate():
-            return SolveResult(SolveStatus.UNSAT)
-        for lit in assumptions:
-            if not self._enqueue(lit) or not self._propagate():
-                return SolveResult(SolveStatus.UNSAT)
-        if not self._budget_ok(required_soft):
-            return SolveResult(SolveStatus.UNSAT)
-        if not assumptions and not self.soft_total:
-            self._pure_literals()
-            if not self._propagate():  # pragma: no cover - purity is safe
-                return SolveResult(SolveStatus.UNSAT)
-        decisions: list[tuple[int, int, bool]] = []
-        branch_vars = self.branch_vars
-        assign = self.assign
-        steps = 0
-        conflict = False
+            if not value[lit]:
+                self._assign(lit, None)
+        if self.activity is not None:
+            self._build_heap()
+        trail_lim, trail = self.trail_lim, self.trail
+        level, reason = self.level, self.reason
+        propagate = (self._propagate_clauses if self.slack_limit is None
+                     else self._propagate)
+        assumptions = tuple(assumptions)
+        restart_at = RESTART_FIRST
+        restart_count = since_restart = steps = 0
         while True:
             steps += 1
-            if steps % 1024 == 0 and time.monotonic() > deadline:
+            if steps % 256 == 0 and time.monotonic() > deadline:
                 return SolveResult(SolveStatus.TIMEOUT)
-            if not conflict:
-                var = 0
-                for v in branch_vars:
-                    if not assign[v]:
-                        var = v
-                        break
-                if not var:
-                    model = frozenset(v for v in range(1, self.num_vars + 1)
-                                      if assign[v] > 0)
-                    return SolveResult(SolveStatus.SAT, true_atoms=model)
-                decisions.append((len(self.trail), var, False))
-                self._enqueue(var)
-                conflict = not (self._propagate() and self._budget_ok(required_soft))
-            else:
-                while decisions:
-                    mark, var, flipped = decisions.pop()
-                    self._undo_to(mark)
-                    if not flipped:
-                        decisions.append((mark, var, True))
-                        self._enqueue(-var)
-                        conflict = not (self._propagate()
-                                        and self._budget_ok(required_soft))
-                        break
-                else:
+            conflict = propagate()
+            if conflict is not None:
+                self.conflicts += 1
+                # below the first branching decision the conflict follows
+                # from the clauses, the budget and the assumptions alone
+                if len(trail_lim) <= len(assumptions):
                     return SolveResult(SolveStatus.UNSAT)
+                learnt, back = self._analyze(conflict)
+                self._cancel_until(back)
+                self._learn(learnt, bound)
+                if self.heap is None:
+                    self._build_heap()
+                self.var_inc /= VAR_DECAY
+                since_restart += 1
+                if since_restart >= restart_at:
+                    self._cancel_until(0)
+                    self.restarts += 1
+                    restart_count += 1
+                    since_restart = 0
+                    restart_at = luby(restart_count) * RESTART_FIRST
+                continue
+            lit = 0
+            while len(trail_lim) < len(assumptions):
+                p = assumptions[len(trail_lim)]
+                if value[p] == 1:
+                    trail_lim.append(len(trail))
+                elif value[p]:
+                    return SolveResult(SolveStatus.UNSAT)
+                else:
+                    lit = p
+                    break
+            if not lit:
+                var = self._pick()
+                if not var:
+                    return SolveResult(SolveStatus.SAT, true_atoms=frozenset(
+                        v for v in range(1, n + 1) if value[v] == 1))
+                self.decisions += 1
+                lit = var if self.phase[var] else -var
+            trail_lim.append(len(trail))
+            value[lit] = 1
+            value[-lit] = -1
+            level[abs(lit)] = len(trail_lim)
+            reason[abs(lit)] = None
+            trail.append(lit)
 
 
 def solve_sat(hard, num_vars: int | None = None, assumptions=(),
@@ -341,8 +545,10 @@ def solve_pmaxsat(hard, soft, num_vars: int | None = None,
     """Maximize the number of satisfied soft unit clauses.
 
     Linear search: find any solution, then repeatedly re-solve demanding at
-    least one more satisfied soft unit (enforced by the solver's blocking
-    counter) until the bound cannot be improved or the total is reached.
+    least one more satisfied soft unit (the solver's native bound) until the
+    bound cannot be improved or the total is reached. One solver serves
+    every step and keeps its learned clauses, which stay valid as the bound
+    rises; its first model follows the soft units' polarity.
     """
     hard = list(hard)
     soft = [tuple(c) for c in soft]

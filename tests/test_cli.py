@@ -402,6 +402,25 @@ def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
+    # the core is taken from the encoding the failed target-mode solve built
+    from satmigrate import encoder
+
+    built = []
+    original = encoder.build_encoding
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "build_encoding", counting)
+    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "mutt/2.2"])
+    assert code == EXIT_OK
+    assert "cannot migrate" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 # a/1 needs b or c, which conflict, so its installability reaches a SAT query
 CONFLICTED_TESTING = ("Package: a\nVersion: 1\nDepends: b | c\n\n"
                       "Package: b\nVersion: 1\nConflicts: c\n\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import stat
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 import satmigrate.satcore as satcore_mod
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import PolicyRules, build_encoding, target_clause
-from satmigrate.engine import (ActuallySolvable,
+from satmigrate.engine import (ActuallySolvable, Budgets,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
                                alternative_optima, build_problem,
@@ -20,7 +21,7 @@ from satmigrate.engine import (ActuallySolvable,
 from satmigrate.oracle import admissible_sets, deletion_mus
 from satmigrate.repo import is_admissible
 
-from .generators import P, tiny_universe
+from .generators import P, clustered_universe, tiny_universe
 
 
 def _upgrade_universe():
@@ -39,6 +40,24 @@ def test_simple_upgrade_max_mode():
     assert result.delta == 2
     assert result.optimum == 2
     assert result.verified
+
+
+def test_encodings_agree_on_mid_scale_universes():
+    # the embedded solver returns a result only for a proven optimum
+    # (UNSAT and TIMEOUT raise), and each T' is re-checked admissible here
+    rng = random.Random(83)
+    for _ in range(12):
+        size = rng.randint(100, 300)
+        u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
+        idx = ClosureIndex(u)
+        optima = set()
+        for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
+            req = MigrationRequest(mode="max", encoding=encoding,
+                                   budgets=Budgets(pmax_timeout=10.0))
+            result = solve_migration(req, u, idx)
+            assert result.verified and is_admissible(result.t_prime, u, None, idx)
+            optima.add(result.optimum)
+        assert len(optima) == 1, (size, optima)
 
 
 def test_no_candidates_trivial_result():

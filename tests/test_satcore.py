@@ -65,6 +65,80 @@ def test_solver_reusable_across_assumption_sets():
     assert seen == expected
 
 
+def _pigeonhole(pigeons: int, holes: int):
+    def var(i, j):
+        return i * holes + j + 1
+
+    clauses = [tuple(var(i, j) for j in range(holes)) for i in range(pigeons)]
+    clauses += [(-var(i, j), -var(k, j)) for j in range(holes)
+                for i in range(pigeons) for k in range(i + 1, pigeons)]
+    return pigeons * holes, clauses
+
+
+def test_solver_counters_are_deterministic():
+    runs = []
+    for _ in range(2):
+        solver = DpllSolver(*_pigeonhole(6, 5))
+        assert solver.solve().status is SolveStatus.UNSAT
+        runs.append((solver.decisions, solver.propagations, solver.conflicts,
+                     solver.learned, solver.restarts))
+    assert runs[0] == runs[1]
+    assert runs[0][4] > 0  # long enough to restart
+    solver = DpllSolver(*_pigeonhole(3, 2))
+    assert solver.solve().status is SolveStatus.UNSAT
+    assert solver.conflicts > 0 and solver.learned > 0
+
+
+def test_budget_learned_clauses_are_dropped_for_a_lower_bound():
+    # the only models are {2, 3} and {1, 2, 3}, so at most one of the soft
+    # units -1, -2, -3 holds; refuting bound 2 learns the unit -2, which
+    # holds in no model and must not survive into the call without a bound
+    clauses = [(-3, 1, 2), (1, 2, 3), (2, -3), (-2, 3), (-1, 3), (-1, 2, 3),
+               (2, 3, -1), (2, 1)]
+    solver = DpllSolver(3, clauses, soft_literals=[-2, -1, -3])
+    assert solver.solve(required_soft=2).status is SolveStatus.UNSAT
+    assert solver.learned > 0
+    result = solver.solve()
+    assert result.status is SolveStatus.SAT
+    assert result.true_atoms == {2, 3}
+
+
+def test_reused_solver_answers_like_a_fresh_one():
+    rng = random.Random(59)
+    for _ in range(500):
+        num_vars, clauses = random_instance(rng, max_vars=10, max_clauses=20)
+        soft = [(v if rng.random() < 0.5 else -v)
+                for v in rng.sample(range(1, num_vars + 1),
+                                    rng.randint(0, num_vars))]
+        solver = DpllSolver(num_vars, clauses, soft_literals=soft)
+        # rising bounds as in the PMAX-SAT search, then a lower bound, then
+        # random assumption sets under random bounds
+        calls = [((), bound) for bound in range(len(soft) + 2)]
+        calls.append(((), rng.randint(0, len(soft))))
+        for _ in range(3):
+            assumptions = tuple(v if rng.random() < 0.5 else -v
+                                for v in rng.sample(range(1, num_vars + 1),
+                                                    rng.randint(1, min(3, num_vars))))
+            calls.append((assumptions, rng.randint(0, len(soft))))
+        for assumptions, bound in calls:
+            result = solver.solve(assumptions=assumptions, required_soft=bound)
+            fresh = DpllSolver(num_vars, clauses, soft_literals=soft).solve(
+                assumptions=assumptions, required_soft=bound)
+            reference = brute_force_solve(
+                clauses + [(lit,) for lit in assumptions],
+                [(lit,) for lit in soft], num_vars=num_vars)
+            feasible = reference.status is SolveStatus.OPTIMAL and \
+                reference.satisfied_soft >= bound
+            expected = SolveStatus.SAT if feasible else SolveStatus.UNSAT
+            assert result.status is fresh.status is expected, \
+                (clauses, soft, assumptions, bound)
+            if feasible:
+                model = result.true_atoms
+                assert verify_model(clauses + [(lit,) for lit in assumptions],
+                                    model)
+                assert count_satisfied([(lit,) for lit in soft], model) >= bound
+
+
 def test_tautologies_are_dropped():
     assert normalize_clause([1, -1, 2]) is None
     assert normalize_clause([2, 1, 2]) == (1, 2)
