@@ -84,10 +84,10 @@ class ClosureIndex:
     """Immutable closure data for one universe.
 
     Packages are interned as their rank in sorted order. ``deps``,
-    ``dep_masks``, ``dependents``, ``conflict_pairs``, ``partners`` and the
-    ``*_mask`` methods speak in these ids, for the encoder and the
-    installability pass of ``repo``; the Package-level methods translate
-    them back.
+    ``dep_masks``, ``dependents``, ``conflict_pairs``, ``partners``,
+    ``upper_partners`` and the ``*_mask`` methods speak in these ids, for
+    the encoder and the installability pass of ``repo``; the Package-level
+    methods translate them back.
     """
 
     def __init__(self, universe: Universe):
@@ -108,12 +108,15 @@ class ClosureIndex:
                 for deps in self.deps]
         self._succ = succ
         self._closure = _scc_closures(n, succ)
-        # per package, the mask of its conflict partners
+        # per package, the mask of its conflict partners; per conflict end,
+        # its partners with a larger id, ascending
         self.partners = [0] * n
+        self.upper_partners: dict[int, list[int]] = {}
         ends = 0
         for a, b in self.conflict_pairs:
             self.partners[a] |= 1 << b
             self.partners[b] |= 1 << a
+            self.upper_partners.setdefault(a, []).append(b)
             ends |= 1 << a | 1 << b
         self.conflict_ends = ends
         easy_mask = 0
@@ -168,18 +171,26 @@ class ClosureIndex:
 
     def connecting_mask(self, i: int) -> int:
         """Closure members whose own closure reaches a relevant-conflict
-        endpoint, plus i itself."""
+        endpoint, plus i itself.
+
+        Every package on a dependency path from i to such a member reaches
+        the same endpoint, so a walk from i that enters only packages
+        reaching an endpoint visits exactly these members.
+        """
         cached = self._connecting.get(i)
         if cached is None:
             ends = self.relevant_ends(i)
             cached = 1 << i
             if ends:
-                mm = self._closure[i]
-                while mm:
-                    low = mm & -mm
-                    if self._closure[low.bit_length() - 1] & ends:
-                        cached |= low
-                    mm ^= low
+                closures, succ = self._closure, self._succ
+                seen = {i}
+                todo = [i]
+                while todo:
+                    for w in succ[todo.pop()]:
+                        if w not in seen and closures[w] & ends:
+                            seen.add(w)
+                            todo.append(w)
+                            cached |= 1 << w
             self._connecting[i] = cached
         return cached
 

@@ -21,6 +21,7 @@ installation atoms sorted by (context, member).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,8 +79,9 @@ class AtomTable:
     """Dense, deterministic bijection between atoms and 1-based indices.
 
     Package atom i+1 stands for the i-th package in sorted order; the
-    installation atoms follow, keyed by (context id, member id) over those
-    same ids. Atom objects are built only on request.
+    installation atoms follow, sorted by (context id, member id) over those
+    same ids, and ``contexts`` maps each context id to its
+    {member id: atom id}. Atom objects are built only on request.
     """
 
     def __init__(self, packages, inst_pairs=()):
@@ -88,8 +90,10 @@ class AtomTable:
         self.num_package_atoms = len(self.packages)
         self.inst_pairs: list[tuple[int, int]] = sorted(inst_pairs)
         self.num_inst_atoms = len(self.inst_pairs)
-        first = self.num_package_atoms + 1
-        self.inst_ids = {pair: first + k for k, pair in enumerate(self.inst_pairs)}
+        self.contexts: dict[int, dict[int, int]] = {}
+        for atom, (context, member) in enumerate(
+                self.inst_pairs, start=self.num_package_atoms + 1):
+            self.contexts.setdefault(context, {})[member] = atom
 
     def __len__(self) -> int:
         return self.num_package_atoms + self.num_inst_atoms
@@ -98,10 +102,10 @@ class AtomTable:
         return self._ids[p] + 1
 
     def inst(self, member: Package, context: Package) -> int:
-        return self.inst_ids[self._ids[context], self._ids[member]]
+        return self.contexts[self._ids[context]][self._ids[member]]
 
     def has_inst(self, member: Package, context: Package) -> bool:
-        return (self._ids[context], self._ids[member]) in self.inst_ids
+        return self._ids[member] in self.contexts.get(self._ids[context], ())
 
     def atom(self, index: int) -> Atom:
         if index <= self.num_package_atoms:
@@ -298,41 +302,64 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     if idx is None:
         idx = ClosureIndex(u)
     pkgs = idx.packages
-    tracked: dict[int, int] = {}  # context id -> member mask, in id order
+    tracked = []
     if scheme.members is not None:
-        for c in range(len(pkgs)):
-            if not scheme.conflicting_only or idx.relevant_ends(c):
-                tracked[c] = scheme.members(idx, c)
-    atoms = AtomTable(pkgs, [(c, m) for c, mask in tracked.items()
-                             for m in bits(mask)])
+        tracked = [c for c in range(len(pkgs))
+                   if not scheme.conflicting_only or idx.relevant_ends(c)]
+    atoms = AtomTable(pkgs, [(c, m) for c in tracked
+                             for m in bits(scheme.members(idx, c))])
+    contexts = atoms.contexts  # the tracked contexts, each with its members
     problem = EncodedProblem(encoding_id, atoms)
-    add = problem.add
-    inst = atoms.inst_ids
     uniqueness_clauses(u, problem)
-    for c, mask in tracked.items():
-        for m in bits(mask):
-            add((-inst[c, m], m + 1), ("e", pkgs[c], pkgs[m]))
-    for c in tracked:
-        add((-(c + 1), inst[c, c]), ("i", pkgs[c]))
-    easy = idx.easy_mask if scheme.easy_direct else 0
-    for c in range(len(pkgs)):
-        mask = tracked.get(c)
-        if mask is None:
-            for disjunction, targets in idx.deps[c]:
-                add([-(c + 1)] + [q + 1 for q in targets],
-                    ("d", None, pkgs[c], disjunction))
+    # The e, i, d and c clauses are built already in normalize_clause's
+    # form: sorted by variable, and package atoms (1..n) sort before
+    # installation atoms (above n). All clauses share the int objects of
+    # the package atoms.
+    pkg_atom = list(range(1, len(pkgs) + 1))
+    hard, info = problem.hard, problem.info
+    for c, members in contexts.items():
+        context = pkgs[c]
+        for m, atom in members.items():
+            hard.append((pkg_atom[m], -atom))
+            info.append(("e", context, pkgs[m]))
+    for c, members in contexts.items():
+        hard.append((-(c + 1), members[c]))
+        info.append(("i", pkgs[c]))
+    easy = set(bits(idx.easy_mask)) if scheme.easy_direct else ()
+    for c, deps in enumerate(idx.deps):
+        members = contexts.get(c)
+        if members is None:
+            negated = -(c + 1)
+            for disjunction, targets in deps:
+                if c in targets:
+                    continue  # c requires itself: a tautology
+                lits = [pkg_atom[q] for q in targets]
+                lits.insert(bisect(targets, c), negated)
+                hard.append(tuple(lits))
+                info.append(("d", None, pkgs[c], disjunction))
             continue
-        local = mask & ~easy
-        for m in bits(mask):
-            head = -inst[c, m]
+        local = {m: atom for m, atom in members.items() if m not in easy} \
+            if easy else members
+        context = pkgs[c]
+        for m, head in members.items():
+            negated = -head  # one int object for all of m's clauses
             for disjunction, targets in idx.deps[m]:
-                add([head] + [inst[c, q] if local >> q & 1 else q + 1
-                              for q in targets],
-                    ("d", pkgs[c], pkgs[m], disjunction))
-    for c, mask in tracked.items():
-        for a, b in idx.conflict_pairs:
-            if mask >> a & 1 and mask >> b & 1:
-                add((-inst[c, a], -inst[c, b]), ("c", pkgs[c], pkgs[a], pkgs[b]))
+                # package atoms ascending, then installation atoms ascending
+                lits = sorted([local.get(q) or pkg_atom[q] for q in targets])
+                if head in lits:
+                    continue  # m requires itself inside c: a tautology
+                lits.insert(bisect(lits, head), negated)
+                hard.append(tuple(lits))
+                info.append(("d", context, pkgs[m], disjunction))
+    upper_partners = idx.upper_partners
+    for c, members in contexts.items():
+        context = pkgs[c]
+        for a, atom_a in members.items():
+            for b in upper_partners.get(a, ()):
+                atom_b = members.get(b)
+                if atom_b is not None:
+                    hard.append((-atom_a, -atom_b))
+                    info.append(("c", context, pkgs[a], pkgs[b]))
     if rules is not None:
         policy_clauses(rules, u, problem)
     return problem

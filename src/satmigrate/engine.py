@@ -206,6 +206,13 @@ def solve_migration(req: MigrationRequest, u: Universe,
                     idx: ClosureIndex | None = None) -> MigrationResult:
     if idx is None:
         idx = ClosureIndex(u)
+    return _solve_encoded(req, u, idx)[0]
+
+
+def _solve_encoded(req: MigrationRequest, u: Universe, idx: ClosureIndex
+                   ) -> tuple[MigrationResult, EncodedProblem]:
+    """solve_migration, also returning the encoding it solved (objective
+    attached) for further solves."""
     warnings = []
     for violation in repo.check_testing(u, idx):
         warnings.append(f"testing violates assumptions: {violation.detail}")
@@ -233,7 +240,7 @@ def solve_migration(req: MigrationRequest, u: Universe,
                         " optimality claim")
     return _verified_result(req, u, idx, problem, model, recount,
                             result.externally_claimed,
-                            problem.warnings + warnings)
+                            problem.warnings + warnings), problem
 
 
 def alternative_optima(req: MigrationRequest, u: Universe,
@@ -244,9 +251,8 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     if req.solver_command is not None:
         raise EngineError("alternative enumeration needs the embedded solver")
     idx = ClosureIndex(u)
-    results = [solve_migration(req, u, idx)]
-    problem = build_problem(req, u, idx)
-    attach_objective(req, u, problem)
+    first, problem = _solve_encoded(req, u, idx)
+    results = [first]
     incoming, outgoing = encoder.migration_candidates(u)
     candidates = incoming + outgoing
     while len(results) < limit + 1:

@@ -2,24 +2,25 @@
 
 The exhaustive ones enumerate subsets or assignments, so they are
 exponential by design and bounded to small inputs; `deletion_mus` is the
-plain one-clause-at-a-time core loop. The runtime modules never import this
-one; numpy is needed only here.
+plain one-clause-at-a-time core loop, and `normalized_encoding` the e, i, d
+and c generator that passes every clause through `normalize_clause`. The
+runtime modules never import this one; numpy is needed only here.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .repo import (Package, RepoError, Universe, is_healthy, reachable,
+from . import encoder
+from .closure import ClosureIndex
+from .encoder import EncodedProblem, PolicyRules
+from .repo import (Package, RepoError, Universe, bits, is_healthy, reachable,
                    unique_pairs)
 from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
                       infer_num_vars, solve_sat)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .encoder import PolicyRules
 
 DEFAULT_INSTALLABILITY_BOUND = 20
 ENUMERATION_BOUND = 16
@@ -135,7 +136,7 @@ def _bit_clear_pattern(n: int, b: int) -> int:
     return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
 
 
-def admissible_masks(u: Universe, policy: "PolicyRules | None" = None):
+def admissible_masks(u: Universe, policy: PolicyRules | None = None):
     """Enumerate every admissible T' as a bitmask over the sorted packages.
 
     Healthy subsets are found by direct enumeration; per-package
@@ -216,7 +217,55 @@ def admissible_masks(u: Universe, policy: "PolicyRules | None" = None):
 
 
 def admissible_sets(u: Universe,
-                    policy: "PolicyRules | None" = None) -> list[frozenset[Package]]:
+                    policy: PolicyRules | None = None) -> list[frozenset[Package]]:
     pkgs, masks = admissible_masks(u, policy)
     return [frozenset(pkgs[i] for i in range(len(pkgs)) if mask >> i & 1)
             for mask in masks]
+
+
+def normalized_encoding(u: Universe, idx: ClosureIndex,
+                        name: str) -> EncodedProblem:
+    """Reference for encoder.build_encoding without policy rules: each e,
+    i, d and c clause is written down as it reads and handed to
+    EncodedProblem.add, which sorts it by variable and drops it if it is a
+    tautology; conflicts are found by testing every conflict pair against
+    every context's member mask."""
+    encoding_id = encoder.ALIASES.get(name, name)
+    scheme = encoder.SCHEMES[encoding_id]
+    pkgs = idx.packages
+    tracked: dict[int, int] = {}  # context id -> member mask, in id order
+    if scheme.members is not None:
+        for c in range(len(pkgs)):
+            if not scheme.conflicting_only or idx.relevant_ends(c):
+                tracked[c] = scheme.members(idx, c)
+    pairs = [(c, m) for c, mask in tracked.items() for m in bits(mask)]
+    atoms = encoder.AtomTable(pkgs, pairs)
+    inst = {pair: len(pkgs) + 1 + k for k, pair in enumerate(pairs)}
+    problem = EncodedProblem(encoding_id, atoms)
+    add = problem.add
+    encoder.uniqueness_clauses(u, problem)
+    for c, mask in tracked.items():
+        for m in bits(mask):
+            add((-inst[c, m], m + 1), ("e", pkgs[c], pkgs[m]))
+    for c in tracked:
+        add((-(c + 1), inst[c, c]), ("i", pkgs[c]))
+    easy = idx.easy_mask if scheme.easy_direct else 0
+    for c in range(len(pkgs)):
+        mask = tracked.get(c)
+        if mask is None:
+            for disjunction, targets in idx.deps[c]:
+                add([-(c + 1)] + [q + 1 for q in targets],
+                    ("d", None, pkgs[c], disjunction))
+            continue
+        local = mask & ~easy
+        for m in bits(mask):
+            head = -inst[c, m]
+            for disjunction, targets in idx.deps[m]:
+                add([head] + [inst[c, q] if local >> q & 1 else q + 1
+                              for q in targets],
+                    ("d", pkgs[c], pkgs[m], disjunction))
+    for c, mask in tracked.items():
+        for a, b in idx.conflict_pairs:
+            if mask >> a & 1 and mask >> b & 1:
+                add((-inst[c, a], -inst[c, b]), ("c", pkgs[c], pkgs[a], pkgs[b]))
+    return problem

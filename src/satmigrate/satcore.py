@@ -84,10 +84,15 @@ def normalize_clause(literals) -> tuple[int, ...] | None:
     seen = set(literals)
     if 0 in seen:
         raise ValueError("literal 0 is not allowed")
-    for lit in seen:
-        if -lit in seen:
+    # distinct literals share a variable only as x and -x, which then sit
+    # side by side
+    ordered = sorted(seen, key=abs)
+    previous = 0
+    for lit in ordered:
+        if lit == -previous:
             return None
-    return tuple(sorted(seen, key=lambda l: (abs(l), l)))
+        previous = lit
+    return tuple(ordered)
 
 
 def literal_true(lit: int, true_atoms) -> bool:
@@ -633,6 +638,12 @@ def extract_mus(hard, num_vars: int | None = None,
 # DIMACS serialization
 
 
+def _clause_lines(prefix: str, clauses) -> list[str]:
+    """One DIMACS line per clause: the prefix, the literals, then 0."""
+    return [prefix + " ".join(map(str, c)) + " 0" if c else prefix + "0"
+            for c in clauses]
+
+
 def emit_dimacs(hard, soft=None, num_vars: int | None = None,
                 kind: str = "cnf") -> bytes:
     """Serialize to DIMACS CNF or WCNF.
@@ -648,12 +659,12 @@ def emit_dimacs(hard, soft=None, num_vars: int | None = None,
         if soft:
             raise ValueError("cnf cannot carry soft clauses")
         lines = [f"p cnf {num_vars} {len(hard)}"]
-        lines += [" ".join(map(str, c + (0,))) for c in hard]
+        lines += _clause_lines("", hard)
     elif kind == "wcnf":
         top = len(soft) + 1
         lines = [f"p wcnf {num_vars} {len(hard) + len(soft)} {top}"]
-        lines += [" ".join(map(str, (top,) + c + (0,))) for c in hard]
-        lines += [" ".join(map(str, (1,) + c + (0,))) for c in soft]
+        lines += _clause_lines(f"{top} ", hard)
+        lines += _clause_lines("1 ", soft)
     else:
         raise ValueError(f"unknown DIMACS kind {kind!r}")
     return ("\n".join(lines) + "\n").encode("ascii")

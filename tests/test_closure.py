@@ -5,7 +5,7 @@ import random
 from satmigrate.closure import ClosureIndex
 from satmigrate.repo import make_universe
 
-from .generators import P, random_universe, tiny_universe
+from .generators import P, clustered_universe, random_universe, tiny_universe
 
 
 # -- may depend ----------------------------------------------------------------
@@ -158,6 +158,22 @@ def test_connecting_tracks_paths_to_conflict_endpoints():
                       conflicts=[("s/1", "t/1")])
     idx = ClosureIndex(u)
     assert P("q/1") in idx.connecting(P("p/1"))
+
+
+def test_connecting_matches_its_definition_mid_scale():
+    # closure members whose own closure holds a relevant conflict endpoint
+    rng = random.Random(31)
+    for _ in range(8):
+        u = clustered_universe(rng, rng.randint(100, 300),
+                               conflicts=rng.randint(5, 40))
+        idx = ClosureIndex(u)
+        tracked = 0
+        for p in idx.packages:
+            ends = {a for a, b in idx.relevant_conflicts(p)}
+            expected = {q for q in idx.closure(p) if idx.closure(q) & ends}
+            assert idx.connecting(p) == expected | {p}
+            tracked += bool(ends)
+        assert tracked > 0
 
 
 # -- cross-cutting invariants ----------------------------------------------------------

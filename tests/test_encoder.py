@@ -13,11 +13,13 @@ from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 build_encoding, instance_stats, parse_atom_map,
                                 soft_max, soft_min_with_nontriviality,
                                 target_clause)
-from satmigrate.oracle import admissible_masks, admissible_sets, brute_force_solve
+from satmigrate.oracle import (admissible_masks, admissible_sets,
+                               brute_force_solve, normalized_encoding)
 from satmigrate.repo import make_universe
 from satmigrate.satcore import SolveStatus
 
-from .generators import P, projected_solutions, random_universe, tiny_universe
+from .generators import (P, clustered_universe, projected_solutions,
+                         random_universe, tiny_universe)
 
 
 def _clauses(problem, family):
@@ -516,3 +518,60 @@ def test_golden_universes_without_p1_have_conflicts():
         if (label, "p1") not in GOLDEN:
             with pytest.raises(ConflictsPresent):
                 build_encoding(make(), None, "p1")
+
+
+# -- canonical clauses from ids ----------------------------------------------------------
+
+
+def _with_self_dependencies(rng, u, share=0.05):
+    """u plus, for about ``share`` of its packages, a disjunction that
+    names the package itself (alone or with up to two others)."""
+    pkgs = u.sorted_packages()
+    dep = {p: [list(d) for d in u.dep[p]] for p in pkgs}
+    for p in pkgs:
+        if rng.random() < share:
+            dep[p].append([p] + rng.sample(pkgs, rng.randint(0, 2)))
+    return make_universe(pkgs, dep, sorted(u.conflicts), u.testing, u.unstable)
+
+
+def _assert_matches_normalized(u, idx, name):
+    built = build_encoding(u, idx, name)
+    reference = normalized_encoding(u, idx, name)
+    assert built.hard == reference.hard, name
+    assert built.info == reference.info, name
+    assert built.warnings == reference.warnings, name
+    assert built.atoms.inst_pairs == reference.atoms.inst_pairs, name
+    return built
+
+
+def test_clauses_match_the_normalizing_generator_mid_scale():
+    rng = random.Random(97)
+    seen = {"self-dependency": 0, "empty disjunction": 0, "c": 0}
+    for _ in range(20):
+        u = _with_self_dependencies(
+            rng, clustered_universe(rng, rng.randint(100, 300),
+                                    conflicts=rng.randint(5, 40),
+                                    empty_dep_prob=0.05))
+        idx = ClosureIndex(u)
+        for name in ("p3", "p4", "p5-strict", "p5-pruned"):
+            problem = _assert_matches_normalized(u, idx, name)
+            seen["c"] += problem.family_counts().get("c", 0)
+        seen["self-dependency"] += sum(1 for p, ds in u.dep.items()
+                                       for d in ds if p in d)
+        seen["empty disjunction"] += sum(1 for ds in u.dep.values()
+                                         for d in ds if not d)
+    assert min(seen.values()) > 20, seen
+
+
+def test_p1_and_p2_clauses_match_the_normalizing_generator():
+    rng = random.Random(101)
+    for _ in range(10):
+        u = _with_self_dependencies(
+            rng, clustered_universe(rng, rng.randint(100, 300), conflicts=0,
+                                    empty_dep_prob=0.05))
+        _assert_matches_normalized(u, ClosureIndex(u), "p1")
+    for _ in range(30):
+        u = _with_self_dependencies(
+            rng, random_universe(rng, max_size=10, dep_density=0.6,
+                                 conflict_density=0.7), share=0.2)
+        _assert_matches_normalized(u, ClosureIndex(u), "p2")

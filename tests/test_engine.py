@@ -173,6 +173,24 @@ def test_alternative_optima_reports_equal_count_alternatives():
         frozenset({P("a/2")}), frozenset({P("a/3")})}
 
 
+def test_alternative_optima_builds_the_encoding_once(monkeypatch):
+    from satmigrate import encoder
+
+    built = []
+    original = encoder.build_encoding
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "build_encoding", counting)
+    u = tiny_universe(["a/1", "a/2", "a/3", "b/1"], testing=["a/1", "b/1"],
+                      unstable=["a/2", "a/3", "b/1"])
+    results = alternative_optima(MigrationRequest(mode="max"), u, 2)
+    assert len(results) == 2
+    assert len(built) == 1
+
+
 # -- decode -----------------------------------------------------------------------
 
 def test_decode_all_false():

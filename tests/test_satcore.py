@@ -146,6 +146,38 @@ def test_tautologies_are_dropped():
     assert result.status is SolveStatus.SAT
 
 
+def _reference_normalize(literals):
+    # the definition normalize_clause had before it sorted by abs alone
+    seen = set(literals)
+    if 0 in seen:
+        raise ValueError("literal 0 is not allowed")
+    for lit in seen:
+        if -lit in seen:
+            return None
+    return tuple(sorted(seen, key=lambda l: (abs(l), l)))
+
+
+def test_normalize_clause_matches_reference_definition():
+    rng = random.Random(83)
+    outcomes = {"clause": 0, "tautology": 0, "zero": 0}
+    for _ in range(12000):
+        width = rng.randint(0, 8)
+        span = rng.choice((3, 6, 40))
+        literals = [rng.randint(-span, span) for _ in range(width)]
+        if literals and rng.random() < 0.3:
+            literals.append(rng.choice(literals))  # a duplicate
+        try:
+            expected = _reference_normalize(literals)
+        except ValueError:
+            with pytest.raises(ValueError):
+                normalize_clause(literals)
+            outcomes["zero"] += 1
+            continue
+        assert normalize_clause(literals) == expected, literals
+        outcomes["tautology" if expected is None else "clause"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
 # -- PMAX-SAT --------------------------------------------------------------------
 
 def test_complementary_soft_units_score_one():
@@ -313,6 +345,41 @@ def test_wcnf_bytes_exact():
 
 def test_empty_cnf():
     assert emit_dimacs([], num_vars=0) == b"p cnf 0 0\n"
+
+
+def _reference_dimacs(hard, soft, num_vars, kind):
+    # the line formula emit_dimacs had before it preformatted the weights
+    hard = [tuple(c) for c in hard]
+    soft = [tuple(c) for c in soft]
+    if kind == "cnf":
+        lines = [f"p cnf {num_vars} {len(hard)}"]
+        lines += [" ".join(map(str, c + (0,))) for c in hard]
+    else:
+        top = len(soft) + 1
+        lines = [f"p wcnf {num_vars} {len(hard) + len(soft)} {top}"]
+        lines += [" ".join(map(str, (top,) + c + (0,))) for c in hard]
+        lines += [" ".join(map(str, (1,) + c + (0,))) for c in soft]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_emit_dimacs_matches_reference_formula():
+    rng = random.Random(89)
+    for _ in range(400):
+        num_vars = rng.randint(0, 30)
+
+        def clause():
+            return [rng.choice((-1, 1)) * rng.randint(1, max(num_vars, 1))
+                    for _ in range(rng.randint(0, 5))]
+
+        hard = [clause() for _ in range(rng.randint(0, 12))]
+        soft = [clause() for _ in range(rng.randint(0, 12))]
+        assert emit_dimacs(hard, num_vars=num_vars) == \
+            _reference_dimacs(hard, [], num_vars, "cnf")
+        assert emit_dimacs(hard, soft, num_vars=num_vars, kind="wcnf") == \
+            _reference_dimacs(hard, soft, num_vars, "wcnf")
+        assert emit_dimacs(iter(hard), iter(soft), num_vars=num_vars,
+                           kind="wcnf") == \
+            _reference_dimacs(hard, soft, num_vars, "wcnf")
 
 
 def test_cnf_refuses_soft():
