@@ -3,8 +3,10 @@
 Instance model, an embedded conflict-driven clause-learning (CDCL) solver
 with a native bound on the satisfied soft units, exact unit-soft PMAX-SAT
 by linear lower-bound search over one such solver, deletion-based minimal
-unsatisfiable subset extraction, DIMACS CNF/WCNF serialization, and an
-adapter for external solver executables.
+unsatisfiable subset extraction that prunes clauses in no core through
+autarkies (pure literals, and the autarky inside each satisfiable trial's
+model), DIMACS CNF/WCNF serialization, and an adapter for external solver
+executables.
 
 Atoms are positive integers; a literal is an atom or its negation as a
 signed int. An assignment is the set of true atoms (everything else false).
@@ -586,6 +588,65 @@ def solve_pmaxsat(hard, soft, num_vars: int | None = None,
                        satisfied_soft=best_count)
 
 
+def pure_literal_autarky(clauses) -> set[int]:
+    """Positions of the clauses that iterated pure-literal elimination
+    removes: a literal whose complement occurs in no remaining clause is
+    made true, and every clause containing it goes, until no literal is
+    pure. Those literals form an autarky, and the clauses it satisfies lie
+    in no minimal unsatisfiable subset."""
+    occurs: dict[int, list[int]] = {}
+    for pos, clause in enumerate(clauses):
+        for lit in set(clause):
+            occurs.setdefault(lit, []).append(pos)
+    count = {lit: len(where) for lit, where in occurs.items()}
+    pure = [lit for lit in occurs if -lit not in occurs]
+    removed: set[int] = set()
+    while pure:
+        for pos in occurs[pure.pop()]:
+            if pos in removed:
+                continue
+            removed.add(pos)
+            for lit in set(clauses[pos]):
+                count[lit] -= 1
+                if count[lit] == 0 and count.get(-lit, 0) > 0:
+                    pure.append(-lit)
+    return removed
+
+
+def model_autarky(clauses, true_atoms) -> set[int]:
+    """Positions of the clauses touched by the largest autarky inside the
+    assignment ``true_atoms``: the assignment restricted to the variables
+    that stay fixed when the variables of every clause it falsifies are
+    freed, and then those of every clause left with no true literal over a
+    fixed variable, until nothing changes. Every clause that keeps a true
+    literal over a fixed variable is satisfied by that autarky and lies in
+    no minimal unsatisfiable subset; every other clause is untouched."""
+    support = []
+    true_in: dict[int, list[int]] = {}
+    unsupported = []
+    for pos, clause in enumerate(clauses):
+        n = 0
+        for lit in clause:
+            if literal_true(lit, true_atoms):
+                n += 1
+                true_in.setdefault(abs(lit), []).append(pos)
+        support.append(n)
+        if not n:
+            unsupported.append(pos)
+    freed: set[int] = set()
+    while unsupported:
+        for lit in clauses[unsupported.pop()]:
+            var = abs(lit)
+            if var in freed:
+                continue
+            freed.add(var)
+            for pos in true_in.get(var, ()):
+                support[pos] -= 1
+                if not support[pos]:
+                    unsupported.append(pos)
+    return {pos for pos, n in enumerate(support) if n}
+
+
 def extract_mus(hard, num_vars: int | None = None,
                 timeout: float = DEFAULT_SAT_TIMEOUT) -> MusResult:
     """Deletion-based minimal unsatisfiable subset of an UNSAT clause set.
@@ -595,41 +656,68 @@ def extract_mus(hard, num_vars: int | None = None,
     the step doubles; a run whose removal makes it SAT is halved, down to a
     single clause, which is then kept. Unsatisfiability is monotone, so this
     returns exactly the core of dropping one clause at a time, with far fewer
-    solver calls when most clauses are irrelevant. The returned core is
-    re-verified to be minimal: removing any single clause makes it
-    satisfiable. ``timeout`` is one deadline for the whole extraction.
+    solver calls when most clauses are irrelevant.
+
+    Clauses that lie in no core are pruned without a solver call: before
+    the walk, those removed by pure-literal elimination, and after every
+    satisfiable trial, those touched by the largest autarky inside the
+    trial's model over the current core (every clause not yet dropped, the
+    run just tried included). Neither changes the result. A clause d in no
+    minimal unsatisfiable subset of the current set S never changes a
+    deletion decision: if S minus some clauses is UNSAT, it contains a
+    minimal unsatisfiable subset of S, which does not contain d, so it stays
+    UNSAT without d; and the subsets of S without d have no other minimal
+    unsatisfiable subsets, so this holds for every later decision too. A
+    kept clause is in every minimal unsatisfiable subset of the current set,
+    so an autarky that touches one is an internal error.
+
+    The full instance is first checked UNSAT, and the returned core is
+    re-verified: it is UNSAT (pruning drops clauses without a solver call),
+    and removing any single clause makes it satisfiable. ``timeout`` is one
+    deadline for the whole extraction.
     """
     hard = [tuple(c) for c in hard]
     if num_vars is None:
         num_vars = infer_num_vars(hard)
     deadline = time.monotonic() + timeout
 
-    def status_of(indices):
+    def solve(indices):
         remaining = deadline - time.monotonic()
-        status = SolveStatus.TIMEOUT
+        result = SolveResult(SolveStatus.TIMEOUT)
         if remaining > 0:
-            status = solve_sat([hard[i] for i in indices], num_vars=num_vars,
-                               timeout=remaining).status
-        if status is SolveStatus.TIMEOUT:
+            result = solve_sat([hard[i] for i in indices], num_vars=num_vars,
+                               timeout=remaining)
+        if result.status is SolveStatus.TIMEOUT:
             raise MusTimedOut("timeout during core minimization")
-        return status
+        return result
 
-    if status_of(range(len(hard))) is not SolveStatus.UNSAT:
+    if solve(range(len(hard))).status is not SolveStatus.UNSAT:
         raise NotUnsat("instance is satisfiable")
-    core = list(range(len(hard)))
+    pure = pure_literal_autarky(hard)
+    core = [i for i in range(len(hard)) if i not in pure]
     i, step = 0, 1
     while i < len(core):
         step = min(step, len(core) - i)
         trial = core[:i] + core[i + step:]
-        if status_of(trial) is SolveStatus.UNSAT:
+        result = solve(trial)
+        if result.status is SolveStatus.UNSAT:
             core = trial
             step *= 2
-        elif step > 1:
+            continue
+        if step > 1:
             step //= 2
         else:
             i += 1
+        touched = model_autarky([hard[j] for j in core], result.true_atoms)
+        if min(touched, default=i) < i:
+            raise SatCoreError("internal error: an autarky touched a kept "
+                               "core clause")
+        core = core[:i] + [c for pos, c in enumerate(core[i:], i)
+                           if pos not in touched]
+    if solve(core).status is not SolveStatus.UNSAT:
+        raise SatCoreError("internal error: core is satisfiable")
     for i in range(len(core)):
-        if status_of(core[:i] + core[i + 1:]) is not SolveStatus.SAT:
+        if solve(core[:i] + core[i + 1:]).status is not SolveStatus.SAT:
             raise SatCoreError("internal error: core failed minimality check")
     return MusResult(core=tuple(core))
 

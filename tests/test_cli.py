@@ -209,6 +209,65 @@ def test_check_structured(repos, capsys):
     assert document["violations"][0]["kind"] == "trimmedness"
 
 
+# Three trimmedness violations among irrelevant healthy packages: git/2.25
+# needs the missing perl-base, and mutt/1.13 (and with it mailx/8.1) needs
+# both exim and postfix, which conflict through mail-transport-agent. The
+# cores have 2, 5 and 4 clauses.
+GOLDEN_CHECK_TESTING = (
+    "Package: libc6\nVersion: 2.31\n\n"
+    "Package: libssl\nVersion: 1.1\nDepends: libc6\n\n"
+    "Package: zlib\nVersion: 1.2\nDepends: libc6\n\n"
+    "Package: curl\nVersion: 7.68\nDepends: libc6, libssl, zlib\n\n"
+    "Package: exim\nVersion: 4.93\nDepends: libc6\n"
+    "Provides: mail-transport-agent\nConflicts: mail-transport-agent\n\n"
+    "Package: postfix\nVersion: 3.4\nDepends: libc6, libssl\n"
+    "Provides: mail-transport-agent\nConflicts: mail-transport-agent\n\n"
+    "Package: mutt\nVersion: 1.13\n"
+    "Depends: libc6, libssl, exim, postfix | busybox\n\n"
+    "Package: mailx\nVersion: 8.1\nDepends: libc6, mutt | nail\n\n"
+    "Package: git\nVersion: 2.25\n"
+    "Depends: libc6, curl, zlib | busybox, perl-base\n\n")
+
+GOLDEN_CHECK_VIOLATIONS = [
+    ("git/2.25", [
+        "git/2.25 must be part of the installation",
+        "git/2.25 requires one of [nothing]"]),
+    ("mailx/8.1", [
+        "mailx/8.1 must be part of the installation",
+        "mailx/8.1 requires one of [mutt/1.13]",
+        "mutt/1.13 requires one of [exim/4.93]",
+        "mutt/1.13 requires one of [postfix/3.4]",
+        "exim/4.93 conflicts with postfix/3.4"]),
+    ("mutt/1.13", [
+        "mutt/1.13 must be part of the installation",
+        "mutt/1.13 requires one of [exim/4.93]",
+        "mutt/1.13 requires one of [postfix/3.4]",
+        "exim/4.93 conflicts with postfix/3.4"]),
+]
+
+
+def test_check_golden_text(repos, capsys):
+    code = main(["check", *repos(GOLDEN_CHECK_TESTING, UPGRADE_UNSTABLE)])
+    assert code == EXIT_VIOLATIONS
+    assert capsys.readouterr().out == "".join(
+        f"trimmedness: {pkg} is not installable in testing\n"
+        + "".join(f"  - {fact}\n" for fact in facts)
+        for pkg, facts in GOLDEN_CHECK_VIOLATIONS)
+
+
+def test_check_golden_structured(repos, capsys):
+    code = main(["check", *repos(GOLDEN_CHECK_TESTING, UPGRADE_UNSTABLE),
+                 "--format", "structured"])
+    assert code == EXIT_VIOLATIONS
+    assert capsys.readouterr().out == json.dumps(
+        {"clean": False,
+         "violations": [{"detail": f"{pkg} is not installable in testing",
+                         "explanation": facts, "kind": "trimmedness",
+                         "packages": [pkg]}
+                        for pkg, facts in GOLDEN_CHECK_VIOLATIONS]},
+        indent=2) + "\n"
+
+
 def test_stats_conflict_free_has_p1_row(repos, capsys):
     testing = "Package: a\nVersion: 1\nDepends: b\n\nPackage: b\nVersion: 1\n\n"
     code = main(["stats", *repos(testing, ""), "--format", "structured"])

@@ -258,6 +258,36 @@ def test_explanation_core_equals_one_by_one_deletion():
         "the migration of p/2 was requested")
 
 
+def test_explanation_core_equals_one_by_one_deletion_mid_scale():
+    # the installation sub-problems of these encodings, with their
+    # dependency cycles, hold autarkies beyond pure literals, which the
+    # random instances of test_satcore rarely do; the first blocked target
+    # of each universe gives cores of 2 to 9 among 287 to 1246 clauses
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(6):
+        size = rng.randint(50, 90)
+        u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 8))
+        idx = ClosureIndex(u)
+        for p in sorted(u.unstable - u.testing):
+            for encoding in ("p5-strict", "p5-pruned"):
+                req = MigrationRequest(mode="target", target=p,
+                                       encoding=encoding)
+                problem = build_problem(req, u, idx)
+                problem.hard.append(target_clause(p, u, problem.atoms)[0])
+                if satcore_mod.solve_sat(problem.hard).status \
+                        is not satcore_mod.SolveStatus.UNSAT:
+                    break
+                assert satcore_mod.extract_mus(
+                    problem.hard, num_vars=problem.num_vars).core == \
+                    deletion_mus(problem.hard, num_vars=problem.num_vars), \
+                    (size, p, encoding)
+                checked += 1
+            else:
+                break
+    assert checked >= 8
+
+
 def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
     def fake_mus(hard, num_vars=None, timeout=None):
         raise satcore_mod.MusTimedOut("timeout during core minimization")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import stat
 import sys
@@ -11,9 +12,11 @@ from satmigrate.oracle import TooLarge, brute_force_solve, deletion_mus
 from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
                                 NotUnsat, SolveStatus, SolverCrashed,
                                 UnparsableOutput,
-                                count_satisfied, emit_dimacs, extract_mus,
-                                normalize_clause, parse_dimacs, run_external,
-                                solve_pmaxsat, solve_sat, verify_model)
+                                SatCoreError, count_satisfied, emit_dimacs,
+                                extract_mus, model_autarky, normalize_clause,
+                                parse_dimacs, pure_literal_autarky,
+                                run_external, solve_pmaxsat, solve_sat,
+                                verify_model)
 
 from .generators import random_instance
 
@@ -310,6 +313,93 @@ def test_mus_sparse_core_takes_few_sat_calls(monkeypatch):
     monkeypatch.setattr(satcore_mod, "solve_sat", counting)
     assert extract_mus(_sparse_core_instance()).core == (100, 400)
     assert len(calls) <= 64
+
+
+def test_mus_on_a_ring_prunes_with_model_autarkies(monkeypatch):
+    # a satisfiable ring x1 <- x2 <- ... <- x200 <- x1, in which no literal
+    # is pure, with (1,) at index 50 and (-1,) at index 150; one-by-one
+    # chunked deletion alone needs 44 SAT calls
+    ring = [(i, -(i % 200 + 1)) for i in range(1, 201)]
+    clauses = ring[:50] + [(1,)] + ring[50:149] + [(-1,)] + ring[149:]
+    assert not pure_literal_autarky(clauses)
+    calls = []
+    original = satcore_mod.solve_sat
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", counting)
+    assert extract_mus(clauses).core == (50, 150)
+    assert len(calls) <= 30
+
+
+def _touched(clauses, assignment) -> set[int]:
+    return {pos for pos, clause in enumerate(clauses)
+            if any(abs(lit) in assignment for lit in clause)}
+
+
+def _is_autarky(clauses, assignment) -> bool:
+    return all(any(assignment.get(abs(lit)) == (lit > 0) for lit in clauses[pos])
+               for pos in _touched(clauses, assignment))
+
+
+def test_pure_literal_autarky_matches_its_definition():
+    # every dropped clause is touched by some partial assignment that
+    # satisfies every clause it touches (found here by enumerating them
+    # all), and no dropped clause is in the reference core
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(400):
+        num_vars, clauses = random_instance(rng, max_vars=6, max_clauses=14)
+        clauses = [tuple(c) for c in clauses]
+        dropped = pure_literal_autarky(clauses)
+        prunable = set()
+        for values in itertools.product((None, True, False), repeat=num_vars):
+            assignment = {v: b for v, b in enumerate(values, 1) if b is not None}
+            if _is_autarky(clauses, assignment):
+                prunable |= _touched(clauses, assignment)
+        assert dropped <= prunable, clauses
+        if dropped and solve_sat(clauses, num_vars=num_vars).status \
+                is SolveStatus.UNSAT:
+            checked += 1
+            assert not dropped & set(deletion_mus(clauses, num_vars=num_vars))
+    assert checked >= 10
+
+
+def test_model_autarky_matches_its_definition():
+    # the largest autarky inside an assignment touches exactly the clauses
+    # that some autarky inside it touches (every restriction of it to a
+    # subset of the variables is tried), and none of them is in the
+    # reference core
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(600):
+        num_vars, clauses = random_instance(rng, max_vars=8, max_clauses=30)
+        clauses = [tuple(c) for c in clauses]
+        true_atoms = {v for v in range(1, num_vars + 1) if rng.random() < 0.5}
+        dropped = model_autarky(clauses, true_atoms)
+        prunable = set()
+        for mask in range(1 << num_vars):
+            assignment = {v: v in true_atoms for v in range(1, num_vars + 1)
+                          if mask >> (v - 1) & 1}
+            if _is_autarky(clauses, assignment):
+                prunable |= _touched(clauses, assignment)
+        assert dropped == prunable, (clauses, true_atoms)
+        if dropped and solve_sat(clauses, num_vars=num_vars).status \
+                is SolveStatus.UNSAT:
+            checked += 1
+            assert not dropped & set(deletion_mus(clauses, num_vars=num_vars))
+    assert checked >= 10
+
+
+def test_autarky_on_a_kept_clause_is_an_internal_error(monkeypatch):
+    # (1,) and (-1,) are each in every core, so a helper that claims to
+    # prune a kept clause is caught instead of silently shrinking the core
+    monkeypatch.setattr(satcore_mod, "model_autarky",
+                        lambda clauses, true_atoms: set(range(len(clauses))))
+    with pytest.raises(SatCoreError, match="touched a kept core clause"):
+        extract_mus([(1,), (2, 3), (-1,)])
 
 
 def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
