@@ -14,6 +14,7 @@ and the Package-level methods expose them as frozensets.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterable
 
 from .repo import Package, Universe, bits
 
@@ -150,6 +151,18 @@ class ClosureIndex:
             for w in targets:
                 dependents[w].append(v)
         return dependents
+
+    def mask(self, packages: Iterable[Package]) -> int:
+        """The mask of a set of packages; a package the universe lacks
+        raises ValueError."""
+        ids = self.ids
+        buf = bytearray(len(self.packages) // 8 + 1)
+        for p in packages:
+            i = ids.get(p)
+            if i is None:
+                raise ValueError(f"repository references unknown package {p}")
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
 
     def closure_mask(self, i: int) -> int:
         return self._closure[i]

@@ -149,8 +149,8 @@ def _solve(req: MigrationRequest, problem: EncodedProblem) -> satcore.SolveResul
                                 timeout=req.budgets.pmax_timeout)
 
 
-def _restore_shared(t_prime: frozenset[Package], u: Universe,
-                    policy) -> frozenset[Package]:
+def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
+                    idx: ClosureIndex) -> frozenset[Package]:
     """Re-add dropped packages that carry no objective weight.
 
     Packages present in both repositories are invisible to every soft set,
@@ -158,19 +158,24 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe,
     nothing. Re-adding such a package preserves the objective value and the
     installability of everything already chosen (growing a repository never
     invalidates an installation witness), so only the package's own
-    installability, uniqueness and the policy need re-checking.
+    installability (``repo.installable_in``), uniqueness and the policy
+    need re-checking.
     """
+    ids = idx.ids
     current = set(t_prime)
+    mask = idx.mask(t_prime)
     names = {p.name for p in current}
     for p in sorted((u.testing & u.unstable) - t_prime):
         if p.name in names:
             continue
-        candidate = frozenset(current | {p})
-        if not repo.is_installable(p, candidate, u):
+        candidate = mask | 1 << ids[p]
+        if not repo.installable_in(ids[p], candidate, idx):
             continue
-        if not repo.policy_satisfied(candidate, policy):
+        if policy is not None and \
+                not repo.policy_satisfied(frozenset(current | {p}), policy):
             continue
         current.add(p)
+        mask = candidate
         names.add(p.name)
     return frozenset(current)
 
@@ -182,7 +187,7 @@ def _verified_result(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     """Decode a model, restore the shared packages and re-verify the result
     from the raw model data."""
     t_prime = _restore_shared(decode_solution(model, problem.atoms), u,
-                              req.policy)
+                              req.policy, idx)
     verdict = repo.is_admissible(t_prime, u, req.policy, idx)
     if not verdict:
         raise VerificationFailed(

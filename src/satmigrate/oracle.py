@@ -14,11 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
-from . import encoder
+from . import encoder, repo
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import (Package, RepoError, Universe, bits, is_healthy, reachable,
-                   unique_pairs)
+from .repo import (Package, RepoError, Universe, bits, is_healthy,
+                   policy_satisfied, reachable, unique_pairs)
 from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
                       infer_num_vars, solve_sat)
 
@@ -124,6 +124,25 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
         if is_healthy(members, u):
             return True
     return False
+
+
+def restore_shared(t_prime: frozenset[Package], u: Universe,
+                   policy: PolicyRules | None) -> frozenset[Package]:
+    """Reference for engine._restore_shared: one Package-level
+    repo.is_installable query per dropped shared package, in sorted order."""
+    current = set(t_prime)
+    names = {p.name for p in current}
+    for p in sorted((u.testing & u.unstable) - t_prime):
+        if p.name in names:
+            continue
+        candidate = frozenset(current | {p})
+        if not repo.is_installable(p, candidate, u):
+            continue
+        if not policy_satisfied(candidate, policy):
+            continue
+        current.add(p)
+        names.add(p.name)
+    return frozenset(current)
 
 
 @functools.lru_cache(maxsize=None)

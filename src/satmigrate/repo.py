@@ -6,7 +6,7 @@ verify everything the solver pipeline produces. The exhaustive reference
 oracles live in ``satmigrate.oracle``.
 
 ``installable_mask`` decides installability for every member of a
-repository r at once, on ``ClosureIndex`` ids and bitmasks, in three exact
+repository r at once, on ``ClosureIndex`` ids and bitmasks, in four exact
 steps:
 
 1. Fixpoint. ``live`` is the greatest subset of r that meets every
@@ -18,16 +18,33 @@ steps:
    it is itself a healthy installation of p: each of its members has a
    live member in every disjunction, and that member lies in the member's
    closure, so inside closure(p).
-3. SAT over the connecting members. Otherwise one query over
-   connecting(p) ∩ live decides p. A live non-connecting member's closure
-   holds no endpoint of a conflict inside closure(p), so a disjunction
-   with such a member is met by the conflict-free rest N = closure(p) ∩
-   live minus connecting(p) and is dropped, and only conflicts among the
-   query's members stay. A model together with N is a healthy
-   installation, and a healthy installation cut down to the query's
-   members is a model, so the query is SAT exactly when p is installable.
-   The witness is checked before p is reported installable; the solver is
-   never trusted.
+3. A greedy installation. A walk from p meets every disjunction that the
+   set built so far does not meet with the lowest live member that
+   conflicts with nothing in the set. Each member added meets the
+   disjunction it was added for and conflicts with no earlier member, so
+   if the walk never finds a disjunction without such a member, the set
+   is a healthy installation of p inside r. It is checked as one before
+   p is reported installable. A dead end proves nothing, since an earlier
+   choice may have caused it, and p goes on to step 4.
+4. SAT over the connecting members. One query over connecting(p) ∩ live
+   decides p. A live non-connecting member's closure holds no endpoint of
+   a conflict inside closure(p), so a disjunction with such a member is
+   met by the conflict-free rest N = closure(p) ∩ live minus
+   connecting(p) and is dropped, and only conflicts among the query's
+   members stay. A model together with N is a healthy installation, and a
+   healthy installation cut down to the query's members is a model, so
+   the query is SAT exactly when p is installable. The witness is checked
+   before p is reported installable; the solver is never trusted.
+
+A healthy installation W inside r is also an installation of each of its
+members, so every member of an installation that steps 2–4 find is
+marked installable and is not visited again. Packages are visited in
+order of decreasing closure size, ties by id: a package comes before its
+dependencies outside its own cycle, so the installations of the large
+closures cover them. ``installable_in`` answers for one package, with
+the fixpoint taken over closure(p) ∩ r only: a healthy installation cut
+down to p's closure stays healthy, since every dependency of a member
+lies in that member's closure.
 
 The per-package ``is_installable`` query over the whole closure stays for
 single questions and for ``check``'s explanations.
@@ -290,10 +307,58 @@ def _is_installation(witness: int, p: int, r: int, idx: "ClosureIndex") -> bool:
             and not _has_conflict(witness, idx))
 
 
-def _installable_by_query(p: int, r: int, live: int,
-                          idx: "ClosureIndex") -> bool:
-    """Step 3 of the module docstring: one SAT query over the live
-    connecting members of p's closure, its witness checked."""
+def _live(r: int, idx: "ClosureIndex") -> int:
+    """Step 1 of the module docstring: the greatest subset of r that meets
+    every dependency disjunction of its own members."""
+    dep_masks, dependents = idx.dep_masks, idx.dependents
+    live = r
+    todo = list(bits(r))
+    while todo:
+        p = todo.pop()
+        if live >> p & 1 and not all(d & live for d in dep_masks[p]):
+            live ^= 1 << p
+            todo += dependents[p]
+    return live
+
+
+def _greedy_installation(p: int, live: int, idx: "ClosureIndex") -> int:
+    """Step 3 of the module docstring: a walk from p that meets each
+    disjunction not yet met with its lowest live member that conflicts with
+    nothing chosen so far; 0 at a dead end."""
+    dep_masks, partners = idx.dep_masks, idx.partners
+    witness = 1 << p
+    banned = partners[p]
+    todo = [p]
+    while todo:
+        for d in dep_masks[todo.pop()]:
+            if d & witness:
+                continue
+            free = d & live & ~banned
+            if not free:
+                return 0
+            low = free & -free
+            q = low.bit_length() - 1
+            witness |= low
+            banned |= partners[q]
+            todo.append(q)
+    return witness
+
+
+def _checked(witness: int, p: int, r: int, idx: "ClosureIndex") -> int:
+    """The witness, once it passes as an installation of p inside r; one
+    that fails is an internal error."""
+    if not _is_installation(witness, p, r, idx):
+        raise satcore.SatCoreError(
+            f"internal error: installation witness for {idx.packages[p]}"
+            " failed verification")
+    return witness
+
+
+def _installation_by_query(p: int, r: int, live: int,
+                           idx: "ClosureIndex") -> int:
+    """Step 4 of the module docstring: one SAT query over the live
+    connecting members of p's closure. Returns its witness, checked, or 0
+    when the query is UNSAT."""
     connecting = idx.connecting_mask(p)
     members = connecting & live
     rest = live & ~connecting
@@ -312,34 +377,44 @@ def _installable_by_query(p: int, r: int, live: int,
         raise InstallabilityTimedOut(
             f"installability query for {idx.packages[p]} timed out")
     if result.status is not satcore.SolveStatus.SAT:
-        return False
+        return 0
     witness = idx.closure_mask(p) & rest
     for k in result.true_atoms:
         witness |= 1 << ids[k - 1]
-    if not _is_installation(witness, p, r, idx):
-        raise satcore.SatCoreError(
-            f"internal error: installation witness for {idx.packages[p]}"
-            " failed verification")
-    return True
+    return _checked(witness, p, r, idx)
+
+
+def _installation(p: int, r: int, live: int, idx: "ClosureIndex") -> int:
+    """An installation of p inside live, by steps 2–4 of the module
+    docstring, or 0 when p has none. live must be the fixpoint of step 1
+    over a subset of r that holds p's closure ∩ r."""
+    closure = idx.closure_mask(p) & live
+    if not _has_conflict(closure, idx):
+        return closure
+    witness = _greedy_installation(p, live, idx)
+    if witness:
+        return _checked(witness, p, r, idx)
+    return _installation_by_query(p, r, live, idx)
 
 
 def installable_mask(r: int, idx: "ClosureIndex") -> int:
     """The members of r (a mask over idx's ids) that are installable in r,
-    by the three steps of the module docstring."""
-    dep_masks = idx.dep_masks
-    live = r
-    todo = list(bits(r))
-    while todo:
-        p = todo.pop()
-        if live >> p & 1 and not all(d & live for d in dep_masks[p]):
-            live ^= 1 << p
-            todo += idx.dependents[p]
+    by the steps of the module docstring. Packages are visited largest
+    closure first, and every installation found marks all its members."""
+    live = _live(r, idx)
+    closure = idx.closure_mask
     found = 0
-    for p in bits(live):
-        if (not _has_conflict(idx.closure_mask(p) & live, idx)
-                or _installable_by_query(p, r, live, idx)):
-            found |= 1 << p
+    for p in sorted(bits(live), key=lambda q: (-closure(q).bit_count(), q)):
+        if not found >> p & 1:
+            found |= _installation(p, r, live, idx)
     return found
+
+
+def installable_in(p: int, r: int, idx: "ClosureIndex") -> bool:
+    """Whether p, a member of r, is installable in r: the steps of the
+    module docstring over closure(p) ∩ r alone."""
+    live = _live(idx.closure_mask(p) & r, idx)
+    return bool(live >> p & 1 and _installation(p, r, live, idx))
 
 
 def uninstallable(r: Iterable[Package], u: Universe,
@@ -348,11 +423,7 @@ def uninstallable(r: Iterable[Package], u: Universe,
     if idx is None:
         from .closure import ClosureIndex  # closure imports this module
         idx = ClosureIndex(u)
-    mask = 0
-    for p in r:
-        if p not in idx.ids:
-            raise ValueError(f"repository references unknown package {p}")
-        mask |= 1 << idx.ids[p]
+    mask = idx.mask(r)
     return [idx.packages[i] for i in bits(mask & ~installable_mask(mask, idx))]
 
 

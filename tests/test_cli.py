@@ -480,24 +480,54 @@ def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
     assert len(built) == 1
 
 
-# a/1 needs b or c, which conflict, so its installability reaches a SAT query
+# a/1 needs b or c, which conflict: the greedy installation {a/1, b/1}
+# decides it without a SAT query
 CONFLICTED_TESTING = ("Package: a\nVersion: 1\nDepends: b | c\n\n"
                       "Package: b\nVersion: 1\nConflicts: c\n\n"
                       "Package: c\nVersion: 1\n\n")
+# a/1 needs d, then b or c; d needs e, which conflicts with b. The greedy
+# walk takes d and then the lowest choice b, and finds e banned, so a/1's
+# installability reaches a SAT query
+DEAD_END_TESTING = ("Package: a\nVersion: 1\nDepends: d, b | c\n\n"
+                    "Package: b\nVersion: 1\nConflicts: e\n\n"
+                    "Package: c\nVersion: 1\n\n"
+                    "Package: d\nVersion: 1\nDepends: e\n\n"
+                    "Package: e\nVersion: 1\n\n")
+
+
+def _timed_out_solve_sat(monkeypatch):
+    """Make every satcore.solve_sat call time out; returns the list of
+    calls made."""
+    import satmigrate.satcore as satcore_mod
+    calls = []
+
+    def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
+        calls.append(num_vars)
+        return satcore_mod.SolveResult(satcore_mod.SolveStatus.TIMEOUT)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", timed_out)
+    return calls
 
 
 @pytest.mark.parametrize("command", [["migrate"], ["explain", "a/2"],
                                      ["check"]])
 def test_installability_timeout_exit_code(repos, capsys, monkeypatch,
                                           command):
-    import satmigrate.satcore as satcore_mod
-
-    def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
-        return satcore_mod.SolveResult(satcore_mod.SolveStatus.TIMEOUT)
-
-    monkeypatch.setattr(satcore_mod, "solve_sat", timed_out)
-    code = main([command[0], *repos(CONFLICTED_TESTING, UPGRADE_UNSTABLE),
+    _timed_out_solve_sat(monkeypatch)
+    code = main([command[0], *repos(DEAD_END_TESTING, UPGRADE_UNSTABLE),
                  *command[1:]])
     assert code == EXIT_TIMEOUT
     assert capsys.readouterr().err == \
         "timeout: installability query for a/1 timed out\n"
+
+
+@pytest.mark.parametrize("command", [["migrate"], ["explain", "a/2"],
+                                     ["check"]])
+def test_conflicted_choice_makes_no_installability_query(
+        repos, capsys, monkeypatch, command):
+    calls = _timed_out_solve_sat(monkeypatch)
+    code = main([command[0], *repos(CONFLICTED_TESTING, UPGRADE_UNSTABLE),
+                 *command[1:]])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert calls == []

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import satmigrate.satcore as satcore_mod
+from satmigrate import engine, oracle
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import PolicyRules, build_encoding, target_clause
 from satmigrate.engine import (ActuallySolvable, Budgets,
@@ -58,6 +59,30 @@ def test_encodings_agree_on_mid_scale_universes():
             assert result.verified and is_admissible(result.t_prime, u, None, idx)
             optima.add(result.optimum)
         assert len(optima) == 1, (size, optima)
+
+
+def test_restore_shared_on_ids_matches_the_package_level_loop():
+    rng = random.Random(89)
+    restored = policy_mattered = 0
+    for _ in range(12):
+        size = rng.randint(100, 300)
+        u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
+        idx = ClosureIndex(u)
+        shared = sorted(u.testing & u.unstable)
+        # the shared packages a solver dropped, and a few candidates moved
+        t_prime = frozenset(p for p in u.packages
+                            if rng.random() < (0.4 if p in shared else 0.7))
+        a, b, c = rng.sample(shared, 3)
+        policy = PolicyRules(groups=[[(1, a), (1, b)]],
+                             extra_clauses=[[(-1, c)]])
+        answers = []
+        for rules in (None, policy):
+            expected = oracle.restore_shared(t_prime, u, rules)
+            assert engine._restore_shared(t_prime, u, rules, idx) == expected
+            answers.append(expected)
+        restored += len(answers[0] - t_prime)
+        policy_mattered += answers[0] != answers[1]
+    assert restored > 0 and policy_mattered > 0
 
 
 def test_no_candidates_trivial_result():

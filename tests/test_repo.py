@@ -5,16 +5,16 @@ import random
 
 import pytest
 
-from satmigrate import oracle, satcore
+from satmigrate import oracle, repo, satcore
 from satmigrate.closure import ClosureIndex, bits
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
 from satmigrate.oracle import ContextTooLarge, admissible_sets
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_healthy,
-                             is_installable, is_trimmed, policy_satisfied,
-                             reachable, check_testing, uninstallable,
-                             unique_pairs)
+                             is_installable, is_trimmed, make_universe,
+                             policy_satisfied, reachable, check_testing,
+                             uninstallable, unique_pairs)
 
 from .generators import P, clustered_universe, random_universe, tiny_universe
 
@@ -375,11 +375,52 @@ def test_is_admissible_matches_per_package_reference():
     assert kinds == {"uniqueness", "trimmedness", "policy"}
 
 
+# p needs q or r, which conflict: the closure holds a conflict, and the
+# greedy installation {p, q} decides p without SAT
+CONFLICTED_CHOICE = dict(pkgs=["p/1", "q/1", "r/1"],
+                         dep={"p/1": [["q/1", "r/1"]]},
+                         conflicts=[("q/1", "r/1")])
+# p needs s, then q or r; s needs t, which conflicts with q. The greedy walk
+# takes s, then the lowest choice q, and finds t banned: a dead end, which
+# SAT resolves with {p, r, s, t}
+GREEDY_DEAD_END = dict(pkgs=["p/1", "q/1", "r/1", "s/1", "t/1"],
+                       dep={"p/1": [["s/1"], ["q/1", "r/1"]],
+                            "s/1": [["t/1"]]},
+                       conflicts=[("q/1", "t/1")])
+
+
+def test_conflicted_choice_is_decided_without_sat(monkeypatch):
+    u = tiny_universe(**CONFLICTED_CHOICE)
+    calls = _recording_solve_sat(monkeypatch)
+    assert uninstallable(u.packages, u) == []
+    assert check_testing(u) == []
+    assert calls == []
+
+
+def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
+    u = tiny_universe(**GREEDY_DEAD_END)
+    idx = ClosureIndex(u)
+    p = idx.ids[P("p/1")]
+    assert repo._greedy_installation(p, idx.mask(u.packages), idx) == 0
+    calls = _recording_solve_sat(monkeypatch)
+    assert uninstallable(u.packages, u, idx) == []
+    assert calls == [(idx.connecting_mask(p).bit_count(),
+                      satcore.SolveStatus.SAT)]
+
+
+def test_pass_rejects_a_greedy_set_that_misses_a_dependency(monkeypatch):
+    # the forged walk returns {p} alone, which misses p's dependency
+    u = tiny_universe(**CONFLICTED_CHOICE)
+    monkeypatch.setattr(repo, "_greedy_installation",
+                        lambda p, live, idx: 1 << p)
+    with pytest.raises(satcore.SatCoreError):
+        uninstallable(u.packages, u)
+
+
 def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
-    # p needs q or r, which conflict: the closure holds a conflict, so p
-    # reaches the SAT step, where the fake model installs p alone
-    u = tiny_universe(["p/1", "q/1", "r/1"], dep={"p/1": [["q/1", "r/1"]]},
-                      conflicts=[("q/1", "r/1")])
+    # p is a greedy dead end, so it reaches the SAT step, where the fake
+    # model installs p alone
+    u = tiny_universe(**GREEDY_DEAD_END)
 
     def fake_solve_sat(hard, num_vars=None, assumptions=(), timeout=None):
         return satcore.SolveResult(satcore.SolveStatus.SAT,
@@ -391,8 +432,7 @@ def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
 
 
 def test_pass_timeout_raises_installability_timeout(monkeypatch):
-    u = tiny_universe(["p/1", "q/1", "r/1"], dep={"p/1": [["q/1", "r/1"]]},
-                      conflicts=[("q/1", "r/1")])
+    u = tiny_universe(**GREEDY_DEAD_END)
 
     def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
         return satcore.SolveResult(satcore.SolveStatus.TIMEOUT)
@@ -413,11 +453,40 @@ def test_check_testing_on_conflict_free_universe_makes_no_sat_call(monkeypatch):
     assert len(violations) < len(u.testing) // 2
 
 
-def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
-        monkeypatch):
+def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
     # no empty disjunctions: every package of the universe stays live
     u = clustered_universe(random.Random(41), 200, conflicts=1,
                            empty_dep_prob=0.0)
+    idx = ClosureIndex(u)
+    (a, b), = idx.conflict_pairs
+    assert sum(idx.closure_mask(i) >> a & 1 and idx.closure_mask(i) >> b & 1
+               for i in range(len(idx.packages))) > 1
+    expected = _per_package(u.packages, u)
+    calls = _recording_solve_sat(monkeypatch)
+    assert uninstallable(u.packages, u, idx) == expected
+    assert calls == []
+
+
+def _with_dead_ends(u, tops: int):
+    """u plus GREEDY_DEAD_END's q, r, s and t, with its one conflict, and
+    ``tops`` packages shaped like its p; none of u's packages reaches them."""
+    planted = tiny_universe(
+        ["q/1", "r/1", "s/1", "t/1"] + [f"top{k}/1" for k in range(tops)],
+        dep={"s/1": [["t/1"]],
+             **{f"top{k}/1": [["s/1"], ["q/1", "r/1"]] for k in range(tops)}},
+        conflicts=[("q/1", "t/1")])
+    return make_universe(u.packages | planted.packages,
+                         {**u.dep, **planted.dep}, planted.conflicts,
+                         u.testing | planted.testing,
+                         u.unstable | planted.unstable)
+
+
+def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
+        monkeypatch):
+    # every package whose closure holds both ends of the one conflict is a
+    # greedy dead end whose installation covers no other such package
+    u = _with_dead_ends(clustered_universe(random.Random(41), 200,
+                                           conflicts=0, empty_dep_prob=0.0), 3)
     idx = ClosureIndex(u)
     (a, b), = idx.conflict_pairs
     both = [i for i in range(len(idx.packages))
@@ -427,3 +496,24 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     assert len(both) > 1
     assert [n for n, _ in calls] == \
         [idx.connecting_mask(i).bit_count() for i in both]
+
+
+def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
+    # one query per live package with a conflicted closure would be as many
+    # calls as there are such packages
+    conflicted = queries = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        size = rng.randint(150, 300)
+        u = clustered_universe(rng, size, conflicts=size // 3)
+        expected = _per_package(u.packages, u)
+        idx = ClosureIndex(u)
+        live = repo._live(idx.mask(u.packages), idx)
+        conflicted += sum(repo._has_conflict(idx.closure_mask(i) & live, idx)
+                          for i in bits(live))
+        with monkeypatch.context() as patch:
+            calls = _recording_solve_sat(patch)
+            assert uninstallable(u.packages, u, idx) == expected
+        queries += len(calls)
+    assert conflicted > 0
+    assert queries < conflicted
