@@ -179,15 +179,17 @@ def cmd_check(args) -> int:
                else args.timeout)
     try:
         universe = _load_universe(args)
-        for violation in repo.check_testing(universe, ClosureIndex(universe)):
+        idx = ClosureIndex(universe)
+        testing = idx.mask(universe.testing)
+        for violation in repo.check_testing(universe, idx):
             entry = {"kind": violation.kind, "detail": violation.detail,
                      "packages": [str(p) for p in violation.subjects],
                      "explanation": None}
             if violation.kind == "trimmedness":
-                pkg = violation.subjects[0]
-                clauses, info, ctx = repo.installability_clauses(
-                    pkg, universe.testing, universe)
-                mus = satcore.extract_mus(clauses, num_vars=len(ctx),
+                target = idx.ids[violation.subjects[0]]
+                clauses, info, ids = repo.installation_query(
+                    target, idx.closure_mask(target) & testing, 0, idx)
+                mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                           timeout=timeout)
                 entry["explanation"] = [engine.describe_clause(info[i])
                                         for i in mus.core]

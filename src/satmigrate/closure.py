@@ -218,9 +218,6 @@ class ClosureIndex:
     def closure(self, p: Package) -> frozenset[Package]:
         return self._mask_to_set(self._closure[self.ids[p]])
 
-    def closure_size(self, p: Package) -> int:
-        return self._closure[self.ids[p]].bit_count()
-
     @property
     def easy(self) -> frozenset[Package]:
         return self._mask_to_set(self.easy_mask)

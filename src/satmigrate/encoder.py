@@ -281,14 +281,13 @@ ALIASES = {"p2-oracle": "p2", "p5": "p5-pruned"}
 
 
 def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
-                   rules: PolicyRules | None = None,
-                   p2_bound: int = DEFAULT_P2_BOUND) -> EncodedProblem:
+                   rules: PolicyRules | None = None) -> EncodedProblem:
     """Encode u under the named scheme ("p5" means p5-pruned).
 
     Clause order: uniqueness; the e, i, d and c families, each over the
     contexts in package order and the members in package order; policy.
-    p2's size is quadratic in the universe, so it is capped by p2_bound and
-    only serves as a small-scale oracle for the others.
+    p2's size is quadratic in the universe, so DEFAULT_P2_BOUND caps it,
+    and it only serves as a small-scale oracle for the others.
     """
     encoding_id = ALIASES.get(name, name)
     scheme = SCHEMES.get(encoding_id)
@@ -296,9 +295,9 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
         raise ValueError(f"unknown encoding {name!r}")
     if scheme.members is None and u.conflicts:
         raise ConflictsPresent("p1 requires a conflict-free universe")
-    if encoding_id == "p2" and len(u.packages) > p2_bound:
-        raise UniverseTooLarge(
-            f"{len(u.packages)} packages exceed the p2 bound {p2_bound}")
+    if encoding_id == "p2" and len(u.packages) > DEFAULT_P2_BOUND:
+        raise UniverseTooLarge(f"{len(u.packages)} packages exceed the p2 "
+                               f"bound {DEFAULT_P2_BOUND}")
     if idx is None:
         idx = ClosureIndex(u)
     pkgs = idx.packages

@@ -72,7 +72,6 @@ class MigrationRequest:
     policy: PolicyRules | None = None
     solver_command: list[str] | None = None
     budgets: Budgets = field(default_factory=Budgets)
-    p2_bound: int = encoder.DEFAULT_P2_BOUND
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -109,8 +108,7 @@ class MigrationResult:
 
 def build_problem(req: MigrationRequest, u: Universe,
                   idx: ClosureIndex | None = None) -> EncodedProblem:
-    return encoder.build_encoding(u, idx, req.encoding, req.policy,
-                                  p2_bound=req.p2_bound)
+    return encoder.build_encoding(u, idx, req.encoding, req.policy)
 
 
 def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem):

@@ -2,8 +2,9 @@
 
 The exhaustive ones enumerate subsets or assignments, so they are
 exponential by design and bounded to small inputs; `deletion_mus` is the
-plain one-clause-at-a-time core loop, and `normalized_encoding` the e, i, d
-and c generator that passes every clause through `normalize_clause`. The
+plain one-clause-at-a-time core loop, `sat_installable` one SAT query over
+a package's whole closure on Packages, and `normalized_encoding` the e, i,
+d and c generator that passes every clause through `normalize_clause`. The
 runtime modules never import this one; numpy is needed only here.
 """
 
@@ -14,11 +15,11 @@ from typing import Iterable
 
 import numpy as np
 
-from . import encoder, repo
+from . import encoder, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
 from .repo import (Package, RepoError, Universe, bits, is_healthy,
-                   policy_satisfied, reachable, unique_pairs)
+                   policy_satisfied, unique_pairs)
 from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
                       infer_num_vars, solve_sat)
 
@@ -104,6 +105,31 @@ def deletion_mus(hard, num_vars: int | None = None) -> tuple[int, ...]:
     return tuple(core)
 
 
+def reachable(p: Package, u: Universe) -> frozenset[Package]:
+    """Reflexive-transitive closure of "may depend" from one package."""
+    seen, frontier = {p}, [p]
+    while frontier:
+        new = frozenset().union(*u.dep.get(frontier.pop(), ())) - seen
+        seen |= new
+        frontier += new
+    return frozenset(seen)
+
+
+def sat_installable(p: Package, r: Iterable[Package], u: Universe) -> bool:
+    """Reference for repo.is_installable: one SAT query over every member
+    of p's closure inside r, on Packages, with no preprocessing."""
+    ctx = sorted(reachable(p, u) & frozenset(r))
+    atom = {q: k for k, q in enumerate(ctx, start=1)}
+    clauses = [(atom[p],)] + [(-atom[q], *sorted(atom[x] for x in d if x in atom))
+                              for q in ctx for d in u.dep.get(q, ())]
+    clauses += [(-atom[a], -atom[b]) for a, b in sorted(u.conflicts)
+                if a < b and a in atom and b in atom]
+    status = satcore.solve_sat(clauses, num_vars=len(ctx)).status
+    if status is SolveStatus.TIMEOUT:
+        raise SatCoreError(f"timeout in the reference query for {p}")
+    return status is SolveStatus.SAT
+
+
 def is_installable(p: Package, r: Iterable[Package], u: Universe,
                    bound: int = DEFAULT_INSTALLABILITY_BOUND) -> bool:
     """Reference for repo.is_installable: enumerate every subset of p's
@@ -128,15 +154,15 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
 
 def restore_shared(t_prime: frozenset[Package], u: Universe,
                    policy: PolicyRules | None) -> frozenset[Package]:
-    """Reference for engine._restore_shared: one Package-level
-    repo.is_installable query per dropped shared package, in sorted order."""
+    """Reference for engine._restore_shared: one sat_installable query per
+    dropped shared package, in sorted order."""
     current = set(t_prime)
     names = {p.name for p in current}
     for p in sorted((u.testing & u.unstable) - t_prime):
         if p.name in names:
             continue
         candidate = frozenset(current | {p})
-        if not repo.is_installable(p, candidate, u):
+        if not sat_installable(p, candidate, u):
             continue
         if not policy_satisfied(candidate, policy):
             continue

@@ -2,8 +2,8 @@
 
 Packages, the fully expanded dependency function, the conflict relation,
 installations, installability, trimmedness and admissibility, used to
-verify everything the solver pipeline produces. The exhaustive reference
-oracles live in ``satmigrate.oracle``.
+verify everything the solver pipeline produces. The reference oracles,
+exhaustive and SAT, live in ``satmigrate.oracle``.
 
 ``installable_mask`` decides installability for every member of a
 repository r at once, on ``ClosureIndex`` ids and bitmasks, in four exact
@@ -46,8 +46,8 @@ the fixpoint taken over closure(p) ∩ r only: a healthy installation cut
 down to p's closure stays healthy, since every dependency of a member
 lies in that member's closure.
 
-The per-package ``is_installable`` query over the whole closure stays for
-single questions and for ``check``'s explanations.
+``check``'s explanations call ``installation_query``, step 4's clause
+builder, over closure(p) ∩ testing with an empty rest.
 """
 
 from __future__ import annotations
@@ -236,56 +236,6 @@ def is_healthy(members: Iterable[Package], u: Universe) -> bool:
     return True
 
 
-def reachable(p: Package, u: Universe) -> frozenset[Package]:
-    """Reflexive-transitive closure of "may depend" from one package."""
-    seen = {p}
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        for disjunction in u.dep.get(q, ()):
-            for succ in disjunction:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-    return frozenset(seen)
-
-
-def installability_clauses(p: Package, r: Iterable[Package], u: Universe):
-    """SAT query for "p is installable in r", restricted to p's closure.
-
-    Returns (clauses, info, context_packages); atom i+1 stands for
-    "context_packages[i] is in the installation".
-    """
-    ctx = sorted(reachable(p, u) & frozenset(r))
-    index = {q: i + 1 for i, q in enumerate(ctx)}
-    clauses: list[tuple[int, ...]] = [(index[p],)]
-    info: list[tuple] = [("inst-target", p)]
-    for q in ctx:
-        for disjunction in u.dep.get(q, ()):
-            available = frozenset(x for x in disjunction if x in index)
-            clauses.append(tuple([-index[q]] +
-                                 sorted(index[x] for x in available)))
-            info.append(("inst-dep", q, available))
-    for a, b in sorted((a, b) for a, b in u.conflicts
-                       if a in index and b in index and a < b):
-        clauses.append((-index[a], -index[b]))
-        info.append(("inst-conflict", a, b))
-    return clauses, info, ctx
-
-
-def is_installable(p: Package, r: Iterable[Package], u: Universe) -> bool:
-    """Decide whether some healthy installation within r contains p, by one
-    SAT query over p's dependency closure."""
-    rset = frozenset(r)
-    if p not in rset or not rset <= u.packages:
-        raise ValueError("need p ∈ r ⊆ packages")
-    clauses, _, ctx = installability_clauses(p, rset, u)
-    result = satcore.solve_sat(clauses, num_vars=len(ctx))
-    if result.status is satcore.SolveStatus.TIMEOUT:
-        raise InstallabilityTimedOut(f"installability query for {p} timed out")
-    return result.status is satcore.SolveStatus.SAT
-
-
 def bits(mask: int):
     """The set bits of a mask, lowest first."""
     while mask:
@@ -354,24 +304,39 @@ def _checked(witness: int, p: int, r: int, idx: "ClosureIndex") -> int:
     return witness
 
 
+def installation_query(p: int, members: int, rest: int, idx: "ClosureIndex"):
+    """SAT query for an installation of p among ``members``, with the
+    packages of ``rest`` installed: a disjunction that meets rest gets no
+    clause. Returns (clauses, info, ids): atom k stands for ids[k-1], and
+    info[j] is the provenance of clauses[j] on Packages."""
+    pkgs = idx.packages
+    ids = list(bits(members))
+    atom = {q: k for k, q in enumerate(ids, start=1)}
+    clauses = [(atom[p],)]
+    info: list[tuple] = [("inst-target", pkgs[p])]
+    for q in ids:
+        for d, (_, targets) in zip(idx.dep_masks[q], idx.deps[q]):
+            if not d & rest:
+                inside = [x for x in targets if x in atom]
+                clauses.append((-atom[q], *(atom[x] for x in inside)))
+                info.append(("inst-dep", pkgs[q],
+                             frozenset(pkgs[x] for x in inside)))
+    for a in bits(members & idx.conflict_ends):
+        for b in bits(idx.partners[a] & members):
+            if a < b:
+                clauses.append((-atom[a], -atom[b]))
+                info.append(("inst-conflict", pkgs[a], pkgs[b]))
+    return clauses, info, ids
+
+
 def _installation_by_query(p: int, r: int, live: int,
                            idx: "ClosureIndex") -> int:
     """Step 4 of the module docstring: one SAT query over the live
     connecting members of p's closure. Returns its witness, checked, or 0
     when the query is UNSAT."""
     connecting = idx.connecting_mask(p)
-    members = connecting & live
     rest = live & ~connecting
-    ids = list(bits(members))
-    atom = {q: k for k, q in enumerate(ids, start=1)}
-    clauses = [(atom[p],)]
-    for q in ids:
-        for d in idx.dep_masks[q]:
-            if not d & rest:
-                clauses.append((-atom[q], *(atom[x] for x in bits(d & members))))
-    for a in bits(members & idx.conflict_ends):
-        clauses += [(-atom[a], -atom[b])
-                    for b in bits(idx.partners[a] & members) if a < b]
+    clauses, _, ids = installation_query(p, connecting & live, rest, idx)
     result = satcore.solve_sat(clauses, num_vars=len(ids))
     if result.status is satcore.SolveStatus.TIMEOUT:
         raise InstallabilityTimedOut(
@@ -415,6 +380,18 @@ def installable_in(p: int, r: int, idx: "ClosureIndex") -> bool:
     module docstring over closure(p) ∩ r alone."""
     live = _live(idx.closure_mask(p) & r, idx)
     return bool(live >> p & 1 and _installation(p, r, live, idx))
+
+
+def is_installable(p: Package, r: Iterable[Package], u: Universe,
+                   idx: "ClosureIndex | None" = None) -> bool:
+    """Whether p, a member of r, is installable in r, by ``installable_in``."""
+    if idx is None:
+        from .closure import ClosureIndex  # closure imports this module
+        idx = ClosureIndex(u)
+    i, mask = idx.ids.get(p), idx.mask(r)
+    if i is None or not mask >> i & 1:
+        raise ValueError("need p ∈ r ⊆ packages")
+    return installable_in(i, mask, idx)
 
 
 def uninstallable(r: Iterable[Package], u: Universe,

@@ -436,11 +436,14 @@ def test_check_passes_timeout_to_core_extraction(repos, capsys, monkeypatch):
 
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, satmigrate.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, satmigrate.cli; print('numpy' in sys.modules); "
+             "print('satmigrate.oracle' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    numpy_loaded, oracle_loaded = out.split()
+    assert numpy_loaded == "False"
+    assert oracle_loaded == "False"
 
 
 def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):

@@ -135,9 +135,9 @@ def test_p2_conflict_clause_per_context():
 
 
 def test_p2_bound_enforced():
-    u = tiny_universe([f"x{i}/1" for i in range(4)])
+    u = tiny_universe([f"x{i}/1" for i in range(11)])
     with pytest.raises(UniverseTooLarge):
-        build_encoding(u, None, "p2", p2_bound=3)
+        build_encoding(u, None, "p2")
 
 
 def test_p2_d_clause_count_matches_direct_summation():

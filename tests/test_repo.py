@@ -13,8 +13,8 @@ from satmigrate.oracle import ContextTooLarge, admissible_sets
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_healthy,
                              is_installable, is_trimmed, make_universe,
-                             policy_satisfied, reachable, check_testing,
-                             uninstallable, unique_pairs)
+                             policy_satisfied, check_testing, uninstallable,
+                             unique_pairs)
 
 from .generators import P, clustered_universe, random_universe, tiny_universe
 
@@ -163,8 +163,8 @@ def test_oracle_refuses_large_contexts():
 def test_reachable_is_reflexive_transitive():
     u = tiny_universe(["a/1", "b/1", "c/1"],
                       dep={"a/1": [["b/1"]], "b/1": [["c/1"]]})
-    assert reachable(P("a/1"), u) == {P("a/1"), P("b/1"), P("c/1")}
-    assert reachable(P("c/1"), u) == {P("c/1")}
+    assert oracle.reachable(P("a/1"), u) == {P("a/1"), P("b/1"), P("c/1")}
+    assert oracle.reachable(P("c/1"), u) == {P("c/1")}
 
 
 def test_oracle_and_sat_paths_agree_on_random_universes():
@@ -180,6 +180,7 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
             for p in sorted(r):
                 reference = oracle.is_installable(p, r, u)
                 assert reference == is_installable(p, r, u), (p, r, u)
+                assert reference == oracle.sat_installable(p, r, u), (p, r, u)
 
 
 # -- trimmedness / admissibility -------------------------------------------------
@@ -284,7 +285,7 @@ def test_admissible_sets_respect_policy():
 # -- the installability pass ------------------------------------------------------
 
 def _per_package(r, u):
-    return [p for p in sorted(r) if not is_installable(p, r, u)]
+    return [p for p in sorted(r) if not oracle.sat_installable(p, r, u)]
 
 
 def _recording_solve_sat(monkeypatch):
