@@ -278,7 +278,8 @@ def cmd_emit(args) -> int:
         if mode == "target" and target is None:
             return _fail("--mode target needs --target NAME/VER")
         request = _request_from_args(args, mode, target)
-        problem = engine.build_problem(request, universe)
+        problem = encoder.build_encoding(universe, None, request.encoding,
+                                         request.policy)
         engine.attach_objective(request, universe, problem)
         if args.kind == "cnf" and problem.soft:
             return _fail("cnf cannot carry the soft clauses of this objective")
@@ -346,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.timeout is not None and not args.timeout > 0:
+        return _fail(f"--timeout must be positive, got {args.timeout}")
     return args.func(args)
 
 

@@ -1,14 +1,16 @@
 """Dependency-closure index.
 
-Precomputes the "may depend" relation, its reflexive-transitive closure,
-the easy packages (whose closure touches no conflict endpoint), the closure
-restricted to hard packages, and — lazily — the relevant conflicts and
-connecting dependencies of individual packages.
+Precomputes the "may depend" relation, its reflexive-transitive closure
+and the easy packages (whose closure touches no conflict endpoint). The
+closure restricted to hard packages, the relevant conflicts and the
+connecting dependencies of a package are derived from these on each call.
 
 Closures are computed bottom-up over the condensation of the may-depend
 graph into strongly connected components. Package sets are integer
 bitmasks over the packages' sorted ids; the encoder reads them as such,
-and the Package-level methods expose them as frozensets.
+and the Package-level methods expose them as frozensets. A mask is as
+long as its highest id, so the closures take up to n² bits for n
+packages; they are the only per-package mask family the index stores.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class ClosureIndex:
     """Immutable closure data for one universe.
 
     Packages are interned as their rank in sorted order. ``deps``,
-    ``dep_masks``, ``dependents``, ``conflict_pairs``, ``partners``,
-    ``upper_partners`` and the ``*_mask`` methods speak in these ids, for
+    ``dependents``, ``conflict_pairs``, ``partners``, ``upper_partners``
+    and the ``*_mask`` methods speak in these ids, for
     the encoder and the installability pass of ``repo``; the Package-level
     methods translate them back.
     """
@@ -125,23 +127,8 @@ class ClosureIndex:
             if not self._closure[i] & ends:
                 easy_mask |= 1 << i
         self.easy_mask = easy_mask
-        hard_succ = [[w for w in succ[v] if not easy_mask >> w & 1]
-                     if not easy_mask >> v & 1 else []
-                     for v in range(n)]
-        self._hard_closure = _scc_closures(n, hard_succ)
-        for i in range(n):
-            if easy_mask >> i & 1:
-                self._hard_closure[i] = 1 << i
-        self._relevant_ends: dict[int, int] = {}
-        self._connecting: dict[int, int] = {}
 
     # -- integer surface -------------------------------------------------------
-
-    @cached_property
-    def dep_masks(self) -> list[tuple[int, ...]]:
-        """Per package, each disjunction as a mask of its members."""
-        return [tuple(sum(1 << q for q in targets) for _, targets in deps)
-                for deps in self.deps]
 
     @cached_property
     def dependents(self) -> list[list[int]]:
@@ -168,19 +155,24 @@ class ClosureIndex:
         return self._closure[i]
 
     def hard_closure_mask(self, i: int) -> int:
-        return self._hard_closure[i]
+        """i's closure restricted to hard packages; {i} for an easy i.
+
+        For a hard i this is also what a walk from i through hard packages
+        reaches: a package on a path from i to a hard package w has w's
+        closure, with its conflict end, inside its own, so it is hard too.
+        """
+        if self.easy_mask >> i & 1:
+            return 1 << i
+        return self._closure[i] & ~self.easy_mask
 
     def relevant_ends(self, i: int) -> int:
         """Mask of the endpoints of conflicts inside i's closure."""
-        cached = self._relevant_ends.get(i)
-        if cached is None:
-            mask = self._closure[i]
-            cached = 0
-            for a in bits(mask & self.conflict_ends):
-                if self.partners[a] & mask:
-                    cached |= 1 << a
-            self._relevant_ends[i] = cached
-        return cached
+        mask = self._closure[i]
+        ends = 0
+        for a in bits(mask & self.conflict_ends):
+            if self.partners[a] & mask:
+                ends |= 1 << a
+        return ends
 
     def connecting_mask(self, i: int) -> int:
         """Closure members whose own closure reaches a relevant-conflict
@@ -190,22 +182,19 @@ class ClosureIndex:
         the same endpoint, so a walk from i that enters only packages
         reaching an endpoint visits exactly these members.
         """
-        cached = self._connecting.get(i)
-        if cached is None:
-            ends = self.relevant_ends(i)
-            cached = 1 << i
-            if ends:
-                closures, succ = self._closure, self._succ
-                seen = {i}
-                todo = [i]
-                while todo:
-                    for w in succ[todo.pop()]:
-                        if w not in seen and closures[w] & ends:
-                            seen.add(w)
-                            todo.append(w)
-                            cached |= 1 << w
-            self._connecting[i] = cached
-        return cached
+        ends = self.relevant_ends(i)
+        mask = 1 << i
+        if ends:
+            closures, succ = self._closure, self._succ
+            seen = {i}
+            todo = [i]
+            while todo:
+                for w in succ[todo.pop()]:
+                    if w not in seen and closures[w] & ends:
+                        seen.add(w)
+                        todo.append(w)
+                        mask |= 1 << w
+        return mask
 
     # -- package surface -------------------------------------------------------
 
@@ -226,7 +215,7 @@ class ClosureIndex:
         return bool(self.easy_mask >> self.ids[p] & 1)
 
     def hard_closure(self, p: Package) -> frozenset[Package]:
-        return self._mask_to_set(self._hard_closure[self.ids[p]])
+        return self._mask_to_set(self.hard_closure_mask(self.ids[p]))
 
     def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
         """Conflicts with both endpoints inside p's dependency closure."""

@@ -106,11 +106,6 @@ class MigrationResult:
     explanation: Explanation | None = None
 
 
-def build_problem(req: MigrationRequest, u: Universe,
-                  idx: ClosureIndex | None = None) -> EncodedProblem:
-    return encoder.build_encoding(u, idx, req.encoding, req.policy)
-
-
 def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem):
     """Attach the mode's hard additions and soft units to the problem."""
     atoms = problem.atoms
@@ -219,7 +214,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe, idx: ClosureIndex
     warnings = []
     for violation in repo.check_testing(u, idx):
         warnings.append(f"testing violates assumptions: {violation.detail}")
-    problem = build_problem(req, u, idx)
+    problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
     attach_objective(req, u, problem)
     result = _solve(req, problem)
     if result.status is SolveStatus.UNSAT:
@@ -336,7 +331,7 @@ def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
     built here. Either way its hard clauses end with p's target clause.
     """
     if problem is None:
-        problem = build_problem(req, u, idx)
+        problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
         clause, info = encoder.target_clause(p, u, problem.atoms)
         problem.hard.append(clause)
         problem.info.append(info)

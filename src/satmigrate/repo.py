@@ -151,9 +151,8 @@ def make_universe(packages: Iterable[Package],
 
 
 def _stanza_signature(stanza: PackageStanza) -> tuple:
-    return (controlfile.format_dependency_expr(stanza.depends),
-            controlfile.format_conflict_expr(stanza.conflicts),
-            tuple(sorted(stanza.provides)))
+    """The metadata two stanzas of one (name, version) must agree on."""
+    return stanza.depends, stanza.conflicts, sorted(stanza.provides)
 
 
 def build_universe(testing: list[PackageStanza],
@@ -251,21 +250,24 @@ def _has_conflict(mask: int, idx: "ClosureIndex") -> bool:
 
 def _is_installation(witness: int, p: int, r: int, idx: "ClosureIndex") -> bool:
     """An installation of p inside r: healthy, contains p, lies inside r."""
-    dep_masks = idx.dep_masks
-    return (bool(witness >> p & 1) and not witness & ~r
-            and all(d & witness for q in bits(witness) for d in dep_masks[q])
+    deps, members = idx.deps, set(bits(witness))
+    return (p in members and not witness & ~r
+            and all(not members.isdisjoint(targets)
+                    for q in members for _, targets in deps[q])
             and not _has_conflict(witness, idx))
 
 
 def _live(r: int, idx: "ClosureIndex") -> int:
     """Step 1 of the module docstring: the greatest subset of r that meets
     every dependency disjunction of its own members."""
-    dep_masks, dependents = idx.dep_masks, idx.dependents
-    live = r
-    todo = list(bits(r))
+    deps, dependents = idx.deps, idx.dependents
+    live, members = r, set(bits(r))
+    todo = list(members)
     while todo:
         p = todo.pop()
-        if live >> p & 1 and not all(d & live for d in dep_masks[p]):
+        if p in members and any(members.isdisjoint(targets)
+                                for _, targets in deps[p]):
+            members.remove(p)
             live ^= 1 << p
             todo += dependents[p]
     return live
@@ -275,20 +277,21 @@ def _greedy_installation(p: int, live: int, idx: "ClosureIndex") -> int:
     """Step 3 of the module docstring: a walk from p that meets each
     disjunction not yet met with its lowest live member that conflicts with
     nothing chosen so far; 0 at a dead end."""
-    dep_masks, partners = idx.dep_masks, idx.partners
-    witness = 1 << p
+    deps, partners = idx.deps, idx.partners
+    witness, chosen = 1 << p, {p}
     banned = partners[p]
     todo = [p]
     while todo:
-        for d in dep_masks[todo.pop()]:
-            if d & witness:
+        for _, targets in deps[todo.pop()]:
+            if not chosen.isdisjoint(targets):
                 continue
-            free = d & live & ~banned
-            if not free:
+            for q in targets:
+                if live >> q & 1 and not banned >> q & 1:
+                    break
+            else:
                 return 0
-            low = free & -free
-            q = low.bit_length() - 1
-            witness |= low
+            chosen.add(q)
+            witness |= 1 << q
             banned |= partners[q]
             todo.append(q)
     return witness
@@ -315,8 +318,8 @@ def installation_query(p: int, members: int, rest: int, idx: "ClosureIndex"):
     clauses = [(atom[p],)]
     info: list[tuple] = [("inst-target", pkgs[p])]
     for q in ids:
-        for d, (_, targets) in zip(idx.dep_masks[q], idx.deps[q]):
-            if not d & rest:
+        for _, targets in idx.deps[q]:
+            if not any(rest >> x & 1 for x in targets):
                 inside = [x for x in targets if x in atom]
                 clauses.append((-atom[q], *(atom[x] for x in inside)))
                 info.append(("inst-dep", pkgs[q],
@@ -424,18 +427,31 @@ def _policy_literal_true(sign: int, pkg: Package, t_prime: frozenset[Package]) -
     return (pkg in t_prime) if sign > 0 else (pkg not in t_prime)
 
 
-def policy_satisfied(t_prime: frozenset[Package],
-                     policy: "PolicyRules | None") -> bool:
-    if policy is None:
-        return True
+def _policy_violation(t_prime: frozenset[Package], policy: "PolicyRules"
+                      ) -> AdmissibilityVerdict | None:
+    """The verdict on the first policy rule t_prime breaks, groups before
+    clauses, or None when it keeps them all."""
     for group in policy.groups:
         values = {_policy_literal_true(sign, pkg, t_prime)
                   for sign, pkg in group}
         if len(values) > 1:
-            return False
-    return all(any(_policy_literal_true(sign, pkg, t_prime)
-                   for sign, pkg in clause)
-               for clause in policy.extra_clauses)
+            return AdmissibilityVerdict(
+                False, "policy", "group not all-or-none: " +
+                " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in group),
+                tuple(pkg for _, pkg in group))
+    for clause in policy.extra_clauses:
+        if not any(_policy_literal_true(sign, pkg, t_prime)
+                   for sign, pkg in clause):
+            return AdmissibilityVerdict(
+                False, "policy", "clause unsatisfied: " +
+                " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in clause),
+                tuple(pkg for _, pkg in clause))
+    return None
+
+
+def policy_satisfied(t_prime: frozenset[Package],
+                     policy: "PolicyRules | None") -> bool:
+    return policy is None or _policy_violation(t_prime, policy) is None
 
 
 def is_admissible(t_prime: Iterable[Package], u: Universe,
@@ -462,22 +478,9 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
             False, "trimmedness", f"{broken[0]} is not installable",
             (broken[0],))
     if policy is not None:
-        for group in policy.groups:
-            values = {_policy_literal_true(sign, pkg, chosen)
-                      for sign, pkg in group}
-            if len(values) > 1:
-                subjects = tuple(pkg for _, pkg in group)
-                return AdmissibilityVerdict(
-                    False, "policy", "group not all-or-none: " +
-                    " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in group),
-                    subjects)
-        for clause in policy.extra_clauses:
-            if not any(_policy_literal_true(sign, pkg, chosen)
-                       for sign, pkg in clause):
-                return AdmissibilityVerdict(
-                    False, "policy", "clause unsatisfied: " +
-                    " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in clause),
-                    tuple(pkg for _, pkg in clause))
+        violation = _policy_violation(chosen, policy)
+        if violation is not None:
+            return violation
     return AdmissibilityVerdict(True)
 
 

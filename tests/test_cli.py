@@ -365,6 +365,23 @@ def test_timeout_exit_code(repos, capsys, monkeypatch):
     assert "timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_timeout_must_be_positive(repos, capsys, tmp_path, value):
+    for command in (["migrate"], ["explain", "a/2"], ["check"], ["stats"],
+                    ["emit", str(tmp_path / "out.wcnf")]):
+        code = main([*command, *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                     "--timeout", value])
+        assert code == EXIT_ERROR, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --timeout must be positive"), \
+            command
+    assert not (tmp_path / "out.wcnf").exists()
+    code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                 "--timeout", "inf"])
+    assert code == EXIT_OK
+
+
 def test_explain_reports_repo_error(repos, capsys, monkeypatch):
     import satmigrate.engine as engine_mod
     import satmigrate.repo as repo_mod

@@ -108,6 +108,39 @@ def test_hard_package_without_dependencies_closes_to_itself():
     assert idx.hard_closure(P("p/1")) == {P("p/1")}
 
 
+def _hard_walk(idx: ClosureIndex, p) -> set:
+    """What a walk from p reaches through hard successors; {p} for an easy p."""
+    if idx.is_easy(p):
+        return {p}
+    seen = {p}
+    todo = [p]
+    while todo:
+        for q in idx.may_dep(todo.pop()):
+            if q not in seen and not idx.is_easy(q):
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def test_hard_closure_is_the_walk_through_hard_successors():
+    rng = random.Random(43)
+    universes = [random_universe(rng, max_size=10, dep_density=0.7,
+                                 conflict_density=rng.random())
+                 for _ in range(200)]
+    universes += [clustered_universe(rng, rng.randint(100, 300),
+                                     conflicts=rng.randint(1, 40))
+                  for _ in range(8)]
+    pruned = 0
+    for u in universes:
+        idx = ClosureIndex(u)
+        for p in idx.packages:
+            hard = idx.hard_closure(p)
+            assert hard == _hard_walk(idx, p)
+            assert idx.hard_closure_mask(idx.ids[p]) == idx.mask(hard)
+            pruned += not idx.is_easy(p) and hard != idx.closure(p)
+    assert pruned > 0
+
+
 # -- relevant conflicts -------------------------------------------------------------
 
 def test_conflict_with_endpoint_outside_closure_is_irrelevant():

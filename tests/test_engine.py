@@ -13,8 +13,7 @@ from satmigrate.encoder import PolicyRules, build_encoding, target_clause
 from satmigrate.engine import (ActuallySolvable, Budgets,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
-                               alternative_optima, build_problem,
-                               decode_solution,
+                               alternative_optima, decode_solution,
                                dump_structured, explain_non_migration,
                                parse_structured_report, render_hints,
                                render_report, solve_migration,
@@ -270,7 +269,7 @@ def test_explanation_core_equals_one_by_one_deletion():
         conflicts=[("n/1", "k/1")],
         testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
     req = MigrationRequest(mode="target", target=P("p/2"))
-    problem = build_problem(req, u)
+    problem = build_encoding(u, None, req.encoding)
     problem.hard.append(target_clause(P("p/2"), u, problem.atoms)[0])
     explanation = explain_non_migration(P("p/2"), u, ClosureIndex(u), req)
     assert explanation.core == deletion_mus(problem.hard,
@@ -298,7 +297,7 @@ def test_explanation_core_equals_one_by_one_deletion_mid_scale():
             for encoding in ("p5-strict", "p5-pruned"):
                 req = MigrationRequest(mode="target", target=p,
                                        encoding=encoding)
-                problem = build_problem(req, u, idx)
+                problem = build_encoding(u, idx, encoding)
                 problem.hard.append(target_clause(p, u, problem.atoms)[0])
                 if satcore_mod.solve_sat(problem.hard).status \
                         is not satcore_mod.SolveStatus.UNSAT:
