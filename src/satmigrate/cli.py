@@ -94,6 +94,15 @@ def _request_from_args(args, mode: str, target: Package | None = None) -> Migrat
                             budgets=budgets)
 
 
+def _modeful_request(args) -> MigrationRequest:
+    """The request of migrate and emit, from --mode and --target."""
+    target = Package.parse(args.target) if args.target else None
+    if args.mode == "target" and target is None:
+        raise ValueError("--mode target needs --target NAME/VER")
+    mode = {"max": "max", "min": "min-nontrivial", "target": "target"}[args.mode]
+    return _request_from_args(args, mode, target)
+
+
 def _print_structured(document: dict):
     sys.stdout.write(engine.dump_structured(document))
 
@@ -101,11 +110,7 @@ def _print_structured(document: dict):
 def cmd_migrate(args) -> int:
     try:
         universe = _load_universe(args)
-        mode = {"max": "max", "min": "min-nontrivial", "target": "target"}[args.mode]
-        target = Package.parse(args.target) if args.target else None
-        if mode == "target" and target is None:
-            return _fail("--mode target needs --target NAME/VER")
-        request = _request_from_args(args, mode, target)
+        request = _modeful_request(args)
         if args.all_deltas:
             results = engine.alternative_optima(request, universe, args.all_deltas)
         else:
@@ -191,8 +196,9 @@ def cmd_check(args) -> int:
                     target, idx.closure_mask(target) & testing, 0, idx)
                 mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                           timeout=timeout)
-                entry["explanation"] = [engine.describe_clause(info[i])
-                                        for i in mus.core]
+                entry["explanation"] = [
+                    engine.describe_clause(info[i], idx.packages)
+                    for i in mus.core]
             entries.append(entry)
     except TIMEOUTS as exc:
         print(f"timeout: {exc}", file=sys.stderr)
@@ -241,15 +247,17 @@ def cmd_stats(args) -> int:
                 "median": int(statistics.median(values)) if values else 0,
                 "max": max(values, default=0)}
 
-    sizes = sorted(idx.closure_sizes().items(), key=lambda kv: (-kv[1], kv[0]))
-    closure_dist = _distribution([s for _, s in sizes])
-    connecting_dist = _distribution([len(idx.connecting(p))
-                                     for p in idx.packages])
-    top = [{"package": str(p), "closure_size": s} for p, s in sizes[:5]]
+    ids = range(len(idx.packages))
+    sizes = [idx.closure_mask(i).bit_count() for i in ids]
+    closure_dist = _distribution(sizes)
+    connecting_dist = _distribution([idx.connecting_mask(i).bit_count()
+                                     for i in ids])
+    top = [{"package": str(idx.packages[i]), "closure_size": sizes[i]}
+           for i in sorted(ids, key=lambda i: -sizes[i])[:5]]
     if args.format == "structured":
         _print_structured({
             "packages": len(universe.packages),
-            "easy": len(idx.easy),
+            "easy": idx.easy_mask.bit_count(),
             "closure_size_distribution": closure_dist,
             "connecting_size_distribution": connecting_dist,
             "largest_closures": top,
@@ -257,7 +265,7 @@ def cmd_stats(args) -> int:
         })
         return EXIT_OK
     print(f"packages: {len(universe.packages)}")
-    print(f"easy packages: {len(idx.easy)}")
+    print(f"easy packages: {idx.easy_mask.bit_count()}")
     print("closure sizes: min {min} median {median} max {max}".format(**closure_dist))
     print("connecting sizes: min {min} median {median} max {max}".format(
         **connecting_dist))
@@ -273,11 +281,7 @@ def cmd_stats(args) -> int:
 def cmd_emit(args) -> int:
     try:
         universe = _load_universe(args)
-        mode = {"max": "max", "min": "min-nontrivial", "target": "target"}[args.mode]
-        target = Package.parse(args.target) if args.target else None
-        if mode == "target" and target is None:
-            return _fail("--mode target needs --target NAME/VER")
-        request = _request_from_args(args, mode, target)
+        request = _modeful_request(args)
         problem = encoder.build_encoding(universe, None, request.encoding,
                                          request.policy)
         engine.attach_objective(request, universe, problem)

@@ -1,9 +1,11 @@
 """Dependency-closure index.
 
-Precomputes the "may depend" relation, its reflexive-transitive closure
-and the easy packages (whose closure touches no conflict endpoint). The
-closure restricted to hard packages, the relevant conflicts and the
+Interns the packages as ids, with their dependency disjunctions as id
+tuples, and precomputes the "may depend" relation, its reflexive-transitive
+closure and the easy packages (whose closure touches no conflict endpoint).
+The closure restricted to hard packages, the relevant conflicts and the
 connecting dependencies of a package are derived from these on each call.
+Downstream code speaks ids; only reports and explanations name Packages.
 
 Closures are computed bottom-up over the condensation of the may-depend
 graph into strongly connected components. Package sets are integer
@@ -90,24 +92,22 @@ class ClosureIndex:
     ``dependents``, ``conflict_pairs``, ``partners``, ``upper_partners``
     and the ``*_mask`` methods speak in these ids, for
     the encoder and the installability pass of ``repo``; the Package-level
-    methods translate them back.
+    methods translate them back. ``deps[i]`` holds i's disjunctions in the
+    universe's order, each as its members' ids, ascending.
     """
 
     def __init__(self, universe: Universe):
-        self.universe = universe
         self.packages: tuple[Package, ...] = tuple(universe.sorted_packages())
         self.ids = {p: i for i, p in enumerate(self.packages)}
         ids = self.ids
-        # per package, its disjunctions in the universe's order, each paired
-        # with the sorted ids of its members
-        self.deps = [tuple((d, tuple(sorted(ids[q] for q in d)))
+        self.deps = [tuple(tuple(sorted(ids[q] for q in d))
                            for d in universe.dep.get(p, ()))
                      for p in self.packages]
         # each conflict once, as (a, b) with a < b, in sorted order
         self.conflict_pairs = sorted(
             (ids[a], ids[b]) for a, b in universe.conflicts if a < b)
         n = len(self.packages)
-        succ = [sorted({q for _, targets in deps for q in targets})
+        succ = [sorted({q for targets in deps for q in targets})
                 for deps in self.deps]
         self._succ = succ
         self._closure = _scc_closures(n, succ)
@@ -181,6 +181,10 @@ class ClosureIndex:
         Every package on a dependency path from i to such a member reaches
         the same endpoint, so a walk from i that enters only packages
         reaching an endpoint visits exactly these members.
+
+        The mask is {i} alone exactly when i's closure holds no conflict:
+        otherwise a shortest path from i to an endpoint other than i leaves
+        i through a successor that reaches that endpoint.
         """
         ends = self.relevant_ends(i)
         mask = 1 << i
@@ -201,21 +205,9 @@ class ClosureIndex:
     def _mask_to_set(self, mask: int) -> frozenset[Package]:
         return frozenset(self.packages[i] for i in bits(mask))
 
-    def may_dep(self, p: Package) -> frozenset[Package]:
-        return frozenset(self.packages[w] for w in self._succ[self.ids[p]])
-
-    def closure(self, p: Package) -> frozenset[Package]:
-        return self._mask_to_set(self._closure[self.ids[p]])
-
     @property
     def easy(self) -> frozenset[Package]:
         return self._mask_to_set(self.easy_mask)
-
-    def is_easy(self, p: Package) -> bool:
-        return bool(self.easy_mask >> self.ids[p] & 1)
-
-    def hard_closure(self, p: Package) -> frozenset[Package]:
-        return self._mask_to_set(self.hard_closure_mask(self.ids[p]))
 
     def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
         """Conflicts with both endpoints inside p's dependency closure."""
@@ -229,7 +221,3 @@ class ClosureIndex:
         """Closure members whose own closure reaches a relevant-conflict
         endpoint, plus p itself."""
         return self._mask_to_set(self.connecting_mask(self.ids[p]))
-
-    def closure_sizes(self) -> dict[Package, int]:
-        return {p: self._closure[i].bit_count()
-                for i, p in enumerate(self.packages)}

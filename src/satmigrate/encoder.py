@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex, bits
-from .repo import Package, Universe, unique_pairs
+from .repo import Package, Universe
 
 DEFAULT_P2_BOUND = 10
 
@@ -166,7 +167,6 @@ class EncodedProblem:
     hard: list[tuple[int, ...]] = field(default_factory=list)
     info: list[tuple] = field(default_factory=list)
     soft: list[tuple[int, ...]] = field(default_factory=list)
-    soft_info: list[tuple] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -216,10 +216,15 @@ def instance_stats(problem: EncodedProblem) -> InstanceStats:
 # Shared clause families
 
 
-def uniqueness_clauses(u: Universe, problem: EncodedProblem):
-    """One binary clause per unordered duplicate-name pair."""
-    for a, b in sorted(pair for pair in unique_pairs(u) if pair[0] < pair[1]):
-        problem.add((-problem.atoms.pkg(a), -problem.atoms.pkg(b)), ("u", a, b))
+def uniqueness_clauses(problem: EncodedProblem):
+    """One binary clause per unordered duplicate-name pair of ids, in id
+    order: ids ascend in name order, so each name's ids are consecutive."""
+    by_name: dict[str, list[int]] = {}
+    for i, p in enumerate(problem.atoms.packages):
+        by_name.setdefault(p.name, []).append(i)
+    for group in by_name.values():
+        for a, b in combinations(group, 2):
+            problem.add((-(a + 1), -(b + 1)), ("u", a, b))
 
 
 def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
@@ -301,64 +306,62 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     if idx is None:
         idx = ClosureIndex(u)
     pkgs = idx.packages
-    tracked = []
+    inst_pairs = []
     if scheme.members is not None:
-        tracked = [c for c in range(len(pkgs))
-                   if not scheme.conflicting_only or idx.relevant_ends(c)]
-    atoms = AtomTable(pkgs, [(c, m) for c in tracked
-                             for m in bits(scheme.members(idx, c))])
+        for c in range(len(pkgs)):
+            members = scheme.members(idx, c)  # {c} alone: no conflict
+            if not scheme.conflicting_only or members != 1 << c:
+                inst_pairs += [(c, m) for m in bits(members)]
+    atoms = AtomTable(pkgs, inst_pairs)
     contexts = atoms.contexts  # the tracked contexts, each with its members
     problem = EncodedProblem(encoding_id, atoms)
-    uniqueness_clauses(u, problem)
+    uniqueness_clauses(problem)
     # The e, i, d and c clauses are built already in normalize_clause's
     # form: sorted by variable, and package atoms (1..n) sort before
     # installation atoms (above n). All clauses share the int objects of
-    # the package atoms.
+    # the package atoms, and each d provenance its ``deps`` tuple.
     pkg_atom = list(range(1, len(pkgs) + 1))
     hard, info = problem.hard, problem.info
     for c, members in contexts.items():
-        context = pkgs[c]
         for m, atom in members.items():
             hard.append((pkg_atom[m], -atom))
-            info.append(("e", context, pkgs[m]))
+            info.append(("e", c, m))
     for c, members in contexts.items():
         hard.append((-(c + 1), members[c]))
-        info.append(("i", pkgs[c]))
+        info.append(("i", c))
     easy = set(bits(idx.easy_mask)) if scheme.easy_direct else ()
     for c, deps in enumerate(idx.deps):
         members = contexts.get(c)
         if members is None:
             negated = -(c + 1)
-            for disjunction, targets in deps:
+            for targets in deps:
                 if c in targets:
                     continue  # c requires itself: a tautology
                 lits = [pkg_atom[q] for q in targets]
                 lits.insert(bisect(targets, c), negated)
                 hard.append(tuple(lits))
-                info.append(("d", None, pkgs[c], disjunction))
+                info.append(("d", None, c, targets))
             continue
         local = {m: atom for m, atom in members.items() if m not in easy} \
             if easy else members
-        context = pkgs[c]
         for m, head in members.items():
             negated = -head  # one int object for all of m's clauses
-            for disjunction, targets in idx.deps[m]:
+            for targets in idx.deps[m]:
                 # package atoms ascending, then installation atoms ascending
                 lits = sorted([local.get(q) or pkg_atom[q] for q in targets])
                 if head in lits:
                     continue  # m requires itself inside c: a tautology
                 lits.insert(bisect(lits, head), negated)
                 hard.append(tuple(lits))
-                info.append(("d", context, pkgs[m], disjunction))
+                info.append(("d", c, m, targets))
     upper_partners = idx.upper_partners
     for c, members in contexts.items():
-        context = pkgs[c]
         for a, atom_a in members.items():
             for b in upper_partners.get(a, ()):
                 atom_b = members.get(b)
                 if atom_b is not None:
                     hard.append((-atom_a, -atom_b))
-                    info.append(("c", context, pkgs[a], pkgs[b]))
+                    info.append(("c", c, a, b))
     if rules is not None:
         policy_clauses(rules, u, problem)
     return problem
@@ -378,19 +381,14 @@ def soft_max(u: Universe, atoms: AtomTable):
     one positive unit per possible migration, one negative per possible
     removal of an outdated package."""
     incoming, outgoing = migration_candidates(u)
-    soft = [(atoms.pkg(p),) for p in incoming]
-    soft += [(-atoms.pkg(p),) for p in outgoing]
-    info = [("soft-in", p) for p in incoming] + [("soft-out", p) for p in outgoing]
-    return soft, info
+    return ([(atoms.pkg(p),) for p in incoming] +
+            [(-atoms.pkg(p),) for p in outgoing])
 
 
 def soft_min_units(u: Universe, atoms: AtomTable):
     incoming, outgoing = migration_candidates(u)
-    soft = [(-atoms.pkg(p),) for p in incoming]
-    soft += [(atoms.pkg(p),) for p in outgoing]
-    info = [("soft-keep-out", p) for p in incoming]
-    info += [("soft-keep-in", p) for p in outgoing]
-    return soft, info
+    return ([(-atoms.pkg(p),) for p in incoming] +
+            [(atoms.pkg(p),) for p in outgoing])
 
 
 def soft_min_with_nontriviality(u: Universe, atoms: AtomTable):
@@ -400,8 +398,8 @@ def soft_min_with_nontriviality(u: Universe, atoms: AtomTable):
         raise NoChangeCandidates("testing and unstable offer no change")
     nontrivial = tuple([atoms.pkg(p) for p in incoming] +
                        [-atoms.pkg(p) for p in outgoing])
-    soft, info = soft_min_units(u, atoms)
-    return (satcore.normalize_clause(nontrivial), ("nt",)), (soft, info)
+    return ((satcore.normalize_clause(nontrivial), ("nt",)),
+            soft_min_units(u, atoms))
 
 
 def target_clause(p: Package, u: Universe, atoms: AtomTable):
@@ -410,4 +408,5 @@ def target_clause(p: Package, u: Universe, atoms: AtomTable):
         raise NotAMigrationCandidate(f"{p} is not in the universe")
     if p not in u.unstable - u.testing:
         raise NotAMigrationCandidate(f"{p} is not a migration candidate")
-    return (atoms.pkg(p),), ("target", p)
+    atom = atoms.pkg(p)  # the atom of id i is i + 1
+    return (atom,), ("target", atom - 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, Universe
+from .repo import Package, Universe, bits
 from .satcore import SolveStatus
 
 MODES = ("max", "min-nontrivial", "target")
@@ -110,19 +110,18 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
     """Attach the mode's hard additions and soft units to the problem."""
     atoms = problem.atoms
     if req.mode == "max":
-        problem.soft, problem.soft_info = encoder.soft_max(u, atoms)
+        problem.soft = encoder.soft_max(u, atoms)
         return
     if req.mode == "min-nontrivial":
-        (clause, info), (soft, soft_info) = \
+        (clause, info), problem.soft = \
             encoder.soft_min_with_nontriviality(u, atoms)
         problem.hard.append(clause)
         problem.info.append(info)
-        problem.soft, problem.soft_info = soft, soft_info
         return
     clause, info = encoder.target_clause(req.target, u, atoms)
     problem.hard.append(clause)
     problem.info.append(info)
-    problem.soft, problem.soft_info = encoder.soft_min_units(u, atoms)
+    problem.soft = encoder.soft_min_units(u, atoms)
 
 
 def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
@@ -154,15 +153,15 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     installability (``repo.installable_in``), uniqueness and the policy
     need re-checking.
     """
-    ids = idx.ids
     current = set(t_prime)
     mask = idx.mask(t_prime)
     names = {p.name for p in current}
-    for p in sorted((u.testing & u.unstable) - t_prime):
+    for i in bits(idx.mask(u.testing & u.unstable) & ~mask):
+        p = idx.packages[i]
         if p.name in names:
             continue
-        candidate = mask | 1 << ids[p]
-        if not repo.installable_in(ids[p], candidate, idx):
+        candidate = mask | 1 << i
+        if not repo.installable_in(i, candidate, idx):
             continue
         if policy is not None and \
                 not repo.policy_satisfied(frozenset(current | {p}), policy):
@@ -278,46 +277,41 @@ def alternative_optima(req: MigrationRequest, u: Universe,
 # Explanations
 
 
-def describe_clause(info: tuple) -> str:
-    """Render one clause's provenance as a domain-level statement."""
-    family = info[0]
-    if family == "u":
-        _, a, b = info
-        return f"only one version of '{a.name}' may be present: {a} vs {b}"
+# Statements for the provenance families whose fields are all ids, with
+# {k} the package of field k.
+_STATEMENTS = {
+    "u": "only one version of '{0.name}' may be present: {0} vs {1}",
+    "e": "{1} can only join the installation for {0} if it is in the repository",
+    "i": "{0} needs an installation containing itself",
+    "c": "{1} conflicts with {2} (installation for {0})",
+    "nt": "at least one candidate package must change",
+    "target": "the migration of {0} was requested",
+    "inst-target": "{0} must be part of the installation",
+    "inst-conflict": "{0} conflicts with {1}",
+}
+
+
+def describe_clause(info: tuple, packages: tuple[Package, ...]) -> str:
+    """Render one clause's provenance as a domain-level statement.
+
+    Provenance names packages by ``ClosureIndex`` id, and this is the one
+    place where ``packages`` (the index's sorted packages) turns them back.
+    """
+    family, *fields = info
     if family == "v":
-        _, kind, desc = info
-        return f"policy {kind}: {desc}"
-    if family == "e":
-        _, context, member = info
-        return (f"{member} can only join the installation for {context}"
-                f" if it is in the repository")
-    if family == "i":
-        (_, p) = info
-        return f"{p} needs an installation containing itself"
-    if family == "d":
-        _, context, owner, disjunction = info
-        options = ", ".join(str(q) for q in sorted(disjunction)) or "nothing"
-        where = f"in the installation for {context}" if context else "in the repository"
-        return f"{owner} requires one of [{options}] {where}"
-    if family == "c":
-        _, context, a, b = info
-        return f"{a} conflicts with {b} (installation for {context})"
-    if family == "nt":
-        return "at least one candidate package must change"
-    if family == "target":
-        (_, p) = info
-        return f"the migration of {p} was requested"
-    if family == "inst-target":
-        (_, p) = info
-        return f"{p} must be part of the installation"
-    if family == "inst-dep":
-        _, owner, disjunction = info
-        options = ", ".join(str(q) for q in sorted(disjunction)) or "nothing"
-        return f"{owner} requires one of [{options}]"
-    if family == "inst-conflict":
-        _, a, b = info
-        return f"{a} conflicts with {b}"
-    return f"constraint {family}"
+        return "policy {}: {}".format(*fields)
+    if family in ("d", "inst-dep"):
+        *context, owner, targets = fields  # only d names a context
+        options = ", ".join(str(packages[q]) for q in targets) or "nothing"
+        text = f"{packages[owner]} requires one of [{options}]"
+        if family == "inst-dep":
+            return text
+        if context == [None]:
+            return text + " in the repository"
+        return f"{text} in the installation for {packages[context[0]]}"
+    if family not in _STATEMENTS:
+        return f"constraint {family}"
+    return _STATEMENTS[family].format(*(packages[i] for i in fields))
 
 
 def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
@@ -342,7 +336,8 @@ def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
         raise ActuallySolvable(f"{p} migrates; nothing to explain") from None
     except satcore.MusTimedOut as exc:
         raise SolveTimedOut(str(exc)) from None
-    facts = tuple(describe_clause(problem.info[i]) for i in mus.core)
+    facts = tuple(describe_clause(problem.info[i], problem.atoms.packages)
+                  for i in mus.core)
     return Explanation(package=p, core=mus.core, facts=facts)
 
 

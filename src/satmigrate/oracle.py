@@ -288,29 +288,29 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
     inst = {pair: len(pkgs) + 1 + k for k, pair in enumerate(pairs)}
     problem = EncodedProblem(encoding_id, atoms)
     add = problem.add
-    encoder.uniqueness_clauses(u, problem)
+    encoder.uniqueness_clauses(problem)
     for c, mask in tracked.items():
         for m in bits(mask):
-            add((-inst[c, m], m + 1), ("e", pkgs[c], pkgs[m]))
+            add((-inst[c, m], m + 1), ("e", c, m))
     for c in tracked:
-        add((-(c + 1), inst[c, c]), ("i", pkgs[c]))
+        add((-(c + 1), inst[c, c]), ("i", c))
     easy = idx.easy_mask if scheme.easy_direct else 0
     for c in range(len(pkgs)):
         mask = tracked.get(c)
         if mask is None:
-            for disjunction, targets in idx.deps[c]:
+            for targets in idx.deps[c]:
                 add([-(c + 1)] + [q + 1 for q in targets],
-                    ("d", None, pkgs[c], disjunction))
+                    ("d", None, c, targets))
             continue
         local = mask & ~easy
         for m in bits(mask):
             head = -inst[c, m]
-            for disjunction, targets in idx.deps[m]:
+            for targets in idx.deps[m]:
                 add([head] + [inst[c, q] if local >> q & 1 else q + 1
                               for q in targets],
-                    ("d", pkgs[c], pkgs[m], disjunction))
+                    ("d", c, m, targets))
     for c, mask in tracked.items():
         for a, b in idx.conflict_pairs:
             if mask >> a & 1 and mask >> b & 1:
-                add((-inst[c, a], -inst[c, b]), ("c", pkgs[c], pkgs[a], pkgs[b]))
+                add((-inst[c, a], -inst[c, b]), ("c", c, a, b))
     return problem

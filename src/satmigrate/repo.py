@@ -253,7 +253,7 @@ def _is_installation(witness: int, p: int, r: int, idx: "ClosureIndex") -> bool:
     deps, members = idx.deps, set(bits(witness))
     return (p in members and not witness & ~r
             and all(not members.isdisjoint(targets)
-                    for q in members for _, targets in deps[q])
+                    for q in members for targets in deps[q])
             and not _has_conflict(witness, idx))
 
 
@@ -266,7 +266,7 @@ def _live(r: int, idx: "ClosureIndex") -> int:
     while todo:
         p = todo.pop()
         if p in members and any(members.isdisjoint(targets)
-                                for _, targets in deps[p]):
+                                for targets in deps[p]):
             members.remove(p)
             live ^= 1 << p
             todo += dependents[p]
@@ -282,7 +282,7 @@ def _greedy_installation(p: int, live: int, idx: "ClosureIndex") -> int:
     banned = partners[p]
     todo = [p]
     while todo:
-        for _, targets in deps[todo.pop()]:
+        for targets in deps[todo.pop()]:
             if not chosen.isdisjoint(targets):
                 continue
             for q in targets:
@@ -311,24 +311,24 @@ def installation_query(p: int, members: int, rest: int, idx: "ClosureIndex"):
     """SAT query for an installation of p among ``members``, with the
     packages of ``rest`` installed: a disjunction that meets rest gets no
     clause. Returns (clauses, info, ids): atom k stands for ids[k-1], and
-    info[j] is the provenance of clauses[j] on Packages."""
-    pkgs = idx.packages
+    info[j] is the provenance of clauses[j] on idx's ids (an inst-dep entry
+    names the disjunction's members inside ``members``)."""
     ids = list(bits(members))
     atom = {q: k for k, q in enumerate(ids, start=1)}
     clauses = [(atom[p],)]
-    info: list[tuple] = [("inst-target", pkgs[p])]
+    info: list[tuple] = [("inst-target", p)]
     for q in ids:
-        for _, targets in idx.deps[q]:
+        for targets in idx.deps[q]:
             if not any(rest >> x & 1 for x in targets):
-                inside = [x for x in targets if x in atom]
+                inside = tuple(x for x in targets if x in atom)
                 clauses.append((-atom[q], *(atom[x] for x in inside)))
-                info.append(("inst-dep", pkgs[q],
-                             frozenset(pkgs[x] for x in inside)))
+                info.append(("inst-dep", q, targets
+                             if len(inside) == len(targets) else inside))
     for a in bits(members & idx.conflict_ends):
         for b in bits(idx.partners[a] & members):
             if a < b:
                 clauses.append((-atom[a], -atom[b]))
-                info.append(("inst-conflict", pkgs[a], pkgs[b]))
+                info.append(("inst-conflict", a, b))
     return clauses, info, ids
 
 
@@ -385,12 +385,18 @@ def installable_in(p: int, r: int, idx: "ClosureIndex") -> bool:
     return bool(live >> p & 1 and _installation(p, r, live, idx))
 
 
-def is_installable(p: Package, r: Iterable[Package], u: Universe,
-                   idx: "ClosureIndex | None" = None) -> bool:
-    """Whether p, a member of r, is installable in r, by ``installable_in``."""
+def _index(u: Universe, idx: "ClosureIndex | None") -> "ClosureIndex":
+    """idx, or a fresh index of u when it is None."""
     if idx is None:
         from .closure import ClosureIndex  # closure imports this module
         idx = ClosureIndex(u)
+    return idx
+
+
+def is_installable(p: Package, r: Iterable[Package], u: Universe,
+                   idx: "ClosureIndex | None" = None) -> bool:
+    """Whether p, a member of r, is installable in r, by ``installable_in``."""
+    idx = _index(u, idx)
     i, mask = idx.ids.get(p), idx.mask(r)
     if i is None or not mask >> i & 1:
         raise ValueError("need p ∈ r ⊆ packages")
@@ -400,9 +406,7 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
 def uninstallable(r: Iterable[Package], u: Universe,
                   idx: "ClosureIndex | None" = None) -> list[Package]:
     """The members of r that are not installable in r, in sorted order."""
-    if idx is None:
-        from .closure import ClosureIndex  # closure imports this module
-        idx = ClosureIndex(u)
+    idx = _index(u, idx)
     mask = idx.mask(r)
     return [idx.packages[i] for i in bits(mask & ~installable_mask(mask, idx))]
 
@@ -464,8 +468,10 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
     chosen = frozenset(t_prime)
     if not chosen <= u.packages:
         raise ValueError("candidate repository references unknown packages")
+    idx = _index(u, idx)
     seen: dict[str, Package] = {}
-    for p in sorted(chosen):
+    for i in bits(idx.mask(chosen)):
+        p = idx.packages[i]
         if p.name in seen:
             return AdmissibilityVerdict(
                 False, "uniqueness",
@@ -487,11 +493,13 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
 def check_testing(u: Universe, idx: "ClosureIndex | None" = None
                   ) -> list[AdmissibilityVerdict]:
     """All uniqueness/trimmedness defects of the incoming testing repository."""
+    idx = _index(u, idx)
     violations = []
     by_name: dict[str, list[Package]] = {}
-    for p in sorted(u.testing):
+    for i in bits(idx.mask(u.testing)):  # ids ascend in name order
+        p = idx.packages[i]
         by_name.setdefault(p.name, []).append(p)
-    for name, group in sorted(by_name.items()):
+    for name, group in by_name.items():
         if len(group) > 1:
             violations.append(AdmissibilityVerdict(
                 False, "uniqueness",

@@ -1,15 +1,39 @@
-"""Seeded random generators shared across the test suite."""
+"""Seeded random generators, and Package-level views of a ClosureIndex,
+shared across the test suite."""
 
 from __future__ import annotations
 
 import random
 
-from satmigrate.repo import Package, Universe, make_universe
+from satmigrate.closure import ClosureIndex
+from satmigrate.repo import Package, Universe, bits, make_universe
 from satmigrate.satcore import DpllSolver, SolveStatus
 
 
 def P(spec: str) -> Package:
     return Package.parse(spec)
+
+
+def may_dep(idx: ClosureIndex, p: Package) -> frozenset[Package]:
+    """The members of p's dependency disjunctions."""
+    return frozenset(idx.packages[q] for targets in idx.deps[idx.ids[p]]
+                     for q in targets)
+
+
+def _members(idx: ClosureIndex, mask: int) -> frozenset[Package]:
+    return frozenset(idx.packages[i] for i in bits(mask))
+
+
+def closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
+    return _members(idx, idx.closure_mask(idx.ids[p]))
+
+
+def hard_closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
+    return _members(idx, idx.hard_closure_mask(idx.ids[p]))
+
+
+def is_easy(idx: ClosureIndex, p: Package) -> bool:
+    return bool(idx.easy_mask >> idx.ids[p] & 1)
 
 
 def tiny_universe(pkgs, dep=None, conflicts=(), testing=None, unstable=None):

@@ -5,7 +5,8 @@ import random
 from satmigrate.closure import ClosureIndex
 from satmigrate.repo import make_universe
 
-from .generators import P, clustered_universe, random_universe, tiny_universe
+from .generators import (P, closure, clustered_universe, hard_closure,
+                         is_easy, may_dep, random_universe, tiny_universe)
 
 
 # -- may depend ----------------------------------------------------------------
@@ -13,17 +14,17 @@ from .generators import P, clustered_universe, random_universe, tiny_universe
 def test_may_depend_is_union_of_disjunctions():
     u = tiny_universe(["p/1", "a/1", "b/1", "c/1"],
                       dep={"p/1": [["a/1", "b/1"], ["c/1"]]})
-    assert ClosureIndex(u).may_dep(P("p/1")) == {P("a/1"), P("b/1"), P("c/1")}
+    assert may_dep(ClosureIndex(u), P("p/1")) == {P("a/1"), P("b/1"), P("c/1")}
 
 
 def test_may_depend_empty_without_dependencies():
     u = tiny_universe(["p/1"])
-    assert ClosureIndex(u).may_dep(P("p/1")) == frozenset()
+    assert may_dep(ClosureIndex(u), P("p/1")) == frozenset()
 
 
 def test_empty_disjunction_contributes_nothing():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert ClosureIndex(u).may_dep(P("p/1")) == frozenset()
+    assert may_dep(ClosureIndex(u), P("p/1")) == frozenset()
 
 
 # -- dependency closure -----------------------------------------------------------
@@ -32,20 +33,20 @@ def test_closure_of_chain():
     u = tiny_universe(["p/1", "q/1", "r/1"],
                       dep={"p/1": [["q/1"]], "q/1": [["r/1"]]})
     idx = ClosureIndex(u)
-    assert idx.closure(P("p/1")) == {P("p/1"), P("q/1"), P("r/1")}
-    assert idx.closure(P("q/1")) == {P("q/1"), P("r/1")}
+    assert closure(idx, P("p/1")) == {P("p/1"), P("q/1"), P("r/1")}
+    assert closure(idx, P("q/1")) == {P("q/1"), P("r/1")}
 
 
 def test_closure_of_cycle_is_whole_component():
     u = tiny_universe(["p/1", "q/1"],
                       dep={"p/1": [["q/1"]], "q/1": [["p/1"]]})
     idx = ClosureIndex(u)
-    assert idx.closure(P("p/1")) == idx.closure(P("q/1")) == {P("p/1"), P("q/1")}
+    assert closure(idx, P("p/1")) == closure(idx, P("q/1")) == {P("p/1"), P("q/1")}
 
 
 def test_closure_of_isolated_package_is_reflexive():
     u = tiny_universe(["p/1"])
-    assert ClosureIndex(u).closure(P("p/1")) == {P("p/1")}
+    assert closure(ClosureIndex(u), P("p/1")) == {P("p/1")}
 
 
 def test_closure_is_transitive_and_idempotent():
@@ -54,10 +55,10 @@ def test_closure_is_transitive_and_idempotent():
         u = random_universe(rng, max_size=8, dep_density=0.7)
         idx = ClosureIndex(u)
         for p in idx.packages:
-            closure = idx.closure(p)
-            assert p in closure
-            for q in closure:
-                assert idx.closure(q) <= closure  # transitive, hence idempotent
+            members = closure(idx, p)
+            assert p in members
+            for q in members:
+                assert closure(idx, q) <= members  # transitive, hence idempotent
 
 
 # -- easy packages -----------------------------------------------------------------
@@ -88,8 +89,8 @@ def test_isolated_package_stays_easy_despite_remote_conflict():
 def test_hard_closure_reduces_to_seed_when_all_easy():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
     idx = ClosureIndex(u)
-    assert idx.hard_closure(P("p/1")) == {P("p/1")}
-    assert idx.hard_closure(P("q/1")) == {P("q/1")}
+    assert hard_closure(idx, P("p/1")) == {P("p/1")}
+    assert hard_closure(idx, P("q/1")) == {P("q/1")}
 
 
 def test_hard_closure_excludes_easy_successors():
@@ -99,24 +100,24 @@ def test_hard_closure_excludes_easy_successors():
                       conflicts=[("p/1", "q/1")])
     idx = ClosureIndex(u)
     assert P("e/1") in idx.easy
-    assert idx.hard_closure(P("p/1")) == {P("p/1"), P("q/1")}
+    assert hard_closure(idx, P("p/1")) == {P("p/1"), P("q/1")}
 
 
 def test_hard_package_without_dependencies_closes_to_itself():
     u = tiny_universe(["p/1", "q/1"], conflicts=[("p/1", "q/1")])
     idx = ClosureIndex(u)
-    assert idx.hard_closure(P("p/1")) == {P("p/1")}
+    assert hard_closure(idx, P("p/1")) == {P("p/1")}
 
 
 def _hard_walk(idx: ClosureIndex, p) -> set:
     """What a walk from p reaches through hard successors; {p} for an easy p."""
-    if idx.is_easy(p):
+    if is_easy(idx, p):
         return {p}
     seen = {p}
     todo = [p]
     while todo:
-        for q in idx.may_dep(todo.pop()):
-            if q not in seen and not idx.is_easy(q):
+        for q in may_dep(idx, todo.pop()):
+            if q not in seen and not is_easy(idx, q):
                 seen.add(q)
                 todo.append(q)
     return seen
@@ -134,10 +135,10 @@ def test_hard_closure_is_the_walk_through_hard_successors():
     for u in universes:
         idx = ClosureIndex(u)
         for p in idx.packages:
-            hard = idx.hard_closure(p)
+            hard = hard_closure(idx, p)
             assert hard == _hard_walk(idx, p)
             assert idx.hard_closure_mask(idx.ids[p]) == idx.mask(hard)
-            pruned += not idx.is_easy(p) and hard != idx.closure(p)
+            pruned += not is_easy(idx, p) and hard != closure(idx, p)
     assert pruned > 0
 
 
@@ -203,10 +204,35 @@ def test_connecting_matches_its_definition_mid_scale():
         tracked = 0
         for p in idx.packages:
             ends = {a for a, b in idx.relevant_conflicts(p)}
-            expected = {q for q in idx.closure(p) if idx.closure(q) & ends}
+            expected = {q for q in closure(idx, p) if closure(idx, q) & ends}
             assert idx.connecting(p) == expected | {p}
             tracked += bool(ends)
         assert tracked > 0
+
+
+def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
+    # p5-pruned tracks a context when its connecting mask holds more than
+    # the context itself, and relies on this meaning relevant_ends(c) != 0;
+    # every fifth package or so also requires itself
+    rng = random.Random(59)
+    universes = [random_universe(rng, max_size=10, dep_density=0.7,
+                                 conflict_density=rng.random())
+                 for _ in range(200)]
+    universes += [clustered_universe(rng, rng.randint(100, 300),
+                                     conflicts=rng.randint(1, 40))
+                  for _ in range(8)]
+    seen = {True: 0, False: 0}
+    for u in universes:
+        pkgs = sorted(u.packages)
+        dep = {p: [*u.dep[p], *([[p]] if rng.random() < 0.2 else [])]
+               for p in pkgs}
+        idx = ClosureIndex(make_universe(pkgs, dep, u.conflicts, u.testing,
+                                         u.unstable))
+        for i in range(len(pkgs)):
+            conflicting = idx.relevant_ends(i) != 0
+            assert conflicting == (idx.connecting_mask(i) != 1 << i)
+            seen[conflicting] += 1
+    assert min(seen.values()) > 100, seen
 
 
 # -- cross-cutting invariants ----------------------------------------------------------
@@ -219,10 +245,9 @@ def test_containment_chain_and_easy_relevance():
         idx = ClosureIndex(u)
         for p in idx.packages:
             connecting = idx.connecting(p)
-            hard = idx.hard_closure(p)
-            closure = idx.closure(p)
+            hard = hard_closure(idx, p)
             assert p in connecting
-            assert connecting <= hard <= closure
+            assert connecting <= hard <= closure(idx, p)
             if p in idx.easy:
                 assert idx.relevant_conflicts(p) == frozenset()
                 assert hard == {p}
@@ -240,6 +265,6 @@ def test_results_independent_of_insertion_order():
         a, b = ClosureIndex(u), ClosureIndex(permuted)
         assert a.easy == b.easy
         for p in a.packages:
-            assert a.closure(p) == b.closure(p)
-            assert a.hard_closure(p) == b.hard_closure(p)
+            assert closure(a, p) == closure(b, p)
+            assert hard_closure(a, p) == hard_closure(b, p)
             assert a.connecting(p) == b.connecting(p)

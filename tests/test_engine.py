@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import satmigrate.satcore as satcore_mod
-from satmigrate import engine, oracle
+from satmigrate import engine, oracle, repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import PolicyRules, build_encoding, target_clause
 from satmigrate.engine import (ActuallySolvable, Budgets,
@@ -19,7 +19,7 @@ from satmigrate.engine import (ActuallySolvable, Budgets,
                                render_report, solve_migration,
                                structured_report)
 from satmigrate.oracle import admissible_sets, deletion_mus
-from satmigrate.repo import is_admissible
+from satmigrate.repo import Package, is_admissible
 
 from .generators import P, clustered_universe, tiny_universe
 
@@ -322,6 +322,68 @@ def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
     req = MigrationRequest(mode="target", target=P("a/2"))
     with pytest.raises(SolveTimedOut, match="core minimization"):
         explain_non_migration(P("a/2"), u, None, req)
+
+
+def test_provenance_golden_text():
+    # a/1 has id 0 and is the one tracked context of p5-pruned; y/1 stays
+    # untracked, so its disjunction (written e/1 | d/1) is a
+    # repository-level d clause whose options come in package order
+    u = tiny_universe(
+        ["a/1", "a/2", "b/1", "c/1", "d/1", "e/1", "y/1"],
+        dep={"a/1": [["b/1"], ["c/1"]], "y/1": [["e/1", "d/1"]]},
+        conflicts=[("b/1", "c/1")],
+        testing=["a/1", "b/1", "c/1", "d/1", "e/1", "y/1"],
+        unstable=["a/2", "b/1", "c/1", "d/1", "e/1", "y/1"])
+    req = MigrationRequest(mode="min-nontrivial", policy=PolicyRules(
+        groups=[[(1, P("e/1")), (-1, P("d/1"))]]))
+    problem = build_encoding(u, None, req.encoding, req.policy)
+    engine.attach_objective(req, u, problem)
+    assert [engine.describe_clause(info, problem.atoms.packages)
+            for info in problem.info] == [
+        "only one version of 'a' may be present: a/1 vs a/2",
+        "a/1 can only join the installation for a/1 if it is in the repository",
+        "b/1 can only join the installation for a/1 if it is in the repository",
+        "c/1 can only join the installation for a/1 if it is in the repository",
+        "a/1 needs an installation containing itself",
+        "a/1 requires one of [b/1] in the installation for a/1",
+        "a/1 requires one of [c/1] in the installation for a/1",
+        "y/1 requires one of [d/1, e/1] in the repository",
+        "b/1 conflicts with c/1 (installation for a/1)",
+        "policy group: +e/1 -d/1",
+        "policy group: +e/1 -d/1",
+        "at least one candidate package must change",
+    ]
+
+
+def _fields(info):
+    for field in info:
+        yield from field if isinstance(field, tuple) else (field,)
+
+
+def test_no_provenance_field_is_a_package():
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(4):
+        u = clustered_universe(rng, rng.randint(60, 120), conflicts=10)
+        idx = ClosureIndex(u)
+        pkgs = idx.packages
+        policy = PolicyRules(groups=[[(1, pkgs[0]), (-1, pkgs[1])]],
+                             extra_clauses=[[(1, pkgs[2])]])
+        target = min(u.unstable - u.testing)
+        infos = []
+        for name in ("p3", "p4", "p5-strict", "p5-pruned"):
+            problem = build_encoding(u, idx, name, policy)
+            infos += problem.info
+            infos.append(target_clause(target, u, problem.atoms)[1])
+        testing = idx.mask(u.testing)
+        for i in range(len(pkgs)):
+            if testing >> i & 1:
+                infos += repo.installation_query(
+                    i, idx.closure_mask(i) & testing, 0, idx)[1]
+        for info in infos:
+            assert not any(isinstance(f, Package) for f in _fields(info)), info
+            checked += 1
+    assert checked > 1000
 
 
 def test_explaining_migratable_package_raises():
