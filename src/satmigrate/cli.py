@@ -5,7 +5,8 @@ Packages files for the testing and unstable repositories; all diagnostics
 go to stderr and exit codes are fixed for scripting:
 
 0 success, 1 usage/parse/IO error, 2 unsolvable, 3 timeout,
-4 check found violations.
+4 check found violations. A command returns 0 or 4 and raises on any
+failure; ``main`` maps each failure to its exit code and message.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ EXIT_UNSOLVABLE = 2
 EXIT_TIMEOUT = 3
 EXIT_VIOLATIONS = 4
 
-# Failures that every command reports as "error: ..." with exit 1.
+# Failures that every command reports as "error: ..." with exit 1;
+# main catches engine.Unsolvable and TIMEOUTS first.
 ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
           encoder.EncoderError, engine.EngineError, satcore.SatCoreError)
 # Running out of a time budget, reported as "timeout: ..." with exit 3;
@@ -99,6 +101,8 @@ def _modeful_request(args) -> MigrationRequest:
     target = Package.parse(args.target) if args.target else None
     if args.mode == "target" and target is None:
         raise ValueError("--mode target needs --target NAME/VER")
+    if args.mode != "target" and target is not None:
+        raise ValueError("--target needs --mode target")
     mode = {"max": "max", "min": "min-nontrivial", "target": "target"}[args.mode]
     return _request_from_args(args, mode, target)
 
@@ -108,21 +112,14 @@ def _print_structured(document: dict):
 
 
 def cmd_migrate(args) -> int:
-    try:
-        universe = _load_universe(args)
-        request = _modeful_request(args)
-        if args.all_deltas:
-            results = engine.alternative_optima(request, universe, args.all_deltas)
-        else:
-            results = [engine.solve_migration(request, universe)]
-    except engine.Unsolvable as exc:
-        print(f"unsolvable: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
-    except TIMEOUTS as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except ERRORS as exc:
-        return _fail(str(exc))
+    if args.all_deltas < 0:
+        raise ValueError(f"--all-deltas must not be negative, got {args.all_deltas}")
+    universe = _load_universe(args)
+    request = _modeful_request(args)
+    if args.all_deltas:
+        results = engine.alternative_optima(request, universe, args.all_deltas)
+    else:
+        results = [engine.solve_migration(request, universe)]
     if args.format == "structured":
         documents = [engine.structured_report(r) for r in results]
         _print_structured(documents[0] if len(documents) == 1
@@ -139,35 +136,25 @@ def cmd_migrate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        universe = _load_universe(args)
-        target = Package.parse(args.package)
-    except ERRORS as exc:
-        return _fail(str(exc))
+    universe = _load_universe(args)
+    target = Package.parse(args.package)
     if target not in universe.packages:
         close = difflib.get_close_matches(
             target.name, {p.name for p in universe.packages}, n=3)
         hint = f"; did you mean: {', '.join(close)}" if close else ""
-        return _fail(f"unknown package {target}{hint}")
+        raise ValueError(f"unknown package {target}{hint}")
+    request = _request_from_args(args, "target", target)
     try:
-        request = _request_from_args(args, "target", target)
-        idx = ClosureIndex(universe)
-        try:
-            result = engine.solve_migration(request, universe, idx)
-        except engine.Unsolvable as exc:
-            explanation = engine.explain_non_migration(target, universe, idx,
-                                                       request, exc.problem)
-            if args.format == "structured":
-                _print_structured({"package": str(target), "migrates": False,
-                                   "explanation": list(explanation.facts)})
-            else:
-                sys.stdout.write(explanation.render())
-            return EXIT_OK
-    except TIMEOUTS as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except ERRORS as exc:
-        return _fail(str(exc))
+        result = engine.solve_migration(request, universe)
+    except engine.Unsolvable as exc:
+        explanation = engine.explain_non_migration(
+            target, exc.problem, request.budgets.sat_timeout)
+        if args.format == "structured":
+            _print_structured({"package": str(target), "migrates": False,
+                               "explanation": list(explanation.facts)})
+        else:
+            sys.stdout.write(explanation.render())
+        return EXIT_OK
     if args.format == "structured":
         _print_structured({"package": str(target), "migrates": True,
                            "delta": result.delta,
@@ -182,29 +169,23 @@ def cmd_check(args) -> int:
     entries = []
     timeout = (satcore.DEFAULT_SAT_TIMEOUT if args.timeout is None
                else args.timeout)
-    try:
-        universe = _load_universe(args)
-        idx = ClosureIndex(universe)
-        testing = idx.mask(universe.testing)
-        for violation in repo.check_testing(universe, idx):
-            entry = {"kind": violation.kind, "detail": violation.detail,
-                     "packages": [str(p) for p in violation.subjects],
-                     "explanation": None}
-            if violation.kind == "trimmedness":
-                target = idx.ids[violation.subjects[0]]
-                clauses, info, ids = repo.installation_query(
-                    target, idx.closure_mask(target) & testing, 0, idx)
-                mus = satcore.extract_mus(clauses, num_vars=len(ids),
-                                          timeout=timeout)
-                entry["explanation"] = [
-                    engine.describe_clause(info[i], idx.packages)
-                    for i in mus.core]
-            entries.append(entry)
-    except TIMEOUTS as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except ERRORS as exc:
-        return _fail(str(exc))
+    universe = _load_universe(args)
+    idx = ClosureIndex(universe)
+    testing = idx.mask(universe.testing)
+    for violation in repo.check_testing(universe, idx):
+        entry = {"kind": violation.kind, "detail": violation.detail,
+                 "packages": [str(p) for p in violation.subjects],
+                 "explanation": None}
+        if violation.kind == "trimmedness":
+            target = idx.ids[violation.subjects[0]]
+            clauses, info, ids = repo.installation_query(
+                target, idx.closure_mask(target) & testing, 0, idx)
+            mus = satcore.extract_mus(clauses, num_vars=len(ids),
+                                      timeout=timeout)
+            entry["explanation"] = [
+                engine.describe_clause(info[i], idx.packages)
+                for i in mus.core]
+        entries.append(entry)
     if args.format == "structured":
         _print_structured({"clean": not entries, "violations": entries})
     elif not entries:
@@ -236,12 +217,10 @@ def _stats_rows(universe: Universe, idx: ClosureIndex) -> list[dict]:
 
 
 def cmd_stats(args) -> int:
-    try:
-        universe = _load_universe(args)
-        idx = ClosureIndex(universe)
-        rows = _stats_rows(universe, idx)
-    except ERRORS as exc:
-        return _fail(str(exc))
+    universe = _load_universe(args)
+    idx = ClosureIndex(universe)
+    rows = _stats_rows(universe, idx)
+
     def _distribution(values):
         return {"min": min(values, default=0),
                 "median": int(statistics.median(values)) if values else 0,
@@ -279,23 +258,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    try:
-        universe = _load_universe(args)
-        request = _modeful_request(args)
-        problem = encoder.build_encoding(universe, None, request.encoding,
-                                         request.policy)
-        engine.attach_objective(request, universe, problem)
-        if args.kind == "cnf" and problem.soft:
-            return _fail("cnf cannot carry the soft clauses of this objective")
-        payload = satcore.emit_dimacs(problem.hard,
-                                      problem.soft if args.kind == "wcnf" else None,
-                                      num_vars=problem.num_vars, kind=args.kind)
-        out = Path(args.out)
-        out.write_bytes(payload)
-        map_path = Path(str(out) + ".map")
-        map_path.write_text(problem.atoms.render_map())
-    except ERRORS as exc:
-        return _fail(str(exc))
+    universe = _load_universe(args)
+    request = _modeful_request(args)
+    problem = encoder.build_encoding(universe, None, request.encoding,
+                                     request.policy)
+    engine.attach_objective(request, universe, problem)
+    if args.kind == "cnf" and problem.soft:
+        raise ValueError("cnf cannot carry the soft clauses of this objective")
+    payload = satcore.emit_dimacs(problem.hard,
+                                  problem.soft if args.kind == "wcnf" else None,
+                                  num_vars=problem.num_vars, kind=args.kind)
+    out = Path(args.out)
+    out.write_bytes(payload)
+    map_path = Path(str(out) + ".map")
+    map_path.write_text(problem.atoms.render_map())
     if args.format == "structured":
         _print_structured({"instance": str(out), "atom_map": str(map_path),
                            "kind": args.kind,
@@ -353,7 +329,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.timeout is not None and not args.timeout > 0:
         return _fail(f"--timeout must be positive, got {args.timeout}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except engine.Unsolvable as exc:
+        print(f"unsolvable: {exc}", file=sys.stderr)
+        return EXIT_UNSOLVABLE
+    except TIMEOUTS as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
+    except ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -58,36 +58,18 @@ class NotAMigrationCandidate(EncoderError):
     testing."""
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A package atom ("p is in T'") or an installation atom
-    ("p is in the installation for context")."""
-
-    package: Package
-    context: Package | None = None
-
-    @property
-    def is_package_atom(self) -> bool:
-        return self.context is None
-
-    def __str__(self) -> str:
-        if self.context is None:
-            return str(self.package)
-        return f"{self.package} @ {self.context}"
-
-
 class AtomTable:
     """Dense, deterministic bijection between atoms and 1-based indices.
 
-    Package atom i+1 stands for the i-th package in sorted order; the
-    installation atoms follow, sorted by (context id, member id) over those
-    same ids, and ``contexts`` maps each context id to its
-    {member id: atom id}. Atom objects are built only on request.
+    The ids are the ``ClosureIndex``'s, and ``pkg`` reads them from the
+    index's own table: package atom i+1 stands for the index's package i.
+    The installation atoms follow, sorted by (context id, member id), and
+    ``contexts`` maps each context id to its {member id: atom id}.
     """
 
-    def __init__(self, packages, inst_pairs=()):
-        self.packages: tuple[Package, ...] = tuple(sorted(packages))
-        self._ids = {p: i for i, p in enumerate(self.packages)}
+    def __init__(self, idx: ClosureIndex, inst_pairs=()):
+        self.packages: tuple[Package, ...] = idx.packages
+        self._ids = idx.ids
         self.num_package_atoms = len(self.packages)
         self.inst_pairs: list[tuple[int, int]] = sorted(inst_pairs)
         self.num_inst_atoms = len(self.inst_pairs)
@@ -102,22 +84,6 @@ class AtomTable:
     def pkg(self, p: Package) -> int:
         return self._ids[p] + 1
 
-    def inst(self, member: Package, context: Package) -> int:
-        return self.contexts[self._ids[context]][self._ids[member]]
-
-    def has_inst(self, member: Package, context: Package) -> bool:
-        return self._ids[member] in self.contexts.get(self._ids[context], ())
-
-    def atom(self, index: int) -> Atom:
-        if index <= self.num_package_atoms:
-            return Atom(self.packages[index - 1])
-        context, member = self.inst_pairs[index - self.num_package_atoms - 1]
-        return Atom(self.packages[member], self.packages[context])
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(self.atom(i) for i in range(1, len(self) + 1))
-
     def render_map(self) -> str:
         pkgs = self.packages
         lines = [f"{i} pkg {p}" for i, p in enumerate(pkgs, start=1)]
@@ -125,24 +91,6 @@ class AtomTable:
                   for i, (context, member) in
                   enumerate(self.inst_pairs, start=self.num_package_atoms + 1)]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_atom_map(text: str) -> AtomTable:
-    """Inverse of AtomTable.render_map for round-trip checks."""
-    packages = []
-    inst_pairs = []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[1] == "pkg":
-            packages.append(Package.parse(parts[2]))
-        elif parts[1] == "inst" and parts[3] == "@":
-            inst_pairs.append((Package.parse(parts[4]), Package.parse(parts[2])))
-        else:
-            raise ValueError(f"bad atom map line {line!r}")
-    ids = {p: i for i, p in enumerate(sorted(packages))}
-    return AtomTable(packages, [(ids[c], ids[m]) for c, m in inst_pairs])
 
 
 @dataclass
@@ -312,7 +260,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
             members = scheme.members(idx, c)  # {c} alone: no conflict
             if not scheme.conflicting_only or members != 1 << c:
                 inst_pairs += [(c, m) for m in bits(members)]
-    atoms = AtomTable(pkgs, inst_pairs)
+    atoms = AtomTable(idx, inst_pairs)
     contexts = atoms.contexts  # the tracked contexts, each with its members
     problem = EncodedProblem(encoding_id, atoms)
     uniqueness_clauses(problem)

@@ -27,13 +27,14 @@ class EngineError(Exception):
 class Unsolvable(EngineError):
     """Hard clauses are unsatisfiable.
 
-    Without a target clause this indicates a malformed policy, since the
-    trivial migration satisfies everything else; in target mode it means
-    the requested package cannot migrate (explanations start here), and
-    ``problem`` is the encoding whose hard clauses have no model.
+    ``problem`` is the encoding whose hard clauses have no model, with the
+    objective attached. Without a target clause this indicates a malformed
+    policy, since the trivial migration satisfies everything else; in
+    target mode it means the requested package cannot migrate, and
+    ``explain_non_migration`` takes ``problem`` to find out why.
     """
 
-    def __init__(self, message: str, problem: EncodedProblem | None = None):
+    def __init__(self, message: str, problem: EncodedProblem):
         super().__init__(message)
         self.problem = problem
 
@@ -103,7 +104,6 @@ class MigrationResult:
     externally_claimed: bool
     encoding_id: str
     warnings: tuple[str, ...] = ()
-    explanation: Explanation | None = None
 
 
 def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem):
@@ -199,17 +199,15 @@ def _verified_result(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     )
 
 
-def solve_migration(req: MigrationRequest, u: Universe,
-                    idx: ClosureIndex | None = None) -> MigrationResult:
-    if idx is None:
-        idx = ClosureIndex(u)
-    return _solve_encoded(req, u, idx)[0]
+def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
+    return _solve_encoded(req, u)[0]
 
 
-def _solve_encoded(req: MigrationRequest, u: Universe, idx: ClosureIndex
-                   ) -> tuple[MigrationResult, EncodedProblem]:
+def _solve_encoded(req: MigrationRequest, u: Universe
+                   ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex]:
     """solve_migration, also returning the encoding it solved (objective
-    attached) for further solves."""
+    attached) and the closure index it built, for further solves."""
+    idx = ClosureIndex(u)
     warnings = []
     for violation in repo.check_testing(u, idx):
         warnings.append(f"testing violates assumptions: {violation.detail}")
@@ -237,7 +235,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe, idx: ClosureIndex
                         " optimality claim")
     return _verified_result(req, u, idx, problem, model, recount,
                             result.externally_claimed,
-                            problem.warnings + warnings), problem
+                            problem.warnings + warnings), problem, idx
 
 
 def alternative_optima(req: MigrationRequest, u: Universe,
@@ -247,8 +245,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     the same objective value. Embedded solver only."""
     if req.solver_command is not None:
         raise EngineError("alternative enumeration needs the embedded solver")
-    idx = ClosureIndex(u)
-    first, problem = _solve_encoded(req, u, idx)
+    first, problem, idx = _solve_encoded(req, u)
     results = [first]
     incoming, outgoing = encoder.migration_candidates(u)
     candidates = incoming + outgoing
@@ -314,24 +311,18 @@ def describe_clause(info: tuple, packages: tuple[Package, ...]) -> str:
     return _STATEMENTS[family].format(*(packages[i] for i in fields))
 
 
-def explain_non_migration(p: Package, u: Universe, idx: ClosureIndex | None,
-                          req: MigrationRequest,
-                          problem: EncodedProblem | None = None) -> Explanation:
-    """Minimal unsatisfiable core of the targeted migration, mapped back to
-    domain statements via the per-clause provenance tags.
+def explain_non_migration(p: Package, problem: EncodedProblem,
+                          timeout: float) -> Explanation:
+    """Minimal unsatisfiable core of ``problem``'s hard clauses, mapped back
+    to domain statements via the per-clause provenance tags.
 
-    ``problem`` is the target-mode encoding of p that ``solve_migration``
-    found unsatisfiable (see ``Unsolvable``); without it the encoding is
-    built here. Either way its hard clauses end with p's target clause.
+    ``problem`` is the target-mode encoding of p whose solve raised
+    ``Unsolvable`` (its ``problem``), so its hard clauses end with p's
+    target clause; ``timeout`` bounds the core extraction.
     """
-    if problem is None:
-        problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
-        clause, info = encoder.target_clause(p, u, problem.atoms)
-        problem.hard.append(clause)
-        problem.info.append(info)
     try:
         mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
-                                  timeout=req.budgets.sat_timeout)
+                                  timeout=timeout)
     except satcore.NotUnsat:
         raise ActuallySolvable(f"{p} migrates; nothing to explain") from None
     except satcore.MusTimedOut as exc:
@@ -387,7 +378,7 @@ def structured_report(result: MigrationResult) -> dict:
         "verified": result.verified,
         "optimum": {"count": result.optimum,
                     "externally_claimed": result.externally_claimed},
-        "explanation": list(result.explanation.facts) if result.explanation else None,
+        "explanation": None,
         "encoding": result.encoding_id,
         "warnings": list(result.warnings),
         "hints": render_hints(result) if result.verified else None,

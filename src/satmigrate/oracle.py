@@ -284,7 +284,7 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
             if not scheme.conflicting_only or idx.relevant_ends(c):
                 tracked[c] = scheme.members(idx, c)
     pairs = [(c, m) for c, mask in tracked.items() for m in bits(mask)]
-    atoms = encoder.AtomTable(pkgs, pairs)
+    atoms = encoder.AtomTable(idx, pairs)
     inst = {pair: len(pkgs) + 1 + k for k, pair in enumerate(pairs)}
     problem = EncodedProblem(encoding_id, atoms)
     add = problem.add

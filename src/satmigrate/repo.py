@@ -411,11 +411,6 @@ def uninstallable(r: Iterable[Package], u: Universe,
     return [idx.packages[i] for i in bits(mask & ~installable_mask(mask, idx))]
 
 
-def is_trimmed(r: Iterable[Package], u: Universe,
-               idx: "ClosureIndex | None" = None) -> bool:
-    return not uninstallable(r, u, idx)
-
-
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     ok: bool

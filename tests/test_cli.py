@@ -14,7 +14,6 @@ from satmigrate.cli import (EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
 from satmigrate.engine import parse_structured_report
 from satmigrate.repo import Package
 from satmigrate.satcore import parse_dimacs
-from satmigrate.encoder import parse_atom_map
 
 UPGRADE_TESTING = "Package: a\nVersion: 1\n\n"
 UPGRADE_UNSTABLE = "Package: a\nVersion: 2\n\n"
@@ -309,8 +308,8 @@ def test_emit_wcnf_round_trip(repos, tmp_path, capsys):
     assert kind == "wcnf"
     assert num_vars == 2
     assert len(soft) == 2
-    table = parse_atom_map((tmp_path / "instance.wcnf.map").read_text())
-    assert [str(a) for a in table.atoms] == ["a/1", "a/2"]
+    assert (tmp_path / "instance.wcnf.map").read_text() == \
+        "1 pkg a/1\n2 pkg a/2\n"
 
 
 def test_emit_cnf_with_soft_objective_fails(repos, tmp_path, capsys):
@@ -386,7 +385,7 @@ def test_explain_reports_repo_error(repos, capsys, monkeypatch):
     import satmigrate.engine as engine_mod
     import satmigrate.repo as repo_mod
 
-    def fake_solve(req, u, idx=None):
+    def fake_solve(req, u):
         raise repo_mod.RepoError("installability query timed out")
 
     monkeypatch.setattr(engine_mod, "solve_migration", fake_solve)
@@ -463,41 +462,89 @@ def test_cli_import_leaves_numpy_unloaded():
     assert oracle_loaded == "False"
 
 
-def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):
+def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
+    # the core is taken from the encoding the failed target-mode solve built,
+    # and one closure index serves each run, alternatives included
+    from satmigrate import encoder
     from satmigrate.closure import ClosureIndex
 
-    built = []
-    original = ClosureIndex.__init__
+    encodings, indexes = [], []
+    original_encoding = encoder.build_encoding
+    original_index = ClosureIndex.__init__
 
-    def counting(self, universe):
-        built.append(universe)
-        original(self, universe)
+    def counting_encoding(*args, **kwargs):
+        encodings.append(args)
+        return original_encoding(*args, **kwargs)
 
-    monkeypatch.setattr(ClosureIndex, "__init__", counting)
-    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
-                 "mutt/2.2"])
-    assert code == EXIT_OK
-    assert "cannot migrate" in capsys.readouterr().out
-    assert len(built) == 1
+    def counting_index(self, universe):
+        indexes.append(universe)
+        original_index(self, universe)
+
+    monkeypatch.setattr(encoder, "build_encoding", counting_encoding)
+    monkeypatch.setattr(ClosureIndex, "__init__", counting_index)
+    common = repos(GOLDEN_TESTING, GOLDEN_UNSTABLE)
+    for argv, expected in ((["explain", *common, "mutt/2.2"], "cannot migrate"),
+                           (["migrate", *common], "verified: yes"),
+                           (["migrate", *common, "--all-deltas", "2"],
+                            "verified: yes")):
+        encodings.clear()
+        indexes.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert expected in capsys.readouterr().out
+        assert (len(encodings), len(indexes)) == (1, 1), argv
 
 
-def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
-    # the core is taken from the encoding the failed target-mode solve built
-    from satmigrate import encoder
+def _failure(family: str) -> Exception:
+    from satmigrate import encoder, engine, satcore
 
-    built = []
-    original = encoder.build_encoding
+    return {"unsolvable": engine.Unsolvable("no model", None),
+            "timeout": satcore.MusTimedOut("out of time"),
+            "error": encoder.EncoderError("bad encoding")}[family]
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(encoder, "build_encoding", counting)
-    code = main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
-                 "mutt/2.2"])
-    assert code == EXIT_OK
-    assert "cannot migrate" in capsys.readouterr().out
-    assert len(built) == 1
+@pytest.mark.parametrize("family,code",
+                         [("unsolvable", EXIT_UNSOLVABLE),
+                          ("timeout", EXIT_TIMEOUT), ("error", EXIT_ERROR)])
+@pytest.mark.parametrize("command", ["migrate", "explain", "check", "stats",
+                                     "emit"])
+def test_main_maps_each_failure_family_to_its_exit_code(
+        repos, capsys, monkeypatch, tmp_path, command, family, code):
+    import satmigrate.repo as repo_mod
+
+    def failing(*args, **kwargs):
+        raise _failure(family)
+
+    monkeypatch.setattr(repo_mod, "build_universe", failing)
+    extra = {"explain": ["a/2"], "emit": [str(tmp_path / "out.wcnf")]}
+    assert main([command, *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                 *extra.get(command, [])]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{family}: {_failure(family)}\n"
+
+
+def test_negative_all_deltas_is_a_usage_error(repos, capsys):
+    code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                 "--all-deltas", "-2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: --all-deltas must not be negative, got -2\n"
+
+
+@pytest.mark.parametrize("command", [["migrate"], ["migrate", "--mode", "min"],
+                                     ["emit"]])
+def test_target_without_target_mode_is_a_usage_error(repos, capsys, tmp_path,
+                                                     command):
+    out_path = tmp_path / "out.wcnf"
+    extra = [str(out_path)] if command[0] == "emit" else []
+    code = main([*command, *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE), *extra,
+                 "--target", "a/2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: --target needs --mode target\n"
+    assert not out_path.exists()
 
 
 # a/1 needs b or c, which conflict: the greedy installation {a/1, b/1}

@@ -10,7 +10,7 @@ from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
                                 PolicyRules, UniverseTooLarge, UnknownPackage,
-                                build_encoding, instance_stats, parse_atom_map,
+                                build_encoding, instance_stats,
                                 soft_max, soft_min_with_nontriviality,
                                 target_clause)
 from satmigrate.oracle import (admissible_masks, admissible_sets,
@@ -118,7 +118,7 @@ def test_p2_isolated_package_clauses():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p2")
     a = problem.atoms.pkg(P("a/1"))
-    aa = problem.atoms.inst(P("a/1"), P("a/1"))
+    aa = problem.atoms.contexts[0][0]
     assert _clauses(problem, "e") == [satcore.normalize_clause((-aa, a))]
     assert _clauses(problem, "i") == [satcore.normalize_clause((-a, aa))]
 
@@ -126,11 +126,9 @@ def test_p2_isolated_package_clauses():
 def test_p2_conflict_clause_per_context():
     u = tiny_universe(["p/1", "q/1"], conflicts=[("p/1", "q/1")])
     problem = build_encoding(u, None, "p2")
-    atoms = problem.atoms
-    expected = {
-        satcore.normalize_clause((-atoms.inst(P("p/1"), ctx),
-                                  -atoms.inst(P("q/1"), ctx)))
-        for ctx in (P("p/1"), P("q/1"))}
+    contexts = problem.atoms.contexts  # p/1 is id 0, q/1 is id 1
+    expected = {satcore.normalize_clause((-contexts[c][0], -contexts[c][1]))
+                for c in (0, 1)}
     assert set(_clauses(problem, "c")) == expected
 
 
@@ -185,7 +183,7 @@ def test_p4_all_easy_keeps_only_seed_atoms():
     for clause, info in zip(problem.hard, problem.info):
         if info[0] == "d":
             # all positive references are package atoms
-            assert all(problem.atoms.atom(l).is_package_atom
+            assert all(abs(l) <= problem.atoms.num_package_atoms
                        for l in clause if l > 0)
 
 
@@ -197,8 +195,9 @@ def test_p4_easy_dependency_referenced_as_package_atom():
     assert is_easy(idx, P("e/1")) and not is_easy(idx, P("p/1"))
     problem = build_encoding(u, idx, "p4")
     atoms = problem.atoms
+    p = idx.ids[P("p/1")]
     expected = satcore.normalize_clause(
-        (-atoms.inst(P("p/1"), P("p/1")), atoms.pkg(P("e/1"))))
+        (-atoms.contexts[p][p], atoms.pkg(P("e/1"))))
     assert expected in _clauses(problem, "d")
 
 
@@ -224,8 +223,7 @@ def test_p5_tracks_conflicting_alternatives_and_blocks_package():
                       conflicts=[("q/1", "r/1")])
     problem = build_encoding(u, None, "p5-pruned")
     atoms = problem.atoms
-    for member in ("p/1", "q/1", "r/1"):
-        assert atoms.has_inst(P(member), P("p/1"))
+    assert set(atoms.contexts[0]) == {0, 1, 2}  # p/1, q/1 and r/1 in p/1's
     # brute-force enumeration: no assignment makes PkgVar p true
     blocked = brute_force_solve(
         problem.hard + [(atoms.pkg(P("p/1")),)], num_vars=problem.num_vars)
@@ -348,23 +346,21 @@ def test_stats_counts_by_family():
 def test_atom_numbering_packages_first_then_context_member():
     u = tiny_universe(["b/1", "a/1"], dep={"a/1": [["b/1"]]})
     problem = build_encoding(u, None, "p3")
-    atoms = problem.atoms
-    assert [str(atoms.atom(i)) for i in range(1, len(atoms) + 1)] == [
-        "a/1", "b/1", "a/1 @ a/1", "b/1 @ a/1", "b/1 @ b/1"]
-
-
-def test_atom_map_round_trip():
-    u = tiny_universe(["a/1", "b/1"], dep={"a/1": [["b/1"]]})
-    problem = build_encoding(u, None, "p3")
-    parsed = parse_atom_map(problem.atoms.render_map())
-    assert parsed.atoms == problem.atoms.atoms
+    assert problem.atoms.render_map().splitlines() == [
+        "1 pkg a/1", "2 pkg b/1", "3 inst a/1 @ a/1", "4 inst b/1 @ a/1",
+        "5 inst b/1 @ b/1"]
 
 
 def test_atom_table_orders_inst_by_context_then_member():
-    # (context id, member id) over the sorted packages: a/1 is 0, b/1 is 1
-    table = AtomTable([P("b/1"), P("a/1")], [(1, 0), (0, 0), (0, 1)])
-    rendered = [str(a) for a in table.atoms]
-    assert rendered == ["a/1", "b/1", "a/1 @ a/1", "b/1 @ a/1", "a/1 @ b/1"]
+    # (context id, member id) over the index's sorted packages: a/1 is 0,
+    # b/1 is 1
+    idx = ClosureIndex(tiny_universe(["b/1", "a/1"]))
+    table = AtomTable(idx, [(1, 0), (0, 0), (0, 1)])
+    assert table.pkg(P("b/1")) == 2
+    assert table.contexts == {0: {0: 3, 1: 4}, 1: {0: 5}}
+    assert table.render_map().splitlines() == [
+        "1 pkg a/1", "2 pkg b/1", "3 inst a/1 @ a/1", "4 inst b/1 @ a/1",
+        "5 inst a/1 @ b/1"]
 
 
 # -- cross-encoding behaviour ------------------------------------------------------------

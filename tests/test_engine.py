@@ -54,7 +54,7 @@ def test_encodings_agree_on_mid_scale_universes():
         for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
             req = MigrationRequest(mode="max", encoding=encoding,
                                    budgets=Budgets(pmax_timeout=10.0))
-            result = solve_migration(req, u, idx)
+            result = solve_migration(req, u)
             assert result.verified and is_admissible(result.t_prime, u, None, idx)
             optima.add(result.optimum)
         assert len(optima) == 1, (size, optima)
@@ -227,18 +227,28 @@ def test_decode_ignores_inst_atoms():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p2")
     a = problem.atoms.pkg(P("a/1"))
-    aa = problem.atoms.inst(P("a/1"), P("a/1"))
+    aa = problem.atoms.contexts[0][0]
     assert decode_solution(frozenset({a, aa}), problem.atoms) == {P("a/1")}
     assert decode_solution(frozenset({aa}), problem.atoms) == frozenset()
 
 
 # -- explanations ------------------------------------------------------------------
 
+TIMEOUT = Budgets().sat_timeout
+
+
+def _blocked(u, p):
+    """The encoding whose target-mode solve for p raised Unsolvable."""
+    with pytest.raises(Unsolvable) as raised:
+        solve_migration(MigrationRequest(mode="target", target=p), u)
+    return raised.value.problem
+
+
 def test_explanation_cites_empty_disjunction():
     u = tiny_universe(["a/1", "a/2"], dep={"a/2": [[]]},
                       testing=["a/1"], unstable=["a/2"])
-    req = MigrationRequest(mode="target", target=P("a/2"))
-    explanation = explain_non_migration(P("a/2"), u, ClosureIndex(u), req)
+    explanation = explain_non_migration(P("a/2"), _blocked(u, P("a/2")),
+                                        TIMEOUT)
     assert any("a/2 requires one of [nothing]" in fact
                for fact in explanation.facts)
     assert any("migration of a/2 was requested" in fact
@@ -254,8 +264,8 @@ def test_explanation_names_conflict_pair_and_context():
         dep={"p/2": [["n/1"], ["k/1"]]},
         conflicts=[("n/1", "k/1")],
         testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
-    req = MigrationRequest(mode="target", target=P("p/2"))
-    explanation = explain_non_migration(P("p/2"), u, ClosureIndex(u), req)
+    explanation = explain_non_migration(P("p/2"), _blocked(u, P("p/2")),
+                                        TIMEOUT)
     assert any("k/1 conflicts with n/1 (installation for p/2)" in fact
                for fact in explanation.facts)
     assert any("migration of p/2 was requested" in fact
@@ -268,10 +278,8 @@ def test_explanation_core_equals_one_by_one_deletion():
         dep={"p/2": [["n/1"], ["k/1"]]},
         conflicts=[("n/1", "k/1")],
         testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
-    req = MigrationRequest(mode="target", target=P("p/2"))
-    problem = build_encoding(u, None, req.encoding)
-    problem.hard.append(target_clause(P("p/2"), u, problem.atoms)[0])
-    explanation = explain_non_migration(P("p/2"), u, ClosureIndex(u), req)
+    problem = _blocked(u, P("p/2"))
+    explanation = explain_non_migration(P("p/2"), problem, TIMEOUT)
     assert explanation.core == deletion_mus(problem.hard,
                                             num_vars=problem.num_vars)
     assert explanation.facts == (
@@ -319,9 +327,9 @@ def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
     monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
     u = tiny_universe(["a/1", "a/2"], dep={"a/2": [[]]},
                       testing=["a/1"], unstable=["a/2"])
-    req = MigrationRequest(mode="target", target=P("a/2"))
+    problem = _blocked(u, P("a/2"))
     with pytest.raises(SolveTimedOut, match="core minimization"):
-        explain_non_migration(P("a/2"), u, None, req)
+        explain_non_migration(P("a/2"), problem, TIMEOUT)
 
 
 def test_provenance_golden_text():
@@ -389,8 +397,10 @@ def test_no_provenance_field_is_a_package():
 def test_explaining_migratable_package_raises():
     u = _upgrade_universe()
     req = MigrationRequest(mode="target", target=P("a/2"))
+    problem = build_encoding(u, None, req.encoding)
+    engine.attach_objective(req, u, problem)
     with pytest.raises(ActuallySolvable):
-        explain_non_migration(P("a/2"), u, None, req)
+        explain_non_migration(P("a/2"), problem, TIMEOUT)
 
 
 # -- hints / reports ----------------------------------------------------------------
@@ -417,7 +427,6 @@ def test_hints_empty_delta():
 def test_hints_refuse_unverified():
     u = _upgrade_universe()
     result = solve_migration(MigrationRequest(mode="max"), u)
-    object.__setattr__ if False else None
     result.verified = False
     with pytest.raises(RefuseUnverified):
         render_hints(result)

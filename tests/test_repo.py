@@ -12,7 +12,7 @@ from satmigrate.encoder import PolicyRules
 from satmigrate.oracle import ContextTooLarge, admissible_sets
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_healthy,
-                             is_installable, is_trimmed, make_universe,
+                             is_installable, make_universe,
                              policy_satisfied, check_testing, uninstallable,
                              unique_pairs)
 
@@ -187,17 +187,17 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
 
 def test_empty_repository_is_trimmed():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert is_trimmed([], u)
+    assert not uninstallable([], u)
 
 
 def test_broken_package_breaks_trimmedness():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert not is_trimmed([P("p/1")], u)
+    assert uninstallable([P("p/1")], u)
 
 
 def test_dependency_chain_is_trimmed():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    assert is_trimmed([P("p/1"), P("q/1")], u)
+    assert not uninstallable([P("p/1"), P("q/1")], u)
 
 
 def test_trivial_migration_is_admissible():
