@@ -462,36 +462,44 @@ def test_cli_import_leaves_numpy_unloaded():
     assert oracle_loaded == "False"
 
 
-def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
-    # the core is taken from the encoding the failed target-mode solve built,
-    # and one closure index serves each run, alternatives included
-    from satmigrate import encoder
-    from satmigrate.closure import ClosureIndex
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
 
-    encodings, indexes = [], []
-    original_encoding = encoder.build_encoding
-    original_index = ClosureIndex.__init__
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    def counting_encoding(*args, **kwargs):
-        encodings.append(args)
-        return original_encoding(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
-    def counting_index(self, universe):
-        indexes.append(universe)
-        original_index(self, universe)
 
-    monkeypatch.setattr(encoder, "build_encoding", counting_encoding)
-    monkeypatch.setattr(ClosureIndex, "__init__", counting_index)
+def _runs_building_once(repos, capsys, calls):
     common = repos(GOLDEN_TESTING, GOLDEN_UNSTABLE)
     for argv, expected in ((["explain", *common, "mutt/2.2"], "cannot migrate"),
                            (["migrate", *common], "verified: yes"),
                            (["migrate", *common, "--all-deltas", "2"],
                             "verified: yes")):
-        encodings.clear()
-        indexes.clear()
+        calls.clear()
         assert main(argv) == EXIT_OK, argv
         assert expected in capsys.readouterr().out
-        assert (len(encodings), len(indexes)) == (1, 1), argv
+        assert len(calls) == 1, argv
+
+
+def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):
+    # one closure index serves each run, alternatives included
+    from satmigrate.closure import ClosureIndex
+
+    built = _count_calls(monkeypatch, ClosureIndex, "__init__")
+    _runs_building_once(repos, capsys, built)
+
+
+def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
+    # the core is taken from the encoding the failed target-mode solve built
+    from satmigrate import encoder
+
+    built = _count_calls(monkeypatch, encoder, "build_encoding")
+    _runs_building_once(repos, capsys, built)
 
 
 def _failure(family: str) -> Exception:
