@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex, bits
-from .repo import Package, Universe
+from .repo import Package, Universe, policy_rule_text
 
 DEFAULT_P2_BOUND = 10
 
@@ -186,13 +186,13 @@ def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
         return sign * problem.atoms.pkg(pkg)
 
     for group in rules.groups:
-        desc = " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in group)
+        desc = policy_rule_text(group)
         for si, pi in group:
             for sj, pj in group:
                 if (si, pi) != (sj, pj):
                     problem.add((-lit(si, pi), lit(sj, pj)), ("v", "group", desc))
     for clause in rules.extra_clauses:
-        desc = " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in clause)
+        desc = policy_rule_text(clause)
         problem.add(tuple(lit(s, p) for s, p in clause), ("v", "clause", desc))
 
 

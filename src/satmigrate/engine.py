@@ -131,16 +131,6 @@ def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
                      if i in true_atoms)
 
 
-def _solve(req: MigrationRequest, problem: EncodedProblem) -> satcore.SolveResult:
-    if req.solver_command is None:
-        return satcore.solve_pmaxsat(problem.hard, problem.soft,
-                                     num_vars=problem.num_vars,
-                                     timeout=req.budgets.pmax_timeout)
-    return satcore.run_external(req.solver_command, problem.hard, problem.soft,
-                                num_vars=problem.num_vars, kind="wcnf",
-                                timeout=req.budgets.pmax_timeout)
-
-
 def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
                     idx: ClosureIndex) -> frozenset[Package]:
     """Re-add dropped packages that carry no objective weight.
@@ -172,14 +162,42 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     return frozenset(current)
 
 
-def _verified_result(req: MigrationRequest, u: Universe, idx: ClosureIndex,
-                     problem: EncodedProblem, model, optimum: int,
-                     externally_claimed: bool = False,
-                     warnings=()) -> MigrationResult:
-    """Decode a model, restore the shared packages and re-verify the result
-    from the raw model data."""
-    t_prime = _restore_shared(decode_solution(model, problem.atoms), u,
-                              req.policy, idx)
+def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
+                    problem: EncodedProblem, warnings=()) -> MigrationResult:
+    """Solve the problem, check the solver's claims against a recount of
+    the soft clauses, decode the model, restore the shared packages and
+    re-verify the result from the raw model data. The result's warnings
+    are ``warnings`` and then the solve's own."""
+    if req.solver_command is None:
+        result = satcore.solve_pmaxsat(problem.hard, problem.soft,
+                                       num_vars=problem.num_vars,
+                                       timeout=req.budgets.pmax_timeout)
+    else:
+        result = satcore.run_external(req.solver_command, problem.hard,
+                                      problem.soft, num_vars=problem.num_vars,
+                                      kind="wcnf",
+                                      timeout=req.budgets.pmax_timeout)
+    if result.status is SolveStatus.UNSAT:
+        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
+                         problem)
+    if result.status is SolveStatus.TIMEOUT:
+        raise SolveTimedOut(f"solver exceeded {req.budgets.pmax_timeout}s")
+    recount = satcore.count_satisfied(problem.soft, result.true_atoms)
+    if result.satisfied_soft is not None and result.satisfied_soft != recount:
+        raise OptimumMismatch(
+            f"solver reported {result.satisfied_soft} satisfied soft clauses,"
+            f" recount says {recount}")
+    if result.claimed_cost is not None and \
+            len(problem.soft) - recount != result.claimed_cost:
+        raise OptimumMismatch(
+            f"solver claimed cost {result.claimed_cost}, recount implies"
+            f" {len(problem.soft) - recount}")
+    warnings = list(warnings)
+    if result.status is SolveStatus.SAT:
+        warnings.append("external solver returned a model without an"
+                        " optimality claim")
+    t_prime = _restore_shared(decode_solution(result.true_atoms, problem.atoms),
+                              u, req.policy, idx)
     verdict = repo.is_admissible(t_prime, u, req.policy, idx)
     if not verdict:
         raise VerificationFailed(
@@ -192,8 +210,8 @@ def _verified_result(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         removed=removed,
         delta=len(migrated_in) + len(removed),
         verified=True,
-        optimum=optimum,
-        externally_claimed=externally_claimed,
+        optimum=recount,
+        externally_claimed=result.externally_claimed,
         encoding_id=problem.encoding_id,
         warnings=tuple(warnings),
     )
@@ -208,65 +226,38 @@ def _solve_encoded(req: MigrationRequest, u: Universe
     """solve_migration, also returning the encoding it solved (objective
     attached) and the closure index it built, for further solves."""
     idx = ClosureIndex(u)
-    warnings = []
-    for violation in repo.check_testing(u, idx):
-        warnings.append(f"testing violates assumptions: {violation.detail}")
+    warnings = [f"testing violates assumptions: {violation.detail}"
+                for violation in repo.check_testing(u, idx)]
     problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
     attach_objective(req, u, problem)
-    result = _solve(req, problem)
-    if result.status is SolveStatus.UNSAT:
-        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
-                         problem)
-    if result.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut(f"solver exceeded {req.budgets.pmax_timeout}s")
-    model = result.true_atoms
-    recount = satcore.count_satisfied(problem.soft, model)
-    if result.satisfied_soft is not None and result.satisfied_soft != recount:
-        raise OptimumMismatch(
-            f"solver reported {result.satisfied_soft} satisfied soft clauses,"
-            f" recount says {recount}")
-    if result.claimed_cost is not None and \
-            len(problem.soft) - recount != result.claimed_cost:
-        raise OptimumMismatch(
-            f"solver claimed cost {result.claimed_cost}, recount implies"
-            f" {len(problem.soft) - recount}")
-    if result.status is SolveStatus.SAT:
-        warnings.append("external solver returned a model without an"
-                        " optimality claim")
-    return _verified_result(req, u, idx, problem, model, recount,
-                            result.externally_claimed,
-                            problem.warnings + warnings), problem, idx
+    result = _solve_verified(req, u, idx, problem, problem.warnings + warnings)
+    return result, problem, idx
 
 
 def alternative_optima(req: MigrationRequest, u: Universe,
                        limit: int) -> list[MigrationResult]:
     """Diagnostic re-solving: exclude each found optimum with a blocking
     clause over the candidate package atoms, up to `limit` alternatives with
-    the same objective value. Embedded solver only."""
-    if req.solver_command is not None:
-        raise EngineError("alternative enumeration needs the embedded solver")
+    the same objective value. Every alternative is solved and verified as
+    the first result is; the search stops at the first solve that finds no
+    model or runs out of time."""
     first, problem, idx = _solve_encoded(req, u)
     results = [first]
     incoming, outgoing = encoder.migration_candidates(u)
-    candidates = incoming + outgoing
-    while len(results) < limit + 1:
+    candidates = sorted(incoming + outgoing)  # in atom order
+    pkg = problem.atoms.pkg
+    while candidates and len(results) < limit + 1:
         blocked = results[-1].t_prime
-        lits = tuple(-problem.atoms.pkg(p) if p in blocked else problem.atoms.pkg(p)
-                     for p in candidates)
-        if not lits:
-            break
-        problem.hard.append(lits)
+        problem.hard.append(tuple(-pkg(p) if p in blocked else pkg(p)
+                                  for p in candidates))
         problem.info.append(("blocking",))
-        result = satcore.solve_pmaxsat(problem.hard, problem.soft,
-                                       num_vars=problem.num_vars,
-                                       timeout=req.budgets.pmax_timeout)
-        if result.status is not SolveStatus.OPTIMAL:
+        try:
+            result = _solve_verified(req, u, idx, problem)
+        except (Unsolvable, SolveTimedOut):
             break
-        count = satcore.count_satisfied(problem.soft, result.true_atoms)
-        if count != results[0].optimum:
+        if result.optimum != first.optimum:
             break
-        results.append(_verified_result(req, u, idx, problem, result.true_atoms,
-                                        count))
+        results.append(result)
     return results
 
 

@@ -1,11 +1,13 @@
 """Reference oracles for the test suite.
 
 The exhaustive ones enumerate subsets or assignments, so they are
-exponential by design and bounded to small inputs; `deletion_mus` is the
-plain one-clause-at-a-time core loop, `sat_installable` one SAT query over
-a package's whole closure on Packages, and `normalized_encoding` the e, i,
-d and c generator that passes every clause through `normalize_clause`. The
-runtime modules never import this one; numpy is needed only here.
+exponential by design and bounded to small inputs. `unique_pairs` and
+`is_healthy` are the definitions of uniqueness and healthiness on
+Packages that they test against. `deletion_mus` is the plain
+one-clause-at-a-time core loop, `sat_installable` one SAT query over a
+package's whole closure on Packages, and `normalized_encoding` the e, i,
+d and c generator that passes every clause through `normalize_clause`.
+The runtime modules never import this one; numpy is needed only here.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 from . import encoder, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import (Package, RepoError, Universe, bits, is_healthy,
-                   policy_satisfied, unique_pairs)
+from .repo import Package, RepoError, Universe, bits, policy_satisfied
 from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
                       infer_num_vars, solve_sat)
 
@@ -103,6 +104,34 @@ def deletion_mus(hard, num_vars: int | None = None) -> tuple[int, ...]:
         else:
             i += 1
     return tuple(core)
+
+
+def unique_pairs(u: Universe) -> frozenset[tuple[Package, Package]]:
+    """All ordered pairs sharing a name with different versions."""
+    by_name: dict[str, list[Package]] = {}
+    for p in u.packages:
+        by_name.setdefault(p.name, []).append(p)
+    pairs = set()
+    for group in by_name.values():
+        for a in group:
+            for b in group:
+                if a != b:
+                    pairs.add((a, b))
+    return frozenset(pairs)
+
+
+def is_healthy(members: Iterable[Package], u: Universe) -> bool:
+    """True iff every dependency disjunction is met inside the set and no
+    conflicting pair is present."""
+    mset = frozenset(members)
+    for p in mset:
+        for disjunction in u.dep.get(p, ()):
+            if not disjunction & mset:
+                return False
+    for a, b in u.conflicts:
+        if a in mset and b in mset:
+            return False
+    return True
 
 
 def reachable(p: Package, u: Universe) -> frozenset[Package]:

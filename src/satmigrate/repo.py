@@ -207,34 +207,6 @@ def build_universe(testing: list[PackageStanza],
     )
 
 
-def unique_pairs(u: Universe) -> frozenset[tuple[Package, Package]]:
-    """All ordered pairs sharing a name with different versions."""
-    by_name: dict[str, list[Package]] = {}
-    for p in u.packages:
-        by_name.setdefault(p.name, []).append(p)
-    pairs = set()
-    for group in by_name.values():
-        for a in group:
-            for b in group:
-                if a != b:
-                    pairs.add((a, b))
-    return frozenset(pairs)
-
-
-def is_healthy(members: Iterable[Package], u: Universe) -> bool:
-    """True iff every dependency disjunction is met inside the set and no
-    conflicting pair is present."""
-    mset = frozenset(members)
-    for p in mset:
-        for disjunction in u.dep.get(p, ()):
-            if not disjunction & mset:
-                return False
-    for a, b in u.conflicts:
-        if a in mset and b in mset:
-            return False
-    return True
-
-
 def bits(mask: int):
     """The set bits of a mask, lowest first."""
     while mask:
@@ -426,6 +398,11 @@ def _policy_literal_true(sign: int, pkg: Package, t_prime: frozenset[Package]) -
     return (pkg in t_prime) if sign > 0 else (pkg not in t_prime)
 
 
+def policy_rule_text(rule) -> str:
+    """A policy group or clause as its signed literals, e.g. "+a/1 -b/2"."""
+    return " ".join(f"{'+' if sign > 0 else '-'}{pkg}" for sign, pkg in rule)
+
+
 def _policy_violation(t_prime: frozenset[Package], policy: "PolicyRules"
                       ) -> AdmissibilityVerdict | None:
     """The verdict on the first policy rule t_prime breaks, groups before
@@ -436,15 +413,13 @@ def _policy_violation(t_prime: frozenset[Package], policy: "PolicyRules"
         if len(values) > 1:
             return AdmissibilityVerdict(
                 False, "policy", "group not all-or-none: " +
-                " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in group),
-                tuple(pkg for _, pkg in group))
+                policy_rule_text(group), tuple(pkg for _, pkg in group))
     for clause in policy.extra_clauses:
         if not any(_policy_literal_true(sign, pkg, t_prime)
                    for sign, pkg in clause):
             return AdmissibilityVerdict(
                 False, "policy", "clause unsatisfied: " +
-                " ".join(f"{'+' if s > 0 else '-'}{p}" for s, p in clause),
-                tuple(pkg for _, pkg in clause))
+                policy_rule_text(clause), tuple(pkg for _, pkg in clause))
     return None
 
 

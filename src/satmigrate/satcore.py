@@ -10,6 +10,8 @@ executables.
 
 Atoms are positive integers; a literal is an atom or its negation as a
 signed int. An assignment is the set of true atoms (everything else false).
+The solvers read clauses as given: in any order, with duplicate literals
+or both signs of a variable.
 """
 
 from __future__ import annotations
@@ -159,6 +161,9 @@ class DpllSolver:
     kept across the rising bounds of the PMAX-SAT search; a call with a
     lower bound drops those learned under a higher one.
 
+    Clauses are read as given, as the search needs no canonical form; a
+    literal 0 or beyond ``num_vars`` is a ``ValueError``.
+
     ``decisions``, ``propagations``, ``conflicts``, ``learned`` and
     ``restarts`` count the work of all calls so far.
     """
@@ -170,19 +175,18 @@ class DpllSolver:
         self.has_empty = False
         occurs = bytearray(num_vars + 1)
         for raw in clauses:
-            clause = normalize_clause(raw)
-            if clause is None:
-                continue
+            clause = list(raw)
             for lit in clause:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} exceeds num_vars={num_vars}")
+                if not 0 < abs(lit) <= num_vars:
+                    raise ValueError(
+                        f"literal {lit} names no variable in 1..{num_vars}")
                 occurs[abs(lit)] = 1
             if not clause:
                 self.has_empty = True
             elif len(clause) == 1:
                 self.initial_units.append(clause[0])
             else:
-                self.clauses.append(list(clause))
+                self.clauses.append(clause)
         # Arrays indexed by literal have 2 * num_vars + 2 entries: literal v
         # sits at v and, by Python's negative indexing, -v at len - v.
         size = 2 * num_vars + 2

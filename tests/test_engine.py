@@ -493,3 +493,53 @@ def test_external_plain_sat_is_accepted_with_warning(tmp_path):
     assert result.t_prime == frozenset()
     assert any("optimality" in w for w in result.warnings)
     assert not result.externally_claimed
+
+
+# An external MaxSAT solver for tiny WCNF instances: it enumerates every
+# assignment, keeps the first of most soft weight that meets every hard
+# clause, and prints it with its cost and an optimality claim.
+_ENUMERATING_SOLVER = """\
+import itertools, sys
+hard, soft = [], []
+for line in open(sys.argv[1]):
+    tokens = line.split()
+    if not tokens or tokens[0] == "c":
+        continue
+    if tokens[0] == "p":
+        num_vars, top = int(tokens[2]), int(tokens[4])
+        continue
+    weight, clause = int(tokens[0]), [int(t) for t in tokens[1:-1]]
+    (hard if weight == top else soft).append(clause)
+best = None
+for values in itertools.product((False, True), repeat=num_vars):
+    def true(lit):
+        return values[abs(lit) - 1] == (lit > 0)
+    if all(any(true(l) for l in c) for c in hard):
+        cost = sum(1 for c in soft if not any(true(l) for l in c))
+        if best is None or cost < best[0]:
+            best = (cost, values)
+if best is None:
+    print("s UNSATISFIABLE")
+else:
+    print(f"o {best[0]}")
+    print("s OPTIMUM FOUND")
+    print("v " + " ".join(str(v if x else -v)
+                          for v, x in enumerate(best[1], start=1)) + " 0")
+"""
+
+
+def test_alternative_optima_with_an_external_solver(tmp_path):
+    u = tiny_universe(["a/1", "a/2", "a/3"], testing=["a/1"],
+                      unstable=["a/2", "a/3"])
+    cmd = _fake_solver(tmp_path, _ENUMERATING_SOLVER)
+    results = alternative_optima(
+        MigrationRequest(mode="max", solver_command=cmd), u, 5)
+    # a/3 or a/2 replaces a/1 (the enumeration meets a/3 first); blocking
+    # both leaves optimum 1
+    assert [r.t_prime for r in results] == [{P("a/3")}, {P("a/2")}]
+    for result in results:
+        assert result.optimum == 2
+        assert result.verified and result.externally_claimed
+        assert is_admissible(result.t_prime, u)
+    embedded = alternative_optima(MigrationRequest(mode="max"), u, 5)
+    assert {r.t_prime for r in results} == {r.t_prime for r in embedded}

@@ -9,12 +9,12 @@ from satmigrate import oracle, repo, satcore
 from satmigrate.closure import ClosureIndex, bits
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
-from satmigrate.oracle import ContextTooLarge, admissible_sets
+from satmigrate.oracle import (ContextTooLarge, admissible_sets, is_healthy,
+                               unique_pairs)
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
-                             build_universe, is_admissible, is_healthy,
-                             is_installable, make_universe,
-                             policy_satisfied, check_testing, uninstallable,
-                             unique_pairs)
+                             build_universe, is_admissible, is_installable,
+                             make_universe, policy_satisfied, check_testing,
+                             uninstallable)
 
 from .generators import P, clustered_universe, random_universe, tiny_universe
 

@@ -243,6 +243,78 @@ def test_embedded_solvers_agree_with_brute_force_sample():
             assert opt.satisfied_soft == ref_opt.satisfied_soft
 
 
+def _noncanonical_instance(rng, max_vars, max_clauses):
+    """A random instance whose clauses repeat literals, hold both signs of
+    a variable and list their literals in no order."""
+    num_vars = rng.randint(1, max_vars)
+    clauses = []
+    for _ in range(rng.randint(0, max_clauses)):
+        clause = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                  for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            clause.append(rng.choice(clause))
+        if rng.random() < 0.15:
+            clause.append(-rng.choice(clause))
+        rng.shuffle(clause)
+        clauses.append(clause)
+    return num_vars, clauses
+
+
+def _shapes(clauses) -> set[str]:
+    shapes = set()
+    for clause in clauses:
+        canonical = normalize_clause(clause)
+        if canonical is None:
+            shapes.add("tautology")
+        elif len(canonical) < len(clause):
+            shapes.add("duplicate")
+        elif tuple(clause) != canonical:
+            shapes.add("unsorted")
+    return shapes
+
+
+def test_solvers_read_noncanonical_clauses_as_given():
+    rng = random.Random(97)
+    seen = {"tautology": 0, "duplicate": 0, "unsorted": 0}
+    for _ in range(400):
+        num_vars, clauses = _noncanonical_instance(rng, 8, 30)
+        for shape in _shapes(clauses):
+            seen[shape] += 1
+        reference = brute_force_solve(clauses, num_vars=num_vars)
+        assert solve_sat(clauses, num_vars=num_vars).status is \
+            reference.status, clauses
+        soft = [(rng.choice((-1, 1)) * rng.randint(1, num_vars),)
+                for _ in range(rng.randint(0, num_vars))]
+        ref_opt = brute_force_solve(clauses, soft, num_vars=num_vars)
+        opt = solve_pmaxsat(clauses, soft, num_vars=num_vars)
+        assert opt.status is ref_opt.status, (clauses, soft)
+        if opt.status is SolveStatus.OPTIMAL:
+            assert opt.satisfied_soft == ref_opt.satisfied_soft, (clauses, soft)
+            assert verify_model(clauses, opt.true_atoms)
+    assert min(seen.values()) > 50, seen
+
+
+def test_mus_of_noncanonical_clauses_equals_one_by_one_deletion():
+    rng = random.Random(101)
+    found = 0
+    while found < 150:
+        num_vars, clauses = _noncanonical_instance(rng, 6, 40)
+        if solve_sat(clauses, num_vars=num_vars).status is not SolveStatus.UNSAT:
+            continue
+        found += 1
+        assert extract_mus(clauses, num_vars=num_vars).core == \
+            deletion_mus(clauses, num_vars=num_vars), clauses
+
+
+def test_solver_refuses_literal_zero_and_literals_beyond_num_vars():
+    with pytest.raises(ValueError, match="literal 0 names no variable in 1..2"):
+        DpllSolver(2, [(1, 0, 2)])
+    with pytest.raises(ValueError, match="literal -3 names no variable in 1..2"):
+        DpllSolver(2, [(1, -3)])
+    with pytest.raises(ValueError, match="literal 3 names no variable in 1..2"):
+        DpllSolver(2, [(3,)])
+
+
 # -- MUS extraction -----------------------------------------------------------------
 
 def test_mus_drops_irrelevant_clause():
