@@ -179,7 +179,7 @@ def cmd_check(args) -> int:
         if violation.kind == "trimmedness":
             target = idx.ids[violation.subjects[0]]
             clauses, info, ids = repo.installation_query(
-                target, idx.closure_mask(target) & testing, 0, idx)
+                target, idx.closure_mask(target) & testing, idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                       timeout=timeout)
             entry["explanation"] = [
@@ -229,8 +229,7 @@ def cmd_stats(args) -> int:
     ids = range(len(idx.packages))
     sizes = [idx.closure_mask(i).bit_count() for i in ids]
     closure_dist = _distribution(sizes)
-    connecting_dist = _distribution([idx.connecting_mask(i).bit_count()
-                                     for i in ids])
+    connecting_dist = _distribution([len(idx.connecting_ids(i)) for i in ids])
     top = [{"package": str(idx.packages[i]), "closure_size": sizes[i]}
            for i in sorted(ids, key=lambda i: -sizes[i])[:5]]
     if args.format == "structured":

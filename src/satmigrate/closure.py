@@ -9,10 +9,11 @@ Downstream code speaks ids; only reports and explanations name Packages.
 
 Closures are computed bottom-up over the condensation of the may-depend
 graph into strongly connected components. Package sets are integer
-bitmasks over the packages' sorted ids; the encoder reads them as such,
-and the Package-level methods expose them as frozensets. A mask is as
-long as its highest id, so the closures take up to n² bits for n
-packages; they are the only per-package mask family the index stores.
+bitmasks over the packages' sorted ids, except the connecting
+dependencies, which their walk returns as ascending ids; the
+Package-level methods expose both as frozensets. A mask is as long as
+its highest id, so the closures take up to n² bits for n packages; they
+are the only per-package mask family the index stores.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class ClosureIndex:
     """Immutable closure data for one universe.
 
     Packages are interned as their rank in sorted order. ``deps``,
-    ``dependents``, ``conflict_pairs``, ``partners``, ``upper_partners``
-    and the ``*_mask`` methods speak in these ids, for
+    ``dependents``, ``conflict_pairs``, ``partners``, ``upper_partners``,
+    the ``*_mask`` methods and ``connecting_ids`` speak in these ids, for
     the encoder and the installability pass of ``repo``; the Package-level
     methods translate them back. ``deps[i]`` holds i's disjunctions in the
     universe's order, each as its members' ids, ascending.
@@ -174,40 +175,38 @@ class ClosureIndex:
                 ends |= 1 << a
         return ends
 
-    def connecting_mask(self, i: int) -> int:
+    def connecting_ids(self, i: int) -> list[int]:
         """Closure members whose own closure reaches a relevant-conflict
-        endpoint, plus i itself.
+        endpoint, plus i itself, as ascending ids.
 
         Every package on a dependency path from i to such a member reaches
         the same endpoint, so a walk from i that enters only packages
         reaching an endpoint visits exactly these members.
 
-        The mask is {i} alone exactly when i's closure holds no conflict:
+        The list is [i] alone exactly when i's closure holds no conflict:
         otherwise a shortest path from i to an endpoint other than i leaves
         i through a successor that reaches that endpoint.
         """
         ends = self.relevant_ends(i)
-        mask = 1 << i
+        seen = {i}
         if ends:
             closures, succ = self._closure, self._succ
-            seen = {i}
             todo = [i]
             while todo:
                 for w in succ[todo.pop()]:
                     if w not in seen and closures[w] & ends:
                         seen.add(w)
                         todo.append(w)
-                        mask |= 1 << w
-        return mask
+        return sorted(seen)
 
     # -- package surface -------------------------------------------------------
 
-    def _mask_to_set(self, mask: int) -> frozenset[Package]:
-        return frozenset(self.packages[i] for i in bits(mask))
+    def _packages(self, ids: Iterable[int]) -> frozenset[Package]:
+        return frozenset(self.packages[i] for i in ids)
 
     @property
     def easy(self) -> frozenset[Package]:
-        return self._mask_to_set(self.easy_mask)
+        return self._packages(bits(self.easy_mask))
 
     def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
         """Conflicts with both endpoints inside p's dependency closure."""
@@ -220,4 +219,4 @@ class ClosureIndex:
     def connecting(self, p: Package) -> frozenset[Package]:
         """Closure members whose own closure reaches a relevant-conflict
         endpoint, plus p itself."""
-        return self._mask_to_set(self.connecting_mask(self.ids[p]))
+        return self._packages(self.connecting_ids(self.ids[p]))

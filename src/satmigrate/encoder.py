@@ -200,16 +200,20 @@ def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
 # Encodings
 
 
-def _everything(idx: ClosureIndex, context: int) -> int:
-    return (1 << len(idx.packages)) - 1
+def _everything(idx: ClosureIndex, context: int) -> list[int]:
+    return list(range(len(idx.packages)))
+
+
+def _ids(mask_of: Callable[[ClosureIndex, int], int]):
+    return lambda idx, context: list(bits(mask_of(idx, context)))
 
 
 @dataclass(frozen=True)
 class Scheme:
     """How one named encoding tracks installation contexts.
 
-    ``members(idx, c)`` is the bitmask of packages that get an installation
-    atom in context c; None tracks no context (p1). With
+    ``members(idx, c)`` lists, as ascending ids, the packages that get an
+    installation atom in context c; None tracks no context (p1). With
     ``conflicting_only`` a context is tracked only when its closure holds a
     conflict, and an untracked one gets p1-style dependency clauses. A
     dependency target points at its installation atom when it is a member,
@@ -217,7 +221,7 @@ class Scheme:
     does so even when the target is the context itself.
     """
 
-    members: Callable[[ClosureIndex, int], int] | None
+    members: Callable[[ClosureIndex, int], list[int]] | None
     conflicting_only: bool = False
     easy_direct: bool = False
 
@@ -225,10 +229,10 @@ class Scheme:
 SCHEMES = {
     "p1": Scheme(None),
     "p2": Scheme(_everything),
-    "p3": Scheme(ClosureIndex.closure_mask),
-    "p4": Scheme(ClosureIndex.hard_closure_mask, easy_direct=True),
-    "p5-strict": Scheme(ClosureIndex.connecting_mask),
-    "p5-pruned": Scheme(ClosureIndex.connecting_mask, conflicting_only=True),
+    "p3": Scheme(_ids(ClosureIndex.closure_mask)),
+    "p4": Scheme(_ids(ClosureIndex.hard_closure_mask), easy_direct=True),
+    "p5-strict": Scheme(ClosureIndex.connecting_ids),
+    "p5-pruned": Scheme(ClosureIndex.connecting_ids, conflicting_only=True),
 }
 ALIASES = {"p2-oracle": "p2", "p5": "p5-pruned"}
 
@@ -257,9 +261,9 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     inst_pairs = []
     if scheme.members is not None:
         for c in range(len(pkgs)):
-            members = scheme.members(idx, c)  # {c} alone: no conflict
-            if not scheme.conflicting_only or members != 1 << c:
-                inst_pairs += [(c, m) for m in bits(members)]
+            members = scheme.members(idx, c)  # [c] alone: no conflict
+            if not scheme.conflicting_only or members != [c]:
+                inst_pairs += [(c, m) for m in members]
     atoms = AtomTable(idx, inst_pairs)
     contexts = atoms.contexts  # the tracked contexts, each with its members
     problem = EncodedProblem(encoding_id, atoms)

@@ -303,43 +303,44 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
     i, d and c clause is written down as it reads and handed to
     EncodedProblem.add, which sorts it by variable and drops it if it is a
     tautology; conflicts are found by testing every conflict pair against
-    every context's member mask."""
+    every context's member set."""
     encoding_id = encoder.ALIASES.get(name, name)
     scheme = encoder.SCHEMES[encoding_id]
     pkgs = idx.packages
-    tracked: dict[int, int] = {}  # context id -> member mask, in id order
+    tracked: dict[int, list[int]] = {}  # context id -> member ids, in id order
     if scheme.members is not None:
         for c in range(len(pkgs)):
             if not scheme.conflicting_only or idx.relevant_ends(c):
                 tracked[c] = scheme.members(idx, c)
-    pairs = [(c, m) for c, mask in tracked.items() for m in bits(mask)]
+    pairs = [(c, m) for c, members in tracked.items() for m in members]
     atoms = encoder.AtomTable(idx, pairs)
     inst = {pair: len(pkgs) + 1 + k for k, pair in enumerate(pairs)}
     problem = EncodedProblem(encoding_id, atoms)
     add = problem.add
     encoder.uniqueness_clauses(problem)
-    for c, mask in tracked.items():
-        for m in bits(mask):
+    for c, members in tracked.items():
+        for m in members:
             add((-inst[c, m], m + 1), ("e", c, m))
     for c in tracked:
         add((-(c + 1), inst[c, c]), ("i", c))
-    easy = idx.easy_mask if scheme.easy_direct else 0
+    easy = set(bits(idx.easy_mask)) if scheme.easy_direct else set()
     for c in range(len(pkgs)):
-        mask = tracked.get(c)
-        if mask is None:
+        members = tracked.get(c)
+        if members is None:
             for targets in idx.deps[c]:
                 add([-(c + 1)] + [q + 1 for q in targets],
                     ("d", None, c, targets))
             continue
-        local = mask & ~easy
-        for m in bits(mask):
+        local = set(members) - easy
+        for m in members:
             head = -inst[c, m]
             for targets in idx.deps[m]:
-                add([head] + [inst[c, q] if local >> q & 1 else q + 1
+                add([head] + [inst[c, q] if q in local else q + 1
                               for q in targets],
                     ("d", c, m, targets))
-    for c, mask in tracked.items():
+    for c, members in tracked.items():
+        inside = set(members)
         for a, b in idx.conflict_pairs:
-            if mask >> a & 1 and mask >> b & 1:
+            if a in inside and b in inside:
                 add((-inst[c, a], -inst[c, b]), ("c", c, a, b))
     return problem

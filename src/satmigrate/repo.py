@@ -26,15 +26,12 @@ steps:
    is a healthy installation of p inside r. It is checked as one before
    p is reported installable. A dead end proves nothing, since an earlier
    choice may have caused it, and p goes on to step 4.
-4. SAT over the connecting members. One query over connecting(p) ∩ live
-   decides p. A live non-connecting member's closure holds no endpoint of
-   a conflict inside closure(p), so a disjunction with such a member is
-   met by the conflict-free rest N = closure(p) ∩ live minus
-   connecting(p) and is dropped, and only conflicts among the query's
-   members stay. A model together with N is a healthy installation, and a
-   healthy installation cut down to the query's members is a model, so
-   the query is SAT exactly when p is installable. The witness is checked
-   before p is reported installable; the solver is never trusted.
+4. SAT over the live closure. One query over closure(p) ∩ live decides
+   p. A model is a healthy installation of p inside live, so inside r.
+   Conversely, a healthy installation of p inside r lies in live, and cut
+   down to p's closure it stays healthy, since every dependency of a
+   member lies in that member's closure; so it is a model. The witness is
+   checked before p is reported installable; the solver is never trusted.
 
 A healthy installation W inside r is also an installation of each of its
 members, so every member of an installation that steps 2–4 find is
@@ -42,12 +39,11 @@ marked installable and is not visited again. Packages are visited in
 order of decreasing closure size, ties by id: a package comes before its
 dependencies outside its own cycle, so the installations of the large
 closures cover them. ``installable_in`` answers for one package, with
-the fixpoint taken over closure(p) ∩ r only: a healthy installation cut
-down to p's closure stays healthy, since every dependency of a member
-lies in that member's closure.
+the fixpoint taken over closure(p) ∩ r only, by the same cut-down
+argument.
 
-``check``'s explanations call ``installation_query``, step 4's clause
-builder, over closure(p) ∩ testing with an empty rest.
+``check``'s explanations ask step 4's query, ``installation_query``,
+over closure(p) ∩ testing instead of closure(p) ∩ live.
 """
 
 from __future__ import annotations
@@ -279,23 +275,21 @@ def _checked(witness: int, p: int, r: int, idx: "ClosureIndex") -> int:
     return witness
 
 
-def installation_query(p: int, members: int, rest: int, idx: "ClosureIndex"):
-    """SAT query for an installation of p among ``members``, with the
-    packages of ``rest`` installed: a disjunction that meets rest gets no
-    clause. Returns (clauses, info, ids): atom k stands for ids[k-1], and
-    info[j] is the provenance of clauses[j] on idx's ids (an inst-dep entry
-    names the disjunction's members inside ``members``)."""
+def installation_query(p: int, members: int, idx: "ClosureIndex"):
+    """SAT query for an installation of p among ``members``. Returns
+    (clauses, info, ids): atom k stands for ids[k-1], and info[j] is the
+    provenance of clauses[j] on idx's ids (an inst-dep entry names the
+    disjunction's members inside ``members``)."""
     ids = list(bits(members))
     atom = {q: k for k, q in enumerate(ids, start=1)}
     clauses = [(atom[p],)]
     info: list[tuple] = [("inst-target", p)]
     for q in ids:
         for targets in idx.deps[q]:
-            if not any(rest >> x & 1 for x in targets):
-                inside = tuple(x for x in targets if x in atom)
-                clauses.append((-atom[q], *(atom[x] for x in inside)))
-                info.append(("inst-dep", q, targets
-                             if len(inside) == len(targets) else inside))
+            inside = tuple(x for x in targets if x in atom)
+            clauses.append((-atom[q], *(atom[x] for x in inside)))
+            info.append(("inst-dep", q, targets
+                         if len(inside) == len(targets) else inside))
     for a in bits(members & idx.conflict_ends):
         for b in bits(idx.partners[a] & members):
             if a < b:
@@ -306,21 +300,17 @@ def installation_query(p: int, members: int, rest: int, idx: "ClosureIndex"):
 
 def _installation_by_query(p: int, r: int, live: int,
                            idx: "ClosureIndex") -> int:
-    """Step 4 of the module docstring: one SAT query over the live
-    connecting members of p's closure. Returns its witness, checked, or 0
-    when the query is UNSAT."""
-    connecting = idx.connecting_mask(p)
-    rest = live & ~connecting
-    clauses, _, ids = installation_query(p, connecting & live, rest, idx)
+    """Step 4 of the module docstring: one SAT query over the live members
+    of p's closure. Returns its witness, checked, or 0 when the query is
+    UNSAT."""
+    clauses, _, ids = installation_query(p, idx.closure_mask(p) & live, idx)
     result = satcore.solve_sat(clauses, num_vars=len(ids))
     if result.status is satcore.SolveStatus.TIMEOUT:
         raise InstallabilityTimedOut(
             f"installability query for {idx.packages[p]} timed out")
     if result.status is not satcore.SolveStatus.SAT:
         return 0
-    witness = idx.closure_mask(p) & rest
-    for k in result.true_atoms:
-        witness |= 1 << ids[k - 1]
+    witness = sum(1 << ids[k - 1] for k in result.true_atoms)
     return _checked(witness, p, r, idx)
 
 

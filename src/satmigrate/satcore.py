@@ -22,6 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 
@@ -162,7 +163,7 @@ class DpllSolver:
     lower bound drops those learned under a higher one.
 
     Clauses are read as given, as the search needs no canonical form; a
-    literal 0 or beyond ``num_vars`` is a ``ValueError``.
+    hard or soft literal 0 or beyond ``num_vars`` is a ``ValueError``.
 
     ``decisions``, ``propagations``, ``conflicts``, ``learned`` and
     ``restarts`` count the work of all calls so far.
@@ -173,14 +174,15 @@ class DpllSolver:
         self.clauses: list[list[int]] = []
         self.initial_units: list[int] = []
         self.has_empty = False
+        clauses = [list(raw) for raw in clauses]
+        soft_literals = list(soft_literals)
         occurs = bytearray(num_vars + 1)
-        for raw in clauses:
-            clause = list(raw)
-            for lit in clause:
-                if not 0 < abs(lit) <= num_vars:
-                    raise ValueError(
-                        f"literal {lit} names no variable in 1..{num_vars}")
-                occurs[abs(lit)] = 1
+        for lit in chain(chain.from_iterable(clauses), soft_literals):
+            if not 0 < abs(lit) <= num_vars:
+                raise ValueError(
+                    f"literal {lit} names no variable in 1..{num_vars}")
+            occurs[abs(lit)] = 1
+        for clause in clauses:
             if not clause:
                 self.has_empty = True
             elif len(clause) == 1:
@@ -196,11 +198,8 @@ class DpllSolver:
         weight = [0] * (num_vars + 1)
         self.soft_total = 0
         for lit in soft_literals:
-            if abs(lit) > num_vars:
-                raise ValueError(f"soft literal {lit} exceeds num_vars={num_vars}")
             weight[abs(lit)] += 1 if lit > 0 else -1
             self.soft_total += 1
-            occurs[abs(lit)] = 1
         self.soft_vars = [v for v in range(1, num_vars + 1) if weight[v]]
         self.soft_fixed = (self.soft_total
                            - sum(abs(weight[v]) for v in self.soft_vars)) // 2
@@ -807,9 +806,10 @@ def run_external(command, hard, soft=None, num_vars: int | None = None,
     """Run an external solver on the instance and re-verify its answer.
 
     The solver is invoked as ``command... instance-path`` and its stdout is
-    parsed for competition-style ``s``/``v``/``o`` lines; the exit code is
-    ignored. Returned models are checked against every hard clause, and the
-    satisfied-soft count is always recomputed here rather than trusted.
+    parsed for competition-style ``s``/``v``/``o`` lines, where each value
+    is a literal of 1..num_vars or 0; the exit code is ignored. Returned
+    models are checked against every hard clause, and the satisfied-soft
+    count is always recomputed here rather than trusted.
     """
     hard = [tuple(c) for c in hard]
     soft = [tuple(c) for c in soft] if soft else []
@@ -829,12 +829,12 @@ def run_external(command, hard, soft=None, num_vars: int | None = None,
             return SolveResult(SolveStatus.TIMEOUT)
         if proc.returncode < 0:
             raise SolverCrashed(f"solver killed by signal {-proc.returncode}")
-        return _parse_solver_output(proc.stdout, hard, soft)
+        return _parse_solver_output(proc.stdout, hard, soft, num_vars)
     finally:
         Path(path).unlink(missing_ok=True)
 
 
-def _parse_solver_output(stdout: str, hard, soft) -> SolveResult:
+def _parse_solver_output(stdout: str, hard, soft, num_vars: int) -> SolveResult:
     status_line = None
     literals: list[int] = []
     claimed_cost = None
@@ -843,7 +843,13 @@ def _parse_solver_output(stdout: str, hard, soft) -> SolveResult:
         if line.startswith("s "):
             status_line = line[2:].strip()
         elif line.startswith("v "):
-            literals += [int(tok) for tok in line[2:].split()]
+            for tok in line[2:].split():
+                if not (tok.removeprefix("-").isdecimal()
+                        and abs(int(tok)) <= num_vars):
+                    raise UnparsableOutput(
+                        f"bad value line {line!r}: {tok!r} names no variable"
+                        f" in 1..{num_vars}")
+                literals.append(int(tok))
         elif line.startswith("o "):
             try:
                 claimed_cost = int(line[2:].strip())

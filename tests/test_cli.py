@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,26 @@ def test_explain_reports_repo_error(repos, capsys, monkeypatch):
     code = main(["explain", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE), "a/2"])
     assert code == EXIT_ERROR
     assert "error: installability query timed out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values,message", [
+    ("-1 x 0", "bad value line 'v -1 x 0'"),
+    ("-1 5 0", "'5' names no variable in 1..2"),
+])
+def test_migrate_rejects_a_bad_external_value_line(repos, capsys, tmp_path,
+                                                   values, message):
+    # the upgrade fixture has two atoms, a/1 and a/2
+    script = tmp_path / "solver.py"
+    script.write_text(f"#!{sys.executable}\nprint('s OPTIMUM FOUND')\n"
+                      f"print('v {values}')\n")
+    script.chmod(0o755)
+    code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                 "--mode", "max", "--solver", shlex.quote(str(script))])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad value line")
+    assert message in captured.err
 
 
 def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):

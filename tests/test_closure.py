@@ -211,8 +211,8 @@ def test_connecting_matches_its_definition_mid_scale():
 
 
 def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
-    # p5-pruned tracks a context when its connecting mask holds more than
-    # the context itself, and relies on this meaning relevant_ends(c) != 0;
+    # p5-pruned tracks a context when its connecting ids are more than the
+    # context itself, and relies on this meaning relevant_ends(c) != 0;
     # every fifth package or so also requires itself
     rng = random.Random(59)
     universes = [random_universe(rng, max_size=10, dep_density=0.7,
@@ -230,7 +230,7 @@ def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
                                          u.unstable))
         for i in range(len(pkgs)):
             conflicting = idx.relevant_ends(i) != 0
-            assert conflicting == (idx.connecting_mask(i) != 1 << i)
+            assert conflicting == (idx.connecting_ids(i) != [i])
             seen[conflicting] += 1
     assert min(seen.values()) > 100, seen
 

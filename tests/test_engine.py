@@ -387,7 +387,7 @@ def test_no_provenance_field_is_a_package():
         for i in range(len(pkgs)):
             if testing >> i & 1:
                 infos += repo.installation_query(
-                    i, idx.closure_mask(i) & testing, 0, idx)[1]
+                    i, idx.closure_mask(i) & testing, idx)[1]
         for info in infos:
             assert not any(isinstance(f, Package) for f in _fields(info)), info
             checked += 1

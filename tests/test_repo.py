@@ -403,9 +403,10 @@ def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     idx = ClosureIndex(u)
     p = idx.ids[P("p/1")]
     assert repo._greedy_installation(p, idx.mask(u.packages), idx) == 0
+    live = repo._live(idx.mask(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
     assert uninstallable(u.packages, u, idx) == []
-    assert calls == [(idx.connecting_mask(p).bit_count(),
+    assert calls == [((idx.closure_mask(p) & live).bit_count(),
                       satcore.SolveStatus.SAT)]
 
 
@@ -468,16 +469,25 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
     assert calls == []
 
 
-def _with_dead_ends(u, tops: int):
+def _with_dead_ends(u, tops: int, blocked: int = 0):
     """u plus GREEDY_DEAD_END's q, r, s and t, with its one conflict, and
-    ``tops`` packages shaped like its p; none of u's packages reaches them."""
-    planted = tiny_universe(
-        ["q/1", "r/1", "s/1", "t/1"] + [f"top{k}/1" for k in range(tops)],
-        dep={"s/1": [["t/1"]],
-             **{f"top{k}/1": [["s/1"], ["q/1", "r/1"]] for k in range(tops)}},
-        conflicts=[("q/1", "t/1")])
+    ``tops`` packages shaped like its p; none of u's packages reaches them.
+    ``blocked`` more tops need s2, which needs t2, and q or r, both of
+    which conflict with t2: greedy dead ends with no installation."""
+    names = ["q/1", "r/1", "s/1", "t/1"] + [f"top{k}/1" for k in range(tops)]
+    dep = {"s/1": [["t/1"]],
+           **{f"top{k}/1": [["s/1"], ["q/1", "r/1"]] for k in range(tops)}}
+    conflicts = [("q/1", "t/1")]
+    if blocked:
+        names += ["s2/1", "t2/1"] + [f"blocked{k}/1" for k in range(blocked)]
+        dep.update({"s2/1": [["t2/1"]],
+                    **{f"blocked{k}/1": [["s2/1"], ["q/1", "r/1"]]
+                       for k in range(blocked)}})
+        conflicts += [("q/1", "t2/1"), ("r/1", "t2/1")]
+    planted = tiny_universe(names, dep=dep, conflicts=conflicts)
     return make_universe(u.packages | planted.packages,
-                         {**u.dep, **planted.dep}, planted.conflicts,
+                         {**u.dep, **planted.dep},
+                         u.conflicts | planted.conflicts,
                          u.testing | planted.testing,
                          u.unstable | planted.unstable)
 
@@ -492,11 +502,48 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     (a, b), = idx.conflict_pairs
     both = [i for i in range(len(idx.packages))
             if idx.closure_mask(i) >> a & 1 and idx.closure_mask(i) >> b & 1]
+    live = repo._live(idx.mask(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
     uninstallable(u.packages, u, idx)
     assert len(both) > 1
     assert [n for n, _ in calls] == \
-        [idx.connecting_mask(i).bit_count() for i in both]
+        [(idx.closure_mask(i) & live).bit_count() for i in both]
+
+
+def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
+    # planted greedy dead ends on clustered universes with conflicts of
+    # their own: 5 tops per universe that SAT proves installable and 3 that
+    # it proves uninstallable; r is every package, then a random subset of
+    # u's packages with every planted one
+    tops, blocked = 5, 3
+    for seed in (43, 47, 53, 61):
+        rng = random.Random(seed)
+        size = rng.randint(150, 250)
+        u = _with_dead_ends(
+            clustered_universe(rng, size, conflicts=size // 4), tops, blocked)
+        idx = ClosureIndex(u)
+        planted = [p for p in u.sorted_packages()
+                   if p.name.startswith(("top", "blocked"))]
+        subset = frozenset(p for p in u.packages if rng.random() < 0.7
+                           or p.name in {"q", "r", "s", "t", "s2", "t2"}
+                           or p in planted)
+        for r in (u.packages, subset):
+            expected = _per_package(r, u)
+            assert [p for p in planted if p in expected] == \
+                [P(f"blocked{k}/1") for k in range(blocked)]
+            with monkeypatch.context() as patch:
+                calls = _recording_solve_sat(patch)
+                assert uninstallable(r, u, idx) == expected
+            statuses = [status for _, status in calls]
+            assert statuses.count(satcore.SolveStatus.SAT) >= tops
+            assert statuses.count(satcore.SolveStatus.UNSAT) >= blocked
+            sample = planted + rng.sample(sorted(r), 30)
+            with monkeypatch.context() as patch:
+                calls = _recording_solve_sat(patch)
+                for p in sample:
+                    assert is_installable(p, r, u, idx) == \
+                        (p not in expected), p
+            assert len(calls) >= len(planted)
 
 
 def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):

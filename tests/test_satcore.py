@@ -315,6 +315,15 @@ def test_solver_refuses_literal_zero_and_literals_beyond_num_vars():
         DpllSolver(2, [(3,)])
 
 
+def test_soft_literals_are_checked_like_hard_ones():
+    with pytest.raises(ValueError, match="literal 0 names no variable in 1..1"):
+        solve_pmaxsat([(1,)], [(0,)], num_vars=1)
+    with pytest.raises(ValueError, match="literal 0 names no variable in 1..1"):
+        DpllSolver(1, [(1,)], soft_literals=[0]).solve(required_soft=1)
+    with pytest.raises(ValueError, match="literal -2 names no variable in 1..1"):
+        solve_pmaxsat([(1,)], [(-2,)], num_vars=1)
+
+
 # -- MUS extraction -----------------------------------------------------------------
 
 def test_mus_drops_irrelevant_clause():
@@ -611,6 +620,14 @@ def test_external_garbage_output(tmp_path):
     cmd = _fake_solver(tmp_path, "noise.py", "print('hello world')\n")
     with pytest.raises(UnparsableOutput):
         run_external(cmd, [(1,)], num_vars=1)
+
+
+@pytest.mark.parametrize("values", ["1 x 0", "1 2.0 0", "1 3 0", "-3 0"])
+def test_external_bad_value_line_is_unparsable(tmp_path, values):
+    cmd = _fake_solver(tmp_path, "bad_value.py",
+                       f"print('s SATISFIABLE')\nprint('v {values}')\n")
+    with pytest.raises(UnparsableOutput, match="bad value line"):
+        run_external(cmd, [(1,)], num_vars=2)
 
 
 def test_external_missing_binary():
