@@ -171,7 +171,7 @@ def cmd_check(args) -> int:
                else args.timeout)
     universe = _load_universe(args)
     idx = ClosureIndex(universe)
-    testing = idx.mask(universe.testing)
+    testing = idx.id_set(universe.testing)
     for violation in repo.check_testing(universe, idx):
         entry = {"kind": violation.kind, "detail": violation.detail,
                  "packages": [str(p) for p in violation.subjects],
@@ -179,7 +179,7 @@ def cmd_check(args) -> int:
         if violation.kind == "trimmedness":
             target = idx.ids[violation.subjects[0]]
             clauses, info, ids = repo.installation_query(
-                target, idx.closure_mask(target) & testing, idx)
+                target, testing.intersection(idx.closure(target)), idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                       timeout=timeout)
             entry["explanation"] = [
@@ -227,7 +227,7 @@ def cmd_stats(args) -> int:
                 "max": max(values, default=0)}
 
     ids = range(len(idx.packages))
-    sizes = [idx.closure_mask(i).bit_count() for i in ids]
+    sizes = [len(idx.closure(i)) for i in ids]
     closure_dist = _distribution(sizes)
     connecting_dist = _distribution([len(idx.connecting_ids(i)) for i in ids])
     top = [{"package": str(idx.packages[i]), "closure_size": sizes[i]}
@@ -235,7 +235,7 @@ def cmd_stats(args) -> int:
     if args.format == "structured":
         _print_structured({
             "packages": len(universe.packages),
-            "easy": idx.easy_mask.bit_count(),
+            "easy": len(idx.easy_ids),
             "closure_size_distribution": closure_dist,
             "connecting_size_distribution": connecting_dist,
             "largest_closures": top,
@@ -243,7 +243,7 @@ def cmd_stats(args) -> int:
         })
         return EXIT_OK
     print(f"packages: {len(universe.packages)}")
-    print(f"easy packages: {idx.easy_mask.bit_count()}")
+    print(f"easy packages: {len(idx.easy_ids)}")
     print("closure sizes: min {min} median {median} max {max}".format(**closure_dist))
     print("connecting sizes: min {min} median {median} max {max}".format(
         **connecting_dist))

@@ -2,18 +2,20 @@
 
 Interns the packages as ids, with their dependency disjunctions as id
 tuples, and precomputes the "may depend" relation, its reflexive-transitive
-closure and the easy packages (whose closure touches no conflict endpoint).
-The closure restricted to hard packages, the relevant conflicts and the
-connecting dependencies of a package are derived from these on each call.
-Downstream code speaks ids; only reports and explanations name Packages.
+closure, the conflict partners of each package and, per closure, the
+conflict ends inside it. The easy packages (whose closure holds no
+conflict end), the closure restricted to hard packages, the relevant
+conflict ends and the connecting dependencies of a package are derived
+from these. Downstream code speaks ids; only reports and explanations
+name Packages.
 
 Closures are computed bottom-up over the condensation of the may-depend
-graph into strongly connected components. Package sets are integer
-bitmasks over the packages' sorted ids, except the connecting
-dependencies, which their walk returns as ascending ids; the
-Package-level methods expose both as frozensets. A mask is as long as
-its highest id, so the closures take up to n² bits for n packages; they
-are the only per-package mask family the index stores.
+graph into strongly connected components. Each closure is a tuple of ids
+in no particular order, and every member of one component shares its
+component's tuple, and its frozenset of conflict ends; callers that read
+an order sort. The closures take memory in proportion to the sum of
+their sizes, so the index grows with the archive rather than with its
+square.
 """
 
 from __future__ import annotations
@@ -21,20 +23,28 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .repo import Package, Universe, bits
+from .repo import Package, Universe
+
+# one empty set, shared by every closure that holds no conflict end
+_NO_ENDS: frozenset[int] = frozenset()
 
 
-def _scc_closures(n: int, succ: list[list[int]]) -> list[int]:
-    """Per-node reachability masks (reflexive) via iterative Tarjan.
+def _scc_closures(succ: list[list[int]], conflict_ends: frozenset[int]
+                  ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """Per-node reachability tuples (reflexive), and the conflict ends
+    inside each, via iterative Tarjan.
 
     SCCs are emitted children-first, so the closure of a component is its
-    own mask joined with the already-final closures of its successors.
+    own members joined with the already-final closures of its successors.
+    A successor already inside adds nothing: its closure is inside too.
     """
+    n = len(succ)
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    closures = [0] * n
+    closures: list[tuple[int, ...]] = [()] * n
+    ends: list[frozenset[int]] = [_NO_ENDS] * n
     counter = 0
     for root in range(n):
         if order[root] != -1:
@@ -73,28 +83,29 @@ def _scc_closures(n: int, succ: list[list[int]]) -> list[int]:
                     if w == v:
                         break
                 members = set(component)
-                mask = 0
-                for w in component:
-                    mask |= 1 << w
-                closure = mask
                 for w in component:
                     for x in succ[w]:
                         if x not in members:
-                            closure |= closures[x]
+                            members.update(closures[x])
+                closure = tuple(members)
+                closure_ends = conflict_ends.intersection(members) or _NO_ENDS
                 for w in component:
                     closures[w] = closure
-    return closures
+                    ends[w] = closure_ends
+    return closures, ends
 
 
 class ClosureIndex:
     """Immutable closure data for one universe.
 
     Packages are interned as their rank in sorted order. ``deps``,
-    ``dependents``, ``conflict_pairs``, ``partners``, ``upper_partners``,
-    the ``*_mask`` methods and ``connecting_ids`` speak in these ids, for
-    the encoder and the installability pass of ``repo``; the Package-level
-    methods translate them back. ``deps[i]`` holds i's disjunctions in the
-    universe's order, each as its members' ids, ascending.
+    ``dependents``, ``conflict_pairs``, ``partners``, ``closure_ends``
+    and the id-valued methods speak in these ids, for the encoder and the
+    installability pass of ``repo``; the Package-level members translate
+    them back. ``deps[i]`` holds i's disjunctions in the universe's order,
+    each as its members' ids, ascending. ``partners[i]`` holds i's
+    conflict partners, ascending, and ``closure_ends[i]`` the conflict
+    ends inside i's closure.
     """
 
     def __init__(self, universe: Universe):
@@ -108,26 +119,17 @@ class ClosureIndex:
         self.conflict_pairs = sorted(
             (ids[a], ids[b]) for a, b in universe.conflicts if a < b)
         n = len(self.packages)
-        succ = [sorted({q for targets in deps for q in targets})
-                for deps in self.deps]
-        self._succ = succ
-        self._closure = _scc_closures(n, succ)
-        # per package, the mask of its conflict partners; per conflict end,
-        # its partners with a larger id, ascending
-        self.partners = [0] * n
-        self.upper_partners: dict[int, list[int]] = {}
-        ends = 0
+        partners: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.conflict_pairs:
-            self.partners[a] |= 1 << b
-            self.partners[b] |= 1 << a
-            self.upper_partners.setdefault(a, []).append(b)
-            ends |= 1 << a | 1 << b
-        self.conflict_ends = ends
-        easy_mask = 0
-        for i in range(n):
-            if not self._closure[i] & ends:
-                easy_mask |= 1 << i
-        self.easy_mask = easy_mask
+            partners[a].append(b)
+            partners[b].append(a)
+        self.partners = [tuple(sorted(ps)) for ps in partners]
+        self._succ = [sorted({q for targets in deps for q in targets})
+                      for deps in self.deps]
+        self._closure, self.closure_ends = _scc_closures(
+            self._succ, frozenset(i for i in range(n) if self.partners[i]))
+        self.easy_ids = frozenset(i for i in range(n)
+                                  if not self.closure_ends[i])
 
     # -- integer surface -------------------------------------------------------
 
@@ -140,40 +142,36 @@ class ClosureIndex:
                 dependents[w].append(v)
         return dependents
 
-    def mask(self, packages: Iterable[Package]) -> int:
-        """The mask of a set of packages; a package the universe lacks
+    def id_set(self, packages: Iterable[Package]) -> set[int]:
+        """The ids of a set of packages; a package the universe lacks
         raises ValueError."""
         ids = self.ids
-        buf = bytearray(len(self.packages) // 8 + 1)
-        for p in packages:
-            i = ids.get(p)
-            if i is None:
-                raise ValueError(f"repository references unknown package {p}")
-            buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
+        try:
+            return {ids[p] for p in packages}
+        except KeyError as exc:
+            raise ValueError(
+                f"repository references unknown package {exc.args[0]}") from None
 
-    def closure_mask(self, i: int) -> int:
+    def closure(self, i: int) -> tuple[int, ...]:
+        """i's closure, i included, in no particular order."""
         return self._closure[i]
 
-    def hard_closure_mask(self, i: int) -> int:
-        """i's closure restricted to hard packages; {i} for an easy i.
+    def hard_closure(self, i: int) -> tuple[int, ...]:
+        """i's closure restricted to hard packages; (i,) for an easy i.
 
         For a hard i this is also what a walk from i through hard packages
         reaches: a package on a path from i to a hard package w has w's
         closure, with its conflict end, inside its own, so it is hard too.
         """
-        if self.easy_mask >> i & 1:
-            return 1 << i
-        return self._closure[i] & ~self.easy_mask
+        ends = self.closure_ends
+        if not ends[i]:
+            return (i,)
+        return tuple(q for q in self._closure[i] if ends[q])
 
-    def relevant_ends(self, i: int) -> int:
-        """Mask of the endpoints of conflicts inside i's closure."""
-        mask = self._closure[i]
-        ends = 0
-        for a in bits(mask & self.conflict_ends):
-            if self.partners[a] & mask:
-                ends |= 1 << a
-        return ends
+    def relevant_ends(self, i: int) -> frozenset[int]:
+        """The endpoints of conflicts with both ends inside i's closure."""
+        ends, partners = self.closure_ends[i], self.partners
+        return frozenset(a for a in ends if not ends.isdisjoint(partners[a]))
 
     def connecting_ids(self, i: int) -> list[int]:
         """Closure members whose own closure reaches a relevant-conflict
@@ -187,36 +185,26 @@ class ClosureIndex:
         otherwise a shortest path from i to an endpoint other than i leaves
         i through a successor that reaches that endpoint.
         """
-        ends = self.relevant_ends(i)
+        relevant = self.relevant_ends(i)
         seen = {i}
-        if ends:
-            closures, succ = self._closure, self._succ
+        if relevant:
+            ends, succ = self.closure_ends, self._succ
             todo = [i]
             while todo:
                 for w in succ[todo.pop()]:
-                    if w not in seen and closures[w] & ends:
+                    if w not in seen and not relevant.isdisjoint(ends[w]):
                         seen.add(w)
                         todo.append(w)
         return sorted(seen)
 
     # -- package surface -------------------------------------------------------
 
-    def _packages(self, ids: Iterable[int]) -> frozenset[Package]:
-        return frozenset(self.packages[i] for i in ids)
-
     @property
     def easy(self) -> frozenset[Package]:
-        return self._packages(bits(self.easy_mask))
-
-    def relevant_conflicts(self, p: Package) -> frozenset[tuple[Package, Package]]:
-        """Conflicts with both endpoints inside p's dependency closure."""
-        mask = self._closure[self.ids[p]]
-        pkgs = self.packages
-        return frozenset(pair for a, b in self.conflict_pairs
-                         if mask >> a & 1 and mask >> b & 1
-                         for pair in ((pkgs[a], pkgs[b]), (pkgs[b], pkgs[a])))
+        return frozenset(self.packages[i] for i in self.easy_ids)
 
     def connecting(self, p: Package) -> frozenset[Package]:
         """Closure members whose own closure reaches a relevant-conflict
         endpoint, plus p itself."""
-        return self._packages(self.connecting_ids(self.ids[p]))
+        return frozenset(self.packages[i]
+                         for i in self.connecting_ids(self.ids[p]))

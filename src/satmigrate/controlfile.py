@@ -364,7 +364,7 @@ def parse_packages_stream(data: bytes | str) -> list[PackageStanza]:
         if "version" not in fields:
             raise MissingField("Version", index)
         name = fields["package"]
-        if not name.isascii() or set(name) & _NAME_FORBIDDEN:
+        if not name or not name.isascii() or set(name) & _NAME_FORBIDDEN:
             raise MalformedStanza(index, f"Package: {name}")
         _split_version(fields["version"])
         depends = parse_dependency_expr(fields.get("depends", ""))

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Callable
 
 from . import satcore
-from .closure import ClosureIndex, bits
+from .closure import ClosureIndex
 from .repo import Package, Universe, policy_rule_text
 
 DEFAULT_P2_BOUND = 10
@@ -204,8 +204,12 @@ def _everything(idx: ClosureIndex, context: int) -> list[int]:
     return list(range(len(idx.packages)))
 
 
-def _ids(mask_of: Callable[[ClosureIndex, int], int]):
-    return lambda idx, context: list(bits(mask_of(idx, context)))
+def _closure(idx: ClosureIndex, context: int) -> list[int]:
+    return sorted(idx.closure(context))
+
+
+def _hard_closure(idx: ClosureIndex, context: int) -> list[int]:
+    return sorted(idx.hard_closure(context))
 
 
 @dataclass(frozen=True)
@@ -229,8 +233,8 @@ class Scheme:
 SCHEMES = {
     "p1": Scheme(None),
     "p2": Scheme(_everything),
-    "p3": Scheme(_ids(ClosureIndex.closure_mask)),
-    "p4": Scheme(_ids(ClosureIndex.hard_closure_mask), easy_direct=True),
+    "p3": Scheme(_closure),
+    "p4": Scheme(_hard_closure, easy_direct=True),
     "p5-strict": Scheme(ClosureIndex.connecting_ids),
     "p5-pruned": Scheme(ClosureIndex.connecting_ids, conflicting_only=True),
 }
@@ -281,7 +285,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     for c, members in contexts.items():
         hard.append((-(c + 1), members[c]))
         info.append(("i", c))
-    easy = set(bits(idx.easy_mask)) if scheme.easy_direct else ()
+    easy = idx.easy_ids if scheme.easy_direct else ()
     for c, deps in enumerate(idx.deps):
         members = contexts.get(c)
         if members is None:
@@ -306,13 +310,12 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
                 lits.insert(bisect(lits, head), negated)
                 hard.append(tuple(lits))
                 info.append(("d", c, m, targets))
-    upper_partners = idx.upper_partners
+    partners = idx.partners
     for c, members in contexts.items():
         for a, atom_a in members.items():
-            for b in upper_partners.get(a, ()):
-                atom_b = members.get(b)
-                if atom_b is not None:
-                    hard.append((-atom_a, -atom_b))
+            for b in partners[a]:
+                if b > a and b in members:
+                    hard.append((-atom_a, -members[b]))
                     info.append(("c", c, a, b))
     if rules is not None:
         policy_clauses(rules, u, problem)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, Universe, bits
+from .repo import Package, Universe
 from .satcore import SolveStatus
 
 MODES = ("max", "min-nontrivial", "target")
@@ -144,21 +144,20 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     need re-checking.
     """
     current = set(t_prime)
-    mask = idx.mask(t_prime)
+    chosen = idx.id_set(t_prime)
     names = {p.name for p in current}
-    for i in bits(idx.mask(u.testing & u.unstable) & ~mask):
+    for i in sorted(idx.id_set(u.testing & u.unstable) - chosen):
         p = idx.packages[i]
         if p.name in names:
             continue
-        candidate = mask | 1 << i
-        if not repo.installable_in(i, candidate, idx):
-            continue
-        if policy is not None and \
-                not repo.policy_satisfied(frozenset(current | {p}), policy):
-            continue
-        current.add(p)
-        mask = candidate
-        names.add(p.name)
+        chosen.add(i)
+        if repo.installable_in(i, chosen, idx) and (
+                policy is None
+                or repo.policy_satisfied(frozenset(current | {p}), policy)):
+            current.add(p)
+            names.add(p.name)
+        else:
+            chosen.remove(i)
     return frozenset(current)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import encoder, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, RepoError, Universe, bits, policy_satisfied
+from .repo import Package, RepoError, Universe, policy_satisfied
 from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
                       infer_num_vars, solve_sat)
 
@@ -323,7 +323,7 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
             add((-inst[c, m], m + 1), ("e", c, m))
     for c in tracked:
         add((-(c + 1), inst[c, c]), ("i", c))
-    easy = set(bits(idx.easy_mask)) if scheme.easy_direct else set()
+    easy = idx.easy_ids if scheme.easy_direct else set()
     for c in range(len(pkgs)):
         members = tracked.get(c)
         if members is None:

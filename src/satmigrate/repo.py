@@ -5,8 +5,8 @@ installations, installability, trimmedness and admissibility, used to
 verify everything the solver pipeline produces. The reference oracles,
 exhaustive and SAT, live in ``satmigrate.oracle``.
 
-``installable_mask`` decides installability for every member of a
-repository r at once, on ``ClosureIndex`` ids and bitmasks, in four exact
+``installable_ids`` decides installability for every member of a
+repository r at once, on sets of ``ClosureIndex`` ids, in four exact
 steps:
 
 1. Fixpoint. ``live`` is the greatest subset of r that meets every
@@ -17,7 +17,8 @@ steps:
 2. Conflict-free closures. If closure(p) ∩ live holds no conflict pair,
    it is itself a healthy installation of p: each of its members has a
    live member in every disjunction, and that member lies in the member's
-   closure, so inside closure(p).
+   closure, so inside closure(p). The test reads only the live conflict
+   ends inside closure(p), which the index keeps per closure.
 3. A greedy installation. A walk from p meets every disjunction that the
    set built so far does not meet with the lowest live member that
    conflicts with nothing in the set. Each member added meets the
@@ -49,6 +50,7 @@ over closure(p) ∩ testing instead of closure(p) ∩ live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import controlfile, satcore
@@ -106,7 +108,8 @@ class Universe:
     unstable: frozenset[Package]
 
     def sorted_packages(self) -> list[Package]:
-        return sorted(self.packages)
+        # Package's own order, by a key that compares in C
+        return sorted(self.packages, key=attrgetter("name", "version"))
 
 
 def make_universe(packages: Iterable[Package],
@@ -203,69 +206,62 @@ def build_universe(testing: list[PackageStanza],
     )
 
 
-def bits(mask: int):
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _has_conflict(mask: int, idx: "ClosureIndex") -> bool:
+def _has_conflict(members: set[int], idx: "ClosureIndex") -> bool:
+    """Whether two of the members conflict."""
     partners = idx.partners
-    return any(partners[a] & mask for a in bits(mask & idx.conflict_ends))
+    return any(not members.isdisjoint(partners[a]) for a in members)
 
 
-def _is_installation(witness: int, p: int, r: int, idx: "ClosureIndex") -> bool:
+def _is_installation(witness: set[int], p: int, r: set[int],
+                     idx: "ClosureIndex") -> bool:
     """An installation of p inside r: healthy, contains p, lies inside r."""
-    deps, members = idx.deps, set(bits(witness))
-    return (p in members and not witness & ~r
-            and all(not members.isdisjoint(targets)
-                    for q in members for targets in deps[q])
+    deps = idx.deps
+    return (p in witness and witness <= r
+            and all(not witness.isdisjoint(targets)
+                    for q in witness for targets in deps[q])
             and not _has_conflict(witness, idx))
 
 
-def _live(r: int, idx: "ClosureIndex") -> int:
+def _live(r: set[int], idx: "ClosureIndex") -> set[int]:
     """Step 1 of the module docstring: the greatest subset of r that meets
     every dependency disjunction of its own members."""
     deps, dependents = idx.deps, idx.dependents
-    live, members = r, set(bits(r))
-    todo = list(members)
+    live = set(r)
+    todo = list(live)
     while todo:
         p = todo.pop()
-        if p in members and any(members.isdisjoint(targets)
-                                for targets in deps[p]):
-            members.remove(p)
-            live ^= 1 << p
+        if p in live and any(live.isdisjoint(targets) for targets in deps[p]):
+            live.remove(p)
             todo += dependents[p]
     return live
 
 
-def _greedy_installation(p: int, live: int, idx: "ClosureIndex") -> int:
+def _greedy_installation(p: int, live: set[int], idx: "ClosureIndex"
+                         ) -> set[int]:
     """Step 3 of the module docstring: a walk from p that meets each
     disjunction not yet met with its lowest live member that conflicts with
-    nothing chosen so far; 0 at a dead end."""
+    nothing chosen so far; empty at a dead end."""
     deps, partners = idx.deps, idx.partners
-    witness, chosen = 1 << p, {p}
-    banned = partners[p]
+    chosen = {p}
+    banned = set(partners[p])
     todo = [p]
     while todo:
         for targets in deps[todo.pop()]:
             if not chosen.isdisjoint(targets):
                 continue
             for q in targets:
-                if live >> q & 1 and not banned >> q & 1:
+                if q in live and q not in banned:
                     break
             else:
-                return 0
+                return set()
             chosen.add(q)
-            witness |= 1 << q
-            banned |= partners[q]
+            banned.update(partners[q])
             todo.append(q)
-    return witness
+    return chosen
 
 
-def _checked(witness: int, p: int, r: int, idx: "ClosureIndex") -> int:
+def _checked(witness: set[int], p: int, r: set[int],
+             idx: "ClosureIndex") -> set[int]:
     """The witness, once it passes as an installation of p inside r; one
     that fails is an internal error."""
     if not _is_installation(witness, p, r, idx):
@@ -275,12 +271,12 @@ def _checked(witness: int, p: int, r: int, idx: "ClosureIndex") -> int:
     return witness
 
 
-def installation_query(p: int, members: int, idx: "ClosureIndex"):
+def installation_query(p: int, members: Iterable[int], idx: "ClosureIndex"):
     """SAT query for an installation of p among ``members``. Returns
-    (clauses, info, ids): atom k stands for ids[k-1], and info[j] is the
-    provenance of clauses[j] on idx's ids (an inst-dep entry names the
-    disjunction's members inside ``members``)."""
-    ids = list(bits(members))
+    (clauses, info, ids): atom k stands for ids[k-1], the ids ascending,
+    and info[j] is the provenance of clauses[j] on idx's ids (an inst-dep
+    entry names the disjunction's members inside ``members``)."""
+    ids = sorted(members)
     atom = {q: k for k, q in enumerate(ids, start=1)}
     clauses = [(atom[p],)]
     info: list[tuple] = [("inst-target", p)]
@@ -290,61 +286,61 @@ def installation_query(p: int, members: int, idx: "ClosureIndex"):
             clauses.append((-atom[q], *(atom[x] for x in inside)))
             info.append(("inst-dep", q, targets
                          if len(inside) == len(targets) else inside))
-    for a in bits(members & idx.conflict_ends):
-        for b in bits(idx.partners[a] & members):
-            if a < b:
+    for a in ids:
+        for b in idx.partners[a]:
+            if b > a and b in atom:
                 clauses.append((-atom[a], -atom[b]))
                 info.append(("inst-conflict", a, b))
     return clauses, info, ids
 
 
-def _installation_by_query(p: int, r: int, live: int,
-                           idx: "ClosureIndex") -> int:
+def _installation_by_query(p: int, r: set[int], live: set[int],
+                           idx: "ClosureIndex") -> set[int]:
     """Step 4 of the module docstring: one SAT query over the live members
-    of p's closure. Returns its witness, checked, or 0 when the query is
-    UNSAT."""
-    clauses, _, ids = installation_query(p, idx.closure_mask(p) & live, idx)
+    of p's closure. Returns its witness, checked, or an empty set when the
+    query is UNSAT."""
+    clauses, _, ids = installation_query(
+        p, live.intersection(idx.closure(p)), idx)
     result = satcore.solve_sat(clauses, num_vars=len(ids))
     if result.status is satcore.SolveStatus.TIMEOUT:
         raise InstallabilityTimedOut(
             f"installability query for {idx.packages[p]} timed out")
     if result.status is not satcore.SolveStatus.SAT:
-        return 0
-    witness = sum(1 << ids[k - 1] for k in result.true_atoms)
-    return _checked(witness, p, r, idx)
+        return set()
+    return _checked({ids[k - 1] for k in result.true_atoms}, p, r, idx)
 
 
-def _installation(p: int, r: int, live: int, idx: "ClosureIndex") -> int:
+def _installation(p: int, r: set[int], live: set[int],
+                  idx: "ClosureIndex") -> set[int]:
     """An installation of p inside live, by steps 2–4 of the module
-    docstring, or 0 when p has none. live must be the fixpoint of step 1
-    over a subset of r that holds p's closure ∩ r."""
-    closure = idx.closure_mask(p) & live
-    if not _has_conflict(closure, idx):
-        return closure
+    docstring, or an empty set when p has none. live must be the fixpoint
+    of step 1 over a subset of r that holds p's closure ∩ r."""
+    if not _has_conflict(live.intersection(idx.closure_ends[p]), idx):
+        return live.intersection(idx.closure(p))
     witness = _greedy_installation(p, live, idx)
     if witness:
         return _checked(witness, p, r, idx)
     return _installation_by_query(p, r, live, idx)
 
 
-def installable_mask(r: int, idx: "ClosureIndex") -> int:
-    """The members of r (a mask over idx's ids) that are installable in r,
-    by the steps of the module docstring. Packages are visited largest
+def installable_ids(r: set[int], idx: "ClosureIndex") -> set[int]:
+    """The members of r (a set of idx's ids) that are installable in r, by
+    the steps of the module docstring. Packages are visited largest
     closure first, and every installation found marks all its members."""
     live = _live(r, idx)
-    closure = idx.closure_mask
-    found = 0
-    for p in sorted(bits(live), key=lambda q: (-closure(q).bit_count(), q)):
-        if not found >> p & 1:
+    closure = idx.closure
+    found: set[int] = set()
+    for p in sorted(live, key=lambda q: (-len(closure(q)), q)):
+        if p not in found:
             found |= _installation(p, r, live, idx)
     return found
 
 
-def installable_in(p: int, r: int, idx: "ClosureIndex") -> bool:
+def installable_in(p: int, r: set[int], idx: "ClosureIndex") -> bool:
     """Whether p, a member of r, is installable in r: the steps of the
     module docstring over closure(p) ∩ r alone."""
-    live = _live(idx.closure_mask(p) & r, idx)
-    return bool(live >> p & 1 and _installation(p, r, live, idx))
+    live = _live(r.intersection(idx.closure(p)), idx)
+    return p in live and bool(_installation(p, r, live, idx))
 
 
 def _index(u: Universe, idx: "ClosureIndex | None") -> "ClosureIndex":
@@ -359,18 +355,19 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
                    idx: "ClosureIndex | None" = None) -> bool:
     """Whether p, a member of r, is installable in r, by ``installable_in``."""
     idx = _index(u, idx)
-    i, mask = idx.ids.get(p), idx.mask(r)
-    if i is None or not mask >> i & 1:
+    i, members = idx.ids.get(p), idx.id_set(r)
+    if i not in members:
         raise ValueError("need p ∈ r ⊆ packages")
-    return installable_in(i, mask, idx)
+    return installable_in(i, members, idx)
 
 
 def uninstallable(r: Iterable[Package], u: Universe,
                   idx: "ClosureIndex | None" = None) -> list[Package]:
     """The members of r that are not installable in r, in sorted order."""
     idx = _index(u, idx)
-    mask = idx.mask(r)
-    return [idx.packages[i] for i in bits(mask & ~installable_mask(mask, idx))]
+    members = idx.id_set(r)
+    return [idx.packages[i]
+            for i in sorted(members - installable_ids(members, idx))]
 
 
 @dataclass(frozen=True)
@@ -430,7 +427,7 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
         raise ValueError("candidate repository references unknown packages")
     idx = _index(u, idx)
     seen: dict[str, Package] = {}
-    for i in bits(idx.mask(chosen)):
+    for i in sorted(idx.id_set(chosen)):
         p = idx.packages[i]
         if p.name in seen:
             return AdmissibilityVerdict(
@@ -456,7 +453,7 @@ def check_testing(u: Universe, idx: "ClosureIndex | None" = None
     idx = _index(u, idx)
     violations = []
     by_name: dict[str, list[Package]] = {}
-    for i in bits(idx.mask(u.testing)):  # ids ascend in name order
+    for i in sorted(idx.id_set(u.testing)):  # ids ascend in name order
         p = idx.packages[i]
         by_name.setdefault(p.name, []).append(p)
     for name, group in by_name.items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from satmigrate.closure import ClosureIndex
-from satmigrate.repo import Package, Universe, bits, make_universe
+from satmigrate.repo import Package, Universe, make_universe
 from satmigrate.satcore import DpllSolver, SolveStatus
 
 
@@ -20,20 +20,30 @@ def may_dep(idx: ClosureIndex, p: Package) -> frozenset[Package]:
                      for q in targets)
 
 
-def _members(idx: ClosureIndex, mask: int) -> frozenset[Package]:
-    return frozenset(idx.packages[i] for i in bits(mask))
+def _members(idx: ClosureIndex, ids) -> frozenset[Package]:
+    return frozenset(idx.packages[i] for i in ids)
 
 
 def closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
-    return _members(idx, idx.closure_mask(idx.ids[p]))
+    return _members(idx, idx.closure(idx.ids[p]))
 
 
 def hard_closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
-    return _members(idx, idx.hard_closure_mask(idx.ids[p]))
+    return _members(idx, idx.hard_closure(idx.ids[p]))
 
 
 def is_easy(idx: ClosureIndex, p: Package) -> bool:
-    return bool(idx.easy_mask >> idx.ids[p] & 1)
+    return idx.ids[p] in idx.easy_ids
+
+
+def relevant_conflicts(idx: ClosureIndex, p: Package
+                       ) -> frozenset[tuple[Package, Package]]:
+    """Conflicts with both endpoints inside p's dependency closure."""
+    inside = set(idx.closure(idx.ids[p]))
+    pkgs = idx.packages
+    return frozenset(pair for a, b in idx.conflict_pairs
+                     if a in inside and b in inside
+                     for pair in ((pkgs[a], pkgs[b]), (pkgs[b], pkgs[a])))
 
 
 def tiny_universe(pkgs, dep=None, conflicts=(), testing=None, unstable=None):

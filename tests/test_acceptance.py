@@ -24,7 +24,8 @@ from satmigrate.satcore import (SolveStatus, emit_dimacs,
                                 solve_pmaxsat, solve_sat)
 
 from .generators import (brute_best_measure, projected_solutions,
-                         random_instance, random_universe)
+                         random_instance, random_universe,
+                         relevant_conflicts)
 
 CORPUS_SEED = 20120330
 DENSITY_GRID = [(dep, conf) for dep in (0.3, 0.6, 0.9)
@@ -150,7 +151,7 @@ def test_size_monotonicity(corpus):
     for i in range(400):
         universe = random_universe(rng, size=(i % 10) + 1)
         idx = ClosureIndex(universe)
-        if not any(idx.relevant_conflicts(p) for p in idx.packages):
+        if not any(relevant_conflicts(idx, p) for p in idx.packages):
             continue
         reachable_conflict += 1
         p3 = build_encoding(universe, idx, "p3")

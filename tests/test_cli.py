@@ -54,6 +54,13 @@ def test_migrate_malformed_input(repos, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_migrate_rejects_an_empty_package_name(repos, capsys):
+    code = main(["migrate", *repos("Package: \nVersion: 1\n\n",
+                                   UPGRADE_UNSTABLE)])
+    assert code == EXIT_ERROR
+    assert "cannot parse line 'Package: '" in capsys.readouterr().err
+
+
 def test_migrate_unsolvable_policy(repos, tmp_path, capsys):
     testing = "Package: a\nVersion: 1\n\n"
     unstable = ("Package: a\nVersion: 2\n\n"

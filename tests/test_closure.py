@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 
+from satmigrate import oracle
 from satmigrate.closure import ClosureIndex
 from satmigrate.repo import make_universe
 
 from .generators import (P, closure, clustered_universe, hard_closure,
-                         is_easy, may_dep, random_universe, tiny_universe)
+                         is_easy, may_dep, random_universe,
+                         relevant_conflicts, tiny_universe)
 
 
 # -- may depend ----------------------------------------------------------------
@@ -59,6 +61,50 @@ def test_closure_is_transitive_and_idempotent():
             assert p in members
             for q in members:
                 assert closure(idx, q) <= members  # transitive, hence idempotent
+
+
+def _with_self_dependencies(rng: random.Random, u):
+    """u with about every fifth package also requiring itself."""
+    pkgs = sorted(u.packages)
+    dep = {p: [*u.dep[p], *([[p]] if rng.random() < 0.2 else [])]
+           for p in pkgs}
+    return make_universe(pkgs, dep, u.conflicts, u.testing, u.unstable)
+
+
+def test_closures_match_an_independent_reference():
+    # closure against oracle.reachable; easy, hard_closure and relevant_ends
+    # against the universe's conflict pairs, on Packages
+    rng = random.Random(67)
+    universes = [random_universe(rng, max_size=10, dep_density=0.7,
+                                 conflict_density=rng.random())
+                 for _ in range(200)]
+    universes += [clustered_universe(rng, rng.randint(100, 300),
+                                     conflicts=rng.randint(1, 40))
+                  for _ in range(8)]
+    seen = {"cycle": 0, "self": 0, "easy": 0, "hard": 0, "relevant": 0}
+    for u in universes:
+        u = _with_self_dependencies(rng, u)
+        idx = ClosureIndex(u)
+        reach = {p: oracle.reachable(p, u) for p in u.packages}
+        ends = {a for a, _ in u.conflicts}
+
+        def ids(packages):
+            return sorted(idx.ids[q] for q in packages)
+
+        for p, members in reach.items():
+            i = idx.ids[p]
+            assert sorted(idx.closure(i)) == ids(members)
+            easy = not members & ends
+            assert (i in idx.easy_ids) == easy
+            hard = {p} if easy else {q for q in members if reach[q] & ends}
+            assert sorted(idx.hard_closure(i)) == ids(hard)
+            relevant = {a for a, b in u.conflicts if {a, b} <= members}
+            assert sorted(idx.relevant_ends(i)) == ids(relevant)
+            seen["cycle"] += any(p in reach[q] for q in members if q != p)
+            seen["self"] += any(p in d for d in u.dep[p])
+            seen["easy" if easy else "hard"] += 1
+            seen["relevant"] += bool(relevant)
+    assert min(seen.values()) > 100, seen
 
 
 # -- easy packages -----------------------------------------------------------------
@@ -137,7 +183,7 @@ def test_hard_closure_is_the_walk_through_hard_successors():
         for p in idx.packages:
             hard = hard_closure(idx, p)
             assert hard == _hard_walk(idx, p)
-            assert idx.hard_closure_mask(idx.ids[p]) == idx.mask(hard)
+            assert sorted(idx.hard_closure(idx.ids[p])) == sorted(idx.id_set(hard))
             pruned += not is_easy(idx, p) and hard != closure(idx, p)
     assert pruned > 0
 
@@ -149,7 +195,7 @@ def test_conflict_with_endpoint_outside_closure_is_irrelevant():
                       dep={"p/1": [["q/1"]]},
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert idx.relevant_conflicts(P("p/1")) == frozenset()
+    assert relevant_conflicts(idx, P("p/1")) == frozenset()
 
 
 def test_conflict_inside_closure_is_relevant_both_ways():
@@ -157,7 +203,7 @@ def test_conflict_inside_closure_is_relevant_both_ways():
                       dep={"p/1": [["q/1"], ["r/1"]]},
                       conflicts=[("q/1", "r/1")])
     idx = ClosureIndex(u)
-    assert idx.relevant_conflicts(P("p/1")) == {
+    assert relevant_conflicts(idx, P("p/1")) == {
         (P("q/1"), P("r/1")), (P("r/1"), P("q/1"))}
 
 
@@ -165,7 +211,7 @@ def test_no_conflicts_nothing_relevant():
     rng = random.Random(5)
     u = random_universe(rng, max_size=6, conflict_density=0.0)
     idx = ClosureIndex(u)
-    assert all(idx.relevant_conflicts(p) == frozenset() for p in idx.packages)
+    assert all(relevant_conflicts(idx, p) == frozenset() for p in idx.packages)
 
 
 # -- connecting dependencies ----------------------------------------------------------
@@ -203,7 +249,7 @@ def test_connecting_matches_its_definition_mid_scale():
         idx = ClosureIndex(u)
         tracked = 0
         for p in idx.packages:
-            ends = {a for a, b in idx.relevant_conflicts(p)}
+            ends = {a for a, b in relevant_conflicts(idx, p)}
             expected = {q for q in closure(idx, p) if closure(idx, q) & ends}
             assert idx.connecting(p) == expected | {p}
             tracked += bool(ends)
@@ -212,7 +258,7 @@ def test_connecting_matches_its_definition_mid_scale():
 
 def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
     # p5-pruned tracks a context when its connecting ids are more than the
-    # context itself, and relies on this meaning relevant_ends(c) != 0;
+    # context itself, and relies on this meaning relevant_ends(c) is not empty;
     # every fifth package or so also requires itself
     rng = random.Random(59)
     universes = [random_universe(rng, max_size=10, dep_density=0.7,
@@ -223,13 +269,9 @@ def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
                   for _ in range(8)]
     seen = {True: 0, False: 0}
     for u in universes:
-        pkgs = sorted(u.packages)
-        dep = {p: [*u.dep[p], *([[p]] if rng.random() < 0.2 else [])]
-               for p in pkgs}
-        idx = ClosureIndex(make_universe(pkgs, dep, u.conflicts, u.testing,
-                                         u.unstable))
-        for i in range(len(pkgs)):
-            conflicting = idx.relevant_ends(i) != 0
+        idx = ClosureIndex(_with_self_dependencies(rng, u))
+        for i in range(len(idx.packages)):
+            conflicting = bool(idx.relevant_ends(i))
             assert conflicting == (idx.connecting_ids(i) != [i])
             seen[conflicting] += 1
     assert min(seen.values()) > 100, seen
@@ -249,7 +291,7 @@ def test_containment_chain_and_easy_relevance():
             assert p in connecting
             assert connecting <= hard <= closure(idx, p)
             if p in idx.easy:
-                assert idx.relevant_conflicts(p) == frozenset()
+                assert relevant_conflicts(idx, p) == frozenset()
                 assert hard == {p}
 
 

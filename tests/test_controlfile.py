@@ -209,6 +209,12 @@ def test_unparseable_line_is_rejected():
         parse_packages_stream("Package: a\nVersion: 1\nnonsense line\n")
 
 
+def test_empty_package_name_is_rejected():
+    with pytest.raises(MalformedStanza) as err:
+        parse_packages_stream("Package: a\nVersion: 1\n\nPackage: \nVersion: 1\n")
+    assert err.value.stanza_index == 1
+
+
 def test_round_trip_up_to_normalization():
     text = ("Package: a\nVersion: 1:2.0-1\nDepends: b(>=2)|c , d\n"
             "Conflicts: e\nProvides: virt\nArchitecture: any\n\n"

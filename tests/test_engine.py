@@ -383,11 +383,11 @@ def test_no_provenance_field_is_a_package():
             problem = build_encoding(u, idx, name, policy)
             infos += problem.info
             infos.append(target_clause(target, u, problem.atoms)[1])
-        testing = idx.mask(u.testing)
+        testing = idx.id_set(u.testing)
         for i in range(len(pkgs)):
-            if testing >> i & 1:
+            if i in testing:
                 infos += repo.installation_query(
-                    i, idx.closure_mask(i) & testing, idx)[1]
+                    i, testing.intersection(idx.closure(i)), idx)[1]
         for info in infos:
             assert not any(isinstance(f, Package) for f in _fields(info)), info
             checked += 1

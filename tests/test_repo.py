@@ -6,7 +6,7 @@ import random
 import pytest
 
 from satmigrate import oracle, repo, satcore
-from satmigrate.closure import ClosureIndex, bits
+from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
 from satmigrate.oracle import (ContextTooLarge, admissible_sets, is_healthy,
@@ -329,8 +329,8 @@ def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
             seen["broken"] += len(found)
         seen["empty"] += sum(not d for ds in u.dep.values() for d in ds)
         seen["cycle"] += sum(
-            any(idx.closure_mask(q) >> i & 1 for q in bits(idx.closure_mask(i))
-                if q != i) for i in range(size))
+            any(i in idx.closure(q) for q in idx.closure(i) if q != i)
+            for i in range(size))
         seen["conflict"] += len(idx.conflict_pairs)
     assert min(seen.values()) > 0, seen
     statuses = {status for _, status in calls}
@@ -402,11 +402,11 @@ def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     u = tiny_universe(**GREEDY_DEAD_END)
     idx = ClosureIndex(u)
     p = idx.ids[P("p/1")]
-    assert repo._greedy_installation(p, idx.mask(u.packages), idx) == 0
-    live = repo._live(idx.mask(u.packages), idx)
+    assert repo._greedy_installation(p, idx.id_set(u.packages), idx) == set()
+    live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
     assert uninstallable(u.packages, u, idx) == []
-    assert calls == [((idx.closure_mask(p) & live).bit_count(),
+    assert calls == [(len(live.intersection(idx.closure(p))),
                       satcore.SolveStatus.SAT)]
 
 
@@ -414,7 +414,7 @@ def test_pass_rejects_a_greedy_set_that_misses_a_dependency(monkeypatch):
     # the forged walk returns {p} alone, which misses p's dependency
     u = tiny_universe(**CONFLICTED_CHOICE)
     monkeypatch.setattr(repo, "_greedy_installation",
-                        lambda p, live, idx: 1 << p)
+                        lambda p, live, idx: {p})
     with pytest.raises(satcore.SatCoreError):
         uninstallable(u.packages, u)
 
@@ -461,7 +461,7 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
                            empty_dep_prob=0.0)
     idx = ClosureIndex(u)
     (a, b), = idx.conflict_pairs
-    assert sum(idx.closure_mask(i) >> a & 1 and idx.closure_mask(i) >> b & 1
+    assert sum(a in idx.closure(i) and b in idx.closure(i)
                for i in range(len(idx.packages))) > 1
     expected = _per_package(u.packages, u)
     calls = _recording_solve_sat(monkeypatch)
@@ -501,13 +501,13 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     idx = ClosureIndex(u)
     (a, b), = idx.conflict_pairs
     both = [i for i in range(len(idx.packages))
-            if idx.closure_mask(i) >> a & 1 and idx.closure_mask(i) >> b & 1]
-    live = repo._live(idx.mask(u.packages), idx)
+            if a in idx.closure(i) and b in idx.closure(i)]
+    live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
     uninstallable(u.packages, u, idx)
     assert len(both) > 1
     assert [n for n, _ in calls] == \
-        [(idx.closure_mask(i) & live).bit_count() for i in both]
+        [len(live.intersection(idx.closure(i))) for i in both]
 
 
 def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
@@ -556,9 +556,10 @@ def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
         u = clustered_universe(rng, size, conflicts=size // 3)
         expected = _per_package(u.packages, u)
         idx = ClosureIndex(u)
-        live = repo._live(idx.mask(u.packages), idx)
-        conflicted += sum(repo._has_conflict(idx.closure_mask(i) & live, idx)
-                          for i in bits(live))
+        live = repo._live(idx.id_set(u.packages), idx)
+        conflicted += sum(
+            repo._has_conflict(live.intersection(idx.closure(i)), idx)
+            for i in live)
         with monkeypatch.context() as patch:
             calls = _recording_solve_sat(patch)
             assert uninstallable(u.packages, u, idx) == expected
