@@ -46,9 +46,12 @@ def _fail(message: str) -> int:
 
 
 def _load_universe(args) -> Universe:
+    # one parse cache for both files: unstable repeats many testing blocks
+    cache: dict = {}
     repos = []
     for path in (args.testing, args.unstable):
-        repos.append(controlfile.parse_packages_stream(Path(path).read_bytes()))
+        repos.append(controlfile.parse_packages_stream(
+            Path(path).read_bytes(), cache))
     return repo.build_universe(repos[0], repos[1])
 
 
@@ -200,7 +203,7 @@ def cmd_check(args) -> int:
 
 def _stats_rows(universe: Universe, idx: ClosureIndex) -> list[dict]:
     rows = []
-    names = (["p1"] if not universe.conflicts else []) + \
+    names = (["p1"] if not universe.conflict_pairs else []) + \
         ["p3", "p4", "p5-strict", "p5-pruned"]
     for name in names:
         problem = encoder.build_encoding(universe, idx, name)

@@ -1,7 +1,7 @@
 """Dependency-closure index.
 
-Interns the packages as ids, with their dependency disjunctions as id
-tuples, and precomputes the "may depend" relation, its reflexive-transitive
+Reads the ids and id tables that ``repo.build_universe`` interned, and
+precomputes the "may depend" relation, its reflexive-transitive
 closure, the conflict partners of each package and, per closure, the
 conflict ends inside it. The easy packages (whose closure holds no
 conflict end), the closure restricted to hard packages, the relevant
@@ -29,103 +29,115 @@ from .repo import Package, Universe
 _NO_ENDS: frozenset[int] = frozenset()
 
 
-def _scc_closures(succ: list[list[int]], conflict_ends: frozenset[int]
-                  ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """Per-node reachability tuples (reflexive), and the conflict ends
-    inside each, via iterative Tarjan.
-
-    SCCs are emitted children-first, so the closure of a component is its
-    own members joined with the already-final closures of its successors.
-    A successor already inside adds nothing: its closure is inside too.
-    """
+def _components(succ: list[list[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph, children first
+    (every successor of a member lies in the same or an earlier one), via
+    iterative Tarjan."""
     n = len(succ)
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    closures: list[tuple[int, ...]] = [()] * n
-    ends: list[frozenset[int]] = [_NO_ENDS] * n
+    components: list[list[int]] = []
     counter = 0
     for root in range(n):
         if order[root] != -1:
             continue
-        work = [(root, 0)]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            v, successors = work[-1]
+            for w in successors:
                 if order[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and order[w] < low[v]:
                     low[v] = order[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == order[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                members = set(component)
-                for w in component:
-                    for x in succ[w]:
-                        if x not in members:
-                            members.update(closures[x])
-                closure = tuple(members)
-                closure_ends = conflict_ends.intersection(members) or _NO_ENDS
-                for w in component:
-                    closures[w] = closure
-                    ends[w] = closure_ends
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
+def _scc_closures(succ: list[list[int]], conflict_ends: frozenset[int]
+                  ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """Per-node reachability tuples (reflexive), and the conflict ends
+    inside each.
+
+    Components come children first, so the closure of a component is its
+    own members joined with the already-final closures of its successors
+    outside it, in one C-level union, and its conflict ends are its own
+    joined with theirs. A one-member component with one successor outside
+    has that successor's closure with itself in front, since the closure
+    cannot hold it: it would be on a cycle with the successor.
+    """
+    closures: list[tuple[int, ...]] = [()] * len(succ)
+    ends: list[frozenset[int]] = [_NO_ENDS] * len(succ)
+    for component in _components(succ):
+        # the members' own closures are still ()
+        outside = [x for w in component for x in succ[w] if closures[x]]
+        if len(component) == 1 and len(outside) <= 1:
+            v, = component
+            below, below_ends = ((closures[outside[0]], ends[outside[0]])
+                                 if outside else ((), _NO_ENDS))
+            closure = (v,) + below
+            closure_ends = below_ends | {v} if v in conflict_ends else below_ends
+        else:
+            closure = tuple(set(component).union(
+                *[closures[x] for x in outside]))
+            closure_ends = conflict_ends.intersection(component).union(
+                *[ends[x] for x in outside]) or _NO_ENDS
+        for w in component:
+            closures[w] = closure
+            ends[w] = closure_ends
     return closures, ends
 
 
 class ClosureIndex:
     """Immutable closure data for one universe.
 
-    Packages are interned as their rank in sorted order. ``deps``,
-    ``dependents``, ``conflict_pairs``, ``partners``, ``closure_ends``
-    and the id-valued methods speak in these ids, for the encoder and the
-    installability pass of ``repo``; the Package-level members translate
-    them back. ``deps[i]`` holds i's disjunctions in the universe's order,
-    each as its members' ids, ascending. ``partners[i]`` holds i's
-    conflict partners, ascending, and ``closure_ends[i]`` the conflict
-    ends inside i's closure.
+    The ids, ``packages``, ``deps`` and ``conflict_pairs`` are the
+    universe's own: a package's id is its rank in sorted order, and
+    ``deps[i]`` holds i's disjunctions, each as its members' ids,
+    ascending (see ``Universe``). ``deps``, ``dependents``,
+    ``conflict_pairs``, ``partners``, ``closure_ends`` and the id-valued
+    methods speak in these ids, for the encoder and the installability
+    pass of ``repo``; the Package-level members translate them back.
+    ``partners[i]`` holds i's conflict partners, ascending, and
+    ``closure_ends[i]`` the conflict ends inside i's closure.
     """
 
     def __init__(self, universe: Universe):
-        self.packages: tuple[Package, ...] = tuple(universe.sorted_packages())
+        self.packages: tuple[Package, ...] = universe.order
         self.ids = {p: i for i, p in enumerate(self.packages)}
-        ids = self.ids
-        self.deps = [tuple(tuple(sorted(ids[q] for q in d))
-                           for d in universe.dep.get(p, ()))
-                     for p in self.packages]
-        # each conflict once, as (a, b) with a < b, in sorted order
-        self.conflict_pairs = sorted(
-            (ids[a], ids[b]) for a, b in universe.conflicts if a < b)
+        self.deps = universe.deps
+        self.conflict_pairs = universe.conflict_pairs
         n = len(self.packages)
         partners: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.conflict_pairs:
             partners[a].append(b)
             partners[b].append(a)
         self.partners = [tuple(sorted(ps)) for ps in partners]
-        self._succ = [sorted({q for targets in deps for q in targets})
-                      for deps in self.deps]
+        self._succ = [sorted(set().union(*deps)) for deps in self.deps]
         self._closure, self.closure_ends = _scc_closures(
             self._succ, frozenset(i for i in range(n) if self.partners[i]))
         self.easy_ids = frozenset(i for i in range(n)

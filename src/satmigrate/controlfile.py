@@ -3,6 +3,13 @@
 Version strings follow the classic dpkg shape ``[epoch:]upstream[-revision]``
 and are ordered by the alternating non-digit/digit run comparison with ``~``
 sorting before everything, including the end of a run.
+
+A load parses each distinct piece of text once: the parses of its files
+share one cache (``parse_packages_stream``'s ``cache``), so a block that
+repeats, as testing's blocks do in unstable, is parsed once and yields
+one stanza object, and a repeated dependency alternative yields one
+constraint object. The cache lives only as long as the load. Packages are
+interned as integer ids afterwards, once, by ``repo.build_universe``.
 """
 
 from __future__ import annotations
@@ -220,9 +227,18 @@ def _check_name(name: str, text: str, offset: int) -> str:
     return name
 
 
-def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
+def _parse_alternative(text: str, start: int, end: int,
+                       cache: dict | None = None) -> VersionConstraint:
+    """The alternative text[start:end]. ``cache`` maps the stripped texts
+    of alternatives parsed before to their constraints: one found there is
+    not parsed again, and one that parses is added."""
     chunk = text[start:end]
     stripped = chunk.strip()
+    if cache is not None:
+        constraint = cache.get(stripped)
+        if constraint is None:
+            constraint = cache[stripped] = _parse_alternative(text, start, end)
+        return constraint
     offset = start + (len(chunk) - len(chunk.lstrip()))
     if not stripped:
         raise MalformedDependency(text, offset, "empty alternative")
@@ -258,32 +274,34 @@ def _split_offsets(text: str, sep: str, start: int, end: int) -> list[tuple[int,
         start = pos + 1
 
 
-def parse_dependency_expr(text: str) -> list[list[VersionConstraint]]:
+def parse_dependency_expr(text: str, cache: dict | None = None
+                          ) -> list[list[VersionConstraint]]:
     """Parse comma-separated AND-groups of '|'-separated alternatives."""
     if not text.strip():
         return []
     groups = []
     for gstart, gend in _split_offsets(text, ",", 0, len(text)):
-        groups.append([_parse_alternative(text, astart, aend)
+        groups.append([_parse_alternative(text, astart, aend, cache)
                        for astart, aend in _split_offsets(text, "|", gstart, gend)])
     return groups
 
 
-def parse_conflict_expr(text: str) -> list[VersionConstraint]:
+def parse_conflict_expr(text: str, cache: dict | None = None
+                        ) -> list[VersionConstraint]:
     """Parse a comma-separated conflict list (alternatives are not allowed)."""
     if not text.strip():
         return []
     if "|" in text:
         raise MalformedDependency(text, text.find("|"), "'|' not allowed in conflicts")
-    return [_parse_alternative(text, start, end)
+    return [_parse_alternative(text, start, end, cache)
             for start, end in _split_offsets(text, ",", 0, len(text))]
 
 
-def parse_provides(text: str) -> list[str]:
+def parse_provides(text: str, cache: dict | None = None) -> list[str]:
     """Parse a Provides list; versioned provides are reduced to their name."""
     if not text.strip():
         return []
-    return [_parse_alternative(text, start, end).name
+    return [_parse_alternative(text, start, end, cache).name
             for start, end in _split_offsets(text, ",", 0, len(text))]
 
 
@@ -317,22 +335,31 @@ class PackageStanza:
     architecture: str | None = None
 
 
-def _split_stanza_blocks(text: str) -> list[list[str]]:
-    blocks: list[list[str]] = []
+def _split_stanza_blocks(text: str) -> list[tuple[str, ...]]:
+    """The blank-line separated blocks of text, as tuples of lines.
+
+    Lines end at "\n" alone, less one trailing "\r", so a CRLF file parses
+    like its LF twin. str.splitlines() would also end a line at U+0085 and
+    other control characters, and latin-1 decoding turns the second byte of
+    a UTF-8 "Å" into U+0085.
+    """
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    blocks: list[tuple[str, ...]] = []
     current: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            if current:
-                blocks.append(current)
-                current = []
-        else:
+    for line in lines:
+        if line.strip():
             current.append(line)
+        elif current:
+            blocks.append(tuple(current))
+            current = []
     if current:
-        blocks.append(current)
+        blocks.append(tuple(current))
     return blocks
 
 
-def _fields_of_block(block: list[str], index: int) -> dict[str, str]:
+def _fields_of_block(block: tuple[str, ...], index: int) -> dict[str, str]:
     fields: dict[str, str] = {}
     last_key = None
     for line in block:
@@ -342,43 +369,63 @@ def _fields_of_block(block: list[str], index: int) -> dict[str, str]:
             fields[last_key] += " " + line.strip()
             continue
         key, sep, value = line.partition(":")
-        if not sep or not key.strip() or " " in key.strip():
+        key = key.strip()
+        if not sep or not key or " " in key:
             raise MalformedStanza(index, line)
-        last_key = key.strip().lower()
+        last_key = key.lower()
         fields[last_key] = value.strip()
     return fields
 
 
-def parse_packages_stream(data: bytes | str) -> list[PackageStanza]:
+def _parse_stanza(block: tuple[str, ...], index: int, cache: dict
+                  ) -> PackageStanza:
+    fields = _fields_of_block(block, index)
+    if "package" not in fields:
+        raise MissingField("Package", index)
+    if "version" not in fields:
+        raise MissingField("Version", index)
+    name = fields["package"]
+    if not name or not name.isascii() or set(name) & _NAME_FORBIDDEN:
+        raise MalformedStanza(index, f"Package: {name}")
+    _split_version(fields["version"])
+    depends = parse_dependency_expr(fields.get("depends", ""), cache)
+    depends += parse_dependency_expr(fields.get("pre-depends", ""), cache)
+    conflicts = parse_conflict_expr(fields.get("conflicts", ""), cache)
+    conflicts += parse_conflict_expr(fields.get("breaks", ""), cache)
+    return PackageStanza(
+        name=name,
+        version=fields["version"],
+        depends=depends,
+        conflicts=conflicts,
+        provides=parse_provides(fields.get("provides", ""), cache),
+        architecture=fields.get("architecture"),
+    )
+
+
+def parse_packages_stream(data: bytes | str, cache: dict | None = None
+                          ) -> list[PackageStanza]:
     """Parse a Packages file into stanzas.
 
     Stanzas are blank-line separated ``Key: value`` blocks with indented
     continuation lines; unknown fields are ignored and field order is free.
+
+    ``cache`` holds what one load has parsed so far, for the files of that
+    load to share: each block, keyed by its tuple of lines, maps to its
+    stanza, and each dependency alternative, keyed by its stripped text,
+    to its constraint. A repeated block therefore yields the same stanza object,
+    and a repeated alternative the same constraint, parsed once. Only what
+    parses is added, so an error names the stanza it occurs in. Without a
+    cache, the call uses a fresh one of its own.
     """
     text = data.decode("latin-1") if isinstance(data, bytes) else data
+    if cache is None:
+        cache = {}
     stanzas = []
     for index, block in enumerate(_split_stanza_blocks(text)):
-        fields = _fields_of_block(block, index)
-        if "package" not in fields:
-            raise MissingField("Package", index)
-        if "version" not in fields:
-            raise MissingField("Version", index)
-        name = fields["package"]
-        if not name or not name.isascii() or set(name) & _NAME_FORBIDDEN:
-            raise MalformedStanza(index, f"Package: {name}")
-        _split_version(fields["version"])
-        depends = parse_dependency_expr(fields.get("depends", ""))
-        depends += parse_dependency_expr(fields.get("pre-depends", ""))
-        conflicts = parse_conflict_expr(fields.get("conflicts", ""))
-        conflicts += parse_conflict_expr(fields.get("breaks", ""))
-        stanzas.append(PackageStanza(
-            name=name,
-            version=fields["version"],
-            depends=depends,
-            conflicts=conflicts,
-            provides=parse_provides(fields.get("provides", "")),
-            architecture=fields.get("architecture"),
-        ))
+        stanza = cache.get(block)
+        if stanza is None:
+            stanza = cache[block] = _parse_stanza(block, index, cache)
+        stanzas.append(stanza)
     return stanzas
 
 

@@ -254,7 +254,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     scheme = SCHEMES.get(encoding_id)
     if scheme is None:
         raise ValueError(f"unknown encoding {name!r}")
-    if scheme.members is None and u.conflicts:
+    if scheme.members is None and u.conflict_pairs:
         raise ConflictsPresent("p1 requires a conflict-free universe")
     if encoding_id == "p2" and len(u.packages) > DEFAULT_P2_BOUND:
         raise UniverseTooLarge(f"{len(u.packages)} packages exceed the p2 "

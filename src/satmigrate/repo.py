@@ -5,6 +5,13 @@ installations, installability, trimmedness and admissibility, used to
 verify everything the solver pipeline produces. The reference oracles,
 exhaustive and SAT, live in ``satmigrate.oracle``.
 
+``build_universe`` is where packages are interned, once per load: it
+sorts the (name, version) keys, builds each ``Package`` once, and expands
+each distinct constraint once, straight into ids. The ``Universe`` holds
+the resulting id tables; ``ClosureIndex`` reads them as they are, and
+the Package-level views ``Universe.dep`` and ``Universe.conflicts`` are
+built only when read.
+
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ``ClosureIndex`` ids, in four exact
 steps:
@@ -50,6 +57,7 @@ over closure(p) ∩ testing instead of closure(p) ∩ live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -95,21 +103,54 @@ class Package:
 class Universe:
     """The package world B = testing ∪ unstable with expanded relations.
 
-    ``dep`` maps each package to its dependency disjunctions (sets of
-    packages, one of which must be installed alongside it; an empty
-    disjunction marks the package uninstallable). ``conflicts`` is a
-    symmetric, irreflexive set of ordered pairs.
+    The relations are id tables: a package's id is its position in
+    ``order``, the packages sorted by (name, version). ``deps[i]`` holds
+    i's distinct dependency disjunctions, fewest members first and then by
+    their ids, each as its members' ids, ascending; one of them must be
+    installed alongside i, and an empty one marks i uninstallable.
+    ``conflict_pairs`` holds each conflict once, as (a, b) with a < b,
+    ascending.
+
+    ``dep`` and ``conflicts`` show the same relations on Packages: ``dep``
+    maps each package to its disjunctions as frozensets, in the same
+    order, and ``conflicts`` is the symmetric, irreflexive set of ordered
+    pairs. They are derived on first read, for tests and the oracles; the
+    runtime reads the tables, through ``ClosureIndex``.
     """
 
-    packages: frozenset[Package]
-    dep: Mapping[Package, tuple[frozenset[Package], ...]]
-    conflicts: frozenset[tuple[Package, Package]]
+    order: tuple[Package, ...]
+    deps: tuple[tuple[tuple[int, ...], ...], ...]
+    conflict_pairs: tuple[tuple[int, int], ...]
     testing: frozenset[Package]
     unstable: frozenset[Package]
 
+    @cached_property
+    def packages(self) -> frozenset[Package]:
+        return self.testing | self.unstable
+
+    @cached_property
+    def dep(self) -> Mapping[Package, tuple[frozenset[Package], ...]]:
+        order = self.order
+        return {p: tuple(frozenset(order[i] for i in d) for d in ds)
+                for p, ds in zip(order, self.deps)}
+
+    @cached_property
+    def conflicts(self) -> frozenset[tuple[Package, Package]]:
+        order = self.order
+        return frozenset(pair for a, b in self.conflict_pairs
+                         for pair in ((order[a], order[b]),
+                                      (order[b], order[a])))
+
     def sorted_packages(self) -> list[Package]:
-        # Package's own order, by a key that compares in C
-        return sorted(self.packages, key=attrgetter("name", "version"))
+        return list(self.order)
+
+
+def _disjunction_order(disjunctions: list[tuple[int, ...]]
+                       ) -> tuple[tuple[int, ...], ...]:
+    """The distinct disjunctions, fewest members first, then by ids."""
+    if len(disjunctions) < 2:
+        return tuple(disjunctions)
+    return tuple(sorted(set(disjunctions), key=lambda d: (len(d), d)))
 
 
 def make_universe(packages: Iterable[Package],
@@ -117,7 +158,7 @@ def make_universe(packages: Iterable[Package],
                   conflicts: Iterable[tuple[Package, Package]],
                   testing: Iterable[Package],
                   unstable: Iterable[Package]) -> Universe:
-    """Validate and normalize raw model data into a Universe.
+    """Validate and normalize Package-level model data into a Universe.
 
     Conflicts are symmetrized and reflexive pairs dropped; dependency
     disjunctions are deduplicated and stored in a deterministic order.
@@ -127,26 +168,25 @@ def make_universe(packages: Iterable[Package],
     u = frozenset(unstable)
     if t | u != pkgs:
         raise ValueError("packages must equal testing ∪ unstable")
-    norm_dep: dict[Package, tuple[frozenset[Package], ...]] = {}
-    for p in pkgs:
-        seen = []
+    order = tuple(sorted(pkgs, key=attrgetter("name", "version")))
+    ids = {p: i for i, p in enumerate(order)}
+    deps = []
+    for p in order:
+        disjunctions = []
         for disjunction in dep.get(p, ()):
             members = frozenset(disjunction)
             if not members <= pkgs:
                 raise ValueError(f"dependency of {p} references unknown packages")
-            if members not in seen:
-                seen.append(members)
-        seen.sort(key=lambda d: (len(d), sorted(d)))
-        norm_dep[p] = tuple(seen)
+            disjunctions.append(tuple(sorted(ids[q] for q in members)))
+        deps.append(_disjunction_order(disjunctions))
     pairs = set()
     for a, b in conflicts:
         if a not in pkgs or b not in pkgs:
             raise ValueError("conflict references unknown packages")
         if a != b:
-            pairs.add((a, b))
-            pairs.add((b, a))
-    return Universe(packages=pkgs, dep=norm_dep, conflicts=frozenset(pairs),
-                    testing=t, unstable=u)
+            pairs.add(tuple(sorted((ids[a], ids[b]))))
+    return Universe(order=order, deps=tuple(deps),
+                    conflict_pairs=tuple(sorted(pairs)), testing=t, unstable=u)
 
 
 def _stanza_signature(stanza: PackageStanza) -> tuple:
@@ -162,48 +202,65 @@ def build_universe(testing: list[PackageStanza],
     provider of the name; a versioned constraint matches real packages
     only. A package pair conflicting with itself (directly or through a
     provided name) is dropped.
+
+    This is where packages are interned: the (name, version) keys are
+    sorted once, each Package is built once, and each distinct constraint
+    is expanded once, straight into the ascending ids of its matches.
     """
-    stanza_of: dict[Package, PackageStanza] = {}
-    membership: dict[Package, set[str]] = {}
-    for repo_name, stanzas in (("testing", testing), ("unstable", unstable)):
-        for stanza in stanzas:
-            pkg = Package(stanza.name, stanza.version)
-            if pkg in stanza_of:
-                if _stanza_signature(stanza_of[pkg]) != _stanza_signature(stanza):
-                    raise DuplicateIdentity(
-                        f"{pkg} declared twice with different metadata")
-            else:
-                stanza_of[pkg] = stanza
-            membership.setdefault(pkg, set()).add(repo_name)
-    pkgs = frozenset(stanza_of)
-    by_name: dict[str, list[Package]] = {}
-    providers: dict[str, list[Package]] = {}
-    for pkg, stanza in stanza_of.items():
-        by_name.setdefault(pkg.name, []).append(pkg)
+    stanza_of: dict[tuple[str, str], PackageStanza] = {}
+    keys_in: tuple[list, list] = ([], [])
+    for repo_stanzas, repo_keys in zip((testing, unstable), keys_in):
+        for stanza in repo_stanzas:
+            key = stanza.name, stanza.version
+            first = stanza_of.setdefault(key, stanza)
+            if first is not stanza and (_stanza_signature(first)
+                                        != _stanza_signature(stanza)):
+                raise DuplicateIdentity(
+                    f"{Package(*key)} declared twice with different metadata")
+            repo_keys.append(key)
+    keys = sorted(stanza_of)
+    stanzas = [stanza_of[key] for key in keys]
+    by_name: dict[str, list[int]] = {}
+    providers: dict[str, list[int]] = {}
+    for i, (key, stanza) in enumerate(zip(keys, stanzas)):
+        by_name.setdefault(key[0], []).append(i)
         for virtual in stanza.provides:
-            providers.setdefault(virtual, []).append(pkg)
+            providers.setdefault(virtual, []).append(i)
 
-    def expand(constraint: VersionConstraint) -> frozenset[Package]:
-        matches = [q for q in by_name.get(constraint.name, ())
-                   if constraint.matches(q.name, q.version)]
-        if constraint.relation == controlfile.ANY:
-            matches += providers.get(constraint.name, ())
-        return frozenset(matches)
+    expansions: dict[VersionConstraint, tuple[int, ...]] = {}
 
-    dep = {}
-    conflict_pairs = []
-    for pkg, stanza in stanza_of.items():
-        dep[pkg] = [frozenset().union(*(expand(alt) for alt in group))
-                    for group in stanza.depends]
+    def expand(constraint: VersionConstraint) -> tuple[int, ...]:
+        matches = expansions.get(constraint)
+        if matches is None:
+            name = constraint.name
+            real = by_name.get(name, [])
+            if constraint.relation != controlfile.ANY:
+                matches = tuple(i for i in real
+                                if constraint.matches(name, keys[i][1]))
+            elif name in providers:
+                matches = tuple(sorted({*real, *providers[name]}))
+            else:
+                matches = tuple(real)
+            expansions[constraint] = matches
+        return matches
+
+    deps = []
+    pairs = set()
+    for i, stanza in enumerate(stanzas):
+        deps.append(_disjunction_order([
+            expand(group[0]) if len(group) == 1
+            else tuple(sorted(set().union(*map(expand, group))))
+            for group in stanza.depends]))
         for constraint in stanza.conflicts:
-            conflict_pairs += [(pkg, q) for q in expand(constraint) if q != pkg]
-    return make_universe(
-        packages=pkgs,
-        dep=dep,
-        conflicts=conflict_pairs,
-        testing=[p for p, where in membership.items() if "testing" in where],
-        unstable=[p for p, where in membership.items() if "unstable" in where],
-    )
+            for j in expand(constraint):
+                if j != i:
+                    pairs.add((i, j) if i < j else (j, i))
+    order = tuple(Package(name, version) for name, version in keys)
+    package_of = dict(zip(keys, order))
+    t, u = (frozenset(map(package_of.__getitem__, repo_keys))
+            for repo_keys in keys_in)
+    return Universe(order=order, deps=tuple(deps),
+                    conflict_pairs=tuple(sorted(pairs)), testing=t, unstable=u)
 
 
 def _has_conflict(members: set[int], idx: "ClosureIndex") -> bool:

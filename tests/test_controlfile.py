@@ -241,3 +241,95 @@ def test_stanza_roundtrip_random_constraints():
         stanza = PackageStanza(name=f"p{rng.randint(0, 9)}",
                                version=random_version(rng), depends=depends)
         assert parse_packages_stream(render_packages([stanza])) == [stanza]
+
+
+# -- line splitting -------------------------------------------------------------
+
+def test_utf8_maintainer_with_byte_0x85_parses():
+    # "Å" is C3 85 in UTF-8; latin-1 decoding makes 0x85 the NEL character
+    data = ("Package: a\nVersion: 1\nMaintainer: Jens Ångström <j@example.org>\n"
+            "Depends: b\n\nPackage: b\nVersion: 1\n").encode("utf-8")
+    stanzas = parse_packages_stream(data)
+    assert [(s.name, s.version) for s in stanzas] == [("a", "1"), ("b", "1")]
+    assert stanzas[0].depends == [[VersionConstraint("b")]]
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028"])
+def test_control_character_inside_a_field_stays_in_its_line(char):
+    text = (f"Package: a\nVersion: 1\nDescription: one{char}two\n"
+            f" more{char}text\n\nPackage: b\nVersion: 1\n")
+    assert [s.name for s in parse_packages_stream(text)] == ["a", "b"]
+
+
+def test_crlf_file_parses_like_lf_file():
+    text = ("Package: a\nVersion: 1:2.0-1\nDepends: b (>= 2) | c,\n d\n"
+            "Conflicts: e\nProvides: virt\n\n \t\nPackage: b\nVersion: 2\n")
+    crlf = text.replace("\n", "\r\n")
+    assert parse_packages_stream(crlf.encode("latin-1")) == \
+        parse_packages_stream(text)
+    assert len(parse_packages_stream(crlf)) == 2
+
+
+def test_crlf_error_line_has_no_carriage_return():
+    with pytest.raises(MalformedStanza) as err:
+        parse_packages_stream("Package: a\r\nVersion: 1\r\nnonsense line\r\n")
+    assert err.value.line == "nonsense line"
+
+
+# -- parse sharing within one load ------------------------------------------------
+
+_SHARED = ("Package: a\nVersion: 1\nDepends: b (>= 2) | c, d\nConflicts: e\n"
+           "Provides: virt\n\n"
+           "Package: b\nVersion: 2\nDepends: d\n\n")
+_TESTING = _SHARED + "Package: c\nVersion: 1\n\n"
+_UNSTABLE = ("Package: c\nVersion: 2\nDepends: d\n\n" + _SHARED
+             + "Package: d\nVersion: 1\n\n")
+
+
+def test_shared_cache_gives_the_stanzas_of_separate_parses():
+    cache: dict = {}
+    testing = parse_packages_stream(_TESTING, cache)
+    unstable = parse_packages_stream(_UNSTABLE, cache)
+    assert testing == parse_packages_stream(_TESTING)
+    assert unstable == parse_packages_stream(_UNSTABLE)
+    assert (len(testing), len(unstable)) == (3, 4)
+    # a repeated block is one stanza object, a repeated alternative one
+    # constraint object
+    assert unstable[1] is testing[0] and unstable[2] is testing[1]
+    assert unstable[0].depends[0][0] is testing[1].depends[0][0]
+
+
+def test_separate_parses_share_nothing():
+    first, second = parse_packages_stream(_TESTING), parse_packages_stream(_TESTING)
+    assert first == second
+    assert all(a is not b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("broken, error, index", [
+    ("Package: e\n", MissingField, 2),
+    ("Package: a\nVersion: 1\nnonsense line\n", MalformedStanza, 2),
+    ("Package: a\nVersion: 1\nDepends: b (>= 2) | , d\n", MalformedDependency,
+     None),
+])
+def test_error_in_second_file_names_its_own_stanza(broken, error, index):
+    cache: dict = {}
+    parse_packages_stream(_TESTING, cache)
+    with pytest.raises(error) as err:
+        parse_packages_stream(_SHARED + broken, cache)
+    if index is not None:
+        assert err.value.stanza_index == index
+    # the failed block was not cached: it fails again in a third file
+    with pytest.raises(error):
+        parse_packages_stream(broken, cache)
+
+
+def test_block_one_byte_off_is_parsed_on_its_own():
+    cache: dict = {}
+    testing = parse_packages_stream(_TESTING, cache)
+    changed = _SHARED.replace("(>= 2)", "(>= 3)")
+    unstable = parse_packages_stream(changed, cache)
+    assert unstable == parse_packages_stream(changed)
+    assert unstable[0] is not testing[0]
+    assert unstable[0].depends[0][0] == VersionConstraint("b", ">=", "3")
+    assert testing[0].depends[0][0] == VersionConstraint("b", ">=", "2")

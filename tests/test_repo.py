@@ -566,3 +566,116 @@ def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
         queries += len(calls)
     assert conflicted > 0
     assert queries < conflicted
+
+
+def test_duplicate_identity_fires_for_a_block_one_byte_off():
+    cache: dict = {}
+    testing = parse_packages_stream(
+        "Package: a\nVersion: 1\nDepends: b (>= 2)\n\nPackage: b\nVersion: 2\n",
+        cache)
+    unstable = parse_packages_stream(
+        "Package: a\nVersion: 1\nDepends: b (>= 3)\n\n", cache)
+    with pytest.raises(DuplicateIdentity):
+        build_universe(testing, unstable)
+
+
+def _random_block(rng: random.Random, name: str, version: str,
+                  names: list[str], virtuals: list[str]) -> str:
+    """One stanza's text with random Depends, Pre-Depends, Conflicts,
+    Breaks and Provides over the given names."""
+
+    def constraint(target: str) -> str:
+        if rng.random() < 0.5:
+            return target
+        relation = rng.choice(["<<", "<=", "=", ">=", ">>"])
+        return f"{target} ({relation} {rng.choice(['1', '1.5', '2~rc1', '2', '1:0.9'])})"
+
+    lines = [f"Package: {name}", f"Version: {version}"]
+    provides = rng.sample(virtuals + names, rng.randint(0, 2))
+    for field in ("Depends", "Pre-Depends"):
+        if rng.random() < 0.6:
+            groups = [" | ".join(constraint(rng.choice(names + virtuals))
+                                 for _ in range(rng.randint(1, 3)))
+                      for _ in range(rng.randint(1, 3))]
+            lines.append(f"{field}: {', '.join(groups)}")
+    for field in ("Conflicts", "Breaks"):
+        if rng.random() < 0.4:
+            # a name the stanza provides makes it conflict with itself
+            targets = [constraint(rng.choice(names + virtuals + provides))
+                       for _ in range(rng.randint(1, 2))]
+            lines.append(f"{field}: {', '.join(targets)}")
+    if provides:
+        lines.append(f"Provides: {', '.join(provides)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_tables(testing, unstable):
+    """Universe.dep and .conflicts by brute force: every constraint is
+    matched by VersionConstraint.matches against every package."""
+    stanza_of = {}
+    for stanza in [*testing, *unstable]:
+        stanza_of.setdefault(P(f"{stanza.name}/{stanza.version}"), stanza)
+
+    def expand(c):
+        return frozenset(q for q, s in stanza_of.items()
+                         if c.matches(q.name, q.version)
+                         or (c.relation == "any" and c.name in s.provides))
+
+    dep, conflicts = {}, set()
+    for p, stanza in stanza_of.items():
+        disjunctions = {frozenset().union(*map(expand, group))
+                        for group in stanza.depends}
+        dep[p] = tuple(sorted(disjunctions, key=lambda d: (len(d), sorted(d))))
+        for c in stanza.conflicts:
+            conflicts |= {pair for q in expand(c) if q != p
+                          for pair in ((p, q), (q, p))}
+    return dep, conflicts
+
+
+def test_build_universe_tables_match_brute_force_expansion():
+    seen = {"provider": 0, "self-conflict": 0, "shared": 0, "empty": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        names = [f"n{i}" for i in range(rng.randint(2, 7))]
+        virtuals = [f"v{i}" for i in range(rng.randint(0, 3))]
+        testing = {}
+        for name in names:
+            for version in rng.sample(["1", "1.5", "2~rc1"], rng.randint(1, 2)):
+                testing[(name, version)] = _random_block(
+                    rng, name, version, names, virtuals)
+        unstable = {}
+        for (name, version), block in testing.items():
+            if rng.random() < 1 / 3:
+                unstable[(name, version)] = block  # copied verbatim
+            elif rng.random() < 0.5:
+                unstable[(name, "2")] = _random_block(rng, name, "2", names,
+                                                      virtuals)
+        cache: dict = {}
+        t_stanzas, u_stanzas = (
+            parse_packages_stream("\n".join(rng.sample(blocks, len(blocks))),
+                                  cache)
+            for blocks in (list(testing.values()), list(unstable.values())))
+        u = build_universe(t_stanzas, u_stanzas)
+        dep, conflicts = _reference_tables(t_stanzas, u_stanzas)
+        assert u.dep == dep and u.conflicts == conflicts
+        assert u.testing == {P(f"{n}/{v}") for n, v in testing}
+        assert u.unstable == {P(f"{n}/{v}") for n, v in unstable}
+        idx = ClosureIndex(u)
+        order = sorted(dep)
+        assert list(idx.packages) == order == u.sorted_packages()
+        ids = {p: i for i, p in enumerate(order)}
+        assert list(idx.deps) == [
+            tuple(tuple(sorted(ids[q] for q in d)) for d in dep[p])
+            for p in order]
+        assert list(idx.conflict_pairs) == sorted(
+            (ids[a], ids[b]) for a, b in conflicts if ids[a] < ids[b])
+        provided = {v for x in [*t_stanzas, *u_stanzas] for v in x.provides}
+        first = {(x.name, x.version): x for x in t_stanzas}
+        for x in u_stanzas:
+            seen["shared"] += first.get((x.name, x.version)) is x
+            seen["provider"] += any(c.relation == "any" and c.name in provided
+                                    for group in x.depends for c in group)
+            seen["self-conflict"] += bool(
+                {c.name for c in x.conflicts} & set(x.provides))
+        seen["empty"] += sum(not d for ds in dep.values() for d in ds)
+    assert min(seen.values()) > 0, seen
