@@ -14,7 +14,6 @@ interned as integer ids afterwards, once, by ``repo.build_universe``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 RELATIONS = ("<<", "<=", "=", ">=", ">>")
@@ -147,41 +146,6 @@ def compare_versions(v1: str, v2: str) -> int:
     return _compare_part(r1, r2)
 
 
-#: Key function for sorting version strings with the order above.
-version_key = functools.cmp_to_key(compare_versions)
-
-
-def _canonical_part(s: str) -> tuple:
-    """Normal form of one version part: alternating char-order/int entries.
-
-    Two parts compare equal under _compare_part iff their normal forms are
-    identical (trailing zero runs and leading zeros are stripped).
-    """
-    entries: list = []
-    i, n = 0, len(s)
-    while i < n:
-        j = i
-        while j < n and not s[j].isdigit():
-            j += 1
-        entries.append(tuple(_char_order(c) for c in s[i:j]) + (0,))
-        i = j
-        while j < n and s[j].isdigit():
-            j += 1
-        entries.append(int(s[i:j]) if j > i else 0)
-        i = j
-    if len(entries) % 2:
-        entries.append(0)
-    while entries and entries[-1] == 0 and entries[-2] == (0,):
-        del entries[-2:]
-    return tuple(entries)
-
-
-def canonical_version(version: str) -> tuple:
-    """Normal form; two versions are equal iff their normal forms are."""
-    epoch, upstream, revision = _split_version(version)
-    return epoch, _canonical_part(upstream), _canonical_part(revision)
-
-
 # ---------------------------------------------------------------------------
 # Dependency grammar
 
@@ -305,15 +269,6 @@ def parse_provides(text: str, cache: dict | None = None) -> list[str]:
             for start, end in _split_offsets(text, ",", 0, len(text))]
 
 
-def format_dependency_expr(groups: list[list[VersionConstraint]]) -> str:
-    """Canonical rendering; reproduces accepted input token for token."""
-    return ", ".join(" | ".join(str(alt) for alt in group) for group in groups)
-
-
-def format_conflict_expr(constraints: list[VersionConstraint]) -> str:
-    return ", ".join(str(c) for c in constraints)
-
-
 # ---------------------------------------------------------------------------
 # Stanza parsing
 
@@ -362,11 +317,13 @@ def _split_stanza_blocks(text: str) -> list[tuple[str, ...]]:
 def _fields_of_block(block: tuple[str, ...], index: int) -> dict[str, str]:
     fields: dict[str, str] = {}
     last_key = None
+    continued = 0
     for line in block:
         if line[0] in " \t":
             if last_key is None:
                 raise MalformedStanza(index, line)
             fields[last_key] += " " + line.strip()
+            continued += 1
             continue
         key, sep, value = line.partition(":")
         key = key.strip()
@@ -374,6 +331,14 @@ def _fields_of_block(block: tuple[str, ...], index: int) -> dict[str, str]:
             raise MalformedStanza(index, line)
         last_key = key.lower()
         fields[last_key] = value.strip()
+    if len(fields) + continued < len(block):
+        seen = set()
+        for line in block:
+            if line[0] not in " \t":
+                key = line.partition(":")[0].strip().lower()
+                if key in seen:
+                    raise MalformedStanza(index, line)
+                seen.add(key)
     return fields
 
 
@@ -407,7 +372,8 @@ def parse_packages_stream(data: bytes | str, cache: dict | None = None
     """Parse a Packages file into stanzas.
 
     Stanzas are blank-line separated ``Key: value`` blocks with indented
-    continuation lines; unknown fields are ignored and field order is free.
+    continuation lines; unknown fields are ignored and field order is free,
+    but a field named twice, in any case, is malformed, as in dpkg.
 
     ``cache`` holds what one load has parsed so far, for the files of that
     load to share: each block, keyed by its tuple of lines, maps to its
@@ -427,20 +393,3 @@ def parse_packages_stream(data: bytes | str, cache: dict | None = None
             stanza = cache[block] = _parse_stanza(block, index, cache)
         stanzas.append(stanza)
     return stanzas
-
-
-def render_stanza(stanza: PackageStanza) -> str:
-    lines = [f"Package: {stanza.name}", f"Version: {stanza.version}"]
-    if stanza.architecture:
-        lines.append(f"Architecture: {stanza.architecture}")
-    if stanza.depends:
-        lines.append(f"Depends: {format_dependency_expr(stanza.depends)}")
-    if stanza.conflicts:
-        lines.append(f"Conflicts: {format_conflict_expr(stanza.conflicts)}")
-    if stanza.provides:
-        lines.append(f"Provides: {', '.join(stanza.provides)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_packages(stanzas: list[PackageStanza]) -> str:
-    return "\n".join(render_stanza(s) for s in stanzas)

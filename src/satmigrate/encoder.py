@@ -248,7 +248,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     Clause order: uniqueness; the e, i, d and c families, each over the
     contexts in package order and the members in package order; policy.
     p2's size is quadratic in the universe, so DEFAULT_P2_BOUND caps it,
-    and it only serves as a small-scale oracle for the others.
+    and it only serves as a small-scale reference for the others.
     """
     encoding_id = ALIASES.get(name, name)
     scheme = SCHEMES.get(encoding_id)

@@ -377,10 +377,3 @@ def structured_report(result: MigrationResult) -> dict:
 
 def dump_structured(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
-def parse_structured_report(text: str) -> dict:
-    document = json.loads(text)
-    if not isinstance(document, dict):
-        raise ValueError("structured report must be a JSON object")
-    return document

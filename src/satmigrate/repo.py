@@ -3,7 +3,7 @@
 Packages, the fully expanded dependency function, the conflict relation,
 installations, installability, trimmedness and admissibility, used to
 verify everything the solver pipeline produces. The reference oracles,
-exhaustive and SAT, live in ``satmigrate.oracle``.
+exhaustive and SAT, live with the tests, in ``tests/oracle.py``.
 
 ``build_universe`` is where packages are interned, once per load: it
 sorts the (name, version) keys, builds each ``Package`` once, and expands
@@ -114,8 +114,9 @@ class Universe:
     ``dep`` and ``conflicts`` show the same relations on Packages: ``dep``
     maps each package to its disjunctions as frozensets, in the same
     order, and ``conflicts`` is the symmetric, irreflexive set of ordered
-    pairs. They are derived on first read, for tests and the oracles; the
-    runtime reads the tables, through ``ClosureIndex``.
+    pairs. They are derived on first read, for the tests and the oracles
+    in ``tests/oracle.py``; the runtime reads the tables, through
+    ``ClosureIndex``.
     """
 
     order: tuple[Package, ...]

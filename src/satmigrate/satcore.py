@@ -163,7 +163,8 @@ class DpllSolver:
     lower bound drops those learned under a higher one.
 
     Clauses are read as given, as the search needs no canonical form; a
-    hard or soft literal 0 or beyond ``num_vars`` is a ``ValueError``.
+    hard, soft or assumed literal 0 or beyond ``num_vars`` is a
+    ``ValueError``.
 
     ``decisions``, ``propagations``, ``conflicts``, ``learned`` and
     ``restarts`` count the work of all calls so far.
@@ -445,12 +446,16 @@ class DpllSolver:
 
     def solve(self, assumptions=(), required_soft: int = 0,
               timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
+        n = self.num_vars
+        assumptions = tuple(assumptions)
+        for lit in assumptions:
+            if not 0 < abs(lit) <= n:
+                raise ValueError(f"literal {lit} names no variable in 1..{n}")
         deadline = time.monotonic() + timeout
         bound = max(required_soft, 0)
         if bound < self.learnt_bound:
             self._drop_learned_above(bound)
         self.learnt_bound = max(self.learnt_bound, bound)
-        n = self.num_vars
         self.value = [0] * (2 * n + 2)
         self.level = [0] * (n + 1)
         self.reason: list = [None] * (n + 1)
@@ -480,7 +485,6 @@ class DpllSolver:
         level, reason = self.level, self.reason
         propagate = (self._propagate_clauses if self.slack_limit is None
                      else self._propagate)
-        assumptions = tuple(assumptions)
         restart_at = RESTART_FIRST
         restart_count = since_restart = steps = 0
         while True:
@@ -759,42 +763,6 @@ def emit_dimacs(hard, soft=None, num_vars: int | None = None,
     else:
         raise ValueError(f"unknown DIMACS kind {kind!r}")
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def parse_dimacs(data: bytes | str):
-    """Parse DIMACS CNF/WCNF; returns (kind, num_vars, hard, soft)."""
-    text = data.decode("ascii") if isinstance(data, bytes) else data
-    kind = None
-    num_vars = 0
-    top = None
-    hard: list[tuple[int, ...]] = []
-    soft: list[tuple[int, ...]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            kind = parts[1]
-            num_vars = int(parts[2])
-            if kind == "wcnf":
-                top = int(parts[4])
-            elif kind != "cnf":
-                raise ValueError(f"unknown DIMACS kind {kind!r}")
-            continue
-        if kind is None:
-            raise ValueError("clause line before DIMACS header")
-        values = [int(tok) for tok in line.split()]
-        if values and values[-1] == 0:
-            values = values[:-1]
-        if kind == "cnf":
-            hard.append(tuple(values))
-        else:
-            weight, clause = values[0], tuple(values[1:])
-            (hard if weight == top else soft).append(clause)
-    if kind is None:
-        raise ValueError("missing DIMACS header")
-    return kind, num_vars, hard, soft
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Packages that they test against. `deletion_mus` is the plain
 one-clause-at-a-time core loop, `sat_installable` one SAT query over a
 package's whole closure on Packages, and `normalized_encoding` the e, i,
 d and c generator that passes every clause through `normalize_clause`.
-The runtime modules never import this one; numpy is needed only here.
+`parse_dimacs` reads back what `satcore.emit_dimacs` writes, and
+`canonical_version` is the normal form `compare_versions` is tested
+against. Only the tests import this module; numpy is needed only here.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Iterable
 
 import numpy as np
 
-from . import encoder, satcore
-from .closure import ClosureIndex
-from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, RepoError, Universe, policy_satisfied
-from .satcore import (NotUnsat, SatCoreError, SolveResult, SolveStatus,
-                      infer_num_vars, solve_sat)
+from satmigrate import encoder, satcore
+from satmigrate.closure import ClosureIndex
+from satmigrate.controlfile import _char_order, _split_version
+from satmigrate.encoder import EncodedProblem, PolicyRules
+from satmigrate.repo import Package, RepoError, Universe, policy_satisfied
+from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
+                                SolveStatus, infer_num_vars, solve_sat)
 
 DEFAULT_INSTALLABILITY_BOUND = 20
 ENUMERATION_BOUND = 16
@@ -344,3 +347,70 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
             if a in inside and b in inside:
                 add((-inst[c, a], -inst[c, b]), ("c", c, a, b))
     return problem
+
+
+def _canonical_part(s: str) -> tuple:
+    """Normal form of one version part: alternating char-order/int entries.
+
+    Two parts compare equal under _compare_part iff their normal forms are
+    identical (trailing zero runs and leading zeros are stripped).
+    """
+    entries: list = []
+    i, n = 0, len(s)
+    while i < n:
+        j = i
+        while j < n and not s[j].isdigit():
+            j += 1
+        entries.append(tuple(_char_order(c) for c in s[i:j]) + (0,))
+        i = j
+        while j < n and s[j].isdigit():
+            j += 1
+        entries.append(int(s[i:j]) if j > i else 0)
+        i = j
+    if len(entries) % 2:
+        entries.append(0)
+    while entries and entries[-1] == 0 and entries[-2] == (0,):
+        del entries[-2:]
+    return tuple(entries)
+
+
+def canonical_version(version: str) -> tuple:
+    """Normal form; two versions are equal iff their normal forms are."""
+    epoch, upstream, revision = _split_version(version)
+    return epoch, _canonical_part(upstream), _canonical_part(revision)
+
+
+def parse_dimacs(data: bytes | str):
+    """Parse DIMACS CNF/WCNF; returns (kind, num_vars, hard, soft)."""
+    text = data.decode("ascii") if isinstance(data, bytes) else data
+    kind = None
+    num_vars = 0
+    top = None
+    hard: list[tuple[int, ...]] = []
+    soft: list[tuple[int, ...]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            kind = parts[1]
+            num_vars = int(parts[2])
+            if kind == "wcnf":
+                top = int(parts[4])
+            elif kind != "cnf":
+                raise ValueError(f"unknown DIMACS kind {kind!r}")
+            continue
+        if kind is None:
+            raise ValueError("clause line before DIMACS header")
+        values = [int(tok) for tok in line.split()]
+        if values and values[-1] == 0:
+            values = values[:-1]
+        if kind == "cnf":
+            hard.append(tuple(values))
+        else:
+            weight, clause = values[0], tuple(values[1:])
+            (hard if weight == top else soft).append(clause)
+    if kind is None:
+        raise ValueError("missing DIMACS header")
+    return kind, num_vars, hard, soft

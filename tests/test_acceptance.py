@@ -12,20 +12,21 @@ import time
 
 import pytest
 
-from satmigrate import oracle, repo
+from satmigrate import repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import compare_versions
 from satmigrate.encoder import build_encoding
 from satmigrate.engine import (MigrationRequest, Unsolvable, solve_migration)
 from satmigrate.cli import main as cli_main
-from satmigrate.oracle import brute_force_solve
 from satmigrate.satcore import (SolveStatus, emit_dimacs,
-                                extract_mus, normalize_clause, parse_dimacs,
+                                extract_mus, normalize_clause,
                                 solve_pmaxsat, solve_sat)
 
+from . import oracle
 from .generators import (brute_best_measure, projected_solutions,
                          random_instance, random_universe,
                          relevant_conflicts)
+from .oracle import brute_force_solve, parse_dimacs
 
 CORPUS_SEED = 20120330
 DENSITY_GRID = [(dep, conf) for dep in (0.3, 0.6, 0.9)

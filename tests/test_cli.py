@@ -12,9 +12,9 @@ import pytest
 from satmigrate.cli import (EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
                             EXIT_UNSOLVABLE, EXIT_VIOLATIONS, load_policy,
                             main)
-from satmigrate.engine import parse_structured_report
 from satmigrate.repo import Package
-from satmigrate.satcore import parse_dimacs
+
+from .oracle import parse_dimacs
 
 UPGRADE_TESTING = "Package: a\nVersion: 1\n\n"
 UPGRADE_UNSTABLE = "Package: a\nVersion: 2\n\n"
@@ -77,7 +77,8 @@ def test_migrate_structured_round_trip(repos, capsys):
                  "--format", "structured"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    document = parse_structured_report(out)
+    document = json.loads(out)
+    assert isinstance(document, dict)
     assert document["delta"] == 2
     assert document["hints"] == "easy a/2\n"
     assert document["t_prime"] == ["a/2"]
@@ -347,7 +348,7 @@ def test_every_subcommand_structured_output_parses(repos, tmp_path, capsys):
         code = main(argv + ["--format", "structured"])
         out = capsys.readouterr().out
         assert code == EXIT_OK, argv
-        assert isinstance(parse_structured_report(out), dict)
+        assert isinstance(json.loads(out), dict)
 
 
 def test_policy_file_parsing():
@@ -479,15 +480,23 @@ def test_check_passes_timeout_to_core_extraction(repos, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # the runtime stands alone: with numpy made unimportable, every module
+    # of the package imports, and no oracle module is left among them
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, satmigrate.cli; print('numpy' in sys.modules); "
-             "print('satmigrate.oracle' in sys.modules)")
+    probe = ("import importlib, importlib.util, pkgutil, sys, satmigrate.cli\n"
+             "print('numpy' in sys.modules)\n"
+             "sys.modules['numpy'] = None\n"
+             "for m in pkgutil.walk_packages(satmigrate.__path__, 'satmigrate.'):\n"
+             "    importlib.import_module(m.name)\n"
+             "    print(m.name)\n"
+             "print(importlib.util.find_spec('satmigrate.oracle') is None)")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    numpy_loaded, oracle_loaded = out.split()
+    numpy_loaded, *modules, oracle_absent = out.split()
     assert numpy_loaded == "False"
-    assert oracle_loaded == "False"
+    assert "satmigrate.cli" in modules and "satmigrate.satcore" in modules
+    assert oracle_absent == "True"
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import random
 
-from satmigrate import oracle
 from satmigrate.closure import ClosureIndex
 from satmigrate.repo import make_universe
 
+from . import oracle
 from .generators import (P, closure, clustered_universe, hard_closure,
                          is_easy, may_dep, random_universe,
                          relevant_conflicts, tiny_universe)

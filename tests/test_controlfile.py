@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -8,13 +9,40 @@ import pytest
 from satmigrate.controlfile import (MalformedDependency, MalformedStanza,
                                     MalformedVersion, MissingField,
                                     PackageStanza, VersionConstraint,
-                                    canonical_version, compare_versions,
-                                    format_dependency_expr,
+                                    compare_versions,
                                     parse_conflict_expr, parse_dependency_expr,
-                                    parse_packages_stream, parse_provides,
-                                    render_packages, version_key)
+                                    parse_packages_stream, parse_provides)
 
 from .generators import random_version
+from .oracle import canonical_version
+
+
+# -- rendering, the inverse of the parsers ------------------------------------
+
+def format_dependency_expr(groups: list[list[VersionConstraint]]) -> str:
+    """Canonical rendering; reproduces accepted input token for token."""
+    return ", ".join(" | ".join(str(alt) for alt in group) for group in groups)
+
+
+def format_conflict_expr(constraints: list[VersionConstraint]) -> str:
+    return ", ".join(str(c) for c in constraints)
+
+
+def render_stanza(stanza: PackageStanza) -> str:
+    lines = [f"Package: {stanza.name}", f"Version: {stanza.version}"]
+    if stanza.architecture:
+        lines.append(f"Architecture: {stanza.architecture}")
+    if stanza.depends:
+        lines.append(f"Depends: {format_dependency_expr(stanza.depends)}")
+    if stanza.conflicts:
+        lines.append(f"Conflicts: {format_conflict_expr(stanza.conflicts)}")
+    if stanza.provides:
+        lines.append(f"Provides: {', '.join(stanza.provides)}")
+    return "\n".join(lines) + "\n"
+
+
+def render_packages(stanzas: list[PackageStanza]) -> str:
+    return "\n".join(render_stanza(s) for s in stanzas)
 
 
 # -- version comparison -------------------------------------------------------
@@ -64,7 +92,7 @@ def test_version_order_is_total_on_random_sample():
         assert compare_versions(a, b) == -compare_versions(b, a)
         assert (compare_versions(a, b) == 0) == \
             (canonical_version(a) == canonical_version(b))
-    ordered = sorted(versions, key=version_key)
+    ordered = sorted(versions, key=functools.cmp_to_key(compare_versions))
     for a, b in zip(ordered, ordered[1:]):
         assert compare_versions(a, b) <= 0
     # transitivity spot check on consecutive triples of the sorted list
@@ -207,6 +235,20 @@ def test_field_order_is_irrelevant():
 def test_unparseable_line_is_rejected():
     with pytest.raises(MalformedStanza):
         parse_packages_stream("Package: a\nVersion: 1\nnonsense line\n")
+
+
+@pytest.mark.parametrize("text,repeated", [
+    ("Package: a\nVersion: 1\nDepends: b\ndepends: c\n", "depends: c"),
+    ("Package: a\nVersion: 1\nPACKAGE: z\n", "PACKAGE: z"),
+    ("Package: a\nDescription: x\n more\nVersion: 1\nVersion: 2\n",
+     "Version: 2"),
+])
+def test_repeated_field_is_rejected(text, repeated):
+    # dpkg refuses a stanza naming a field twice: "duplicate value for field"
+    with pytest.raises(MalformedStanza) as err:
+        parse_packages_stream("Package: ok\nVersion: 1\n\n" + text)
+    assert err.value.stanza_index == 1
+    assert err.value.line == repeated
 
 
 def test_empty_package_name_is_rejected():

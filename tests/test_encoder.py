@@ -13,13 +13,13 @@ from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 build_encoding, instance_stats,
                                 soft_max, soft_min_with_nontriviality,
                                 target_clause)
-from satmigrate.oracle import (admissible_masks, admissible_sets,
-                               brute_force_solve, normalized_encoding)
 from satmigrate.repo import make_universe
 from satmigrate.satcore import SolveStatus
 
 from .generators import (P, clustered_universe, is_easy, projected_solutions,
                          random_universe, tiny_universe)
+from .oracle import (admissible_masks, admissible_sets, brute_force_solve,
+                     normalized_encoding)
 
 
 def _clauses(problem, family):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import stat
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import satmigrate.satcore as satcore_mod
-from satmigrate import engine, oracle, repo
+from satmigrate import engine, repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import PolicyRules, build_encoding, target_clause
 from satmigrate.engine import (ActuallySolvable, Budgets,
@@ -15,13 +16,14 @@ from satmigrate.engine import (ActuallySolvable, Budgets,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
                                alternative_optima, decode_solution,
                                dump_structured, explain_non_migration,
-                               parse_structured_report, render_hints,
+                               render_hints,
                                render_report, solve_migration,
                                structured_report)
-from satmigrate.oracle import admissible_sets, deletion_mus
 from satmigrate.repo import Package, is_admissible
 
+from . import oracle
 from .generators import P, clustered_universe, tiny_universe
+from .oracle import admissible_sets, deletion_mus
 
 
 def _upgrade_universe():
@@ -436,7 +438,8 @@ def test_structured_report_round_trip():
     u = _upgrade_universe()
     result = solve_migration(MigrationRequest(mode="max"), u)
     document = structured_report(result)
-    parsed = parse_structured_report(dump_structured(document))
+    parsed = json.loads(dump_structured(document))
+    assert isinstance(parsed, dict)
     assert parsed == document
     assert parsed["delta"] == 2
     assert parsed["t_prime"] == ["a/2"]

@@ -5,18 +5,18 @@ import random
 
 import pytest
 
-from satmigrate import oracle, repo, satcore
+from satmigrate import repo, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
-from satmigrate.oracle import (ContextTooLarge, admissible_sets, is_healthy,
-                               unique_pairs)
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_installable,
                              make_universe, policy_satisfied, check_testing,
                              uninstallable)
 
+from . import oracle
 from .generators import P, clustered_universe, random_universe, tiny_universe
+from .oracle import ContextTooLarge, admissible_sets, is_healthy, unique_pairs
 
 
 def _stanzas(text: str):

@@ -8,17 +8,18 @@ import sys
 import pytest
 
 import satmigrate.satcore as satcore_mod
-from satmigrate.oracle import TooLarge, brute_force_solve, deletion_mus
 from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
                                 NotUnsat, SolveStatus, SolverCrashed,
                                 UnparsableOutput,
                                 SatCoreError, count_satisfied, emit_dimacs,
                                 extract_mus, model_autarky, normalize_clause,
-                                parse_dimacs, pure_literal_autarky,
+                                pure_literal_autarky,
                                 run_external, solve_pmaxsat, solve_sat,
                                 verify_model)
 
 from .generators import random_instance
+from .oracle import (TooLarge, brute_force_solve, deletion_mus,
+                     parse_dimacs)
 
 
 # -- plain SAT -------------------------------------------------------------------
@@ -322,6 +323,20 @@ def test_soft_literals_are_checked_like_hard_ones():
         DpllSolver(1, [(1,)], soft_literals=[0]).solve(required_soft=1)
     with pytest.raises(ValueError, match="literal -2 names no variable in 1..1"):
         solve_pmaxsat([(1,)], [(-2,)], num_vars=1)
+
+
+@pytest.mark.parametrize("lit", [5, 0, 9, -4])
+def test_assumptions_are_checked_like_hard_literals(lit):
+    # 5 would index the value slot of -3, 0 would be ignored, 9 overrun
+    solver = DpllSolver(3, [(1, 2), (3,)])
+    with pytest.raises(ValueError,
+                       match=f"literal {lit} names no variable in 1..3"):
+        solver.solve(assumptions=[lit])
+    with pytest.raises(ValueError,
+                       match=f"literal {lit} names no variable in 1..3"):
+        solve_sat([(1, 2), (3,)], num_vars=3, assumptions=[lit])
+    # the refused call leaves the solver as it was
+    assert solver.solve(assumptions=[-1]).true_atoms == {2, 3}
 
 
 # -- MUS extraction -----------------------------------------------------------------
