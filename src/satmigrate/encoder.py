@@ -85,12 +85,12 @@ class AtomTable:
         return self._ids[p] + 1
 
     def render_map(self) -> str:
-        pkgs = self.packages
-        lines = [f"{i} pkg {p}" for i, p in enumerate(pkgs, start=1)]
-        lines += [f"{i} inst {pkgs[member]} @ {pkgs[context]}"
+        names = list(map(str, self.packages))  # each package formatted once
+        lines = [f"{i} pkg {name}\n" for i, name in enumerate(names, start=1)]
+        lines += [f"{i} inst {names[member]} @ {names[context]}\n"
                   for i, (context, member) in
                   enumerate(self.inst_pairs, start=self.num_package_atoms + 1)]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(lines)
 
 
 @dataclass

@@ -8,6 +8,9 @@ autarkies (pure literals, and the autarky inside each satisfiable trial's
 model), DIMACS CNF/WCNF serialization, and an adapter for external solver
 executables.
 
+DIMACS is written in bulk: each clause length gets one ``%`` template, and
+one ``%`` fills the joined templates of every line with every literal.
+
 Atoms are positive integers; a literal is an atom or its negation as a
 signed int. An assignment is the set of true atoms (everything else false).
 The solvers read clauses as given: in any order, with duplicate literals
@@ -104,16 +107,31 @@ def literal_true(lit: int, true_atoms) -> bool:
     return (lit in true_atoms) if lit > 0 else (-lit not in true_atoms)
 
 
-def clause_satisfied(clause, true_atoms) -> bool:
-    return any(literal_true(lit, true_atoms) for lit in clause)
+def _as_sequence(clauses):
+    """``clauses`` itself when it is a list or tuple; an iterator is read
+    into a list."""
+    return clauses if isinstance(clauses, (list, tuple)) else list(clauses)
+
+
+def _true_literals(clauses, true_atoms) -> set[int]:
+    """The distinct literals of ``clauses`` that ``true_atoms`` makes true."""
+    return {lit for lit in set(chain.from_iterable(clauses))
+            if (lit in true_atoms if lit > 0 else -lit not in true_atoms)}
 
 
 def verify_model(clauses, true_atoms) -> bool:
-    return all(clause_satisfied(c, true_atoms) for c in clauses)
+    """Whether every clause holds a true literal: a clause is falsified
+    exactly when it shares none with the true literals (an empty one
+    always)."""
+    clauses = _as_sequence(clauses)
+    true_literals = _true_literals(clauses, true_atoms)
+    return not any(map(true_literals.isdisjoint, clauses))
 
 
 def count_satisfied(soft, true_atoms) -> int:
-    return sum(1 for c in soft if clause_satisfied(c, true_atoms))
+    soft = _as_sequence(soft)
+    true_literals = _true_literals(soft, true_atoms)
+    return len(soft) - sum(map(true_literals.isdisjoint, soft))
 
 
 def luby(i: int) -> int:
@@ -130,13 +148,8 @@ def luby(i: int) -> int:
 
 
 def infer_num_vars(*clause_sets) -> int:
-    num = 0
-    for clauses in clause_sets:
-        for clause in clauses:
-            for lit in clause:
-                if abs(lit) > num:
-                    num = abs(lit)
-    return num
+    return max(map(abs, chain.from_iterable(chain.from_iterable(clause_sets))),
+               default=0)
 
 
 class DpllSolver:
@@ -733,10 +746,13 @@ def extract_mus(hard, num_vars: int | None = None,
 # DIMACS serialization
 
 
-def _clause_lines(prefix: str, clauses) -> list[str]:
-    """One DIMACS line per clause: the prefix, the literals, then 0."""
-    return [prefix + " ".join(map(str, c)) + " 0" if c else prefix + "0"
-            for c in clauses]
+def _line_templates(prefix: str, clauses):
+    """The ``%`` template of each clause's DIMACS line, in clause order: the
+    prefix, one ``%d`` per literal, then 0. There is one template string
+    per clause length that occurs."""
+    lengths = list(map(len, clauses))
+    templates = {n: prefix + "%d " * n + "0\n" for n in set(lengths)}
+    return map(templates.__getitem__, lengths)
 
 
 def emit_dimacs(hard, soft=None, num_vars: int | None = None,
@@ -744,25 +760,26 @@ def emit_dimacs(hard, soft=None, num_vars: int | None = None,
     """Serialize to DIMACS CNF or WCNF.
 
     WCNF weights: hard clauses get top = number of soft clauses + 1, soft
-    clauses get weight 1.
+    clauses get weight 1. Each clause is a list or tuple of literals.
     """
-    hard = [tuple(c) for c in hard]
-    soft = [tuple(c) for c in soft] if soft else []
+    hard = _as_sequence(hard)
+    soft = _as_sequence(soft or ())
     if num_vars is None:
         num_vars = infer_num_vars(hard, soft)
     if kind == "cnf":
         if soft:
             raise ValueError("cnf cannot carry soft clauses")
-        lines = [f"p cnf {num_vars} {len(hard)}"]
-        lines += _clause_lines("", hard)
+        header, hard_prefix = f"p cnf {num_vars} {len(hard)}\n", ""
     elif kind == "wcnf":
         top = len(soft) + 1
-        lines = [f"p wcnf {num_vars} {len(hard) + len(soft)} {top}"]
-        lines += _clause_lines(f"{top} ", hard)
-        lines += _clause_lines("1 ", soft)
+        header = f"p wcnf {num_vars} {len(hard) + len(soft)} {top}\n"
+        hard_prefix = f"{top} "
     else:
         raise ValueError(f"unknown DIMACS kind {kind!r}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    template = "".join(chain([header], _line_templates(hard_prefix, hard),
+                             _line_templates("1 ", soft)))
+    literals = tuple(chain.from_iterable(chain(hard, soft)))
+    return (template % literals).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +796,8 @@ def run_external(command, hard, soft=None, num_vars: int | None = None,
     models are checked against every hard clause, and the satisfied-soft
     count is always recomputed here rather than trusted.
     """
-    hard = [tuple(c) for c in hard]
-    soft = [tuple(c) for c in soft] if soft else []
+    hard = _as_sequence(hard)
+    soft = _as_sequence(soft or ())
     if num_vars is None:
         num_vars = infer_num_vars(hard, soft)
     payload = emit_dimacs(hard, soft or None, num_vars=num_vars, kind=kind)

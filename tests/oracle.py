@@ -7,9 +7,11 @@ Packages that they test against. `deletion_mus` is the plain
 one-clause-at-a-time core loop, `sat_installable` one SAT query over a
 package's whole closure on Packages, and `normalized_encoding` the e, i,
 d and c generator that passes every clause through `normalize_clause`.
-`parse_dimacs` reads back what `satcore.emit_dimacs` writes, and
-`canonical_version` is the normal form `compare_versions` is tested
-against. Only the tests import this module; numpy is needed only here.
+`parse_dimacs` reads back what `satcore.emit_dimacs` writes,
+`clause_satisfied` is the per-literal definition `verify_model` and
+`count_satisfied` are tested against, and `canonical_version` is the
+normal form `compare_versions` is tested against. Only the tests import
+this module; numpy is needed only here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from satmigrate.controlfile import _char_order, _split_version
 from satmigrate.encoder import EncodedProblem, PolicyRules
 from satmigrate.repo import Package, RepoError, Universe, policy_satisfied
 from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
-                                SolveStatus, infer_num_vars, solve_sat)
+                                SolveStatus, infer_num_vars, literal_true,
+                                solve_sat)
 
 DEFAULT_INSTALLABILITY_BOUND = 20
 ENUMERATION_BOUND = 16
@@ -378,6 +381,10 @@ def canonical_version(version: str) -> tuple:
     """Normal form; two versions are equal iff their normal forms are."""
     epoch, upstream, revision = _split_version(version)
     return epoch, _canonical_part(upstream), _canonical_part(revision)
+
+
+def clause_satisfied(clause, true_atoms) -> bool:
+    return any(literal_true(lit, true_atoms) for lit in clause)
 
 
 def parse_dimacs(data: bytes | str):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import satmigrate.satcore as satcore_mod
+from satmigrate import encoder, engine
 from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
                                 NotUnsat, SolveStatus, SolverCrashed,
                                 UnparsableOutput,
@@ -17,9 +18,9 @@ from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
                                 run_external, solve_pmaxsat, solve_sat,
                                 verify_model)
 
-from .generators import random_instance
-from .oracle import (TooLarge, brute_force_solve, deletion_mus,
-                     parse_dimacs)
+from .generators import clustered_universe, random_instance
+from .oracle import (TooLarge, brute_force_solve, clause_satisfied,
+                     deletion_mus, parse_dimacs)
 
 
 # -- plain SAT -------------------------------------------------------------------
@@ -568,6 +569,66 @@ def test_emit_dimacs_matches_reference_formula():
             _reference_dimacs(hard, soft, num_vars, "wcnf")
 
 
+def _reference_map(atoms):
+    # the line formula render_map had before it named each package once
+    pkgs = atoms.packages
+    lines = [f"{i} pkg {p}" for i, p in enumerate(pkgs, start=1)]
+    lines += [f"{i} inst {pkgs[member]} @ {pkgs[context]}"
+              for i, (context, member) in
+              enumerate(atoms.inst_pairs, start=atoms.num_package_atoms + 1)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_encoded_instances_match_reference_formulas():
+    checked = 0
+    for seed, size in ((3, 100), (17, 180), (29, 300)):
+        u = clustered_universe(random.Random(seed), size, conflicts=size // 8)
+        target = min(u.unstable - u.testing)
+        for name in ("p3", "p4", "p5-strict", "p5-pruned"):
+            for mode in engine.MODES:
+                problem = encoder.build_encoding(u, None, name)
+                request = engine.MigrationRequest(
+                    mode=mode, target=target if mode == "target" else None)
+                engine.attach_objective(request, u, problem)
+                hard, soft, n = problem.hard, problem.soft, problem.num_vars
+                assert soft and len(problem.atoms) > problem.atoms.num_package_atoms
+                assert emit_dimacs(hard, soft, num_vars=n, kind="wcnf") == \
+                    _reference_dimacs(hard, soft, n, "wcnf")
+                assert emit_dimacs(hard, num_vars=n) == \
+                    _reference_dimacs(hard, [], n, "cnf")
+                assert problem.atoms.render_map() == _reference_map(problem.atoms)
+                checked += 1
+    assert checked == 3 * 4 * 3
+
+
+def test_emit_dimacs_same_bytes_from_lists_tuples_and_iterators():
+    rng = random.Random(211)
+    for _ in range(200):
+        num_vars = rng.randint(1, 40)
+        hard = [[rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                 for _ in range(rng.randint(0, 7))]
+                for _ in range(rng.randint(0, 15))]
+        soft = [[rng.choice((-1, 1)) * rng.randint(1, num_vars)]
+                for _ in range(rng.randint(0, 6))]
+        expected = _reference_dimacs(hard, soft, num_vars, "wcnf")
+        expected_cnf = _reference_dimacs(hard, [], num_vars, "cnf")
+        views = [
+            (hard, soft),
+            ([tuple(c) for c in hard], [tuple(c) for c in soft]),
+            (tuple(tuple(c) for c in hard), tuple(tuple(c) for c in soft)),
+            (iter(hard), iter(soft)),
+            ((tuple(c) for c in hard), (list(c) for c in soft)),
+        ]
+        for h, sf in views:
+            assert emit_dimacs(h, sf, num_vars=num_vars, kind="wcnf") == expected
+        for h, _ in views[:2] + [(iter(hard), None), (tuple(hard), None)]:
+            assert emit_dimacs(h, num_vars=num_vars) == expected_cnf
+        # without num_vars the header names the largest variable used
+        inferred = max((abs(l) for c in hard + soft for l in c), default=0)
+        assert emit_dimacs(iter(hard), iter(soft), kind="wcnf") == \
+            _reference_dimacs(hard, soft, inferred, "wcnf")
+
+
 def test_cnf_refuses_soft():
     with pytest.raises(ValueError):
         emit_dimacs([(1,)], [(1,)], kind="cnf")
@@ -605,6 +666,28 @@ def _fake_solver(tmp_path, name, body):
     script.write_text(f"#!{sys.executable}\n{body}")
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     return [str(script)]
+
+
+def test_external_solver_reads_exactly_the_emitted_instance(tmp_path):
+    saved = tmp_path / "instance"
+    cmd = _fake_solver(tmp_path, "saver.py",
+                       "import shutil, sys\n"
+                       f"shutil.copyfile(sys.argv[1], {str(saved)!r})\n"
+                       "print('s UNKNOWN')\n")
+    rng = random.Random(307)
+    for kind in ("cnf", "wcnf", "wcnf"):
+        num_vars = rng.randint(5, 30)
+        hard = [tuple(rng.choice((-1, 1)) * rng.randint(1, num_vars - 3)
+                      for _ in range(rng.randint(0, 5)))
+                for _ in range(rng.randint(1, 25))]
+        soft = [(rng.choice((-1, 1)) * rng.randint(1, num_vars),)
+                for _ in range(rng.randint(1, 8))] if kind == "wcnf" else []
+        expected = emit_dimacs(hard, soft, num_vars=num_vars, kind=kind)
+        for h, sf in ((hard, soft), (iter(hard), iter(soft))):
+            saved.unlink(missing_ok=True)
+            result = run_external(cmd, h, sf, num_vars=num_vars, kind=kind)
+            assert result.status is SolveStatus.TIMEOUT
+            assert saved.read_bytes() == expected
 
 
 def test_external_unsat(tmp_path):
@@ -662,3 +745,33 @@ def test_count_and_verify_helpers():
     assert verify_model([(1, -2)], {1})
     assert not verify_model([(2,)], {1})
     assert count_satisfied([(1,), (-2,), (2,)], {1}) == 2
+
+
+def test_verify_and_count_match_per_literal_definition():
+    rng = random.Random(401)
+    outcomes = set()
+    for _ in range(2000):
+        num_vars = rng.randint(1, 8)
+        # the model may name atoms that no clause uses
+        model = frozenset(v for v in range(1, num_vars + 3)
+                          if rng.random() < 0.5)
+        clauses = []
+        for _ in range(rng.randint(0, 10)):
+            # empty clauses, duplicate literals and both signs of a
+            # variable all occur; most clauses get a literal the model makes
+            # true, so that whole instances are satisfied now and then
+            clause = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                      for _ in range(rng.choice((0, 1, 2, 3, 4, 6)))]
+            if clause and rng.random() < 0.7:
+                v = rng.randint(1, num_vars)
+                clause.append(v if v in model else -v)
+            clauses.append(clause)
+        satisfied = sum(clause_satisfied(c, model) for c in clauses)
+        valid = satisfied == len(clauses)
+        outcomes.add(valid)
+        for view in (clauses, [tuple(c) for c in clauses]):
+            assert verify_model(view, model) is valid
+            assert count_satisfied(view, model) == satisfied
+        assert verify_model(iter(clauses), set(model)) is valid
+        assert count_satisfied((tuple(c) for c in clauses), model) == satisfied
+    assert outcomes == {True, False}
