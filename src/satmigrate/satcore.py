@@ -23,9 +23,11 @@ import heapq
 import subprocess
 import tempfile
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import neg
 from pathlib import Path
 
 
@@ -147,6 +149,17 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
+def _checked_variables(clauses, num_vars: int, extra=()) -> set[int]:
+    """The variables of the literals of ``clauses`` and ``extra``; a literal
+    0 or beyond ``num_vars`` is a ``ValueError`` that names the first one."""
+    variables = set(map(abs, chain(chain.from_iterable(clauses), extra)))
+    if 0 in variables or max(variables, default=0) > num_vars:
+        bad = next(lit for lit in chain(chain.from_iterable(clauses), extra)
+                   if not 0 < abs(lit) <= num_vars)
+        raise ValueError(f"literal {bad} names no variable in 1..{num_vars}")
+    return variables
+
+
 def infer_num_vars(*clause_sets) -> int:
     return max(map(abs, chain.from_iterable(chain.from_iterable(clause_sets))),
                default=0)
@@ -190,12 +203,7 @@ class DpllSolver:
         self.has_empty = False
         clauses = [list(raw) for raw in clauses]
         soft_literals = list(soft_literals)
-        occurs = bytearray(num_vars + 1)
-        for lit in chain(chain.from_iterable(clauses), soft_literals):
-            if not 0 < abs(lit) <= num_vars:
-                raise ValueError(
-                    f"literal {lit} names no variable in 1..{num_vars}")
-            occurs[abs(lit)] = 1
+        occurring = _checked_variables(clauses, num_vars, soft_literals)
         for clause in clauses:
             if not clause:
                 self.has_empty = True
@@ -228,7 +236,7 @@ class DpllSolver:
             else:
                 self.falsifies[v] = -weight[v]
                 self.phase[v] = 0
-        self.branch_vars = [v for v in range(1, num_vars + 1) if occurs[v]]
+        self.branch_vars = sorted(occurring)
         self.watches: list[list[list[int]]] = [[] for _ in range(size)]
         for clause in self.clauses:
             self.watches[clause[0]].append(clause)
@@ -614,10 +622,12 @@ def pure_literal_autarky(clauses) -> set[int]:
     made true, and every clause containing it goes, until no literal is
     pure. Those literals form an autarky, and the clauses it satisfies lie
     in no minimal unsatisfiable subset."""
-    occurs: dict[int, list[int]] = {}
+    occurs: defaultdict[int, list[int]] = defaultdict(list)
     for pos, clause in enumerate(clauses):
-        for lit in set(clause):
-            occurs.setdefault(lit, []).append(pos)
+        for lit in clause:
+            occurs[lit].append(pos)
+    # occurrences left in the remaining clauses, a duplicate literal counted
+    # as often as it occurs
     count = {lit: len(where) for lit, where in occurs.items()}
     pure = [lit for lit in occurs if -lit not in occurs]
     removed: set[int] = set()
@@ -626,7 +636,7 @@ def pure_literal_autarky(clauses) -> set[int]:
             if pos in removed:
                 continue
             removed.add(pos)
-            for lit in set(clauses[pos]):
+            for lit in clauses[pos]:
                 count[lit] -= 1
                 if count[lit] == 0 and count.get(-lit, 0) > 0:
                     pure.append(-lit)
@@ -674,9 +684,10 @@ def extract_mus(hard, num_vars: int | None = None,
     Walks the core in clause order and tries to drop the next ``step``
     clauses at once: a run whose removal keeps the rest UNSAT is dropped and
     the step doubles; a run whose removal makes it SAT is halved, down to a
-    single clause, which is then kept. Unsatisfiability is monotone, so this
-    returns exactly the core of dropping one clause at a time, with far fewer
-    solver calls when most clauses are irrelevant.
+    single clause, which is then kept. The first step is half the core, so
+    the walk starts by bisecting it. Unsatisfiability is monotone, so any
+    step schedule returns exactly the core of dropping one clause at a time,
+    with far fewer solver calls when most clauses are irrelevant.
 
     Clauses that lie in no core are pruned without a solver call: before
     the walk, those removed by pure-literal elimination, and after every
@@ -691,31 +702,51 @@ def extract_mus(hard, num_vars: int | None = None,
     kept clause is in every minimal unsatisfiable subset of the current set,
     so an autarky that touches one is an internal error.
 
-    The full instance is first checked UNSAT, and the returned core is
-    re-verified: it is UNSAT (pruning drops clauses without a solver call),
-    and removing any single clause makes it satisfiable. ``timeout`` is one
-    deadline for the whole extraction.
+    Each trial is solved over its own variables alone, renumbered densely
+    in ascending order, so it costs what its clauses hold whatever
+    ``num_vars`` is; its model is mapped back and re-verified against the
+    trial's original clauses. Every literal of ``hard`` is first checked to
+    name a variable in 1..num_vars. The instance left by pure-literal
+    elimination is checked UNSAT (an autarky satisfies the clauses it
+    removes, so it is UNSAT exactly when the full instance is), and the
+    returned core is re-verified: it is UNSAT (pruning drops clauses without
+    a solver call), and removing any single clause makes it satisfiable.
+    ``timeout`` is one deadline for the whole extraction.
     """
     hard = [tuple(c) for c in hard]
     if num_vars is None:
         num_vars = infer_num_vars(hard)
+    _checked_variables(hard, num_vars)
     deadline = time.monotonic() + timeout
 
     def solve(indices):
+        clauses = [hard[i] for i in indices]
+        # the trial's variables, renumbered 1..k in ascending order
+        variables = sorted(_checked_variables(clauses, num_vars))
+        k = len(variables)
+        dense = dict(zip(variables, range(1, k + 1)))
+        dense.update(zip(map(neg, variables), range(-1, -k - 1, -1)))
         remaining = deadline - time.monotonic()
         result = SolveResult(SolveStatus.TIMEOUT)
         if remaining > 0:
-            result = solve_sat([hard[i] for i in indices], num_vars=num_vars,
-                               timeout=remaining)
+            result = solve_sat([tuple(map(dense.__getitem__, c))
+                                for c in clauses],
+                               num_vars=k, timeout=remaining)
         if result.status is SolveStatus.TIMEOUT:
             raise MusTimedOut("timeout during core minimization")
+        if result.status is SolveStatus.SAT:
+            true_atoms = frozenset(variables[v - 1] for v in result.true_atoms)
+            if not verify_model(clauses, true_atoms):
+                raise SatCoreError("internal error: model failed "
+                                   "re-verification")
+            result = SolveResult(SolveStatus.SAT, true_atoms=true_atoms)
         return result
 
-    if solve(range(len(hard))).status is not SolveStatus.UNSAT:
-        raise NotUnsat("instance is satisfiable")
     pure = pure_literal_autarky(hard)
     core = [i for i in range(len(hard)) if i not in pure]
-    i, step = 0, 1
+    if solve(core).status is not SolveStatus.UNSAT:
+        raise NotUnsat("instance is satisfiable")
+    i, step = 0, max(len(core) // 2, 1)
     while i < len(core):
         step = min(step, len(core) - i)
         trial = core[:i] + core[i + step:]

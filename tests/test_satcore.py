@@ -431,6 +431,66 @@ def test_mus_on_a_ring_prunes_with_model_autarkies(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_mus_trials_are_solved_over_their_own_variables(monkeypatch):
+    # a satisfiable ring over 12 variables spread up to 200,000, in which no
+    # literal is pure, and a 2-clause core on one more such variable
+    rng = random.Random(71)
+    ids = rng.sample(range(1, 200_001), 13)
+    ring = [(ids[k], -ids[(k + 1) % 12]) for k in range(12)]
+    clauses = ring[:4] + [(ids[12],)] + ring[4:9] + [(-ids[12],)] + ring[9:]
+    calls = []
+    original = satcore_mod.solve_sat
+
+    def recording(hard, num_vars=None, **kwargs):
+        calls.append((list(hard), num_vars))
+        return original(hard, num_vars=num_vars, **kwargs)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", recording)
+    core = extract_mus(clauses, num_vars=200_000).core
+    monkeypatch.undo()
+    assert core == (4, 10) == deletion_mus(clauses, num_vars=200_000)
+    assert calls
+    for hard, num_vars in calls:
+        assert num_vars <= len({abs(lit) for clause in hard for lit in clause})
+
+
+def test_mus_over_a_wide_variable_range_equals_one_by_one_deletion():
+    # random instances with duplicate literals, tautologies and unsorted
+    # clauses, their variables scattered over 1..3000 in no order, and now
+    # and then an empty clause
+    rng = random.Random(73)
+    found = 0
+    while found < 80:
+        num_vars, clauses = _noncanonical_instance(rng, 8, 30)
+        ids = rng.sample(range(1, 3001), num_vars)
+        clauses = [[ids[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in clause]
+                   for clause in clauses]
+        if rng.random() < 0.1:
+            clauses.insert(rng.randint(0, len(clauses)), [])
+        if solve_sat(clauses, num_vars=3000).status is not SolveStatus.UNSAT:
+            continue
+        found += 1
+        assert extract_mus(clauses, num_vars=3000).core == \
+            deletion_mus(clauses, num_vars=3000), clauses
+
+
+def test_mus_checks_every_literal_and_refuses_satisfiable_instances():
+    # (2, 0) and (3,) would go with pure-literal elimination before any
+    # solver call; their literals are still refused
+    with pytest.raises(ValueError, match="literal 0 names no variable in 1..2"):
+        extract_mus([(1,), (-1,), (2, 0)], num_vars=2)
+    with pytest.raises(ValueError, match="literal 3 names no variable in 1..2"):
+        extract_mus([(1,), (-1,), (3,)], num_vars=2)
+    with pytest.raises(ValueError, match="literal -3 names no variable in 1..2"):
+        extract_mus([(1,), (2, -3), (-1,)], num_vars=2)
+    with pytest.raises(ValueError, match="literal 0 names no variable in 1..1"):
+        extract_mus([(1,), (-1, 0)])
+    with pytest.raises(NotUnsat):
+        extract_mus([(1, 2), (-1, 2)], num_vars=200_000)
+    with pytest.raises(NotUnsat):
+        extract_mus([(1, -2), (2, -1)], num_vars=5)
+
+
 def _touched(clauses, assignment) -> set[int]:
     return {pos for pos, clause in enumerate(clauses)
             if any(abs(lit) in assignment for lit in clause)}
