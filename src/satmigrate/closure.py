@@ -1,26 +1,31 @@
 """Dependency-closure index.
 
 Reads the ids and id tables that ``repo.build_universe`` interned, and
-precomputes the "may depend" relation, its reflexive-transitive
-closure, the conflict partners of each package and, per closure, the
-conflict ends inside it. The easy packages (whose closure holds no
+precomputes the "may depend" relation, the conflict partners of each
+package and, per package, the conflict ends inside its
+reflexive-transitive closure. The easy packages (whose closure holds no
 conflict end), the closure restricted to hard packages, the relevant
 conflict ends and the connecting dependencies of a package are derived
 from these. Downstream code speaks ids; only reports and explanations
 name Packages.
 
-Closures are computed bottom-up over the condensation of the may-depend
-graph into strongly connected components. Each closure is a tuple of ids
-in no particular order, and every member of one component shares its
-component's tuple, and its frozenset of conflict ends; callers that read
-an order sort. The closures take memory in proportion to the sum of
-their sizes, so the index grows with the archive rather than with its
-square.
+Both the conflict ends and the closures are computed bottom-up over the
+condensation of the may-depend graph into strongly connected components.
+The closure tuples themselves are built on first read, by the first
+``closure`` or ``hard_closure`` call (from ``check``, ``migrate``,
+``stats`` or the p3 and p4 encodings): the p5 encodings read only the
+conflict ends, the successors and the conflict partners. Each closure is
+a tuple of ids in no particular order, and every member of one component
+shares its component's tuple, and its frozenset of conflict ends;
+callers that read an order sort. The closures take memory in proportion
+to the sum of their sizes, so the index grows with the archive rather
+than with its square.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from .repo import Package, Universe
@@ -78,38 +83,63 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _scc_closures(succ: list[list[int]], conflict_ends: frozenset[int]
-                  ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """Per-node reachability tuples (reflexive), and the conflict ends
-    inside each.
+def _scc_ends(succ: list[list[int]], conflict_ends: frozenset[int]
+              ) -> list[frozenset[int]]:
+    """Per node, the conflict ends inside its closure.
+
+    Components come children first, so a component's set is its own
+    conflict ends joined with the already-final sets of its successors;
+    the members' own entries are still empty, and a set of the non-empty
+    ones drops repeats. A component with no conflict end of its own and
+    one distinct set below shares that set, so the sets are shared along
+    chains as well as within components. Most components are single
+    packages, which take a shorter way to the same sets.
+    """
+    ends: list[frozenset[int]] = [_NO_ENDS] * len(succ)
+    ends_of = ends.__getitem__
+    for component in _components(succ):
+        if len(component) == 1:
+            v = component[0]
+            below = set(map(ends_of, succ[v]))
+            own = (v,) if v in conflict_ends else ()
+        else:
+            below = set(map(ends_of, chain.from_iterable(
+                map(succ.__getitem__, component))))
+            own = conflict_ends.intersection(component)
+        below.discard(_NO_ENDS)
+        if own or len(below) > 1:
+            closure_ends = frozenset(own).union(*below)
+        else:
+            closure_ends = below.pop() if below else _NO_ENDS
+        for w in component:
+            ends[w] = closure_ends
+    return ends
+
+
+def _scc_closures(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """Per node, its reachability tuple (reflexive).
 
     Components come children first, so the closure of a component is its
     own members joined with the already-final closures of its successors
-    outside it, in one C-level union, and its conflict ends are its own
-    joined with theirs. A one-member component with one successor outside
-    has that successor's closure with itself in front, since the closure
-    cannot hold it: it would be on a cycle with the successor.
+    outside it, in one C-level union. A one-member component with one
+    successor outside has that successor's closure with itself in front,
+    since the closure cannot hold it: it would be on a cycle with the
+    successor. The components are found again rather than kept from the
+    pass of ``_scc_ends``, so an index whose closures are never read
+    holds no component lists.
     """
     closures: list[tuple[int, ...]] = [()] * len(succ)
-    ends: list[frozenset[int]] = [_NO_ENDS] * len(succ)
     for component in _components(succ):
         # the members' own closures are still ()
         outside = [x for w in component for x in succ[w] if closures[x]]
         if len(component) == 1 and len(outside) <= 1:
-            v, = component
-            below, below_ends = ((closures[outside[0]], ends[outside[0]])
-                                 if outside else ((), _NO_ENDS))
-            closure = (v,) + below
-            closure_ends = below_ends | {v} if v in conflict_ends else below_ends
+            closure = (component[0],) + (closures[outside[0]] if outside else ())
         else:
             closure = tuple(set(component).union(
                 *[closures[x] for x in outside]))
-            closure_ends = conflict_ends.intersection(component).union(
-                *[ends[x] for x in outside]) or _NO_ENDS
         for w in component:
             closures[w] = closure
-            ends[w] = closure_ends
-    return closures, ends
+    return closures
 
 
 class ClosureIndex:
@@ -138,12 +168,18 @@ class ClosureIndex:
             partners[b].append(a)
         self.partners = [tuple(sorted(ps)) for ps in partners]
         self._succ = [sorted(set().union(*deps)) for deps in self.deps]
-        self._closure, self.closure_ends = _scc_closures(
+        self.closure_ends = _scc_ends(
             self._succ, frozenset(i for i in range(n) if self.partners[i]))
         self.easy_ids = frozenset(i for i in range(n)
                                   if not self.closure_ends[i])
+        self._relevant: dict[frozenset[int], frozenset[int]] = {}
 
     # -- integer surface -------------------------------------------------------
+
+    @cached_property
+    def _closures(self) -> list[tuple[int, ...]]:
+        """Every closure, built by the first call that reads one."""
+        return _scc_closures(self._succ)
 
     @cached_property
     def dependents(self) -> list[list[int]]:
@@ -166,7 +202,7 @@ class ClosureIndex:
 
     def closure(self, i: int) -> tuple[int, ...]:
         """i's closure, i included, in no particular order."""
-        return self._closure[i]
+        return self._closures[i]
 
     def hard_closure(self, i: int) -> tuple[int, ...]:
         """i's closure restricted to hard packages; (i,) for an easy i.
@@ -178,12 +214,21 @@ class ClosureIndex:
         ends = self.closure_ends
         if not ends[i]:
             return (i,)
-        return tuple(q for q in self._closure[i] if ends[q])
+        return tuple(q for q in self._closures[i] if ends[q])
 
     def relevant_ends(self, i: int) -> frozenset[int]:
-        """The endpoints of conflicts with both ends inside i's closure."""
-        ends, partners = self.closure_ends[i], self.partners
-        return frozenset(a for a in ends if not ends.isdisjoint(partners[a]))
+        """The endpoints of conflicts with both ends inside i's closure.
+
+        Computed once per set of conflict ends: the sets are shared by
+        the members of a component and along dependency chains.
+        """
+        ends = self.closure_ends[i]
+        relevant = self._relevant.get(ends)
+        if relevant is None:
+            partners = self.partners
+            relevant = self._relevant[ends] = frozenset(
+                a for a in ends if not ends.isdisjoint(partners[a]))
+        return relevant
 
     def connecting_ids(self, i: int) -> list[int]:
         """Closure members whose own closure reaches a relevant-conflict

@@ -5,15 +5,19 @@ and are ordered by the alternating non-digit/digit run comparison with ``~``
 sorting before everything, including the end of a run.
 
 A load parses each distinct piece of text once: the parses of its files
-share one cache (``parse_packages_stream``'s ``cache``), so a block that
-repeats, as testing's blocks do in unstable, is parsed once and yields
-one stanza object, and a repeated dependency alternative yields one
-constraint object. The cache lives only as long as the load. Packages are
-interned as integer ids afterwards, once, by ``repo.build_universe``.
+share one cache (``parse_packages_stream``'s ``cache``), keyed by the
+text of each block and of each dependency alternative. A file is split
+into its blocks in one pass over the text, and a block into lines only
+when the cache lacks it. So a block that repeats, as testing's blocks do
+in unstable, is parsed once and yields one stanza object, and a repeated
+dependency alternative yields one constraint object. The cache lives
+only as long as the load. Packages are interned as integer ids
+afterwards, once, by ``repo.build_universe``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 RELATIONS = ("<<", "<=", "=", ">=", ">>")
@@ -191,18 +195,10 @@ def _check_name(name: str, text: str, offset: int) -> str:
     return name
 
 
-def _parse_alternative(text: str, start: int, end: int,
-                       cache: dict | None = None) -> VersionConstraint:
-    """The alternative text[start:end]. ``cache`` maps the stripped texts
-    of alternatives parsed before to their constraints: one found there is
-    not parsed again, and one that parses is added."""
+def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
+    """The alternative text[start:end]; an error's offset is into text."""
     chunk = text[start:end]
     stripped = chunk.strip()
-    if cache is not None:
-        constraint = cache.get(stripped)
-        if constraint is None:
-            constraint = cache[stripped] = _parse_alternative(text, start, end)
-        return constraint
     offset = start + (len(chunk) - len(chunk.lstrip()))
     if not stripped:
         raise MalformedDependency(text, offset, "empty alternative")
@@ -238,16 +234,41 @@ def _split_offsets(text: str, sep: str, start: int, end: int) -> list[tuple[int,
         start = pos + 1
 
 
+def _new_alternative(chunk: str, cache: dict) -> VersionConstraint:
+    stripped = chunk.strip()
+    constraint = cache[stripped] = _parse_alternative(stripped, 0, len(stripped))
+    return constraint
+
+
+def _parse_groups(text: str, sep: str, cache: dict | None
+                  ) -> list[list[VersionConstraint]]:
+    """The comma-separated groups of text, each split at sep into its
+    alternatives; with sep "," each group is one alternative.
+
+    With a cache (see parse_packages_stream), the fields are split with
+    str.split and each stripped alternative is looked up; only one the
+    cache lacks is parsed, and added. When one does not parse, the text is
+    parsed again without the cache, offset by offset, so that the error
+    carries the text, offset and reason of an uncached parse.
+    """
+    if cache is not None:
+        get = cache.get
+        try:
+            return [[get(chunk.strip()) or _new_alternative(chunk, cache)
+                     for chunk in group.split(sep)] for group in text.split(",")]
+        except MalformedDependency:
+            pass  # raised again below, with its offset into text
+    return [[_parse_alternative(text, astart, aend)
+             for astart, aend in _split_offsets(text, sep, gstart, gend)]
+            for gstart, gend in _split_offsets(text, ",", 0, len(text))]
+
+
 def parse_dependency_expr(text: str, cache: dict | None = None
                           ) -> list[list[VersionConstraint]]:
     """Parse comma-separated AND-groups of '|'-separated alternatives."""
     if not text.strip():
         return []
-    groups = []
-    for gstart, gend in _split_offsets(text, ",", 0, len(text)):
-        groups.append([_parse_alternative(text, astart, aend, cache)
-                       for astart, aend in _split_offsets(text, "|", gstart, gend)])
-    return groups
+    return _parse_groups(text, "|", cache)
 
 
 def parse_conflict_expr(text: str, cache: dict | None = None
@@ -257,16 +278,14 @@ def parse_conflict_expr(text: str, cache: dict | None = None
         return []
     if "|" in text:
         raise MalformedDependency(text, text.find("|"), "'|' not allowed in conflicts")
-    return [_parse_alternative(text, start, end, cache)
-            for start, end in _split_offsets(text, ",", 0, len(text))]
+    return [constraint for constraint, in _parse_groups(text, ",", cache)]
 
 
 def parse_provides(text: str, cache: dict | None = None) -> list[str]:
     """Parse a Provides list; versioned provides are reduced to their name."""
     if not text.strip():
         return []
-    return [_parse_alternative(text, start, end, cache).name
-            for start, end in _split_offsets(text, ",", 0, len(text))]
+    return [constraint.name for constraint, in _parse_groups(text, ",", cache)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +309,46 @@ class PackageStanza:
     architecture: str | None = None
 
 
-def _split_stanza_blocks(text: str) -> list[tuple[str, ...]]:
-    """The blank-line separated blocks of text, as tuples of lines.
+# a line break, then any blank lines, then a line break: str patterns take
+# \s to be str.isspace(), the characters str.strip() removes
+_BLANK_LINES = re.compile(r"\n\s*\n")
+
+
+def _split_stanza_blocks(text: str) -> list[str]:
+    """The blank-line separated blocks of text, each without line ends
+    around it, split in one pass.
 
     Lines end at "\n" alone, less one trailing "\r", so a CRLF file parses
     like its LF twin. str.splitlines() would also end a line at U+0085 and
     other control characters, and latin-1 decoding turns the second byte of
-    a UTF-8 "Å" into U+0085.
+    a UTF-8 "Å" into U+0085. A line is blank when it holds only what
+    str.strip() removes.
     """
-    lines = text.split("\n")
     if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    blocks: list[tuple[str, ...]] = []
-    current: list[str] = []
-    for line in lines:
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append(tuple(current))
-            current = []
-    if current:
-        blocks.append(tuple(current))
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    blocks = _BLANK_LINES.split(text)
+    # Only the first block can start, and only the last end, with blank
+    # lines: they have no separator on that side.
+    first = blocks[0]
+    lead = len(first) - len(first.lstrip())
+    if lead:
+        blocks[0] = first[first.rfind("\n", 0, lead) + 1:]
+    last = blocks[-1]
+    kept = len(last.rstrip())
+    if kept < len(last):
+        cut = last.find("\n", kept)
+        if cut >= 0:
+            blocks[-1] = last[:cut]
+    if not blocks[-1].strip():
+        blocks.pop()
+    if blocks and not blocks[0].strip():
+        del blocks[0]
     return blocks
 
 
-def _fields_of_block(block: tuple[str, ...], index: int) -> dict[str, str]:
+def _fields_of_block(block: list[str], index: int) -> dict[str, str]:
     fields: dict[str, str] = {}
     last_key = None
     continued = 0
@@ -342,9 +376,8 @@ def _fields_of_block(block: tuple[str, ...], index: int) -> dict[str, str]:
     return fields
 
 
-def _parse_stanza(block: tuple[str, ...], index: int, cache: dict
-                  ) -> PackageStanza:
-    fields = _fields_of_block(block, index)
+def _parse_stanza(block: str, index: int, cache: dict) -> PackageStanza:
+    fields = _fields_of_block(block.split("\n"), index)
     if "package" not in fields:
         raise MissingField("Package", index)
     if "version" not in fields:
@@ -373,23 +406,28 @@ def parse_packages_stream(data: bytes | str, cache: dict | None = None
 
     Stanzas are blank-line separated ``Key: value`` blocks with indented
     continuation lines; unknown fields are ignored and field order is free,
-    but a field named twice, in any case, is malformed, as in dpkg.
+    but a field named twice, in any case, is malformed, as in dpkg. The
+    blocks are split from the text in one pass, and a block is split into
+    lines only when it is parsed.
 
     ``cache`` holds what one load has parsed so far, for the files of that
-    load to share: each block, keyed by its tuple of lines, maps to its
+    load to share: each block, keyed by its text in a 1-tuple, maps to its
     stanza, and each dependency alternative, keyed by its stripped text,
-    to its constraint. A repeated block therefore yields the same stanza object,
-    and a repeated alternative the same constraint, parsed once. Only what
-    parses is added, so an error names the stanza it occurs in. Without a
-    cache, the call uses a fresh one of its own.
+    to its constraint. The tuple keeps the two kinds of key apart, so a
+    block never finds an alternative's constraint. A repeated block
+    therefore yields the same stanza object, and a repeated alternative
+    the same constraint, parsed once. Only what parses is added, so an
+    error names the stanza it occurs in. Without a cache, the call uses a
+    fresh one of its own.
     """
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     if cache is None:
         cache = {}
     stanzas = []
     for index, block in enumerate(_split_stanza_blocks(text)):
-        stanza = cache.get(block)
+        key = (block,)
+        stanza = cache.get(key)
         if stanza is None:
-            stanza = cache[block] = _parse_stanza(block, index, cache)
+            stanza = cache[key] = _parse_stanza(block, index, cache)
         stanzas.append(stanza)
     return stanzas

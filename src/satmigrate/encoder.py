@@ -286,6 +286,11 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
         hard.append((-(c + 1), members[c]))
         info.append(("i", c))
     easy = idx.easy_ids if scheme.easy_direct else ()
+    # The d family. In a tracked context, a disjunction none of whose
+    # targets is tracked there (under easy_direct, easy members are not)
+    # points at package atoms alone, already ascending, so -head goes last
+    # and nothing is sorted; only a disjunction that mixes package and
+    # installation atoms is.
     for c, deps in enumerate(idx.deps):
         members = contexts.get(c)
         if members is None:
@@ -300,14 +305,20 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
             continue
         local = {m: atom for m, atom in members.items() if m not in easy} \
             if easy else members
+        tracked = local.keys()
         for m, head in members.items():
             negated = -head  # one int object for all of m's clauses
             for targets in idx.deps[m]:
-                # package atoms ascending, then installation atoms ascending
-                lits = sorted([local.get(q) or pkg_atom[q] for q in targets])
-                if head in lits:
-                    continue  # m requires itself inside c: a tautology
-                lits.insert(bisect(lits, head), negated)
+                if tracked.isdisjoint(targets):
+                    lits = [pkg_atom[q] for q in targets]
+                    lits.append(negated)
+                else:
+                    # package atoms ascending, then installation atoms
+                    # ascending
+                    lits = sorted([local.get(q) or pkg_atom[q] for q in targets])
+                    if head in lits:
+                        continue  # m requires itself inside c: a tautology
+                    lits.insert(bisect(lits, head), negated)
                 hard.append(tuple(lits))
                 info.append(("d", c, m, targets))
     partners = idx.partners

@@ -9,8 +9,10 @@ package's whole closure on Packages, and `normalized_encoding` the e, i,
 d and c generator that passes every clause through `normalize_clause`.
 `parse_dimacs` reads back what `satcore.emit_dimacs` writes,
 `clause_satisfied` is the per-literal definition `verify_model` and
-`count_satisfied` are tested against, and `canonical_version` is the
-normal form `compare_versions` is tested against. Only the tests import
+`count_satisfied` are tested against, `canonical_version` is the
+normal form `compare_versions` is tested against, and `stanza_blocks`
+the line-by-line block split the one-pass `_split_stanza_blocks` is
+tested against. Only the tests import
 this module; numpy is needed only here.
 """
 
@@ -381,6 +383,25 @@ def canonical_version(version: str) -> tuple:
     """Normal form; two versions are equal iff their normal forms are."""
     epoch, upstream, revision = _split_version(version)
     return epoch, _canonical_part(upstream), _canonical_part(revision)
+
+
+def stanza_blocks(text: str) -> list[tuple[str, ...]]:
+    """The blank-line separated blocks of text, as tuples of lines, found
+    line by line: lines end at "\n" alone, less one trailing "\r", and a
+    line is blank when str.strip() leaves nothing of it."""
+    lines = [line[:-1] if line.endswith("\r") else line
+             for line in text.split("\n")]
+    blocks: list[tuple[str, ...]] = []
+    current: list[str] = []
+    for line in lines:
+        if line.strip():
+            current.append(line)
+        elif current:
+            blocks.append(tuple(current))
+            current = []
+    if current:
+        blocks.append(tuple(current))
+    return blocks
 
 
 def clause_satisfied(clause, true_atoms) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 from satmigrate.closure import ClosureIndex
+from satmigrate.encoder import build_encoding
 from satmigrate.repo import make_universe
 
 from . import oracle
@@ -105,6 +106,51 @@ def test_closures_match_an_independent_reference():
             seen["easy" if easy else "hard"] += 1
             seen["relevant"] += bool(relevant)
     assert min(seen.values()) > 100, seen
+
+
+def test_closures_are_built_on_first_read():
+    # p5, p5-strict and p1 read the conflict ends alone; the closures are
+    # built by the first closure() or hard_closure() call, and match the
+    # reference then
+    rng = random.Random(71)
+    built = 0
+    for _ in range(6):
+        u = clustered_universe(rng, rng.randint(100, 300),
+                               conflicts=rng.randint(1, 40))
+        free = make_universe(sorted(u.packages),
+                             {p: [list(d) for d in u.dep[p]] for p in u.packages},
+                             [], u.testing, u.unstable)
+        for universe, names in ((u, ("p5", "p5-strict")), (free, ("p1",))):
+            idx = ClosureIndex(universe)
+            for name in names:
+                build_encoding(universe, idx, name)
+            assert "_closures" not in vars(idx)
+            reach = {p: oracle.reachable(p, universe) for p in universe.packages}
+            ends = {a for a, _ in universe.conflicts}
+            hard_ids = [i for i in range(len(idx.packages))
+                        if i not in idx.easy_ids]
+            if hard_ids:
+                idx.hard_closure(rng.choice(hard_ids))
+            else:
+                idx.closure(0)
+            assert "_closures" in vars(idx)
+            for p, members in reach.items():
+                i = idx.ids[p]
+                hard = ({p} if not members & ends
+                        else {q for q in members if reach[q] & ends})
+                assert sorted(idx.closure(i)) == sorted(idx.id_set(members))
+                assert sorted(idx.hard_closure(i)) == sorted(idx.id_set(hard))
+                built += len(hard) > 1
+    assert built > 100
+
+
+def test_encodings_over_closures_build_them():
+    rng = random.Random(73)
+    u = clustered_universe(rng, 150, conflicts=10)
+    for name in ("p3", "p4"):
+        idx = ClosureIndex(u)
+        build_encoding(u, idx, name)
+        assert "_closures" in vars(idx)
 
 
 # -- easy packages -----------------------------------------------------------------

@@ -9,12 +9,12 @@ import pytest
 from satmigrate.controlfile import (MalformedDependency, MalformedStanza,
                                     MalformedVersion, MissingField,
                                     PackageStanza, VersionConstraint,
-                                    compare_versions,
+                                    _split_stanza_blocks, compare_versions,
                                     parse_conflict_expr, parse_dependency_expr,
                                     parse_packages_stream, parse_provides)
 
 from .generators import random_version
-from .oracle import canonical_version
+from .oracle import canonical_version, stanza_blocks
 
 
 # -- rendering, the inverse of the parsers ------------------------------------
@@ -319,6 +319,32 @@ def test_crlf_error_line_has_no_carriage_return():
     assert err.value.line == "nonsense line"
 
 
+# whitespace of every kind str.strip() removes, "\r", and two characters
+# that are not whitespace; "\n" is the most frequent
+_BLOCK_CHARS = "\n\n\n\n\r\r  \t\x0b\x0c\x1c\x85\xa0\u2003\u3000ab:"
+_BLOCK_LINES = ["", " ", "\t", "\r", " \r", "\x85", "\xa0 ", "\u3000", "\r\r",
+                "a", "a:b", " b", "\tb", "a\r", "a \r\r", "\x85a", " \xa0b\x0c"]
+
+
+def test_block_split_matches_the_line_by_line_reference():
+    rng = random.Random(83)
+    texts = ["", "\n", "\r", "a", "a\r", "a\r\n", " a\n\nb", "\n\n a\n b\n\n",
+             "a\n \n\tb\r\n\r\n", "\r\n\r\n a\r\n", "a\n\x85\nb\n\xa0\n"]
+    for _ in range(10000):
+        # character by character, often without a final line break
+        texts.append("".join(rng.choice(_BLOCK_CHARS)
+                             for _ in range(rng.randint(0, 24))))
+        # line by line: blank and whitespace-only lines, leading
+        # continuation lines, LF and CRLF ends
+        lines = [rng.choice(_BLOCK_LINES) for _ in range(rng.randint(0, 8))]
+        texts.append(rng.choice(["\n", "\r\n"]).join(lines)
+                     + rng.choice(["", "\n", "\r\n", "\r", " "]))
+    for text in texts:
+        blocks = _split_stanza_blocks(text)
+        assert [tuple(block.split("\n")) for block in blocks] \
+            == stanza_blocks(text), repr(text)
+
+
 # -- parse sharing within one load ------------------------------------------------
 
 _SHARED = ("Package: a\nVersion: 1\nDepends: b (>= 2) | c, d\nConflicts: e\n"
@@ -375,3 +401,58 @@ def test_block_one_byte_off_is_parsed_on_its_own():
     assert unstable[0] is not testing[0]
     assert unstable[0].depends[0][0] == VersionConstraint("b", ">=", "3")
     assert testing[0].depends[0][0] == VersionConstraint("b", ">=", "2")
+
+
+# the alternatives "b (>= 2)", "c" and "d" are in the cache after _TESTING;
+# "new" is not, and the last alternative of each value does not parse
+_AFTER_CACHED = {
+    "Depends": "c, b (>= 2) | new, d | e (>> )",
+    "Pre-Depends": "d | c,new|  e (<<)",
+    "Conflicts": "c, b (>= 2), new, e (= 1:)",
+    "Breaks": " d,c ,new , e f",
+    "Provides": "c, b (>= 2), new, (= 1)",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_AFTER_CACHED))
+def test_malformed_alternative_after_cached_ones_raises_as_uncached(field):
+    value = _AFTER_CACHED[field]
+    broken = f"Package: x\nVersion: 1\n{field}: {value}\n"
+    with pytest.raises(MalformedDependency) as uncached:
+        parse_packages_stream(broken)
+    cache: dict = {}
+    parse_packages_stream(_TESTING, cache)
+    with pytest.raises(MalformedDependency) as cached:
+        parse_packages_stream(broken, cache)
+    assert (cached.value.text, cached.value.offset, cached.value.reason) == \
+        (uncached.value.text, uncached.value.offset, uncached.value.reason)
+    text = value.strip()
+    last = re.split("[,|]", text)[-1].strip()
+    assert (cached.value.text, cached.value.offset) == (text, text.rindex(last))
+    # what parsed before the error is cached; the field fails again
+    assert "new" in cache
+    with pytest.raises(MalformedDependency):
+        parse_packages_stream(broken, cache)
+
+
+def test_repeated_alternative_is_one_object_across_fields_and_files():
+    cache: dict = {}
+    first, = parse_packages_stream(
+        "Package: a\nVersion: 1\nDepends: c (>= 2), d\nConflicts: e\n", cache)
+    second, = parse_packages_stream(
+        "Package: b\nVersion: 1\nPre-Depends: e | c (>= 2)\nBreaks: d\n"
+        "Provides: c (>= 2)\n", cache)
+    c_2, d = first.depends[0][0], first.depends[1][0]
+    assert second.depends == [[first.conflicts[0], c_2]]
+    assert second.depends[0][0] is first.conflicts[0]
+    assert second.depends[0][1] is c_2 and second.conflicts[0] is d
+    assert second.provides == ["c"] and second.provides[0] is c_2.name
+
+
+def test_block_never_finds_an_alternatives_constraint():
+    # "foo" is cached as an alternative; as a block it is a malformed line
+    cache: dict = {}
+    parse_packages_stream("Package: a\nVersion: 1\nDepends: foo\n", cache)
+    with pytest.raises(MalformedStanza) as err:
+        parse_packages_stream("foo\n", cache)
+    assert err.value.line == "foo"
