@@ -6,7 +6,8 @@ go to stderr and exit codes are fixed for scripting:
 
 0 success, 1 usage/parse/IO error, 2 unsolvable, 3 timeout,
 4 check found violations. A command returns 0 or 4 and raises on any
-failure; ``main`` maps each failure to its exit code and message.
+failure; ``main`` maps each failure to its exit code and message, and
+argparse's usage errors exit 1 too, not 2, which means unsolvable.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
 # caught before ERRORS, which holds their base classes.
 TIMEOUTS = (engine.SolveTimedOut, satcore.MusTimedOut,
             repo.InstallabilityTimedOut)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _fail(message: str) -> int:
@@ -286,7 +293,7 @@ def cmd_emit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--testing", required=True, help="Packages file for testing")
     common.add_argument("--unstable", required=True, help="Packages file for unstable")
     common.add_argument("--encoding", default="p5",
@@ -295,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--solver", help="external solver command")
     common.add_argument("--timeout", type=float, help="solver budget in seconds")
     common.add_argument("--format", default="text", choices=["text", "structured"])
-    modeful = argparse.ArgumentParser(add_help=False)
+    modeful = _ArgumentParser(add_help=False)
     modeful.add_argument("--mode", default="max", choices=["max", "min", "target"])
     modeful.add_argument("--target", help="candidate package as NAME/VER")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="satmigrate",
         description="Decide which packages may migrate from unstable to "
                     "testing while keeping every package installable.")

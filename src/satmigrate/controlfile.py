@@ -11,8 +11,9 @@ into its blocks in one pass over the text, and a block into lines only
 when the cache lacks it. So a block that repeats, as testing's blocks do
 in unstable, is parsed once and yields one stanza object, and a repeated
 dependency alternative yields one constraint object. The cache lives
-only as long as the load. Packages are interned as integer ids
-afterwards, once, by ``repo.build_universe``.
+only as long as the load; a parse called without one gets a fresh one.
+Packages are interned as integer ids afterwards, once, by
+``repo.build_universe``.
 """
 
 from __future__ import annotations
@@ -245,19 +246,20 @@ def _parse_groups(text: str, sep: str, cache: dict | None
     """The comma-separated groups of text, each split at sep into its
     alternatives; with sep "," each group is one alternative.
 
-    With a cache (see parse_packages_stream), the fields are split with
-    str.split and each stripped alternative is looked up; only one the
-    cache lacks is parsed, and added. When one does not parse, the text is
-    parsed again without the cache, offset by offset, so that the error
-    carries the text, offset and reason of an uncached parse.
+    The fields are split with str.split and each stripped alternative is
+    looked up in the cache, a fresh one when there is none (see
+    parse_packages_stream); only one the cache lacks is parsed, and added.
+    When one does not parse, the text is walked again offset by offset, so
+    that the error carries the text, the offset into it and the reason.
     """
-    if cache is not None:
-        get = cache.get
-        try:
-            return [[get(chunk.strip()) or _new_alternative(chunk, cache)
-                     for chunk in group.split(sep)] for group in text.split(",")]
-        except MalformedDependency:
-            pass  # raised again below, with its offset into text
+    if cache is None:
+        cache = {}
+    get = cache.get
+    try:
+        return [[get(chunk.strip()) or _new_alternative(chunk, cache)
+                 for chunk in group.split(sep)] for group in text.split(",")]
+    except MalformedDependency:
+        pass  # raised again below, with its offset into text
     return [[_parse_alternative(text, astart, aend)
              for astart, aend in _split_offsets(text, sep, gstart, gend)]
             for gstart, gend in _split_offsets(text, ",", 0, len(text))]

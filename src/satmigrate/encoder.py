@@ -115,7 +115,6 @@ class EncodedProblem:
     hard: list[tuple[int, ...]] = field(default_factory=list)
     info: list[tuple] = field(default_factory=list)
     soft: list[tuple[int, ...]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def num_vars(self) -> int:
@@ -125,8 +124,6 @@ class EncodedProblem:
         clause = satcore.normalize_clause(literals)
         if clause is None:
             return
-        if not clause:
-            self.warnings.append(f"empty clause from {info[0]}: instance is unsatisfiable")
         self.hard.append(clause)
         self.info.append(info)
 
@@ -352,20 +349,17 @@ def soft_max(u: Universe, atoms: AtomTable):
 
 
 def soft_min_units(u: Universe, atoms: AtomTable):
-    incoming, outgoing = migration_candidates(u)
-    return ([(-atoms.pkg(p),) for p in incoming] +
-            [(atoms.pkg(p),) for p in outgoing])
+    """soft_max's units inverted."""
+    return [(-lit,) for lit, in soft_max(u, atoms)]
 
 
 def soft_min_with_nontriviality(u: Universe, atoms: AtomTable):
     """Inverted soft units plus the hard clause forcing some change."""
-    incoming, outgoing = migration_candidates(u)
-    if not incoming and not outgoing:
+    units = soft_max(u, atoms)
+    if not units:
         raise NoChangeCandidates("testing and unstable offer no change")
-    nontrivial = tuple([atoms.pkg(p) for p in incoming] +
-                       [-atoms.pkg(p) for p in outgoing])
-    return ((satcore.normalize_clause(nontrivial), ("nt",)),
-            soft_min_units(u, atoms))
+    nontrivial = satcore.normalize_clause(lit for lit, in units)
+    return (nontrivial, ("nt",)), [(-lit,) for lit, in units]
 
 
 def target_clause(p: Package, u: Universe, atoms: AtomTable):

@@ -229,7 +229,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe
                 for violation in repo.check_testing(u, idx)]
     problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
     attach_objective(req, u, problem)
-    result = _solve_verified(req, u, idx, problem, problem.warnings + warnings)
+    result = _solve_verified(req, u, idx, problem, warnings)
     return result, problem, idx
 
 

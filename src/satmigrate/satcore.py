@@ -13,6 +13,8 @@ one ``%`` fills the joined templates of every line with every literal.
 
 Atoms are positive integers; a literal is an atom or its negation as a
 signed int. An assignment is the set of true atoms (everything else false).
+Every entry point takes ``num_vars``, the atom table's size: an atom in
+no clause still counts in a DIMACS header and may be true in a model.
 The solvers read clauses as given: in any order, with duplicate literals
 or both signs of a variable.
 """
@@ -20,6 +22,7 @@ or both signs of a variable.
 from __future__ import annotations
 
 import heapq
+import math
 import subprocess
 import tempfile
 import time
@@ -158,11 +161,6 @@ def _checked_variables(clauses, num_vars: int, extra=()) -> set[int]:
                    if not 0 < abs(lit) <= num_vars)
         raise ValueError(f"literal {bad} names no variable in 1..{num_vars}")
     return variables
-
-
-def infer_num_vars(*clause_sets) -> int:
-    return max(map(abs, chain.from_iterable(chain.from_iterable(clause_sets))),
-               default=0)
 
 
 class DpllSolver:
@@ -558,24 +556,18 @@ class DpllSolver:
             trail.append(lit)
 
 
-def solve_sat(hard, num_vars: int | None = None, assumptions=(),
+def solve_sat(hard, num_vars: int,
               timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
     """Decide satisfiability of the hard clauses with the embedded solver."""
     hard = list(hard)
-    if num_vars is None:
-        num_vars = max(infer_num_vars(hard),
-                       max((abs(l) for l in assumptions), default=0))
-    solver = DpllSolver(num_vars, hard)
-    result = solver.solve(assumptions=assumptions, timeout=timeout)
-    if result.status is SolveStatus.SAT:
-        assumed = set(assumptions)
-        if not verify_model(hard, result.true_atoms) or \
-                any(not literal_true(l, result.true_atoms) for l in assumed):
-            raise SatCoreError("internal error: model failed re-verification")
+    result = DpllSolver(num_vars, hard).solve(timeout=timeout)
+    if result.status is SolveStatus.SAT and \
+            not verify_model(hard, result.true_atoms):
+        raise SatCoreError("internal error: model failed re-verification")
     return result
 
 
-def solve_pmaxsat(hard, soft, num_vars: int | None = None,
+def solve_pmaxsat(hard, soft, num_vars: int,
                   timeout: float = DEFAULT_PMAX_TIMEOUT) -> SolveResult:
     """Maximize the number of satisfied soft unit clauses.
 
@@ -590,8 +582,6 @@ def solve_pmaxsat(hard, soft, num_vars: int | None = None,
     for clause in soft:
         if len(clause) != 1:
             raise ValueError("soft clauses must be unit clauses")
-    if num_vars is None:
-        num_vars = infer_num_vars(hard, soft)
     deadline = time.monotonic() + timeout
     solver = DpllSolver(num_vars, hard, soft_literals=[c[0] for c in soft])
     best = solver.solve(timeout=timeout)
@@ -677,7 +667,7 @@ def model_autarky(clauses, true_atoms) -> set[int]:
     return {pos for pos, n in enumerate(support) if n}
 
 
-def extract_mus(hard, num_vars: int | None = None,
+def extract_mus(hard, num_vars: int,
                 timeout: float = DEFAULT_SAT_TIMEOUT) -> MusResult:
     """Deletion-based minimal unsatisfiable subset of an UNSAT clause set.
 
@@ -714,8 +704,6 @@ def extract_mus(hard, num_vars: int | None = None,
     ``timeout`` is one deadline for the whole extraction.
     """
     hard = [tuple(c) for c in hard]
-    if num_vars is None:
-        num_vars = infer_num_vars(hard)
     _checked_variables(hard, num_vars)
     deadline = time.monotonic() + timeout
 
@@ -786,7 +774,7 @@ def _line_templates(prefix: str, clauses):
     return map(templates.__getitem__, lengths)
 
 
-def emit_dimacs(hard, soft=None, num_vars: int | None = None,
+def emit_dimacs(hard, soft=None, *, num_vars: int,
                 kind: str = "cnf") -> bytes:
     """Serialize to DIMACS CNF or WCNF.
 
@@ -795,8 +783,6 @@ def emit_dimacs(hard, soft=None, num_vars: int | None = None,
     """
     hard = _as_sequence(hard)
     soft = _as_sequence(soft or ())
-    if num_vars is None:
-        num_vars = infer_num_vars(hard, soft)
     if kind == "cnf":
         if soft:
             raise ValueError("cnf cannot carry soft clauses")
@@ -817,7 +803,7 @@ def emit_dimacs(hard, soft=None, num_vars: int | None = None,
 # External solver adapter
 
 
-def run_external(command, hard, soft=None, num_vars: int | None = None,
+def run_external(command, hard, soft=None, *, num_vars: int,
                  kind: str = "cnf", timeout: float = 600.0) -> SolveResult:
     """Run an external solver on the instance and re-verify its answer.
 
@@ -825,12 +811,11 @@ def run_external(command, hard, soft=None, num_vars: int | None = None,
     parsed for competition-style ``s``/``v``/``o`` lines, where each value
     is a literal of 1..num_vars or 0; the exit code is ignored. Returned
     models are checked against every hard clause, and the satisfied-soft
-    count is always recomputed here rather than trusted.
+    count is always recomputed here rather than trusted. An infinite
+    ``timeout`` sets no limit.
     """
     hard = _as_sequence(hard)
     soft = _as_sequence(soft or ())
-    if num_vars is None:
-        num_vars = infer_num_vars(hard, soft)
     payload = emit_dimacs(hard, soft or None, num_vars=num_vars, kind=kind)
     with tempfile.NamedTemporaryFile(suffix=f".{kind}", delete=False) as handle:
         handle.write(payload)
@@ -838,7 +823,8 @@ def run_external(command, hard, soft=None, num_vars: int | None = None,
     try:
         try:
             proc = subprocess.run(list(command) + [path], capture_output=True,
-                                  text=True, timeout=timeout)
+                                  text=True,
+                                  timeout=timeout if timeout < math.inf else None)
         except OSError as exc:
             raise SolverCrashed(f"cannot run {command!r}: {exc}") from exc
         except subprocess.TimeoutExpired:

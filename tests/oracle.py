@@ -10,15 +10,17 @@ d and c generator that passes every clause through `normalize_clause`.
 `parse_dimacs` reads back what `satcore.emit_dimacs` writes,
 `clause_satisfied` is the per-literal definition `verify_model` and
 `count_satisfied` are tested against, `canonical_version` is the
-normal form `compare_versions` is tested against, and `stanza_blocks`
+normal form `compare_versions` is tested against, `stanza_blocks`
 the line-by-line block split the one-pass `_split_stanza_blocks` is
-tested against. Only the tests import
+tested against, and `infer_num_vars` the largest variable of hand-written
+clauses, for the oracles called without a count. Only the tests import
 this module; numpy is needed only here.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -29,8 +31,7 @@ from satmigrate.controlfile import _char_order, _split_version
 from satmigrate.encoder import EncodedProblem, PolicyRules
 from satmigrate.repo import Package, RepoError, Universe, policy_satisfied
 from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
-                                SolveStatus, infer_num_vars, literal_true,
-                                solve_sat)
+                                SolveStatus, literal_true, solve_sat)
 
 DEFAULT_INSTALLABILITY_BOUND = 20
 ENUMERATION_BOUND = 16
@@ -43,6 +44,11 @@ class ContextTooLarge(RepoError):
 
 class TooLarge(SatCoreError):
     """Exhaustive enumeration was requested beyond its variable bound."""
+
+
+def infer_num_vars(*clause_sets) -> int:
+    return max(map(abs, chain.from_iterable(chain.from_iterable(clause_sets))),
+               default=0)
 
 
 def brute_force_solve(hard, soft=None, num_vars: int | None = None) -> SolveResult:

@@ -390,6 +390,42 @@ def test_timeout_must_be_positive(repos, capsys, tmp_path, value):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["migrate", "--bogus"],
+    ["migrate", "--testing", "t"],  # no --unstable
+    ["migrate", "--testing", "t", "--unstable", "u", "--timeout", "abc"],
+    ["emit", "--testing", "t", "--unstable", "u"],  # no output path
+    [],
+])
+def test_argparse_usage_errors_exit_1(capsys, argv):
+    # argparse's own exit code 2 would read as "unsolvable"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["migrate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_external_solver_with_infinite_timeout(repos, capsys, tmp_path):
+    # "inf" sets no limit on the solver's process either
+    script = tmp_path / "solver.py"
+    script.write_text(f"#!{sys.executable}\nprint('s UNSATISFIABLE')\n")
+    script.chmod(0o755)
+    code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                 "--solver", shlex.quote(str(script)), "--timeout", "inf"])
+    assert code == EXIT_UNSOLVABLE
+    assert capsys.readouterr().err.startswith("unsolvable:")
+
+
 def test_explain_reports_repo_error(repos, capsys, monkeypatch):
     import satmigrate.engine as engine_mod
     import satmigrate.repo as repo_mod
@@ -613,7 +649,7 @@ def _timed_out_solve_sat(monkeypatch):
     import satmigrate.satcore as satcore_mod
     calls = []
 
-    def timed_out(hard, num_vars=None, assumptions=(), timeout=None):
+    def timed_out(hard, num_vars, timeout=None):
         calls.append(num_vars)
         return satcore_mod.SolveResult(satcore_mod.SolveStatus.TIMEOUT)
 

@@ -134,6 +134,27 @@ def test_malformed_dependency_reports_offset():
     assert err.value.text == "a, b (>= )"
 
 
+def test_uncached_parse_of_valid_text_never_walks_offsets(monkeypatch):
+    # without a cache the call gets a fresh one: text that parses is split
+    # and looked up, and only an error walks the text offset by offset
+    import satmigrate.controlfile as controlfile_mod
+
+    def refuse(*args):
+        raise AssertionError("the offset walk ran on text that parses")
+
+    monkeypatch.setattr(controlfile_mod, "_split_offsets", refuse)
+    groups = parse_dependency_expr("b (>= 2) | c, d (<< 1), b (>= 2)")
+    assert groups == [
+        [VersionConstraint("b", ">=", "2"), VersionConstraint("c")],
+        [VersionConstraint("d", "<<", "1")],
+        [VersionConstraint("b", ">=", "2")],
+    ]
+    assert groups[2][0] is groups[0][0]  # parsed once
+    assert parse_conflict_expr("a, b (<< 2)") == [
+        VersionConstraint("a"), VersionConstraint("b", "<<", "2")]
+    assert parse_provides("x, y (= 2)") == ["x", "y"]
+
+
 def test_conflicts_reject_alternatives():
     assert parse_conflict_expr("a, b (<< 2)") == [
         VersionConstraint("a"), VersionConstraint("b", "<<", "2")]

@@ -317,10 +317,8 @@ def test_clause_hygiene_dedup_and_empty_reporting():
     assert len(problem.hard) == before  # tautology dropped
     problem.add((a, a), ("d", None, 0, ()))
     assert problem.hard[-1] == (a,)  # duplicate literal removed
-    assert not problem.warnings
     problem.add((), ("d", None, 0, ()))
     assert problem.hard[-1] == ()
-    assert any("unsatisfiable" in w for w in problem.warnings)
 
 
 def test_stats_zero_for_empty_universe():
@@ -535,7 +533,6 @@ def _assert_matches_normalized(u, idx, name):
     reference = normalized_encoding(u, idx, name)
     assert built.hard == reference.hard, name
     assert built.info == reference.info, name
-    assert built.warnings == reference.warnings, name
     assert built.atoms.inst_pairs == reference.atoms.inst_pairs, name
     return built
 

@@ -309,7 +309,8 @@ def test_explanation_core_equals_one_by_one_deletion_mid_scale():
                                        encoding=encoding)
                 problem = build_encoding(u, idx, encoding)
                 problem.hard.append(target_clause(p, u, problem.atoms)[0])
-                if satcore_mod.solve_sat(problem.hard).status \
+                if satcore_mod.solve_sat(
+                        problem.hard, num_vars=problem.num_vars).status \
                         is not satcore_mod.SolveStatus.UNSAT:
                     break
                 assert satcore_mod.extract_mus(

@@ -32,29 +32,30 @@ def test_empty_instance_is_sat_with_empty_true_set():
 
 
 def test_complementary_units_unsat():
-    assert solve_sat([(1,), (-1,)]).status is SolveStatus.UNSAT
+    assert solve_sat([(1,), (-1,)], num_vars=1).status is SolveStatus.UNSAT
 
 
 def test_three_clause_unsat():
     # enumerating the 4 assignments of {1,2} falsifies one clause each
-    assert solve_sat([(1, 2), (-1,), (-2,)]).status is SolveStatus.UNSAT
+    assert solve_sat([(1, 2), (-1,), (-2,)], num_vars=2).status is SolveStatus.UNSAT
 
 
 def test_model_is_verified_and_deterministic():
-    result = solve_sat([(1, 2)])
+    result = solve_sat([(1, 2)], num_vars=2)
     assert result.status is SolveStatus.SAT
     assert result.true_atoms == {1, 2}  # both pure positive at the root
-    assert solve_sat([(1, 2)]).true_atoms == result.true_atoms
+    assert solve_sat([(1, 2)], num_vars=2).true_atoms == result.true_atoms
     # with mixed polarities purity does not fire; branching is lowest-first
-    mixed = solve_sat([(1, 2), (-1, 2), (1, -2)])
+    mixed = solve_sat([(1, 2), (-1, 2), (1, -2)], num_vars=2)
     assert mixed.true_atoms == {1, 2}
 
 
 def test_assumptions_restrict_models():
-    result = solve_sat([(1, 2)], assumptions=[-1])
+    result = DpllSolver(2, [(1, 2)]).solve(assumptions=[-1])
     assert result.status is SolveStatus.SAT
     assert result.true_atoms == {2}
-    assert solve_sat([(1,)], assumptions=[-1]).status is SolveStatus.UNSAT
+    assert DpllSolver(1, [(1,)]).solve(assumptions=[-1]).status \
+        is SolveStatus.UNSAT
 
 
 def test_solver_reusable_across_assumption_sets():
@@ -147,7 +148,7 @@ def test_reused_solver_answers_like_a_fresh_one():
 def test_tautologies_are_dropped():
     assert normalize_clause([1, -1, 2]) is None
     assert normalize_clause([2, 1, 2]) == (1, 2)
-    result = solve_sat([(1, -1)])
+    result = solve_sat([(1, -1)], num_vars=1)
     assert result.status is SolveStatus.SAT
 
 
@@ -192,18 +193,19 @@ def test_complementary_soft_units_score_one():
 
 
 def test_hard_clause_limits_soft_satisfaction():
-    result = solve_pmaxsat([(-1, -2)], [(1,), (2,)])
+    result = solve_pmaxsat([(-1, -2)], [(1,), (2,)], num_vars=2)
     assert result.status is SolveStatus.OPTIMAL
     assert result.satisfied_soft == 1
 
 
 def test_unsat_hard_clauses_win():
-    assert solve_pmaxsat([(1,), (-1,)], [(1,)]).status is SolveStatus.UNSAT
+    assert solve_pmaxsat([(1,), (-1,)], [(1,)], num_vars=1).status \
+        is SolveStatus.UNSAT
 
 
 def test_soft_must_be_units():
     with pytest.raises(ValueError):
-        solve_pmaxsat([], [(1, 2)])
+        solve_pmaxsat([], [(1, 2)], num_vars=2)
 
 
 def test_soft_only_vars_are_still_optimized():
@@ -333,9 +335,6 @@ def test_assumptions_are_checked_like_hard_literals(lit):
     with pytest.raises(ValueError,
                        match=f"literal {lit} names no variable in 1..3"):
         solver.solve(assumptions=[lit])
-    with pytest.raises(ValueError,
-                       match=f"literal {lit} names no variable in 1..3"):
-        solve_sat([(1, 2), (3,)], num_vars=3, assumptions=[lit])
     # the refused call leaves the solver as it was
     assert solver.solve(assumptions=[-1]).true_atoms == {2, 3}
 
@@ -343,17 +342,17 @@ def test_assumptions_are_checked_like_hard_literals(lit):
 # -- MUS extraction -----------------------------------------------------------------
 
 def test_mus_drops_irrelevant_clause():
-    result = extract_mus([(1,), (-1,), (2,)])
+    result = extract_mus([(1,), (-1,), (2,)], num_vars=2)
     assert result.core == (0, 1)
 
 
 def test_mus_of_single_empty_clause():
-    assert extract_mus([()]).core == (0,)
+    assert extract_mus([()], num_vars=0).core == (0,)
 
 
 def test_mus_requires_unsat():
     with pytest.raises(NotUnsat):
-        extract_mus([(1,)])
+        extract_mus([(1,)], num_vars=1)
 
 
 def test_mus_minimality_on_random_unsat_instances():
@@ -408,7 +407,7 @@ def test_mus_sparse_core_takes_few_sat_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(satcore_mod, "solve_sat", counting)
-    assert extract_mus(_sparse_core_instance()).core == (100, 400)
+    assert extract_mus(_sparse_core_instance(), num_vars=51).core == (100, 400)
     assert len(calls) <= 64
 
 
@@ -427,7 +426,7 @@ def test_mus_on_a_ring_prunes_with_model_autarkies(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(satcore_mod, "solve_sat", counting)
-    assert extract_mus(clauses).core == (50, 150)
+    assert extract_mus(clauses, num_vars=200).core == (50, 150)
     assert len(calls) <= 30
 
 
@@ -441,7 +440,7 @@ def test_mus_trials_are_solved_over_their_own_variables(monkeypatch):
     calls = []
     original = satcore_mod.solve_sat
 
-    def recording(hard, num_vars=None, **kwargs):
+    def recording(hard, num_vars, **kwargs):
         calls.append((list(hard), num_vars))
         return original(hard, num_vars=num_vars, **kwargs)
 
@@ -484,7 +483,7 @@ def test_mus_checks_every_literal_and_refuses_satisfiable_instances():
     with pytest.raises(ValueError, match="literal -3 names no variable in 1..2"):
         extract_mus([(1,), (2, -3), (-1,)], num_vars=2)
     with pytest.raises(ValueError, match="literal 0 names no variable in 1..1"):
-        extract_mus([(1,), (-1, 0)])
+        extract_mus([(1,), (-1, 0)], num_vars=1)
     with pytest.raises(NotUnsat):
         extract_mus([(1, 2), (-1, 2)], num_vars=200_000)
     with pytest.raises(NotUnsat):
@@ -556,7 +555,7 @@ def test_autarky_on_a_kept_clause_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(satcore_mod, "model_autarky",
                         lambda clauses, true_atoms: set(range(len(clauses))))
     with pytest.raises(SatCoreError, match="touched a kept core clause"):
-        extract_mus([(1,), (2, 3), (-1,)])
+        extract_mus([(1,), (2, 3), (-1,)], num_vars=3)
 
 
 def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
@@ -568,7 +567,7 @@ def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
         return original(*args, timeout=timeout, **kwargs)
 
     monkeypatch.setattr(satcore_mod, "solve_sat", recording)
-    extract_mus(_sparse_core_instance(), timeout=30.0)
+    extract_mus(_sparse_core_instance(), num_vars=51, timeout=30.0)
     # each trial gets what is left of the one deadline, not a fresh 30 s
     assert len(budgets) > 2 and budgets[0] <= 30.0
     assert all(a > b for a, b in zip(budgets, budgets[1:]))
@@ -576,7 +575,7 @@ def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
 
 def test_mus_with_exhausted_budget_raises_timeout():
     with pytest.raises(MusTimedOut):
-        extract_mus([(1,), (-1,)], timeout=0.0)
+        extract_mus([(1,), (-1,)], num_vars=1, timeout=0.0)
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -683,15 +682,11 @@ def test_emit_dimacs_same_bytes_from_lists_tuples_and_iterators():
             assert emit_dimacs(h, sf, num_vars=num_vars, kind="wcnf") == expected
         for h, _ in views[:2] + [(iter(hard), None), (tuple(hard), None)]:
             assert emit_dimacs(h, num_vars=num_vars) == expected_cnf
-        # without num_vars the header names the largest variable used
-        inferred = max((abs(l) for c in hard + soft for l in c), default=0)
-        assert emit_dimacs(iter(hard), iter(soft), kind="wcnf") == \
-            _reference_dimacs(hard, soft, inferred, "wcnf")
 
 
 def test_cnf_refuses_soft():
     with pytest.raises(ValueError):
-        emit_dimacs([(1,)], [(1,)], kind="cnf")
+        emit_dimacs([(1,)], [(1,)], num_vars=1, kind="cnf")
 
 
 def test_dimacs_round_trip():
