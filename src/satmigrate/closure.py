@@ -10,16 +10,16 @@ from these. Downstream code speaks ids; only reports and explanations
 name Packages.
 
 Both the conflict ends and the closures are computed bottom-up over the
-condensation of the may-depend graph into strongly connected components.
-The closure tuples themselves are built on first read, by the first
-``closure`` or ``hard_closure`` call (from ``check``, ``migrate``,
-``stats`` or the p3 and p4 encodings): the p5 encodings read only the
-conflict ends, the successors and the conflict partners. Each closure is
-a tuple of ids in no particular order, and every member of one component
-shares its component's tuple, and its frozenset of conflict ends;
-callers that read an order sort. The closures take memory in proportion
-to the sum of their sizes, so the index grows with the archive rather
-than with its square.
+condensation of the may-depend graph into strongly connected components,
+which the index finds once and keeps. The closure tuples themselves are
+built on first read, by the first ``closure`` or ``hard_closure`` call
+(from ``check``, ``migrate``, ``stats`` or the p3 and p4 encodings): the
+p5 encodings read only the conflict ends, the successors and the conflict
+partners. Each closure is a tuple of ids in no particular order, and
+every member of one component shares its component's tuple, and its
+frozenset of conflict ends; callers that read an order sort. The
+closures take memory in proportion to the sum of their sizes, so the
+index grows with the archive rather than with its square.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _scc_ends(succ: list[list[int]], conflict_ends: frozenset[int]
-              ) -> list[frozenset[int]]:
+def _scc_ends(succ: list[list[int]], components: list[list[int]],
+              conflict_ends: frozenset[int]) -> list[frozenset[int]]:
     """Per node, the conflict ends inside its closure.
 
     Components come children first, so a component's set is its own
@@ -97,7 +97,7 @@ def _scc_ends(succ: list[list[int]], conflict_ends: frozenset[int]
     """
     ends: list[frozenset[int]] = [_NO_ENDS] * len(succ)
     ends_of = ends.__getitem__
-    for component in _components(succ):
+    for component in components:
         if len(component) == 1:
             v = component[0]
             below = set(map(ends_of, succ[v]))
@@ -116,7 +116,8 @@ def _scc_ends(succ: list[list[int]], conflict_ends: frozenset[int]
     return ends
 
 
-def _scc_closures(succ: list[list[int]]) -> list[tuple[int, ...]]:
+def _scc_closures(succ: list[list[int]], components: list[list[int]]
+                  ) -> list[tuple[int, ...]]:
     """Per node, its reachability tuple (reflexive).
 
     Components come children first, so the closure of a component is its
@@ -124,12 +125,10 @@ def _scc_closures(succ: list[list[int]]) -> list[tuple[int, ...]]:
     outside it, in one C-level union. A one-member component with one
     successor outside has that successor's closure with itself in front,
     since the closure cannot hold it: it would be on a cycle with the
-    successor. The components are found again rather than kept from the
-    pass of ``_scc_ends``, so an index whose closures are never read
-    holds no component lists.
+    successor.
     """
     closures: list[tuple[int, ...]] = [()] * len(succ)
-    for component in _components(succ):
+    for component in components:
         # the members' own closures are still ()
         outside = [x for w in component for x in succ[w] if closures[x]]
         if len(component) == 1 and len(outside) <= 1:
@@ -168,8 +167,10 @@ class ClosureIndex:
             partners[b].append(a)
         self.partners = [tuple(sorted(ps)) for ps in partners]
         self._succ = [sorted(set().union(*deps)) for deps in self.deps]
+        self._components = _components(self._succ)
         self.closure_ends = _scc_ends(
-            self._succ, frozenset(i for i in range(n) if self.partners[i]))
+            self._succ, self._components,
+            frozenset(i for i in range(n) if self.partners[i]))
         self.easy_ids = frozenset(i for i in range(n)
                                   if not self.closure_ends[i])
         self._relevant: dict[frozenset[int], frozenset[int]] = {}
@@ -179,7 +180,7 @@ class ClosureIndex:
     @cached_property
     def _closures(self) -> list[tuple[int, ...]]:
         """Every closure, built by the first call that reads one."""
-        return _scc_closures(self._succ)
+        return _scc_closures(self._succ, self._components)
 
     @cached_property
     def dependents(self) -> list[list[int]]:

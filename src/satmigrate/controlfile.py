@@ -324,30 +324,19 @@ def _split_stanza_blocks(text: str) -> list[str]:
     like its LF twin. str.splitlines() would also end a line at U+0085 and
     other control characters, and latin-1 decoding turns the second byte of
     a UTF-8 "Å" into U+0085. A line is blank when it holds only what
-    str.strip() removes.
+    str.strip() removes. With a line break added at each end, blank lines
+    before the first block and after the last are separators like any
+    other; cutting the added breaks leaves the first and last pieces
+    either a block or empty.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if text.endswith("\r"):
             text = text[:-1]
-    blocks = _BLANK_LINES.split(text)
-    # Only the first block can start, and only the last end, with blank
-    # lines: they have no separator on that side.
-    first = blocks[0]
-    lead = len(first) - len(first.lstrip())
-    if lead:
-        blocks[0] = first[first.rfind("\n", 0, lead) + 1:]
-    last = blocks[-1]
-    kept = len(last.rstrip())
-    if kept < len(last):
-        cut = last.find("\n", kept)
-        if cut >= 0:
-            blocks[-1] = last[:cut]
-    if not blocks[-1].strip():
-        blocks.pop()
-    if blocks and not blocks[0].strip():
-        del blocks[0]
-    return blocks
+    blocks = _BLANK_LINES.split("\n" + text + "\n")
+    blocks[0] = blocks[0][1:]
+    blocks[-1] = blocks[-1][:-1]
+    return list(filter(None, blocks))
 
 
 def _fields_of_block(block: list[str], index: int) -> dict[str, str]:

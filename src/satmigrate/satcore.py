@@ -22,7 +22,6 @@ or both signs of a variable.
 from __future__ import annotations
 
 import heapq
-import math
 import subprocess
 import tempfile
 import time
@@ -36,6 +35,9 @@ from pathlib import Path
 
 DEFAULT_SAT_TIMEOUT = 60.0
 DEFAULT_PMAX_TIMEOUT = 300.0
+# the longest wait, in seconds, that subprocess.run can poll for: its
+# selector takes at most 2**31 - 1 ms, about 24.8 days
+_LONGEST_WAIT = (2**31 - 1) / 1000
 
 # CDCL search constants, MiniSat's defaults: activity decay per conflict,
 # conflicts per unit of the Luby restart sequence, and the activity above
@@ -467,9 +469,7 @@ class DpllSolver:
               timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
         n = self.num_vars
         assumptions = tuple(assumptions)
-        for lit in assumptions:
-            if not 0 < abs(lit) <= n:
-                raise ValueError(f"literal {lit} names no variable in 1..{n}")
+        _checked_variables((), n, assumptions)
         deadline = time.monotonic() + timeout
         bound = max(required_soft, 0)
         if bound < self.learnt_bound:
@@ -811,8 +811,8 @@ def run_external(command, hard, soft=None, *, num_vars: int,
     parsed for competition-style ``s``/``v``/``o`` lines, where each value
     is a literal of 1..num_vars or 0; the exit code is ignored. Returned
     models are checked against every hard clause, and the satisfied-soft
-    count is always recomputed here rather than trusted. An infinite
-    ``timeout`` sets no limit.
+    count is always recomputed here rather than trusted. A ``timeout``
+    beyond about 24.8 days, ``inf`` included, sets no limit.
     """
     hard = _as_sequence(hard)
     soft = _as_sequence(soft or ())
@@ -822,9 +822,9 @@ def run_external(command, hard, soft=None, *, num_vars: int,
         path = handle.name
     try:
         try:
-            proc = subprocess.run(list(command) + [path], capture_output=True,
-                                  text=True,
-                                  timeout=timeout if timeout < math.inf else None)
+            proc = subprocess.run(
+                list(command) + [path], capture_output=True, text=True,
+                timeout=timeout if timeout < _LONGEST_WAIT else None)
         except OSError as exc:
             raise SolverCrashed(f"cannot run {command!r}: {exc}") from exc
         except subprocess.TimeoutExpired:

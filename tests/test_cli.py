@@ -416,14 +416,17 @@ def test_help_exits_0(capsys, argv):
 
 
 def test_external_solver_with_infinite_timeout(repos, capsys, tmp_path):
-    # "inf" sets no limit on the solver's process either
+    # "inf" sets no limit on the solver's process either, nor does a finite
+    # budget beyond the longest wait subprocess.run can poll for
     script = tmp_path / "solver.py"
     script.write_text(f"#!{sys.executable}\nprint('s UNSATISFIABLE')\n")
     script.chmod(0o755)
-    code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
-                 "--solver", shlex.quote(str(script)), "--timeout", "inf"])
-    assert code == EXIT_UNSOLVABLE
-    assert capsys.readouterr().err.startswith("unsolvable:")
+    for timeout in ("inf", "2.2e6", "1e10"):
+        code = main(["migrate", *repos(UPGRADE_TESTING, UPGRADE_UNSTABLE),
+                     "--solver", shlex.quote(str(script)),
+                     "--timeout", timeout])
+        assert code == EXIT_UNSOLVABLE, timeout
+        assert capsys.readouterr().err.startswith("unsolvable:")
 
 
 def test_explain_reports_repo_error(repos, capsys, monkeypatch):

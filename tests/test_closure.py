@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from satmigrate import closure as closure_mod
+from satmigrate.cli import EXIT_OK, main
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import build_encoding
 from satmigrate.repo import make_universe
@@ -151,6 +155,39 @@ def test_encodings_over_closures_build_them():
         idx = ClosureIndex(u)
         build_encoding(u, idx, name)
         assert "_closures" in vars(idx)
+
+
+# a cycle between a and b, and c/2 conflicting with b; c/2 stays out
+_CYCLE_TESTING = ("Package: a\nVersion: 1\nDepends: b\n\n"
+                  "Package: b\nVersion: 1\nDepends: a\n\n"
+                  "Package: c\nVersion: 1\n")
+_CYCLE_UNSTABLE = ("Package: a\nVersion: 2\nDepends: b\n\n"
+                   "Package: b\nVersion: 1\nDepends: a\n\n"
+                   "Package: c\nVersion: 2\nDepends: a\nConflicts: b\n")
+
+
+@pytest.mark.parametrize("command", [["check"], ["migrate"],
+                                     ["emit", "out.wcnf"]],
+                         ids=["check", "migrate", "emit"])
+def test_each_command_walks_the_graph_once(command, tmp_path, monkeypatch,
+                                           capsys):
+    # one index per command, and its components serve both the conflict
+    # ends and the closures, whether or not the closures are read
+    walks = []
+    components = closure_mod._components
+
+    def counted(succ):
+        walks.append(len(succ))
+        return components(succ)
+
+    monkeypatch.setattr(closure_mod, "_components", counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "testing").write_text(_CYCLE_TESTING)
+    (tmp_path / "unstable").write_text(_CYCLE_UNSTABLE)
+    code = main([command[0], "--testing", "testing", "--unstable", "unstable",
+                 *command[1:]])
+    assert code == EXIT_OK, capsys.readouterr()
+    assert len(walks) == 1
 
 
 # -- easy packages -----------------------------------------------------------------
