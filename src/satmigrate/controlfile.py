@@ -12,6 +12,8 @@ when the cache lacks it. So a block that repeats, as testing's blocks do
 in unstable, is parsed once and yields one stanza object, and a repeated
 dependency alternative yields one constraint object. The cache lives
 only as long as the load; a parse called without one gets a fresh one.
+A parsed block's lines and each of its dependency fields are walked
+once, and an error names the first defect in text order.
 Packages are interned as integer ids afterwards, once, by
 ``repo.build_universe``.
 """
@@ -191,9 +193,12 @@ class VersionConstraint:
 
 
 def _check_name(name: str, text: str, offset: int) -> str:
-    if not name or not name.isascii() or set(name) & _NAME_FORBIDDEN:
+    """The name of a relation, less an architecture qualifier such as
+    ":any"; the model has one architecture (Debian Policy, section 7.1)."""
+    base = name.partition(":")[0]
+    if not base or not name.isascii() or set(name) & _NAME_FORBIDDEN:
         raise MalformedDependency(text, offset, f"bad package name {name!r}")
-    return name
+    return base
 
 
 def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
@@ -224,20 +229,10 @@ def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
     return VersionConstraint(name)
 
 
-def _split_offsets(text: str, sep: str, start: int, end: int) -> list[tuple[int, int]]:
-    spans = []
-    while True:
-        pos = text.find(sep, start, end)
-        if pos < 0:
-            spans.append((start, end))
-            return spans
-        spans.append((start, pos))
-        start = pos + 1
-
-
-def _new_alternative(chunk: str, cache: dict) -> VersionConstraint:
-    stripped = chunk.strip()
-    constraint = cache[stripped] = _parse_alternative(stripped, 0, len(stripped))
+def _new_alternative(text: str, start: int, end: int, cache: dict
+                     ) -> VersionConstraint:
+    constraint = cache[text[start:end].strip()] = \
+        _parse_alternative(text, start, end)
     return constraint
 
 
@@ -246,23 +241,27 @@ def _parse_groups(text: str, sep: str, cache: dict | None
     """The comma-separated groups of text, each split at sep into its
     alternatives; with sep "," each group is one alternative.
 
-    The fields are split with str.split and each stripped alternative is
-    looked up in the cache, a fresh one when there is none (see
-    parse_packages_stream); only one the cache lacks is parsed, and added.
-    When one does not parse, the text is walked again offset by offset, so
-    that the error carries the text, the offset into it and the reason.
+    The fields are split with str.split, and each piece's offset into text
+    is the length of the pieces and separators before it. Each stripped
+    alternative is looked up in the cache, a fresh one when there is none
+    (see parse_packages_stream); only one the cache lacks is parsed, at its
+    offset, and added. So text is walked once, and an error carries the
+    text, the offset of the first bad alternative and the reason.
     """
     if cache is None:
         cache = {}
     get = cache.get
-    try:
-        return [[get(chunk.strip()) or _new_alternative(chunk, cache)
-                 for chunk in group.split(sep)] for group in text.split(",")]
-    except MalformedDependency:
-        pass  # raised again below, with its offset into text
-    return [[_parse_alternative(text, astart, aend)
-             for astart, aend in _split_offsets(text, sep, gstart, gend)]
-            for gstart, gend in _split_offsets(text, ",", 0, len(text))]
+    groups = []
+    end = -1
+    for group in text.split(","):
+        alternatives = []
+        for chunk in group.split(sep):
+            start = end + 1
+            end = start + len(chunk)
+            alternatives.append(get(chunk.strip())
+                                or _new_alternative(text, start, end, cache))
+        groups.append(alternatives)
+    return groups
 
 
 def parse_dependency_expr(text: str, cache: dict | None = None
@@ -340,30 +339,22 @@ def _split_stanza_blocks(text: str) -> list[str]:
 
 
 def _fields_of_block(block: list[str], index: int) -> dict[str, str]:
+    """The fields of a stanza's lines, keyed by lower-cased name; the first
+    bad line in line order, a repeated field's included, is raised."""
     fields: dict[str, str] = {}
     last_key = None
-    continued = 0
     for line in block:
         if line[0] in " \t":
             if last_key is None:
                 raise MalformedStanza(index, line)
             fields[last_key] += " " + line.strip()
-            continued += 1
             continue
         key, sep, value = line.partition(":")
         key = key.strip()
-        if not sep or not key or " " in key:
-            raise MalformedStanza(index, line)
         last_key = key.lower()
+        if not sep or not key or " " in key or last_key in fields:
+            raise MalformedStanza(index, line)
         fields[last_key] = value.strip()
-    if len(fields) + continued < len(block):
-        seen = set()
-        for line in block:
-            if line[0] not in " \t":
-                key = line.partition(":")[0].strip().lower()
-                if key in seen:
-                    raise MalformedStanza(index, line)
-                seen.add(key)
     return fields
 
 
@@ -397,9 +388,10 @@ def parse_packages_stream(data: bytes | str, cache: dict | None = None
 
     Stanzas are blank-line separated ``Key: value`` blocks with indented
     continuation lines; unknown fields are ignored and field order is free,
-    but a field named twice, in any case, is malformed, as in dpkg. The
-    blocks are split from the text in one pass, and a block is split into
-    lines only when it is parsed.
+    but a field named twice, in any case, is malformed, as in dpkg, and
+    caught at the line that names it again. The blocks are split from the
+    text in one pass, and a block is split into lines only when it is
+    parsed.
 
     ``cache`` holds what one load has parsed so far, for the files of that
     load to share: each block, keyed by its text in a 1-tuple, maps to its

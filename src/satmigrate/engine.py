@@ -113,14 +113,10 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
         problem.soft = encoder.soft_max(u, atoms)
         return
     if req.mode == "min-nontrivial":
-        (clause, info), problem.soft = \
-            encoder.soft_min_with_nontriviality(u, atoms)
-        problem.hard.append(clause)
-        problem.info.append(info)
+        nontrivial, problem.soft = encoder.soft_min_with_nontriviality(u, atoms)
+        problem.add(*nontrivial)
         return
-    clause, info = encoder.target_clause(req.target, u, atoms)
-    problem.hard.append(clause)
-    problem.info.append(info)
+    problem.add(*encoder.target_clause(req.target, u, atoms))
     problem.soft = encoder.soft_min_units(u, atoms)
 
 
@@ -162,11 +158,11 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
 
 
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
-                    problem: EncodedProblem, warnings=()) -> MigrationResult:
+                    problem: EncodedProblem) -> MigrationResult:
     """Solve the problem, check the solver's claims against a recount of
     the soft clauses, decode the model, restore the shared packages and
     re-verify the result from the raw model data. The result's warnings
-    are ``warnings`` and then the solve's own."""
+    are the solve's own."""
     if req.solver_command is None:
         result = satcore.solve_pmaxsat(problem.hard, problem.soft,
                                        num_vars=problem.num_vars,
@@ -191,10 +187,10 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         raise OptimumMismatch(
             f"solver claimed cost {result.claimed_cost}, recount implies"
             f" {len(problem.soft) - recount}")
-    warnings = list(warnings)
+    warnings = ()
     if result.status is SolveStatus.SAT:
-        warnings.append("external solver returned a model without an"
-                        " optimality claim")
+        warnings = ("external solver returned a model without an"
+                    " optimality claim",)
     t_prime = _restore_shared(decode_solution(result.true_atoms, problem.atoms),
                               u, req.policy, idx)
     verdict = repo.is_admissible(t_prime, u, req.policy, idx)
@@ -212,7 +208,7 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         optimum=recount,
         externally_claimed=result.externally_claimed,
         encoding_id=problem.encoding_id,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -223,13 +219,18 @@ def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
 def _solve_encoded(req: MigrationRequest, u: Universe
                    ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex]:
     """solve_migration, also returning the encoding it solved (objective
-    attached) and the closure index it built, for further solves."""
+    attached) and the closure index it built, for further solves.
+
+    Only a solved answer is checked against testing's assumptions: their
+    violations come first among its warnings. A solve that raises runs no
+    check, since nothing would print its warnings."""
     idx = ClosureIndex(u)
-    warnings = [f"testing violates assumptions: {violation.detail}"
-                for violation in repo.check_testing(u, idx)]
     problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
     attach_objective(req, u, problem)
-    result = _solve_verified(req, u, idx, problem, warnings)
+    result = _solve_verified(req, u, idx, problem)
+    result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
+                            for violation in repo.check_testing(u, idx)
+                            ) + result.warnings
     return result, problem, idx
 
 
@@ -247,9 +248,8 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     pkg = problem.atoms.pkg
     while candidates and len(results) < limit + 1:
         blocked = results[-1].t_prime
-        problem.hard.append(tuple(-pkg(p) if p in blocked else pkg(p)
-                                  for p in candidates))
-        problem.info.append(("blocking",))
+        problem.add([-pkg(p) if p in blocked else pkg(p) for p in candidates],
+                    ("blocking",))
         try:
             result = _solve_verified(req, u, idx, problem)
         except (Unsolvable, SolveTimedOut):

@@ -12,9 +12,10 @@ d and c generator that passes every clause through `normalize_clause`.
 `count_satisfied` are tested against, `canonical_version` is the
 normal form `compare_versions` is tested against, `stanza_blocks`
 the line-by-line block split the one-pass `_split_stanza_blocks` is
-tested against, and `infer_num_vars` the largest variable of hand-written
-clauses, for the oracles called without a count. Only the tests import
-this module; numpy is needed only here.
+tested against, `two_walk_groups` the two-walk field parse the one-walk
+`_parse_groups` is tested against, and `infer_num_vars` the largest
+variable of hand-written clauses, for the oracles called without a count.
+Only the tests import this module; numpy is needed only here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from satmigrate import encoder, satcore
 from satmigrate.closure import ClosureIndex
-from satmigrate.controlfile import _char_order, _split_version
+from satmigrate.controlfile import (MalformedDependency, _char_order,
+                                    _parse_alternative, _split_version)
 from satmigrate.encoder import EncodedProblem, PolicyRules
 from satmigrate.repo import Package, RepoError, Universe, policy_satisfied
 from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
@@ -408,6 +410,33 @@ def stanza_blocks(text: str) -> list[tuple[str, ...]]:
     if current:
         blocks.append(tuple(current))
     return blocks
+
+
+def _split_offsets(text: str, sep: str, start: int, end: int
+                   ) -> list[tuple[int, int]]:
+    spans = []
+    while True:
+        pos = text.find(sep, start, end)
+        if pos < 0:
+            spans.append((start, end))
+            return spans
+        spans.append((start, pos))
+        start = pos + 1
+
+
+def two_walk_groups(text: str, sep: str):
+    """The groups of a field as `_parse_groups` parses them, in two walks:
+    each str.split piece is parsed alone, and when one does not parse the
+    text is walked again by offsets, so that the error carries its offset
+    into text."""
+    try:
+        return [[_parse_alternative(chunk.strip(), 0, len(chunk.strip()))
+                 for chunk in group.split(sep)] for group in text.split(",")]
+    except MalformedDependency:
+        pass
+    return [[_parse_alternative(text, astart, aend)
+             for astart, aend in _split_offsets(text, sep, gstart, gend)]
+            for gstart, gend in _split_offsets(text, ",", 0, len(text))]
 
 
 def clause_satisfied(clause, true_atoms) -> bool:

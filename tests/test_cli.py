@@ -200,6 +200,15 @@ def test_check_reports_uninstallable_with_explanation(repos, capsys):
     assert "a/1 requires one of [nothing]" in out
 
 
+def test_check_drops_an_architecture_qualifier(repos, capsys):
+    # "b:any" relates to b, so a/1 is installable in testing
+    pair = "Package: a\nVersion: 1\nDepends: b:any (>= 1)\n\n" \
+        "Package: b\nVersion: 1\n\n"
+    code = main(["check", *repos(pair, pair)])
+    assert code == EXIT_OK
+    assert "trimmed and unique" in capsys.readouterr().out
+
+
 def test_check_reports_duplicates(repos, capsys):
     testing = "Package: a\nVersion: 1\n\nPackage: a\nVersion: 2\n\n"
     code = main(["check", *repos(testing, "")])
@@ -576,6 +585,24 @@ def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
 
     built = _count_calls(monkeypatch, encoder, "build_encoding")
     _runs_building_once(repos, capsys, built)
+
+
+def test_testing_is_checked_only_for_a_solved_answer(repos, capsys,
+                                                     monkeypatch):
+    # a blocked explain prints no warnings, so it runs no testing check
+    from satmigrate import repo
+
+    checked = _count_calls(monkeypatch, repo, "check_testing")
+    common = repos(GOLDEN_TESTING, GOLDEN_UNSTABLE)
+    for argv, expected, calls in (
+            (["explain", *common, "mutt/2.2"], "cannot migrate", 0),
+            (["explain", *common, "libpcre/10.42"], "migrates with delta", 1),
+            (["migrate", *common], "verified: yes", 1),
+            (["migrate", *common, "--all-deltas", "2"], "verified: yes", 1)):
+        checked.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert expected in capsys.readouterr().out
+        assert len(checked) == calls, argv
 
 
 def _failure(family: str) -> Exception:

@@ -14,7 +14,7 @@ from satmigrate.controlfile import (MalformedDependency, MalformedStanza,
                                     parse_packages_stream, parse_provides)
 
 from .generators import random_version
-from .oracle import canonical_version, stanza_blocks
+from .oracle import canonical_version, stanza_blocks, two_walk_groups
 
 
 # -- rendering, the inverse of the parsers ------------------------------------
@@ -135,14 +135,18 @@ def test_malformed_dependency_reports_offset():
 
 
 def test_uncached_parse_of_valid_text_never_walks_offsets(monkeypatch):
-    # without a cache the call gets a fresh one: text that parses is split
-    # and looked up, and only an error walks the text offset by offset
+    # without a cache the call gets a fresh one: each field is walked once,
+    # and each distinct alternative is parsed once, at its offset
     import satmigrate.controlfile as controlfile_mod
 
-    def refuse(*args):
-        raise AssertionError("the offset walk ran on text that parses")
+    parsed = []
+    original = controlfile_mod._parse_alternative
 
-    monkeypatch.setattr(controlfile_mod, "_split_offsets", refuse)
+    def recording(text, start, end):
+        parsed.append(text[start:end].strip())
+        return original(text, start, end)
+
+    monkeypatch.setattr(controlfile_mod, "_parse_alternative", recording)
     groups = parse_dependency_expr("b (>= 2) | c, d (<< 1), b (>= 2)")
     assert groups == [
         [VersionConstraint("b", ">=", "2"), VersionConstraint("c")],
@@ -153,6 +157,61 @@ def test_uncached_parse_of_valid_text_never_walks_offsets(monkeypatch):
     assert parse_conflict_expr("a, b (<< 2)") == [
         VersionConstraint("a"), VersionConstraint("b", "<<", "2")]
     assert parse_provides("x, y (= 2)") == ["x", "y"]
+    assert parsed == ["b (>= 2)", "c", "d (<< 1)", "a", "b (<< 2)", "x",
+                      "y (= 2)"]
+
+
+_GOOD_ALTERNATIVES = ["a", "lib-x", "b:any", "c (>= 1)", "d(<<2:1.0-1)",
+                      "a (= 1)", "e ( >> 0~rc )", "f:native (<= 3)"]
+_BAD_ALTERNATIVES = ["a b", "x/y", "(>= 1)", ":any", "b (>= 1", "c (>= )",
+                     "d (< 1)", "e (~ 2)", "f (>= 1:)", "", " "]
+
+
+def _random_field(rng: random.Random, sep: str) -> str:
+    def alternative():
+        pool = _BAD_ALTERNATIVES if rng.random() < 0.05 else _GOOD_ALTERNATIVES
+        return rng.choice(pool)
+
+    def spaced(mark):
+        return " " * rng.randint(0, 2) + mark + " " * rng.randint(0, 2)
+
+    def joined(mark, count, part):
+        return part() + "".join(spaced(mark) + part() for _ in range(count - 1))
+
+    if sep == ",":
+        return spaced(joined(",", rng.randint(1, 5), alternative))
+    return spaced(joined(",", rng.randint(1, 4), lambda: joined(
+        "|", rng.randint(1, 3), alternative)))
+
+
+def _groups_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except MalformedDependency as exc:
+        return exc.text, exc.offset, exc.reason
+
+
+def test_one_walk_parse_matches_the_two_walk_reference():
+    from satmigrate.controlfile import _parse_groups
+
+    rng = random.Random(23)
+    shared: dict = {}
+    errors = 0
+    for _ in range(3000):
+        sep = rng.choice("|,")
+        text = _random_field(rng, sep)
+        want = _groups_or_error(two_walk_groups, text, sep)
+        errors += isinstance(want, tuple)
+        for cache in ({}, shared):
+            assert _groups_or_error(_parse_groups, text, sep, cache) == want, \
+                text
+    assert 300 < errors < 2700  # both outcomes are well covered
+
+
+def test_architecture_qualifier_is_dropped():
+    # the model has one architecture; "b:any" relates to b
+    assert parse_dependency_expr("b:any (>= 1) | c:native") == [
+        [VersionConstraint("b", ">=", "1"), VersionConstraint("c")]]
 
 
 def test_conflicts_reject_alternatives():
@@ -263,9 +322,11 @@ def test_unparseable_line_is_rejected():
     ("Package: a\nVersion: 1\nPACKAGE: z\n", "PACKAGE: z"),
     ("Package: a\nDescription: x\n more\nVersion: 1\nVersion: 2\n",
      "Version: 2"),
+    ("Package: a\nVersion: 1\nVersion: 2\nnonsense line\n", "Version: 2"),
 ])
 def test_repeated_field_is_rejected(text, repeated):
-    # dpkg refuses a stanza naming a field twice: "duplicate value for field"
+    # dpkg refuses a stanza naming a field twice: "duplicate value for field";
+    # the first bad line in line order is the one reported
     with pytest.raises(MalformedStanza) as err:
         parse_packages_stream("Package: ok\nVersion: 1\n\n" + text)
     assert err.value.stanza_index == 1
