@@ -153,25 +153,21 @@ def cmd_explain(args) -> int:
             target.name, {p.name for p in universe.packages}, n=3)
         hint = f"; did you mean: {', '.join(close)}" if close else ""
         raise ValueError(f"unknown package {target}{hint}")
-    request = _request_from_args(args, "target", target)
-    try:
-        result = engine.solve_migration(request, universe)
-    except engine.Unsolvable as exc:
-        explanation = engine.explain_non_migration(
-            target, exc.problem, request.budgets.sat_timeout)
+    answer = engine.explain_target(
+        _request_from_args(args, "target", target), universe)
+    if isinstance(answer, engine.Explanation):
         if args.format == "structured":
             _print_structured({"package": str(target), "migrates": False,
-                               "explanation": list(explanation.facts)})
+                               "explanation": list(answer.facts)})
         else:
-            sys.stdout.write(explanation.render())
-        return EXIT_OK
-    if args.format == "structured":
+            sys.stdout.write(answer.render())
+    elif args.format == "structured":
         _print_structured({"package": str(target), "migrates": True,
-                           "delta": result.delta,
-                           "report": engine.structured_report(result)})
+                           "delta": answer.delta,
+                           "report": engine.structured_report(answer)})
     else:
-        print(f"{target} migrates with delta {result.delta}")
-        sys.stdout.write(engine.render_report(result))
+        print(f"{target} migrates with delta {answer.delta}")
+        sys.stdout.write(engine.render_report(answer))
     return EXIT_OK
 
 

@@ -238,15 +238,11 @@ SCHEMES = {
 ALIASES = {"p2-oracle": "p2", "p5": "p5-pruned"}
 
 
-def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
-                   rules: PolicyRules | None = None) -> EncodedProblem:
-    """Encode u under the named scheme ("p5" means p5-pruned).
-
-    Clause order: uniqueness; the e, i, d and c families, each over the
-    contexts in package order and the members in package order; policy.
-    p2's size is quadratic in the universe, so DEFAULT_P2_BOUND caps it,
-    and it only serves as a small-scale reference for the others.
-    """
+def encoding_scheme(u: Universe, name: str) -> tuple[str, Scheme]:
+    """The id and the scheme of the named encoding ("p5" means p5-pruned),
+    once u passes its refusals: p1 refuses a universe with conflicts, and
+    p2, whose size is quadratic in the universe, one above
+    DEFAULT_P2_BOUND packages."""
     encoding_id = ALIASES.get(name, name)
     scheme = SCHEMES.get(encoding_id)
     if scheme is None:
@@ -256,6 +252,18 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     if encoding_id == "p2" and len(u.packages) > DEFAULT_P2_BOUND:
         raise UniverseTooLarge(f"{len(u.packages)} packages exceed the p2 "
                                f"bound {DEFAULT_P2_BOUND}")
+    return encoding_id, scheme
+
+
+def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
+                   rules: PolicyRules | None = None) -> EncodedProblem:
+    """Encode u under the named scheme, after ``encoding_scheme``'s
+    refusals; p2 only serves as a small-scale reference for the others.
+
+    Clause order: uniqueness; the e, i, d and c families, each over the
+    contexts in package order and the members in package order; policy.
+    """
+    encoding_id, scheme = encoding_scheme(u, name)
     if idx is None:
         idx = ClosureIndex(u)
     pkgs = idx.packages

@@ -306,9 +306,10 @@ def explain_non_migration(p: Package, problem: EncodedProblem,
     """Minimal unsatisfiable core of ``problem``'s hard clauses, mapped back
     to domain statements via the per-clause provenance tags.
 
-    ``problem`` is the target-mode encoding of p whose solve raised
-    ``Unsolvable`` (its ``problem``), so its hard clauses end with p's
-    target clause; ``timeout`` bounds the core extraction.
+    ``problem`` is an unsatisfiable encoding whose hard clauses end with
+    p's target clause: the one a target-mode solve raised ``Unsolvable``
+    with, or the one over p's closure that ``explain_target`` decides
+    first; ``timeout`` bounds the core extraction.
     """
     try:
         mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
@@ -320,6 +321,78 @@ def explain_non_migration(p: Package, problem: EncodedProblem,
     facts = tuple(describe_clause(problem.info[i], problem.atoms.packages)
                   for i in mus.core)
     return Explanation(package=p, core=mus.core, facts=facts)
+
+
+def _explain_in_closure(req: MigrationRequest, u: Universe
+                        ) -> Explanation | None:
+    """Why p = req.target cannot migrate, decided on the sub-universe of
+    its closure alone (``repo.closure_universe``); None when p migrates
+    there. The request has no policy.
+
+    The answer is exact. Without a policy, p migrates exactly when some
+    admissible T′ holds p, and then p has a healthy installation W inside
+    T′. Cut down to closure(p), W stays one, since every dependency of a
+    member of closure(p) lies in closure(p). W is itself admissible: it
+    is an installation of each of its members, and its names are unique
+    as T′'s are. It lies in the sub-universe, where every member keeps
+    its relations, so an admissible T′ of the sub-universe is one of the
+    whole. So p migrates exactly when it does in the sub-universe, and as
+    the encodings are exact, the slice's target-mode instance is UNSAT
+    exactly when the full one is.
+
+    The core is also the full instance's, except under p4. The slice's
+    clauses are the full instance's clauses over the package atoms and
+    the contexts of closure(p), in the same order, since ids are
+    renumbered in order and a context's members and their clauses read
+    only its own closure (p2's contexts, which track every package, keep
+    their clauses over closure(p)). Every other clause of the full
+    instance holds when every atom outside the slice is false, so a set
+    of slice clauses is satisfiable exactly when it is together with any
+    of them, and deletion in clause order keeps the same clauses in both.
+    p4 reads more than the closure: a package is easy there when no
+    package in its closure has a conflict, and a conflict with a partner
+    outside closure(p) is not in the slice. So the slice's p4 instance
+    may track fewer members, and its core, a minimal core of that exact
+    instance, may name other facts than the full instance's.
+
+    The encoding's refusals are judged on the whole universe, as the full
+    solve judges them. The slice is decided like the target-mode solve,
+    through ``solve_pmaxsat``, here with no soft units, within the SAT
+    budget that the core extraction gets too.
+    """
+    encoder.encoding_scheme(u, req.encoding)  # the refusals, on all of u
+    sub = repo.closure_universe(u, req.target)
+    problem = encoder.build_encoding(sub, None, req.encoding)
+    problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
+    timeout = req.budgets.sat_timeout
+    result = satcore.solve_pmaxsat(problem.hard, (), num_vars=problem.num_vars,
+                                   timeout=timeout)
+    if result.status is SolveStatus.TIMEOUT:
+        raise SolveTimedOut(f"solver exceeded {timeout}s")
+    if result.status is not SolveStatus.UNSAT:
+        return None
+    return explain_non_migration(req.target, problem, timeout)
+
+
+def explain_target(req: MigrationRequest, u: Universe
+                   ) -> Explanation | MigrationResult:
+    """Why req.target cannot migrate, or its minimal migration when it can;
+    req is a target-mode request.
+
+    Without a policy the target is first decided on its closure
+    (``_explain_in_closure``). A target that migrates there gets the full
+    target-mode solve, which reports its delta, and so does every target
+    under a policy, whose rules may reach outside its closure.
+    """
+    if req.policy is None:
+        explanation = _explain_in_closure(req, u)
+        if explanation is not None:
+            return explanation
+    try:
+        return solve_migration(req, u)
+    except Unsolvable as exc:
+        return explain_non_migration(req.target, exc.problem,
+                                     req.budgets.sat_timeout)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ sorts the (name, version) keys, builds each ``Package`` once, and expands
 each distinct constraint once, straight into ids. The ``Universe`` holds
 the resulting id tables; ``ClosureIndex`` reads them as they are, and
 the Package-level views ``Universe.dep`` and ``Universe.conflicts`` are
-built only when read.
+built only when read. ``closure_universe`` cuts a universe down to one
+package's closure, with the same tables over fewer ids.
 
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ``ClosureIndex`` ids, in four exact
@@ -56,6 +57,7 @@ over closure(p) ∩ testing instead of closure(p) ∩ live.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -262,6 +264,37 @@ def build_universe(testing: list[PackageStanza],
             for repo_keys in keys_in)
     return Universe(order=order, deps=tuple(deps),
                     conflict_pairs=tuple(sorted(pairs)), testing=t, unstable=u)
+
+
+def closure_universe(u: Universe, p: Package) -> Universe:
+    """The sub-universe of p's closure: the packages that a walk from p
+    over ``deps`` reaches, p included. Every dependency of a member is a
+    member, so the members keep all their relations. Ids are renumbered
+    in order, so ``deps`` and ``conflict_pairs`` keep their order."""
+    order, deps = u.order, u.deps
+    start = bisect_left(order, p)
+    if start == len(order) or order[start] != p:
+        raise ValueError(f"unknown package {p}")
+    seen = {start}
+    todo = [start]
+    while todo:
+        for targets in deps[todo.pop()]:
+            for q in targets:
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+    kept = sorted(seen)
+    renumber = {old: new for new, old in enumerate(kept)}.__getitem__
+    members = tuple(map(order.__getitem__, kept))
+    inside = frozenset(members)
+    return Universe(
+        order=members,
+        deps=tuple(tuple(tuple(map(renumber, targets)) for targets in deps[i])
+                   for i in kept),
+        conflict_pairs=tuple((renumber(a), renumber(b))
+                             for a, b in u.conflict_pairs
+                             if a in seen and b in seen),
+        testing=u.testing & inside, unstable=u.unstable & inside)
 
 
 def _has_conflict(members: set[int], idx: "ClosureIndex") -> bool:

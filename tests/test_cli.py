@@ -580,11 +580,50 @@ def test_explain_builds_the_closure_index_once(repos, capsys, monkeypatch):
 
 
 def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
-    # the core is taken from the encoding the failed target-mode solve built
+    # a blocked update's core is taken from the encoding of its closure,
+    # the one that decided it
     from satmigrate import encoder
 
     built = _count_calls(monkeypatch, encoder, "build_encoding")
     _runs_building_once(repos, capsys, built)
+
+
+def test_blocked_explain_indexes_only_the_closure(repos, capsys, monkeypatch):
+    # closure(mutt/2.2): itself, libc6/2.31 and 2.36, libssl/3.0,
+    # postfix/3.7, libpcre/10.42, exim-base/4.96 and exim/4.93, of the 16
+    # packages of the golden fixture
+    from satmigrate.closure import ClosureIndex
+
+    built = _count_calls(monkeypatch, ClosureIndex, "__init__")
+    assert main(["explain", *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "mutt/2.2"]) == EXIT_OK
+    assert "cannot migrate" in capsys.readouterr().out
+    assert [len(universe.order) for _, universe in built] == [8]
+
+
+# a/2 is blocked, and b/1 and c/1 conflict outside its closure
+CONFLICT_ASIDE_TESTING = (UPGRADE_TESTING + "Package: b\nVersion: 1\n"
+                          "Conflicts: c\n\nPackage: c\nVersion: 1\n\n")
+CONFLICT_ASIDE_UNSTABLE = "Package: a\nVersion: 2\nDepends: nosuch\n\n"
+
+
+@pytest.mark.parametrize("testing,unstable,package,encoding,message", [
+    (GOLDEN_TESTING, GOLDEN_UNSTABLE, "mutt/2.2", "p1",
+     "p1 requires a conflict-free universe"),
+    (GOLDEN_TESTING, GOLDEN_UNSTABLE, "mutt/2.2", "p2-oracle",
+     "16 packages exceed the p2 bound 10"),
+    (CONFLICT_ASIDE_TESTING, CONFLICT_ASIDE_UNSTABLE, "a/2", "p1",
+     "p1 requires a conflict-free universe"),
+], ids=["golden-p1", "golden-p2", "conflict-aside-p1"])
+def test_explain_refusals_read_the_whole_universe(
+        repos, capsys, testing, unstable, package, encoding, message):
+    # the closure of the blocked package is within p2's bound (8 of the
+    # golden fixture's 16 packages) or free of conflicts, but the whole
+    # universe decides the refusal
+    code = main(["explain", *repos(testing, unstable), "--encoding",
+                 encoding, package])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_testing_is_checked_only_for_a_solved_answer(repos, capsys,

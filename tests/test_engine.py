@@ -22,7 +22,7 @@ from satmigrate.engine import (ActuallySolvable, Budgets,
 from satmigrate.repo import Package, is_admissible
 
 from . import oracle
-from .generators import P, clustered_universe, tiny_universe
+from .generators import P, clustered_universe, random_universe, tiny_universe
 from .oracle import admissible_sets, deletion_mus
 
 
@@ -404,6 +404,107 @@ def test_explaining_migratable_package_raises():
     engine.attach_objective(req, u, problem)
     with pytest.raises(ActuallySolvable):
         explain_non_migration(P("a/2"), problem, TIMEOUT)
+
+
+# -- explanations from the target's closure -------------------------------------
+
+def _target_instance(u, p, encoding):
+    """p's target-mode hard clauses under the encoding, and whether they
+    are unsatisfiable."""
+    problem = build_encoding(u, None, encoding)
+    problem.add(*target_clause(p, u, problem.atoms))
+    status = satcore_mod.solve_sat(problem.hard,
+                                   num_vars=problem.num_vars).status
+    return problem, status is satcore_mod.SolveStatus.UNSAT
+
+
+def _named_clauses(problem):
+    """Each hard clause with its literals named by packages, as (sign,
+    package) or (sign, context, member), and its provenance's text."""
+    atoms = problem.atoms
+    pkgs, n = atoms.packages, atoms.num_package_atoms
+
+    def name(lit):
+        var = abs(lit)
+        named = (pkgs[var - 1],) if var <= n else tuple(
+            pkgs[i] for i in atoms.inst_pairs[var - n - 1])
+        return (lit > 0, *named)
+
+    return [(tuple(map(name, clause)), engine.describe_clause(info, pkgs))
+            for clause, info in zip(problem.hard, problem.info)]
+
+
+def _check_closure_slice(u, p, encoding):
+    """Check _explain_in_closure against the full target-mode instance:
+    the slice is UNSAT exactly when the full one is and, except under p4,
+    whose easy packages read conflicts that leave the closure, it is the
+    full instance's clauses over closure(p), in order, and its core's
+    facts are the full instance's. True when p is blocked."""
+    full, blocked = _target_instance(u, p, encoding)
+    req = MigrationRequest(mode="target", target=p, encoding=encoding)
+    explanation = engine._explain_in_closure(req, u)
+    assert (explanation is not None) == blocked, (p, encoding)
+    if encoding != "p4":
+        inside = oracle.reachable(p, u)
+        sliced, _ = _target_instance(repo.closure_universe(u, p), p, encoding)
+        assert _named_clauses(sliced) == [
+            (clause, fact) for clause, fact in _named_clauses(full)
+            if all(set(literal[1:]) <= inside for literal in clause)]
+        if blocked:
+            assert explanation.facts == \
+                explain_non_migration(p, full, TIMEOUT).facts, (p, encoding)
+    return blocked
+
+
+def test_closure_slice_decides_like_the_full_instance_mid_scale():
+    rng = random.Random(101)
+    outcomes = {True: 0, False: 0}
+    for _ in range(5):
+        size = rng.randint(50, 100)
+        u = clustered_universe(rng, size,
+                               conflicts=rng.randint(size // 8, size // 3),
+                               empty_dep_prob=0.05)
+        for p in sorted(u.unstable - u.testing):
+            for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
+                outcomes[_check_closure_slice(u, p, encoding)] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_closure_slice_decides_like_the_exhaustive_oracle():
+    rng = random.Random(103)
+    outcomes = {True: 0, False: 0}
+    for _ in range(30):
+        u = random_universe(rng, size=rng.randint(2, 9), dep_density=0.6,
+                            conflict_density=0.6)
+        admissible = admissible_sets(u)
+        encodings = ["p2-oracle", "p3", "p4", "p5-strict", "p5-pruned"]
+        if not u.conflict_pairs:
+            encodings.append("p1")
+        for p in sorted(u.unstable - u.testing):
+            migrates = any(p in t_prime for t_prime in admissible)
+            for encoding in encodings:
+                assert _check_closure_slice(u, p, encoding) != migrates
+                req = MigrationRequest(mode="target", target=p,
+                                       encoding=encoding)
+                answer = engine.explain_target(req, u)
+                assert isinstance(answer, engine.MigrationResult) == migrates
+                outcomes[migrates] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_explain_target_under_a_policy_explains_the_full_instance():
+    # a/2 alone migrates, but the policy ties it to b/2, which cannot
+    # migrate and lies outside a/2's closure
+    u = tiny_universe(["a/1", "a/2", "b/1", "b/2"], dep={"b/2": [[]]},
+                      testing=["a/1", "b/1"], unstable=["a/2", "b/2"])
+    policy = PolicyRules(groups=[[(1, P("a/2")), (1, P("b/2"))]])
+    free = MigrationRequest(mode="target", target=P("a/2"))
+    assert engine.explain_target(free, u).migrated_in == (P("a/2"),)
+    tied = MigrationRequest(mode="target", target=P("a/2"), policy=policy)
+    assert engine.explain_target(tied, u).facts == (
+        "b/2 requires one of [nothing] in the repository",
+        "policy group: +a/2 +b/2",
+        "the migration of a/2 was requested")
 
 
 # -- hints / reports ----------------------------------------------------------------

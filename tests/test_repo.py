@@ -167,6 +167,23 @@ def test_reachable_is_reflexive_transitive():
     assert oracle.reachable(P("c/1"), u) == {P("c/1")}
 
 
+def test_closure_universe_is_the_universe_of_the_closure():
+    # the same tables, in the same order, as a universe built from the
+    # closure's packages and their relations alone
+    rng = random.Random(29)
+    for _ in range(40):
+        u = random_universe(rng, size=rng.randint(1, 12), dep_density=0.6,
+                            conflict_density=0.6)
+        for p in sorted(u.packages):
+            inside = oracle.reachable(p, u)
+            assert repo.closure_universe(u, p) == repo.make_universe(
+                inside, {q: u.dep[q] for q in inside},
+                [(a, b) for a, b in u.conflicts if a in inside and b in inside],
+                u.testing & inside, u.unstable & inside), (p, u)
+    with pytest.raises(ValueError, match="unknown package nosuch/1"):
+        repo.closure_universe(u, P("nosuch/1"))
+
+
 def test_oracle_and_sat_paths_agree_on_random_universes():
     rng = random.Random(13)
     for round_no in range(40):
