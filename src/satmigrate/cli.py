@@ -8,15 +8,17 @@ go to stderr and exit codes are fixed for scripting:
 4 check found violations. A command returns 0 or 4 and raises on any
 failure; ``main`` maps each failure to its exit code and message, and
 argparse's usage errors exit 1 too, not 2, which means unsolvable.
+
+``main`` may be called many times in one process; the parser is built
+by the first call. Start-up imports only what every command uses: a
+module that one path alone needs is imported on that path.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
-import shlex
-import statistics
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import controlfile, encoder, engine, repo, satcore
@@ -97,7 +99,10 @@ def _request_from_args(args, mode: str, target: Package | None = None) -> Migrat
     policy = None
     if args.policy:
         policy = load_policy(Path(args.policy).read_text())
-    solver = shlex.split(args.solver) if args.solver else None
+    solver = None
+    if args.solver:
+        import shlex
+        solver = shlex.split(args.solver)
     budgets = Budgets()
     if args.timeout is not None:
         budgets = Budgets(sat_timeout=args.timeout, pmax_timeout=args.timeout)
@@ -149,6 +154,7 @@ def cmd_explain(args) -> int:
     universe = _load_universe(args)
     target = Package.parse(args.package)
     if target not in universe.packages:
+        import difflib
         close = difflib.get_close_matches(
             target.name, {p.name for p in universe.packages}, n=3)
         hint = f"; did you mean: {', '.join(close)}" if close else ""
@@ -228,9 +234,11 @@ def cmd_stats(args) -> int:
     rows = _stats_rows(universe, idx)
 
     def _distribution(values):
-        return {"min": min(values, default=0),
-                "median": int(statistics.median(values)) if values else 0,
-                "max": max(values, default=0)}
+        ordered = sorted(values) or [0]
+        n = len(ordered)
+        # the median: the mean of the two middle values when n is even
+        median = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
+        return {"min": ordered[0], "median": int(median), "max": ordered[-1]}
 
     ids = range(len(idx.packages))
     sizes = [len(idx.closure(i)) for i in ids]
@@ -288,7 +296,10 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built by the first call and shared by
+    every later one in the process: parsing keeps no state in it."""
     common = _ArgumentParser(add_help=False)
     common.add_argument("--testing", required=True, help="Packages file for testing")
     common.add_argument("--unstable", required=True, help="Packages file for unstable")

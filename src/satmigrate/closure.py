@@ -243,17 +243,46 @@ class ClosureIndex:
         otherwise a shortest path from i to an endpoint other than i leaves
         i through a successor that reaches that endpoint.
         """
-        relevant = self.relevant_ends(i)
-        seen = {i}
-        if relevant:
-            ends, succ = self.closure_ends, self._succ
-            todo = [i]
+        return list(self._connecting[i])
+
+    @cached_property
+    def _connecting(self) -> list[list[int]]:
+        """Every package's connecting ids, built by the first
+        ``connecting_ids`` call, components children first.
+
+        A component whose closure holds a relevant conflict walks from its
+        members, which all reach an endpoint and share one list. From a
+        successor w, the walk under the relevant ends R enters what a walk
+        under R ∩ ends(w) would, as w's closure holds every package after
+        it. R ∩ ends(w) always holds w's own relevant ends, and when it
+        holds no more (as when w has the component's conflict ends), the
+        walk takes w's finished list instead of walking on from w.
+        """
+        ends, succ = self.closure_ends, self._succ
+        relevant_of = self._relevant  # filled for every earlier component
+        lists: list[list[int]] = [[]] * len(succ)
+        for component in self._components:
+            relevant = self.relevant_ends(component[0])
+            if not relevant:
+                for w in component:
+                    lists[w] = [w]
+                continue
+            seen = set(component)
+            todo = list(component)
             while todo:
                 for w in succ[todo.pop()]:
-                    if w not in seen and not relevant.isdisjoint(ends[w]):
+                    if w in seen or relevant.isdisjoint(ends[w]):
+                        continue
+                    if len(relevant_of[ends[w]]) == \
+                            len(relevant.intersection(ends[w])):
+                        seen.update(lists[w])
+                    else:
                         seen.add(w)
                         todo.append(w)
-        return sorted(seen)
+            members = sorted(seen)
+            for w in component:
+                lists[w] = members
+        return lists
 
     # -- package surface -------------------------------------------------------
 

@@ -8,7 +8,6 @@ model data, and renders reports, hints and non-migration explanations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import encoder, repo, satcore
@@ -340,7 +339,8 @@ def _explain_in_closure(req: MigrationRequest, u: Universe
     the encodings are exact, the slice's target-mode instance is UNSAT
     exactly when the full one is.
 
-    The core is also the full instance's, except under p4. The slice's
+    The core is also the full instance's, for every encoding but p4,
+    which ``explain_target`` therefore never sends here. The slice's
     clauses are the full instance's clauses over the package atoms and
     the contexts of closure(p), in the same order, since ids are
     renumbered in order and a context's members and their clauses read
@@ -382,9 +382,11 @@ def explain_target(req: MigrationRequest, u: Universe
     Without a policy the target is first decided on its closure
     (``_explain_in_closure``). A target that migrates there gets the full
     target-mode solve, which reports its delta, and so does every target
-    under a policy, whose rules may reach outside its closure.
+    under a policy, whose rules may reach outside its closure, and every
+    target under p4, whose slice is not the full instance's clauses over
+    the closure, so that its core could name other facts.
     """
-    if req.policy is None:
+    if req.policy is None and req.encoding != "p4":
         explanation = _explain_in_closure(req, u)
         if explanation is not None:
             return explanation
@@ -449,4 +451,5 @@ def structured_report(result: MigrationResult) -> dict:
 
 
 def dump_structured(document: dict) -> str:
+    import json  # only structured output needs it: not at start-up
     return json.dumps(document, sort_keys=True, indent=2) + "\n"

@@ -22,8 +22,6 @@ or both signs of a variable.
 from __future__ import annotations
 
 import heapq
-import subprocess
-import tempfile
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -814,6 +812,9 @@ def run_external(command, hard, soft=None, *, num_vars: int,
     count is always recomputed here rather than trusted. A ``timeout``
     beyond about 24.8 days, ``inf`` included, sets no limit.
     """
+    import subprocess  # only this adapter needs them: not at start-up
+    import tempfile
+
     hard = _as_sequence(hard)
     soft = _as_sequence(soft or ())
     payload = emit_dimacs(hard, soft or None, num_vars=num_vars, kind=kind)

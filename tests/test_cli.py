@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shlex
@@ -547,6 +548,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert oracle_absent == "True"
 
 
+def test_cli_import_loads_no_path_only_module():
+    # start-up imports what every command uses; each of these serves one
+    # path alone and is imported there
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import satmigrate.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    loaded = set(out.split())
+    assert "satmigrate.cli" in loaded
+    assert loaded.isdisjoint({"statistics", "difflib", "shlex", "subprocess",
+                              "json"}), sorted(loaded)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -586,6 +604,54 @@ def test_explain_builds_the_encoding_once(repos, capsys, monkeypatch):
 
     built = _count_calls(monkeypatch, encoder, "build_encoding")
     _runs_building_once(repos, capsys, built)
+
+
+def test_main_builds_its_parser_once_per_process(repos, capsys,
+                                                 monkeypatch):
+    common = repos(GOLDEN_TESTING, GOLDEN_UNSTABLE)
+    assert main(["check", *common]) == EXIT_OK
+    built = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    for argv in (["migrate", *common], ["explain", *common, "mutt/2.2"],
+                 ["stats", *common]):
+        assert main(argv) == EXIT_OK
+    assert built == []
+
+
+def test_repeated_main_calls_match_fresh_processes(repos, capsys, tmp_path):
+    # one process shares one parser across calls; each call must still
+    # answer as the command does in a process of its own
+    common = repos(GOLDEN_TESTING, GOLDEN_UNSTABLE)
+    out = str(tmp_path / "out.wcnf")
+    sequence = [
+        (["migrate", "--bogus"], EXIT_ERROR),
+        (["migrate", *common, "--all-deltas", "2", "--format", "structured"],
+         EXIT_OK),
+        (["migrate", *common], EXIT_OK),
+        (["emit", *common, "--mode", "target", "--target", "libpcre/10.42",
+          out], EXIT_OK),
+        (["emit", *common, out], EXIT_OK),
+        (["check", *common, "--timeout", "7.5"], EXIT_OK),
+        (["check", *common], EXIT_OK),
+        (["explain", *common, "mutt/2.2"], EXIT_OK),
+        (["stats", *common], EXIT_OK),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    for argv, expected in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = (Path(out), Path(out + ".map")) if argv[0] == "emit" else ()
+        written = [path.read_bytes() for path in files]
+        fresh = subprocess.run([sys.executable, "-m", "satmigrate.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == expected, argv
+        assert [path.read_bytes() for path in files] == written, argv
 
 
 def test_blocked_explain_indexes_only_the_closure(repos, capsys, monkeypatch):

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from satmigrate import closure as closure_mod
 from satmigrate.cli import EXIT_OK, main
 from satmigrate.closure import ClosureIndex
+from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import build_encoding
-from satmigrate.repo import make_universe
+from satmigrate.repo import build_universe, make_universe
 
 from . import oracle
 from .generators import (P, closure, clustered_universe, hard_closure,
                          is_easy, may_dep, random_universe,
                          relevant_conflicts, tiny_universe)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 # -- may depend ----------------------------------------------------------------
@@ -358,6 +362,43 @@ def test_connecting_is_the_seed_alone_exactly_without_relevant_conflicts():
             assert conflicting == (idx.connecting_ids(i) != [i])
             seen[conflicting] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _connecting_walk(idx, i):
+    """i's connecting ids by a walk from i alone."""
+    relevant = idx.relevant_ends(i)
+    seen = {i}
+    todo = [i] if relevant else []
+    while todo:
+        for targets in idx.deps[todo.pop()]:
+            for w in targets:
+                if w not in seen and not relevant.isdisjoint(idx.closure_ends[w]):
+                    seen.add(w)
+                    todo.append(w)
+    return sorted(seen)
+
+
+def test_connecting_ids_match_a_walk_from_each_package(tmp_path, monkeypatch):
+    # the index reuses a successor's list where a walk would repeat it;
+    # clustered universes have dependency cycles, the benchmark's
+    # archive-scale archive long chains
+    monkeypatch.syspath_prepend(str(BENCH))
+    import gen
+
+    rng = random.Random(61)
+    universes = [clustered_universe(rng, rng.randint(100, 300),
+                                    conflicts=rng.randint(5, 60))
+                 for _ in range(8)]
+    archive = gen.generate("archive-scale", 0, 1500, broken=4, blocked=4)
+    testing, unstable = gen.write_pair(archive, tmp_path, 0)
+    cache: dict = {}
+    universes.append(build_universe(*(
+        parse_packages_stream(Path(path).read_bytes(), cache)
+        for path in (testing, unstable))))
+    for u in universes:
+        idx = ClosureIndex(u)
+        for i in range(len(idx.packages)):
+            assert idx.connecting_ids(i) == _connecting_walk(idx, i), i
 
 
 # -- cross-cutting invariants ----------------------------------------------------------

@@ -470,6 +470,29 @@ def test_closure_slice_decides_like_the_full_instance_mid_scale():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_explain_target_gives_the_full_instance_core_mid_scale():
+    # under p4 the closure's slice can name other facts (1 of 43 blocked
+    # cases here), so explain_target takes p4's core from the full instance
+    rng = random.Random(7)
+    blocked = dict.fromkeys(("p3", "p4", "p5-strict", "p5-pruned"), 0)
+    for _ in range(20):
+        size = rng.randint(50, 100)
+        u = clustered_universe(rng, size,
+                               conflicts=rng.randint(size // 8, size // 3),
+                               empty_dep_prob=0.05)
+        for p in sorted(u.unstable - u.testing):
+            for encoding in blocked:
+                full, is_blocked = _target_instance(u, p, encoding)
+                if not is_blocked:
+                    continue
+                req = MigrationRequest(mode="target", target=p,
+                                       encoding=encoding)
+                assert engine.explain_target(req, u).facts == \
+                    explain_non_migration(p, full, TIMEOUT).facts, (p, encoding)
+                blocked[encoding] += 1
+    assert min(blocked.values()) >= 40, blocked
+
+
 def test_closure_slice_decides_like_the_exhaustive_oracle():
     rng = random.Random(103)
     outcomes = {True: 0, False: 0}
