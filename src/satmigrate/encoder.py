@@ -22,13 +22,14 @@ installation atoms sorted by (context, member).
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex
-from .repo import Package, Universe, policy_rule_text
+from .repo import PACKAGE_ORDER, Package, Universe, policy_rule_text
 
 DEFAULT_P2_BOUND = 10
 
@@ -110,28 +111,102 @@ class PolicyRules:
 
 @dataclass
 class EncodedProblem:
+    """Hard and soft clauses over ``atoms``, with each hard clause's
+    provenance.
+
+    A clause's provenance is read from where it sits, not stored with it.
+    ``blocks`` lists each family block that ``build_encoding`` wrote
+    straight into ``hard`` as (family, start, stop); ``records`` maps the
+    position of each clause appended through ``add`` to its provenance.
+    """
+
     encoding_id: str
     atoms: AtomTable
     hard: list[tuple[int, ...]] = field(default_factory=list)
-    info: list[tuple] = field(default_factory=list)
     soft: list[tuple[int, ...]] = field(default_factory=list)
+    blocks: list[tuple[str, int, int]] = field(default_factory=list)
+    records: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def num_vars(self) -> int:
         return len(self.atoms)
 
+    @property
+    def info(self) -> Provenance:
+        return Provenance(self)
+
     def add(self, literals, info: tuple):
         clause = satcore.normalize_clause(literals)
         if clause is None:
             return
+        self.records[len(self.hard)] = info
         self.hard.append(clause)
-        self.info.append(info)
+
+    def close_block(self, family: str, start: int):
+        """Mark the clauses from ``start`` to the end of ``hard`` as a block
+        of ``family``'s clauses, each already in normalize_clause's form."""
+        self.blocks.append((family, start, len(self.hard)))
 
     def family_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for info in self.info:
-            counts[info[0]] = counts.get(info[0], 0) + 1
+        for family, start, stop in self.blocks:
+            if stop > start:
+                counts[family] = counts.get(family, 0) + stop - start
+        for family, *_ in self.records.values():
+            counts[family] = counts.get(family, 0) + 1
         return counts
+
+
+class Provenance(Sequence):
+    """The provenance of each of a problem's hard clauses, in clause order.
+
+    Entry i names packages by id: ("u", a, b), ("e", c, m), ("i", c),
+    ("d", c, m, targets) with c None for a context that is not tracked,
+    ("c", c, a, b), or the record that ``EncodedProblem.add`` kept. A
+    block's clause is read back from its family and its literals: the
+    package atom of id q is q + 1, and an installation atom above them is
+    its (context, member) pair of ``AtomTable.inst_pairs``.
+    """
+
+    def __init__(self, problem: EncodedProblem):
+        self._problem = problem
+
+    def __len__(self) -> int:
+        return len(self._problem.hard)
+
+    def __getitem__(self, i: int) -> tuple:
+        problem = self._problem
+        i = range(len(problem.hard))[i]  # a negative i counts from the end
+        record = problem.records.get(i)
+        if record is not None:
+            return record
+        for family, start, stop in problem.blocks:
+            if start <= i < stop:
+                return _read_clause(family, problem.hard[i], problem.atoms)
+        raise ValueError(f"clause {i} was appended without provenance")
+
+
+def _read_clause(family: str, clause: tuple[int, ...],
+                 atoms: AtomTable) -> tuple:
+    """The provenance of a block's clause from its literals, which are
+    sorted by variable: package atoms (1..n) before installation atoms."""
+    n, pairs = atoms.num_package_atoms, atoms.inst_pairs
+    if family == "u":  # two package atoms
+        return ("u", -clause[0] - 1, -clause[1] - 1)
+    if family == "e":  # m's package atom and -inst(c, m)
+        return ("e", *pairs[-clause[1] - n - 1])
+    if family == "i":  # -pkg(c) and inst(c, c)
+        return ("i", -clause[0] - 1)
+    if family == "c":  # -inst(c, a) and -inst(c, b), a < b
+        context, a = pairs[-clause[0] - n - 1]
+        return ("c", context, a, pairs[-clause[1] - n - 1][1])
+    # d: the one negative literal is the head, -pkg(c) for an untracked
+    # context c and -inst(c, m) for a tracked one; the others are targets
+    head = -min(clause)
+    context, owner = (None, head - 1) if head <= n else pairs[head - n - 1]
+    targets = sorted(lit - 1 if lit <= n else pairs[lit - n - 1][1]
+                     for lit in clause if lit > 0)
+    return ("d", context, owner, tuple(targets))
 
 
 @dataclass
@@ -162,14 +237,17 @@ def instance_stats(problem: EncodedProblem) -> InstanceStats:
 
 
 def uniqueness_clauses(problem: EncodedProblem):
-    """One binary clause per unordered duplicate-name pair of ids, in id
-    order: ids ascend in name order, so each name's ids are consecutive."""
+    """The u block: one binary clause per unordered duplicate-name pair of
+    ids, in id order: ids ascend in name order, so each name's ids are
+    consecutive."""
     by_name: dict[str, list[int]] = {}
     for i, p in enumerate(problem.atoms.packages):
         by_name.setdefault(p.name, []).append(i)
+    start = len(problem.hard)
     for group in by_name.values():
-        for a, b in combinations(group, 2):
-            problem.add((-(a + 1), -(b + 1)), ("u", a, b))
+        problem.hard += [(-(a + 1), -(b + 1))
+                         for a, b in combinations(group, 2)]
+    problem.close_block("u", start)
 
 
 def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
@@ -280,22 +358,28 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     # The e, i, d and c clauses are built already in normalize_clause's
     # form: sorted by variable, and package atoms (1..n) sort before
     # installation atoms (above n). All clauses share the int objects of
-    # the package atoms, and each d provenance its ``deps`` tuple.
+    # the package atoms. Each family is one block of ``hard``, whose
+    # provenance ``Provenance`` reads back from the literals.
     pkg_atom = list(range(1, len(pkgs) + 1))
-    hard, info = problem.hard, problem.info
-    for c, members in contexts.items():
+    hard = problem.hard
+    start = len(hard)
+    for members in contexts.values():
         for m, atom in members.items():
             hard.append((pkg_atom[m], -atom))
-            info.append(("e", c, m))
+    problem.close_block("e", start)
+    start = len(hard)
     for c, members in contexts.items():
         hard.append((-(c + 1), members[c]))
-        info.append(("i", c))
+    problem.close_block("i", start)
     easy = idx.easy_ids if scheme.easy_direct else ()
     # The d family. In a tracked context, a disjunction none of whose
     # targets is tracked there (under easy_direct, easy members are not)
     # points at package atoms alone, already ascending, so -head goes last
     # and nothing is sorted; only a disjunction that mixes package and
-    # installation atoms is.
+    # installation atoms is. A d clause may have the literals of its
+    # context's e clause (p4, an easy c requiring itself); the block tells
+    # them apart.
+    start = len(hard)
     for c, deps in enumerate(idx.deps):
         members = contexts.get(c)
         if members is None:
@@ -306,7 +390,6 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
                 lits = [pkg_atom[q] for q in targets]
                 lits.insert(bisect(targets, c), negated)
                 hard.append(tuple(lits))
-                info.append(("d", None, c, targets))
             continue
         local = {m: atom for m, atom in members.items() if m not in easy} \
             if easy else members
@@ -325,14 +408,15 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
                         continue  # m requires itself inside c: a tautology
                     lits.insert(bisect(lits, head), negated)
                 hard.append(tuple(lits))
-                info.append(("d", c, m, targets))
+    problem.close_block("d", start)
+    start = len(hard)
     partners = idx.partners
-    for c, members in contexts.items():
+    for members in contexts.values():
         for a, atom_a in members.items():
             for b in partners[a]:
                 if b > a and b in members:
                     hard.append((-atom_a, -members[b]))
-                    info.append(("c", c, a, b))
+    problem.close_block("c", start)
     if rules is not None:
         policy_clauses(rules, u, problem)
     return problem
@@ -344,7 +428,8 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
 
 def migration_candidates(u: Universe) -> tuple[list[Package], list[Package]]:
     """(incoming, outgoing): unstable-only and testing-only packages."""
-    return sorted(u.unstable - u.testing), sorted(u.testing - u.unstable)
+    return (sorted(u.unstable - u.testing, key=PACKAGE_ORDER),
+            sorted(u.testing - u.unstable, key=PACKAGE_ORDER))
 
 
 def soft_max(u: Universe, atoms: AtomTable):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, Universe
+from .repo import PACKAGE_ORDER, Package, Universe
 from .satcore import SolveStatus
 
 MODES = ("max", "min-nontrivial", "target")
@@ -196,8 +196,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     if not verdict:
         raise VerificationFailed(
             f"decoded repository failed verification: {verdict.detail}")
-    migrated_in = tuple(sorted(t_prime - u.testing))
-    removed = tuple(sorted(u.testing - t_prime))
+    migrated_in = tuple(sorted(t_prime - u.testing, key=PACKAGE_ORDER))
+    removed = tuple(sorted(u.testing - t_prime, key=PACKAGE_ORDER))
     return MigrationResult(
         t_prime=t_prime,
         migrated_in=migrated_in,
@@ -243,7 +243,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     first, problem, idx = _solve_encoded(req, u)
     results = [first]
     incoming, outgoing = encoder.migration_candidates(u)
-    candidates = sorted(incoming + outgoing)  # in atom order
+    candidates = sorted(incoming + outgoing, key=PACKAGE_ORDER)  # atom order
     pkg = problem.atoms.pkg
     while candidates and len(results) < limit + 1:
         blocked = results[-1].t_prime
@@ -303,7 +303,7 @@ def describe_clause(info: tuple, packages: tuple[Package, ...]) -> str:
 def explain_non_migration(p: Package, problem: EncodedProblem,
                           timeout: float) -> Explanation:
     """Minimal unsatisfiable core of ``problem``'s hard clauses, mapped back
-    to domain statements via the per-clause provenance tags.
+    to domain statements via the clauses' provenance (``problem.info``).
 
     ``problem`` is an unsatisfiable encoding whose hard clauses end with
     p's target clause: the one a target-mode solve raised ``Unsolvable``
@@ -419,6 +419,7 @@ def render_hints(result: MigrationResult) -> str:
 
 
 def render_report(result: MigrationResult) -> str:
+    t_prime = sorted(result.t_prime, key=PACKAGE_ORDER)
     lines = [
         f"encoding: {result.encoding_id}",
         f"delta: {result.delta}",
@@ -427,7 +428,7 @@ def render_report(result: MigrationResult) -> str:
                                else ""),
         "migrated-in: " + (" ".join(map(str, result.migrated_in)) or "(none)"),
         "removed: " + (" ".join(map(str, result.removed)) or "(none)"),
-        "t-prime: " + (" ".join(map(str, sorted(result.t_prime))) or "(empty)"),
+        "t-prime: " + (" ".join(map(str, t_prime)) or "(empty)"),
         f"verified: {'yes' if result.verified else 'no'}",
     ]
     lines += [f"warning: {w}" for w in result.warnings]
@@ -436,7 +437,7 @@ def render_report(result: MigrationResult) -> str:
 
 def structured_report(result: MigrationResult) -> dict:
     return {
-        "t_prime": [str(p) for p in sorted(result.t_prime)],
+        "t_prime": [str(p) for p in sorted(result.t_prime, key=PACKAGE_ORDER)],
         "migrated_in": [str(p) for p in result.migrated_in],
         "removed": [str(p) for p in result.removed],
         "delta": result.delta,

@@ -101,6 +101,11 @@ class Package:
         return cls(name, version)
 
 
+# Package's own order as a C-level sort key: sorting with it compares no
+# dataclass instances.
+PACKAGE_ORDER = attrgetter("name", "version")
+
+
 @dataclass(frozen=True)
 class Universe:
     """The package world B = testing ∪ unstable with expanded relations.
@@ -171,7 +176,7 @@ def make_universe(packages: Iterable[Package],
     u = frozenset(unstable)
     if t | u != pkgs:
         raise ValueError("packages must equal testing ∪ unstable")
-    order = tuple(sorted(pkgs, key=attrgetter("name", "version")))
+    order = tuple(sorted(pkgs, key=PACKAGE_ORDER))
     ids = {p: i for i, p in enumerate(order)}
     deps = []
     for p in order:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from satmigrate import satcore
+from satmigrate import engine, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
@@ -532,7 +532,7 @@ def _assert_matches_normalized(u, idx, name):
     built = build_encoding(u, idx, name)
     reference = normalized_encoding(u, idx, name)
     assert built.hard == reference.hard, name
-    assert built.info == reference.info, name
+    assert list(built.info) == list(reference.info), name
     assert built.atoms.inst_pairs == reference.atoms.inst_pairs, name
     return built
 
@@ -568,3 +568,49 @@ def test_p1_and_p2_clauses_match_the_normalizing_generator():
             rng, random_universe(rng, max_size=10, dep_density=0.6,
                                  conflict_density=0.7), share=0.2)
         _assert_matches_normalized(u, ClosureIndex(u), "p2")
+
+
+# -- provenance from position ------------------------------------------------------
+
+
+def test_only_clauses_added_one_by_one_keep_a_provenance_record():
+    rng = random.Random(31)
+    u = clustered_universe(rng, 150, conflicts=12)
+    idx = ClosureIndex(u)
+    pkgs = idx.packages
+    policy = PolicyRules(groups=[[(1, pkgs[0]), (-1, pkgs[1])]],
+                         extra_clauses=[[(1, pkgs[2]), (1, pkgs[3])]])
+    target = min(u.unstable - u.testing)
+    for name in ("p4", "p5"):
+        plain = build_encoding(u, idx, name)
+        assert plain.records == {}, name
+        problem = build_encoding(u, idx, name, policy)
+        problem.add(*target_clause(target, u, problem.atoms))
+        added = list(range(len(plain.hard), len(problem.hard)))
+        assert sorted(problem.records) == added, name
+        assert [problem.info[i][0] for i in added] == ["v", "v", "v", "target"]
+        assert sum(stop - start for _, start, stop in problem.blocks) == \
+            len(plain.hard), name
+        counts: dict[str, int] = {}
+        for family, *_ in problem.info:
+            counts[family] = counts.get(family, 0) + 1
+        assert problem.family_counts() == counts, name
+        assert problem.info[-1] == problem.info[len(problem.hard) - 1]
+        with pytest.raises(IndexError):
+            problem.info[len(problem.hard)]
+
+
+def test_p4_tells_an_e_clause_from_a_d_clause_with_its_literals():
+    # easy c requires itself: p4 tracks c@c and points the dependency at
+    # c's package atom, so the d clause repeats the e clause's literals
+    u = tiny_universe(["c/1"], dep={"c/1": [["c/1"]]})
+    assert ClosureIndex(u).easy_ids == {0}
+    problem = build_encoding(u, None, "p4")
+    c = 0
+    literals = (problem.atoms.pkg(P("c/1")), -problem.atoms.contexts[c][c])
+    i, j = [k for k, clause in enumerate(problem.hard) if clause == literals]
+    assert problem.info[i] == ("e", c, c)
+    assert problem.info[j] == ("d", c, c, (c,))
+    texts = [engine.describe_clause(problem.info[k], problem.atoms.packages)
+             for k in (i, j)]
+    assert texts[0] != texts[1], texts
