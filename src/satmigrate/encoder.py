@@ -455,11 +455,16 @@ def soft_min_with_nontriviality(u: Universe, atoms: AtomTable):
     return (nontrivial, ("nt",)), [(-lit,) for lit, in units]
 
 
-def target_clause(p: Package, u: Universe, atoms: AtomTable):
-    """Unit clause forcing one candidate into the migration."""
+def check_target(p: Package, u: Universe):
+    """Refuse a target outside u or already in testing."""
     if p not in u.packages:
         raise NotAMigrationCandidate(f"{p} is not in the universe")
-    if p not in u.unstable - u.testing:
+    if p in u.testing or p not in u.unstable:
         raise NotAMigrationCandidate(f"{p} is not a migration candidate")
+
+
+def target_clause(p: Package, u: Universe, atoms: AtomTable):
+    """Unit clause forcing one candidate into the migration."""
+    check_target(p, u)
     atom = atoms.pkg(p)  # the atom of id i is i + 1
     return (atom,), ("target", atom - 1)

@@ -27,7 +27,8 @@ class Unsolvable(EngineError):
     """Hard clauses are unsatisfiable.
 
     ``problem`` is the encoding whose hard clauses have no model, with the
-    objective attached. Without a target clause this indicates a malformed
+    objective attached, which may be the target clause alone (on the
+    target's closure). Without a target clause this indicates a malformed
     policy, since the trivial migration satisfies everything else; in
     target mode it means the requested package cannot migrate, and
     ``explain_non_migration`` takes ``problem`` to find out why.
@@ -156,26 +157,34 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     return frozenset(current)
 
 
+def _solve(problem: EncodedProblem, timeout: float,
+           command: list[str] | None = None) -> satcore.SolveResult:
+    """Solve the problem with the embedded solver, or with the external
+    command; raise when its hard clauses have no model or the budget runs
+    out."""
+    if command is None:
+        result = satcore.solve_pmaxsat(problem.hard, problem.soft,
+                                       num_vars=problem.num_vars,
+                                       timeout=timeout)
+    else:
+        result = satcore.run_external(command, problem.hard, problem.soft,
+                                      num_vars=problem.num_vars, kind="wcnf",
+                                      timeout=timeout)
+    if result.status is SolveStatus.UNSAT:
+        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
+                         problem)
+    if result.status is SolveStatus.TIMEOUT:
+        raise SolveTimedOut(f"solver exceeded {timeout}s")
+    return result
+
+
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                     problem: EncodedProblem) -> MigrationResult:
     """Solve the problem, check the solver's claims against a recount of
     the soft clauses, decode the model, restore the shared packages and
     re-verify the result from the raw model data. The result's warnings
     are the solve's own."""
-    if req.solver_command is None:
-        result = satcore.solve_pmaxsat(problem.hard, problem.soft,
-                                       num_vars=problem.num_vars,
-                                       timeout=req.budgets.pmax_timeout)
-    else:
-        result = satcore.run_external(req.solver_command, problem.hard,
-                                      problem.soft, num_vars=problem.num_vars,
-                                      kind="wcnf",
-                                      timeout=req.budgets.pmax_timeout)
-    if result.status is SolveStatus.UNSAT:
-        raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
-                         problem)
-    if result.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut(f"solver exceeded {req.budgets.pmax_timeout}s")
+    result = _solve(problem, req.budgets.pmax_timeout, req.solver_command)
     recount = satcore.count_satisfied(problem.soft, result.true_atoms)
     if result.satisfied_soft is not None and result.satisfied_soft != recount:
         raise OptimumMismatch(
@@ -211,6 +220,53 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     )
 
 
+def _decide_in_closure(req: MigrationRequest, u: Universe):
+    """Raise ``Unsolvable`` when p = req.target cannot migrate in its
+    closure's sub-universe (``repo.closure_universe``), with that
+    encoding, p's target clause and no soft units. The request has no
+    policy, and its encoding is not p4.
+
+    The decision is exact. Without a policy, p migrates exactly when some
+    admissible T′ holds p, and then p has a healthy installation W inside
+    T′. Cut down to closure(p), W stays one, since every dependency of a
+    member of closure(p) lies in closure(p). W is itself admissible: it
+    is an installation of each of its members, and its names are unique
+    as T′'s are. It lies in the sub-universe, where every member keeps
+    its relations, so an admissible T′ of the sub-universe is one of the
+    whole. So p migrates exactly when it does in the sub-universe, and as
+    the encodings are exact, the slice's target-mode instance is UNSAT
+    exactly when the full one is. A policy's rules may reach outside
+    closure(p), so a policy's request is decided on the full instance.
+
+    The slice's core is also the full instance's, for every encoding but
+    p4. The slice's clauses are the full instance's clauses over the
+    package atoms and the contexts of closure(p), in the same order,
+    since ids are renumbered in order and a context's members and their
+    clauses read only its own closure (p2's contexts, which track every
+    package, keep their clauses over closure(p)). Every other clause of
+    the full instance holds when every atom outside the slice is false,
+    so a set of slice clauses is satisfiable exactly when it is together
+    with any of them, and deletion in clause order keeps the same clauses
+    in both. p4 reads more than the closure: a package is easy there when
+    no package in its closure has a conflict, and a conflict with a
+    partner outside closure(p) is not in the slice. So the slice's p4
+    instance may track fewer members, and its core, a minimal core of
+    that exact instance, may name other facts than the full instance's:
+    a p4 request is decided on the full instance too.
+
+    The encoding's refusals and then p's candidacy are judged on the
+    whole universe, as the full solve judges them. The slice is decided
+    by the embedded solver, whatever ``req.solver_command`` is, within
+    the PMAX budget, as every decision is.
+    """
+    encoder.encoding_scheme(u, req.encoding)  # the refusals, on all of u
+    encoder.check_target(req.target, u)
+    sub = repo.closure_universe(u, req.target)
+    problem = encoder.build_encoding(sub, None, req.encoding)
+    problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
+    _solve(problem, req.budgets.pmax_timeout)
+
+
 def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
     return _solve_encoded(req, u)[0]
 
@@ -223,6 +279,8 @@ def _solve_encoded(req: MigrationRequest, u: Universe
     Only a solved answer is checked against testing's assumptions: their
     violations come first among its warnings. A solve that raises runs no
     check, since nothing would print its warnings."""
+    if req.mode == "target" and req.policy is None and req.encoding != "p4":
+        _decide_in_closure(req, u)
     idx = ClosureIndex(u)
     problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
     attach_objective(req, u, problem)
@@ -307,8 +365,8 @@ def explain_non_migration(p: Package, problem: EncodedProblem,
 
     ``problem`` is an unsatisfiable encoding whose hard clauses end with
     p's target clause: the one a target-mode solve raised ``Unsolvable``
-    with, or the one over p's closure that ``explain_target`` decides
-    first; ``timeout`` bounds the core extraction.
+    with, over p's closure or the whole universe; ``timeout`` bounds the
+    core extraction.
     """
     try:
         mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
@@ -322,74 +380,12 @@ def explain_non_migration(p: Package, problem: EncodedProblem,
     return Explanation(package=p, core=mus.core, facts=facts)
 
 
-def _explain_in_closure(req: MigrationRequest, u: Universe
-                        ) -> Explanation | None:
-    """Why p = req.target cannot migrate, decided on the sub-universe of
-    its closure alone (``repo.closure_universe``); None when p migrates
-    there. The request has no policy.
-
-    The answer is exact. Without a policy, p migrates exactly when some
-    admissible T′ holds p, and then p has a healthy installation W inside
-    T′. Cut down to closure(p), W stays one, since every dependency of a
-    member of closure(p) lies in closure(p). W is itself admissible: it
-    is an installation of each of its members, and its names are unique
-    as T′'s are. It lies in the sub-universe, where every member keeps
-    its relations, so an admissible T′ of the sub-universe is one of the
-    whole. So p migrates exactly when it does in the sub-universe, and as
-    the encodings are exact, the slice's target-mode instance is UNSAT
-    exactly when the full one is.
-
-    The core is also the full instance's, for every encoding but p4,
-    which ``explain_target`` therefore never sends here. The slice's
-    clauses are the full instance's clauses over the package atoms and
-    the contexts of closure(p), in the same order, since ids are
-    renumbered in order and a context's members and their clauses read
-    only its own closure (p2's contexts, which track every package, keep
-    their clauses over closure(p)). Every other clause of the full
-    instance holds when every atom outside the slice is false, so a set
-    of slice clauses is satisfiable exactly when it is together with any
-    of them, and deletion in clause order keeps the same clauses in both.
-    p4 reads more than the closure: a package is easy there when no
-    package in its closure has a conflict, and a conflict with a partner
-    outside closure(p) is not in the slice. So the slice's p4 instance
-    may track fewer members, and its core, a minimal core of that exact
-    instance, may name other facts than the full instance's.
-
-    The encoding's refusals are judged on the whole universe, as the full
-    solve judges them. The slice is decided like the target-mode solve,
-    through ``solve_pmaxsat``, here with no soft units, within the SAT
-    budget that the core extraction gets too.
-    """
-    encoder.encoding_scheme(u, req.encoding)  # the refusals, on all of u
-    sub = repo.closure_universe(u, req.target)
-    problem = encoder.build_encoding(sub, None, req.encoding)
-    problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
-    timeout = req.budgets.sat_timeout
-    result = satcore.solve_pmaxsat(problem.hard, (), num_vars=problem.num_vars,
-                                   timeout=timeout)
-    if result.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut(f"solver exceeded {timeout}s")
-    if result.status is not SolveStatus.UNSAT:
-        return None
-    return explain_non_migration(req.target, problem, timeout)
-
-
 def explain_target(req: MigrationRequest, u: Universe
                    ) -> Explanation | MigrationResult:
     """Why req.target cannot migrate, or its minimal migration when it can;
-    req is a target-mode request.
-
-    Without a policy the target is first decided on its closure
-    (``_explain_in_closure``). A target that migrates there gets the full
-    target-mode solve, which reports its delta, and so does every target
-    under a policy, whose rules may reach outside its closure, and every
-    target under p4, whose slice is not the full instance's clauses over
-    the closure, so that its core could name other facts.
-    """
-    if req.policy is None and req.encoding != "p4":
-        explanation = _explain_in_closure(req, u)
-        if explanation is not None:
-            return explanation
+    req is a target-mode request. This is the target-mode solve, and the
+    core of the encoding it finds unsatisfiable, which is the closure's
+    when the solve decides the target there."""
     try:
         return solve_migration(req, u)
     except Unsolvable as exc:

@@ -149,9 +149,6 @@ class Universe:
                          for pair in ((order[a], order[b]),
                                       (order[b], order[a])))
 
-    def sorted_packages(self) -> list[Package]:
-        return list(self.order)
-
 
 def _disjunction_order(disjunctions: list[tuple[int, ...]]
                        ) -> tuple[tuple[int, ...], ...]:

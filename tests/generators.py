@@ -175,7 +175,7 @@ def random_instance(rng: random.Random, max_vars: int = 16,
 def projected_solutions(problem, universe: Universe) -> set[int]:
     """All candidate repositories (as bitmasks over the sorted packages)
     whose package-atom assignment extends to a solution of the encoding."""
-    pkgs = universe.sorted_packages()
+    pkgs = list(universe.order)
     atoms = problem.atoms
     solver = DpllSolver(problem.num_vars, problem.hard)
     found = set()

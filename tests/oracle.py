@@ -233,7 +233,7 @@ def admissible_masks(u: Universe, policy: PolicyRules | None = None):
     installability over all candidate repositories follows by closing the
     healthy-set family upward in the subset lattice.
     """
-    pkgs = u.sorted_packages()
+    pkgs = list(u.order)
     n = len(pkgs)
     if n > ENUMERATION_BOUND:
         raise ContextTooLarge(f"{n} packages exceed the enumeration bound")

@@ -692,6 +692,58 @@ def test_explain_refusals_read_the_whole_universe(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_target_mode_refuses_a_target_that_is_no_candidate(repos, capsys):
+    common = repos(UPGRADE_TESTING, UPGRADE_UNSTABLE)
+    for target, message in (("nosuch/1", "nosuch/1 is not in the universe"),
+                            ("a/1", "a/1 is not a migration candidate")):
+        code = main(["migrate", *common, "--mode", "target", "--target",
+                     target])
+        assert code == EXIT_ERROR, target
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_blocked_target_mode_builds_no_whole_archive_index(
+        repos, capsys, monkeypatch, tmp_path):
+    # mutt/2.2 is decided on its closure, 8 of the golden fixture's 16
+    # packages, unless p4 or a policy sends it to the full instance
+    from satmigrate.closure import ClosureIndex
+
+    policy = tmp_path / "policy.txt"
+    policy.write_text("clause: +libc6/2.36\n")
+    common = [*repos(GOLDEN_TESTING, GOLDEN_UNSTABLE), "--mode", "target",
+              "--target", "mutt/2.2"]
+    built = _count_calls(monkeypatch, ClosureIndex, "__init__")
+    for extra, encoding, whole in (([], "p5-pruned", 0),
+                                   (["--encoding", "p4"], "p4", 1),
+                                   (["--policy", str(policy)], "p5-pruned", 1)):
+        built.clear()
+        assert main(["migrate", *common, *extra]) == EXIT_UNSOLVABLE, extra
+        assert capsys.readouterr() == (
+            "", f"unsolvable: hard clauses of {encoding} are unsatisfiable\n")
+        assert sum(len(universe.order) == 16 for _, universe in built) == \
+            whole, extra
+
+
+def test_target_mode_decides_the_closure_with_the_embedded_solver(
+        repos, capsys, tmp_path):
+    # the external solver leaves a mark and finds no model: a blocked
+    # target is decided on its closure without it, and a target that
+    # migrates there goes on to the external full solve
+    mark = tmp_path / "called"
+    script = tmp_path / "solver.py"
+    script.write_text(f"#!{sys.executable}\nimport pathlib\n"
+                      f"pathlib.Path({str(mark)!r}).touch()\n"
+                      "print('s UNSATISFIABLE')\n")
+    script.chmod(0o755)
+    common = [*repos(GOLDEN_TESTING, GOLDEN_UNSTABLE), "--mode", "target",
+              "--solver", shlex.quote(str(script))]
+    for target, called in (("mutt/2.2", False), ("libpcre/10.42", True)):
+        assert main(["migrate", *common, "--target", target]) == \
+            EXIT_UNSOLVABLE, target
+        assert capsys.readouterr().err.startswith("unsolvable:")
+        assert mark.exists() == called, target
+
+
 def test_testing_is_checked_only_for_a_solved_answer(repos, capsys,
                                                      monkeypatch):
     # a blocked explain prints no warnings, so it runs no testing check

@@ -406,7 +406,7 @@ def test_trivial_migration_extends_for_every_encoding():
             continue
         found += 1
         idx = ClosureIndex(u)
-        pkgs = u.sorted_packages()
+        pkgs = list(u.order)
         mask = sum(1 << i for i, p in enumerate(pkgs) if p in u.testing)
         for problem in _all_encodings(u, idx):
             assert mask in projected_solutions(problem, u)
@@ -520,7 +520,7 @@ def test_golden_universes_without_p1_have_conflicts():
 def _with_self_dependencies(rng, u, share=0.05):
     """u plus, for about ``share`` of its packages, a disjunction that
     names the package itself (alone or with up to two others)."""
-    pkgs = u.sorted_packages()
+    pkgs = list(u.order)
     dep = {p: [list(d) for d in u.dep[p]] for p in pkgs}
     for p in pkgs:
         if rng.random() < share:

@@ -10,7 +10,8 @@ import pytest
 import satmigrate.satcore as satcore_mod
 from satmigrate import engine, repo
 from satmigrate.closure import ClosureIndex
-from satmigrate.encoder import PolicyRules, build_encoding, target_clause
+from satmigrate.encoder import (NotAMigrationCandidate, PolicyRules,
+                                build_encoding, target_clause)
 from satmigrate.engine import (ActuallySolvable, Budgets,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
@@ -435,15 +436,20 @@ def _named_clauses(problem):
 
 
 def _check_closure_slice(u, p, encoding):
-    """Check _explain_in_closure against the full target-mode instance:
-    the slice is UNSAT exactly when the full one is and, except under p4,
-    whose easy packages read conflicts that leave the closure, it is the
-    full instance's clauses over closure(p), in order, and its core's
-    facts are the full instance's. True when p is blocked."""
+    """Check the decision on p's closure (``_decide_in_closure``) against
+    the full target-mode instance: the slice is UNSAT exactly when the
+    full one is and, except under p4, whose easy packages read conflicts
+    that leave the closure, it is the full instance's clauses over
+    closure(p), in order, and its core's facts are the full instance's.
+    True when p is blocked."""
     full, blocked = _target_instance(u, p, encoding)
     req = MigrationRequest(mode="target", target=p, encoding=encoding)
-    explanation = engine._explain_in_closure(req, u)
-    assert (explanation is not None) == blocked, (p, encoding)
+    try:
+        engine._decide_in_closure(req, u)
+        decided = None
+    except Unsolvable as exc:
+        decided = exc.problem
+    assert (decided is not None) == blocked, (p, encoding)
     if encoding != "p4":
         inside = oracle.reachable(p, u)
         sliced, _ = _target_instance(repo.closure_universe(u, p), p, encoding)
@@ -451,7 +457,8 @@ def _check_closure_slice(u, p, encoding):
             (clause, fact) for clause, fact in _named_clauses(full)
             if all(set(literal[1:]) <= inside for literal in clause)]
         if blocked:
-            assert explanation.facts == \
+            assert _named_clauses(decided) == _named_clauses(sliced)
+            assert explain_non_migration(p, decided, TIMEOUT).facts == \
                 explain_non_migration(p, full, TIMEOUT).facts, (p, encoding)
     return blocked
 
@@ -528,6 +535,58 @@ def test_explain_target_under_a_policy_explains_the_full_instance():
         "b/2 requires one of [nothing] in the repository",
         "policy group: +a/2 +b/2",
         "the migration of a/2 was requested")
+
+
+@pytest.mark.parametrize("encoding,policy", [
+    ("p5", None), ("p3", None), ("p4", None),
+    ("p5", PolicyRules(extra_clauses=[[(1, P("a/1"))]]))],
+    ids=["p5", "p3", "p4", "p5-policy"])
+def test_both_entry_points_refuse_a_target_that_is_no_candidate(encoding,
+                                                                policy):
+    # the closure decision and the full solve give the same refusals
+    u = _upgrade_universe()
+    for target, message in (("b/1", "b/1 is not in the universe"),
+                            ("a/1", "a/1 is not a migration candidate")):
+        req = MigrationRequest(mode="target", target=P(target),
+                               encoding=encoding, policy=policy)
+        for entry_point in (solve_migration, engine.explain_target):
+            with pytest.raises(NotAMigrationCandidate) as exc:
+                entry_point(req, u)
+            assert str(exc.value) == message, (entry_point, target)
+
+
+def test_decisions_take_the_pmax_budget_and_cores_the_sat_budget(
+        monkeypatch):
+    # a/2 needs b/2, which cannot migrate; c/2 migrates
+    u = tiny_universe(["a/1", "a/2", "b/2", "c/1", "c/2"],
+                      dep={"a/2": [["b/2"]], "b/2": [[]]},
+                      testing=["a/1", "c/1"], unstable=["a/2", "b/2", "c/2"])
+    decided = []
+    cored = []
+    solve, extract = satcore_mod.solve_pmaxsat, satcore_mod.extract_mus
+
+    def solving(hard, soft, num_vars, timeout):
+        decided.append(timeout)
+        return solve(hard, soft, num_vars=num_vars, timeout=timeout)
+
+    def extracting(hard, num_vars, timeout):
+        cored.append(timeout)
+        return extract(hard, num_vars=num_vars, timeout=timeout)
+
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", solving)
+    monkeypatch.setattr(satcore_mod, "extract_mus", extracting)
+    budgets = Budgets(sat_timeout=7.0, pmax_timeout=9.0)
+    for target, encoding, decisions in (("a/2", "p5", 1), ("a/2", "p4", 1),
+                                        ("c/2", "p5", 2)):
+        decided.clear()
+        cored.clear()
+        req = MigrationRequest(mode="target", target=P(target),
+                               encoding=encoding, budgets=budgets)
+        answer = engine.explain_target(req, u)
+        blocked = isinstance(answer, engine.Explanation)
+        assert blocked == (target == "a/2")
+        assert decided == [9.0] * decisions, (target, encoding)
+        assert cored == ([7.0] if blocked else []), (target, encoding)
 
 
 # -- hints / reports ----------------------------------------------------------------

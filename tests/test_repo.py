@@ -260,7 +260,7 @@ def test_removing_unneeded_conflict_free_package_keeps_health():
     checked = 0
     for _ in range(40):
         u = random_universe(rng, max_size=7)
-        members = [p for p in u.sorted_packages() if rng.random() < 0.5]
+        members = [p for p in list(u.order) if rng.random() < 0.5]
         if not is_healthy(members, u):
             continue
         conflict_ends = {p for pair in u.conflicts for p in pair}
@@ -283,7 +283,7 @@ def test_admissible_sets_match_direct_checks():
         u = random_universe(rng, max_size=6, dep_density=0.6,
                             conflict_density=0.8)
         enumerated = set(admissible_sets(u))
-        pkgs = u.sorted_packages()
+        pkgs = list(u.order)
         direct = set()
         for k in range(len(pkgs) + 1):
             for combo in itertools.combinations(pkgs, k):
@@ -376,7 +376,7 @@ def test_is_admissible_matches_per_package_reference():
     for _ in range(600):
         u = random_universe(rng, max_size=10, dep_density=0.6,
                             conflict_density=0.8)
-        pkgs = u.sorted_packages()
+        pkgs = list(u.order)
         chosen = frozenset(p for p in pkgs if rng.random() < 0.6)
         policy = None
         if pkgs and rng.random() < 0.3:
@@ -539,7 +539,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
         u = _with_dead_ends(
             clustered_universe(rng, size, conflicts=size // 4), tops, blocked)
         idx = ClosureIndex(u)
-        planted = [p for p in u.sorted_packages()
+        planted = [p for p in list(u.order)
                    if p.name.startswith(("top", "blocked"))]
         subset = frozenset(p for p in u.packages if rng.random() < 0.7
                            or p.name in {"q", "r", "s", "t", "s2", "t2"}
@@ -679,7 +679,7 @@ def test_build_universe_tables_match_brute_force_expansion():
         assert u.unstable == {P(f"{n}/{v}") for n, v in unstable}
         idx = ClosureIndex(u)
         order = sorted(dep)
-        assert list(idx.packages) == order == u.sorted_packages()
+        assert list(idx.packages) == order == list(u.order)
         ids = {p: i for i, p in enumerate(order)}
         assert list(idx.deps) == [
             tuple(tuple(sorted(ids[q] for q in d)) for d in dep[p])
