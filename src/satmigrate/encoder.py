@@ -441,20 +441,6 @@ def soft_max(u: Universe, atoms: AtomTable):
             [(-atoms.pkg(p),) for p in outgoing])
 
 
-def soft_min_units(u: Universe, atoms: AtomTable):
-    """soft_max's units inverted."""
-    return [(-lit,) for lit, in soft_max(u, atoms)]
-
-
-def soft_min_with_nontriviality(u: Universe, atoms: AtomTable):
-    """Inverted soft units plus the hard clause forcing some change."""
-    units = soft_max(u, atoms)
-    if not units:
-        raise NoChangeCandidates("testing and unstable offer no change")
-    nontrivial = satcore.normalize_clause(lit for lit, in units)
-    return (nontrivial, ("nt",)), [(-lit,) for lit, in units]
-
-
 def check_target(p: Package, u: Universe):
     """Refuse a target outside u or already in testing."""
     if p not in u.packages:

@@ -107,17 +107,21 @@ class MigrationResult:
 
 
 def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem):
-    """Attach the mode's hard additions and soft units to the problem."""
-    atoms = problem.atoms
+    """Attach the mode's hard additions and soft units to the problem:
+    ``encoder.soft_max``'s units in max mode; their disjunction, the
+    nontriviality clause, in min-nontrivial mode and the target clause in
+    target mode, each with the units inverted."""
+    units = encoder.soft_max(u, problem.atoms)
     if req.mode == "max":
-        problem.soft = encoder.soft_max(u, atoms)
+        problem.soft = units
         return
     if req.mode == "min-nontrivial":
-        nontrivial, problem.soft = encoder.soft_min_with_nontriviality(u, atoms)
-        problem.add(*nontrivial)
-        return
-    problem.add(*encoder.target_clause(req.target, u, atoms))
-    problem.soft = encoder.soft_min_units(u, atoms)
+        if not units:
+            raise encoder.NoChangeCandidates("testing and unstable offer no change")
+        problem.add([lit for lit, in units], ("nt",))
+    else:
+        problem.add(*encoder.target_clause(req.target, u, problem.atoms))
+    problem.soft = [(-lit,) for lit, in units]
 
 
 def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
@@ -300,13 +304,12 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     model or runs out of time."""
     first, problem, idx = _solve_encoded(req, u)
     results = [first]
-    incoming, outgoing = encoder.migration_candidates(u)
-    candidates = sorted(incoming + outgoing, key=PACKAGE_ORDER)  # atom order
-    pkg = problem.atoms.pkg
+    candidates = sorted(abs(lit) for lit, in problem.soft)  # atom order
+    packages = problem.atoms.packages
     while candidates and len(results) < limit + 1:
         blocked = results[-1].t_prime
-        problem.add([-pkg(p) if p in blocked else pkg(p) for p in candidates],
-                    ("blocking",))
+        problem.add([-atom if packages[atom - 1] in blocked else atom
+                     for atom in candidates], ("blocking",))
         try:
             result = _solve_verified(req, u, idx, problem)
         except (Unsolvable, SolveTimedOut):

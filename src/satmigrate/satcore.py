@@ -182,9 +182,9 @@ class DpllSolver:
     when more soft weight is falsified than the bound allows, the clause of
     the falsified soft literals is the conflict; at zero slack it forces the
     remaining soft literals, with that clause as their reason. A clause
-    learned under bound k holds for every bound ≥ k, so learned clauses are
-    kept across the rising bounds of the PMAX-SAT search; a call with a
-    lower bound drops those learned under a higher one.
+    learned under bound k holds for every bound ≥ k, and the bound may only
+    rise: learned clauses are kept across the PMAX-SAT search, and a call
+    below an earlier call's bound is a ``ValueError``.
 
     Clauses are read as given, as the search needs no canonical form; a
     hard, soft or assumed literal 0 or beyond ``num_vars`` is a
@@ -239,27 +239,13 @@ class DpllSolver:
         for clause in self.clauses:
             self.watches[clause[0]].append(clause)
             self.watches[clause[1]].append(clause)
-        # learned clauses and units, each with the bound it was learned under
-        self.learnt: list[tuple[int, list[int]]] = []
-        self.learnt_units: list[tuple[int, int]] = []
-        self.learnt_bound = 0
+        # learned units; learned clauses live in the watch lists alone
+        self.learnt_units: list[int] = []
+        self.bound = 0  # the latest call's: no later call may ask for less
         self.activity: list[float] | None = None
         self.var_inc = 1.0
         self.decisions = self.propagations = self.conflicts = 0
         self.learned = self.restarts = 0
-
-    # -- learned clauses ------------------------------------------------------
-
-    def _drop_learned_above(self, bound: int):
-        """Forget what was learned under a bound above ``bound``: it may
-        rest on the budget of that bound."""
-        self.learnt = [(t, c) for t, c in self.learnt if t <= bound]
-        self.learnt_units = [(t, l) for t, l in self.learnt_units if t <= bound]
-        self.learnt_bound = bound
-        self.watches = [[] for _ in range(2 * self.num_vars + 2)]
-        for clause in self.clauses + [c for _, c in self.learnt]:
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
 
     # -- trail ----------------------------------------------------------------
 
@@ -432,13 +418,12 @@ class DpllSolver:
         kept[1], kept[top] = kept[top], kept[1]
         return kept, level[abs(kept[1])]
 
-    def _learn(self, clause: list[int], bound: int):
+    def _learn(self, clause: list[int]):
         self.learned += 1
         if len(clause) == 1:
-            self.learnt_units.append((bound, clause[0]))
+            self.learnt_units.append(clause[0])
             self._assign(clause[0], None)
             return
-        self.learnt.append((bound, clause))
         self.watches[clause[0]].append(clause)
         self.watches[clause[1]].append(clause)
         self._assign(clause[0], clause)
@@ -466,13 +451,14 @@ class DpllSolver:
     def solve(self, assumptions=(), required_soft: int = 0,
               timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
         n = self.num_vars
+        bound = max(required_soft, 0)
+        if bound < self.bound:
+            raise ValueError(f"required_soft {bound} is below the earlier"
+                             f" call's {self.bound}: the bound may only rise")
         assumptions = tuple(assumptions)
         _checked_variables((), n, assumptions)
         deadline = time.monotonic() + timeout
-        bound = max(required_soft, 0)
-        if bound < self.learnt_bound:
-            self._drop_learned_above(bound)
-        self.learnt_bound = max(self.learnt_bound, bound)
+        self.bound = bound
         self.value = [0] * (2 * n + 2)
         self.level = [0] * (n + 1)
         self.reason: list = [None] * (n + 1)
@@ -491,7 +477,7 @@ class DpllSolver:
         if self.has_empty:
             return SolveResult(SolveStatus.UNSAT)
         value = self.value
-        for lit in self.initial_units + [l for _, l in self.learnt_units]:
+        for lit in self.initial_units + self.learnt_units:
             if value[lit] == -1:
                 return SolveResult(SolveStatus.UNSAT)
             if not value[lit]:
@@ -517,7 +503,7 @@ class DpllSolver:
                     return SolveResult(SolveStatus.UNSAT)
                 learnt, back = self._analyze(conflict)
                 self._cancel_until(back)
-                self._learn(learnt, bound)
+                self._learn(learnt)
                 if self.heap is None:
                     self._build_heap()
                 self.var_inc /= VAR_DECAY

@@ -11,8 +11,7 @@ from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
                                 PolicyRules, UniverseTooLarge, UnknownPackage,
                                 build_encoding, instance_stats,
-                                soft_max, soft_min_with_nontriviality,
-                                target_clause)
+                                soft_max, target_clause)
 from satmigrate.repo import make_universe
 from satmigrate.satcore import SolveStatus
 
@@ -255,38 +254,43 @@ def test_soft_max_set_differences():
                     (-problem.atoms.pkg(P("a/1")),)]
 
 
+def _min_nontrivial(u):
+    """u's p1 encoding with the min-nontrivial objective attached."""
+    problem = build_encoding(u, None, "p1")
+    engine.attach_objective(engine.MigrationRequest(mode="min-nontrivial"),
+                            u, problem)
+    return problem
+
+
 def test_soft_min_with_nontriviality():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
-    problem = build_encoding(u, None, "p1")
-    (clause, info), soft = soft_min_with_nontriviality(u, problem.atoms)
+    problem = _min_nontrivial(u)
     a1, a2 = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("a/2"))
-    assert clause == satcore.normalize_clause((a2, -a1))
-    assert info == ("nt",)
-    assert soft == [(-a2,), (a1,)]
+    assert problem.hard[-1] == satcore.normalize_clause((a2, -a1))
+    assert problem.info[-1] == ("nt",)
+    assert problem.soft == [(-a2,), (a1,)]
 
 
 def test_soft_min_outgoing_only():
     u = tiny_universe(["a/1"], testing=[], unstable=["a/1"])
-    problem = build_encoding(u, None, "p1")
-    (clause, _), soft = soft_min_with_nontriviality(u, problem.atoms)
-    assert clause == (problem.atoms.pkg(P("a/1")),)
-    assert soft == [(-problem.atoms.pkg(P("a/1")),)]
+    problem = _min_nontrivial(u)
+    assert problem.hard[-1] == (problem.atoms.pkg(P("a/1")),)
+    assert problem.soft == [(-problem.atoms.pkg(P("a/1")),)]
 
 
 def test_soft_min_three_candidates():
     u = tiny_universe(["a/1", "b/1", "c/1"], testing=["a/1"],
                       unstable=["b/1", "c/1"])
-    problem = build_encoding(u, None, "p1")
-    (clause, _), soft = soft_min_with_nontriviality(u, problem.atoms)
-    assert len(clause) == 3
-    assert len(soft) == 3
+    problem = _min_nontrivial(u)
+    assert len(problem.hard[-1]) == 3
+    assert len(problem.soft) == 3
 
 
 def test_soft_min_requires_candidates():
     u = tiny_universe(["a/1"])
-    problem = build_encoding(u, None, "p1")
-    with pytest.raises(NoChangeCandidates):
-        soft_min_with_nontriviality(u, problem.atoms)
+    with pytest.raises(NoChangeCandidates,
+                       match="testing and unstable offer no change"):
+        _min_nontrivial(u)
 
 
 def test_target_clause_unit():

@@ -218,6 +218,45 @@ def test_alternative_optima_builds_the_encoding_once(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("mode", ["min-nontrivial", "target"])
+def test_alternative_optima_in_min_modes_match_the_oracle(mode):
+    # the alternatives are the optima's distinct projections onto the
+    # candidates, found by enumerating every admissible set, up to limit + 1
+    rng = random.Random(31)
+    stopped = {"limit": 0, "optima": 0}
+    for _ in range(120):
+        u = random_universe(rng, max_size=8)
+        incoming = u.unstable - u.testing
+        candidates = incoming | (u.testing - u.unstable)
+        if not (incoming if mode == "target" else candidates):
+            continue
+        target = min(incoming) if mode == "target" else None
+        changed = {}  # an eligible set's candidates -> how many change
+        for t in admissible_sets(u):
+            count = len((t ^ u.testing) & candidates)
+            if count and (target is None or target in t):
+                changed[t & candidates] = count
+        req = MigrationRequest(mode=mode, target=target)
+        limit = rng.randint(0, 2)
+        if not changed:
+            with pytest.raises(Unsolvable):
+                alternative_optima(req, u, limit)
+            continue
+        fewest = min(changed.values())
+        optimal = {t for t, count in changed.items() if count == fewest}
+        results = alternative_optima(req, u, limit)
+        assert len(results) == min(limit + 1, len(optimal)), u
+        projections = {r.t_prime & candidates for r in results}
+        assert len(projections) == len(results)
+        assert projections <= optimal
+        for r in results:
+            assert r.verified and is_admissible(r.t_prime, u)
+            assert r.optimum == len(candidates) - fewest
+            assert target is None or target in r.t_prime
+        stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
+    assert min(stopped.values()) > 0, stopped
+
+
 # -- decode -----------------------------------------------------------------------
 
 def test_decode_all_false():

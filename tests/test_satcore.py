@@ -95,18 +95,26 @@ def test_solver_counters_are_deterministic():
     assert solver.conflicts > 0 and solver.learned > 0
 
 
-def test_budget_learned_clauses_are_dropped_for_a_lower_bound():
+def test_a_falling_bound_is_refused():
     # the only models are {2, 3} and {1, 2, 3}, so at most one of the soft
     # units -1, -2, -3 holds; refuting bound 2 learns the unit -2, which
-    # holds in no model and must not survive into the call without a bound
+    # holds in no model, so no later call may ask for less than bound 2
     clauses = [(-3, 1, 2), (1, 2, 3), (2, -3), (-2, 3), (-1, 3), (-1, 2, 3),
                (2, 3, -1), (2, 1)]
     solver = DpllSolver(3, clauses, soft_literals=[-2, -1, -3])
     assert solver.solve(required_soft=2).status is SolveStatus.UNSAT
     assert solver.learned > 0
-    result = solver.solve()
-    assert result.status is SolveStatus.SAT
-    assert result.true_atoms == {2, 3}
+
+    def counters():
+        return (solver.decisions, solver.propagations, solver.conflicts,
+                solver.learned, solver.restarts)
+
+    before = counters()
+    with pytest.raises(ValueError, match="required_soft 0 is below the"
+                                         " earlier call's 2"):
+        solver.solve()
+    assert counters() == before
+    assert solver.solve(required_soft=2).status is SolveStatus.UNSAT
 
 
 def test_reused_solver_answers_like_a_fresh_one():
@@ -116,33 +124,37 @@ def test_reused_solver_answers_like_a_fresh_one():
         soft = [(v if rng.random() < 0.5 else -v)
                 for v in rng.sample(range(1, num_vars + 1),
                                     rng.randint(0, num_vars))]
-        solver = DpllSolver(num_vars, clauses, soft_literals=soft)
-        # rising bounds as in the PMAX-SAT search, then a lower bound, then
-        # random assumption sets under random bounds
-        calls = [((), bound) for bound in range(len(soft) + 2)]
-        calls.append(((), rng.randint(0, len(soft))))
+        # one solver for the rising bounds of the PMAX-SAT search, another
+        # for random assumption sets under random bounds, in rising order
+        searched = [((), bound) for bound in range(len(soft) + 2)]
+        assumed = []
         for _ in range(3):
             assumptions = tuple(v if rng.random() < 0.5 else -v
                                 for v in rng.sample(range(1, num_vars + 1),
                                                     rng.randint(1, min(3, num_vars))))
-            calls.append((assumptions, rng.randint(0, len(soft))))
-        for assumptions, bound in calls:
-            result = solver.solve(assumptions=assumptions, required_soft=bound)
-            fresh = DpllSolver(num_vars, clauses, soft_literals=soft).solve(
-                assumptions=assumptions, required_soft=bound)
-            reference = brute_force_solve(
-                clauses + [(lit,) for lit in assumptions],
-                [(lit,) for lit in soft], num_vars=num_vars)
-            feasible = reference.status is SolveStatus.OPTIMAL and \
-                reference.satisfied_soft >= bound
-            expected = SolveStatus.SAT if feasible else SolveStatus.UNSAT
-            assert result.status is fresh.status is expected, \
-                (clauses, soft, assumptions, bound)
-            if feasible:
-                model = result.true_atoms
-                assert verify_model(clauses + [(lit,) for lit in assumptions],
-                                    model)
-                assert count_satisfied([(lit,) for lit in soft], model) >= bound
+            assumed.append((assumptions, rng.randint(0, len(soft))))
+        assumed.sort(key=lambda call: call[1])
+        for calls in (searched, assumed):
+            solver = DpllSolver(num_vars, clauses, soft_literals=soft)
+            for assumptions, bound in calls:
+                result = solver.solve(assumptions=assumptions,
+                                      required_soft=bound)
+                fresh = DpllSolver(num_vars, clauses, soft_literals=soft).solve(
+                    assumptions=assumptions, required_soft=bound)
+                reference = brute_force_solve(
+                    clauses + [(lit,) for lit in assumptions],
+                    [(lit,) for lit in soft], num_vars=num_vars)
+                feasible = reference.status is SolveStatus.OPTIMAL and \
+                    reference.satisfied_soft >= bound
+                expected = SolveStatus.SAT if feasible else SolveStatus.UNSAT
+                assert result.status is fresh.status is expected, \
+                    (clauses, soft, assumptions, bound)
+                if feasible:
+                    model = result.true_atoms
+                    assert verify_model(
+                        clauses + [(lit,) for lit in assumptions], model)
+                    assert count_satisfied([(lit,) for lit in soft],
+                                           model) >= bound
 
 
 def test_tautologies_are_dropped():
