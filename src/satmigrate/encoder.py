@@ -16,13 +16,15 @@ generator emits the e, i, d and c families for the entry of SCHEMES:
               without relevant conflicts and encodes them p1-style.
 
 Atoms are numbered deterministically: package atoms first (sorted), then
-installation atoms sorted by (context, member).
+installation atoms sorted by (context, member). A lazy build tracks no
+context at first, and ``track_contexts`` appends a context's atoms and
+clause blocks to it when a solve needs them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -65,22 +67,34 @@ class AtomTable:
     The ids are the ``ClosureIndex``'s, and ``pkg`` reads them from the
     index's own table: package atom i+1 stands for the index's package i.
     The installation atoms follow, sorted by (context id, member id), and
-    ``contexts`` maps each context id to its {member id: atom id}.
+    ``contexts`` maps each context id to its {member id: atom id}. A
+    context that ``track`` adds later gets the next atoms, its members in
+    ascending order.
     """
 
     def __init__(self, idx: ClosureIndex, inst_pairs=()):
         self.packages: tuple[Package, ...] = idx.packages
         self._ids = idx.ids
         self.num_package_atoms = len(self.packages)
-        self.inst_pairs: list[tuple[int, int]] = sorted(inst_pairs)
-        self.num_inst_atoms = len(self.inst_pairs)
+        self.inst_pairs: list[tuple[int, int]] = []
         self.contexts: dict[int, dict[int, int]] = {}
-        for atom, (context, member) in enumerate(
-                self.inst_pairs, start=self.num_package_atoms + 1):
-            self.contexts.setdefault(context, {})[member] = atom
+        self.track(sorted(inst_pairs))
 
     def __len__(self) -> int:
         return self.num_package_atoms + self.num_inst_atoms
+
+    @property
+    def num_inst_atoms(self) -> int:
+        return len(self.inst_pairs)
+
+    def track(self, inst_pairs: list[tuple[int, int]]):
+        """Number the (context, member) pairs, in their order, from the
+        next free atom on."""
+        contexts = self.contexts
+        for atom, (context, member) in enumerate(inst_pairs,
+                                                 start=len(self) + 1):
+            contexts.setdefault(context, {})[member] = atom
+        self.inst_pairs += inst_pairs
 
     def pkg(self, p: Package) -> int:
         return self._ids[p] + 1
@@ -115,9 +129,10 @@ class EncodedProblem:
     provenance.
 
     A clause's provenance is read from where it sits, not stored with it.
-    ``blocks`` lists each family block that ``build_encoding`` wrote
-    straight into ``hard`` as (family, start, stop); ``records`` maps the
-    position of each clause appended through ``add`` to its provenance.
+    ``blocks`` lists each family block that ``build_encoding`` and
+    ``track_contexts`` wrote straight into ``hard`` as (family, start,
+    stop); ``records`` maps the position of each clause appended through
+    ``add`` to its provenance.
     """
 
     encoding_id: str
@@ -333,34 +348,82 @@ def encoding_scheme(u: Universe, name: str) -> tuple[str, Scheme]:
     return encoding_id, scheme
 
 
+def _tracked_members(idx: ClosureIndex, scheme: Scheme, c: int
+                     ) -> list[int] | None:
+    """The members of context c under the scheme, as ascending ids, or
+    None when the scheme does not track c."""
+    if scheme.members is None:
+        return None
+    members = scheme.members(idx, c)  # [c] alone: no conflict
+    if scheme.conflicting_only and members == [c]:
+        return None
+    return members
+
+
 def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
-                   rules: PolicyRules | None = None) -> EncodedProblem:
+                   rules: PolicyRules | None = None, *,
+                   lazy: bool = False) -> EncodedProblem:
     """Encode u under the named scheme, after ``encoding_scheme``'s
     refusals; p2 only serves as a small-scale reference for the others.
 
     Clause order: uniqueness; the e, i, d and c families, each over the
     contexts in package order and the members in package order; policy.
+
+    With ``lazy`` no context is tracked yet: every package gets p1-style
+    dependency clauses, and ``track_contexts`` adds the contexts later.
     """
     encoding_id, scheme = encoding_scheme(u, name)
     if idx is None:
         idx = ClosureIndex(u)
-    pkgs = idx.packages
+    ids = range(len(idx.packages))
     inst_pairs = []
-    if scheme.members is not None:
-        for c in range(len(pkgs)):
-            members = scheme.members(idx, c)  # [c] alone: no conflict
-            if not scheme.conflicting_only or members != [c]:
-                inst_pairs += [(c, m) for m in members]
+    if not lazy:
+        for c in ids:
+            inst_pairs += [(c, m) for m in _tracked_members(idx, scheme, c)
+                           or ()]
     atoms = AtomTable(idx, inst_pairs)
-    contexts = atoms.contexts  # the tracked contexts, each with its members
     problem = EncodedProblem(encoding_id, atoms)
     uniqueness_clauses(problem)
+    _context_blocks(problem, idx, scheme, atoms.contexts, ids)
+    if rules is not None:
+        policy_clauses(rules, u, problem)
+    return problem
+
+
+def track_contexts(problem: EncodedProblem, idx: ClosureIndex,
+                   contexts: Iterable[int]) -> bool:
+    """Track each of the contexts (ids) as the problem's scheme does:
+    append their installation atoms and then their e, i, d and c blocks.
+    Their p1-style dependency clauses stay, as the tracked ones imply
+    them. False, and nothing changed, when the scheme does not track one
+    of them or the problem already does."""
+    scheme = SCHEMES[problem.encoding_id]
+    atoms = problem.atoms
+    new = {}
+    for c in sorted(contexts):
+        members = _tracked_members(idx, scheme, c)
+        if members is None or c in atoms.contexts:
+            return False
+        new[c] = members
+    atoms.track([(c, m) for c, members in new.items() for m in members])
+    _context_blocks(problem, idx, scheme,
+                    {c: atoms.contexts[c] for c in new}, new)
+    return True
+
+
+def _context_blocks(problem: EncodedProblem, idx: ClosureIndex,
+                    scheme: Scheme, contexts: dict[int, dict[int, int]],
+                    owners: Iterable[int]):
+    """Append one block each of e, i, d and c clauses: the e, i and c
+    clauses of the tracked ``contexts`` ({context: {member: atom}}), and
+    the d clauses of each of the ``owners`` (ascending ids), in its
+    tracked context or, when it has none in ``contexts``, p1-style."""
     # The e, i, d and c clauses are built already in normalize_clause's
     # form: sorted by variable, and package atoms (1..n) sort before
     # installation atoms (above n). All clauses share the int objects of
     # the package atoms. Each family is one block of ``hard``, whose
     # provenance ``Provenance`` reads back from the literals.
-    pkg_atom = list(range(1, len(pkgs) + 1))
+    pkg_atom = list(range(1, len(idx.packages) + 1))
     hard = problem.hard
     start = len(hard)
     for members in contexts.values():
@@ -380,7 +443,8 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     # context's e clause (p4, an easy c requiring itself); the block tells
     # them apart.
     start = len(hard)
-    for c, deps in enumerate(idx.deps):
+    for c in owners:
+        deps = idx.deps[c]
         members = contexts.get(c)
         if members is None:
             negated = -(c + 1)
@@ -417,9 +481,6 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
                 if b > a and b in members:
                     hard.append((-atom_a, -members[b]))
     problem.close_block("c", start)
-    if rules is not None:
-        policy_clauses(rules, u, problem)
-    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ model data, and renders reports, hints and non-migration explanations.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from . import encoder, repo, satcore
@@ -161,11 +162,11 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     return frozenset(current)
 
 
-def _solve(problem: EncodedProblem, timeout: float,
+def _solve(problem: EncodedProblem, timeout: float, budget: float,
            command: list[str] | None = None) -> satcore.SolveResult:
     """Solve the problem with the embedded solver, or with the external
-    command; raise when its hard clauses have no model or the budget runs
-    out."""
+    command, within ``timeout`` seconds of the run's ``budget``; raise
+    when its hard clauses have no model or the time runs out."""
     if command is None:
         result = satcore.solve_pmaxsat(problem.hard, problem.soft,
                                        num_vars=problem.num_vars,
@@ -178,37 +179,66 @@ def _solve(problem: EncodedProblem, timeout: float,
         raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
                          problem)
     if result.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut(f"solver exceeded {timeout}s")
+        raise SolveTimedOut(f"solver exceeded {budget}s")
     return result
 
 
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                     problem: EncodedProblem) -> MigrationResult:
-    """Solve the problem, check the solver's claims against a recount of
-    the soft clauses, decode the model, restore the shared packages and
-    re-verify the result from the raw model data. The result's warnings
-    are the solve's own."""
-    result = _solve(problem, req.budgets.pmax_timeout, req.solver_command)
-    recount = satcore.count_satisfied(problem.soft, result.true_atoms)
-    if result.satisfied_soft is not None and result.satisfied_soft != recount:
-        raise OptimumMismatch(
-            f"solver reported {result.satisfied_soft} satisfied soft clauses,"
-            f" recount says {recount}")
-    if result.claimed_cost is not None and \
-            len(problem.soft) - recount != result.claimed_cost:
-        raise OptimumMismatch(
-            f"solver claimed cost {result.claimed_cost}, recount implies"
-            f" {len(problem.soft) - recount}")
+    """Solve the problem by rounds, within one PMAX budget for them all.
+
+    Each round solves the problem, checks the solver's claims against a
+    recount of the soft clauses, decodes the model, restores the shared
+    packages and re-verifies the result from the raw model data. While a
+    member of the result is not installable, the round tracks the
+    contexts of every such member (``encoder.track_contexts``) and the
+    next round solves again. The result's warnings are the last round's.
+
+    The answer is the requested encoding's optimum. Every clause that a
+    round holds is one of the full instance's or implied by it, so each
+    round relaxes the full instance, and its optimum is at least the
+    true one. An answer that passes the check is admissible, and
+    restoring the shared packages changes no soft unit, so it attains
+    that optimum. The rounds end: a member that is not installable has a
+    conflict inside its closure, since every member meets each of its
+    disjunctions in the answer, so the full encoding tracks its context,
+    and a context that a round tracks installs its package. A round
+    whose hard clauses have no model shows that the full instance has
+    none either.
+    """
+    budget = req.budgets.pmax_timeout
+    start = time.monotonic()
+    timeout = budget
+    while True:
+        result = _solve(problem, timeout, budget, req.solver_command)
+        recount = satcore.count_satisfied(problem.soft, result.true_atoms)
+        if result.satisfied_soft is not None and \
+                result.satisfied_soft != recount:
+            raise OptimumMismatch(
+                f"solver reported {result.satisfied_soft} satisfied soft"
+                f" clauses, recount says {recount}")
+        if result.claimed_cost is not None and \
+                len(problem.soft) - recount != result.claimed_cost:
+            raise OptimumMismatch(
+                f"solver claimed cost {result.claimed_cost}, recount implies"
+                f" {len(problem.soft) - recount}")
+        t_prime = _restore_shared(
+            decode_solution(result.true_atoms, problem.atoms), u, req.policy,
+            idx)
+        verdict = repo.is_admissible(t_prime, u, req.policy, idx)
+        if verdict:
+            break
+        if verdict.kind != "trimmedness" or not encoder.track_contexts(
+                problem, idx, idx.id_set(verdict.subjects)):
+            raise VerificationFailed(
+                f"decoded repository failed verification: {verdict.detail}")
+        timeout = budget - (time.monotonic() - start)
+        if timeout <= 0:
+            raise SolveTimedOut(f"solver exceeded {budget}s")
     warnings = ()
     if result.status is SolveStatus.SAT:
         warnings = ("external solver returned a model without an"
                     " optimality claim",)
-    t_prime = _restore_shared(decode_solution(result.true_atoms, problem.atoms),
-                              u, req.policy, idx)
-    verdict = repo.is_admissible(t_prime, u, req.policy, idx)
-    if not verdict:
-        raise VerificationFailed(
-            f"decoded repository failed verification: {verdict.detail}")
     migrated_in = tuple(sorted(t_prime - u.testing, key=PACKAGE_ORDER))
     removed = tuple(sorted(u.testing - t_prime, key=PACKAGE_ORDER))
     return MigrationResult(
@@ -268,7 +298,7 @@ def _decide_in_closure(req: MigrationRequest, u: Universe):
     sub = repo.closure_universe(u, req.target)
     problem = encoder.build_encoding(sub, None, req.encoding)
     problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
-    _solve(problem, req.budgets.pmax_timeout)
+    _solve(problem, req.budgets.pmax_timeout, req.budgets.pmax_timeout)
 
 
 def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
@@ -278,7 +308,14 @@ def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
 def _solve_encoded(req: MigrationRequest, u: Universe
                    ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex]:
     """solve_migration, also returning the encoding it solved (objective
-    attached) and the closure index it built, for further solves.
+    attached, with the contexts its rounds tracked) and the closure index
+    it built, for further solves.
+
+    The solve starts from the lazy encoding (``encoder.build_encoding``),
+    which tracks no context, and ``_solve_verified`` adds contexts as its
+    rounds need them. When a round has no model, ``Unsolvable`` carries
+    the full instance, built then and not solved, with the objective
+    attached: its clauses are the ones a core names.
 
     Only a solved answer is checked against testing's assumptions: their
     violations come first among its warnings. A solve that raises runs no
@@ -286,9 +323,15 @@ def _solve_encoded(req: MigrationRequest, u: Universe
     if req.mode == "target" and req.policy is None and req.encoding != "p4":
         _decide_in_closure(req, u)
     idx = ClosureIndex(u)
-    problem = encoder.build_encoding(u, idx, req.encoding, req.policy)
+    problem = encoder.build_encoding(u, idx, req.encoding, req.policy,
+                                     lazy=True)
     attach_objective(req, u, problem)
-    result = _solve_verified(req, u, idx, problem)
+    try:
+        result = _solve_verified(req, u, idx, problem)
+    except Unsolvable as exc:
+        full = encoder.build_encoding(u, idx, req.encoding, req.policy)
+        attach_objective(req, u, full)
+        raise Unsolvable(str(exc), full) from None
     result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
                             for violation in repo.check_testing(u, idx)
                             ) + result.warnings
@@ -300,8 +343,9 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     """Diagnostic re-solving: exclude each found optimum with a blocking
     clause over the candidate package atoms, up to `limit` alternatives with
     the same objective value. Every alternative is solved and verified as
-    the first result is; the search stops at the first solve that finds no
-    model or runs out of time."""
+    the first result is, by rounds within a PMAX budget of its own, on the
+    problem with the contexts that earlier rounds tracked; the search stops
+    at the first solve that finds no model or runs out of time."""
     first, problem, idx = _solve_encoded(req, u)
     results = [first]
     candidates = sorted(abs(lit) for lit, in problem.soft)  # atom order

@@ -513,7 +513,9 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
                   idx: "ClosureIndex | None" = None) -> AdmissibilityVerdict:
     """Check Uniqueness, Trimmedness and the policy rules on a migration.
 
-    Reports the first witnessed violation in a deterministic order.
+    Reports the first witnessed violation in a deterministic order. A
+    trimmedness verdict's subjects are every member that is not
+    installable, in sorted order; its detail names the first.
     """
     chosen = frozenset(t_prime)
     if not chosen <= u.packages:
@@ -532,7 +534,7 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
     if broken:
         return AdmissibilityVerdict(
             False, "trimmedness", f"{broken[0]} is not installable",
-            (broken[0],))
+            tuple(broken))
     if policy is not None:
         violation = _policy_violation(chosen, policy)
         if violation is not None:

@@ -11,7 +11,7 @@ from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
                                 PolicyRules, UniverseTooLarge, UnknownPackage,
                                 build_encoding, instance_stats,
-                                soft_max, target_clause)
+                                soft_max, target_clause, track_contexts)
 from satmigrate.repo import make_universe
 from satmigrate.satcore import SolveStatus
 
@@ -572,6 +572,49 @@ def test_p1_and_p2_clauses_match_the_normalizing_generator():
             rng, random_universe(rng, max_size=10, dep_density=0.6,
                                  conflict_density=0.7), share=0.2)
         _assert_matches_normalized(u, ClosureIndex(u), "p2")
+
+
+def _by_ids(problem):
+    """Each hard clause with its literals named by ids, as (sign, package)
+    or (sign, context, member), paired with its provenance."""
+    n, pairs = problem.atoms.num_package_atoms, problem.atoms.inst_pairs
+
+    def name(lit):
+        var = abs(lit)
+        return (lit > 0, var - 1) if var <= n else (lit > 0, *pairs[var - n - 1])
+
+    return [(tuple(sorted(map(name, clause))), info)
+            for clause, info in zip(problem.hard, problem.info)]
+
+
+def test_tracking_contexts_later_gives_the_full_instance():
+    # a lazy build tracks no context; tracking, in two rounds, each context
+    # that the full build tracks gives the full instance's clauses, with
+    # their provenance, and keeps the first round's p1-style ones
+    rng = random.Random(113)
+    for _ in range(6):
+        u = _with_self_dependencies(
+            rng, clustered_universe(rng, rng.randint(60, 150),
+                                    conflicts=rng.randint(3, 30),
+                                    empty_dep_prob=0.05))
+        idx = ClosureIndex(u)
+        for name in ("p3", "p4", "p5-strict", "p5-pruned"):
+            full = build_encoding(u, idx, name)
+            lazy = build_encoding(u, idx, name, lazy=True)
+            first = _by_ids(lazy)
+            assert lazy.atoms.num_inst_atoms == 0
+            assert {info[0] for _, info in first} <= {"u", "d"}
+            contexts = sorted(full.atoms.contexts)
+            assert track_contexts(lazy, idx, contexts[1::2])
+            assert track_contexts(lazy, idx, contexts[::2])
+            assert not track_contexts(lazy, idx, contexts[:1])
+            clauses = _by_ids(lazy)
+            assert len(clauses) == len(set(clauses))
+            assert set(clauses) == set(_by_ids(full)) | set(first), name
+            assert lazy.atoms.num_inst_atoms == full.atoms.num_inst_atoms
+    untracked = next(c for c in range(len(idx.packages))
+                     if c not in full.atoms.contexts)  # p5-pruned's
+    assert not track_contexts(lazy, idx, [untracked])
 
 
 # -- provenance from position ------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import random
 import stat
 import sys
+import time
 
 import pytest
 
@@ -255,6 +256,173 @@ def test_alternative_optima_in_min_modes_match_the_oracle(mode):
             assert target is None or target in r.t_prime
         stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
     assert min(stopped.values()) > 0, stopped
+
+
+# -- solving by rounds --------------------------------------------------------------
+
+def _two_round_universe():
+    # x/2 needs both b/1 and c/1, which conflict: the first round, with
+    # no context tracked, takes x/2 in, and only its context shows that
+    # x/2 cannot be installed
+    return tiny_universe(["b/1", "c/1", "x/1", "x/2"],
+                         dep={"x/2": [["b/1"], ["c/1"]]},
+                         conflicts=[("b/1", "c/1")],
+                         testing=["b/1", "c/1", "x/1"],
+                         unstable=["b/1", "c/1", "x/2"])
+
+
+def test_rounds_share_one_pmax_deadline(monkeypatch):
+    u = _two_round_universe()
+    timeouts, elapsed = [], []
+    solve = satcore_mod.solve_pmaxsat
+
+    def timing(hard, soft, num_vars, timeout):
+        timeouts.append(timeout)
+        start = time.monotonic()
+        try:
+            return solve(hard, soft, num_vars=num_vars, timeout=timeout)
+        finally:
+            elapsed.append(time.monotonic() - start)
+
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", timing)
+    req = MigrationRequest(mode="max", budgets=Budgets(pmax_timeout=50.0))
+    result = solve_migration(req, u)
+    assert P("x/2") not in result.t_prime
+    assert len(timeouts) == 2
+    assert timeouts[0] == 50.0
+    assert timeouts[1] < 50.0 - elapsed[0]
+
+
+def test_a_round_after_the_deadline_times_out(monkeypatch, tmp_path, capsys):
+    # the first round outlasts the whole budget, so the second one may not
+    # start; the command exits 3
+    from satmigrate import cli
+
+    solve = satcore_mod.solve_pmaxsat
+    rounds = []
+
+    def slow(hard, soft, num_vars, timeout):
+        rounds.append(timeout)
+        time.sleep(0.3)
+        return solve(hard, soft, num_vars=num_vars, timeout=60.0)
+
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", slow)
+    with pytest.raises(SolveTimedOut):
+        solve_migration(MigrationRequest(
+            mode="max", budgets=Budgets(pmax_timeout=0.2)),
+            _two_round_universe())
+    assert rounds == [0.2]
+    rounds.clear()
+    def stanza(name, version, *fields):
+        return "\n".join((f"Package: {name}", f"Version: {version}",
+                          *fields)) + "\n\n"
+
+    shared = stanza("b", "1", "Conflicts: c") + stanza("c", "1")
+    testing, unstable = tmp_path / "testing", tmp_path / "unstable"
+    testing.write_text(shared + stanza("x", "1"))
+    unstable.write_text(shared + stanza("x", "2", "Depends: b, c"))
+    code = cli.main(["migrate", "--testing", str(testing), "--unstable",
+                     str(unstable), "--timeout", "0.2"])
+    assert code == cli.EXIT_TIMEOUT
+    assert capsys.readouterr().err == "timeout: solver exceeded 0.2s\n"
+    assert rounds == [0.2]
+
+
+def _full_optimum(req, u, idx):
+    """The optimum of the full encoding's instance, or None when its hard
+    clauses have no model."""
+    full = build_encoding(u, idx, req.encoding, req.policy)
+    engine.attach_objective(req, u, full)
+    result = satcore_mod.solve_pmaxsat(full.hard, full.soft,
+                                       num_vars=full.num_vars, timeout=60.0)
+    if result.status is satcore_mod.SolveStatus.UNSAT:
+        return None
+    assert result.status is satcore_mod.SolveStatus.OPTIMAL
+    return satcore_mod.count_satisfied(full.soft, result.true_atoms)
+
+
+def test_rounds_reach_the_full_instance_optimum():
+    # dense clusters, where the first round's answer often fails the check
+    rng = random.Random(109)
+    refined = {}
+    for _ in range(6):
+        size = rng.randint(50, 90)
+        u = clustered_universe(rng, size,
+                               conflicts=rng.randint(size // 6, size // 3),
+                               empty_dep_prob=0.05)
+        idx = ClosureIndex(u)
+        incoming = sorted(u.unstable - u.testing)
+        policy = PolicyRules(groups=[[(1, p) for p in incoming[:2]]])
+        for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
+            requests = [("max", MigrationRequest(encoding=encoding)),
+                        ("min", MigrationRequest(mode="min-nontrivial",
+                                                 encoding=encoding)),
+                        ("policy", MigrationRequest(encoding=encoding,
+                                                    policy=policy))]
+            requests += [("target", MigrationRequest(
+                mode="target", target=p, encoding=encoding))
+                for p in incoming[-2:]]
+            for case, req in requests:
+                expected = _full_optimum(req, u, idx)
+                try:
+                    result, problem, _ = engine._solve_encoded(req, u)
+                except Unsolvable:
+                    assert expected is None, (case, encoding)
+                    continue
+                assert result.optimum == expected, (case, encoding)
+                assert is_admissible(result.t_prime, u, req.policy, idx)
+                key = case, encoding
+                refined[key] = max(refined.get(key, 0),
+                                   problem.atoms.num_inst_atoms)
+    # each case took a second round somewhere: it tracked a context
+    assert len(refined) == 16 and min(refined.values()) > 0, refined
+
+
+def test_a_first_round_that_passes_tracks_no_context():
+    # a/2's closure holds the conflict of b/1 and c/1, so p5-pruned tracks
+    # its context; but a/2 installs with b/1 alone, and the first round's
+    # answer passes the check
+    u = tiny_universe(["a/1", "a/2", "b/1", "c/1"],
+                      dep={"a/2": [["b/1", "c/1"]]},
+                      conflicts=[("b/1", "c/1")],
+                      testing=["a/1", "b/1", "c/1"],
+                      unstable=["a/2", "b/1", "c/1"])
+    idx = ClosureIndex(u)
+    result, problem, _ = engine._solve_encoded(MigrationRequest(), u)
+    assert result.migrated_in == (P("a/2"),)
+    assert problem.atoms.num_inst_atoms == 0
+    assert problem.encoding_id == "p5-pruned"
+    assert build_encoding(u, idx, "p5-pruned").atoms.num_inst_atoms > 0
+
+
+def test_alternative_optima_in_max_mode_match_the_oracle():
+    # the alternatives are the optima's distinct projections onto the
+    # candidates, found by enumerating every admissible set, up to limit + 1
+    rng = random.Random(37)
+    stopped = {"limit": 0, "optima": 0}
+    refined = 0
+    for _ in range(150):
+        u = random_universe(rng, max_size=8, conflict_density=0.8)
+        candidates = (u.unstable - u.testing) | (u.testing - u.unstable)
+        changed = {}  # an admissible set's candidates -> how many change
+        for t in admissible_sets(u):
+            changed[t & candidates] = len((t ^ u.testing) & candidates)
+        most = max(changed.values())
+        optimal = {t for t, count in changed.items() if count == most}
+        limit = rng.randint(0, 2)
+        req = MigrationRequest()
+        results = alternative_optima(req, u, limit)
+        assert len(results) == min(limit + 1, len(optimal)), u
+        projections = {r.t_prime & candidates for r in results}
+        assert len(projections) == len(results)
+        assert projections <= optimal
+        for r in results:
+            assert r.verified and is_admissible(r.t_prime, u)
+            assert r.optimum == most
+        stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
+        refined += engine._solve_encoded(req, u)[1].atoms.num_inst_atoms > 0
+    assert min(stopped.values()) > 0, stopped
+    assert refined > 0
 
 
 # -- decode -----------------------------------------------------------------------
@@ -574,6 +742,21 @@ def test_explain_target_under_a_policy_explains_the_full_instance():
         "b/2 requires one of [nothing] in the repository",
         "policy group: +a/2 +b/2",
         "the migration of a/2 was requested")
+    # the failed solve's rounds track no context; the problem it raises
+    # with is the full instance, with the target clause
+    for target, encoding, rules in (("a/2", "p5", policy),
+                                    ("a/2", "p4", policy),
+                                    ("b/2", "p4", None)):
+        req = MigrationRequest(mode="target", target=P(target),
+                               encoding=encoding, policy=rules)
+        full = build_encoding(u, None, encoding, rules)
+        engine.attach_objective(req, u, full)
+        with pytest.raises(Unsolvable) as exc:
+            solve_migration(req, u)
+        assert exc.value.problem.hard == full.hard, (target, encoding)
+        assert list(exc.value.problem.info) == list(full.info)
+        assert engine.explain_target(req, u).facts == explain_non_migration(
+            P(target), full, TIMEOUT).facts, (target, encoding)
 
 
 @pytest.mark.parametrize("encoding,policy", [
