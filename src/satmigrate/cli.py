@@ -9,6 +9,9 @@ go to stderr and exit codes are fixed for scripting:
 failure; ``main`` maps each failure to its exit code and message, and
 argparse's usage errors exit 1 too, not 2, which means unsolvable.
 
+Every search of a command reads one deadline, ``--timeout`` seconds from
+``main``'s start; running past it exits 3.
+
 ``main`` may be called many times in one process; the parser is built
 by the first call. Start-up imports only what every command uses: a
 module that one path alone needs is imported on that path.
@@ -18,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from functools import cache
 from pathlib import Path
 
 from . import controlfile, encoder, engine, repo, satcore
 from .closure import ClosureIndex
 from .encoder import PolicyRules
-from .engine import Budgets, MigrationRequest
+from .engine import MigrationRequest
 from .repo import Package, Universe
 
 EXIT_OK = 0
@@ -33,11 +37,13 @@ EXIT_UNSOLVABLE = 2
 EXIT_TIMEOUT = 3
 EXIT_VIOLATIONS = 4
 
+DEFAULT_TIMEOUT = 300.0
+
 # Failures that every command reports as "error: ..." with exit 1;
 # main catches engine.Unsolvable and TIMEOUTS first.
 ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
           encoder.EncoderError, engine.EngineError, satcore.SatCoreError)
-# Running out of a time budget, reported as "timeout: ..." with exit 3;
+# Running past the command's deadline, reported as "timeout: ..." with exit 3;
 # caught before ERRORS, which holds their base classes.
 TIMEOUTS = (engine.SolveTimedOut, satcore.MusTimedOut,
             repo.InstallabilityTimedOut)
@@ -103,12 +109,9 @@ def _request_from_args(args, mode: str, target: Package | None = None) -> Migrat
     if args.solver:
         import shlex
         solver = shlex.split(args.solver)
-    budgets = Budgets()
-    if args.timeout is not None:
-        budgets = Budgets(sat_timeout=args.timeout, pmax_timeout=args.timeout)
     return MigrationRequest(mode=mode, target=target, encoding=args.encoding,
                             policy=policy, solver_command=solver,
-                            budgets=budgets)
+                            deadline=args.deadline)
 
 
 def _modeful_request(args) -> MigrationRequest:
@@ -179,12 +182,10 @@ def cmd_explain(args) -> int:
 
 def cmd_check(args) -> int:
     entries = []
-    timeout = (satcore.DEFAULT_SAT_TIMEOUT if args.timeout is None
-               else args.timeout)
     universe = _load_universe(args)
     idx = ClosureIndex(universe)
     testing = idx.id_set(universe.testing)
-    for violation in repo.check_testing(universe, idx):
+    for violation in repo.check_testing(universe, idx, args.deadline):
         entry = {"kind": violation.kind, "detail": violation.detail,
                  "packages": [str(p) for p in violation.subjects],
                  "explanation": None}
@@ -193,7 +194,7 @@ def cmd_check(args) -> int:
             clauses, info, ids = repo.installation_query(
                 target, testing.intersection(idx.closure(target)), idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),
-                                      timeout=timeout)
+                                      deadline=args.deadline)
             entry["explanation"] = [
                 engine.describe_clause(info[i], idx.packages)
                 for i in mus.core]
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["p1", "p3", "p4", "p5", "p5-strict", "p2-oracle"])
     common.add_argument("--policy", help="policy rules file")
     common.add_argument("--solver", help="external solver command")
-    common.add_argument("--timeout", type=float, help="solver budget in seconds")
+    common.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                        help="seconds for the whole command (default 300)")
     common.add_argument("--format", default="text", choices=["text", "structured"])
     modeful = _ArgumentParser(add_help=False)
     modeful.add_argument("--mode", default="max", choices=["max", "min", "target"])
@@ -343,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.timeout is not None and not args.timeout > 0:
+    if not args.timeout > 0:
         return _fail(f"--timeout must be positive, got {args.timeout}")
+    args.deadline = time.monotonic() + args.timeout
     try:
         return args.func(args)
     except engine.Unsolvable as exc:

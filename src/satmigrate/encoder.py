@@ -487,19 +487,13 @@ def _context_blocks(problem: EncodedProblem, idx: ClosureIndex,
 # Objectives
 
 
-def migration_candidates(u: Universe) -> tuple[list[Package], list[Package]]:
-    """(incoming, outgoing): unstable-only and testing-only packages."""
-    return (sorted(u.unstable - u.testing, key=PACKAGE_ORDER),
-            sorted(u.testing - u.unstable, key=PACKAGE_ORDER))
-
-
 def soft_max(u: Universe, atoms: AtomTable):
     """Soft units whose satisfied count is the number of changed candidates:
-    one positive unit per possible migration, one negative per possible
-    removal of an outdated package."""
-    incoming, outgoing = migration_candidates(u)
-    return ([(atoms.pkg(p),) for p in incoming] +
-            [(-atoms.pkg(p),) for p in outgoing])
+    one positive unit per possible migration (an unstable-only package),
+    one negative per possible removal of an outdated (testing-only) one."""
+    order = PACKAGE_ORDER
+    return ([(atoms.pkg(p),) for p in sorted(u.unstable - u.testing, key=order)] +
+            [(-atoms.pkg(p),) for p in sorted(u.testing - u.unstable, key=order)])
 
 
 def check_target(p: Package, u: Universe):

@@ -4,12 +4,16 @@ Builds the requested encoding and objective over a universe, solves with
 the embedded solver or an external executable, decodes the package atoms
 back into a candidate repository, re-verifies admissibility from the raw
 model data, and renders reports, hints and non-migration explanations.
+
+Every search made for a request (each closure decision, solve round,
+installability query and core extraction) reads its one ``deadline``.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
@@ -62,8 +66,8 @@ class OptimumMismatch(EngineError):
 
 @dataclass
 class Budgets:
-    sat_timeout: float = satcore.DEFAULT_SAT_TIMEOUT
-    pmax_timeout: float = satcore.DEFAULT_PMAX_TIMEOUT
+    """``bench/reference.py``'s budget: seconds from the request's creation."""
+    pmax_timeout: float
 
 
 @dataclass
@@ -73,9 +77,12 @@ class MigrationRequest:
     encoding: str = "p5-pruned"
     policy: PolicyRules | None = None
     solver_command: list[str] | None = None
-    budgets: Budgets = field(default_factory=Budgets)
+    deadline: float = math.inf
+    budgets: InitVar[Budgets | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, budgets):
+        if budgets is not None:
+            self.deadline = time.monotonic() + budgets.pmax_timeout
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "target" and self.target is None:
@@ -133,7 +140,8 @@ def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
 
 
 def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
-                    idx: ClosureIndex) -> frozenset[Package]:
+                    idx: ClosureIndex, deadline: float = math.inf
+                    ) -> frozenset[Package]:
     """Re-add dropped packages that carry no objective weight.
 
     Packages present in both repositories are invisible to every soft set,
@@ -152,7 +160,7 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
         if p.name in names:
             continue
         chosen.add(i)
-        if repo.installable_in(i, chosen, idx) and (
+        if repo.installable_in(i, chosen, idx, deadline) and (
                 policy is None
                 or repo.policy_satisfied(frozenset(current | {p}), policy)):
             current.add(p)
@@ -162,30 +170,30 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     return frozenset(current)
 
 
-def _solve(problem: EncodedProblem, timeout: float, budget: float,
+def _solve(problem: EncodedProblem, deadline: float,
            command: list[str] | None = None) -> satcore.SolveResult:
     """Solve the problem with the embedded solver, or with the external
-    command, within ``timeout`` seconds of the run's ``budget``; raise
-    when its hard clauses have no model or the time runs out."""
+    command, by ``deadline``; raise when its hard clauses have no model or
+    the time runs out."""
     if command is None:
         result = satcore.solve_pmaxsat(problem.hard, problem.soft,
                                        num_vars=problem.num_vars,
-                                       timeout=timeout)
+                                       deadline=deadline)
     else:
         result = satcore.run_external(command, problem.hard, problem.soft,
                                       num_vars=problem.num_vars, kind="wcnf",
-                                      timeout=timeout)
+                                      deadline=deadline)
     if result.status is SolveStatus.UNSAT:
         raise Unsolvable(f"hard clauses of {problem.encoding_id} are unsatisfiable",
                          problem)
     if result.status is SolveStatus.TIMEOUT:
-        raise SolveTimedOut(f"solver exceeded {budget}s")
+        raise SolveTimedOut("solver ran past the deadline")
     return result
 
 
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                     problem: EncodedProblem) -> MigrationResult:
-    """Solve the problem by rounds, within one PMAX budget for them all.
+    """Solve the problem by rounds, all by the request's deadline.
 
     Each round solves the problem, checks the solver's claims against a
     recount of the soft clauses, decodes the model, restores the shared
@@ -206,11 +214,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     whose hard clauses have no model shows that the full instance has
     none either.
     """
-    budget = req.budgets.pmax_timeout
-    start = time.monotonic()
-    timeout = budget
     while True:
-        result = _solve(problem, timeout, budget, req.solver_command)
+        result = _solve(problem, req.deadline, req.solver_command)
         recount = satcore.count_satisfied(problem.soft, result.true_atoms)
         if result.satisfied_soft is not None and \
                 result.satisfied_soft != recount:
@@ -224,17 +229,14 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                 f" {len(problem.soft) - recount}")
         t_prime = _restore_shared(
             decode_solution(result.true_atoms, problem.atoms), u, req.policy,
-            idx)
-        verdict = repo.is_admissible(t_prime, u, req.policy, idx)
+            idx, req.deadline)
+        verdict = repo.is_admissible(t_prime, u, req.policy, idx, req.deadline)
         if verdict:
             break
         if verdict.kind != "trimmedness" or not encoder.track_contexts(
                 problem, idx, idx.id_set(verdict.subjects)):
             raise VerificationFailed(
                 f"decoded repository failed verification: {verdict.detail}")
-        timeout = budget - (time.monotonic() - start)
-        if timeout <= 0:
-            raise SolveTimedOut(f"solver exceeded {budget}s")
     warnings = ()
     if result.status is SolveStatus.SAT:
         warnings = ("external solver returned a model without an"
@@ -290,15 +292,15 @@ def _decide_in_closure(req: MigrationRequest, u: Universe):
 
     The encoding's refusals and then p's candidacy are judged on the
     whole universe, as the full solve judges them. The slice is decided
-    by the embedded solver, whatever ``req.solver_command`` is, within
-    the PMAX budget, as every decision is.
+    by the embedded solver, whatever ``req.solver_command`` is, by the
+    request's deadline.
     """
     encoder.encoding_scheme(u, req.encoding)  # the refusals, on all of u
     encoder.check_target(req.target, u)
     sub = repo.closure_universe(u, req.target)
     problem = encoder.build_encoding(sub, None, req.encoding)
     problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
-    _solve(problem, req.budgets.pmax_timeout, req.budgets.pmax_timeout)
+    _solve(problem, req.deadline)
 
 
 def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
@@ -332,9 +334,9 @@ def _solve_encoded(req: MigrationRequest, u: Universe
         full = encoder.build_encoding(u, idx, req.encoding, req.policy)
         attach_objective(req, u, full)
         raise Unsolvable(str(exc), full) from None
+    violations = repo.check_testing(u, idx, req.deadline)
     result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
-                            for violation in repo.check_testing(u, idx)
-                            ) + result.warnings
+                            for violation in violations) + result.warnings
     return result, problem, idx
 
 
@@ -343,9 +345,9 @@ def alternative_optima(req: MigrationRequest, u: Universe,
     """Diagnostic re-solving: exclude each found optimum with a blocking
     clause over the candidate package atoms, up to `limit` alternatives with
     the same objective value. Every alternative is solved and verified as
-    the first result is, by rounds within a PMAX budget of its own, on the
+    the first result is, by rounds and by the same deadline, on the
     problem with the contexts that earlier rounds tracked; the search stops
-    at the first solve that finds no model or runs out of time."""
+    at the first alternative that has no model or runs out of time."""
     first, problem, idx = _solve_encoded(req, u)
     results = [first]
     candidates = sorted(abs(lit) for lit, in problem.soft)  # atom order
@@ -356,7 +358,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
                      for atom in candidates], ("blocking",))
         try:
             result = _solve_verified(req, u, idx, problem)
-        except (Unsolvable, SolveTimedOut):
+        except (Unsolvable, SolveTimedOut, repo.InstallabilityTimedOut):
             break
         if result.optimum != first.optimum:
             break
@@ -406,18 +408,18 @@ def describe_clause(info: tuple, packages: tuple[Package, ...]) -> str:
 
 
 def explain_non_migration(p: Package, problem: EncodedProblem,
-                          timeout: float) -> Explanation:
+                          deadline: float = math.inf) -> Explanation:
     """Minimal unsatisfiable core of ``problem``'s hard clauses, mapped back
     to domain statements via the clauses' provenance (``problem.info``).
 
     ``problem`` is an unsatisfiable encoding whose hard clauses end with
     p's target clause: the one a target-mode solve raised ``Unsolvable``
-    with, over p's closure or the whole universe; ``timeout`` bounds the
-    core extraction.
+    with, over p's closure or the whole universe; the core extraction
+    runs by ``deadline``.
     """
     try:
         mus = satcore.extract_mus(problem.hard, num_vars=problem.num_vars,
-                                  timeout=timeout)
+                                  deadline=deadline)
     except satcore.NotUnsat:
         raise ActuallySolvable(f"{p} migrates; nothing to explain") from None
     except satcore.MusTimedOut as exc:
@@ -436,8 +438,7 @@ def explain_target(req: MigrationRequest, u: Universe
     try:
         return solve_migration(req, u)
     except Unsolvable as exc:
-        return explain_non_migration(req.target, exc.problem,
-                                     req.budgets.sat_timeout)
+        return explain_non_migration(req.target, exc.problem, req.deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ over closure(p) ∩ testing instead of closure(p) ∩ live.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +77,7 @@ class RepoError(Exception):
 
 
 class InstallabilityTimedOut(RepoError):
-    """An installability query ran out of its time budget."""
+    """An installability query (step 4) ran past its deadline."""
 
 
 class DuplicateIdentity(RepoError):
@@ -388,13 +389,13 @@ def installation_query(p: int, members: Iterable[int], idx: "ClosureIndex"):
 
 
 def _installation_by_query(p: int, r: set[int], live: set[int],
-                           idx: "ClosureIndex") -> set[int]:
+                           idx: "ClosureIndex", deadline: float) -> set[int]:
     """Step 4 of the module docstring: one SAT query over the live members
     of p's closure. Returns its witness, checked, or an empty set when the
     query is UNSAT."""
     clauses, _, ids = installation_query(
         p, live.intersection(idx.closure(p)), idx)
-    result = satcore.solve_sat(clauses, num_vars=len(ids))
+    result = satcore.solve_sat(clauses, num_vars=len(ids), deadline=deadline)
     if result.status is satcore.SolveStatus.TIMEOUT:
         raise InstallabilityTimedOut(
             f"installability query for {idx.packages[p]} timed out")
@@ -404,7 +405,7 @@ def _installation_by_query(p: int, r: set[int], live: set[int],
 
 
 def _installation(p: int, r: set[int], live: set[int],
-                  idx: "ClosureIndex") -> set[int]:
+                  idx: "ClosureIndex", deadline: float) -> set[int]:
     """An installation of p inside live, by steps 2–4 of the module
     docstring, or an empty set when p has none. live must be the fixpoint
     of step 1 over a subset of r that holds p's closure ∩ r."""
@@ -413,10 +414,10 @@ def _installation(p: int, r: set[int], live: set[int],
     witness = _greedy_installation(p, live, idx)
     if witness:
         return _checked(witness, p, r, idx)
-    return _installation_by_query(p, r, live, idx)
+    return _installation_by_query(p, r, live, idx, deadline)
 
 
-def installable_ids(r: set[int], idx: "ClosureIndex") -> set[int]:
+def installable_ids(r: set[int], idx: "ClosureIndex", deadline: float) -> set[int]:
     """The members of r (a set of idx's ids) that are installable in r, by
     the steps of the module docstring. Packages are visited largest
     closure first, and every installation found marks all its members."""
@@ -425,15 +426,16 @@ def installable_ids(r: set[int], idx: "ClosureIndex") -> set[int]:
     found: set[int] = set()
     for p in sorted(live, key=lambda q: (-len(closure(q)), q)):
         if p not in found:
-            found |= _installation(p, r, live, idx)
+            found |= _installation(p, r, live, idx, deadline)
     return found
 
 
-def installable_in(p: int, r: set[int], idx: "ClosureIndex") -> bool:
+def installable_in(p: int, r: set[int], idx: "ClosureIndex",
+                   deadline: float) -> bool:
     """Whether p, a member of r, is installable in r: the steps of the
     module docstring over closure(p) ∩ r alone."""
     live = _live(r.intersection(idx.closure(p)), idx)
-    return p in live and bool(_installation(p, r, live, idx))
+    return p in live and bool(_installation(p, r, live, idx, deadline))
 
 
 def _index(u: Universe, idx: "ClosureIndex | None") -> "ClosureIndex":
@@ -451,16 +453,17 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
     i, members = idx.ids.get(p), idx.id_set(r)
     if i not in members:
         raise ValueError("need p ∈ r ⊆ packages")
-    return installable_in(i, members, idx)
+    return installable_in(i, members, idx, math.inf)
 
 
 def uninstallable(r: Iterable[Package], u: Universe,
-                  idx: "ClosureIndex | None" = None) -> list[Package]:
+                  idx: "ClosureIndex | None" = None,
+                  deadline: float = math.inf) -> list[Package]:
     """The members of r that are not installable in r, in sorted order."""
     idx = _index(u, idx)
     members = idx.id_set(r)
     return [idx.packages[i]
-            for i in sorted(members - installable_ids(members, idx))]
+            for i in sorted(members - installable_ids(members, idx, deadline))]
 
 
 @dataclass(frozen=True)
@@ -510,7 +513,8 @@ def policy_satisfied(t_prime: frozenset[Package],
 
 def is_admissible(t_prime: Iterable[Package], u: Universe,
                   policy: "PolicyRules | None" = None,
-                  idx: "ClosureIndex | None" = None) -> AdmissibilityVerdict:
+                  idx: "ClosureIndex | None" = None,
+                  deadline: float = math.inf) -> AdmissibilityVerdict:
     """Check Uniqueness, Trimmedness and the policy rules on a migration.
 
     Reports the first witnessed violation in a deterministic order. A
@@ -530,7 +534,7 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
                 f"name {p.name} occurs twice: {seen[p.name]} and {p}",
                 (seen[p.name], p))
         seen[p.name] = p
-    broken = uninstallable(chosen, u, idx)
+    broken = uninstallable(chosen, u, idx, deadline)
     if broken:
         return AdmissibilityVerdict(
             False, "trimmedness", f"{broken[0]} is not installable",
@@ -542,8 +546,8 @@ def is_admissible(t_prime: Iterable[Package], u: Universe,
     return AdmissibilityVerdict(True)
 
 
-def check_testing(u: Universe, idx: "ClosureIndex | None" = None
-                  ) -> list[AdmissibilityVerdict]:
+def check_testing(u: Universe, idx: "ClosureIndex | None" = None,
+                  deadline: float = math.inf) -> list[AdmissibilityVerdict]:
     """All uniqueness/trimmedness defects of the incoming testing repository."""
     idx = _index(u, idx)
     violations = []
@@ -557,7 +561,7 @@ def check_testing(u: Universe, idx: "ClosureIndex | None" = None
                 False, "uniqueness",
                 f"name {name} occurs {len(group)} times in testing",
                 tuple(group)))
-    for p in uninstallable(u.testing, u, idx):
+    for p in uninstallable(u.testing, u, idx, deadline):
         violations.append(AdmissibilityVerdict(
             False, "trimmedness", f"{p} is not installable in testing", (p,)))
     return violations

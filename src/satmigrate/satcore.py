@@ -17,11 +17,16 @@ Every entry point takes ``num_vars``, the atom table's size: an atom in
 no clause still counts in a DIMACS header and may be true in a model.
 The solvers read clauses as given: in any order, with duplicate literals
 or both signs of a variable.
+
+Every search takes ``deadline``, a ``time.monotonic()`` value (``math.inf``,
+the default, sets no limit), and answers ``TIMEOUT`` once the clock passes
+it: at once, without a step, when it starts after it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -31,8 +36,6 @@ from operator import neg
 from pathlib import Path
 
 
-DEFAULT_SAT_TIMEOUT = 60.0
-DEFAULT_PMAX_TIMEOUT = 300.0
 # the longest wait, in seconds, that subprocess.run can poll for: its
 # selector takes at most 2**31 - 1 ms, about 24.8 days
 _LONGEST_WAIT = (2**31 - 1) / 1000
@@ -54,7 +57,7 @@ class NotUnsat(SatCoreError):
 
 
 class MusTimedOut(SatCoreError):
-    """MUS extraction ran out of its time budget."""
+    """MUS extraction ran past its deadline."""
 
 
 class SolverCrashed(SatCoreError):
@@ -176,7 +179,8 @@ class DpllSolver:
     phases follow the soft units' polarity, true where a variable has none.
     Assumptions are the first decisions, so clauses learned under them
     hold for every later call. Everything is deterministic: identical
-    calls yield identical models.
+    calls yield identical models. A call reads the clock before its first
+    step and every 256 steps after.
 
     ``required_soft`` is a native constraint over the soft unit literals:
     when more soft weight is falsified than the bound allows, the clause of
@@ -449,7 +453,7 @@ class DpllSolver:
         return 0
 
     def solve(self, assumptions=(), required_soft: int = 0,
-              timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
+              deadline: float = math.inf) -> SolveResult:
         n = self.num_vars
         bound = max(required_soft, 0)
         if bound < self.bound:
@@ -457,7 +461,6 @@ class DpllSolver:
                              f" call's {self.bound}: the bound may only rise")
         assumptions = tuple(assumptions)
         _checked_variables((), n, assumptions)
-        deadline = time.monotonic() + timeout
         self.bound = bound
         self.value = [0] * (2 * n + 2)
         self.level = [0] * (n + 1)
@@ -492,7 +495,7 @@ class DpllSolver:
         restart_count = since_restart = steps = 0
         while True:
             steps += 1
-            if steps % 256 == 0 and time.monotonic() > deadline:
+            if steps % 256 == 1 and time.monotonic() >= deadline:
                 return SolveResult(SolveStatus.TIMEOUT)
             conflict = propagate()
             if conflict is not None:
@@ -540,11 +543,10 @@ class DpllSolver:
             trail.append(lit)
 
 
-def solve_sat(hard, num_vars: int,
-              timeout: float = DEFAULT_SAT_TIMEOUT) -> SolveResult:
+def solve_sat(hard, num_vars: int, deadline: float = math.inf) -> SolveResult:
     """Decide satisfiability of the hard clauses with the embedded solver."""
     hard = list(hard)
-    result = DpllSolver(num_vars, hard).solve(timeout=timeout)
+    result = DpllSolver(num_vars, hard).solve(deadline=deadline)
     if result.status is SolveStatus.SAT and \
             not verify_model(hard, result.true_atoms):
         raise SatCoreError("internal error: model failed re-verification")
@@ -552,7 +554,7 @@ def solve_sat(hard, num_vars: int,
 
 
 def solve_pmaxsat(hard, soft, num_vars: int,
-                  timeout: float = DEFAULT_PMAX_TIMEOUT) -> SolveResult:
+                  deadline: float = math.inf) -> SolveResult:
     """Maximize the number of satisfied soft unit clauses.
 
     Linear search: find any solution, then repeatedly re-solve demanding at
@@ -566,18 +568,14 @@ def solve_pmaxsat(hard, soft, num_vars: int,
     for clause in soft:
         if len(clause) != 1:
             raise ValueError("soft clauses must be unit clauses")
-    deadline = time.monotonic() + timeout
     solver = DpllSolver(num_vars, hard, soft_literals=[c[0] for c in soft])
-    best = solver.solve(timeout=timeout)
+    best = solver.solve(deadline=deadline)
     if best.status is not SolveStatus.SAT:
         return best
     best_count = count_satisfied(soft, best.true_atoms)
     total = len(soft)
     while best_count < total:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return SolveResult(SolveStatus.TIMEOUT)
-        attempt = solver.solve(required_soft=best_count + 1, timeout=remaining)
+        attempt = solver.solve(required_soft=best_count + 1, deadline=deadline)
         if attempt.status is SolveStatus.TIMEOUT:
             return attempt
         if attempt.status is SolveStatus.UNSAT:
@@ -652,7 +650,7 @@ def model_autarky(clauses, true_atoms) -> set[int]:
 
 
 def extract_mus(hard, num_vars: int,
-                timeout: float = DEFAULT_SAT_TIMEOUT) -> MusResult:
+                deadline: float = math.inf) -> MusResult:
     """Deletion-based minimal unsatisfiable subset of an UNSAT clause set.
 
     Walks the core in clause order and tries to drop the next ``step``
@@ -685,11 +683,9 @@ def extract_mus(hard, num_vars: int,
     removes, so it is UNSAT exactly when the full instance is), and the
     returned core is re-verified: it is UNSAT (pruning drops clauses without
     a solver call), and removing any single clause makes it satisfiable.
-    ``timeout`` is one deadline for the whole extraction.
     """
     hard = [tuple(c) for c in hard]
     _checked_variables(hard, num_vars)
-    deadline = time.monotonic() + timeout
 
     def solve(indices):
         clauses = [hard[i] for i in indices]
@@ -698,12 +694,8 @@ def extract_mus(hard, num_vars: int,
         k = len(variables)
         dense = dict(zip(variables, range(1, k + 1)))
         dense.update(zip(map(neg, variables), range(-1, -k - 1, -1)))
-        remaining = deadline - time.monotonic()
-        result = SolveResult(SolveStatus.TIMEOUT)
-        if remaining > 0:
-            result = solve_sat([tuple(map(dense.__getitem__, c))
-                                for c in clauses],
-                               num_vars=k, timeout=remaining)
+        result = solve_sat([tuple(map(dense.__getitem__, c)) for c in clauses],
+                           num_vars=k, deadline=deadline)
         if result.status is SolveStatus.TIMEOUT:
             raise MusTimedOut("timeout during core minimization")
         if result.status is SolveStatus.SAT:
@@ -788,15 +780,15 @@ def emit_dimacs(hard, soft=None, *, num_vars: int,
 
 
 def run_external(command, hard, soft=None, *, num_vars: int,
-                 kind: str = "cnf", timeout: float = 600.0) -> SolveResult:
+                 kind: str = "cnf", deadline: float = math.inf) -> SolveResult:
     """Run an external solver on the instance and re-verify its answer.
 
     The solver is invoked as ``command... instance-path`` and its stdout is
     parsed for competition-style ``s``/``v``/``o`` lines, where each value
     is a literal of 1..num_vars or 0; the exit code is ignored. Returned
     models are checked against every hard clause, and the satisfied-soft
-    count is always recomputed here rather than trusted. A ``timeout``
-    beyond about 24.8 days, ``inf`` included, sets no limit.
+    count is always recomputed here rather than trusted. No process starts
+    after the deadline, and over about 24.8 days left sets it no limit.
     """
     import subprocess  # only this adapter needs them: not at start-up
     import tempfile
@@ -808,10 +800,13 @@ def run_external(command, hard, soft=None, *, num_vars: int,
         handle.write(payload)
         path = handle.name
     try:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return SolveResult(SolveStatus.TIMEOUT)
         try:
             proc = subprocess.run(
                 list(command) + [path], capture_output=True, text=True,
-                timeout=timeout if timeout < _LONGEST_WAIT else None)
+                timeout=remaining if remaining < _LONGEST_WAIT else None)
         except OSError as exc:
             raise SolverCrashed(f"cannot run {command!r}: {exc}") from exc
         except subprocess.TimeoutExpired:

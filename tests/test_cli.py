@@ -6,11 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from satmigrate.cli import (EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
+from satmigrate.cli import (DEFAULT_TIMEOUT, EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
                             EXIT_UNSOLVABLE, EXIT_VIOLATIONS, load_policy,
                             main)
 from satmigrate.repo import Package
@@ -475,7 +476,7 @@ def test_migrate_rejects_a_bad_external_value_line(repos, capsys, tmp_path,
 def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):
     import satmigrate.satcore as satcore_mod
 
-    def fake_mus(hard, num_vars=None, timeout=None):
+    def fake_mus(hard, num_vars=None, deadline=None):
         raise satcore_mod.SatCoreError("timeout during core minimization")
 
     monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
@@ -485,7 +486,7 @@ def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):
     assert "error: timeout during core minimization" in capsys.readouterr().err
 
 
-def _raise_mus_timeout(hard, num_vars=None, timeout=None):
+def _raise_mus_timeout(hard, num_vars=None, deadline=None):
     import satmigrate.satcore as satcore_mod
     raise satcore_mod.MusTimedOut("timeout during core minimization")
 
@@ -513,19 +514,56 @@ def test_explain_core_extraction_timeout_exit_code(repos, capsys, monkeypatch):
 def test_check_passes_timeout_to_core_extraction(repos, capsys, monkeypatch):
     import satmigrate.satcore as satcore_mod
 
-    budgets = []
+    # the core's deadline is the command's: --timeout seconds, or the
+    # default, from main's start
+    deadlines = []
     original = satcore_mod.extract_mus
 
-    def recording(hard, num_vars=None, timeout=None):
-        budgets.append(timeout)
-        return original(hard, num_vars=num_vars, timeout=timeout)
+    def recording(hard, num_vars=None, deadline=None):
+        deadlines.append(deadline)
+        return original(hard, num_vars=num_vars, deadline=deadline)
 
     monkeypatch.setattr(satcore_mod, "extract_mus", recording)
     broken = "Package: a\nVersion: 1\nDepends: nosuch\n\n"
-    assert main(["check", *repos(broken, ""), "--timeout", "7.5"]) == \
-        EXIT_VIOLATIONS
-    assert main(["check", *repos(broken, "")]) == EXIT_VIOLATIONS
-    assert budgets == [7.5, satcore_mod.DEFAULT_SAT_TIMEOUT]
+    for flag, seconds in ((["--timeout", "7.5"], 7.5), ([], DEFAULT_TIMEOUT)):
+        deadlines.clear()
+        before = time.monotonic()
+        assert main(["check", *repos(broken, ""), *flag]) == EXIT_VIOLATIONS
+        after = time.monotonic()
+        assert len(deadlines) == 1, flag
+        assert before + seconds <= deadlines[0] <= after + seconds, flag
+
+
+def test_blocked_explain_decides_and_explains_by_one_deadline(
+        repos, capsys, monkeypatch):
+    # a/2 is decided on its closure, then explained; both searches read
+    # the command's one deadline
+    import satmigrate.satcore as satcore_mod
+
+    searches = []
+    solve, extract = satcore_mod.solve_pmaxsat, satcore_mod.extract_mus
+
+    def solving(hard, soft, num_vars, deadline):
+        searches.append(("decision", deadline))
+        return solve(hard, soft, num_vars=num_vars, deadline=deadline)
+
+    def extracting(hard, num_vars, deadline):
+        searches.append(("core", deadline))
+        return extract(hard, num_vars=num_vars, deadline=deadline)
+
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", solving)
+    monkeypatch.setattr(satcore_mod, "extract_mus", extracting)
+    unstable = "Package: a\nVersion: 2\nDepends: nosuch\n\n"
+    before = time.monotonic()
+    code = main(["explain", *repos(UPGRADE_TESTING, unstable), "a/2",
+                 "--timeout", "7.5"])
+    after = time.monotonic()
+    assert code == EXIT_OK
+    assert "a/2 cannot migrate" in capsys.readouterr().out
+    assert [kind for kind, _ in searches] == ["decision", "core"]
+    (_, decided), (_, cored) = searches
+    assert decided == cored
+    assert before + 7.5 <= decided <= after + 7.5
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -836,7 +874,7 @@ def _timed_out_solve_sat(monkeypatch):
     import satmigrate.satcore as satcore_mod
     calls = []
 
-    def timed_out(hard, num_vars, timeout=None):
+    def timed_out(hard, num_vars, deadline=None):
         calls.append(num_vars)
         return satcore_mod.SolveResult(satcore_mod.SolveStatus.TIMEOUT)
 
@@ -854,6 +892,30 @@ def test_installability_timeout_exit_code(repos, capsys, monkeypatch,
     assert code == EXIT_TIMEOUT
     assert capsys.readouterr().err == \
         "timeout: installability query for a/1 timed out\n"
+
+
+@pytest.mark.parametrize("command", [["migrate"],
+                                     ["migrate", "--all-deltas", "2"],
+                                     ["check"]])
+def test_installability_queries_take_the_commands_deadline(
+        repos, capsys, monkeypatch, command):
+    import satmigrate.satcore as satcore_mod
+
+    deadlines = []
+    original = satcore_mod.solve_sat
+
+    def recording(hard, num_vars, deadline):
+        deadlines.append(deadline)
+        return original(hard, num_vars, deadline=deadline)
+
+    monkeypatch.setattr(satcore_mod, "solve_sat", recording)
+    before = time.monotonic()
+    code = main([command[0], *repos(DEAD_END_TESTING, UPGRADE_UNSTABLE),
+                 *command[1:], "--timeout", "7.5"])
+    after = time.monotonic()
+    assert code == EXIT_OK
+    assert deadlines and len(set(deadlines)) == 1, deadlines
+    assert before + 7.5 <= deadlines[0] <= after + 7.5
 
 
 @pytest.mark.parametrize("command", [["migrate"], ["explain", "a/2"],

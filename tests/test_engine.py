@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import stat
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +203,45 @@ def test_alternative_optima_reports_equal_count_alternatives():
         frozenset({P("a/2")}), frozenset({P("a/3")})}
 
 
+def test_alternative_optima_solves_by_the_first_solves_deadline(monkeypatch):
+    deadlines = []
+    solve = satcore_mod.solve_pmaxsat
+
+    def recording(hard, soft, num_vars, deadline):
+        deadlines.append(deadline)
+        return solve(hard, soft, num_vars=num_vars, deadline=deadline)
+
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", recording)
+    u = tiny_universe(["a/1", "a/2", "a/3"], testing=["a/1"],
+                      unstable=["a/2", "a/3"])
+    deadline = time.monotonic() + 600.0
+    results = alternative_optima(
+        MigrationRequest(mode="max", deadline=deadline), u, 5)
+    # the first solve, its one alternative, and the solve that finds none
+    assert len(results) == 2
+    assert deadlines == [deadline] * 3
+
+
+def test_alternative_optima_stop_at_an_installability_timeout(monkeypatch):
+    # the first answer is verified; the alternative's verification runs
+    # out of time, which ends the list as a solve that runs out does
+    verify = repo.is_admissible
+    verified = []
+
+    def verify_once(*args, **kwargs):
+        verified.append(args[0])
+        if len(verified) > 1:
+            raise repo.InstallabilityTimedOut("out of time")
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(repo, "is_admissible", verify_once)
+    u = tiny_universe(["a/1", "a/2", "a/3"], testing=["a/1"],
+                      unstable=["a/2", "a/3"])
+    results = alternative_optima(MigrationRequest(mode="max"), u, 5)
+    assert len(verified) == 2
+    assert [r.t_prime for r in results] == [verified[0]]
+
+
 def test_alternative_optima_builds_the_encoding_once(monkeypatch):
     from satmigrate import encoder
 
@@ -271,48 +312,51 @@ def _two_round_universe():
                          unstable=["b/1", "c/1", "x/2"])
 
 
-def test_rounds_share_one_pmax_deadline(monkeypatch):
-    u = _two_round_universe()
-    timeouts, elapsed = [], []
+def _recording_rounds(monkeypatch) -> list:
+    """Record the deadline of every solve_pmaxsat call; returns the list."""
+    deadlines = []
     solve = satcore_mod.solve_pmaxsat
 
-    def timing(hard, soft, num_vars, timeout):
-        timeouts.append(timeout)
-        start = time.monotonic()
-        try:
-            return solve(hard, soft, num_vars=num_vars, timeout=timeout)
-        finally:
-            elapsed.append(time.monotonic() - start)
+    def recording(hard, soft, num_vars, deadline):
+        deadlines.append(deadline)
+        return solve(hard, soft, num_vars=num_vars, deadline=deadline)
 
-    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", timing)
-    req = MigrationRequest(mode="max", budgets=Budgets(pmax_timeout=50.0))
-    result = solve_migration(req, u)
+    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", recording)
+    return deadlines
+
+
+def test_rounds_share_one_pmax_deadline(monkeypatch):
+    u = _two_round_universe()
+    deadlines = _recording_rounds(monkeypatch)
+    deadline = time.monotonic() + 50.0
+    result = solve_migration(MigrationRequest(mode="max", deadline=deadline), u)
     assert P("x/2") not in result.t_prime
-    assert len(timeouts) == 2
-    assert timeouts[0] == 50.0
-    assert timeouts[1] < 50.0 - elapsed[0]
+    assert deadlines == [deadline, deadline]
 
 
 def test_a_round_after_the_deadline_times_out(monkeypatch, tmp_path, capsys):
-    # the first round outlasts the whole budget, so the second one may not
-    # start; the command exits 3
+    # the solver's clock passes the deadline once the first round is
+    # verified, so the second round does no search; the command exits 3
     from satmigrate import cli
 
-    solve = satcore_mod.solve_pmaxsat
-    rounds = []
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(satcore_mod, "time",
+                        SimpleNamespace(monotonic=lambda: clock.now))
+    verify = repo.is_admissible
 
-    def slow(hard, soft, num_vars, timeout):
-        rounds.append(timeout)
-        time.sleep(0.3)
-        return solve(hard, soft, num_vars=num_vars, timeout=60.0)
+    def verify_then_expire(*args, **kwargs):
+        verdict = verify(*args, **kwargs)
+        clock.now = math.inf
+        return verdict
 
-    monkeypatch.setattr(satcore_mod, "solve_pmaxsat", slow)
+    monkeypatch.setattr(repo, "is_admissible", verify_then_expire)
+    rounds = _recording_rounds(monkeypatch)
     with pytest.raises(SolveTimedOut):
-        solve_migration(MigrationRequest(
-            mode="max", budgets=Budgets(pmax_timeout=0.2)),
-            _two_round_universe())
-    assert rounds == [0.2]
+        solve_migration(MigrationRequest(mode="max", deadline=5.0),
+                        _two_round_universe())
+    assert rounds == [5.0, 5.0]
     rounds.clear()
+    clock.now = 0.0
     def stanza(name, version, *fields):
         return "\n".join((f"Package: {name}", f"Version: {version}",
                           *fields)) + "\n\n"
@@ -324,8 +368,9 @@ def test_a_round_after_the_deadline_times_out(monkeypatch, tmp_path, capsys):
     code = cli.main(["migrate", "--testing", str(testing), "--unstable",
                      str(unstable), "--timeout", "0.2"])
     assert code == cli.EXIT_TIMEOUT
-    assert capsys.readouterr().err == "timeout: solver exceeded 0.2s\n"
-    assert rounds == [0.2]
+    assert capsys.readouterr().err == \
+        "timeout: solver ran past the deadline\n"
+    assert len(rounds) == 2 and rounds[0] == rounds[1]
 
 
 def _full_optimum(req, u, idx):
@@ -334,7 +379,8 @@ def _full_optimum(req, u, idx):
     full = build_encoding(u, idx, req.encoding, req.policy)
     engine.attach_objective(req, u, full)
     result = satcore_mod.solve_pmaxsat(full.hard, full.soft,
-                                       num_vars=full.num_vars, timeout=60.0)
+                                       num_vars=full.num_vars,
+                                       deadline=time.monotonic() + 60.0)
     if result.status is satcore_mod.SolveStatus.UNSAT:
         return None
     assert result.status is satcore_mod.SolveStatus.OPTIMAL
@@ -444,7 +490,7 @@ def test_decode_ignores_inst_atoms():
 
 # -- explanations ------------------------------------------------------------------
 
-TIMEOUT = Budgets().sat_timeout
+DEADLINE = math.inf
 
 
 def _blocked(u, p):
@@ -458,7 +504,7 @@ def test_explanation_cites_empty_disjunction():
     u = tiny_universe(["a/1", "a/2"], dep={"a/2": [[]]},
                       testing=["a/1"], unstable=["a/2"])
     explanation = explain_non_migration(P("a/2"), _blocked(u, P("a/2")),
-                                        TIMEOUT)
+                                        DEADLINE)
     assert any("a/2 requires one of [nothing]" in fact
                for fact in explanation.facts)
     assert any("migration of a/2 was requested" in fact
@@ -475,7 +521,7 @@ def test_explanation_names_conflict_pair_and_context():
         conflicts=[("n/1", "k/1")],
         testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
     explanation = explain_non_migration(P("p/2"), _blocked(u, P("p/2")),
-                                        TIMEOUT)
+                                        DEADLINE)
     assert any("k/1 conflicts with n/1 (installation for p/2)" in fact
                for fact in explanation.facts)
     assert any("migration of p/2 was requested" in fact
@@ -489,7 +535,7 @@ def test_explanation_core_equals_one_by_one_deletion():
         conflicts=[("n/1", "k/1")],
         testing=["p/1"], unstable=["p/2", "n/1", "k/1"])
     problem = _blocked(u, P("p/2"))
-    explanation = explain_non_migration(P("p/2"), problem, TIMEOUT)
+    explanation = explain_non_migration(P("p/2"), problem, DEADLINE)
     assert explanation.core == deletion_mus(problem.hard,
                                             num_vars=problem.num_vars)
     assert explanation.facts == (
@@ -532,7 +578,7 @@ def test_explanation_core_equals_one_by_one_deletion_mid_scale():
 
 
 def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
-    def fake_mus(hard, num_vars=None, timeout=None):
+    def fake_mus(hard, num_vars=None, deadline=None):
         raise satcore_mod.MusTimedOut("timeout during core minimization")
 
     monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
@@ -540,7 +586,7 @@ def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
                       testing=["a/1"], unstable=["a/2"])
     problem = _blocked(u, P("a/2"))
     with pytest.raises(SolveTimedOut, match="core minimization"):
-        explain_non_migration(P("a/2"), problem, TIMEOUT)
+        explain_non_migration(P("a/2"), problem, DEADLINE)
 
 
 def test_provenance_golden_text():
@@ -611,7 +657,7 @@ def test_explaining_migratable_package_raises():
     problem = build_encoding(u, None, req.encoding)
     engine.attach_objective(req, u, problem)
     with pytest.raises(ActuallySolvable):
-        explain_non_migration(P("a/2"), problem, TIMEOUT)
+        explain_non_migration(P("a/2"), problem, DEADLINE)
 
 
 # -- explanations from the target's closure -------------------------------------
@@ -665,8 +711,8 @@ def _check_closure_slice(u, p, encoding):
             if all(set(literal[1:]) <= inside for literal in clause)]
         if blocked:
             assert _named_clauses(decided) == _named_clauses(sliced)
-            assert explain_non_migration(p, decided, TIMEOUT).facts == \
-                explain_non_migration(p, full, TIMEOUT).facts, (p, encoding)
+            assert explain_non_migration(p, decided, DEADLINE).facts == \
+                explain_non_migration(p, full, DEADLINE).facts, (p, encoding)
     return blocked
 
 
@@ -702,7 +748,7 @@ def test_explain_target_gives_the_full_instance_core_mid_scale():
                 req = MigrationRequest(mode="target", target=p,
                                        encoding=encoding)
                 assert engine.explain_target(req, u).facts == \
-                    explain_non_migration(p, full, TIMEOUT).facts, (p, encoding)
+                    explain_non_migration(p, full, DEADLINE).facts, (p, encoding)
                 blocked[encoding] += 1
     assert min(blocked.values()) >= 40, blocked
 
@@ -756,7 +802,7 @@ def test_explain_target_under_a_policy_explains_the_full_instance():
         assert exc.value.problem.hard == full.hard, (target, encoding)
         assert list(exc.value.problem.info) == list(full.info)
         assert engine.explain_target(req, u).facts == explain_non_migration(
-            P(target), full, TIMEOUT).facts, (target, encoding)
+            P(target), full, DEADLINE).facts, (target, encoding)
 
 
 @pytest.mark.parametrize("encoding,policy", [
@@ -777,8 +823,7 @@ def test_both_entry_points_refuse_a_target_that_is_no_candidate(encoding,
             assert str(exc.value) == message, (entry_point, target)
 
 
-def test_decisions_take_the_pmax_budget_and_cores_the_sat_budget(
-        monkeypatch):
+def test_decisions_and_cores_take_the_requests_deadline(monkeypatch):
     # a/2 needs b/2, which cannot migrate; c/2 migrates
     u = tiny_universe(["a/1", "a/2", "b/2", "c/1", "c/2"],
                       dep={"a/2": [["b/2"]], "b/2": [[]]},
@@ -787,28 +832,28 @@ def test_decisions_take_the_pmax_budget_and_cores_the_sat_budget(
     cored = []
     solve, extract = satcore_mod.solve_pmaxsat, satcore_mod.extract_mus
 
-    def solving(hard, soft, num_vars, timeout):
-        decided.append(timeout)
-        return solve(hard, soft, num_vars=num_vars, timeout=timeout)
+    def solving(hard, soft, num_vars, deadline):
+        decided.append(deadline)
+        return solve(hard, soft, num_vars=num_vars, deadline=deadline)
 
-    def extracting(hard, num_vars, timeout):
-        cored.append(timeout)
-        return extract(hard, num_vars=num_vars, timeout=timeout)
+    def extracting(hard, num_vars, deadline):
+        cored.append(deadline)
+        return extract(hard, num_vars=num_vars, deadline=deadline)
 
     monkeypatch.setattr(satcore_mod, "solve_pmaxsat", solving)
     monkeypatch.setattr(satcore_mod, "extract_mus", extracting)
-    budgets = Budgets(sat_timeout=7.0, pmax_timeout=9.0)
+    deadline = time.monotonic() + 600.0
     for target, encoding, decisions in (("a/2", "p5", 1), ("a/2", "p4", 1),
                                         ("c/2", "p5", 2)):
         decided.clear()
         cored.clear()
         req = MigrationRequest(mode="target", target=P(target),
-                               encoding=encoding, budgets=budgets)
+                               encoding=encoding, deadline=deadline)
         answer = engine.explain_target(req, u)
         blocked = isinstance(answer, engine.Explanation)
         assert blocked == (target == "a/2")
-        assert decided == [9.0] * decisions, (target, encoding)
-        assert cored == ([7.0] if blocked else []), (target, encoding)
+        assert decided == [deadline] * decisions, (target, encoding)
+        assert cored == ([deadline] if blocked else []), (target, encoding)
 
 
 # -- hints / reports ----------------------------------------------------------------

@@ -441,7 +441,7 @@ def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
     # model installs p alone
     u = tiny_universe(**GREEDY_DEAD_END)
 
-    def fake_solve_sat(hard, num_vars, timeout=None):
+    def fake_solve_sat(hard, num_vars, deadline=None):
         return satcore.SolveResult(satcore.SolveStatus.SAT,
                                    true_atoms=frozenset({1}))
 
@@ -453,7 +453,7 @@ def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
 def test_pass_timeout_raises_installability_timeout(monkeypatch):
     u = tiny_universe(**GREEDY_DEAD_END)
 
-    def timed_out(hard, num_vars, timeout=None):
+    def timed_out(hard, num_vars, deadline=None):
         return satcore.SolveResult(satcore.SolveStatus.TIMEOUT)
 
     monkeypatch.setattr(satcore, "solve_sat", timed_out)

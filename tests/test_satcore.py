@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import stat
 import sys
+import time
 
 import pytest
 
@@ -571,23 +573,39 @@ def test_autarky_on_a_kept_clause_is_an_internal_error(monkeypatch):
 
 
 def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
-    budgets = []
+    deadlines = []
     original = satcore_mod.solve_sat
 
-    def recording(*args, timeout, **kwargs):
-        budgets.append(timeout)
-        return original(*args, timeout=timeout, **kwargs)
+    def recording(*args, deadline, **kwargs):
+        deadlines.append(deadline)
+        return original(*args, deadline=deadline, **kwargs)
 
     monkeypatch.setattr(satcore_mod, "solve_sat", recording)
-    extract_mus(_sparse_core_instance(), num_vars=51, timeout=30.0)
-    # each trial gets what is left of the one deadline, not a fresh 30 s
-    assert len(budgets) > 2 and budgets[0] <= 30.0
-    assert all(a > b for a, b in zip(budgets, budgets[1:]))
+    deadline = time.monotonic() + 30.0
+    extract_mus(_sparse_core_instance(), num_vars=51, deadline=deadline)
+    # each trial reads the one deadline, not a fresh 30 s
+    assert len(deadlines) > 2 and set(deadlines) == {deadline}
 
 
 def test_mus_with_exhausted_budget_raises_timeout():
     with pytest.raises(MusTimedOut):
-        extract_mus([(1,), (-1,)], num_vars=1, timeout=0.0)
+        extract_mus([(1,), (-1,)], num_vars=1, deadline=time.monotonic())
+
+
+def test_a_solve_that_starts_after_its_deadline_does_no_search():
+    # without a clock read before the first step, these small instances
+    # were solved whatever the deadline
+    past = time.monotonic() - 5.0
+    assert solve_pmaxsat([(1, 2)], [(1,), (2,)], num_vars=2,
+                         deadline=past).status is SolveStatus.TIMEOUT
+    assert solve_sat([(1, 2)], num_vars=2,
+                     deadline=time.monotonic()).status is SolveStatus.TIMEOUT
+    solver = DpllSolver(2, [(1, 2)])
+    assert solver.solve(deadline=past).status is SolveStatus.TIMEOUT
+    assert (solver.decisions, solver.propagations) == (0, 0)
+    assert solver.solve().status is SolveStatus.SAT
+    assert solve_pmaxsat([(1, 2)], [(1,), (2,)], num_vars=2,
+                         deadline=math.inf).status is SolveStatus.OPTIMAL
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -798,6 +816,19 @@ def test_external_bad_value_line_is_unparsable(tmp_path, values):
 def test_external_missing_binary():
     with pytest.raises(SolverCrashed):
         run_external(["/nonexistent/solver"], [(1,)], num_vars=1)
+
+
+def test_external_solver_is_not_started_after_its_deadline(tmp_path):
+    started = tmp_path / "started"
+    cmd = _fake_solver(tmp_path, "marker.py",
+                       f"open({str(started)!r}, 'w').close()\n"
+                       "print('s UNSATISFIABLE')\n")
+    result = run_external(cmd, [(1,)], num_vars=1, deadline=time.monotonic())
+    assert result.status is SolveStatus.TIMEOUT
+    assert not started.exists()
+    assert run_external(cmd, [(1,)], num_vars=1,
+                        deadline=math.inf).status is SolveStatus.UNSAT
+    assert started.exists()
 
 
 def test_external_exit_code_ignored(tmp_path):
