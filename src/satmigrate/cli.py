@@ -184,7 +184,7 @@ def cmd_check(args) -> int:
     entries = []
     universe = _load_universe(args)
     idx = ClosureIndex(universe)
-    testing = idx.id_set(universe.testing)
+    testing = universe.testing_ids
     for violation in repo.check_testing(universe, idx, args.deadline):
         entry = {"kind": violation.kind, "detail": violation.detail,
                  "packages": [str(p) for p in violation.subjects],
@@ -249,7 +249,7 @@ def cmd_stats(args) -> int:
            for i in sorted(ids, key=lambda i: -sizes[i])[:5]]
     if args.format == "structured":
         _print_structured({
-            "packages": len(universe.packages),
+            "packages": len(idx.packages),
             "easy": len(idx.easy_ids),
             "closure_size_distribution": closure_dist,
             "connecting_size_distribution": connecting_dist,
@@ -257,7 +257,7 @@ def cmd_stats(args) -> int:
             "encodings": rows,
         })
         return EXIT_OK
-    print(f"packages: {len(universe.packages)}")
+    print(f"packages: {len(idx.packages)}")
     print(f"easy packages: {len(idx.easy_ids)}")
     print("closure sizes: min {min} median {median} max {max}".format(**closure_dist))
     print("connecting sizes: min {min} median {median} max {max}".format(

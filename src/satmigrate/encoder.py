@@ -31,7 +31,7 @@ from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex
-from .repo import PACKAGE_ORDER, Package, Universe, policy_rule_text
+from .repo import Package, Universe, policy_rule_text
 
 DEFAULT_P2_BOUND = 10
 
@@ -342,8 +342,8 @@ def encoding_scheme(u: Universe, name: str) -> tuple[str, Scheme]:
         raise ValueError(f"unknown encoding {name!r}")
     if scheme.members is None and u.conflict_pairs:
         raise ConflictsPresent("p1 requires a conflict-free universe")
-    if encoding_id == "p2" and len(u.packages) > DEFAULT_P2_BOUND:
-        raise UniverseTooLarge(f"{len(u.packages)} packages exceed the p2 "
+    if encoding_id == "p2" and len(u.order) > DEFAULT_P2_BOUND:
+        raise UniverseTooLarge(f"{len(u.order)} packages exceed the p2 "
                                f"bound {DEFAULT_P2_BOUND}")
     return encoding_id, scheme
 
@@ -487,13 +487,13 @@ def _context_blocks(problem: EncodedProblem, idx: ClosureIndex,
 # Objectives
 
 
-def soft_max(u: Universe, atoms: AtomTable):
+def soft_max(u: Universe):
     """Soft units whose satisfied count is the number of changed candidates:
     one positive unit per possible migration (an unstable-only package),
     one negative per possible removal of an outdated (testing-only) one."""
-    order = PACKAGE_ORDER
-    return ([(atoms.pkg(p),) for p in sorted(u.unstable - u.testing, key=order)] +
-            [(-atoms.pkg(p),) for p in sorted(u.testing - u.unstable, key=order)])
+    testing, unstable = u.testing_ids, u.unstable_ids
+    return ([(i + 1,) for i in sorted(unstable - testing)] +
+            [(-(i + 1),) for i in sorted(testing - unstable)])
 
 
 def check_target(p: Package, u: Universe):

@@ -4,6 +4,8 @@ Builds the requested encoding and objective over a universe, solves with
 the embedded solver or an external executable, decodes the package atoms
 back into a candidate repository, re-verifies admissibility from the raw
 model data, and renders reports, hints and non-migration explanations.
+T′ is a set of ``ClosureIndex`` ids from the decode to the report:
+Packages appear only in parsed input, reports and explanations.
 
 Every search made for a request (each closure decision, solve round,
 installability query and core extraction) reads its one ``deadline``.
@@ -119,7 +121,7 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
     ``encoder.soft_max``'s units in max mode; their disjunction, the
     nontriviality clause, in min-nontrivial mode and the target clause in
     target mode, each with the units inverted."""
-    units = encoder.soft_max(u, problem.atoms)
+    units = encoder.soft_max(u)
     if req.mode == "max":
         problem.soft = units
         return
@@ -132,16 +134,16 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
     problem.soft = [(-lit,) for lit, in units]
 
 
-def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[Package]:
-    """Project an assignment onto the package atoms; installation atoms are
-    ignored."""
-    return frozenset(p for i, p in enumerate(atoms.packages, start=1)
-                     if i in true_atoms)
+def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[int]:
+    """Project an assignment onto the package atoms, as package ids;
+    installation atoms are ignored."""
+    n = atoms.num_package_atoms
+    return frozenset(atom - 1 for atom in true_atoms if atom <= n)
 
 
-def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
+def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
                     idx: ClosureIndex, deadline: float = math.inf
-                    ) -> frozenset[Package]:
+                    ) -> frozenset[int]:
     """Re-add dropped packages that carry no objective weight.
 
     Packages present in both repositories are invisible to every soft set,
@@ -150,24 +152,23 @@ def _restore_shared(t_prime: frozenset[Package], u: Universe, policy,
     installability of everything already chosen (growing a repository never
     invalidates an installation witness), so only the package's own
     installability (``repo.installable_in``), uniqueness and the policy
-    need re-checking.
+    need re-checking. T′ and the answer are sets of idx's ids.
     """
-    current = set(t_prime)
-    chosen = idx.id_set(t_prime)
-    names = {p.name for p in current}
-    for i in sorted(idx.id_set(u.testing & u.unstable) - chosen):
-        p = idx.packages[i]
-        if p.name in names:
+    packages = idx.packages
+    chosen = set(t_prime)
+    names = {packages[i].name for i in chosen}
+    for i in sorted((u.testing_ids & u.unstable_ids) - chosen):
+        name = packages[i].name
+        if name in names:
             continue
         chosen.add(i)
         if repo.installable_in(i, chosen, idx, deadline) and (
-                policy is None
-                or repo.policy_satisfied(frozenset(current | {p}), policy)):
-            current.add(p)
-            names.add(p.name)
+                policy is None or repo.policy_satisfied(
+                    repo.policy_members(chosen, policy, idx), policy)):
+            names.add(name)
         else:
             chosen.remove(i)
-    return frozenset(current)
+    return frozenset(chosen)
 
 
 def _solve(problem: EncodedProblem, deadline: float,
@@ -201,6 +202,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     member of the result is not installable, the round tracks the
     contexts of every such member (``encoder.track_contexts``) and the
     next round solves again. The result's warnings are the last round's.
+    T′ stays ids: Packages appear only in reports, a verdict's and, built
+    once from the ids, the ``MigrationResult``'s, in id order.
 
     The answer is the requested encoding's optimum. Every clause that a
     round holds is one of the full instance's or implied by it, so each
@@ -227,10 +230,10 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
             raise OptimumMismatch(
                 f"solver claimed cost {result.claimed_cost}, recount implies"
                 f" {len(problem.soft) - recount}")
-        t_prime = _restore_shared(
+        chosen = _restore_shared(
             decode_solution(result.true_atoms, problem.atoms), u, req.policy,
             idx, req.deadline)
-        verdict = repo.is_admissible(t_prime, u, req.policy, idx, req.deadline)
+        verdict = repo.is_admissible(chosen, idx, req.policy, req.deadline)
         if verdict:
             break
         if verdict.kind != "trimmedness" or not encoder.track_contexts(
@@ -241,10 +244,11 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     if result.status is SolveStatus.SAT:
         warnings = ("external solver returned a model without an"
                     " optimality claim",)
-    migrated_in = tuple(sorted(t_prime - u.testing, key=PACKAGE_ORDER))
-    removed = tuple(sorted(u.testing - t_prime, key=PACKAGE_ORDER))
+    packages = idx.packages.__getitem__
+    migrated_in = tuple(map(packages, sorted(chosen - u.testing_ids)))
+    removed = tuple(map(packages, sorted(u.testing_ids - chosen)))
     return MigrationResult(
-        t_prime=t_prime,
+        t_prime=frozenset(map(packages, chosen)),
         migrated_in=migrated_in,
         removed=removed,
         delta=len(migrated_in) + len(removed),

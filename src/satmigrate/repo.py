@@ -8,10 +8,11 @@ exhaustive and SAT, live with the tests, in ``tests/oracle.py``.
 ``build_universe`` is where packages are interned, once per load: it
 sorts the (name, version) keys, builds each ``Package`` once, and expands
 each distinct constraint once, straight into ids. The ``Universe`` holds
-the resulting id tables; ``ClosureIndex`` reads them as they are, and
-the Package-level views ``Universe.dep`` and ``Universe.conflicts`` are
-built only when read. ``closure_universe`` cuts a universe down to one
-package's closure, with the same tables over fewer ids.
+the resulting id tables, repositories included; ``ClosureIndex`` reads
+them as they are, and their Package-level views are built only when
+read. ``closure_universe`` cuts a universe down to one package's
+closure, with the same tables over fewer ids. The checks take ids too:
+Packages appear only in parsed input, reports and explanations.
 
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ``ClosureIndex`` ids, in four exact
@@ -111,31 +112,40 @@ PACKAGE_ORDER = attrgetter("name", "version")
 class Universe:
     """The package world B = testing ∪ unstable with expanded relations.
 
-    The relations are id tables: a package's id is its position in
-    ``order``, the packages sorted by (name, version). ``deps[i]`` holds
-    i's distinct dependency disjunctions, fewest members first and then by
-    their ids, each as its members' ids, ascending; one of them must be
-    installed alongside i, and an empty one marks i uninstallable.
-    ``conflict_pairs`` holds each conflict once, as (a, b) with a < b,
-    ascending.
+    The repositories and relations are id tables: a package's id is its
+    position in ``order``, the packages sorted by (name, version).
+    ``deps[i]`` holds i's distinct dependency disjunctions, fewest members
+    first and then by their ids, each as its members' ids, ascending; one
+    of them must be installed alongside i, and an empty one marks i
+    uninstallable. ``conflict_pairs`` holds each conflict once, as (a, b)
+    with a < b, ascending.
 
-    ``dep`` and ``conflicts`` show the same relations on Packages: ``dep``
-    maps each package to its disjunctions as frozensets, in the same
-    order, and ``conflicts`` is the symmetric, irreflexive set of ordered
-    pairs. They are derived on first read, for the tests and the oracles
-    in ``tests/oracle.py``; the runtime reads the tables, through
+    ``testing``, ``unstable``, ``packages``, ``dep`` and ``conflicts``
+    show the same data on Packages: ``dep`` maps each package to its
+    disjunctions as frozensets, in the same order, and ``conflicts`` is
+    the symmetric, irreflexive set of ordered pairs. They are derived on
+    first read, for parsed input, the tests and the oracles in
+    ``tests/oracle.py``; the runtime reads the tables, through
     ``ClosureIndex``.
     """
 
     order: tuple[Package, ...]
     deps: tuple[tuple[tuple[int, ...], ...], ...]
     conflict_pairs: tuple[tuple[int, int], ...]
-    testing: frozenset[Package]
-    unstable: frozenset[Package]
+    testing_ids: frozenset[int]
+    unstable_ids: frozenset[int]
+
+    @cached_property
+    def testing(self) -> frozenset[Package]:
+        return frozenset(map(self.order.__getitem__, self.testing_ids))
+
+    @cached_property
+    def unstable(self) -> frozenset[Package]:
+        return frozenset(map(self.order.__getitem__, self.unstable_ids))
 
     @cached_property
     def packages(self) -> frozenset[Package]:
-        return self.testing | self.unstable
+        return frozenset(self.order)
 
     @cached_property
     def dep(self) -> Mapping[Package, tuple[frozenset[Package], ...]]:
@@ -192,7 +202,9 @@ def make_universe(packages: Iterable[Package],
         if a != b:
             pairs.add(tuple(sorted((ids[a], ids[b]))))
     return Universe(order=order, deps=tuple(deps),
-                    conflict_pairs=tuple(sorted(pairs)), testing=t, unstable=u)
+                    conflict_pairs=tuple(sorted(pairs)),
+                    testing_ids=frozenset(map(ids.__getitem__, t)),
+                    unstable_ids=frozenset(map(ids.__getitem__, u)))
 
 
 def _stanza_signature(stanza: PackageStanza) -> tuple:
@@ -261,12 +273,12 @@ def build_universe(testing: list[PackageStanza],
             for j in expand(constraint):
                 if j != i:
                     pairs.add((i, j) if i < j else (j, i))
-    order = tuple(Package(name, version) for name, version in keys)
-    package_of = dict(zip(keys, order))
-    t, u = (frozenset(map(package_of.__getitem__, repo_keys))
+    id_of = {key: i for i, key in enumerate(keys)}
+    t, u = (frozenset(map(id_of.__getitem__, repo_keys))
             for repo_keys in keys_in)
-    return Universe(order=order, deps=tuple(deps),
-                    conflict_pairs=tuple(sorted(pairs)), testing=t, unstable=u)
+    return Universe(order=tuple(Package(name, version) for name, version in keys),
+                    deps=tuple(deps), conflict_pairs=tuple(sorted(pairs)),
+                    testing_ids=t, unstable_ids=u)
 
 
 def closure_universe(u: Universe, p: Package) -> Universe:
@@ -288,16 +300,15 @@ def closure_universe(u: Universe, p: Package) -> Universe:
                     todo.append(q)
     kept = sorted(seen)
     renumber = {old: new for new, old in enumerate(kept)}.__getitem__
-    members = tuple(map(order.__getitem__, kept))
-    inside = frozenset(members)
     return Universe(
-        order=members,
+        order=tuple(map(order.__getitem__, kept)),
         deps=tuple(tuple(tuple(map(renumber, targets)) for targets in deps[i])
                    for i in kept),
         conflict_pairs=tuple((renumber(a), renumber(b))
                              for a, b in u.conflict_pairs
                              if a in seen and b in seen),
-        testing=u.testing & inside, unstable=u.unstable & inside)
+        testing_ids=frozenset(map(renumber, u.testing_ids & seen)),
+        unstable_ids=frozenset(map(renumber, u.unstable_ids & seen)))
 
 
 def _has_conflict(members: set[int], idx: "ClosureIndex") -> bool:
@@ -438,32 +449,13 @@ def installable_in(p: int, r: set[int], idx: "ClosureIndex",
     return p in live and bool(_installation(p, r, live, idx, deadline))
 
 
-def _index(u: Universe, idx: "ClosureIndex | None") -> "ClosureIndex":
-    """idx, or a fresh index of u when it is None."""
-    if idx is None:
-        from .closure import ClosureIndex  # closure imports this module
-        idx = ClosureIndex(u)
-    return idx
-
-
-def is_installable(p: Package, r: Iterable[Package], u: Universe,
-                   idx: "ClosureIndex | None" = None) -> bool:
+def is_installable(p: Package, r: Iterable[Package], idx: "ClosureIndex"
+                   ) -> bool:
     """Whether p, a member of r, is installable in r, by ``installable_in``."""
-    idx = _index(u, idx)
     i, members = idx.ids.get(p), idx.id_set(r)
     if i not in members:
         raise ValueError("need p ∈ r ⊆ packages")
     return installable_in(i, members, idx, math.inf)
-
-
-def uninstallable(r: Iterable[Package], u: Universe,
-                  idx: "ClosureIndex | None" = None,
-                  deadline: float = math.inf) -> list[Package]:
-    """The members of r that are not installable in r, in sorted order."""
-    idx = _index(u, idx)
-    members = idx.id_set(r)
-    return [idx.packages[i]
-            for i in sorted(members - installable_ids(members, idx, deadline))]
 
 
 @dataclass(frozen=True)
@@ -477,10 +469,6 @@ class AdmissibilityVerdict:
         return self.ok
 
 
-def _policy_literal_true(sign: int, pkg: Package, t_prime: frozenset[Package]) -> bool:
-    return (pkg in t_prime) if sign > 0 else (pkg not in t_prime)
-
-
 def policy_rule_text(rule) -> str:
     """A policy group or clause as its signed literals, e.g. "+a/1 -b/2"."""
     return " ".join(f"{'+' if sign > 0 else '-'}{pkg}" for sign, pkg in rule)
@@ -491,15 +479,12 @@ def _policy_violation(t_prime: frozenset[Package], policy: "PolicyRules"
     """The verdict on the first policy rule t_prime breaks, groups before
     clauses, or None when it keeps them all."""
     for group in policy.groups:
-        values = {_policy_literal_true(sign, pkg, t_prime)
-                  for sign, pkg in group}
-        if len(values) > 1:
+        if len({(pkg in t_prime) == (sign > 0) for sign, pkg in group}) > 1:
             return AdmissibilityVerdict(
                 False, "policy", "group not all-or-none: " +
                 policy_rule_text(group), tuple(pkg for _, pkg in group))
     for clause in policy.extra_clauses:
-        if not any(_policy_literal_true(sign, pkg, t_prime)
-                   for sign, pkg in clause):
+        if not any((pkg in t_prime) == (sign > 0) for sign, pkg in clause):
             return AdmissibilityVerdict(
                 False, "policy", "clause unsatisfied: " +
                 policy_rule_text(clause), tuple(pkg for _, pkg in clause))
@@ -511,49 +496,54 @@ def policy_satisfied(t_prime: frozenset[Package],
     return policy is None or _policy_violation(t_prime, policy) is None
 
 
-def is_admissible(t_prime: Iterable[Package], u: Universe,
+def policy_members(chosen: set[int], policy: "PolicyRules",
+                   idx: "ClosureIndex") -> frozenset[Package]:
+    """The members of chosen (ids) that the policy names: all it reads."""
+    return frozenset(p for p in policy.referenced() if idx.ids.get(p) in chosen)
+
+
+def is_admissible(chosen: set[int], idx: "ClosureIndex",
                   policy: "PolicyRules | None" = None,
-                  idx: "ClosureIndex | None" = None,
                   deadline: float = math.inf) -> AdmissibilityVerdict:
-    """Check Uniqueness, Trimmedness and the policy rules on a migration.
+    """Check Uniqueness, Trimmedness and the policy rules on a migration,
+    a set of idx's ids.
 
     Reports the first witnessed violation in a deterministic order. A
     trimmedness verdict's subjects are every member that is not
     installable, in sorted order; its detail names the first.
     """
-    chosen = frozenset(t_prime)
-    if not chosen <= u.packages:
+    packages = idx.packages
+    if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
-    idx = _index(u, idx)
     seen: dict[str, Package] = {}
-    for i in sorted(idx.id_set(chosen)):
-        p = idx.packages[i]
+    for i in sorted(chosen):
+        p = packages[i]
         if p.name in seen:
             return AdmissibilityVerdict(
                 False, "uniqueness",
                 f"name {p.name} occurs twice: {seen[p.name]} and {p}",
                 (seen[p.name], p))
         seen[p.name] = p
-    broken = uninstallable(chosen, u, idx, deadline)
+    broken = sorted(chosen - installable_ids(chosen, idx, deadline))
     if broken:
         return AdmissibilityVerdict(
-            False, "trimmedness", f"{broken[0]} is not installable",
-            tuple(broken))
+            False, "trimmedness", f"{packages[broken[0]]} is not installable",
+            tuple(map(packages.__getitem__, broken)))
     if policy is not None:
-        violation = _policy_violation(chosen, policy)
+        violation = _policy_violation(policy_members(chosen, policy, idx),
+                                      policy)
         if violation is not None:
             return violation
     return AdmissibilityVerdict(True)
 
 
-def check_testing(u: Universe, idx: "ClosureIndex | None" = None,
+def check_testing(u: Universe, idx: "ClosureIndex",
                   deadline: float = math.inf) -> list[AdmissibilityVerdict]:
     """All uniqueness/trimmedness defects of the incoming testing repository."""
-    idx = _index(u, idx)
+    packages, testing = idx.packages, u.testing_ids
     violations = []
     by_name: dict[str, list[Package]] = {}
-    for i in sorted(idx.id_set(u.testing)):  # ids ascend in name order
-        p = idx.packages[i]
+    for p in map(packages.__getitem__, sorted(testing)):  # in name order
         by_name.setdefault(p.name, []).append(p)
     for name, group in by_name.items():
         if len(group) > 1:
@@ -561,7 +551,8 @@ def check_testing(u: Universe, idx: "ClosureIndex | None" = None,
                 False, "uniqueness",
                 f"name {name} occurs {len(group)} times in testing",
                 tuple(group)))
-    for p in uninstallable(u.testing, u, idx, deadline):
+    for i in sorted(testing - installable_ids(testing, idx, deadline)):
+        p = packages[i]
         violations.append(AdmissibilityVerdict(
             False, "trimmedness", f"{p} is not installable in testing", (p,)))
     return violations

@@ -234,7 +234,7 @@ def test_p5_tracks_conflicting_alternatives_and_blocks_package():
 def test_soft_max_units():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = build_encoding(u, None, "p1")
-    soft = soft_max(u, problem.atoms)
+    soft = soft_max(u)
     assert soft == [(problem.atoms.pkg(P("a/2")),),
                     (-problem.atoms.pkg(P("a/1")),)]
 
@@ -242,14 +242,14 @@ def test_soft_max_units():
 def test_soft_max_empty_when_repositories_equal():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p1")
-    assert soft_max(u, problem.atoms) == []
+    assert soft_max(u) == []
 
 
 def test_soft_max_set_differences():
     u = tiny_universe(["a/1", "a/2", "b/1"], testing=["a/1", "b/1"],
                       unstable=["a/2", "b/1"])
     problem = build_encoding(u, None, "p1")
-    soft = soft_max(u, problem.atoms)
+    soft = soft_max(u)
     assert soft == [(problem.atoms.pkg(P("a/2")),),
                     (-problem.atoms.pkg(P("a/1")),)]
 
@@ -406,10 +406,10 @@ def test_trivial_migration_extends_for_every_encoding():
     for _ in range(40):
         u = random_universe(rng, max_size=6, conflict_density=0.5)
         from satmigrate.repo import is_admissible
-        if not is_admissible(u.testing, u).ok:
+        idx = ClosureIndex(u)
+        if not is_admissible(u.testing_ids, idx).ok:
             continue
         found += 1
-        idx = ClosureIndex(u)
         pkgs = list(u.order)
         mask = sum(1 << i for i, p in enumerate(pkgs) if p in u.testing)
         for problem in _all_encodings(u, idx):
@@ -425,7 +425,7 @@ def test_soft_max_count_equals_symmetric_difference():
     for _ in range(30):
         u = random_universe(rng, max_size=7, conflict_density=0.5)
         problem = build_encoding(u, None, "p2")
-        soft = soft_max(u, problem.atoms)
+        soft = soft_max(u)
         shared = u.testing & u.unstable
         for t_prime in admissible_sets(u):
             if not shared <= t_prime:
@@ -504,7 +504,7 @@ GOLDEN = {
 def test_golden_emit_digest(label, name):
     u = GOLDEN_UNIVERSES[label]()
     problem = build_encoding(u, None, name)
-    soft = soft_max(u, problem.atoms)
+    soft = soft_max(u)
     payload = satcore.emit_dimacs(problem.hard, soft, num_vars=problem.num_vars,
                                   kind="wcnf")
     payload += problem.atoms.render_map().encode()

@@ -15,7 +15,7 @@ from satmigrate import engine, repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (NotAMigrationCandidate, PolicyRules,
                                 build_encoding, target_clause)
-from satmigrate.engine import (ActuallySolvable, Budgets,
+from satmigrate.engine import (ActuallySolvable,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
                                alternative_optima, decode_solution,
@@ -32,6 +32,12 @@ from .oracle import admissible_sets, deletion_mus
 
 def _upgrade_universe():
     return tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
+
+
+def _admissible(t_prime, u, policy=None, idx=None):
+    """repo.is_admissible on a T' of Packages, such as a result's."""
+    idx = idx or ClosureIndex(u)
+    return is_admissible(idx.id_set(t_prime), idx, policy)
 
 
 # -- solve_migration --------------------------------------------------------------
@@ -59,9 +65,9 @@ def test_encodings_agree_on_mid_scale_universes():
         optima = set()
         for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
             req = MigrationRequest(mode="max", encoding=encoding,
-                                   budgets=Budgets(pmax_timeout=10.0))
+                                   deadline=time.monotonic() + 10.0)
             result = solve_migration(req, u)
-            assert result.verified and is_admissible(result.t_prime, u, None, idx)
+            assert result.verified and _admissible(result.t_prime, u, None, idx)
             optima.add(result.optimum)
         assert len(optima) == 1, (size, optima)
 
@@ -83,11 +89,79 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
         answers = []
         for rules in (None, policy):
             expected = oracle.restore_shared(t_prime, u, rules)
-            assert engine._restore_shared(t_prime, u, rules, idx) == expected
+            restored_ids = engine._restore_shared(idx.id_set(t_prime), u,
+                                                  rules, idx)
+            assert restored_ids == idx.id_set(expected)
             answers.append(expected)
         restored += len(answers[0] - t_prime)
         policy_mattered += answers[0] != answers[1]
     assert restored > 0 and policy_mattered > 0
+
+
+def test_policy_is_checked_on_the_packages_it_names(monkeypatch):
+    # a rule reads only whether its own packages are members, so the
+    # restore checks the policy on T' cut down to those packages
+    received = []
+    original = repo.policy_satisfied
+
+    def recording(t_prime, policy):
+        received.append(t_prime)
+        return original(t_prime, policy)
+
+    monkeypatch.setattr(repo, "policy_satisfied", recording)
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(4):
+        size = rng.randint(100, 300)
+        u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
+        a, b, c = rng.sample(sorted(u.testing & u.unstable), 3)
+        policy = PolicyRules(groups=[[(1, a), (1, b)]],
+                             extra_clauses=[[(-1, c)]])
+        received.clear()
+        result = solve_migration(MigrationRequest(policy=policy), u)
+        assert all(t_prime <= {a, b, c} for t_prime in received)
+        assert _admissible(result.t_prime, u, policy)
+        checked += len(received)
+    assert checked > 0
+
+
+def test_one_round_turns_no_id_into_a_package(monkeypatch):
+    # from the decode through the restore and the check, T' is a set of
+    # ids: no Package is hashed and no Package set is turned into ids
+    u = clustered_universe(random.Random(97), 200, conflicts=0)
+    hashed, id_sets, counting = [], [], [False]
+    original_hash, original_id_set = Package.__hash__, ClosureIndex.id_set
+
+    def hash_(self):
+        if counting[0]:
+            hashed.append(self)
+        return original_hash(self)
+
+    def id_set(self, packages):
+        if counting[0]:
+            id_sets.append(packages)
+        return original_id_set(self, packages)
+
+    monkeypatch.setattr(Package, "__hash__", hash_)
+    monkeypatch.setattr(ClosureIndex, "id_set", id_set)
+    calls = []
+    for owner, name in ((engine, "decode_solution"),
+                        (engine, "_restore_shared"), (repo, "is_admissible")):
+        def counted(*args, original=getattr(owner, name), name=name):
+            counting[0] = True
+            try:
+                result = original(*args)
+            finally:
+                counting[0] = False
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+    result = solve_migration(MigrationRequest(mode="max"), u)
+    assert result.verified
+    decoded, restored, verdict = calls  # one round
+    assert verdict and len(decoded) < len(restored) == len(result.t_prime)
+    assert hashed == [] and id_sets == []
 
 
 def test_no_candidates_trivial_result():
@@ -157,7 +231,7 @@ def test_broken_testing_reported_and_removed():
 def test_result_is_independently_verified():
     u = _upgrade_universe()
     result = solve_migration(MigrationRequest(mode="max"), u)
-    assert is_admissible(result.t_prime, u).ok
+    assert _admissible(result.t_prime, u).ok
 
 
 def test_solve_migration_builds_the_closure_index_once(monkeypatch):
@@ -229,7 +303,8 @@ def test_alternative_optima_stop_at_an_installability_timeout(monkeypatch):
     verified = []
 
     def verify_once(*args, **kwargs):
-        verified.append(args[0])
+        chosen, idx = args[:2]
+        verified.append({idx.packages[i] for i in chosen})
         if len(verified) > 1:
             raise repo.InstallabilityTimedOut("out of time")
         return verify(*args, **kwargs)
@@ -292,7 +367,7 @@ def test_alternative_optima_in_min_modes_match_the_oracle(mode):
         assert len(projections) == len(results)
         assert projections <= optimal
         for r in results:
-            assert r.verified and is_admissible(r.t_prime, u)
+            assert r.verified and _admissible(r.t_prime, u)
             assert r.optimum == len(candidates) - fewest
             assert target is None or target in r.t_prime
         stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
@@ -416,7 +491,7 @@ def test_rounds_reach_the_full_instance_optimum():
                     assert expected is None, (case, encoding)
                     continue
                 assert result.optimum == expected, (case, encoding)
-                assert is_admissible(result.t_prime, u, req.policy, idx)
+                assert _admissible(result.t_prime, u, req.policy, idx)
                 key = case, encoding
                 refined[key] = max(refined.get(key, 0),
                                    problem.atoms.num_inst_atoms)
@@ -463,7 +538,7 @@ def test_alternative_optima_in_max_mode_match_the_oracle():
         assert len(projections) == len(results)
         assert projections <= optimal
         for r in results:
-            assert r.verified and is_admissible(r.t_prime, u)
+            assert r.verified and _admissible(r.t_prime, u)
             assert r.optimum == most
         stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
         refined += engine._solve_encoded(req, u)[1].atoms.num_inst_atoms > 0
@@ -484,7 +559,8 @@ def test_decode_ignores_inst_atoms():
     problem = build_encoding(u, None, "p2")
     a = problem.atoms.pkg(P("a/1"))
     aa = problem.atoms.contexts[0][0]
-    assert decode_solution(frozenset({a, aa}), problem.atoms) == {P("a/1")}
+    assert decode_solution(frozenset({a, aa}), problem.atoms) == \
+        {ClosureIndex(u).ids[P("a/1")]}
     assert decode_solution(frozenset({aa}), problem.atoms) == frozenset()
 
 
@@ -994,6 +1070,6 @@ def test_alternative_optima_with_an_external_solver(tmp_path):
     for result in results:
         assert result.optimum == 2
         assert result.verified and result.externally_claimed
-        assert is_admissible(result.t_prime, u)
+        assert _admissible(result.t_prime, u)
     embedded = alternative_optima(MigrationRequest(mode="max"), u, 5)
     assert {r.t_prime for r in results} == {r.t_prime for r in embedded}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,8 +12,7 @@ from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import PolicyRules
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_installable,
-                             make_universe, policy_satisfied, check_testing,
-                             uninstallable)
+                             make_universe, policy_satisfied, check_testing)
 
 from . import oracle
 from .generators import P, clustered_universe, random_universe, tiny_universe
@@ -21,6 +21,21 @@ from .oracle import ContextTooLarge, admissible_sets, is_healthy, unique_pairs
 
 def _stanzas(text: str):
     return parse_packages_stream(text)
+
+
+def _uninstallable(r, u, idx=None):
+    """The members of r, a set of Packages, that are not installable in r,
+    sorted: the installability pass (``repo.installable_ids``) on r's ids."""
+    idx = idx or ClosureIndex(u)
+    members = idx.id_set(r)
+    found = repo.installable_ids(members, idx, math.inf)
+    return [idx.packages[i] for i in sorted(members - found)]
+
+
+def _admissible(chosen, u, policy=None, idx=None):
+    """repo.is_admissible on a set of Packages."""
+    idx = idx or ClosureIndex(u)
+    return is_admissible(idx.id_set(chosen), idx, policy)
 
 
 # -- build_universe ------------------------------------------------------------
@@ -130,7 +145,7 @@ def test_healthy_rejects_unmet_dependency():
 def test_empty_disjunction_is_uninstallable():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
     assert not oracle.is_installable(P("p/1"), u.packages, u)
-    assert not is_installable(P("p/1"), u.packages, u)
+    assert not is_installable(P("p/1"), u.packages, ClosureIndex(u))
 
 
 def test_conflicting_alternatives_block_installation():
@@ -143,13 +158,13 @@ def test_conflicting_alternatives_block_installation():
                       if P("p/1") in s and is_healthy(s, u)]
     assert healthy_with_p == []
     assert not oracle.is_installable(P("p/1"), u.packages, u)
-    assert not is_installable(P("p/1"), u.packages, u)
+    assert not is_installable(P("p/1"), u.packages, ClosureIndex(u))
 
 
 def test_isolated_package_is_installable():
     u = tiny_universe(["p/1"])
     assert oracle.is_installable(P("p/1"), u.packages, u)
-    assert is_installable(P("p/1"), u.packages, u)
+    assert is_installable(P("p/1"), u.packages, ClosureIndex(u))
 
 
 def test_oracle_refuses_large_contexts():
@@ -189,6 +204,7 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
     for round_no in range(40):
         u = random_universe(rng, size=rng.randint(1, 12), dep_density=0.6,
                             conflict_density=0.6)
+        idx = ClosureIndex(u)
         contexts = [u.packages]
         if round_no % 2:  # also check restricted repositories
             contexts.append(frozenset(p for p in u.packages
@@ -196,7 +212,7 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
         for r in contexts:
             for p in sorted(r):
                 reference = oracle.is_installable(p, r, u)
-                assert reference == is_installable(p, r, u), (p, r, u)
+                assert reference == is_installable(p, r, idx), (p, r, u)
                 assert reference == oracle.sat_installable(p, r, u), (p, r, u)
 
 
@@ -204,27 +220,37 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
 
 def test_empty_repository_is_trimmed():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert not uninstallable([], u)
+    assert not _uninstallable([], u)
 
 
 def test_broken_package_breaks_trimmedness():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    assert uninstallable([P("p/1")], u)
+    assert _uninstallable([P("p/1")], u)
 
 
 def test_dependency_chain_is_trimmed():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    assert not uninstallable([P("p/1"), P("q/1")], u)
+    assert not _uninstallable([P("p/1"), P("q/1")], u)
 
 
 def test_trivial_migration_is_admissible():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    assert is_admissible(u.testing, u).ok
+    assert is_admissible(u.testing_ids, ClosureIndex(u)).ok
+
+
+def test_is_admissible_refuses_ids_outside_the_index():
+    # a negative id must not wrap around to the last package
+    u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
+    idx = ClosureIndex(u)
+    for outside in (-1, len(idx.packages)):
+        for chosen in ({outside}, {0, 1, outside}):
+            with pytest.raises(ValueError):
+                is_admissible(chosen, idx)
 
 
 def test_duplicate_names_violate_uniqueness():
     u = tiny_universe(["a/1", "a/2"])
-    verdict = is_admissible({P("a/1"), P("a/2")}, u)
+    verdict = _admissible({P("a/1"), P("a/2")}, u)
     assert not verdict.ok
     assert verdict.kind == "uniqueness"
     assert set(verdict.subjects) == {P("a/1"), P("a/2")}
@@ -232,7 +258,7 @@ def test_duplicate_names_violate_uniqueness():
 
 def test_uninstallable_member_violates_trimmedness():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    verdict = is_admissible({P("p/1")}, u)
+    verdict = _admissible({P("p/1")}, u)
     assert not verdict.ok
     assert verdict.kind == "trimmedness"
     assert verdict.subjects == (P("p/1"),)
@@ -241,16 +267,16 @@ def test_uninstallable_member_violates_trimmedness():
 def test_policy_group_and_clause_checked():
     u = tiny_universe(["a/1", "b/1"])
     policy = PolicyRules(groups=[[(1, P("a/1")), (1, P("b/1"))]])
-    assert is_admissible({P("a/1"), P("b/1")}, u, policy).ok
-    assert is_admissible(set(), u, policy).ok
-    assert is_admissible({P("a/1")}, u, policy).kind == "policy"
+    assert _admissible({P("a/1"), P("b/1")}, u, policy).ok
+    assert _admissible(set(), u, policy).ok
+    assert _admissible({P("a/1")}, u, policy).kind == "policy"
     clause_policy = PolicyRules(extra_clauses=[[(1, P("a/1"))]])
-    assert is_admissible(set(), u, clause_policy).kind == "policy"
+    assert _admissible(set(), u, clause_policy).kind == "policy"
 
 
 def test_check_testing_lists_duplicates_and_broken():
     u = tiny_universe(["a/1", "a/2", "b/1"], dep={"b/1": [[]]})
-    kinds = [v.kind for v in check_testing(u)]
+    kinds = [v.kind for v in check_testing(u, ClosureIndex(u))]
     assert kinds == ["uniqueness", "trimmedness"]
 
 
@@ -284,10 +310,11 @@ def test_admissible_sets_match_direct_checks():
                             conflict_density=0.8)
         enumerated = set(admissible_sets(u))
         pkgs = list(u.order)
+        idx = ClosureIndex(u)
         direct = set()
         for k in range(len(pkgs) + 1):
             for combo in itertools.combinations(pkgs, k):
-                if is_admissible(combo, u).ok:
+                if _admissible(combo, u, idx=idx).ok:
                     direct.add(frozenset(combo))
         assert enumerated == direct
 
@@ -328,7 +355,7 @@ def test_pass_equals_per_package_queries_on_random_universes():
         idx = ClosureIndex(u)
         subset = frozenset(p for p in u.packages if rng.random() < 0.6)
         for r in (u.packages, subset):
-            assert uninstallable(r, u, idx) == _per_package(r, u), (r, u)
+            assert _uninstallable(r, u, idx) == _per_package(r, u), (r, u)
 
 
 def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
@@ -341,7 +368,7 @@ def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
         idx = ClosureIndex(u)
         subset = frozenset(p for p in u.packages if rng.random() < 0.8)
         for r in (u.packages, subset):
-            found = uninstallable(r, u, idx)
+            found = _uninstallable(r, u, idx)
             assert found == _per_package(r, u)
             seen["broken"] += len(found)
         seen["empty"] += sum(not d for ds in u.dep.values() for d in ds)
@@ -381,7 +408,7 @@ def test_is_admissible_matches_per_package_reference():
         policy = None
         if pkgs and rng.random() < 0.3:
             policy = PolicyRules(extra_clauses=[[(1, rng.choice(pkgs))]])
-        verdict = is_admissible(chosen, u, policy)
+        verdict = _admissible(chosen, u, policy)
         expected = _reference_verdict(chosen, u, policy)
         if expected is None:
             assert verdict.ok
@@ -410,8 +437,8 @@ GREEDY_DEAD_END = dict(pkgs=["p/1", "q/1", "r/1", "s/1", "t/1"],
 def test_conflicted_choice_is_decided_without_sat(monkeypatch):
     u = tiny_universe(**CONFLICTED_CHOICE)
     calls = _recording_solve_sat(monkeypatch)
-    assert uninstallable(u.packages, u) == []
-    assert check_testing(u) == []
+    assert _uninstallable(u.packages, u) == []
+    assert check_testing(u, ClosureIndex(u)) == []
     assert calls == []
 
 
@@ -422,7 +449,7 @@ def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     assert repo._greedy_installation(p, idx.id_set(u.packages), idx) == set()
     live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
-    assert uninstallable(u.packages, u, idx) == []
+    assert _uninstallable(u.packages, u, idx) == []
     assert calls == [(len(live.intersection(idx.closure(p))),
                       satcore.SolveStatus.SAT)]
 
@@ -433,7 +460,7 @@ def test_pass_rejects_a_greedy_set_that_misses_a_dependency(monkeypatch):
     monkeypatch.setattr(repo, "_greedy_installation",
                         lambda p, live, idx: {p})
     with pytest.raises(satcore.SatCoreError):
-        uninstallable(u.packages, u)
+        _uninstallable(u.packages, u)
 
 
 def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
@@ -447,7 +474,7 @@ def test_pass_rejects_a_model_that_misses_a_dependency(monkeypatch):
 
     monkeypatch.setattr(satcore, "solve_sat", fake_solve_sat)
     with pytest.raises(satcore.SatCoreError):
-        uninstallable(u.packages, u)
+        _uninstallable(u.packages, u)
 
 
 def test_pass_timeout_raises_installability_timeout(monkeypatch):
@@ -458,15 +485,15 @@ def test_pass_timeout_raises_installability_timeout(monkeypatch):
 
     monkeypatch.setattr(satcore, "solve_sat", timed_out)
     with pytest.raises(InstallabilityTimedOut, match="p/1"):
-        check_testing(u)
+        check_testing(u, ClosureIndex(u))
     with pytest.raises(InstallabilityTimedOut, match="p/1"):
-        is_installable(P("p/1"), u.packages, u)
+        is_installable(P("p/1"), u.packages, ClosureIndex(u))
 
 
 def test_check_testing_on_conflict_free_universe_makes_no_sat_call(monkeypatch):
     u = clustered_universe(random.Random(37), 240, conflicts=0)
     calls = _recording_solve_sat(monkeypatch)
-    violations = check_testing(u)
+    violations = check_testing(u, ClosureIndex(u))
     assert calls == []
     assert any(v.kind == "trimmedness" for v in violations)
     assert len(violations) < len(u.testing) // 2
@@ -482,7 +509,7 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
                for i in range(len(idx.packages))) > 1
     expected = _per_package(u.packages, u)
     calls = _recording_solve_sat(monkeypatch)
-    assert uninstallable(u.packages, u, idx) == expected
+    assert _uninstallable(u.packages, u, idx) == expected
     assert calls == []
 
 
@@ -521,7 +548,7 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
             if a in idx.closure(i) and b in idx.closure(i)]
     live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
-    uninstallable(u.packages, u, idx)
+    _uninstallable(u.packages, u, idx)
     assert len(both) > 1
     assert [n for n, _ in calls] == \
         [len(live.intersection(idx.closure(i))) for i in both]
@@ -550,7 +577,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
                 [P(f"blocked{k}/1") for k in range(blocked)]
             with monkeypatch.context() as patch:
                 calls = _recording_solve_sat(patch)
-                assert uninstallable(r, u, idx) == expected
+                assert _uninstallable(r, u, idx) == expected
             statuses = [status for _, status in calls]
             assert statuses.count(satcore.SolveStatus.SAT) >= tops
             assert statuses.count(satcore.SolveStatus.UNSAT) >= blocked
@@ -558,7 +585,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
             with monkeypatch.context() as patch:
                 calls = _recording_solve_sat(patch)
                 for p in sample:
-                    assert is_installable(p, r, u, idx) == \
+                    assert is_installable(p, r, idx) == \
                         (p not in expected), p
             assert len(calls) >= len(planted)
 
@@ -579,7 +606,7 @@ def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
             for i in live)
         with monkeypatch.context() as patch:
             calls = _recording_solve_sat(patch)
-            assert uninstallable(u.packages, u, idx) == expected
+            assert _uninstallable(u.packages, u, idx) == expected
         queries += len(calls)
     assert conflicted > 0
     assert queries < conflicted
