@@ -71,13 +71,8 @@ def _load_universe(args) -> Universe:
 
 
 def _parse_policy_literal(token: str) -> tuple[int, Package]:
-    sign = 1
-    if token.startswith("+"):
-        token = token[1:]
-    elif token.startswith("-"):
-        sign = -1
-        token = token[1:]
-    return sign, Package.parse(token)
+    sign = -1 if token.startswith("-") else 1
+    return sign, Package.parse(token[1:] if token[:1] in ("+", "-") else token)
 
 
 def load_policy(text: str) -> PolicyRules:
@@ -156,10 +151,10 @@ def cmd_migrate(args) -> int:
 def cmd_explain(args) -> int:
     universe = _load_universe(args)
     target = Package.parse(args.package)
-    if target not in universe.packages:
+    if repo.package_id(universe.order, target) is None:
         import difflib
         close = difflib.get_close_matches(
-            target.name, {p.name for p in universe.packages}, n=3)
+            target.name, {p.name for p in universe.order}, n=3)
         hint = f"; did you mean: {', '.join(close)}" if close else ""
         raise ValueError(f"unknown package {target}{hint}")
     answer = engine.explain_target(
@@ -190,7 +185,7 @@ def cmd_check(args) -> int:
                  "packages": [str(p) for p in violation.subjects],
                  "explanation": None}
         if violation.kind == "trimmedness":
-            target = idx.ids[violation.subjects[0]]
+            target = repo.package_id(idx.packages, violation.subjects[0])
             clauses, info, ids = repo.installation_query(
                 target, testing.intersection(idx.closure(target)), idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
-from .repo import Package, Universe
+from .repo import Package, Universe, package_id
 
 # one empty set, shared by every closure that holds no conflict end
 _NO_ENDS: frozenset[int] = frozenset()
@@ -150,14 +150,14 @@ class ClosureIndex:
     ascending (see ``Universe``). ``deps``, ``dependents``,
     ``conflict_pairs``, ``partners``, ``closure_ends`` and the id-valued
     methods speak in these ids, for the encoder and the installability
-    pass of ``repo``; the Package-level members translate them back.
+    pass of ``repo``; the Package-level members translate them back, with
+    ``repo.package_id`` and no Package → id table of their own.
     ``partners[i]`` holds i's conflict partners, ascending, and
     ``closure_ends[i]`` the conflict ends inside i's closure.
     """
 
     def __init__(self, universe: Universe):
         self.packages: tuple[Package, ...] = universe.order
-        self.ids = {p: i for i, p in enumerate(self.packages)}
         self.deps = universe.deps
         self.conflict_pairs = universe.conflict_pairs
         n = len(self.packages)
@@ -194,12 +194,13 @@ class ClosureIndex:
     def id_set(self, packages: Iterable[Package]) -> set[int]:
         """The ids of a set of packages; a package the universe lacks
         raises ValueError."""
-        ids = self.ids
-        try:
-            return {ids[p] for p in packages}
-        except KeyError as exc:
-            raise ValueError(
-                f"repository references unknown package {exc.args[0]}") from None
+        ids = set()
+        for p in packages:
+            i = package_id(self.packages, p)
+            if i is None:
+                raise ValueError(f"repository references unknown package {p}")
+            ids.add(i)
+        return ids
 
     def closure(self, i: int) -> tuple[int, ...]:
         """i's closure, i included, in no particular order."""
@@ -293,5 +294,7 @@ class ClosureIndex:
     def connecting(self, p: Package) -> frozenset[Package]:
         """Closure members whose own closure reaches a relevant-conflict
         endpoint, plus p itself."""
-        return frozenset(self.packages[i]
-                         for i in self.connecting_ids(self.ids[p]))
+        i = package_id(self.packages, p)
+        if i is None:
+            raise KeyError(p)
+        return frozenset(map(self.packages.__getitem__, self.connecting_ids(i)))

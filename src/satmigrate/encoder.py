@@ -26,12 +26,12 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex
-from .repo import Package, Universe, policy_rule_text
+from .repo import Package, Universe, package_id, policy_rule_text
 
 DEFAULT_P2_BOUND = 10
 
@@ -64,8 +64,8 @@ class NotAMigrationCandidate(EncoderError):
 class AtomTable:
     """Dense, deterministic bijection between atoms and 1-based indices.
 
-    The ids are the ``ClosureIndex``'s, and ``pkg`` reads them from the
-    index's own table: package atom i+1 stands for the index's package i.
+    The ids are the ``ClosureIndex``'s, and ``pkg`` finds them with
+    ``repo.package_id``: package atom i+1 stands for the index's package i.
     The installation atoms follow, sorted by (context id, member id), and
     ``contexts`` maps each context id to its {member id: atom id}. A
     context that ``track`` adds later gets the next atoms, its members in
@@ -74,7 +74,6 @@ class AtomTable:
 
     def __init__(self, idx: ClosureIndex, inst_pairs=()):
         self.packages: tuple[Package, ...] = idx.packages
-        self._ids = idx.ids
         self.num_package_atoms = len(self.packages)
         self.inst_pairs: list[tuple[int, int]] = []
         self.contexts: dict[int, dict[int, int]] = {}
@@ -97,7 +96,10 @@ class AtomTable:
         self.inst_pairs += inst_pairs
 
     def pkg(self, p: Package) -> int:
-        return self._ids[p] + 1
+        i = package_id(self.packages, p)
+        if i is None:
+            raise ValueError(f"unknown package {p}")
+        return i + 1
 
     def render_map(self) -> str:
         names = list(map(str, self.packages))  # each package formatted once
@@ -117,10 +119,8 @@ class PolicyRules:
     extra_clauses: list[list[tuple[int, Package]]] = field(default_factory=list)
 
     def referenced(self):
-        for group in self.groups:
-            yield from (pkg for _, pkg in group)
-        for clause in self.extra_clauses:
-            yield from (pkg for _, pkg in clause)
+        for rule in (*self.groups, *self.extra_clauses):
+            yield from (pkg for _, pkg in rule)
 
 
 @dataclass
@@ -255,13 +255,10 @@ def uniqueness_clauses(problem: EncodedProblem):
     """The u block: one binary clause per unordered duplicate-name pair of
     ids, in id order: ids ascend in name order, so each name's ids are
     consecutive."""
-    by_name: dict[str, list[int]] = {}
-    for i, p in enumerate(problem.atoms.packages):
-        by_name.setdefault(p.name, []).append(i)
+    names = [p.name for p in problem.atoms.packages]
     start = len(problem.hard)
-    for group in by_name.values():
-        problem.hard += [(-(a + 1), -(b + 1))
-                         for a, b in combinations(group, 2)]
+    for _, atoms in groupby(range(1, len(names) + 1), lambda a: names[a - 1]):
+        problem.hard += [(-a, -b) for a, b in combinations(atoms, 2)]
     problem.close_block("u", start)
 
 
@@ -269,7 +266,7 @@ def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
     """All-or-none groups become implications between every ordered pair of
     literals; extra clauses pass through."""
     for pkg in rules.referenced():
-        if pkg not in u.packages:
+        if package_id(u.order, pkg) is None:
             raise UnknownPackage(f"policy references unknown package {pkg}")
 
     def lit(sign: int, pkg: Package) -> int:
@@ -496,16 +493,16 @@ def soft_max(u: Universe):
             [(-(i + 1),) for i in sorted(testing - unstable)])
 
 
-def check_target(p: Package, u: Universe):
-    """Refuse a target outside u or already in testing."""
-    if p not in u.packages:
+def check_target(p: Package, u: Universe) -> int:
+    """p's id in u; refuse a target outside u or already in testing."""
+    i = package_id(u.order, p)
+    if i is None:
         raise NotAMigrationCandidate(f"{p} is not in the universe")
-    if p in u.testing or p not in u.unstable:
+    if i in u.testing_ids or i not in u.unstable_ids:
         raise NotAMigrationCandidate(f"{p} is not a migration candidate")
+    return i
 
 
-def target_clause(p: Package, u: Universe, atoms: AtomTable):
-    """Unit clause forcing one candidate into the migration."""
-    check_target(p, u)
-    atom = atoms.pkg(p)  # the atom of id i is i + 1
-    return (atom,), ("target", atom - 1)
+def target_clause(i: int):
+    """Unit clause forcing the candidate of id i (atom i + 1) to migrate."""
+    return (i + 1,), ("target", i)

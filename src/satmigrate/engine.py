@@ -130,7 +130,7 @@ def attach_objective(req: MigrationRequest, u: Universe, problem: EncodedProblem
             raise encoder.NoChangeCandidates("testing and unstable offer no change")
         problem.add([lit for lit, in units], ("nt",))
     else:
-        problem.add(*encoder.target_clause(req.target, u, problem.atoms))
+        problem.add(*encoder.target_clause(encoder.check_target(req.target, u)))
     problem.soft = [(-lit,) for lit, in units]
 
 
@@ -193,7 +193,8 @@ def _solve(problem: EncodedProblem, deadline: float,
 
 
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
-                    problem: EncodedProblem) -> MigrationResult:
+                    problem: EncodedProblem, optimum: int | None = None
+                    ) -> tuple[MigrationResult | None, frozenset[int]]:
     """Solve the problem by rounds, all by the request's deadline.
 
     Each round solves the problem, checks the solver's claims against a
@@ -202,8 +203,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     member of the result is not installable, the round tracks the
     contexts of every such member (``encoder.track_contexts``) and the
     next round solves again. The result's warnings are the last round's.
-    T′ stays ids: Packages appear only in reports, a verdict's and, built
-    once from the ids, the ``MigrationResult``'s, in id order.
+    T′ stays ids, returned beside the result, which is None when it misses
+    a given ``optimum``: its Packages and a verdict's are built for reports.
 
     The answer is the requested encoding's optimum. Every clause that a
     round holds is one of the full instance's or implied by it, so each
@@ -240,10 +241,10 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                 problem, idx, idx.id_set(verdict.subjects)):
             raise VerificationFailed(
                 f"decoded repository failed verification: {verdict.detail}")
-    warnings = ()
-    if result.status is SolveStatus.SAT:
-        warnings = ("external solver returned a model without an"
-                    " optimality claim",)
+    if optimum is not None and recount != optimum:
+        return None, chosen
+    warnings = ("external solver returned a model without an optimality"
+                " claim",) if result.status is SolveStatus.SAT else ()
     packages = idx.packages.__getitem__
     migrated_in = tuple(map(packages, sorted(chosen - u.testing_ids)))
     removed = tuple(map(packages, sorted(u.testing_ids - chosen)))
@@ -257,7 +258,7 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         externally_claimed=result.externally_claimed,
         encoding_id=problem.encoding_id,
         warnings=warnings,
-    )
+    ), chosen
 
 
 def _decide_in_closure(req: MigrationRequest, u: Universe):
@@ -295,15 +296,15 @@ def _decide_in_closure(req: MigrationRequest, u: Universe):
     a p4 request is decided on the full instance too.
 
     The encoding's refusals and then p's candidacy are judged on the
-    whole universe, as the full solve judges them. The slice is decided
-    by the embedded solver, whatever ``req.solver_command`` is, by the
-    request's deadline.
+    whole universe, as the full solve judges them, and only there. The
+    slice is decided by the embedded solver, whatever
+    ``req.solver_command`` is, by the request's deadline.
     """
     encoder.encoding_scheme(u, req.encoding)  # the refusals, on all of u
     encoder.check_target(req.target, u)
     sub = repo.closure_universe(u, req.target)
     problem = encoder.build_encoding(sub, None, req.encoding)
-    problem.add(*encoder.target_clause(req.target, sub, problem.atoms))
+    problem.add(*encoder.target_clause(repo.package_id(sub.order, req.target)))
     _solve(problem, req.deadline)
 
 
@@ -312,10 +313,11 @@ def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
 
 
 def _solve_encoded(req: MigrationRequest, u: Universe
-                   ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex]:
+                   ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex,
+                              frozenset[int]]:
     """solve_migration, also returning the encoding it solved (objective
-    attached, with the contexts its rounds tracked) and the closure index
-    it built, for further solves.
+    attached, with the contexts its rounds tracked), the closure index it
+    built and the result's T′ as the index's ids, for further solves.
 
     The solve starts from the lazy encoding (``encoder.build_encoding``),
     which tracks no context, and ``_solve_verified`` adds contexts as its
@@ -333,7 +335,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe
                                      lazy=True)
     attach_objective(req, u, problem)
     try:
-        result = _solve_verified(req, u, idx, problem)
+        result, chosen = _solve_verified(req, u, idx, problem)
     except Unsolvable as exc:
         full = encoder.build_encoding(u, idx, req.encoding, req.policy)
         attach_objective(req, u, full)
@@ -341,30 +343,30 @@ def _solve_encoded(req: MigrationRequest, u: Universe
     violations = repo.check_testing(u, idx, req.deadline)
     result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
                             for violation in violations) + result.warnings
-    return result, problem, idx
+    return result, problem, idx, chosen
 
 
 def alternative_optima(req: MigrationRequest, u: Universe,
                        limit: int) -> list[MigrationResult]:
-    """Diagnostic re-solving: exclude each found optimum with a blocking
-    clause over the candidate package atoms, up to `limit` alternatives with
-    the same objective value. Every alternative is solved and verified as
-    the first result is, by rounds and by the same deadline, on the
-    problem with the contexts that earlier rounds tracked; the search stops
-    at the first alternative that has no model or runs out of time."""
-    first, problem, idx = _solve_encoded(req, u)
+    """Diagnostic re-solving: exclude each found optimum, by its T′'s ids,
+    with a blocking clause over the candidate package atoms (id i has atom
+    i + 1), up to `limit` alternatives with the same objective value. Every
+    alternative is solved and verified as the first result is, by rounds
+    and by the same deadline, on the problem with the contexts that
+    earlier rounds tracked; the search stops at the first alternative that
+    has no model or runs out of time."""
+    first, problem, idx, chosen = _solve_encoded(req, u)
     results = [first]
     candidates = sorted(abs(lit) for lit, in problem.soft)  # atom order
-    packages = problem.atoms.packages
     while candidates and len(results) < limit + 1:
-        blocked = results[-1].t_prime
-        problem.add([-atom if packages[atom - 1] in blocked else atom
+        problem.add([-atom if atom - 1 in chosen else atom
                      for atom in candidates], ("blocking",))
         try:
-            result = _solve_verified(req, u, idx, problem)
+            result, chosen = _solve_verified(req, u, idx, problem,
+                                             first.optimum)
         except (Unsolvable, SolveTimedOut, repo.InstallabilityTimedOut):
             break
-        if result.optimum != first.optimum:
+        if result is None:
             break
         results.append(result)
     return results

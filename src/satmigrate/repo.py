@@ -9,10 +9,10 @@ exhaustive and SAT, live with the tests, in ``tests/oracle.py``.
 sorts the (name, version) keys, builds each ``Package`` once, and expands
 each distinct constraint once, straight into ids. The ``Universe`` holds
 the resulting id tables, repositories included; ``ClosureIndex`` reads
-them as they are, and their Package-level views are built only when
-read. ``closure_universe`` cuts a universe down to one package's
-closure, with the same tables over fewer ids. The checks take ids too:
-Packages appear only in parsed input, reports and explanations.
+them as they are, and ``package_id`` turns parsed input into ids.
+``closure_universe`` cuts a universe down to one package's closure, with
+the same tables over fewer ids. The checks take ids too: Packages appear
+only in parsed input, reports and explanations.
 
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ``ClosureIndex`` ids, in four exact
@@ -61,9 +61,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
@@ -108,6 +109,14 @@ class Package:
 PACKAGE_ORDER = attrgetter("name", "version")
 
 
+def package_id(packages: Sequence[Package], p: Package) -> int | None:
+    """p's id, its position in ``packages`` (a universe's ``order`` or an
+    index's ``packages``), or None. The one Package → id lookup: it bisects,
+    as ``order`` is sorted by Package's own (name, version) string order."""
+    i = bisect_left(packages, PACKAGE_ORDER(p), key=PACKAGE_ORDER)
+    return i if i < len(packages) and packages[i] == p else None
+
+
 @dataclass(frozen=True)
 class Universe:
     """The package world B = testing ∪ unstable with expanded relations.
@@ -124,9 +133,9 @@ class Universe:
     show the same data on Packages: ``dep`` maps each package to its
     disjunctions as frozensets, in the same order, and ``conflicts`` is
     the symmetric, irreflexive set of ordered pairs. They are derived on
-    first read, for parsed input, the tests and the oracles in
-    ``tests/oracle.py``; the runtime reads the tables, through
-    ``ClosureIndex``.
+    first read, for library callers, the tests and the oracles in
+    ``tests/oracle.py``; no command reads them, as ``package_id`` finds
+    a parsed Package's id in ``order``.
     """
 
     order: tuple[Package, ...]
@@ -179,13 +188,11 @@ def make_universe(packages: Iterable[Package],
     Conflicts are symmetrized and reflexive pairs dropped; dependency
     disjunctions are deduplicated and stored in a deterministic order.
     """
-    pkgs = frozenset(packages)
-    t = frozenset(testing)
-    u = frozenset(unstable)
+    pkgs, t, u = frozenset(packages), frozenset(testing), frozenset(unstable)
     if t | u != pkgs:
         raise ValueError("packages must equal testing ∪ unstable")
     order = tuple(sorted(pkgs, key=PACKAGE_ORDER))
-    ids = {p: i for i, p in enumerate(order)}
+    id_of = partial(package_id, order)
     deps = []
     for p in order:
         disjunctions = []
@@ -193,18 +200,18 @@ def make_universe(packages: Iterable[Package],
             members = frozenset(disjunction)
             if not members <= pkgs:
                 raise ValueError(f"dependency of {p} references unknown packages")
-            disjunctions.append(tuple(sorted(ids[q] for q in members)))
+            disjunctions.append(tuple(sorted(map(id_of, members))))
         deps.append(_disjunction_order(disjunctions))
     pairs = set()
     for a, b in conflicts:
         if a not in pkgs or b not in pkgs:
             raise ValueError("conflict references unknown packages")
         if a != b:
-            pairs.add(tuple(sorted((ids[a], ids[b]))))
+            pairs.add(tuple(sorted((id_of(a), id_of(b)))))
     return Universe(order=order, deps=tuple(deps),
                     conflict_pairs=tuple(sorted(pairs)),
-                    testing_ids=frozenset(map(ids.__getitem__, t)),
-                    unstable_ids=frozenset(map(ids.__getitem__, u)))
+                    testing_ids=frozenset(map(id_of, t)),
+                    unstable_ids=frozenset(map(id_of, u)))
 
 
 def _stanza_signature(stanza: PackageStanza) -> tuple:
@@ -287,8 +294,8 @@ def closure_universe(u: Universe, p: Package) -> Universe:
     member, so the members keep all their relations. Ids are renumbered
     in order, so ``deps`` and ``conflict_pairs`` keep their order."""
     order, deps = u.order, u.deps
-    start = bisect_left(order, p)
-    if start == len(order) or order[start] != p:
+    start = package_id(order, p)
+    if start is None:
         raise ValueError(f"unknown package {p}")
     seen = {start}
     todo = [start]
@@ -452,7 +459,7 @@ def installable_in(p: int, r: set[int], idx: "ClosureIndex",
 def is_installable(p: Package, r: Iterable[Package], idx: "ClosureIndex"
                    ) -> bool:
     """Whether p, a member of r, is installable in r, by ``installable_in``."""
-    i, members = idx.ids.get(p), idx.id_set(r)
+    i, members = package_id(idx.packages, p), idx.id_set(r)
     if i not in members:
         raise ValueError("need p ∈ r ⊆ packages")
     return installable_in(i, members, idx, math.inf)
@@ -499,7 +506,8 @@ def policy_satisfied(t_prime: frozenset[Package],
 def policy_members(chosen: set[int], policy: "PolicyRules",
                    idx: "ClosureIndex") -> frozenset[Package]:
     """The members of chosen (ids) that the policy names: all it reads."""
-    return frozenset(p for p in policy.referenced() if idx.ids.get(p) in chosen)
+    return frozenset(p for p in policy.referenced()
+                     if package_id(idx.packages, p) in chosen)
 
 
 def is_admissible(chosen: set[int], idx: "ClosureIndex",
@@ -515,15 +523,12 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
     packages = idx.packages
     if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
-    seen: dict[str, Package] = {}
-    for i in sorted(chosen):
-        p = packages[i]
-        if p.name in seen:
+    members = list(map(packages.__getitem__, sorted(chosen)))  # name order
+    for first, p in zip(members, members[1:]):
+        if first.name == p.name:
             return AdmissibilityVerdict(
                 False, "uniqueness",
-                f"name {p.name} occurs twice: {seen[p.name]} and {p}",
-                (seen[p.name], p))
-        seen[p.name] = p
+                f"name {p.name} occurs twice: {first} and {p}", (first, p))
     broken = sorted(chosen - installable_ids(chosen, idx, deadline))
     if broken:
         return AdmissibilityVerdict(
@@ -542,15 +547,13 @@ def check_testing(u: Universe, idx: "ClosureIndex",
     """All uniqueness/trimmedness defects of the incoming testing repository."""
     packages, testing = idx.packages, u.testing_ids
     violations = []
-    by_name: dict[str, list[Package]] = {}
-    for p in map(packages.__getitem__, sorted(testing)):  # in name order
-        by_name.setdefault(p.name, []).append(p)
-    for name, group in by_name.items():
+    members = map(packages.__getitem__, sorted(testing))  # in name order
+    for name, group in groupby(members, attrgetter("name")):
+        group = tuple(group)
         if len(group) > 1:
             violations.append(AdmissibilityVerdict(
                 False, "uniqueness",
-                f"name {name} occurs {len(group)} times in testing",
-                tuple(group)))
+                f"name {name} occurs {len(group)} times in testing", group))
     for i in sorted(testing - installable_ids(testing, idx, deadline)):
         p = packages[i]
         violations.append(AdmissibilityVerdict(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from satmigrate.closure import ClosureIndex
-from satmigrate.repo import Package, Universe, make_universe
+from satmigrate.repo import Package, Universe, make_universe, package_id
 from satmigrate.satcore import DpllSolver, SolveStatus
 
 
@@ -16,7 +16,8 @@ def P(spec: str) -> Package:
 
 def may_dep(idx: ClosureIndex, p: Package) -> frozenset[Package]:
     """The members of p's dependency disjunctions."""
-    return frozenset(idx.packages[q] for targets in idx.deps[idx.ids[p]]
+    return frozenset(idx.packages[q]
+                     for targets in idx.deps[package_id(idx.packages, p)]
                      for q in targets)
 
 
@@ -25,21 +26,21 @@ def _members(idx: ClosureIndex, ids) -> frozenset[Package]:
 
 
 def closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
-    return _members(idx, idx.closure(idx.ids[p]))
+    return _members(idx, idx.closure(package_id(idx.packages, p)))
 
 
 def hard_closure(idx: ClosureIndex, p: Package) -> frozenset[Package]:
-    return _members(idx, idx.hard_closure(idx.ids[p]))
+    return _members(idx, idx.hard_closure(package_id(idx.packages, p)))
 
 
 def is_easy(idx: ClosureIndex, p: Package) -> bool:
-    return idx.ids[p] in idx.easy_ids
+    return package_id(idx.packages, p) in idx.easy_ids
 
 
 def relevant_conflicts(idx: ClosureIndex, p: Package
                        ) -> frozenset[tuple[Package, Package]]:
     """Conflicts with both endpoints inside p's dependency closure."""
-    inside = set(idx.closure(idx.ids[p]))
+    inside = set(idx.closure(package_id(idx.packages, p)))
     pkgs = idx.packages
     return frozenset(pair for a, b in idx.conflict_pairs
                      if a in inside and b in inside

@@ -10,7 +10,7 @@ from satmigrate.cli import EXIT_OK, main
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import build_encoding
-from satmigrate.repo import build_universe, make_universe
+from satmigrate.repo import build_universe, make_universe, package_id
 
 from . import oracle
 from .generators import (P, closure, clustered_universe, hard_closure,
@@ -98,10 +98,10 @@ def test_closures_match_an_independent_reference():
         ends = {a for a, _ in u.conflicts}
 
         def ids(packages):
-            return sorted(idx.ids[q] for q in packages)
+            return sorted(package_id(idx.packages, q) for q in packages)
 
         for p, members in reach.items():
-            i = idx.ids[p]
+            i = package_id(idx.packages, p)
             assert sorted(idx.closure(i)) == ids(members)
             easy = not members & ends
             assert (i in idx.easy_ids) == easy
@@ -143,7 +143,7 @@ def test_closures_are_built_on_first_read():
                 idx.closure(0)
             assert "_closures" in vars(idx)
             for p, members in reach.items():
-                i = idx.ids[p]
+                i = package_id(idx.packages, p)
                 hard = ({p} if not members & ends
                         else {q for q in members if reach[q] & ends})
                 assert sorted(idx.closure(i)) == sorted(idx.id_set(members))
@@ -270,7 +270,8 @@ def test_hard_closure_is_the_walk_through_hard_successors():
         for p in idx.packages:
             hard = hard_closure(idx, p)
             assert hard == _hard_walk(idx, p)
-            assert sorted(idx.hard_closure(idx.ids[p])) == sorted(idx.id_set(hard))
+            assert sorted(idx.hard_closure(package_id(idx.packages, p))) == \
+                sorted(idx.id_set(hard))
             pruned += not is_easy(idx, p) and hard != closure(idx, p)
     assert pruned > 0
 

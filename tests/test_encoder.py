@@ -10,9 +10,9 @@ from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
                                 PolicyRules, UniverseTooLarge, UnknownPackage,
-                                build_encoding, instance_stats,
+                                build_encoding, check_target, instance_stats,
                                 soft_max, target_clause, track_contexts)
-from satmigrate.repo import make_universe
+from satmigrate.repo import make_universe, package_id
 from satmigrate.satcore import SolveStatus
 
 from .generators import (P, clustered_universe, is_easy, projected_solutions,
@@ -194,7 +194,7 @@ def test_p4_easy_dependency_referenced_as_package_atom():
     assert is_easy(idx, P("e/1")) and not is_easy(idx, P("p/1"))
     problem = build_encoding(u, idx, "p4")
     atoms = problem.atoms
-    p = idx.ids[P("p/1")]
+    p = package_id(idx.packages, P("p/1"))
     expected = satcore.normalize_clause(
         (-atoms.contexts[p][p], atoms.pkg(P("e/1"))))
     assert expected in _clauses(problem, "d")
@@ -296,7 +296,7 @@ def test_soft_min_requires_candidates():
 def test_target_clause_unit():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = build_encoding(u, None, "p1")
-    clause, info = target_clause(P("a/2"), u, problem.atoms)
+    clause, info = target_clause(check_target(P("a/2"), u))
     assert clause == (problem.atoms.pkg(P("a/2")),)
     assert info == ("target", 1)  # a/2's id
 
@@ -305,9 +305,9 @@ def test_target_must_be_candidate():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = build_encoding(u, None, "p1")
     with pytest.raises(NotAMigrationCandidate):
-        target_clause(P("a/1"), u, problem.atoms)
+        check_target(P("a/1"), u)
     with pytest.raises(NotAMigrationCandidate):
-        target_clause(P("ghost/9"), u, problem.atoms)
+        check_target(P("ghost/9"), u)
 
 
 # -- stats / atom table ----------------------------------------------------------------
@@ -632,7 +632,7 @@ def test_only_clauses_added_one_by_one_keep_a_provenance_record():
         plain = build_encoding(u, idx, name)
         assert plain.records == {}, name
         problem = build_encoding(u, idx, name, policy)
-        problem.add(*target_clause(target, u, problem.atoms))
+        problem.add(*target_clause(check_target(target, u)))
         added = list(range(len(plain.hard), len(problem.hard)))
         assert sorted(problem.records) == added, name
         assert [problem.info[i][0] for i in added] == ["v", "v", "v", "target"]

@@ -11,10 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import satmigrate.satcore as satcore_mod
-from satmigrate import engine, repo
+from satmigrate import cli, engine, repo
 from satmigrate.closure import ClosureIndex
+from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import (NotAMigrationCandidate, PolicyRules,
-                                build_encoding, target_clause)
+                                build_encoding, check_target, target_clause)
 from satmigrate.engine import (ActuallySolvable,
                                MigrationRequest, OptimumMismatch,
                                RefuseUnverified, SolveTimedOut, Unsolvable,
@@ -23,7 +24,7 @@ from satmigrate.engine import (ActuallySolvable,
                                render_hints,
                                render_report, solve_migration,
                                structured_report)
-from satmigrate.repo import Package, is_admissible
+from satmigrate.repo import Package, is_admissible, package_id
 
 from . import oracle
 from .generators import P, clustered_universe, random_universe, tiny_universe
@@ -162,6 +163,78 @@ def test_one_round_turns_no_id_into_a_package(monkeypatch):
     decoded, restored, verdict = calls  # one round
     assert verdict and len(decoded) < len(restored) == len(result.t_prime)
     assert hashed == [] and id_sets == []
+
+
+def _packages_file(u, ids) -> str:
+    """The packages of u with the given ids as a Packages file. Each
+    dependency disjunction and conflict names its packages by exact
+    version, and an empty disjunction names a package that is not there."""
+    def exact(q):
+        return f"{u.order[q].name} (= {u.order[q].version})"
+
+    conflicts = {}
+    for a, b in u.conflict_pairs:
+        conflicts.setdefault(a, []).append(exact(b))
+    text = ""
+    for i in sorted(ids):
+        text += f"Package: {u.order[i].name}\nVersion: {u.order[i].version}\n"
+        if u.deps[i]:
+            text += "Depends: " + ", ".join(
+                " | ".join(map(exact, d)) or "missing" for d in u.deps[i]) + "\n"
+        if i in conflicts:
+            text += f"Conflicts: {', '.join(conflicts[i])}\n"
+        text += "\n"
+    return text
+
+
+def test_commands_hash_a_package_only_for_the_reported_t_prime(
+        monkeypatch, tmp_path, capsys):
+    # a command turns parsed input into ids by bisection and builds no
+    # Package view of the universe: check, emit and a blocked explain hash
+    # no Package, and migrate hashes each member of each reported T' once,
+    # when it builds the result
+    u = clustered_universe(random.Random(95), 200, conflicts=6)
+    candidates = sorted(u.unstable_ids - u.testing_ids)
+    blocked = next(i for i in candidates if () in u.deps[i])
+    files = {"testing": u.testing_ids, "unstable": u.unstable_ids}
+    for name, ids in files.items():
+        (tmp_path / name).write_text(_packages_file(u, ids))
+    assert repo.build_universe(*(
+        parse_packages_stream((tmp_path / name).read_bytes())
+        for name in files)) == u
+    common = ["--testing", str(tmp_path / "testing"),
+              "--unstable", str(tmp_path / "unstable")]
+    hashed = [0]
+    original_hash = Package.__hash__
+
+    def hash_(self):
+        hashed[0] += 1
+        return original_hash(self)
+
+    monkeypatch.setattr(Package, "__hash__", hash_)
+
+    def run(*argv):
+        hashed[0] = 0
+        assert cli.main([*argv, *common]) in (cli.EXIT_OK, cli.EXIT_VIOLATIONS)
+        out = capsys.readouterr().out
+        return out, hashed[0], [len(line.split()) - 1 for line in out.splitlines()
+                                if line.startswith("t-prime: ")]
+
+    assert run("check")[1] == 0
+    assert run("emit", str(tmp_path / "out.wcnf"))[1] == 0
+    out, count, _ = run("explain", str(u.order[blocked]))
+    assert "cannot migrate" in out and count == 0
+    out, count, sizes = run("migrate")
+    assert count == sum(sizes) and len(sizes) == 1 and sizes[0] > 100
+    target = out.split("migrated-in: ")[1].split()[0]
+    _, count, sizes = run("migrate", "--mode", "target", "--target", target)
+    assert count == sum(sizes) and len(sizes) == 1
+    # an alternative the search keeps builds its report, one it discards
+    # builds none
+    _, count, sizes = run("migrate", "--mode", "min", "--all-deltas", "1")
+    assert count == sum(sizes) and len(sizes) == 2
+    _, count, sizes = run("migrate", "--all-deltas", "1")
+    assert count == sum(sizes) and len(sizes) == 1
 
 
 def test_no_candidates_trivial_result():
@@ -486,7 +559,7 @@ def test_rounds_reach_the_full_instance_optimum():
             for case, req in requests:
                 expected = _full_optimum(req, u, idx)
                 try:
-                    result, problem, _ = engine._solve_encoded(req, u)
+                    result, problem, _, _ = engine._solve_encoded(req, u)
                 except Unsolvable:
                     assert expected is None, (case, encoding)
                     continue
@@ -509,7 +582,7 @@ def test_a_first_round_that_passes_tracks_no_context():
                       testing=["a/1", "b/1", "c/1"],
                       unstable=["a/2", "b/1", "c/1"])
     idx = ClosureIndex(u)
-    result, problem, _ = engine._solve_encoded(MigrationRequest(), u)
+    result, problem, _, _ = engine._solve_encoded(MigrationRequest(), u)
     assert result.migrated_in == (P("a/2"),)
     assert problem.atoms.num_inst_atoms == 0
     assert problem.encoding_id == "p5-pruned"
@@ -560,7 +633,7 @@ def test_decode_ignores_inst_atoms():
     a = problem.atoms.pkg(P("a/1"))
     aa = problem.atoms.contexts[0][0]
     assert decode_solution(frozenset({a, aa}), problem.atoms) == \
-        {ClosureIndex(u).ids[P("a/1")]}
+        {package_id(u.order, P("a/1"))}
     assert decode_solution(frozenset({aa}), problem.atoms) == frozenset()
 
 
@@ -638,7 +711,7 @@ def test_explanation_core_equals_one_by_one_deletion_mid_scale():
                 req = MigrationRequest(mode="target", target=p,
                                        encoding=encoding)
                 problem = build_encoding(u, idx, encoding)
-                problem.hard.append(target_clause(p, u, problem.atoms)[0])
+                problem.hard.append(target_clause(check_target(p, u))[0])
                 if satcore_mod.solve_sat(
                         problem.hard, num_vars=problem.num_vars).status \
                         is not satcore_mod.SolveStatus.UNSAT:
@@ -715,7 +788,7 @@ def test_no_provenance_field_is_a_package():
         for name in ("p3", "p4", "p5-strict", "p5-pruned"):
             problem = build_encoding(u, idx, name, policy)
             infos += problem.info
-            infos.append(target_clause(target, u, problem.atoms)[1])
+            infos.append(target_clause(check_target(target, u))[1])
         testing = idx.id_set(u.testing)
         for i in range(len(pkgs)):
             if i in testing:
@@ -742,7 +815,7 @@ def _target_instance(u, p, encoding):
     """p's target-mode hard clauses under the encoding, and whether they
     are unsatisfiable."""
     problem = build_encoding(u, None, encoding)
-    problem.add(*target_clause(p, u, problem.atoms))
+    problem.add(*target_clause(check_target(p, u)))
     status = satcore_mod.solve_sat(problem.hard,
                                    num_vars=problem.num_vars).status
     return problem, status is satcore_mod.SolveStatus.UNSAT

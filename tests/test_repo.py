@@ -9,10 +9,11 @@ import pytest
 from satmigrate import repo, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
-from satmigrate.encoder import PolicyRules
+from satmigrate.encoder import AtomTable, PolicyRules
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_installable,
-                             make_universe, policy_satisfied, check_testing)
+                             make_universe, package_id, policy_satisfied,
+                             check_testing)
 
 from . import oracle
 from .generators import P, clustered_universe, random_universe, tiny_universe
@@ -197,6 +198,35 @@ def test_closure_universe_is_the_universe_of_the_closure():
                 u.testing & inside, u.unstable & inside), (p, u)
     with pytest.raises(ValueError, match="unknown package nosuch/1"):
         repo.closure_universe(u, P("nosuch/1"))
+
+
+def test_package_id_bisects_the_string_order():
+    # a/10 sorts before a/9 as strings and after it as dpkg versions; the
+    # order, and so the lookup, follows the strings
+    u = tiny_universe(["a/1", "a/9", "a/10", "a/3", "b/2", "c/1"])
+    order = u.order
+    assert [str(p) for p in order] == ["a/1", "a/10", "a/3", "a/9", "b/2", "c/1"]
+    assert [package_id(order, p) for p in order] == list(range(len(order)))
+    assert package_id(order, P("a/1")) == 0
+    assert package_id(order, P("c/1")) == len(order) - 1
+    assert package_id(order, P("a/10")) == 1 and package_id(order, P("a/9")) == 3
+    for unknown in ("0/1", "bb/2", "d/1",  # unknown names, first to last
+                    "a/2",  # between a/10 and a/3, and between a/1 and a/3
+                    "a/0", "c/2"):
+        assert package_id(order, P(unknown)) is None, unknown
+    assert package_id((), P("a/1")) is None
+
+
+def test_an_unknown_package_has_no_atom_and_no_id():
+    u = tiny_universe(["a/1", "b/1"])
+    idx = ClosureIndex(u)
+    atoms = AtomTable(idx)
+    assert atoms.pkg(P("b/1")) == 2 and idx.id_set([P("b/1")]) == {1}
+    with pytest.raises(ValueError, match="^unknown package a/2$"):
+        atoms.pkg(P("a/2"))
+    with pytest.raises(ValueError,
+                       match="^repository references unknown package a/2$"):
+        idx.id_set([P("a/1"), P("a/2")])
 
 
 def test_oracle_and_sat_paths_agree_on_random_universes():
@@ -445,7 +475,7 @@ def test_conflicted_choice_is_decided_without_sat(monkeypatch):
 def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     u = tiny_universe(**GREEDY_DEAD_END)
     idx = ClosureIndex(u)
-    p = idx.ids[P("p/1")]
+    p = package_id(idx.packages, P("p/1"))
     assert repo._greedy_installation(p, idx.id_set(u.packages), idx) == set()
     live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
