@@ -86,7 +86,10 @@ def load_policy(text: str) -> PolicyRules:
         key, sep, rest = line.partition(":")
         if not sep or key.strip() not in ("group", "clause"):
             raise ValueError(f"policy line {number}: cannot parse {line!r}")
-        literals = [_parse_policy_literal(tok) for tok in rest.split()]
+        try:
+            literals = [_parse_policy_literal(tok) for tok in rest.split()]
+        except ValueError as exc:
+            raise ValueError(f"policy line {number}: {exc}") from None
         if not literals:
             raise ValueError(f"policy line {number}: empty rule")
         if key.strip() == "group":
@@ -181,11 +184,11 @@ def cmd_check(args) -> int:
     idx = ClosureIndex(universe)
     testing = universe.testing_ids
     for violation in repo.check_testing(universe, idx, args.deadline):
+        target = violation.subjects[0]
         entry = {"kind": violation.kind, "detail": violation.detail,
-                 "packages": [str(p) for p in violation.subjects],
+                 "packages": [str(idx.packages[i]) for i in violation.subjects],
                  "explanation": None}
         if violation.kind == "trimmedness":
-            target = repo.package_id(idx.packages, violation.subjects[0])
             clauses, info, ids = repo.installation_query(
                 target, testing.intersection(idx.closure(target)), idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),

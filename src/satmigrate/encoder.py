@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from typing import Callable
 
 from . import satcore
@@ -48,7 +48,7 @@ class UniverseTooLarge(EncoderError):
     """p2 requested beyond its configured package bound."""
 
 
-class UnknownPackage(EncoderError):
+class UnknownPackage(EncoderError, ValueError):
     """A policy rule references a package outside the universe."""
 
 
@@ -118,9 +118,16 @@ class PolicyRules:
     groups: list[list[tuple[int, Package]]] = field(default_factory=list)
     extra_clauses: list[list[tuple[int, Package]]] = field(default_factory=list)
 
-    def referenced(self):
-        for rule in (*self.groups, *self.extra_clauses):
-            yield from (pkg for _, pkg in rule)
+    def rule_ids(self, packages: Sequence[Package]) -> list[tuple[int, ...]]:
+        """The ids of each rule's packages, groups before clauses, each
+        found once by ``repo.package_id``."""
+        def known(pkg: Package) -> int:
+            i = package_id(packages, pkg)
+            if i is None:
+                raise UnknownPackage(f"policy references unknown package {pkg}")
+            return i
+        return [tuple(known(pkg) for _, pkg in rule)
+                for rule in (*self.groups, *self.extra_clauses)]
 
 
 @dataclass
@@ -262,25 +269,19 @@ def uniqueness_clauses(problem: EncodedProblem):
     problem.close_block("u", start)
 
 
-def policy_clauses(rules: PolicyRules, u: Universe, problem: EncodedProblem):
+def policy_clauses(rules: PolicyRules, problem: EncodedProblem):
     """All-or-none groups become implications between every ordered pair of
     literals; extra clauses pass through."""
-    for pkg in rules.referenced():
-        if package_id(u.order, pkg) is None:
-            raise UnknownPackage(f"policy references unknown package {pkg}")
-
-    def lit(sign: int, pkg: Package) -> int:
-        return sign * problem.atoms.pkg(pkg)
-
-    for group in rules.groups:
+    rule_ids = iter(rules.rule_ids(problem.atoms.packages))
+    for group, ids in zip(rules.groups, rule_ids):
         desc = policy_rule_text(group)
-        for si, pi in group:
-            for sj, pj in group:
-                if (si, pi) != (sj, pj):
-                    problem.add((-lit(si, pi), lit(sj, pj)), ("v", "group", desc))
-    for clause in rules.extra_clauses:
-        desc = policy_rule_text(clause)
-        problem.add(tuple(lit(s, p) for s, p in clause), ("v", "clause", desc))
+        lits = [sign * (i + 1) for (sign, _), i in zip(group, ids)]
+        for a, b in product(lits, repeat=2):
+            if a != b:
+                problem.add((-a, b), ("v", "group", desc))
+    for clause, ids in zip(rules.extra_clauses, rule_ids):
+        problem.add(tuple(sign * (i + 1) for (sign, _), i in zip(clause, ids)),
+                    ("v", "clause", policy_rule_text(clause)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +384,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     uniqueness_clauses(problem)
     _context_blocks(problem, idx, scheme, atoms.contexts, ids)
     if rules is not None:
-        policy_clauses(rules, u, problem)
+        policy_clauses(rules, problem)
     return problem
 
 

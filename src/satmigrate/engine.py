@@ -162,9 +162,8 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
         if name in names:
             continue
         chosen.add(i)
-        if repo.installable_in(i, chosen, idx, deadline) and (
-                policy is None or repo.policy_satisfied(
-                    repo.policy_members(chosen, policy, idx), policy)):
+        if repo.installable_in(i, chosen, idx, deadline) and \
+                repo.policy_violation(chosen, policy, packages) is None:
             names.add(name)
         else:
             chosen.remove(i)
@@ -204,7 +203,7 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     contexts of every such member (``encoder.track_contexts``) and the
     next round solves again. The result's warnings are the last round's.
     T′ stays ids, returned beside the result, which is None when it misses
-    a given ``optimum``: its Packages and a verdict's are built for reports.
+    a given ``optimum``: its Packages are built for reports.
 
     The answer is the requested encoding's optimum. Every clause that a
     round holds is one of the full instance's or implied by it, so each
@@ -238,7 +237,7 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         if verdict:
             break
         if verdict.kind != "trimmedness" or not encoder.track_contexts(
-                problem, idx, idx.id_set(verdict.subjects)):
+                problem, idx, verdict.subjects):
             raise VerificationFailed(
                 f"decoded repository failed verification: {verdict.detail}")
     if optimum is not None and recount != optimum:

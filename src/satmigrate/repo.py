@@ -11,8 +11,8 @@ each distinct constraint once, straight into ids. The ``Universe`` holds
 the resulting id tables, repositories included; ``ClosureIndex`` reads
 them as they are, and ``package_id`` turns parsed input into ids.
 ``closure_universe`` cuts a universe down to one package's closure, with
-the same tables over fewer ids. The checks take ids too: Packages appear
-only in parsed input, reports and explanations.
+the same tables over fewer ids. The checks read and name ids, policies
+included: Packages appear only in parsed input, reports and explanations.
 
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ``ClosureIndex`` ids, in four exact
@@ -467,10 +467,13 @@ def is_installable(p: Package, r: Iterable[Package], idx: "ClosureIndex"
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
+    """A check's verdict. A failed one's subjects are ids: the uniqueness
+    pair, the members that are not installable, or a broken rule's packages."""
+
     ok: bool
     kind: str | None = None
     detail: str = ""
-    subjects: tuple[Package, ...] = ()
+    subjects: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -481,33 +484,28 @@ def policy_rule_text(rule) -> str:
     return " ".join(f"{'+' if sign > 0 else '-'}{pkg}" for sign, pkg in rule)
 
 
-def _policy_violation(t_prime: frozenset[Package], policy: "PolicyRules"
-                      ) -> AdmissibilityVerdict | None:
-    """The verdict on the first policy rule t_prime breaks, groups before
-    clauses, or None when it keeps them all."""
-    for group in policy.groups:
-        if len({(pkg in t_prime) == (sign > 0) for sign, pkg in group}) > 1:
+def policy_violation(chosen: set[int], policy: "PolicyRules | None",
+                     packages: Sequence[Package]) -> AdmissibilityVerdict | None:
+    """The verdict on the first rule of the policy, if any, that chosen (ids
+    of ``packages``) breaks, groups before clauses, or None. A group holds
+    when all or none of its literals do, a clause when one does. A package
+    outside ``packages`` raises ``encoder.UnknownPackage``, a ValueError."""
+    if policy is None:
+        return None
+    rules = iter(policy.rule_ids(packages))
+    for group, ids in zip(policy.groups, rules):
+        if len({(i in chosen) == (sign > 0)
+                for (sign, _), i in zip(group, ids)}) > 1:
             return AdmissibilityVerdict(
                 False, "policy", "group not all-or-none: " +
-                policy_rule_text(group), tuple(pkg for _, pkg in group))
-    for clause in policy.extra_clauses:
-        if not any((pkg in t_prime) == (sign > 0) for sign, pkg in clause):
+                policy_rule_text(group), ids)
+    for clause, ids in zip(policy.extra_clauses, rules):
+        if not any((i in chosen) == (sign > 0)
+                   for (sign, _), i in zip(clause, ids)):
             return AdmissibilityVerdict(
                 False, "policy", "clause unsatisfied: " +
-                policy_rule_text(clause), tuple(pkg for _, pkg in clause))
+                policy_rule_text(clause), ids)
     return None
-
-
-def policy_satisfied(t_prime: frozenset[Package],
-                     policy: "PolicyRules | None") -> bool:
-    return policy is None or _policy_violation(t_prime, policy) is None
-
-
-def policy_members(chosen: set[int], policy: "PolicyRules",
-                   idx: "ClosureIndex") -> frozenset[Package]:
-    """The members of chosen (ids) that the policy names: all it reads."""
-    return frozenset(p for p in policy.referenced()
-                     if package_id(idx.packages, p) in chosen)
 
 
 def is_admissible(chosen: set[int], idx: "ClosureIndex",
@@ -523,23 +521,19 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
     packages = idx.packages
     if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
-    members = list(map(packages.__getitem__, sorted(chosen)))  # name order
-    for first, p in zip(members, members[1:]):
+    members = [(i, packages[i]) for i in sorted(chosen)]  # in name order
+    for (a, first), (b, p) in zip(members, members[1:]):
         if first.name == p.name:
             return AdmissibilityVerdict(
                 False, "uniqueness",
-                f"name {p.name} occurs twice: {first} and {p}", (first, p))
-    broken = sorted(chosen - installable_ids(chosen, idx, deadline))
+                f"name {p.name} occurs twice: {first} and {p}", (a, b))
+    broken = tuple(sorted(chosen - installable_ids(chosen, idx, deadline)))
     if broken:
         return AdmissibilityVerdict(
             False, "trimmedness", f"{packages[broken[0]]} is not installable",
-            tuple(map(packages.__getitem__, broken)))
-    if policy is not None:
-        violation = _policy_violation(policy_members(chosen, policy, idx),
-                                      policy)
-        if violation is not None:
-            return violation
-    return AdmissibilityVerdict(True)
+            broken)
+    violation = policy_violation(chosen, policy, packages)
+    return AdmissibilityVerdict(True) if violation is None else violation
 
 
 def check_testing(u: Universe, idx: "ClosureIndex",
@@ -547,15 +541,15 @@ def check_testing(u: Universe, idx: "ClosureIndex",
     """All uniqueness/trimmedness defects of the incoming testing repository."""
     packages, testing = idx.packages, u.testing_ids
     violations = []
-    members = map(packages.__getitem__, sorted(testing))  # in name order
-    for name, group in groupby(members, attrgetter("name")):
+    for name, group in groupby(sorted(testing),  # in name order
+                               lambda i: packages[i].name):
         group = tuple(group)
         if len(group) > 1:
             violations.append(AdmissibilityVerdict(
                 False, "uniqueness",
                 f"name {name} occurs {len(group)} times in testing", group))
     for i in sorted(testing - installable_ids(testing, idx, deadline)):
-        p = packages[i]
         violations.append(AdmissibilityVerdict(
-            False, "trimmedness", f"{p} is not installable in testing", (p,)))
+            False, "trimmedness", f"{packages[i]} is not installable in testing",
+            (i,)))
     return violations

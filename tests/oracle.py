@@ -3,7 +3,8 @@
 The exhaustive ones enumerate subsets or assignments, so they are
 exponential by design and bounded to small inputs. `unique_pairs` and
 `is_healthy` are the definitions of uniqueness and healthiness on
-Packages that they test against. `deletion_mus` is the plain
+Packages that they test against, and `broken_rules` the definition of a
+policy's groups and clauses. `deletion_mus` is the plain
 one-clause-at-a-time core loop, `sat_installable` one SAT query over a
 package's whole closure on Packages, and `normalized_encoding` the e, i,
 d and c generator that passes every clause through `normalize_clause`.
@@ -31,7 +32,7 @@ from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import (MalformedDependency, _char_order,
                                     _parse_alternative, _split_version)
 from satmigrate.encoder import EncodedProblem, PolicyRules
-from satmigrate.repo import Package, RepoError, Universe, policy_satisfied
+from satmigrate.repo import Package, RepoError, Universe
 from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
                                 SolveStatus, literal_true, solve_sat)
 
@@ -197,6 +198,26 @@ def is_installable(p: Package, r: Iterable[Package], u: Universe,
     return False
 
 
+def broken_rules(t_prime: frozenset[Package], policy: PolicyRules | None
+                 ) -> list[tuple[str, list]]:
+    """Reference for repo.policy_violation, on Packages, from the rules'
+    definitions: a literal (+1, p) holds when p is in T′ and (-1, p) when
+    p is not; a group holds when all its literals hold or none does, and a
+    clause when at least one holds. Returns every rule that T′ breaks, as
+    ("group", rule) or ("clause", rule), groups first, in policy order."""
+    if policy is None:
+        return []
+
+    def held(rule) -> list[bool]:
+        return [p in t_prime if sign > 0 else p not in t_prime
+                for sign, p in rule]
+
+    return ([("group", group) for group in policy.groups
+             if any(held(group)) and not all(held(group))] +
+            [("clause", clause) for clause in policy.extra_clauses
+             if not any(held(clause))])
+
+
 def restore_shared(t_prime: frozenset[Package], u: Universe,
                    policy: PolicyRules | None) -> frozenset[Package]:
     """Reference for engine._restore_shared: one sat_installable query per
@@ -209,7 +230,7 @@ def restore_shared(t_prime: frozenset[Package], u: Universe,
         candidate = frozenset(current | {p})
         if not sat_installable(p, candidate, u):
             continue
-        if not policy_satisfied(candidate, policy):
+        if broken_rules(candidate, policy):
             continue
         current.add(p)
         names.add(p.name)

@@ -370,6 +370,10 @@ def test_policy_file_parsing():
         load_policy("bogus line\n")
     with pytest.raises(ValueError):
         load_policy("group:\n")
+    # a bad literal names its line, as a bad line does
+    with pytest.raises(ValueError, match="^policy line 2: package spec must"
+                       " be name/version, got 'nonsense'$"):
+        load_policy("clause: a/1\ngroup: +a/1 nonsense\n")
 
 
 def test_timeout_exit_code(repos, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import satmigrate.encoder as encoder_mod
 import satmigrate.satcore as satcore_mod
 from satmigrate import cli, engine, repo
 from satmigrate.closure import ClosureIndex
@@ -101,15 +102,15 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
 
 def test_policy_is_checked_on_the_packages_it_names(monkeypatch):
     # a rule reads only whether its own packages are members, so the
-    # restore checks the policy on T' cut down to those packages
+    # encoder, the restore and the check look up those packages alone
     received = []
-    original = repo.policy_satisfied
+    original = encoder_mod.package_id
 
-    def recording(t_prime, policy):
-        received.append(t_prime)
-        return original(t_prime, policy)
+    def recording(packages, p):
+        received.append(p)
+        return original(packages, p)
 
-    monkeypatch.setattr(repo, "policy_satisfied", recording)
+    monkeypatch.setattr(encoder_mod, "package_id", recording)
     rng = random.Random(89)
     checked = 0
     for _ in range(4):
@@ -120,7 +121,7 @@ def test_policy_is_checked_on_the_packages_it_names(monkeypatch):
                              extra_clauses=[[(-1, c)]])
         received.clear()
         result = solve_migration(MigrationRequest(policy=policy), u)
-        assert all(t_prime <= {a, b, c} for t_prime in received)
+        assert set(received) <= {a, b, c}
         assert _admissible(result.t_prime, u, policy)
         checked += len(received)
     assert checked > 0
@@ -187,6 +188,12 @@ def _packages_file(u, ids) -> str:
     return text
 
 
+def _t_prime(report: str) -> list[str]:
+    """The packages of a text report's first t-prime line."""
+    return next(line for line in report.splitlines()
+                if line.startswith("t-prime: ")).split()[1:]
+
+
 def test_commands_hash_a_package_only_for_the_reported_t_prime(
         monkeypatch, tmp_path, capsys):
     # a command turns parsed input into ids by bisection and builds no
@@ -235,6 +242,13 @@ def test_commands_hash_a_package_only_for_the_reported_t_prime(
     assert count == sum(sizes) and len(sizes) == 2
     _, count, sizes = run("migrate", "--all-deltas", "1")
     assert count == sum(sizes) and len(sizes) == 1
+    # under a policy that keeps a shared package of the optimum, the
+    # restore and the check test the rule on ids and hash no Package
+    kept = next(str(u.order[i]) for i in sorted(u.testing_ids & u.unstable_ids)
+                if str(u.order[i]) in _t_prime(out))
+    (tmp_path / "policy").write_text(f"clause: +{kept}\n")
+    out, count, sizes = run("migrate", "--policy", str(tmp_path / "policy"))
+    assert count == sum(sizes) and len(sizes) == 1 and kept in _t_prime(out)
 
 
 def test_no_candidates_trivial_result():
@@ -535,10 +549,21 @@ def _full_optimum(req, u, idx):
     return satcore_mod.count_satisfied(full.soft, result.true_atoms)
 
 
-def test_rounds_reach_the_full_instance_optimum():
-    # dense clusters, where the first round's answer often fails the check
+def test_rounds_reach_the_full_instance_optimum(monkeypatch):
+    # dense clusters, where the first round's answer often fails the check;
+    # a failed check names its members as ids, so the rounds turn no
+    # Package set into ids
     rng = random.Random(109)
     refined = {}
+    id_sets, solving = [], [False]
+    original_id_set = ClosureIndex.id_set
+
+    def id_set(self, packages):
+        if solving[0]:
+            id_sets.append(packages)
+        return original_id_set(self, packages)
+
+    monkeypatch.setattr(ClosureIndex, "id_set", id_set)
     for _ in range(6):
         size = rng.randint(50, 90)
         u = clustered_universe(rng, size,
@@ -558,11 +583,14 @@ def test_rounds_reach_the_full_instance_optimum():
                 for p in incoming[-2:]]
             for case, req in requests:
                 expected = _full_optimum(req, u, idx)
+                solving[0] = True
                 try:
                     result, problem, _, _ = engine._solve_encoded(req, u)
                 except Unsolvable:
                     assert expected is None, (case, encoding)
                     continue
+                finally:
+                    solving[0] = False
                 assert result.optimum == expected, (case, encoding)
                 assert _admissible(result.t_prime, u, req.policy, idx)
                 key = case, encoding
@@ -570,6 +598,7 @@ def test_rounds_reach_the_full_instance_optimum():
                                    problem.atoms.num_inst_atoms)
     # each case took a second round somewhere: it tracked a context
     assert len(refined) == 16 and min(refined.values()) > 0, refined
+    assert id_sets == []
 
 
 def test_a_first_round_that_passes_tracks_no_context():

@@ -12,8 +12,7 @@ from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import AtomTable, PolicyRules
 from satmigrate.repo import (DuplicateIdentity, InstallabilityTimedOut,
                              build_universe, is_admissible, is_installable,
-                             make_universe, package_id, policy_satisfied,
-                             check_testing)
+                             make_universe, package_id, check_testing)
 
 from . import oracle
 from .generators import P, clustered_universe, random_universe, tiny_universe
@@ -280,18 +279,20 @@ def test_is_admissible_refuses_ids_outside_the_index():
 
 def test_duplicate_names_violate_uniqueness():
     u = tiny_universe(["a/1", "a/2"])
-    verdict = _admissible({P("a/1"), P("a/2")}, u)
+    idx = ClosureIndex(u)
+    verdict = _admissible({P("a/1"), P("a/2")}, u, idx=idx)
     assert not verdict.ok
     assert verdict.kind == "uniqueness"
-    assert set(verdict.subjects) == {P("a/1"), P("a/2")}
+    assert set(verdict.subjects) == idx.id_set({P("a/1"), P("a/2")})
 
 
 def test_uninstallable_member_violates_trimmedness():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    verdict = _admissible({P("p/1")}, u)
+    idx = ClosureIndex(u)
+    verdict = _admissible({P("p/1")}, u, idx=idx)
     assert not verdict.ok
     assert verdict.kind == "trimmedness"
-    assert verdict.subjects == (P("p/1"),)
+    assert verdict.subjects == (package_id(idx.packages, P("p/1")),)
 
 
 def test_policy_group_and_clause_checked():
@@ -412,42 +413,72 @@ def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
 
 
 def _reference_verdict(chosen, u, policy):
-    """Uniqueness, then per-package installability, then the policy."""
+    """Uniqueness, then per-package installability, then the policy's first
+    broken rule (``oracle.broken_rules``): the kind, the detail and the
+    subjects, as Packages."""
     seen = {}
     for p in sorted(chosen):
         if p.name in seen:
             return ("uniqueness",
-                    f"name {p.name} occurs twice: {seen[p.name]} and {p}")
+                    f"name {p.name} occurs twice: {seen[p.name]} and {p}",
+                    (seen[p.name], p))
         seen[p.name] = p
     broken = _per_package(chosen, u)
     if broken:
-        return "trimmedness", f"{broken[0]} is not installable"
-    if not policy_satisfied(chosen, policy):
-        return "policy", None
+        return "trimmedness", f"{broken[0]} is not installable", tuple(broken)
+    rules = oracle.broken_rules(chosen, policy)
+    if rules:
+        kind, rule = rules[0]
+        what = {"group": "group not all-or-none",
+                "clause": "clause unsatisfied"}[kind]
+        return ("policy", f"{what}: {repo.policy_rule_text(rule)}",
+                tuple(p for _, p in rule))
     return None
 
 
 def test_is_admissible_matches_per_package_reference():
+    # policies of groups and clauses of one to three literals of both signs
     rng = random.Random(31)
     kinds = set()
     for _ in range(600):
         u = random_universe(rng, max_size=10, dep_density=0.6,
                             conflict_density=0.8)
+        idx = ClosureIndex(u)
         pkgs = list(u.order)
         chosen = frozenset(p for p in pkgs if rng.random() < 0.6)
         policy = None
         if pkgs and rng.random() < 0.3:
-            policy = PolicyRules(extra_clauses=[[(1, rng.choice(pkgs))]])
-        verdict = _admissible(chosen, u, policy)
+            def rule():
+                return [(rng.choice((1, -1)), rng.choice(pkgs))
+                        for _ in range(rng.randint(1, 3))]
+
+            policy = PolicyRules(
+                groups=[rule() for _ in range(rng.randint(0, 2))],
+                extra_clauses=[rule() for _ in range(rng.randint(0, 2))])
+        verdict = _admissible(chosen, u, policy, idx)
         expected = _reference_verdict(chosen, u, policy)
         if expected is None:
             assert verdict.ok
             continue
-        kinds.add(expected[0])
-        assert (verdict.ok, verdict.kind) == (False, expected[0])
-        if expected[1] is not None:
-            assert verdict.detail == expected[1]
-    assert kinds == {"uniqueness", "trimmedness", "policy"}
+        kinds.add(expected[1].split(":")[0] if expected[0] == "policy"
+                  else expected[0])
+        assert (verdict.ok, verdict.kind, verdict.detail) == (False,
+                                                              *expected[:2])
+        assert tuple(idx.packages[i] for i in verdict.subjects) == expected[2]
+    assert kinds == {"uniqueness", "trimmedness", "group not all-or-none",
+                     "clause unsatisfied"}
+
+
+def test_is_admissible_refuses_a_policy_naming_an_unknown_package():
+    # a/1 alone is admissible, so the check reaches the policy, and the
+    # unknown package would otherwise read as absent, keeping both rules
+    u = tiny_universe(["a/1"])
+    idx = ClosureIndex(u)
+    for policy in (PolicyRules(groups=[[(1, P("a/1")), (-1, P("ghost/1"))]]),
+                   PolicyRules(extra_clauses=[[(-1, P("ghost/1"))]])):
+        with pytest.raises(ValueError,
+                           match="^policy references unknown package ghost/1$"):
+            is_admissible({0}, idx, policy)
 
 
 # p needs q or r, which conflict: the closure holds a conflict, and the
