@@ -40,13 +40,9 @@ EXIT_VIOLATIONS = 4
 DEFAULT_TIMEOUT = 300.0
 
 # Failures that every command reports as "error: ..." with exit 1;
-# main catches engine.Unsolvable and TIMEOUTS first.
+# main catches engine.Unsolvable and satcore.SolveTimedOut first.
 ERRORS = (OSError, ValueError, controlfile.ControlFileError, repo.RepoError,
           encoder.EncoderError, engine.EngineError, satcore.SatCoreError)
-# Running past the command's deadline, reported as "timeout: ..." with exit 3;
-# caught before ERRORS, which holds their base classes.
-TIMEOUTS = (engine.SolveTimedOut, satcore.MusTimedOut,
-            repo.InstallabilityTimedOut)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -351,7 +347,7 @@ def main(argv=None) -> int:
     except engine.Unsolvable as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    except TIMEOUTS as exc:
+    except satcore.SolveTimedOut as exc:  # past the deadline, in any search
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except ERRORS as exc:

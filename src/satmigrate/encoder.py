@@ -64,8 +64,8 @@ class NotAMigrationCandidate(EncoderError):
 class AtomTable:
     """Dense, deterministic bijection between atoms and 1-based indices.
 
-    The ids are the ``ClosureIndex``'s, and ``pkg`` finds them with
-    ``repo.package_id``: package atom i+1 stands for the index's package i.
+    The ids are the ``ClosureIndex``'s: package atom i+1 stands for the
+    index's package i.
     The installation atoms follow, sorted by (context id, member id), and
     ``contexts`` maps each context id to its {member id: atom id}. A
     context that ``track`` adds later gets the next atoms, its members in
@@ -94,12 +94,6 @@ class AtomTable:
                                                  start=len(self) + 1):
             contexts.setdefault(context, {})[member] = atom
         self.inst_pairs += inst_pairs
-
-    def pkg(self, p: Package) -> int:
-        i = package_id(self.packages, p)
-        if i is None:
-            raise ValueError(f"unknown package {p}")
-        return i + 1
 
     def render_map(self) -> str:
         names = list(map(str, self.packages))  # each package formatted once

@@ -8,7 +8,8 @@ T′ is a set of ``ClosureIndex`` ids from the decode to the report:
 Packages appear only in parsed input, reports and explanations.
 
 Every search made for a request (each closure decision, solve round,
-installability query and core extraction) reads its one ``deadline``.
+installability query and core extraction) reads its one ``deadline``
+and raises ``satcore.SolveTimedOut`` past it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import encoder, repo, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
 from .repo import PACKAGE_ORDER, Package, Universe
-from .satcore import SolveStatus
+from .satcore import SolveStatus, SolveTimedOut
 
 MODES = ("max", "min-nontrivial", "target")
 
@@ -44,10 +45,6 @@ class Unsolvable(EngineError):
     def __init__(self, message: str, problem: EncodedProblem):
         super().__init__(message)
         self.problem = problem
-
-
-class SolveTimedOut(EngineError):
-    pass
 
 
 class ActuallySolvable(EngineError):
@@ -155,6 +152,7 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
     need re-checking. T′ and the answer are sets of idx's ids.
     """
     packages = idx.packages
+    rule_ids = () if policy is None else policy.rule_ids(packages)
     chosen = set(t_prime)
     names = {packages[i].name for i in chosen}
     for i in sorted((u.testing_ids & u.unstable_ids) - chosen):
@@ -163,7 +161,7 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
             continue
         chosen.add(i)
         if repo.installable_in(i, chosen, idx, deadline) and \
-                repo.policy_violation(chosen, policy, packages) is None:
+                repo.policy_violation(chosen, policy, rule_ids) is None:
             names.add(name)
         else:
             chosen.remove(i)
@@ -220,11 +218,6 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
     while True:
         result = _solve(problem, req.deadline, req.solver_command)
         recount = satcore.count_satisfied(problem.soft, result.true_atoms)
-        if result.satisfied_soft is not None and \
-                result.satisfied_soft != recount:
-            raise OptimumMismatch(
-                f"solver reported {result.satisfied_soft} satisfied soft"
-                f" clauses, recount says {recount}")
         if result.claimed_cost is not None and \
                 len(problem.soft) - recount != result.claimed_cost:
             raise OptimumMismatch(
@@ -363,7 +356,7 @@ def alternative_optima(req: MigrationRequest, u: Universe,
         try:
             result, chosen = _solve_verified(req, u, idx, problem,
                                              first.optimum)
-        except (Unsolvable, SolveTimedOut, repo.InstallabilityTimedOut):
+        except (Unsolvable, SolveTimedOut):
             break
         if result is None:
             break
@@ -427,8 +420,6 @@ def explain_non_migration(p: Package, problem: EncodedProblem,
                                   deadline=deadline)
     except satcore.NotUnsat:
         raise ActuallySolvable(f"{p} migrates; nothing to explain") from None
-    except satcore.MusTimedOut as exc:
-        raise SolveTimedOut(str(exc)) from None
     facts = tuple(describe_clause(problem.info[i], problem.atoms.packages)
                   for i in mus.core)
     return Explanation(package=p, core=mus.core, facts=facts)

@@ -78,10 +78,6 @@ class RepoError(Exception):
     """Base class for repository-model failures."""
 
 
-class InstallabilityTimedOut(RepoError):
-    """An installability query (step 4) ran past its deadline."""
-
-
 class DuplicateIdentity(RepoError):
     """Two stanzas share (name, version) but disagree on metadata."""
 
@@ -415,7 +411,7 @@ def _installation_by_query(p: int, r: set[int], live: set[int],
         p, live.intersection(idx.closure(p)), idx)
     result = satcore.solve_sat(clauses, num_vars=len(ids), deadline=deadline)
     if result.status is satcore.SolveStatus.TIMEOUT:
-        raise InstallabilityTimedOut(
+        raise satcore.SolveTimedOut(
             f"installability query for {idx.packages[p]} timed out")
     if result.status is not satcore.SolveStatus.SAT:
         return set()
@@ -485,14 +481,15 @@ def policy_rule_text(rule) -> str:
 
 
 def policy_violation(chosen: set[int], policy: "PolicyRules | None",
-                     packages: Sequence[Package]) -> AdmissibilityVerdict | None:
-    """The verdict on the first rule of the policy, if any, that chosen (ids
-    of ``packages``) breaks, groups before clauses, or None. A group holds
-    when all or none of its literals do, a clause when one does. A package
-    outside ``packages`` raises ``encoder.UnknownPackage``, a ValueError."""
+                     rule_ids: Sequence[tuple[int, ...]]
+                     ) -> AdmissibilityVerdict | None:
+    """The verdict on the first rule of the policy, if any, that chosen
+    breaks, groups before clauses, or None. ``rule_ids`` is the policy's
+    ``rule_ids`` on the packages that chosen's ids index. A group holds
+    when all or none of its literals do, a clause when one does."""
     if policy is None:
         return None
-    rules = iter(policy.rule_ids(packages))
+    rules = iter(rule_ids)
     for group, ids in zip(policy.groups, rules):
         if len({(i in chosen) == (sign > 0)
                 for (sign, _), i in zip(group, ids)}) > 1:
@@ -516,11 +513,14 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
 
     Reports the first witnessed violation in a deterministic order. A
     trimmedness verdict's subjects are every member that is not
-    installable, in sorted order; its detail names the first.
+    installable, in sorted order; its detail names the first. A policy
+    that names a package outside the index raises
+    ``encoder.UnknownPackage``, a ValueError, before any check.
     """
     packages = idx.packages
     if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
+    rule_ids = () if policy is None else policy.rule_ids(packages)
     members = [(i, packages[i]) for i in sorted(chosen)]  # in name order
     for (a, first), (b, p) in zip(members, members[1:]):
         if first.name == p.name:
@@ -532,7 +532,7 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
         return AdmissibilityVerdict(
             False, "trimmedness", f"{packages[broken[0]]} is not installable",
             broken)
-    violation = policy_violation(chosen, policy, packages)
+    violation = policy_violation(chosen, policy, rule_ids)
     return AdmissibilityVerdict(True) if violation is None else violation
 
 

@@ -56,8 +56,8 @@ class NotUnsat(SatCoreError):
     """MUS extraction was asked to explain a satisfiable instance."""
 
 
-class MusTimedOut(SatCoreError):
-    """MUS extraction ran past its deadline."""
+class SolveTimedOut(SatCoreError):
+    """A search ran past the command's deadline; the message names it."""
 
 
 class SolverCrashed(SatCoreError):
@@ -697,7 +697,7 @@ def extract_mus(hard, num_vars: int,
         result = solve_sat([tuple(map(dense.__getitem__, c)) for c in clauses],
                            num_vars=k, deadline=deadline)
         if result.status is SolveStatus.TIMEOUT:
-            raise MusTimedOut("timeout during core minimization")
+            raise SolveTimedOut("timeout during core minimization")
         if result.status is SolveStatus.SAT:
             true_atoms = frozenset(variables[v - 1] for v in result.true_atoms)
             if not verify_model(clauses, true_atoms):

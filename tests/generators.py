@@ -6,12 +6,18 @@ from __future__ import annotations
 import random
 
 from satmigrate.closure import ClosureIndex
+from satmigrate.encoder import AtomTable
 from satmigrate.repo import Package, Universe, make_universe, package_id
 from satmigrate.satcore import DpllSolver, SolveStatus
 
 
 def P(spec: str) -> Package:
     return Package.parse(spec)
+
+
+def pkg_atom(atoms: AtomTable, p: Package) -> int:
+    """p's package atom in an encoding's atom table: its id, plus one."""
+    return package_id(atoms.packages, p) + 1
 
 
 def may_dep(idx: ClosureIndex, p: Package) -> frozenset[Package]:
@@ -181,8 +187,8 @@ def projected_solutions(problem, universe: Universe) -> set[int]:
     solver = DpllSolver(problem.num_vars, problem.hard)
     found = set()
     for mask in range(1 << len(pkgs)):
-        assumptions = [atoms.pkg(p) if mask >> i & 1 else -atoms.pkg(p)
-                       for i, p in enumerate(pkgs)]
+        assumptions = [pkg_atom(atoms, p) if mask >> i & 1
+                       else -pkg_atom(atoms, p) for i, p in enumerate(pkgs)]
         result = solver.solve(assumptions=assumptions)
         if result.status is SolveStatus.SAT:
             found.add(mask)

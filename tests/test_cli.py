@@ -492,7 +492,7 @@ def test_check_reports_core_extraction_error(repos, capsys, monkeypatch):
 
 def _raise_mus_timeout(hard, num_vars=None, deadline=None):
     import satmigrate.satcore as satcore_mod
-    raise satcore_mod.MusTimedOut("timeout during core minimization")
+    raise satcore_mod.SolveTimedOut("timeout during core minimization")
 
 
 def test_check_core_extraction_timeout_exit_code(repos, capsys, monkeypatch):
@@ -808,7 +808,7 @@ def _failure(family: str) -> Exception:
     from satmigrate import encoder, engine, satcore
 
     return {"unsolvable": engine.Unsolvable("no model", None),
-            "timeout": satcore.MusTimedOut("out of time"),
+            "timeout": satcore.SolveTimedOut("out of time"),
             "error": encoder.EncoderError("bad encoding")}[family]
 
 

@@ -15,8 +15,8 @@ from satmigrate.encoder import (AtomTable, ConflictsPresent,
 from satmigrate.repo import make_universe, package_id
 from satmigrate.satcore import SolveStatus
 
-from .generators import (P, clustered_universe, is_easy, projected_solutions,
-                         random_universe, tiny_universe)
+from .generators import (P, clustered_universe, is_easy, pkg_atom,
+                         projected_solutions, random_universe, tiny_universe)
 from .oracle import (admissible_masks, admissible_sets, brute_force_solve,
                      normalized_encoding)
 
@@ -31,7 +31,7 @@ def _clauses(problem, family):
 def test_uniqueness_clause_per_duplicate_pair():
     u = tiny_universe(["a/1", "a/2"])
     problem = build_encoding(u, None, "p1")
-    a1, a2 = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("a/2"))
+    a1, a2 = (pkg_atom(problem.atoms, P(s)) for s in ("a/1", "a/2"))
     assert _clauses(problem, "u") == [tuple(sorted((-a1, -a2),
                                                    key=lambda l: (abs(l), l)))]
 
@@ -52,7 +52,7 @@ def test_policy_group_becomes_biconditional():
     u = tiny_universe(["b1/2", "b2/2"])
     rules = PolicyRules(groups=[[(1, P("b1/2")), (1, P("b2/2"))]])
     problem = build_encoding(u, None, "p1", rules)
-    i1, i2 = problem.atoms.pkg(P("b1/2")), problem.atoms.pkg(P("b2/2"))
+    i1, i2 = (pkg_atom(problem.atoms, P(s)) for s in ("b1/2", "b2/2"))
     assert set(_clauses(problem, "v")) == {
         satcore.normalize_clause((-i1, i2)),
         satcore.normalize_clause((-i2, i1))}
@@ -89,14 +89,14 @@ def test_p1_isolated_package():
 def test_p1_dependency_is_implication():
     u = tiny_universe(["a/1", "b/1"], dep={"a/1": [["b/1"]]})
     problem = build_encoding(u, None, "p1")
-    a, b = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("b/1"))
+    a, b = pkg_atom(problem.atoms, P("a/1")), pkg_atom(problem.atoms, P("b/1"))
     assert _clauses(problem, "d") == [satcore.normalize_clause((-a, b))]
 
 
 def test_p1_empty_disjunction_forces_removal():
     u = tiny_universe(["a/1"], dep={"a/1": [[]]})
     problem = build_encoding(u, None, "p1")
-    assert _clauses(problem, "d") == [(-problem.atoms.pkg(P("a/1")),)]
+    assert _clauses(problem, "d") == [(-pkg_atom(problem.atoms, P("a/1")),)]
 
 
 def test_p1_rejects_conflicts():
@@ -116,7 +116,7 @@ def test_p2_atom_count_is_n_plus_n_squared():
 def test_p2_isolated_package_clauses():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p2")
-    a = problem.atoms.pkg(P("a/1"))
+    a = pkg_atom(problem.atoms, P("a/1"))
     aa = problem.atoms.contexts[0][0]
     assert _clauses(problem, "e") == [satcore.normalize_clause((-aa, a))]
     assert _clauses(problem, "i") == [satcore.normalize_clause((-a, aa))]
@@ -196,7 +196,7 @@ def test_p4_easy_dependency_referenced_as_package_atom():
     atoms = problem.atoms
     p = package_id(idx.packages, P("p/1"))
     expected = satcore.normalize_clause(
-        (-atoms.contexts[p][p], atoms.pkg(P("e/1"))))
+        (-atoms.contexts[p][p], pkg_atom(atoms, P("e/1"))))
     assert expected in _clauses(problem, "d")
 
 
@@ -225,7 +225,8 @@ def test_p5_tracks_conflicting_alternatives_and_blocks_package():
     assert set(atoms.contexts[0]) == {0, 1, 2}  # p/1, q/1 and r/1 in p/1's
     # brute-force enumeration: no assignment makes PkgVar p true
     blocked = brute_force_solve(
-        problem.hard + [(atoms.pkg(P("p/1")),)], num_vars=problem.num_vars)
+        problem.hard + [(pkg_atom(atoms, P("p/1")),)],
+        num_vars=problem.num_vars)
     assert blocked.status is SolveStatus.UNSAT
 
 
@@ -235,8 +236,8 @@ def test_soft_max_units():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = build_encoding(u, None, "p1")
     soft = soft_max(u)
-    assert soft == [(problem.atoms.pkg(P("a/2")),),
-                    (-problem.atoms.pkg(P("a/1")),)]
+    assert soft == [(pkg_atom(problem.atoms, P("a/2")),),
+                    (-pkg_atom(problem.atoms, P("a/1")),)]
 
 
 def test_soft_max_empty_when_repositories_equal():
@@ -250,8 +251,8 @@ def test_soft_max_set_differences():
                       unstable=["a/2", "b/1"])
     problem = build_encoding(u, None, "p1")
     soft = soft_max(u)
-    assert soft == [(problem.atoms.pkg(P("a/2")),),
-                    (-problem.atoms.pkg(P("a/1")),)]
+    assert soft == [(pkg_atom(problem.atoms, P("a/2")),),
+                    (-pkg_atom(problem.atoms, P("a/1")),)]
 
 
 def _min_nontrivial(u):
@@ -265,7 +266,7 @@ def _min_nontrivial(u):
 def test_soft_min_with_nontriviality():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = _min_nontrivial(u)
-    a1, a2 = problem.atoms.pkg(P("a/1")), problem.atoms.pkg(P("a/2"))
+    a1, a2 = (pkg_atom(problem.atoms, P(s)) for s in ("a/1", "a/2"))
     assert problem.hard[-1] == satcore.normalize_clause((a2, -a1))
     assert problem.info[-1] == ("nt",)
     assert problem.soft == [(-a2,), (a1,)]
@@ -274,8 +275,8 @@ def test_soft_min_with_nontriviality():
 def test_soft_min_outgoing_only():
     u = tiny_universe(["a/1"], testing=[], unstable=["a/1"])
     problem = _min_nontrivial(u)
-    assert problem.hard[-1] == (problem.atoms.pkg(P("a/1")),)
-    assert problem.soft == [(-problem.atoms.pkg(P("a/1")),)]
+    assert problem.hard[-1] == (pkg_atom(problem.atoms, P("a/1")),)
+    assert problem.soft == [(-pkg_atom(problem.atoms, P("a/1")),)]
 
 
 def test_soft_min_three_candidates():
@@ -297,7 +298,7 @@ def test_target_clause_unit():
     u = tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
     problem = build_encoding(u, None, "p1")
     clause, info = target_clause(check_target(P("a/2"), u))
-    assert clause == (problem.atoms.pkg(P("a/2")),)
+    assert clause == (pkg_atom(problem.atoms, P("a/2")),)
     assert info == ("target", 1)  # a/2's id
 
 
@@ -315,7 +316,7 @@ def test_target_must_be_candidate():
 def test_clause_hygiene_dedup_and_empty_reporting():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p1")
-    a = problem.atoms.pkg(P("a/1"))
+    a = pkg_atom(problem.atoms, P("a/1"))
     before = len(problem.hard)
     problem.add((a, a, -a), ("d", None, 0, ()))
     assert len(problem.hard) == before  # tautology dropped
@@ -358,7 +359,7 @@ def test_atom_table_orders_inst_by_context_then_member():
     # b/1 is 1
     idx = ClosureIndex(tiny_universe(["b/1", "a/1"]))
     table = AtomTable(idx, [(1, 0), (0, 0), (0, 1)])
-    assert table.pkg(P("b/1")) == 2
+    assert pkg_atom(table, P("b/1")) == 2
     assert table.contexts == {0: {0: 3, 1: 4}, 1: {0: 5}}
     assert table.render_map().splitlines() == [
         "1 pkg a/1", "2 pkg b/1", "3 inst a/1 @ a/1", "4 inst b/1 @ a/1",
@@ -431,7 +432,7 @@ def test_soft_max_count_equals_symmetric_difference():
             if not shared <= t_prime:
                 continue
             checked += 1
-            true_atoms = {problem.atoms.pkg(p) for p in t_prime}
+            true_atoms = {pkg_atom(problem.atoms, p) for p in t_prime}
             count = sum(1 for (lit,) in soft
                         if (lit > 0) == (abs(lit) in true_atoms))
             assert count == len(u.testing ^ t_prime)
@@ -654,7 +655,8 @@ def test_p4_tells_an_e_clause_from_a_d_clause_with_its_literals():
     assert ClosureIndex(u).easy_ids == {0}
     problem = build_encoding(u, None, "p4")
     c = 0
-    literals = (problem.atoms.pkg(P("c/1")), -problem.atoms.contexts[c][c])
+    literals = (pkg_atom(problem.atoms, P("c/1")),
+                -problem.atoms.contexts[c][c])
     i, j = [k for k, clause in enumerate(problem.hard) if clause == literals]
     assert problem.info[i] == ("e", c, c)
     assert problem.info[j] == ("d", c, c, (c,))

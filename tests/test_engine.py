@@ -28,7 +28,8 @@ from satmigrate.engine import (ActuallySolvable,
 from satmigrate.repo import Package, is_admissible, package_id
 
 from . import oracle
-from .generators import P, clustered_universe, random_universe, tiny_universe
+from .generators import (P, clustered_universe, pkg_atom, random_universe,
+                         tiny_universe)
 from .oracle import admissible_sets, deletion_mus
 
 
@@ -393,7 +394,7 @@ def test_alternative_optima_stop_at_an_installability_timeout(monkeypatch):
         chosen, idx = args[:2]
         verified.append({idx.packages[i] for i in chosen})
         if len(verified) > 1:
-            raise repo.InstallabilityTimedOut("out of time")
+            raise satcore_mod.SolveTimedOut("out of time")
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(repo, "is_admissible", verify_once)
@@ -659,7 +660,7 @@ def test_decode_all_false():
 def test_decode_ignores_inst_atoms():
     u = tiny_universe(["a/1"])
     problem = build_encoding(u, None, "p2")
-    a = problem.atoms.pkg(P("a/1"))
+    a = pkg_atom(problem.atoms, P("a/1"))
     aa = problem.atoms.contexts[0][0]
     assert decode_solution(frozenset({a, aa}), problem.atoms) == \
         {package_id(u.order, P("a/1"))}
@@ -757,7 +758,7 @@ def test_explanation_core_equals_one_by_one_deletion_mid_scale():
 
 def test_explanation_core_timeout_is_a_solve_timeout(monkeypatch):
     def fake_mus(hard, num_vars=None, deadline=None):
-        raise satcore_mod.MusTimedOut("timeout during core minimization")
+        raise satcore_mod.SolveTimedOut("timeout during core minimization")
 
     monkeypatch.setattr(satcore_mod, "extract_mus", fake_mus)
     u = tiny_universe(["a/1", "a/2"], dep={"a/2": [[]]},

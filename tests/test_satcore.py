@@ -11,8 +11,8 @@ import pytest
 
 import satmigrate.satcore as satcore_mod
 from satmigrate import encoder, engine
-from satmigrate.satcore import (AssignmentInvalid, DpllSolver, MusTimedOut,
-                                NotUnsat, SolveStatus, SolverCrashed,
+from satmigrate.satcore import (AssignmentInvalid, DpllSolver, NotUnsat,
+                                SolveStatus, SolverCrashed, SolveTimedOut,
                                 UnparsableOutput,
                                 SatCoreError, count_satisfied, emit_dimacs,
                                 extract_mus, model_autarky, normalize_clause,
@@ -588,7 +588,8 @@ def test_mus_timeout_is_one_deadline_for_the_extraction(monkeypatch):
 
 
 def test_mus_with_exhausted_budget_raises_timeout():
-    with pytest.raises(MusTimedOut):
+    with pytest.raises(SolveTimedOut,
+                       match="^timeout during core minimization$"):
         extract_mus([(1,), (-1,)], num_vars=1, deadline=time.monotonic())
 
 
