@@ -185,8 +185,7 @@ def cmd_check(args) -> int:
                  "packages": [str(idx.packages[i]) for i in violation.subjects],
                  "explanation": None}
         if violation.kind == "trimmedness":
-            clauses, info, ids = repo.installation_query(
-                target, testing.intersection(idx.closure(target)), idx)
+            clauses, info, ids = repo.installation_query(target, testing, idx)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                       deadline=args.deadline)
             entry["explanation"] = [

@@ -6,18 +6,20 @@ package and, per package, the conflict ends inside its
 reflexive-transitive closure. The easy packages (whose closure holds no
 conflict end), the closure restricted to hard packages, the relevant
 conflict ends and the connecting dependencies of a package are derived
-from these. Downstream code speaks ids; only reports and explanations
-name Packages.
+from these, for the encoder and ``stats``: the installability pass of
+``repo`` reads only the raw tables, ``deps``, ``partners`` and
+``dependents``. Downstream code speaks ids; only reports and
+explanations name Packages.
 
 Both the conflict ends and the closures are computed bottom-up over the
 condensation of the may-depend graph into strongly connected components,
 which the index finds once and keeps. The closure tuples themselves are
 built on first read, by the first ``closure`` or ``hard_closure`` call
-(from ``check``, ``migrate``, ``stats`` or the p3 and p4 encodings): the
-p5 encodings read only the conflict ends, the successors and the conflict
-partners. Each closure is a tuple of ids in no particular order, and
-every member of one component shares its component's tuple, and its
-frozenset of conflict ends; callers that read an order sort. The
+(from ``stats`` or the p3 and p4 encodings): the p5 encodings read only
+the conflict ends, the successors and the conflict partners. Each
+closure is a tuple of ids in no particular order, and every member of
+one component shares its component's tuple, and its frozenset of
+conflict ends; callers that read an order sort. The
 closures take memory in proportion to the sum of their sizes, so the
 index grows with the archive rather than with its square.
 """
@@ -149,9 +151,11 @@ class ClosureIndex:
     ``deps[i]`` holds i's disjunctions, each as its members' ids,
     ascending (see ``Universe``). ``deps``, ``dependents``,
     ``conflict_pairs``, ``partners``, ``closure_ends`` and the id-valued
-    methods speak in these ids, for the encoder and the installability
-    pass of ``repo``; the Package-level members translate them back, with
-    ``repo.package_id`` and no Package → id table of their own.
+    methods speak in these ids: the closures and ``closure_ends`` serve
+    the encoder and ``stats``, and the installability pass of ``repo``
+    reads only ``deps``, ``partners`` and ``dependents``. The
+    Package-level members translate ids back, with ``repo.package_id``
+    and no Package → id table of their own.
     ``partners[i]`` holds i's conflict partners, ascending, and
     ``closure_ends[i]`` the conflict ends inside i's closure.
     """

@@ -11,11 +11,13 @@ each distinct constraint once, straight into ids. The ``Universe`` holds
 the resulting id tables, repositories included; ``ClosureIndex`` reads
 them as they are, and ``package_id`` turns parsed input into ids.
 ``closure_universe`` cuts a universe down to one package's closure, with
-the same tables over fewer ids. The checks read and name ids, policies
-included: Packages appear only in parsed input, reports and explanations.
+the same tables over fewer ids; ``reach`` is the one dependency walk.
+The checks read and name ids, policies included: Packages appear only in
+parsed input, reports and explanations.
 
 ``installable_ids`` decides installability for every member of a
-repository r at once, on sets of ``ClosureIndex`` ids, in four exact
+repository r at once, on sets of ``ClosureIndex`` ids, from the raw
+tables alone (``deps``, ``partners`` and ``dependents``), in three exact
 steps:
 
 1. Fixpoint. ``live`` is the greatest subset of r that meets every
@@ -23,37 +25,34 @@ steps:
    none has a disjunction with no member left. Every healthy installation
    inside r is such a subset, so it lies inside ``live``, and a package
    outside ``live`` is not installable.
-2. Conflict-free closures. If closure(p) ∩ live holds no conflict pair,
-   it is itself a healthy installation of p: each of its members has a
-   live member in every disjunction, and that member lies in the member's
-   closure, so inside closure(p). The test reads only the live conflict
-   ends inside closure(p), which the index keeps per closure.
-3. A greedy installation. A walk from p meets every disjunction that the
+2. A greedy installation. A walk from p meets every disjunction that the
    set built so far does not meet with the lowest live member that
    conflicts with nothing in the set. Each member added meets the
    disjunction it was added for and conflicts with no earlier member, so
    if the walk never finds a disjunction without such a member, the set
    is a healthy installation of p inside r. It is checked as one before
-   p is reported installable. A dead end proves nothing, since an earlier
-   choice may have caused it, and p goes on to step 4.
-4. SAT over the live closure. One query over closure(p) ∩ live decides
+   p is reported installable. Where no two live packages that p reaches
+   conflict, the walk cannot dead end. A dead end proves nothing, since
+   an earlier choice may have caused it, and p goes on to step 3.
+3. SAT over what p reaches. One query over reach(p, live), the members
+   of live that a walk from p over ``deps`` reaches through live, decides
    p. A model is a healthy installation of p inside live, so inside r.
    Conversely, a healthy installation of p inside r lies in live, and cut
-   down to p's closure it stays healthy, since every dependency of a
-   member lies in that member's closure; so it is a model. The witness is
-   checked before p is reported installable; the solver is never trusted.
+   down to what p reaches through it, it stays healthy, since each
+   member keeps the members that meet its disjunctions; that set lies
+   inside reach(p, live), so it is a model. The witness is checked
+   before p is reported installable; the solver is never trusted.
 
 A healthy installation W inside r is also an installation of each of its
-members, so every member of an installation that steps 2–4 find is
+members, so every member of an installation that steps 2 and 3 find is
 marked installable and is not visited again. Packages are visited in
-order of decreasing closure size, ties by id: a package comes before its
-dependencies outside its own cycle, so the installations of the large
-closures cover them. ``installable_in`` answers for one package, with
-the fixpoint taken over closure(p) ∩ r only, by the same cut-down
-argument.
+ascending id order. ``installable_in`` answers for one package, with the
+fixpoint taken over reach(p, r) only: every disjunction of a member meets
+r only inside that set, so the fixpoint there is the one over r, cut
+down to it.
 
-``check``'s explanations ask step 4's query, ``installation_query``,
-over closure(p) ∩ testing instead of closure(p) ∩ live.
+``check``'s explanations ask step 3's query, ``installation_query``,
+over reach(p, testing) instead of reach(p, live).
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, Sequence
 
 from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
@@ -284,6 +283,21 @@ def build_universe(testing: list[PackageStanza],
                     testing_ids=t, unstable_ids=u)
 
 
+def reach(p: int, within: Container[int], deps: Sequence) -> set[int]:
+    """The members of ``within`` that a walk from p over ``deps`` (id
+    tables, as ``Universe.deps``) reaches, entering only members of
+    ``within``; p included."""
+    seen = {p}
+    todo = [p]
+    while todo:
+        for targets in deps[todo.pop()]:
+            for q in targets:
+                if q not in seen and q in within:
+                    seen.add(q)
+                    todo.append(q)
+    return seen
+
+
 def closure_universe(u: Universe, p: Package) -> Universe:
     """The sub-universe of p's closure: the packages that a walk from p
     over ``deps`` reaches, p included. Every dependency of a member is a
@@ -293,14 +307,7 @@ def closure_universe(u: Universe, p: Package) -> Universe:
     start = package_id(order, p)
     if start is None:
         raise ValueError(f"unknown package {p}")
-    seen = {start}
-    todo = [start]
-    while todo:
-        for targets in deps[todo.pop()]:
-            for q in targets:
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
+    seen = reach(start, range(len(order)), deps)
     kept = sorted(seen)
     renumber = {old: new for new, old in enumerate(kept)}.__getitem__
     return Universe(
@@ -346,7 +353,7 @@ def _live(r: set[int], idx: "ClosureIndex") -> set[int]:
 
 def _greedy_installation(p: int, live: set[int], idx: "ClosureIndex"
                          ) -> set[int]:
-    """Step 3 of the module docstring: a walk from p that meets each
+    """Step 2 of the module docstring: a walk from p that meets each
     disjunction not yet met with its lowest live member that conflicts with
     nothing chosen so far; empty at a dead end."""
     deps, partners = idx.deps, idx.partners
@@ -379,12 +386,13 @@ def _checked(witness: set[int], p: int, r: set[int],
     return witness
 
 
-def installation_query(p: int, members: Iterable[int], idx: "ClosureIndex"):
-    """SAT query for an installation of p among ``members``. Returns
-    (clauses, info, ids): atom k stands for ids[k-1], the ids ascending,
-    and info[j] is the provenance of clauses[j] on idx's ids (an inst-dep
-    entry names the disjunction's members inside ``members``)."""
-    ids = sorted(members)
+def installation_query(p: int, within: Container[int], idx: "ClosureIndex"):
+    """SAT query for an installation of p among the members of ``within``
+    that p reaches (``reach``). Returns (clauses, info, ids): atom k stands
+    for ids[k-1], the ids ascending, and info[j] is the provenance of
+    clauses[j] on idx's ids (an inst-dep entry names the disjunction's
+    members inside ``within``)."""
+    ids = sorted(reach(p, within, idx.deps))
     atom = {q: k for k, q in enumerate(ids, start=1)}
     clauses = [(atom[p],)]
     info: list[tuple] = [("inst-target", p)]
@@ -402,43 +410,32 @@ def installation_query(p: int, members: Iterable[int], idx: "ClosureIndex"):
     return clauses, info, ids
 
 
-def _installation_by_query(p: int, r: set[int], live: set[int],
-                           idx: "ClosureIndex", deadline: float) -> set[int]:
-    """Step 4 of the module docstring: one SAT query over the live members
-    of p's closure. Returns its witness, checked, or an empty set when the
-    query is UNSAT."""
-    clauses, _, ids = installation_query(
-        p, live.intersection(idx.closure(p)), idx)
-    result = satcore.solve_sat(clauses, num_vars=len(ids), deadline=deadline)
-    if result.status is satcore.SolveStatus.TIMEOUT:
-        raise satcore.SolveTimedOut(
-            f"installability query for {idx.packages[p]} timed out")
-    if result.status is not satcore.SolveStatus.SAT:
-        return set()
-    return _checked({ids[k - 1] for k in result.true_atoms}, p, r, idx)
-
-
 def _installation(p: int, r: set[int], live: set[int],
                   idx: "ClosureIndex", deadline: float) -> set[int]:
-    """An installation of p inside live, by steps 2–4 of the module
-    docstring, or an empty set when p has none. live must be the fixpoint
-    of step 1 over a subset of r that holds p's closure ∩ r."""
-    if not _has_conflict(live.intersection(idx.closure_ends[p]), idx):
-        return live.intersection(idx.closure(p))
+    """An installation of p inside live, by steps 2 and 3 of the module
+    docstring, checked, or an empty set when p has none. live must be the
+    fixpoint of step 1 over a subset of r that holds reach(p, r)."""
     witness = _greedy_installation(p, live, idx)
-    if witness:
-        return _checked(witness, p, r, idx)
-    return _installation_by_query(p, r, live, idx, deadline)
+    if not witness:
+        clauses, _, ids = installation_query(p, live, idx)
+        result = satcore.solve_sat(clauses, num_vars=len(ids),
+                                   deadline=deadline)
+        if result.status is satcore.SolveStatus.TIMEOUT:
+            raise satcore.SolveTimedOut(
+                f"installability query for {idx.packages[p]} timed out")
+        if result.status is not satcore.SolveStatus.SAT:
+            return set()
+        witness = {ids[k - 1] for k in result.true_atoms}
+    return _checked(witness, p, r, idx)
 
 
 def installable_ids(r: set[int], idx: "ClosureIndex", deadline: float) -> set[int]:
     """The members of r (a set of idx's ids) that are installable in r, by
-    the steps of the module docstring. Packages are visited largest
-    closure first, and every installation found marks all its members."""
+    the steps of the module docstring. Packages are visited in ascending
+    id order, and every installation found marks all its members."""
     live = _live(r, idx)
-    closure = idx.closure
     found: set[int] = set()
-    for p in sorted(live, key=lambda q: (-len(closure(q)), q)):
+    for p in sorted(live):
         if p not in found:
             found |= _installation(p, r, live, idx, deadline)
     return found
@@ -447,8 +444,8 @@ def installable_ids(r: set[int], idx: "ClosureIndex", deadline: float) -> set[in
 def installable_in(p: int, r: set[int], idx: "ClosureIndex",
                    deadline: float) -> bool:
     """Whether p, a member of r, is installable in r: the steps of the
-    module docstring over closure(p) ∩ r alone."""
-    live = _live(r.intersection(idx.closure(p)), idx)
+    module docstring over reach(p, r) alone."""
+    live = _live(reach(p, r, idx.deps), idx)
     return p in live and bool(_installation(p, r, live, idx, deadline))
 
 

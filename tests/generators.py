@@ -53,6 +53,29 @@ def relevant_conflicts(idx: ClosureIndex, p: Package
                      for pair in ((pkgs[a], pkgs[b]), (pkgs[b], pkgs[a])))
 
 
+class _Unread:
+    """A closure table that no reader may touch."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a closure table was read")
+
+
+def forbid_closures(monkeypatch) -> None:
+    """Make every ClosureIndex built from now on fail on a read of its
+    closures (a ``closure`` or ``hard_closure`` call) or of its
+    ``closure_ends``. The connecting lists, which the p5 encodings read,
+    are built from ``closure_ends`` before it goes."""
+    original = ClosureIndex.__init__
+
+    def init(self, universe):
+        original(self, universe)
+        if self.packages:
+            self.connecting_ids(0)  # builds every connecting list
+        self._closures = self.closure_ends = _Unread()
+
+    monkeypatch.setattr(ClosureIndex, "__init__", init)
+
+
 def tiny_universe(pkgs, dep=None, conflicts=(), testing=None, unstable=None):
     """Compact universe builder for fixtures: packages as "name/version"
     strings, dep as {owner: [[alt, ...], ...]}. Membership defaults to
@@ -209,3 +232,27 @@ def brute_best_measure(universe: Universe, masks: list[int],
         measure += sum(1 for i in outgoing if not mask >> i & 1)
         measures[mask] = measure
     return measures, incoming, outgoing
+
+
+def with_dead_ends(u, tops: int, blocked: int = 0):
+    """u plus q, r, s and t, where s needs t, which conflicts with q, and
+    ``tops`` packages that need s and then q or r: greedy dead ends that
+    SAT proves installable. None of u's packages reaches them.
+    ``blocked`` more tops need s2, which needs t2, and q or r, both of
+    which conflict with t2: greedy dead ends with no installation."""
+    names = ["q/1", "r/1", "s/1", "t/1"] + [f"top{k}/1" for k in range(tops)]
+    dep = {"s/1": [["t/1"]],
+           **{f"top{k}/1": [["s/1"], ["q/1", "r/1"]] for k in range(tops)}}
+    conflicts = [("q/1", "t/1")]
+    if blocked:
+        names += ["s2/1", "t2/1"] + [f"blocked{k}/1" for k in range(blocked)]
+        dep.update({"s2/1": [["t2/1"]],
+                    **{f"blocked{k}/1": [["s2/1"], ["q/1", "r/1"]]
+                       for k in range(blocked)}})
+        conflicts += [("q/1", "t2/1"), ("r/1", "t2/1")]
+    planted = tiny_universe(names, dep=dep, conflicts=conflicts)
+    return make_universe(u.packages | planted.packages,
+                         {**u.dep, **planted.dep},
+                         u.conflicts | planted.conflicts,
+                         u.testing | planted.testing,
+                         u.unstable | planted.unstable)

@@ -16,6 +16,7 @@ from satmigrate.cli import (DEFAULT_TIMEOUT, EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
                             main)
 from satmigrate.repo import Package
 
+from .generators import forbid_closures
 from .oracle import parse_dimacs
 
 UPGRADE_TESTING = "Package: a\nVersion: 1\n\n"
@@ -285,6 +286,27 @@ def test_check_golden_structured(repos, capsys):
                          "packages": [pkg]}
                         for pkg, facts in GOLDEN_CHECK_VIOLATIONS]},
         indent=2) + "\n"
+
+
+def test_check_and_migrate_read_no_closure(repos, capsys, monkeypatch):
+    # check's pass and its explanations, and migrate's rounds and their
+    # checks, read the raw tables alone: each prints what it prints when
+    # the index's closures and closure_ends can be read
+    common = repos(GOLDEN_CHECK_TESTING, GOLDEN_CHECK_TESTING.replace(
+        "Version: 2.25\n", "Version: 2.26\n").replace(", perl-base", ""))
+    runs = []
+    for forbid in (False, True):
+        if forbid:
+            forbid_closures(monkeypatch)
+        for command in ("check", "migrate"):
+            code = main([command, *common])
+            runs.append((forbid, command, code, *capsys.readouterr()))
+    assert [run[1:] for run in runs[:2]] == [run[1:] for run in runs[2:]]
+    assert runs[0][2:4] == (EXIT_VIOLATIONS, "".join(
+        f"trimmedness: {pkg} is not installable in testing\n"
+        + "".join(f"  - {fact}\n" for fact in facts)
+        for pkg, facts in GOLDEN_CHECK_VIOLATIONS))
+    assert runs[1][2] == EXIT_OK and "verified: yes" in runs[1][3]
 
 
 def test_stats_conflict_free_has_p1_row(repos, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import stat
 import sys
 import time
@@ -29,7 +30,7 @@ from satmigrate.repo import Package, is_admissible, package_id
 
 from . import oracle
 from .generators import (P, clustered_universe, pkg_atom, random_universe,
-                         tiny_universe)
+                         tiny_universe, with_dead_ends)
 from .oracle import admissible_sets, deletion_mus
 
 
@@ -822,12 +823,133 @@ def test_no_provenance_field_is_a_package():
         testing = idx.id_set(u.testing)
         for i in range(len(pkgs)):
             if i in testing:
-                infos += repo.installation_query(
-                    i, testing.intersection(idx.closure(i)), idx)[1]
+                infos += repo.installation_query(i, testing, idx)[1]
         for info in infos:
             assert not any(isinstance(f, Package) for f in _fields(info)), info
             checked += 1
     assert checked > 1000
+
+
+def _closure_slice_query(p, r, idx):
+    """The installation query of p over closure(p) ∩ r, read from
+    ``idx.closure``: the target, each member's disjunctions cut down to the
+    slice, then the conflicts, with their provenance."""
+    ids = sorted(r.intersection(idx.closure(p)))
+    atom = {q: k for k, q in enumerate(ids, start=1)}
+    clauses, info = [(atom[p],)], [("inst-target", p)]
+    for q in ids:
+        for targets in idx.deps[q]:
+            inside = tuple(x for x in targets if x in atom)
+            clauses.append((-atom[q], *map(atom.get, inside)))
+            info.append(("inst-dep", q, inside if len(inside) < len(targets)
+                         else targets))
+    for a, b in idx.conflict_pairs:
+        if a in atom and b in atom:
+            clauses.append((-atom[a], -atom[b]))
+            info.append(("inst-conflict", a, b))
+    return clauses, info, len(ids)
+
+
+def test_queries_over_what_p_reaches_answer_as_over_its_closure(
+        monkeypatch, capsys):
+    # check's explanations and installable_in, which read what a package
+    # reaches, against the same questions asked over its closure slice
+    explained = 0
+    for seed in (71, 73, 79):
+        rng = random.Random(seed)
+        size = rng.randint(120, 200)
+        u = with_dead_ends(clustered_universe(rng, size, conflicts=size // 4),
+                           tops=2, blocked=2)
+        idx = ClosureIndex(u)
+        testing = set(u.testing_ids)
+        expected = {}
+        for i in sorted(testing - repo.installable_ids(testing, idx,
+                                                       math.inf)):
+            clauses, info, num_vars = _closure_slice_query(i, testing, idx)
+            core = satcore_mod.extract_mus(clauses, num_vars=num_vars).core
+            expected[str(idx.packages[i])] = [
+                engine.describe_clause(info[k], idx.packages) for k in core]
+        monkeypatch.setattr(cli, "_load_universe", lambda args: u)
+        common = ["check", "--testing", "-", "--unstable", "-"]
+        assert cli.main([*common, "--format", "structured"]) == \
+            cli.EXIT_VIOLATIONS
+        entries = json.loads(capsys.readouterr().out)["violations"]
+        assert {entry["packages"][0]: entry["explanation"]
+                for entry in entries if entry["kind"] == "trimmedness"} == \
+            expected
+        assert cli.main(common) == cli.EXIT_VIOLATIONS
+        assert capsys.readouterr().out == "".join(
+            f"{entry['kind']}: {entry['detail']}\n"
+            + "".join(f"  - {fact}\n" for fact in entry["explanation"] or ())
+            for entry in entries)
+        assert {"blocked0/1", "blocked1/1"} <= expected.keys()
+        explained += len(expected)
+        r = {i for i in range(len(idx.packages)) if rng.random() < 0.7}
+        for i in sorted(r):
+            clauses, _, num_vars = _closure_slice_query(i, r, idx)
+            status = satcore_mod.solve_sat(clauses, num_vars=num_vars).status
+            assert repo.installable_in(i, r, idx, math.inf) == \
+                (status is satcore_mod.SolveStatus.SAT), idx.packages[i]
+    assert explained > 6
+
+
+def _forge_verdict(monkeypatch, verdict):
+    """Make every admissibility check that the engine runs return verdict."""
+    monkeypatch.setattr(repo, "is_admissible", lambda *args: verdict)
+
+
+@pytest.mark.parametrize("verdict", [
+    repo.AdmissibilityVerdict(False, "uniqueness",
+                              "name a occurs twice: a/1 and a/2", (0, 1)),
+    repo.AdmissibilityVerdict(False, "policy", "clause unsatisfied: +a/1",
+                              (0,)),
+], ids=["uniqueness", "policy"])
+def test_a_failed_verdict_that_rounds_cannot_mend_raises(
+        monkeypatch, tmp_path, capsys, verdict):
+    u = _upgrade_universe()
+    _forge_verdict(monkeypatch, verdict)
+    message = f"decoded repository failed verification: {verdict.detail}"
+    with pytest.raises(engine.VerificationFailed,
+                       match=f"^{re.escape(message)}$"):
+        solve_migration(MigrationRequest(mode="max"), u)
+    testing, unstable = tmp_path / "testing", tmp_path / "unstable"
+    testing.write_text("Package: a\nVersion: 1\n\n")
+    unstable.write_text("Package: a\nVersion: 2\n\n")
+    assert cli.main(["migrate", "--testing", str(testing),
+                     "--unstable", str(unstable)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# p needs q or r, which conflict: p's context is the one that p5 tracks
+TRACKED_CHOICE = dict(pkgs=["p/1", "q/1", "r/1", "z/1"],
+                      dep={"p/1": [["q/1", "r/1"]]},
+                      conflicts=[("q/1", "r/1")])
+
+
+@pytest.mark.parametrize("subject,why", [
+    ("p/1", "already tracked by the first round"),
+    ("z/1", "not tracked by p5-pruned: its closure holds no conflict"),
+])
+def test_a_trimmedness_verdict_on_an_untrackable_context_raises(
+        monkeypatch, subject, why):
+    u = tiny_universe(**TRACKED_CHOICE)
+    i = package_id(u.order, P(subject))
+    detail = f"{subject} is not installable"
+    _forge_verdict(monkeypatch, repo.AdmissibilityVerdict(
+        False, "trimmedness", detail, (i,)))
+    tracked = []
+    original = encoder_mod.track_contexts
+
+    def recording(*args):
+        tracked.append(original(*args))
+        return tracked[-1]
+
+    monkeypatch.setattr(encoder_mod, "track_contexts", recording)
+    with pytest.raises(engine.VerificationFailed,
+                       match=f"^decoded repository failed verification: "
+                             f"{detail}$"):
+        solve_migration(MigrationRequest(mode="max"), u)
+    assert tracked == ([True, False] if subject == "p/1" else [False]), why
 
 
 def test_explaining_migratable_package_raises():

@@ -11,12 +11,11 @@ from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
 from satmigrate.encoder import AtomTable, PolicyRules
 from satmigrate.repo import (DuplicateIdentity, build_universe, is_admissible,
-                             is_installable, make_universe, package_id,
-                             check_testing)
+                             is_installable, package_id, check_testing)
 
 from . import oracle
-from .generators import (P, clustered_universe, pkg_atom, random_universe,
-                         tiny_universe)
+from .generators import (P, clustered_universe, forbid_closures, pkg_atom,
+                         random_universe, tiny_universe, with_dead_ends)
 from .oracle import ContextTooLarge, admissible_sets, is_healthy, unique_pairs
 
 
@@ -518,7 +517,7 @@ def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     live = repo._live(idx.id_set(u.packages), idx)
     calls = _recording_solve_sat(monkeypatch)
     assert _uninstallable(u.packages, u, idx) == []
-    assert calls == [(len(live.intersection(idx.closure(p))),
+    assert calls == [(len(repo.reach(p, live, idx.deps)),
                       satcore.SolveStatus.SAT)]
 
 
@@ -587,35 +586,12 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
     assert calls == []
 
 
-def _with_dead_ends(u, tops: int, blocked: int = 0):
-    """u plus GREEDY_DEAD_END's q, r, s and t, with its one conflict, and
-    ``tops`` packages shaped like its p; none of u's packages reaches them.
-    ``blocked`` more tops need s2, which needs t2, and q or r, both of
-    which conflict with t2: greedy dead ends with no installation."""
-    names = ["q/1", "r/1", "s/1", "t/1"] + [f"top{k}/1" for k in range(tops)]
-    dep = {"s/1": [["t/1"]],
-           **{f"top{k}/1": [["s/1"], ["q/1", "r/1"]] for k in range(tops)}}
-    conflicts = [("q/1", "t/1")]
-    if blocked:
-        names += ["s2/1", "t2/1"] + [f"blocked{k}/1" for k in range(blocked)]
-        dep.update({"s2/1": [["t2/1"]],
-                    **{f"blocked{k}/1": [["s2/1"], ["q/1", "r/1"]]
-                       for k in range(blocked)}})
-        conflicts += [("q/1", "t2/1"), ("r/1", "t2/1")]
-    planted = tiny_universe(names, dep=dep, conflicts=conflicts)
-    return make_universe(u.packages | planted.packages,
-                         {**u.dep, **planted.dep},
-                         u.conflicts | planted.conflicts,
-                         u.testing | planted.testing,
-                         u.unstable | planted.unstable)
-
-
 def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
         monkeypatch):
     # every package whose closure holds both ends of the one conflict is a
     # greedy dead end whose installation covers no other such package
-    u = _with_dead_ends(clustered_universe(random.Random(41), 200,
-                                           conflicts=0, empty_dep_prob=0.0), 3)
+    u = with_dead_ends(clustered_universe(random.Random(41), 200,
+                                          conflicts=0, empty_dep_prob=0.0), 3)
     idx = ClosureIndex(u)
     (a, b), = idx.conflict_pairs
     both = [i for i in range(len(idx.packages))
@@ -625,7 +601,7 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     _uninstallable(u.packages, u, idx)
     assert len(both) > 1
     assert [n for n, _ in calls] == \
-        [len(live.intersection(idx.closure(i))) for i in both]
+        [len(repo.reach(i, live, idx.deps)) for i in both]
 
 
 def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
@@ -637,7 +613,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
     for seed in (43, 47, 53, 61):
         rng = random.Random(seed)
         size = rng.randint(150, 250)
-        u = _with_dead_ends(
+        u = with_dead_ends(
             clustered_universe(rng, size, conflicts=size // 4), tops, blocked)
         idx = ClosureIndex(u)
         planted = [p for p in list(u.order)
@@ -684,6 +660,90 @@ def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
         queries += len(calls)
     assert conflicted > 0
     assert queries < conflicted
+
+
+def _reach_by_levels(p, within, deps):
+    """Reference for repo.reach: grow {p} by every member of within that
+    is a target of a member, level by level, until nothing is added."""
+    reached = {p}
+    while True:
+        grown = reached | {q for i in reached for targets in deps[i]
+                           for q in targets if q in within}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def test_reach_walks_only_through_its_repository():
+    rng = random.Random(59)
+    for _ in range(200):
+        u = random_universe(rng, max_size=12, dep_density=0.7)
+        idx = ClosureIndex(u)
+        n = len(idx.packages)
+        within = {i for i in range(n) if rng.random() < 0.6}
+        for p in range(n):
+            assert repo.reach(p, range(n), idx.deps) == set(idx.closure(p))
+            assert repo.reach(p, within, idx.deps) == \
+                _reach_by_levels(p, within, idx.deps)
+
+
+# p needs q and needs r, and q conflicts with r: p has no installation,
+# while q and r each have one
+SPLIT_NEEDS = dict(pkgs=["p/1", "q/1", "r/1"],
+                   dep={"p/1": [["q/1"], ["r/1"]]},
+                   conflicts=[("q/1", "r/1")])
+
+
+def test_pass_does_not_believe_forged_closure_ends():
+    # closure_ends forged to claim that no closure holds a conflict end
+    u = tiny_universe(**SPLIT_NEEDS)
+    idx = ClosureIndex(u)
+    idx.closure_ends = [frozenset()] * len(idx.packages)
+    p, q, r = (package_id(idx.packages, P(s)) for s in SPLIT_NEEDS["pkgs"])
+    assert repo.installable_ids({p, q, r}, idx, math.inf) == {q, r}
+    verdict = is_admissible({p, q, r}, idx)
+    assert (verdict.kind, verdict.subjects) == ("trimmedness", (p,))
+
+
+def test_pass_reads_no_closure(monkeypatch):
+    forbid_closures(monkeypatch)
+    rng = random.Random(67)
+    planted = with_dead_ends(clustered_universe(rng, 150, conflicts=30),
+                             tops=3, blocked=2)
+    for u in (tiny_universe(**SPLIT_NEEDS), planted):
+        idx = ClosureIndex(u)
+        with pytest.raises(AssertionError):
+            idx.closure(0)
+        names: dict = {}
+        unique = frozenset(names.setdefault(p.name, p) for p in u.order)
+        for r in (u.packages, unique):
+            expected = _per_package(r, u)
+            assert _uninstallable(r, u, idx) == expected
+            members = idx.id_set(r)
+            for p in sorted(r)[:40]:
+                assert repo.installable_in(package_id(idx.packages, p),
+                                           members, idx, math.inf) == \
+                    (p not in expected), p
+            verdict = _admissible(r, u, idx=idx)
+            reference = _reference_verdict(r, u, None)
+            assert (verdict.kind, verdict.detail) == \
+                ((None, "") if reference is None else reference[:2])
+        trimmedness = [idx.packages[v.subjects[0]]
+                       for v in check_testing(u, idx)
+                       if v.kind == "trimmedness"]
+        assert trimmedness == _per_package(u.testing, u) != []
+
+
+def test_migrate_reads_no_closure(monkeypatch):
+    # p cannot migrate: the first round takes it, its check fails, and the
+    # next round tracks p's context, read from the connecting lists
+    u = tiny_universe(SPLIT_NEEDS["pkgs"] + ["s/1"], SPLIT_NEEDS["dep"],
+                      SPLIT_NEEDS["conflicts"], testing=["q/1", "r/1"])
+    forbid_closures(monkeypatch)
+    result = engine.solve_migration(engine.MigrationRequest(mode="max"), u)
+    assert result.verified and result.encoding_id == "p5-pruned"
+    assert result.t_prime == {P("q/1"), P("r/1"), P("s/1")}
+    assert result.migrated_in == (P("s/1"),)
 
 
 def test_duplicate_identity_fires_for_a_block_one_byte_off():
