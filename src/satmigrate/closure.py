@@ -1,7 +1,7 @@
 """Dependency-closure index.
 
 Reads the ids and id tables that ``repo.build_universe`` interned, and
-precomputes the "may depend" relation, the conflict partners of each
+derives the "may depend" relation, the conflict partners of each
 package and, per package, the conflict ends inside its
 reflexive-transitive closure. The easy packages (whose closure holds no
 conflict end), the closure restricted to hard packages, the relevant
@@ -11,17 +11,25 @@ from these, for the encoder and ``stats``: the installability pass of
 ``dependents``. Downstream code speaks ids; only reports and
 explanations name Packages.
 
+Building an index builds only the conflict partners; it keeps the
+universe's ``packages``, ``deps`` and ``conflict_pairs`` as they are.
+Everything else is built on first read, once, and kept: ``dependents``
+from ``deps``; the successors, their strongly connected components,
+``closure_ends`` and ``easy_ids`` by the first read of the conflict ends
+(the p4 and p5 encodings, ``stats``); the closure tuples by the first
+``closure`` or ``hard_closure`` call (``stats``, the p3 and p4
+encodings); the connecting lists by the first ``connecting_ids`` call.
+So ``check`` walks no component, nor does a ``migrate`` that tracks no
+context.
+
 Both the conflict ends and the closures are computed bottom-up over the
 condensation of the may-depend graph into strongly connected components,
-which the index finds once and keeps. The closure tuples themselves are
-built on first read, by the first ``closure`` or ``hard_closure`` call
-(from ``stats`` or the p3 and p4 encodings): the p5 encodings read only
-the conflict ends, the successors and the conflict partners. Each
-closure is a tuple of ids in no particular order, and every member of
-one component shares its component's tuple, and its frozenset of
-conflict ends; callers that read an order sort. The
-closures take memory in proportion to the sum of their sizes, so the
-index grows with the archive rather than with its square.
+which the index finds once. Each closure is a tuple of ids in no
+particular order, and every member of one component shares its
+component's tuple, and its frozenset of conflict ends; callers that read
+an order sort. The closures take memory in proportion to the sum of
+their sizes, so the index grows with the archive rather than with its
+square.
 """
 
 from __future__ import annotations
@@ -158,28 +166,50 @@ class ClosureIndex:
     and no Package → id table of their own.
     ``partners[i]`` holds i's conflict partners, ascending, and
     ``closure_ends[i]`` the conflict ends inside i's closure.
+
+    ``__init__`` builds ``partners`` alone. ``dependents``, the
+    successors, the components, ``closure_ends``, ``easy_ids``, the
+    closures and the connecting lists are each built by their first
+    read, as the module docstring lists.
     """
 
     def __init__(self, universe: Universe):
         self.packages: tuple[Package, ...] = universe.order
         self.deps = universe.deps
         self.conflict_pairs = universe.conflict_pairs
-        n = len(self.packages)
-        partners: list[list[int]] = [[] for _ in range(n)]
+        of_end: dict[int, list[int]] = {}
         for a, b in self.conflict_pairs:
-            partners[a].append(b)
-            partners[b].append(a)
-        self.partners = [tuple(sorted(ps)) for ps in partners]
-        self._succ = [sorted(set().union(*deps)) for deps in self.deps]
-        self._components = _components(self._succ)
-        self.closure_ends = _scc_ends(
-            self._succ, self._components,
-            frozenset(i for i in range(n) if self.partners[i]))
-        self.easy_ids = frozenset(i for i in range(n)
-                                  if not self.closure_ends[i])
+            of_end.setdefault(a, []).append(b)
+            of_end.setdefault(b, []).append(a)
+        # one shared () for every package that conflicts with nothing
+        self.partners: list[tuple[int, ...]] = [()] * len(self.packages)
+        for a, ps in of_end.items():
+            self.partners[a] = tuple(sorted(ps))
         self._relevant: dict[frozenset[int], frozenset[int]] = {}
 
     # -- integer surface -------------------------------------------------------
+
+    @cached_property
+    def _succ(self) -> list[list[int]]:
+        """Per package, the packages it may depend on, ascending."""
+        return [sorted(set().union(*deps)) for deps in self.deps]
+
+    @cached_property
+    def _components(self) -> list[list[int]]:
+        """The strongly connected components of the may-depend graph,
+        children first, found by the module's ``_components`` walk at the
+        first read of the conflict ends or the closures."""
+        return _components(self._succ)
+
+    @cached_property
+    def closure_ends(self) -> list[frozenset[int]]:
+        return _scc_ends(self._succ, self._components,
+                         frozenset(i for i, ps in enumerate(self.partners) if ps))
+
+    @cached_property
+    def easy_ids(self) -> frozenset[int]:
+        return frozenset(i for i, ends in enumerate(self.closure_ends)
+                         if not ends)
 
     @cached_property
     def _closures(self) -> list[tuple[int, ...]]:
@@ -188,10 +218,10 @@ class ClosureIndex:
 
     @cached_property
     def dependents(self) -> list[list[int]]:
-        """Per package, the packages that may depend on it."""
+        """Per package, the packages that may depend on it, ascending."""
         dependents: list[list[int]] = [[] for _ in self.packages]
-        for v, targets in enumerate(self._succ):
-            for w in targets:
+        for v, deps in enumerate(self.deps):
+            for w in set().union(*deps):
                 dependents[w].append(v)
         return dependents
 

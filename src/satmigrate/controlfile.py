@@ -6,22 +6,29 @@ sorting before everything, including the end of a run.
 
 A load parses each distinct piece of text once: the parses of its files
 share one cache (``parse_packages_stream``'s ``cache``), keyed by the
-text of each block and of each dependency alternative. A file is split
-into its blocks in one pass over the text, and a block into lines only
-when the cache lacks it. So a block that repeats, as testing's blocks do
-in unstable, is parsed once and yields one stanza object, and a repeated
-dependency alternative yields one constraint object. The cache lives
-only as long as the load; a parse called without one gets a fresh one.
-A parsed block's lines and each of its dependency fields are walked
-once, and an error names the first defect in text order.
-Packages are interned as integer ids afterwards, once, by
-``repo.build_universe``.
+text of each block and of each dependency alternative, and holding the
+version strings checked so far. A file is split into its blocks in one
+pass over the text, and a block into lines only when the cache lacks it.
+So a block that repeats, as testing's blocks do in unstable, is parsed
+once and yields one stanza object, a repeated dependency alternative
+yields one constraint object, and a version that many stanzas share is
+checked once. The cache lives only as long as the load; a parse called
+without one gets a fresh one. A parsed block's lines and each of its
+dependency fields are walked once, and an error names the first defect
+in text order.
+
+A stanza is a slotted ``PackageStanza``; each constraint is a
+``VersionConstraint``, a named tuple, so ``repo.build_universe`` hashes
+and compares constraints at C level. Packages are interned as integer
+ids afterwards, once, by ``repo.build_universe``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 RELATIONS = ("<<", "<=", "=", ">=", ">>")
 ANY = "any"
@@ -157,34 +164,41 @@ def compare_versions(v1: str, v2: str) -> int:
 # Dependency grammar
 
 
-@dataclass(frozen=True)
-class VersionConstraint:
-    """One alternative of a dependency: a name plus an optional version range."""
+# the test of each relation on compare_versions(version, bound)
+_RELATION_TESTS = {"<<": operator.lt, "<=": operator.le, "=": operator.eq,
+                   ">=": operator.ge, ">>": operator.gt}
 
+
+class _Constraint(NamedTuple):
     name: str
     relation: str = ANY
     bound: str | None = None
 
-    def __post_init__(self):
-        if self.relation == ANY:
-            if self.bound is not None:
+
+class VersionConstraint(_Constraint):
+    """One alternative of a dependency: a name plus an optional version range.
+
+    A named tuple, so it hashes and compares at C level; a relation other
+    than "any" needs a bound, and "any" takes none.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, relation: str = ANY, bound: str | None = None):
+        if relation == ANY:
+            if bound is not None:
                 raise ValueError("relation 'any' cannot carry a bound")
-        elif self.relation not in RELATIONS or self.bound is None:
-            raise ValueError(f"bad relation {self.relation!r}")
+        elif relation not in RELATIONS or bound is None:
+            raise ValueError(f"bad relation {relation!r}")
+        return super().__new__(cls, name, relation, bound)
 
     def matches(self, name: str, version: str) -> bool:
         if name != self.name:
             return False
         if self.relation == ANY:
             return True
-        c = compare_versions(version, self.bound)
-        return {
-            "<<": c < 0,
-            "<=": c <= 0,
-            "=": c == 0,
-            ">=": c >= 0,
-            ">>": c > 0,
-        }[self.relation]
+        return _RELATION_TESTS[self.relation](
+            compare_versions(version, self.bound), 0)
 
     def __str__(self) -> str:
         if self.relation == ANY:
@@ -196,7 +210,7 @@ def _check_name(name: str, text: str, offset: int) -> str:
     """The name of a relation, less an architecture qualifier such as
     ":any"; the model has one architecture (Debian Policy, section 7.1)."""
     base = name.partition(":")[0]
-    if not base or not name.isascii() or set(name) & _NAME_FORBIDDEN:
+    if not base or not name.isascii() or not _NAME_FORBIDDEN.isdisjoint(name):
         raise MalformedDependency(text, offset, f"bad package name {name!r}")
     return base
 
@@ -229,39 +243,48 @@ def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
     return VersionConstraint(name)
 
 
-def _new_alternative(text: str, start: int, end: int, cache: dict
-                     ) -> VersionConstraint:
-    constraint = cache[text[start:end].strip()] = \
-        _parse_alternative(text, start, end)
-    return constraint
-
-
 def _parse_groups(text: str, sep: str, cache: dict | None
                   ) -> list[list[VersionConstraint]]:
     """The comma-separated groups of text, each split at sep into its
     alternatives; with sep "," each group is one alternative.
 
-    The fields are split with str.split, and each piece's offset into text
-    is the length of the pieces and separators before it. Each stripped
-    alternative is looked up in the cache, a fresh one when there is none
-    (see parse_packages_stream); only one the cache lacks is parsed, at its
-    offset, and added. So text is walked once, and an error carries the
-    text, the offset of the first bad alternative and the reason.
+    The fields are split with str.split. Each stripped alternative is
+    looked up in the cache, a fresh one when there is none (see
+    parse_packages_stream); only a group with one the cache lacks is
+    walked again by ``_parse_group``, which parses it at its offset. So
+    each group's alternatives are looked up once, in one C-level pass,
+    and an error carries the text, the offset of the first bad
+    alternative and the reason.
     """
     if cache is None:
         cache = {}
     get = cache.get
     groups = []
-    end = -1
+    start = 0
     for group in text.split(","):
-        alternatives = []
-        for chunk in group.split(sep):
-            start = end + 1
-            end = start + len(chunk)
-            alternatives.append(get(chunk.strip())
-                                or _new_alternative(text, start, end, cache))
+        alternatives = [get(chunk.strip()) for chunk in group.split(sep)]
+        if not all(alternatives):  # a constraint is a non-empty tuple
+            alternatives = _parse_group(text, start, group, sep, cache)
         groups.append(alternatives)
+        start += len(group) + 1
     return groups
+
+
+def _parse_group(text: str, start: int, group: str, sep: str, cache: dict
+                 ) -> list[VersionConstraint]:
+    """The alternatives of group, which starts at offset start of text, in
+    order; each piece's offset is the length of the pieces and separators
+    before it, and one the cache lacks is parsed there and added."""
+    alternatives = []
+    for chunk in group.split(sep):
+        end = start + len(chunk)
+        key = chunk.strip()
+        constraint = cache.get(key)
+        if constraint is None:
+            constraint = cache[key] = _parse_alternative(text, start, end)
+        alternatives.append(constraint)
+        start = end + 1
+    return alternatives
 
 
 def parse_dependency_expr(text: str, cache: dict | None = None
@@ -293,7 +316,7 @@ def parse_provides(text: str, cache: dict | None = None) -> list[str]:
 # Stanza parsing
 
 
-@dataclass
+@dataclass(slots=True)
 class PackageStanza:
     """One parsed Packages stanza.
 
@@ -338,48 +361,59 @@ def _split_stanza_blocks(text: str) -> list[str]:
     return list(filter(None, blocks))
 
 
-def _fields_of_block(block: list[str], index: int) -> dict[str, str]:
+def _fields_of_block(block: str, index: int) -> dict[str, str]:
     """The fields of a stanza's lines, keyed by lower-cased name; the first
     bad line in line order, a repeated field's included, is raised."""
     fields: dict[str, str] = {}
-    last_key = None
-    for line in block:
+    key = None
+    for line in block.split("\n"):
         if line[0] in " \t":
-            if last_key is None:
+            if key is None:
                 raise MalformedStanza(index, line)
-            fields[last_key] += " " + line.strip()
+            fields[key] += " " + line.strip()
             continue
         key, sep, value = line.partition(":")
-        key = key.strip()
-        last_key = key.lower()
-        if not sep or not key or " " in key or last_key in fields:
+        key = key.strip().lower()
+        size = len(fields)
+        fields[key] = value.strip()
+        # a field named again leaves the size as it was
+        if not sep or not key or " " in key or len(fields) == size:
             raise MalformedStanza(index, line)
-        fields[last_key] = value.strip()
     return fields
 
 
-def _parse_stanza(block: str, index: int, cache: dict) -> PackageStanza:
-    fields = _fields_of_block(block.split("\n"), index)
-    if "package" not in fields:
+# the relation fields a stanza reads, in the order their errors are raised
+_RELATION_FIELDS = ("depends", "pre-depends", "conflicts", "breaks", "provides")
+
+
+def _parse_stanza(block: str, index: int, cache: dict, versions: set[str]
+                  ) -> PackageStanza:
+    """The stanza of one block; its version is checked unless it is in
+    versions, the versions this load has checked, and added."""
+    fields = _fields_of_block(block, index)
+    name = fields.get("package")
+    if name is None:
         raise MissingField("Package", index)
-    if "version" not in fields:
+    version = fields.get("version")
+    if version is None:
         raise MissingField("Version", index)
-    name = fields["package"]
-    if not name or not name.isascii() or set(name) & _NAME_FORBIDDEN:
+    if not name or not name.isascii() or not _NAME_FORBIDDEN.isdisjoint(name):
         raise MalformedStanza(index, f"Package: {name}")
-    _split_version(fields["version"])
-    depends = parse_dependency_expr(fields.get("depends", ""), cache)
-    depends += parse_dependency_expr(fields.get("pre-depends", ""), cache)
-    conflicts = parse_conflict_expr(fields.get("conflicts", ""), cache)
-    conflicts += parse_conflict_expr(fields.get("breaks", ""), cache)
-    return PackageStanza(
-        name=name,
-        version=fields["version"],
-        depends=depends,
-        conflicts=conflicts,
-        provides=parse_provides(fields.get("provides", ""), cache),
-        architecture=fields.get("architecture"),
-    )
+    if version not in versions:
+        _split_version(version)
+        versions.add(version)
+    # the values are stripped already, so an empty one holds no relation
+    depends, pre_depends, conflicts, breaks, provides = map(
+        fields.get, _RELATION_FIELDS)
+    depends = _parse_groups(depends, "|", cache) if depends else []
+    if pre_depends:
+        depends += _parse_groups(pre_depends, "|", cache)
+    conflicts = parse_conflict_expr(conflicts, cache) if conflicts else []
+    if breaks:
+        conflicts += parse_conflict_expr(breaks, cache)
+    provides = parse_provides(provides, cache) if provides else []
+    return PackageStanza(name, version, depends, conflicts, provides,
+                         fields.get("architecture"))
 
 
 def parse_packages_stream(data: bytes | str, cache: dict | None = None
@@ -396,21 +430,24 @@ def parse_packages_stream(data: bytes | str, cache: dict | None = None
     ``cache`` holds what one load has parsed so far, for the files of that
     load to share: each block, keyed by its text in a 1-tuple, maps to its
     stanza, and each dependency alternative, keyed by its stripped text,
-    to its constraint. The tuple keeps the two kinds of key apart, so a
+    to its constraint; the key None holds the set of version strings
+    checked so far. The tuple keeps the first two kinds of key apart, so a
     block never finds an alternative's constraint. A repeated block
     therefore yields the same stanza object, and a repeated alternative
-    the same constraint, parsed once. Only what parses is added, so an
-    error names the stanza it occurs in. Without a cache, the call uses a
-    fresh one of its own.
+    the same constraint, parsed once, and each distinct version is
+    checked once. Only what parses is added, so an error names the
+    stanza it occurs in. Without a cache, the call uses a fresh one of
+    its own.
     """
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     if cache is None:
         cache = {}
+    versions = cache.setdefault(None, set())
     stanzas = []
     for index, block in enumerate(_split_stanza_blocks(text)):
         key = (block,)
         stanza = cache.get(key)
         if stanza is None:
-            stanza = cache[key] = _parse_stanza(block, index, cache)
+            stanza = cache[key] = _parse_stanza(block, index, cache, versions)
         stanzas.append(stanza)
     return stanzas

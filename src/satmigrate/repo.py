@@ -61,7 +61,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import groupby
+from itertools import groupby, starmap
 from operator import attrgetter
 from typing import TYPE_CHECKING, Container, Iterable, Mapping, Sequence
 
@@ -170,7 +170,8 @@ def _disjunction_order(disjunctions: list[tuple[int, ...]]
     """The distinct disjunctions, fewest members first, then by ids."""
     if len(disjunctions) < 2:
         return tuple(disjunctions)
-    return tuple(sorted(set(disjunctions), key=lambda d: (len(d), d)))
+    # two C-level sorts: by ids, then stably by size
+    return tuple(sorted(sorted(set(disjunctions)), key=len))
 
 
 def make_universe(packages: Iterable[Package],
@@ -214,6 +215,45 @@ def _stanza_signature(stanza: PackageStanza) -> tuple:
     return stanza.depends, stanza.conflicts, sorted(stanza.provides)
 
 
+class _Expansions(dict):
+    """Each constraint's matches, as the ascending ids of the packages
+    ``keys`` (sorted (name, version) pairs) that it matches; each is
+    expanded at its first lookup, as build_universe's docstring says. A
+    versioned constraint is decided once per distinct relation, bound and
+    version, as an archive's versions and the bounds that name them
+    repeat."""
+
+    def __init__(self, keys: list[tuple[str, str]],
+                 by_name: dict[str, range],
+                 providers: dict[str, list[int]]):
+        super().__init__()
+        # not self.keys, which would hide dict.keys
+        self.sorted_keys, self.by_name, self.providers = keys, by_name, providers
+        self.verdicts: dict[tuple[str, str, str], bool] = {}
+
+    def __missing__(self, constraint: VersionConstraint) -> tuple[int, ...]:
+        name = constraint.name
+        real = self.by_name.get(name, ())
+        if constraint.relation != controlfile.ANY:
+            keys = self.sorted_keys
+            matches = tuple(i for i in real
+                            if self._matches(constraint, keys[i][1]))
+        elif name in self.providers:
+            matches = tuple(sorted({*real, *self.providers[name]}))
+        else:
+            matches = tuple(real)
+        self[constraint] = matches
+        return matches
+
+    def _matches(self, constraint: VersionConstraint, version: str) -> bool:
+        key = constraint.relation, constraint.bound, version
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = constraint.matches(constraint.name,
+                                                              version)
+        return verdict
+
+
 def build_universe(testing: list[PackageStanza],
                    unstable: list[PackageStanza]) -> Universe:
     """Expand stanza-level constraints into the concrete-package model.
@@ -240,45 +280,33 @@ def build_universe(testing: list[PackageStanza],
             repo_keys.append(key)
     keys = sorted(stanza_of)
     stanzas = [stanza_of[key] for key in keys]
-    by_name: dict[str, list[int]] = {}
+    # the keys are sorted, so each name's ids are one range
+    first: dict[str, int] = {}
+    for i, (name, _) in enumerate(keys):
+        first.setdefault(name, i)
+    starts = list(first.values())
+    by_name = dict(zip(first, map(range, starts, starts[1:] + [len(keys)])))
     providers: dict[str, list[int]] = {}
-    for i, (key, stanza) in enumerate(zip(keys, stanzas)):
-        by_name.setdefault(key[0], []).append(i)
+    for i, stanza in enumerate(stanzas):
         for virtual in stanza.provides:
             providers.setdefault(virtual, []).append(i)
 
-    expansions: dict[VersionConstraint, tuple[int, ...]] = {}
-
-    def expand(constraint: VersionConstraint) -> tuple[int, ...]:
-        matches = expansions.get(constraint)
-        if matches is None:
-            name = constraint.name
-            real = by_name.get(name, [])
-            if constraint.relation != controlfile.ANY:
-                matches = tuple(i for i in real
-                                if constraint.matches(name, keys[i][1]))
-            elif name in providers:
-                matches = tuple(sorted({*real, *providers[name]}))
-            else:
-                matches = tuple(real)
-            expansions[constraint] = matches
-        return matches
-
+    expansions = _Expansions(keys, by_name, providers)
     deps = []
     pairs = set()
     for i, stanza in enumerate(stanzas):
         deps.append(_disjunction_order([
-            expand(group[0]) if len(group) == 1
-            else tuple(sorted(set().union(*map(expand, group))))
+            expansions[group[0]] if len(group) == 1
+            else tuple(sorted(set().union(*map(expansions.__getitem__, group))))
             for group in stanza.depends]))
         for constraint in stanza.conflicts:
-            for j in expand(constraint):
+            for j in expansions[constraint]:
                 if j != i:
                     pairs.add((i, j) if i < j else (j, i))
     id_of = {key: i for i, key in enumerate(keys)}
     t, u = (frozenset(map(id_of.__getitem__, repo_keys))
             for repo_keys in keys_in)
-    return Universe(order=tuple(Package(name, version) for name, version in keys),
+    return Universe(order=tuple(starmap(Package, keys)),
                     deps=tuple(deps), conflict_pairs=tuple(sorted(pairs)),
                     testing_ids=t, unstable_ids=u)
 

@@ -64,13 +64,15 @@ def forbid_closures(monkeypatch) -> None:
     """Make every ClosureIndex built from now on fail on a read of its
     closures (a ``closure`` or ``hard_closure`` call) or of its
     ``closure_ends``. The connecting lists, which the p5 encodings read,
-    are built from ``closure_ends`` before it goes."""
+    and ``easy_ids``, which p4 reads, are built from ``closure_ends``
+    before it goes."""
     original = ClosureIndex.__init__
 
     def init(self, universe):
         original(self, universe)
         if self.packages:
             self.connecting_ids(0)  # builds every connecting list
+        self.easy_ids  # built while closure_ends can still be read
         self._closures = self.closure_ends = _Unread()
 
     monkeypatch.setattr(ClosureIndex, "__init__", init)

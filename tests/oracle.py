@@ -13,9 +13,11 @@ d and c generator that passes every clause through `normalize_clause`.
 `count_satisfied` are tested against, `canonical_version` is the
 normal form `compare_versions` is tested against, `stanza_blocks`
 the line-by-line block split the one-pass `_split_stanza_blocks` is
-tested against, `two_walk_groups` the two-walk field parse the one-walk
-`_parse_groups` is tested against, and `infer_num_vars` the largest
-variable of hand-written clauses, for the oracles called without a count.
+tested against, `block_fields` the rule-by-rule reading of a block's
+lines `_fields_of_block` is tested against, `two_walk_groups` the
+two-walk field parse the one-walk `_parse_groups` is tested against, and
+`infer_num_vars` the largest variable of hand-written clauses, for the
+oracles called without a count.
 Only the tests import this module; numpy is needed only here.
 """
 
@@ -431,6 +433,28 @@ def stanza_blocks(text: str) -> list[tuple[str, ...]]:
     if current:
         blocks.append(tuple(current))
     return blocks
+
+
+def block_fields(lines: Iterable[str]) -> dict[str, str] | str:
+    """The fields of a block's lines, keyed by lower-cased name, or the
+    first bad line: one that continues no field, has no ":", has an empty
+    name or a name with a space, or names a field already named in any
+    case. A continuation line adds its stripped text after a space."""
+    fields: dict[str, str] = {}
+    last = None
+    for line in lines:
+        if line[0] in " \t":
+            if last is None:
+                return line
+            fields[last] += " " + line.strip()
+            continue
+        name, sep, value = line.partition(":")
+        name = name.strip()
+        if not sep or not name or " " in name or name.lower() in fields:
+            return line
+        last = name.lower()
+        fields[last] = value.strip()
+    return fields
 
 
 def _split_offsets(text: str, sep: str, start: int, end: int

@@ -6,15 +6,18 @@ import re
 
 import pytest
 
+from satmigrate import controlfile as controlfile_mod
 from satmigrate.controlfile import (MalformedDependency, MalformedStanza,
                                     MalformedVersion, MissingField,
                                     PackageStanza, VersionConstraint,
-                                    _split_stanza_blocks, compare_versions,
-                                    parse_conflict_expr, parse_dependency_expr,
+                                    _fields_of_block, _split_stanza_blocks,
+                                    compare_versions, parse_conflict_expr,
+                                    parse_dependency_expr,
                                     parse_packages_stream, parse_provides)
 
 from .generators import random_version
-from .oracle import canonical_version, stanza_blocks, two_walk_groups
+from .oracle import (block_fields, canonical_version, stanza_blocks,
+                     two_walk_groups)
 
 
 # -- rendering, the inverse of the parsers ------------------------------------
@@ -78,6 +81,30 @@ def test_equal_after_normalization(a, b):
 def test_malformed_versions_rejected(bad):
     with pytest.raises(MalformedVersion):
         compare_versions(bad, "1.0")
+
+
+@pytest.mark.parametrize("relation, bound", [
+    ("any", "1"), ("~=", "1"), ("", "1"), (">=", None), ("=", None)],
+    ids=["any-with-bound", "unknown", "empty", "no-bound", "equal-no-bound"])
+def test_version_constraint_rejects_bad_input(relation, bound):
+    with pytest.raises(ValueError):
+        VersionConstraint("b", relation, bound)
+
+
+def test_version_constraint_matches_its_relation_alone():
+    rng = random.Random(89)
+    test = {"<<": lambda c: c < 0, "<=": lambda c: c <= 0, "=": lambda c: c == 0,
+            ">=": lambda c: c >= 0, ">>": lambda c: c > 0}
+    versions = [random_version(rng) for _ in range(60)]
+    for version, bound in zip(versions, versions[1:] + versions[:1]):
+        c = compare_versions(version, bound)
+        for relation, holds in test.items():
+            constraint = VersionConstraint("b", relation, bound)
+            assert constraint.matches("b", version) == holds(c)
+            assert not constraint.matches("c", version)
+        assert VersionConstraint("b").matches("b", version)
+    # the tuple form: equal constraints are one dictionary key
+    assert {VersionConstraint("b", ">=", "1"): 1}[VersionConstraint("b", ">=", "1")]
 
 
 def test_letters_sort_before_other_characters():
@@ -315,6 +342,60 @@ def test_field_order_is_irrelevant():
 def test_unparseable_line_is_rejected():
     with pytest.raises(MalformedStanza):
         parse_packages_stream("Package: a\nVersion: 1\nnonsense line\n")
+
+
+_FIELD_NAMES = ["Package", "package", "PACKAGE", "Depends", "depends", "a b",
+                "", "k\tk", "Pre-Depends", "x\x85", "\xa0Version"]
+_FIELD_SEPS = [":", "", " :", ": ", "\t: ", "::"]
+_FIELD_VALUES = ["", "v", " v ", "\x85v\xa0", "a:b", "b (>= 1) | c", "\u3000"]
+
+
+def test_block_fields_match_the_rule_by_rule_reference():
+    # names in several cases, with spaces, empty, or with whitespace around
+    # them; lines with no ":" or two; continuation lines, also first
+    rng = random.Random(97)
+    errors = 0
+    for _ in range(5000):
+        lines = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.2:
+                lines.append(rng.choice([" ", "\t"]) + rng.choice(["more", "x y "]))
+            else:
+                lines.append(rng.choice(_FIELD_NAMES) + rng.choice(_FIELD_SEPS)
+                             + rng.choice(_FIELD_VALUES))
+        lines = [line for line in lines if line.strip()] or ["a: b"]
+        want = block_fields(lines)
+        if isinstance(want, str):
+            errors += 1
+            with pytest.raises(MalformedStanza) as err:
+                _fields_of_block("\n".join(lines), 5)
+            assert (err.value.stanza_index, err.value.line) == (5, want)
+        else:
+            assert _fields_of_block("\n".join(lines), 5) == want
+    assert 1000 < errors < 4000  # both outcomes are well covered
+
+
+def test_each_distinct_version_is_checked_once_per_load(monkeypatch):
+    # two files sharing a cache, with versions repeated across stanzas and
+    # across the files; a bad version is still found after the good ones
+    calls = []
+    check = controlfile_mod._split_version
+
+    def counted(version):
+        calls.append(version)
+        return check(version)
+
+    monkeypatch.setattr(controlfile_mod, "_split_version", counted)
+    cache: dict = {}
+    parse_packages_stream("Package: a\nVersion: 1.0-1\n\n"
+                          "Package: b\nVersion: 1.0-1\n\n"
+                          "Package: c\nVersion: 2\n", cache)
+    parse_packages_stream("Package: d\nVersion: 2\n\n"
+                          "Package: e\nVersion: 1.0-1\n", cache)
+    assert sorted(calls) == ["1.0-1", "2"]
+    with pytest.raises(MalformedVersion):
+        parse_packages_stream("Package: f\nVersion: 2\n\n"
+                              "Package: g\nVersion: 1.0-\n", cache)
 
 
 @pytest.mark.parametrize("text,repeated", [
