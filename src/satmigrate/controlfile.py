@@ -192,6 +192,11 @@ class VersionConstraint(_Constraint):
             raise ValueError(f"bad relation {relation!r}")
         return super().__new__(cls, name, relation, bound)
 
+    @classmethod
+    def _make(cls, iterable) -> VersionConstraint:
+        # _replace builds through _make; keep it to the checks of __new__
+        return cls(*iterable)
+
     def matches(self, name: str, version: str) -> bool:
         if name != self.name:
             return False
@@ -374,11 +379,9 @@ def _fields_of_block(block: str, index: int) -> dict[str, str]:
             continue
         key, sep, value = line.partition(":")
         key = key.strip().lower()
-        size = len(fields)
-        fields[key] = value.strip()
-        # a field named again leaves the size as it was
-        if not sep or not key or " " in key or len(fields) == size:
+        if not sep or not key or " " in key or key in fields:
             raise MalformedStanza(index, line)
+        fields[key] = value.strip()
     return fields
 
 
@@ -402,7 +405,8 @@ def _parse_stanza(block: str, index: int, cache: dict, versions: set[str]
     if version not in versions:
         _split_version(version)
         versions.add(version)
-    # the values are stripped already, so an empty one holds no relation
+    # a whitespace-only line splits the block, so no value is blank but
+    # an empty one, which holds no relation
     depends, pre_depends, conflicts, breaks, provides = map(
         fields.get, _RELATION_FIELDS)
     depends = _parse_groups(depends, "|", cache) if depends else []

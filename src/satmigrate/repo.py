@@ -218,10 +218,7 @@ def _stanza_signature(stanza: PackageStanza) -> tuple:
 class _Expansions(dict):
     """Each constraint's matches, as the ascending ids of the packages
     ``keys`` (sorted (name, version) pairs) that it matches; each is
-    expanded at its first lookup, as build_universe's docstring says. A
-    versioned constraint is decided once per distinct relation, bound and
-    version, as an archive's versions and the bounds that name them
-    repeat."""
+    expanded at its first lookup, as build_universe's docstring says."""
 
     def __init__(self, keys: list[tuple[str, str]],
                  by_name: dict[str, range],
@@ -229,7 +226,6 @@ class _Expansions(dict):
         super().__init__()
         # not self.keys, which would hide dict.keys
         self.sorted_keys, self.by_name, self.providers = keys, by_name, providers
-        self.verdicts: dict[tuple[str, str, str], bool] = {}
 
     def __missing__(self, constraint: VersionConstraint) -> tuple[int, ...]:
         name = constraint.name
@@ -237,21 +233,13 @@ class _Expansions(dict):
         if constraint.relation != controlfile.ANY:
             keys = self.sorted_keys
             matches = tuple(i for i in real
-                            if self._matches(constraint, keys[i][1]))
+                            if constraint.matches(name, keys[i][1]))
         elif name in self.providers:
             matches = tuple(sorted({*real, *self.providers[name]}))
         else:
             matches = tuple(real)
         self[constraint] = matches
         return matches
-
-    def _matches(self, constraint: VersionConstraint, version: str) -> bool:
-        key = constraint.relation, constraint.bound, version
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = self.verdicts[key] = constraint.matches(constraint.name,
-                                                              version)
-        return verdict
 
 
 def build_universe(testing: list[PackageStanza],

@@ -89,6 +89,11 @@ def test_malformed_versions_rejected(bad):
 def test_version_constraint_rejects_bad_input(relation, bound):
     with pytest.raises(ValueError):
         VersionConstraint("b", relation, bound)
+    # the named tuple's own builders take the same checks
+    with pytest.raises(ValueError):
+        VersionConstraint._make(("b", relation, bound))
+    with pytest.raises(ValueError):
+        VersionConstraint("b", ">=", "1")._replace(relation=relation, bound=bound)
 
 
 def test_version_constraint_matches_its_relation_alone():
