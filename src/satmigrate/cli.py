@@ -177,20 +177,19 @@ def cmd_explain(args) -> int:
 def cmd_check(args) -> int:
     entries = []
     universe = _load_universe(args)
-    idx = ClosureIndex(universe)
-    testing = universe.testing_ids
-    for violation in repo.check_testing(universe, idx, args.deadline):
+    packages, testing = universe.order, universe.testing_ids
+    for violation in repo.check_testing(universe, args.deadline):
         target = violation.subjects[0]
         entry = {"kind": violation.kind, "detail": violation.detail,
-                 "packages": [str(idx.packages[i]) for i in violation.subjects],
+                 "packages": [str(packages[i]) for i in violation.subjects],
                  "explanation": None}
         if violation.kind == "trimmedness":
-            clauses, info, ids = repo.installation_query(target, testing, idx)
+            clauses, info, ids = repo.installation_query(target, testing,
+                                                         universe)
             mus = satcore.extract_mus(clauses, num_vars=len(ids),
                                       deadline=args.deadline)
-            entry["explanation"] = [
-                engine.describe_clause(info[i], idx.packages)
-                for i in mus.core]
+            entry["explanation"] = [engine.describe_clause(info[i], packages)
+                                    for i in mus.core]
         entries.append(entry)
     if args.format == "structured":
         _print_structured({"clean": not entries, "violations": entries})

@@ -1,26 +1,24 @@
-"""Dependency-closure index.
+"""Dependency-closure index: preprocessing for the encoder and ``stats``
+only.
 
 Reads the ids and id tables that ``repo.build_universe`` interned, and
-derives the "may depend" relation, the conflict partners of each
-package and, per package, the conflict ends inside its
-reflexive-transitive closure. The easy packages (whose closure holds no
-conflict end), the closure restricted to hard packages, the relevant
-conflict ends and the connecting dependencies of a package are derived
-from these, for the encoder and ``stats``: the installability pass of
-``repo`` reads only the raw tables, ``deps``, ``partners`` and
-``dependents``. Downstream code speaks ids; only reports and
-explanations name Packages.
+derives the "may depend" relation and, per package, the conflict ends
+inside its reflexive-transitive closure. The easy packages (whose
+closure holds no conflict end), the closure restricted to hard packages,
+the relevant conflict ends and the connecting dependencies of a package
+are derived from these. ``repo``'s checks never read an index: they
+verify its users' answers on the universe alone. Downstream code speaks
+ids; only reports and explanations name Packages.
 
-Building an index builds only the conflict partners; it keeps the
-universe's ``packages``, ``deps`` and ``conflict_pairs`` as they are.
-Everything else is built on first read, once, and kept: ``dependents``
-from ``deps``; the successors, their strongly connected components,
-``closure_ends`` and ``easy_ids`` by the first read of the conflict ends
-(the p4 and p5 encodings, ``stats``); the closure tuples by the first
-``closure`` or ``hard_closure`` call (``stats``, the p3 and p4
-encodings); the connecting lists by the first ``connecting_ids`` call.
-So ``check`` walks no component, nor does a ``migrate`` that tracks no
-context.
+Building an index builds no table; it keeps the universe's ``packages``,
+``deps``, ``conflict_pairs`` and ``partners`` as they are. Everything
+else is built on first read, once, and kept: the successors, their
+strongly connected components, ``closure_ends`` and ``easy_ids`` by the
+first read of the conflict ends (the p4 and p5 encodings, ``stats``);
+the closure tuples by the first ``closure`` or ``hard_closure`` call
+(``stats``, the p3 and p4 encodings); the connecting lists by the first
+``connecting_ids`` call. So a ``migrate`` that tracks no context walks
+no component.
 
 Both the conflict ends and the closures are computed bottom-up over the
 condensation of the may-depend graph into strongly connected components,
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
 
 from .repo import Package, Universe, package_id
 
@@ -152,23 +149,19 @@ def _scc_closures(succ: list[list[int]], components: list[list[int]]
 
 
 class ClosureIndex:
-    """Immutable closure data for one universe.
+    """Immutable closure data for one universe, for the encoder and
+    ``stats`` only.
 
-    The ids, ``packages``, ``deps`` and ``conflict_pairs`` are the
-    universe's own: a package's id is its rank in sorted order, and
-    ``deps[i]`` holds i's disjunctions, each as its members' ids,
-    ascending (see ``Universe``). ``deps``, ``dependents``,
-    ``conflict_pairs``, ``partners``, ``closure_ends`` and the id-valued
-    methods speak in these ids: the closures and ``closure_ends`` serve
-    the encoder and ``stats``, and the installability pass of ``repo``
-    reads only ``deps``, ``partners`` and ``dependents``. The
-    Package-level members translate ids back, with ``repo.package_id``
-    and no Package → id table of their own.
-    ``partners[i]`` holds i's conflict partners, ascending, and
-    ``closure_ends[i]`` the conflict ends inside i's closure.
+    The ids, ``packages``, ``deps``, ``conflict_pairs`` and ``partners``
+    are the universe's own (the same objects): a package's id is its rank
+    in sorted order, ``deps[i]`` holds i's disjunctions, each as its
+    members' ids, ascending, and ``partners[i]`` i's conflict partners,
+    ascending (see ``Universe``). ``closure_ends[i]`` holds the conflict
+    ends inside i's closure; it and the id-valued methods speak in these
+    ids. The Package-level members translate ids back, with
+    ``repo.package_id`` and no Package → id table of their own.
 
-    ``__init__`` builds ``partners`` alone. ``dependents``, the
-    successors, the components, ``closure_ends``, ``easy_ids``, the
+    The successors, the components, ``closure_ends``, ``easy_ids``, the
     closures and the connecting lists are each built by their first
     read, as the module docstring lists.
     """
@@ -177,14 +170,7 @@ class ClosureIndex:
         self.packages: tuple[Package, ...] = universe.order
         self.deps = universe.deps
         self.conflict_pairs = universe.conflict_pairs
-        of_end: dict[int, list[int]] = {}
-        for a, b in self.conflict_pairs:
-            of_end.setdefault(a, []).append(b)
-            of_end.setdefault(b, []).append(a)
-        # one shared () for every package that conflicts with nothing
-        self.partners: list[tuple[int, ...]] = [()] * len(self.packages)
-        for a, ps in of_end.items():
-            self.partners[a] = tuple(sorted(ps))
+        self.partners = universe.partners
         self._relevant: dict[frozenset[int], frozenset[int]] = {}
 
     # -- integer surface -------------------------------------------------------
@@ -215,26 +201,6 @@ class ClosureIndex:
     def _closures(self) -> list[tuple[int, ...]]:
         """Every closure, built by the first call that reads one."""
         return _scc_closures(self._succ, self._components)
-
-    @cached_property
-    def dependents(self) -> list[list[int]]:
-        """Per package, the packages that may depend on it, ascending."""
-        dependents: list[list[int]] = [[] for _ in self.packages]
-        for v, deps in enumerate(self.deps):
-            for w in set().union(*deps):
-                dependents[w].append(v)
-        return dependents
-
-    def id_set(self, packages: Iterable[Package]) -> set[int]:
-        """The ids of a set of packages; a package the universe lacks
-        raises ValueError."""
-        ids = set()
-        for p in packages:
-            i = package_id(self.packages, p)
-            if i is None:
-                raise ValueError(f"repository references unknown package {p}")
-            ids.add(i)
-        return ids
 
     def closure(self, i: int) -> tuple[int, ...]:
         """i's closure, i included, in no particular order."""

@@ -4,7 +4,7 @@ Builds the requested encoding and objective over a universe, solves with
 the embedded solver or an external executable, decodes the package atoms
 back into a candidate repository, re-verifies admissibility from the raw
 model data, and renders reports, hints and non-migration explanations.
-T′ is a set of ``ClosureIndex`` ids from the decode to the report:
+T′ is a set of universe ids from the decode to the report:
 Packages appear only in parsed input, reports and explanations.
 
 Every search made for a request (each closure decision, solve round,
@@ -139,8 +139,7 @@ def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[int]:
 
 
 def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
-                    idx: ClosureIndex, deadline: float = math.inf
-                    ) -> frozenset[int]:
+                    deadline: float = math.inf) -> frozenset[int]:
     """Re-add dropped packages that carry no objective weight.
 
     Packages present in both repositories are invisible to every soft set,
@@ -149,9 +148,9 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
     installability of everything already chosen (growing a repository never
     invalidates an installation witness), so only the package's own
     installability (``repo.installable_in``), uniqueness and the policy
-    need re-checking. T′ and the answer are sets of idx's ids.
+    need re-checking. T′ and the answer are sets of u's ids.
     """
-    packages = idx.packages
+    packages = u.order
     rule_ids = () if policy is None else policy.rule_ids(packages)
     chosen = set(t_prime)
     names = {packages[i].name for i in chosen}
@@ -160,7 +159,7 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
         if name in names:
             continue
         chosen.add(i)
-        if repo.installable_in(i, chosen, idx, deadline) and \
+        if repo.installable_in(i, chosen, u, deadline) and \
                 repo.policy_violation(chosen, policy, rule_ids) is None:
             names.add(name)
         else:
@@ -196,7 +195,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
 
     Each round solves the problem, checks the solver's claims against a
     recount of the soft clauses, decodes the model, restores the shared
-    packages and re-verifies the result from the raw model data. While a
+    packages and re-verifies the result from the universe alone: the index
+    serves the encoding and ``encoder.track_contexts`` only. While a
     member of the result is not installable, the round tracks the
     contexts of every such member (``encoder.track_contexts``) and the
     next round solves again. The result's warnings are the last round's.
@@ -225,8 +225,8 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                 f" {len(problem.soft) - recount}")
         chosen = _restore_shared(
             decode_solution(result.true_atoms, problem.atoms), u, req.policy,
-            idx, req.deadline)
-        verdict = repo.is_admissible(chosen, idx, req.policy, req.deadline)
+            req.deadline)
+        verdict = repo.is_admissible(chosen, u, req.policy, req.deadline)
         if verdict:
             break
         if verdict.kind != "trimmedness" or not encoder.track_contexts(
@@ -237,7 +237,7 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         return None, chosen
     warnings = ("external solver returned a model without an optimality"
                 " claim",) if result.status is SolveStatus.SAT else ()
-    packages = idx.packages.__getitem__
+    packages = u.order.__getitem__
     migrated_in = tuple(map(packages, sorted(chosen - u.testing_ids)))
     removed = tuple(map(packages, sorted(u.testing_ids - chosen)))
     return MigrationResult(
@@ -309,7 +309,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe
                               frozenset[int]]:
     """solve_migration, also returning the encoding it solved (objective
     attached, with the contexts its rounds tracked), the closure index it
-    built and the result's T′ as the index's ids, for further solves.
+    built and the result's T′ as the universe's ids, for further solves.
 
     The solve starts from the lazy encoding (``encoder.build_encoding``),
     which tracks no context, and ``_solve_verified`` adds contexts as its
@@ -332,7 +332,7 @@ def _solve_encoded(req: MigrationRequest, u: Universe
         full = encoder.build_encoding(u, idx, req.encoding, req.policy)
         attach_objective(req, u, full)
         raise Unsolvable(str(exc), full) from None
-    violations = repo.check_testing(u, idx, req.deadline)
+    violations = repo.check_testing(u, req.deadline)
     result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
                             for violation in violations) + result.warnings
     return result, problem, idx, chosen
@@ -385,8 +385,8 @@ _STATEMENTS = {
 def describe_clause(info: tuple, packages: tuple[Package, ...]) -> str:
     """Render one clause's provenance as a domain-level statement.
 
-    Provenance names packages by ``ClosureIndex`` id, and this is the one
-    place where ``packages`` (the index's sorted packages) turns them back.
+    Provenance names packages by universe id, and this is the one place
+    where ``packages`` (the universe's ``order``) turns them back.
     """
     family, *fields = info
     if family == "v":

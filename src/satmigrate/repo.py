@@ -8,17 +8,17 @@ exhaustive and SAT, live with the tests, in ``tests/oracle.py``.
 ``build_universe`` is where packages are interned, once per load: it
 sorts the (name, version) keys, builds each ``Package`` once, and expands
 each distinct constraint once, straight into ids. The ``Universe`` holds
-the resulting id tables, repositories included; ``ClosureIndex`` reads
-them as they are, and ``package_id`` turns parsed input into ids.
-``closure_universe`` cuts a universe down to one package's closure, with
-the same tables over fewer ids; ``reach`` is the one dependency walk.
-The checks read and name ids, policies included: Packages appear only in
-parsed input, reports and explanations.
+the resulting id tables, repositories included, and ``package_id`` turns
+parsed input into ids. ``closure_universe`` cuts a universe down to one
+package's closure, with the same tables over fewer ids; ``reach`` is the
+one dependency walk. The checks take the ``Universe`` and nothing else,
+so they read none of the preprocessing whose answers they verify; they
+read and name ids, policies included: Packages appear only in parsed
+input, reports and explanations.
 
 ``installable_ids`` decides installability for every member of a
-repository r at once, on sets of ``ClosureIndex`` ids, from the raw
-tables alone (``deps``, ``partners`` and ``dependents``), in three exact
-steps:
+repository r at once, on sets of ids, from the universe's own tables
+alone (``deps``, ``partners`` and ``dependents``), in three exact steps:
 
 1. Fixpoint. ``live`` is the greatest subset of r that meets every
    dependency disjunction of its own members: packages are dropped until
@@ -69,7 +69,6 @@ from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .closure import ClosureIndex
     from .encoder import PolicyRules
 
 
@@ -105,9 +104,9 @@ PACKAGE_ORDER = attrgetter("name", "version")
 
 
 def package_id(packages: Sequence[Package], p: Package) -> int | None:
-    """p's id, its position in ``packages`` (a universe's ``order`` or an
-    index's ``packages``), or None. The one Package → id lookup: it bisects,
-    as ``order`` is sorted by Package's own (name, version) string order."""
+    """p's id, its position in ``packages`` (a universe's ``order``), or
+    None. The one Package → id lookup: it bisects, as ``order`` is sorted
+    by Package's own (name, version) string order."""
     i = bisect_left(packages, PACKAGE_ORDER(p), key=PACKAGE_ORDER)
     return i if i < len(packages) and packages[i] == p else None
 
@@ -122,7 +121,9 @@ class Universe:
     first and then by their ids, each as its members' ids, ascending; one
     of them must be installed alongside i, and an empty one marks i
     uninstallable. ``conflict_pairs`` holds each conflict once, as (a, b)
-    with a < b, ascending.
+    with a < b, ascending. ``partners[i]`` holds i's conflict partners and
+    ``dependents[i]`` the packages that may depend on i, both ascending;
+    they are built on first read.
 
     ``testing``, ``unstable``, ``packages``, ``dep`` and ``conflicts``
     show the same data on Packages: ``dep`` maps each package to its
@@ -163,6 +164,26 @@ class Universe:
         return frozenset(pair for a, b in self.conflict_pairs
                          for pair in ((order[a], order[b]),
                                       (order[b], order[a])))
+
+    @cached_property
+    def partners(self) -> list[tuple[int, ...]]:
+        of_end: dict[int, list[int]] = {}
+        for a, b in self.conflict_pairs:
+            of_end.setdefault(a, []).append(b)
+            of_end.setdefault(b, []).append(a)
+        # one shared () for every package that conflicts with nothing
+        partners: list[tuple[int, ...]] = [()] * len(self.order)
+        for a, ps in of_end.items():
+            partners[a] = tuple(sorted(ps))
+        return partners
+
+    @cached_property
+    def dependents(self) -> list[list[int]]:
+        dependents: list[list[int]] = [[] for _ in self.order]
+        for v, deps in enumerate(self.deps):
+            for w in set().union(*deps):
+                dependents[w].append(v)
+        return dependents
 
 
 def _disjunction_order(disjunctions: list[tuple[int, ...]]
@@ -337,26 +358,26 @@ def closure_universe(u: Universe, p: Package) -> Universe:
         unstable_ids=frozenset(map(renumber, u.unstable_ids & seen)))
 
 
-def _has_conflict(members: set[int], idx: "ClosureIndex") -> bool:
+def _has_conflict(members: set[int], u: Universe) -> bool:
     """Whether two of the members conflict."""
-    partners = idx.partners
+    partners = u.partners
     return any(not members.isdisjoint(partners[a]) for a in members)
 
 
 def _is_installation(witness: set[int], p: int, r: set[int],
-                     idx: "ClosureIndex") -> bool:
+                     u: Universe) -> bool:
     """An installation of p inside r: healthy, contains p, lies inside r."""
-    deps = idx.deps
+    deps = u.deps
     return (p in witness and witness <= r
             and all(not witness.isdisjoint(targets)
                     for q in witness for targets in deps[q])
-            and not _has_conflict(witness, idx))
+            and not _has_conflict(witness, u))
 
 
-def _live(r: set[int], idx: "ClosureIndex") -> set[int]:
+def _live(r: set[int], u: Universe) -> set[int]:
     """Step 1 of the module docstring: the greatest subset of r that meets
     every dependency disjunction of its own members."""
-    deps, dependents = idx.deps, idx.dependents
+    deps, dependents = u.deps, u.dependents
     live = set(r)
     todo = list(live)
     while todo:
@@ -367,12 +388,11 @@ def _live(r: set[int], idx: "ClosureIndex") -> set[int]:
     return live
 
 
-def _greedy_installation(p: int, live: set[int], idx: "ClosureIndex"
-                         ) -> set[int]:
+def _greedy_installation(p: int, live: set[int], u: Universe) -> set[int]:
     """Step 2 of the module docstring: a walk from p that meets each
     disjunction not yet met with its lowest live member that conflicts with
     nothing chosen so far; empty at a dead end."""
-    deps, partners = idx.deps, idx.partners
+    deps, partners = u.deps, u.partners
     chosen = {p}
     banned = set(partners[p])
     todo = [p]
@@ -391,35 +411,34 @@ def _greedy_installation(p: int, live: set[int], idx: "ClosureIndex"
     return chosen
 
 
-def _checked(witness: set[int], p: int, r: set[int],
-             idx: "ClosureIndex") -> set[int]:
+def _checked(witness: set[int], p: int, r: set[int], u: Universe) -> set[int]:
     """The witness, once it passes as an installation of p inside r; one
     that fails is an internal error."""
-    if not _is_installation(witness, p, r, idx):
+    if not _is_installation(witness, p, r, u):
         raise satcore.SatCoreError(
-            f"internal error: installation witness for {idx.packages[p]}"
+            f"internal error: installation witness for {u.order[p]}"
             " failed verification")
     return witness
 
 
-def installation_query(p: int, within: Container[int], idx: "ClosureIndex"):
+def installation_query(p: int, within: Container[int], u: Universe):
     """SAT query for an installation of p among the members of ``within``
     that p reaches (``reach``). Returns (clauses, info, ids): atom k stands
     for ids[k-1], the ids ascending, and info[j] is the provenance of
-    clauses[j] on idx's ids (an inst-dep entry names the disjunction's
+    clauses[j] on u's ids (an inst-dep entry names the disjunction's
     members inside ``within``)."""
-    ids = sorted(reach(p, within, idx.deps))
+    ids = sorted(reach(p, within, u.deps))
     atom = {q: k for k, q in enumerate(ids, start=1)}
     clauses = [(atom[p],)]
     info: list[tuple] = [("inst-target", p)]
     for q in ids:
-        for targets in idx.deps[q]:
+        for targets in u.deps[q]:
             inside = tuple(x for x in targets if x in atom)
             clauses.append((-atom[q], *(atom[x] for x in inside)))
             info.append(("inst-dep", q, targets
                          if len(inside) == len(targets) else inside))
     for a in ids:
-        for b in idx.partners[a]:
+        for b in u.partners[a]:
             if b > a and b in atom:
                 clauses.append((-atom[a], -atom[b]))
                 info.append(("inst-conflict", a, b))
@@ -427,51 +446,55 @@ def installation_query(p: int, within: Container[int], idx: "ClosureIndex"):
 
 
 def _installation(p: int, r: set[int], live: set[int],
-                  idx: "ClosureIndex", deadline: float) -> set[int]:
+                  u: Universe, deadline: float) -> set[int]:
     """An installation of p inside live, by steps 2 and 3 of the module
     docstring, checked, or an empty set when p has none. live must be the
     fixpoint of step 1 over a subset of r that holds reach(p, r)."""
-    witness = _greedy_installation(p, live, idx)
+    witness = _greedy_installation(p, live, u)
     if not witness:
-        clauses, _, ids = installation_query(p, live, idx)
+        clauses, _, ids = installation_query(p, live, u)
         result = satcore.solve_sat(clauses, num_vars=len(ids),
                                    deadline=deadline)
         if result.status is satcore.SolveStatus.TIMEOUT:
             raise satcore.SolveTimedOut(
-                f"installability query for {idx.packages[p]} timed out")
+                f"installability query for {u.order[p]} timed out")
         if result.status is not satcore.SolveStatus.SAT:
             return set()
         witness = {ids[k - 1] for k in result.true_atoms}
-    return _checked(witness, p, r, idx)
+    return _checked(witness, p, r, u)
 
 
-def installable_ids(r: set[int], idx: "ClosureIndex", deadline: float) -> set[int]:
-    """The members of r (a set of idx's ids) that are installable in r, by
+def installable_ids(r: set[int], u: Universe, deadline: float) -> set[int]:
+    """The members of r (a set of u's ids) that are installable in r, by
     the steps of the module docstring. Packages are visited in ascending
     id order, and every installation found marks all its members."""
-    live = _live(r, idx)
+    live = _live(r, u)
     found: set[int] = set()
     for p in sorted(live):
         if p not in found:
-            found |= _installation(p, r, live, idx, deadline)
+            found |= _installation(p, r, live, u, deadline)
     return found
 
 
-def installable_in(p: int, r: set[int], idx: "ClosureIndex",
-                   deadline: float) -> bool:
+def installable_in(p: int, r: set[int], u: Universe, deadline: float) -> bool:
     """Whether p, a member of r, is installable in r: the steps of the
     module docstring over reach(p, r) alone."""
-    live = _live(reach(p, r, idx.deps), idx)
-    return p in live and bool(_installation(p, r, live, idx, deadline))
+    live = _live(reach(p, r, u.deps), u)
+    return p in live and bool(_installation(p, r, live, u, deadline))
 
 
-def is_installable(p: Package, r: Iterable[Package], idx: "ClosureIndex"
-                   ) -> bool:
+def is_installable(p: Package, r: Iterable[Package], u: Universe) -> bool:
     """Whether p, a member of r, is installable in r, by ``installable_in``."""
-    i, members = package_id(idx.packages, p), idx.id_set(r)
+    members = set()
+    for q in r:
+        i = package_id(u.order, q)
+        if i is None:
+            raise ValueError(f"repository references unknown package {q}")
+        members.add(i)
+    i = package_id(u.order, p)
     if i not in members:
         raise ValueError("need p ∈ r ⊆ packages")
-    return installable_in(i, members, idx, math.inf)
+    return installable_in(i, members, u, math.inf)
 
 
 @dataclass(frozen=True)
@@ -518,19 +541,19 @@ def policy_violation(chosen: set[int], policy: "PolicyRules | None",
     return None
 
 
-def is_admissible(chosen: set[int], idx: "ClosureIndex",
+def is_admissible(chosen: set[int], u: Universe,
                   policy: "PolicyRules | None" = None,
                   deadline: float = math.inf) -> AdmissibilityVerdict:
     """Check Uniqueness, Trimmedness and the policy rules on a migration,
-    a set of idx's ids.
+    a set of u's ids.
 
     Reports the first witnessed violation in a deterministic order. A
     trimmedness verdict's subjects are every member that is not
     installable, in sorted order; its detail names the first. A policy
-    that names a package outside the index raises
+    that names a package outside the universe raises
     ``encoder.UnknownPackage``, a ValueError, before any check.
     """
-    packages = idx.packages
+    packages = u.order
     if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
     rule_ids = () if policy is None else policy.rule_ids(packages)
@@ -540,7 +563,7 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
             return AdmissibilityVerdict(
                 False, "uniqueness",
                 f"name {p.name} occurs twice: {first} and {p}", (a, b))
-    broken = tuple(sorted(chosen - installable_ids(chosen, idx, deadline)))
+    broken = tuple(sorted(chosen - installable_ids(chosen, u, deadline)))
     if broken:
         return AdmissibilityVerdict(
             False, "trimmedness", f"{packages[broken[0]]} is not installable",
@@ -549,10 +572,10 @@ def is_admissible(chosen: set[int], idx: "ClosureIndex",
     return AdmissibilityVerdict(True) if violation is None else violation
 
 
-def check_testing(u: Universe, idx: "ClosureIndex",
-                  deadline: float = math.inf) -> list[AdmissibilityVerdict]:
+def check_testing(u: Universe, deadline: float = math.inf
+                  ) -> list[AdmissibilityVerdict]:
     """All uniqueness/trimmedness defects of the incoming testing repository."""
-    packages, testing = idx.packages, u.testing_ids
+    packages, testing = u.order, u.testing_ids
     violations = []
     for name, group in groupby(sorted(testing),  # in name order
                                lambda i: packages[i].name):
@@ -561,7 +584,7 @@ def check_testing(u: Universe, idx: "ClosureIndex",
             violations.append(AdmissibilityVerdict(
                 False, "uniqueness",
                 f"name {name} occurs {len(group)} times in testing", group))
-    for i in sorted(testing - installable_ids(testing, idx, deadline)):
+    for i in sorted(testing - installable_ids(testing, u, deadline)):
         violations.append(AdmissibilityVerdict(
             False, "trimmedness", f"{packages[i]} is not installable in testing",
             (i,)))

@@ -15,6 +15,13 @@ def P(spec: str) -> Package:
     return Package.parse(spec)
 
 
+def id_set(u: Universe, packages) -> set[int]:
+    """The ids of Packages of u, each found by ``repo.package_id``."""
+    ids = {package_id(u.order, p) for p in packages}
+    assert None not in ids, "a package outside the universe"
+    return ids
+
+
 def pkg_atom(atoms: AtomTable, p: Package) -> int:
     """p's package atom in an encoding's atom table: its id, plus one."""
     return package_id(atoms.packages, p) + 1

@@ -309,6 +309,28 @@ def test_check_and_migrate_read_no_closure(repos, capsys, monkeypatch):
     assert runs[1][2] == EXIT_OK and "verified: yes" in runs[1][3]
 
 
+def test_only_the_encoder_and_stats_build_a_closure_index(
+        repos, capsys, monkeypatch, tmp_path):
+    # check verifies on the universe alone, explanations included; migrate,
+    # emit and stats each build one index of the whole archive
+    from satmigrate.closure import ClosureIndex
+
+    out = str(tmp_path / "out.wcnf")
+    built = _count_calls(monkeypatch, ClosureIndex, "__init__")
+    for testing, command, extra, code, indexes in (
+            (GOLDEN_TESTING, "check", [], EXIT_OK, 0),
+            (GOLDEN_CHECK_TESTING, "check", [], EXIT_VIOLATIONS, 0),
+            (GOLDEN_TESTING, "migrate", [], EXIT_OK, 1),
+            (GOLDEN_TESTING, "emit", [out], EXIT_OK, 1),
+            (GOLDEN_TESTING, "stats", [], EXIT_OK, 1)):
+        argv = [command, *repos(testing, GOLDEN_UNSTABLE), *extra]
+        built.clear()
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        assert [len(universe.order) for _, universe in built] == \
+            [16] * indexes, argv
+
+
 def test_stats_conflict_free_has_p1_row(repos, capsys):
     testing = "Package: a\nVersion: 1\nDepends: b\n\nPackage: b\nVersion: 1\n\n"
     code = main(["stats", *repos(testing, ""), "--format", "structured"])

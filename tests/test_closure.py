@@ -14,7 +14,7 @@ from satmigrate.repo import build_universe, make_universe, package_id
 
 from . import oracle
 from .generators import (P, closure, clustered_universe, hard_closure,
-                         is_easy, may_dep, random_universe,
+                         id_set, is_easy, may_dep, random_universe,
                          relevant_conflicts, tiny_universe)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -146,17 +146,18 @@ def test_closures_are_built_on_first_read():
                 i = package_id(idx.packages, p)
                 hard = ({p} if not members & ends
                         else {q for q in members if reach[q] & ends})
-                assert sorted(idx.closure(i)) == sorted(idx.id_set(members))
-                assert sorted(idx.hard_closure(i)) == sorted(idx.id_set(hard))
+                assert sorted(idx.closure(i)) == \
+                    sorted(id_set(universe, members))
+                assert sorted(idx.hard_closure(i)) == \
+                    sorted(id_set(universe, hard))
                 built += len(hard) > 1
     assert built > 100
 
 
-def test_index_builds_partners_alone_and_the_rest_on_first_read(monkeypatch):
-    # the installability pass reads deps, partners and dependents, none of
-    # which walks a component; the first read of the conflict ends walks
-    # them once, and easy_ids, the closures and the connecting lists
-    # reuse that walk
+def test_index_shares_partners_and_builds_the_rest_on_first_read(monkeypatch):
+    # the universe's partners and dependents walk no component; the
+    # index's first read of the conflict ends walks them once, and
+    # easy_ids, the closures and the connecting lists reuse that walk
     walks = []
     components = closure_mod._components
 
@@ -172,13 +173,14 @@ def test_index_builds_partners_alone_and_the_rest_on_first_read(monkeypatch):
         idx = ClosureIndex(u)
         assert set(vars(idx)) == {"packages", "deps", "conflict_pairs",
                                   "partners", "_relevant"}
+        assert idx.partners is u.partners
         n = len(idx.packages)
         for i in range(n):
             assert list(idx.partners[i]) == sorted(
                 {b for a, b in idx.conflict_pairs if a == i}
                 | {a for a, b in idx.conflict_pairs if b == i})
-            assert idx.dependents[i] == [v for v in range(n)
-                                         if any(i in d for d in idx.deps[v])]
+            assert u.dependents[i] == [v for v in range(n)
+                                       if any(i in d for d in idx.deps[v])]
         assert walks == []
         idx.easy_ids
         idx.closure(0)
@@ -308,7 +310,7 @@ def test_hard_closure_is_the_walk_through_hard_successors():
             hard = hard_closure(idx, p)
             assert hard == _hard_walk(idx, p)
             assert sorted(idx.hard_closure(package_id(idx.packages, p))) == \
-                sorted(idx.id_set(hard))
+                sorted(id_set(u, hard))
             pruned += not is_easy(idx, p) and hard != closure(idx, p)
     assert pruned > 0
 

@@ -407,13 +407,12 @@ def test_trivial_migration_extends_for_every_encoding():
     for _ in range(40):
         u = random_universe(rng, max_size=6, conflict_density=0.5)
         from satmigrate.repo import is_admissible
-        idx = ClosureIndex(u)
-        if not is_admissible(u.testing_ids, idx).ok:
+        if not is_admissible(u.testing_ids, u).ok:
             continue
         found += 1
         pkgs = list(u.order)
         mask = sum(1 << i for i, p in enumerate(pkgs) if p in u.testing)
-        for problem in _all_encodings(u, idx):
+        for problem in _all_encodings(u, ClosureIndex(u)):
             assert mask in projected_solutions(problem, u)
     assert found > 10
 

@@ -29,7 +29,8 @@ from satmigrate.engine import (ActuallySolvable,
 from satmigrate.repo import Package, is_admissible, package_id
 
 from . import oracle
-from .generators import (P, clustered_universe, pkg_atom, random_universe,
+from .generators import (P, clustered_universe, id_set, pkg_atom,
+                         random_universe,
                          tiny_universe, with_dead_ends)
 from .oracle import admissible_sets, deletion_mus
 
@@ -38,10 +39,9 @@ def _upgrade_universe():
     return tiny_universe(["a/1", "a/2"], testing=["a/1"], unstable=["a/2"])
 
 
-def _admissible(t_prime, u, policy=None, idx=None):
+def _admissible(t_prime, u, policy=None):
     """repo.is_admissible on a T' of Packages, such as a result's."""
-    idx = idx or ClosureIndex(u)
-    return is_admissible(idx.id_set(t_prime), idx, policy)
+    return is_admissible(id_set(u, t_prime), u, policy)
 
 
 # -- solve_migration --------------------------------------------------------------
@@ -65,13 +65,12 @@ def test_encodings_agree_on_mid_scale_universes():
     for _ in range(12):
         size = rng.randint(100, 300)
         u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
-        idx = ClosureIndex(u)
         optima = set()
         for encoding in ("p3", "p4", "p5-strict", "p5-pruned"):
             req = MigrationRequest(mode="max", encoding=encoding,
                                    deadline=time.monotonic() + 10.0)
             result = solve_migration(req, u)
-            assert result.verified and _admissible(result.t_prime, u, None, idx)
+            assert result.verified and _admissible(result.t_prime, u)
             optima.add(result.optimum)
         assert len(optima) == 1, (size, optima)
 
@@ -82,7 +81,6 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
     for _ in range(12):
         size = rng.randint(100, 300)
         u = clustered_universe(rng, size, conflicts=rng.randint(1, size // 10))
-        idx = ClosureIndex(u)
         shared = sorted(u.testing & u.unstable)
         # the shared packages a solver dropped, and a few candidates moved
         t_prime = frozenset(p for p in u.packages
@@ -93,9 +91,9 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
         answers = []
         for rules in (None, policy):
             expected = oracle.restore_shared(t_prime, u, rules)
-            restored_ids = engine._restore_shared(idx.id_set(t_prime), u,
-                                                  rules, idx)
-            assert restored_ids == idx.id_set(expected)
+            restored_ids = engine._restore_shared(id_set(u, t_prime), u,
+                                                  rules)
+            assert restored_ids == id_set(u, expected)
             answers.append(expected)
         restored += len(answers[0] - t_prime)
         policy_mattered += answers[0] != answers[1]
@@ -131,23 +129,23 @@ def test_policy_is_checked_on_the_packages_it_names(monkeypatch):
 
 def test_one_round_turns_no_id_into_a_package(monkeypatch):
     # from the decode through the restore and the check, T' is a set of
-    # ids: no Package is hashed and no Package set is turned into ids
+    # ids: no Package is hashed and no Package is looked up as an id
     u = clustered_universe(random.Random(97), 200, conflicts=0)
-    hashed, id_sets, counting = [], [], [False]
-    original_hash, original_id_set = Package.__hash__, ClosureIndex.id_set
+    hashed, lookups, counting = [], [], [False]
+    original_hash, original_package_id = Package.__hash__, repo.package_id
 
     def hash_(self):
         if counting[0]:
             hashed.append(self)
         return original_hash(self)
 
-    def id_set(self, packages):
+    def package_id(packages, p):
         if counting[0]:
-            id_sets.append(packages)
-        return original_id_set(self, packages)
+            lookups.append(p)
+        return original_package_id(packages, p)
 
     monkeypatch.setattr(Package, "__hash__", hash_)
-    monkeypatch.setattr(ClosureIndex, "id_set", id_set)
+    monkeypatch.setattr(repo, "package_id", package_id)
     calls = []
     for owner, name in ((engine, "decode_solution"),
                         (engine, "_restore_shared"), (repo, "is_admissible")):
@@ -165,7 +163,7 @@ def test_one_round_turns_no_id_into_a_package(monkeypatch):
     assert result.verified
     decoded, restored, verdict = calls  # one round
     assert verdict and len(decoded) < len(restored) == len(result.t_prime)
-    assert hashed == [] and id_sets == []
+    assert hashed == [] and lookups == []
 
 
 def _packages_file(u, ids) -> str:
@@ -392,8 +390,8 @@ def test_alternative_optima_stop_at_an_installability_timeout(monkeypatch):
     verified = []
 
     def verify_once(*args, **kwargs):
-        chosen, idx = args[:2]
-        verified.append({idx.packages[i] for i in chosen})
+        chosen, u = args[:2]
+        verified.append({u.order[i] for i in chosen})
         if len(verified) > 1:
             raise satcore_mod.SolveTimedOut("out of time")
         return verify(*args, **kwargs)
@@ -553,19 +551,29 @@ def _full_optimum(req, u, idx):
 
 def test_rounds_reach_the_full_instance_optimum(monkeypatch):
     # dense clusters, where the first round's answer often fails the check;
-    # a failed check names its members as ids, so the rounds turn no
-    # Package set into ids
+    # a failed check names its members as ids, so the rounds look up no
+    # Package as an id (a target-mode request looks up its target before
+    # them)
     rng = random.Random(109)
     refined = {}
-    id_sets, solving = [], [False]
-    original_id_set = ClosureIndex.id_set
+    lookups, solving = [], [False]
+    original_package_id = repo.package_id
+    original_rounds = engine._solve_verified
 
-    def id_set(self, packages):
+    def package_id(packages, p):
         if solving[0]:
-            id_sets.append(packages)
-        return original_id_set(self, packages)
+            lookups.append(p)
+        return original_package_id(packages, p)
 
-    monkeypatch.setattr(ClosureIndex, "id_set", id_set)
+    def rounds(*args, **kwargs):
+        solving[0] = True
+        try:
+            return original_rounds(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(repo, "package_id", package_id)
+    monkeypatch.setattr(engine, "_solve_verified", rounds)
     for _ in range(6):
         size = rng.randint(50, 90)
         u = clustered_universe(rng, size,
@@ -585,22 +593,19 @@ def test_rounds_reach_the_full_instance_optimum(monkeypatch):
                 for p in incoming[-2:]]
             for case, req in requests:
                 expected = _full_optimum(req, u, idx)
-                solving[0] = True
                 try:
                     result, problem, _, _ = engine._solve_encoded(req, u)
                 except Unsolvable:
                     assert expected is None, (case, encoding)
                     continue
-                finally:
-                    solving[0] = False
                 assert result.optimum == expected, (case, encoding)
-                assert _admissible(result.t_prime, u, req.policy, idx)
+                assert _admissible(result.t_prime, u, req.policy)
                 key = case, encoding
                 refined[key] = max(refined.get(key, 0),
                                    problem.atoms.num_inst_atoms)
     # each case took a second round somewhere: it tracked a context
     assert len(refined) == 16 and min(refined.values()) > 0, refined
-    assert id_sets == []
+    assert lookups == []
 
 
 def test_a_first_round_that_passes_tracks_no_context():
@@ -820,10 +825,10 @@ def test_no_provenance_field_is_a_package():
             problem = build_encoding(u, idx, name, policy)
             infos += problem.info
             infos.append(target_clause(check_target(target, u))[1])
-        testing = idx.id_set(u.testing)
+        testing = id_set(u, u.testing)
         for i in range(len(pkgs)):
             if i in testing:
-                infos += repo.installation_query(i, testing, idx)[1]
+                infos += repo.installation_query(i, testing, u)[1]
         for info in infos:
             assert not any(isinstance(f, Package) for f in _fields(info)), info
             checked += 1
@@ -863,8 +868,7 @@ def test_queries_over_what_p_reaches_answer_as_over_its_closure(
         idx = ClosureIndex(u)
         testing = set(u.testing_ids)
         expected = {}
-        for i in sorted(testing - repo.installable_ids(testing, idx,
-                                                       math.inf)):
+        for i in sorted(testing - repo.installable_ids(testing, u, math.inf)):
             clauses, info, num_vars = _closure_slice_query(i, testing, idx)
             core = satcore_mod.extract_mus(clauses, num_vars=num_vars).core
             expected[str(idx.packages[i])] = [
@@ -888,7 +892,7 @@ def test_queries_over_what_p_reaches_answer_as_over_its_closure(
         for i in sorted(r):
             clauses, _, num_vars = _closure_slice_query(i, r, idx)
             status = satcore_mod.solve_sat(clauses, num_vars=num_vars).status
-            assert repo.installable_in(i, r, idx, math.inf) == \
+            assert repo.installable_in(i, r, u, math.inf) == \
                 (status is satcore_mod.SolveStatus.SAT), idx.packages[i]
     assert explained > 6
 

@@ -14,8 +14,9 @@ from satmigrate.repo import (DuplicateIdentity, build_universe, is_admissible,
                              is_installable, package_id, check_testing)
 
 from . import oracle
-from .generators import (P, clustered_universe, forbid_closures, pkg_atom,
-                         random_universe, tiny_universe, with_dead_ends)
+from .generators import (P, clustered_universe, forbid_closures, id_set,
+                         pkg_atom, random_universe, tiny_universe,
+                         with_dead_ends)
 from .oracle import ContextTooLarge, admissible_sets, is_healthy, unique_pairs
 
 
@@ -23,19 +24,17 @@ def _stanzas(text: str):
     return parse_packages_stream(text)
 
 
-def _uninstallable(r, u, idx=None):
+def _uninstallable(r, u):
     """The members of r, a set of Packages, that are not installable in r,
     sorted: the installability pass (``repo.installable_ids``) on r's ids."""
-    idx = idx or ClosureIndex(u)
-    members = idx.id_set(r)
-    found = repo.installable_ids(members, idx, math.inf)
-    return [idx.packages[i] for i in sorted(members - found)]
+    members = id_set(u, r)
+    found = repo.installable_ids(members, u, math.inf)
+    return [u.order[i] for i in sorted(members - found)]
 
 
-def _admissible(chosen, u, policy=None, idx=None):
+def _admissible(chosen, u, policy=None):
     """repo.is_admissible on a set of Packages."""
-    idx = idx or ClosureIndex(u)
-    return is_admissible(idx.id_set(chosen), idx, policy)
+    return is_admissible(id_set(u, chosen), u, policy)
 
 
 # -- build_universe ------------------------------------------------------------
@@ -145,7 +144,7 @@ def test_healthy_rejects_unmet_dependency():
 def test_empty_disjunction_is_uninstallable():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
     assert not oracle.is_installable(P("p/1"), u.packages, u)
-    assert not is_installable(P("p/1"), u.packages, ClosureIndex(u))
+    assert not is_installable(P("p/1"), u.packages, u)
 
 
 def test_conflicting_alternatives_block_installation():
@@ -158,13 +157,13 @@ def test_conflicting_alternatives_block_installation():
                       if P("p/1") in s and is_healthy(s, u)]
     assert healthy_with_p == []
     assert not oracle.is_installable(P("p/1"), u.packages, u)
-    assert not is_installable(P("p/1"), u.packages, ClosureIndex(u))
+    assert not is_installable(P("p/1"), u.packages, u)
 
 
 def test_isolated_package_is_installable():
     u = tiny_universe(["p/1"])
     assert oracle.is_installable(P("p/1"), u.packages, u)
-    assert is_installable(P("p/1"), u.packages, ClosureIndex(u))
+    assert is_installable(P("p/1"), u.packages, u)
 
 
 def test_oracle_refuses_large_contexts():
@@ -218,13 +217,14 @@ def test_package_id_bisects_the_string_order():
 
 def test_an_unknown_package_has_no_atom_and_no_id():
     u = tiny_universe(["a/1", "b/1"])
-    idx = ClosureIndex(u)
-    atoms = AtomTable(idx)
-    assert pkg_atom(atoms, P("b/1")) == 2 and idx.id_set([P("b/1")]) == {1}
+    atoms = AtomTable(ClosureIndex(u))
+    assert pkg_atom(atoms, P("b/1")) == 2 and id_set(u, [P("b/1")]) == {1}
     assert package_id(atoms.packages, P("a/2")) is None
     with pytest.raises(ValueError,
                        match="^repository references unknown package a/2$"):
-        idx.id_set([P("a/1"), P("a/2")])
+        is_installable(P("a/1"), [P("a/1"), P("a/2")], u)
+    with pytest.raises(ValueError, match="^need p ∈ r ⊆ packages$"):
+        is_installable(P("b/1"), [P("a/1")], u)
 
 
 def test_oracle_and_sat_paths_agree_on_random_universes():
@@ -232,7 +232,6 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
     for round_no in range(40):
         u = random_universe(rng, size=rng.randint(1, 12), dep_density=0.6,
                             conflict_density=0.6)
-        idx = ClosureIndex(u)
         contexts = [u.packages]
         if round_no % 2:  # also check restricted repositories
             contexts.append(frozenset(p for p in u.packages
@@ -240,7 +239,7 @@ def test_oracle_and_sat_paths_agree_on_random_universes():
         for r in contexts:
             for p in sorted(r):
                 reference = oracle.is_installable(p, r, u)
-                assert reference == is_installable(p, r, idx), (p, r, u)
+                assert reference == is_installable(p, r, u), (p, r, u)
                 assert reference == oracle.sat_installable(p, r, u), (p, r, u)
 
 
@@ -263,35 +262,32 @@ def test_dependency_chain_is_trimmed():
 
 def test_trivial_migration_is_admissible():
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    assert is_admissible(u.testing_ids, ClosureIndex(u)).ok
+    assert is_admissible(u.testing_ids, u).ok
 
 
-def test_is_admissible_refuses_ids_outside_the_index():
+def test_is_admissible_refuses_ids_outside_the_universe():
     # a negative id must not wrap around to the last package
     u = tiny_universe(["p/1", "q/1"], dep={"p/1": [["q/1"]]})
-    idx = ClosureIndex(u)
-    for outside in (-1, len(idx.packages)):
+    for outside in (-1, len(u.order)):
         for chosen in ({outside}, {0, 1, outside}):
             with pytest.raises(ValueError):
-                is_admissible(chosen, idx)
+                is_admissible(chosen, u)
 
 
 def test_duplicate_names_violate_uniqueness():
     u = tiny_universe(["a/1", "a/2"])
-    idx = ClosureIndex(u)
-    verdict = _admissible({P("a/1"), P("a/2")}, u, idx=idx)
+    verdict = _admissible({P("a/1"), P("a/2")}, u)
     assert not verdict.ok
     assert verdict.kind == "uniqueness"
-    assert set(verdict.subjects) == idx.id_set({P("a/1"), P("a/2")})
+    assert set(verdict.subjects) == id_set(u, {P("a/1"), P("a/2")})
 
 
 def test_uninstallable_member_violates_trimmedness():
     u = tiny_universe(["p/1"], dep={"p/1": [[]]})
-    idx = ClosureIndex(u)
-    verdict = _admissible({P("p/1")}, u, idx=idx)
+    verdict = _admissible({P("p/1")}, u)
     assert not verdict.ok
     assert verdict.kind == "trimmedness"
-    assert verdict.subjects == (package_id(idx.packages, P("p/1")),)
+    assert verdict.subjects == (package_id(u.order, P("p/1")),)
 
 
 def test_policy_group_and_clause_checked():
@@ -306,7 +302,7 @@ def test_policy_group_and_clause_checked():
 
 def test_check_testing_lists_duplicates_and_broken():
     u = tiny_universe(["a/1", "a/2", "b/1"], dep={"b/1": [[]]})
-    kinds = [v.kind for v in check_testing(u, ClosureIndex(u))]
+    kinds = [v.kind for v in check_testing(u)]
     assert kinds == ["uniqueness", "trimmedness"]
 
 
@@ -340,11 +336,10 @@ def test_admissible_sets_match_direct_checks():
                             conflict_density=0.8)
         enumerated = set(admissible_sets(u))
         pkgs = list(u.order)
-        idx = ClosureIndex(u)
         direct = set()
         for k in range(len(pkgs) + 1):
             for combo in itertools.combinations(pkgs, k):
-                if _admissible(combo, u, idx=idx).ok:
+                if _admissible(combo, u).ok:
                     direct.add(frozenset(combo))
         assert enumerated == direct
 
@@ -382,10 +377,9 @@ def test_pass_equals_per_package_queries_on_random_universes():
     for _ in range(1200):
         u = random_universe(rng, max_size=12, dep_density=0.6,
                             conflict_density=0.8)
-        idx = ClosureIndex(u)
         subset = frozenset(p for p in u.packages if rng.random() < 0.6)
         for r in (u.packages, subset):
-            assert _uninstallable(r, u, idx) == _per_package(r, u), (r, u)
+            assert _uninstallable(r, u) == _per_package(r, u), (r, u)
 
 
 def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
@@ -398,7 +392,7 @@ def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
         idx = ClosureIndex(u)
         subset = frozenset(p for p in u.packages if rng.random() < 0.8)
         for r in (u.packages, subset):
-            found = _uninstallable(r, u, idx)
+            found = _uninstallable(r, u)
             assert found == _per_package(r, u)
             seen["broken"] += len(found)
         seen["empty"] += sum(not d for ds in u.dep.values() for d in ds)
@@ -442,7 +436,6 @@ def test_is_admissible_matches_per_package_reference():
     for _ in range(600):
         u = random_universe(rng, max_size=10, dep_density=0.6,
                             conflict_density=0.8)
-        idx = ClosureIndex(u)
         pkgs = list(u.order)
         chosen = frozenset(p for p in pkgs if rng.random() < 0.6)
         policy = None
@@ -454,7 +447,7 @@ def test_is_admissible_matches_per_package_reference():
             policy = PolicyRules(
                 groups=[rule() for _ in range(rng.randint(0, 2))],
                 extra_clauses=[rule() for _ in range(rng.randint(0, 2))])
-        verdict = _admissible(chosen, u, policy, idx)
+        verdict = _admissible(chosen, u, policy)
         expected = _reference_verdict(chosen, u, policy)
         if expected is None:
             assert verdict.ok
@@ -463,7 +456,7 @@ def test_is_admissible_matches_per_package_reference():
                   else expected[0])
         assert (verdict.ok, verdict.kind, verdict.detail) == (False,
                                                               *expected[:2])
-        assert tuple(idx.packages[i] for i in verdict.subjects) == expected[2]
+        assert tuple(u.order[i] for i in verdict.subjects) == expected[2]
     assert kinds == {"uniqueness", "trimmedness", "group not all-or-none",
                      "clause unsatisfied"}
 
@@ -472,19 +465,18 @@ def test_is_admissible_refuses_a_policy_naming_an_unknown_package():
     # a/1 alone is admissible, so the check reaches the policy, and the
     # unknown package would otherwise read as absent, keeping both rules
     u = tiny_universe(["a/1"])
-    idx = ClosureIndex(u)
     for policy in (PolicyRules(groups=[[(1, P("a/1")), (-1, P("ghost/1"))]]),
                    PolicyRules(extra_clauses=[[(-1, P("ghost/1"))]])):
         with pytest.raises(ValueError,
                            match="^policy references unknown package ghost/1$"):
-            is_admissible({0}, idx, policy)
+            is_admissible({0}, u, policy)
     # {a/1, a/2} fails uniqueness, which is checked first; the policy's
     # unknown package is refused all the same
-    idx = ClosureIndex(tiny_universe(["a/1", "a/2"]))
+    u = tiny_universe(["a/1", "a/2"])
     policy = PolicyRules(extra_clauses=[[(1, P("ghost/1"))]])
     with pytest.raises(ValueError,
                        match="^policy references unknown package ghost/1$"):
-        is_admissible({0, 1}, idx, policy)
+        is_admissible({0, 1}, u, policy)
 
 
 # p needs q or r, which conflict: the closure holds a conflict, and the
@@ -505,19 +497,18 @@ def test_conflicted_choice_is_decided_without_sat(monkeypatch):
     u = tiny_universe(**CONFLICTED_CHOICE)
     calls = _recording_solve_sat(monkeypatch)
     assert _uninstallable(u.packages, u) == []
-    assert check_testing(u, ClosureIndex(u)) == []
+    assert check_testing(u) == []
     assert calls == []
 
 
 def test_greedy_dead_end_is_proved_installable_by_sat(monkeypatch):
     u = tiny_universe(**GREEDY_DEAD_END)
-    idx = ClosureIndex(u)
-    p = package_id(idx.packages, P("p/1"))
-    assert repo._greedy_installation(p, idx.id_set(u.packages), idx) == set()
-    live = repo._live(idx.id_set(u.packages), idx)
+    p = package_id(u.order, P("p/1"))
+    assert repo._greedy_installation(p, id_set(u, u.packages), u) == set()
+    live = repo._live(id_set(u, u.packages), u)
     calls = _recording_solve_sat(monkeypatch)
-    assert _uninstallable(u.packages, u, idx) == []
-    assert calls == [(len(repo.reach(p, live, idx.deps)),
+    assert _uninstallable(u.packages, u) == []
+    assert calls == [(len(repo.reach(p, live, u.deps)),
                       satcore.SolveStatus.SAT)]
 
 
@@ -525,7 +516,7 @@ def test_pass_rejects_a_greedy_set_that_misses_a_dependency(monkeypatch):
     # the forged walk returns {p} alone, which misses p's dependency
     u = tiny_universe(**CONFLICTED_CHOICE)
     monkeypatch.setattr(repo, "_greedy_installation",
-                        lambda p, live, idx: {p})
+                        lambda p, live, u: {p})
     with pytest.raises(satcore.SatCoreError):
         _uninstallable(u.packages, u)
 
@@ -552,9 +543,9 @@ def test_pass_timeout_raises_installability_timeout(monkeypatch):
 
     monkeypatch.setattr(satcore, "solve_sat", timed_out)
     with pytest.raises(satcore.SolveTimedOut, match="p/1"):
-        check_testing(u, ClosureIndex(u))
+        check_testing(u)
     with pytest.raises(satcore.SolveTimedOut, match="p/1"):
-        is_installable(P("p/1"), u.packages, ClosureIndex(u))
+        is_installable(P("p/1"), u.packages, u)
     # a caller that catches engine.SolveTimedOut, as bench/reference.py
     # does, also catches a verification whose installability query runs out
     assert engine.SolveTimedOut is satcore.SolveTimedOut
@@ -566,7 +557,7 @@ def test_pass_timeout_raises_installability_timeout(monkeypatch):
 def test_check_testing_on_conflict_free_universe_makes_no_sat_call(monkeypatch):
     u = clustered_universe(random.Random(37), 240, conflicts=0)
     calls = _recording_solve_sat(monkeypatch)
-    violations = check_testing(u, ClosureIndex(u))
+    violations = check_testing(u)
     assert calls == []
     assert any(v.kind == "trimmedness" for v in violations)
     assert len(violations) < len(u.testing) // 2
@@ -582,7 +573,7 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
                for i in range(len(idx.packages))) > 1
     expected = _per_package(u.packages, u)
     calls = _recording_solve_sat(monkeypatch)
-    assert _uninstallable(u.packages, u, idx) == expected
+    assert _uninstallable(u.packages, u) == expected
     assert calls == []
 
 
@@ -596,12 +587,12 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     (a, b), = idx.conflict_pairs
     both = [i for i in range(len(idx.packages))
             if a in idx.closure(i) and b in idx.closure(i)]
-    live = repo._live(idx.id_set(u.packages), idx)
+    live = repo._live(id_set(u, u.packages), u)
     calls = _recording_solve_sat(monkeypatch)
-    _uninstallable(u.packages, u, idx)
+    _uninstallable(u.packages, u)
     assert len(both) > 1
     assert [n for n, _ in calls] == \
-        [len(repo.reach(i, live, idx.deps)) for i in both]
+        [len(repo.reach(i, live, u.deps)) for i in both]
 
 
 def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
@@ -615,7 +606,6 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
         size = rng.randint(150, 250)
         u = with_dead_ends(
             clustered_universe(rng, size, conflicts=size // 4), tops, blocked)
-        idx = ClosureIndex(u)
         planted = [p for p in list(u.order)
                    if p.name.startswith(("top", "blocked"))]
         subset = frozenset(p for p in u.packages if rng.random() < 0.7
@@ -627,7 +617,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
                 [P(f"blocked{k}/1") for k in range(blocked)]
             with monkeypatch.context() as patch:
                 calls = _recording_solve_sat(patch)
-                assert _uninstallable(r, u, idx) == expected
+                assert _uninstallable(r, u) == expected
             statuses = [status for _, status in calls]
             assert statuses.count(satcore.SolveStatus.SAT) >= tops
             assert statuses.count(satcore.SolveStatus.UNSAT) >= blocked
@@ -635,7 +625,7 @@ def test_sat_step_matches_per_package_reference_mid_scale(monkeypatch):
             with monkeypatch.context() as patch:
                 calls = _recording_solve_sat(patch)
                 for p in sample:
-                    assert is_installable(p, r, idx) == \
+                    assert is_installable(p, r, u) == \
                         (p not in expected), p
             assert len(calls) >= len(planted)
 
@@ -650,13 +640,13 @@ def test_pass_makes_fewer_sat_calls_than_conflicted_closures(monkeypatch):
         u = clustered_universe(rng, size, conflicts=size // 3)
         expected = _per_package(u.packages, u)
         idx = ClosureIndex(u)
-        live = repo._live(idx.id_set(u.packages), idx)
+        live = repo._live(id_set(u, u.packages), u)
         conflicted += sum(
-            repo._has_conflict(live.intersection(idx.closure(i)), idx)
+            repo._has_conflict(live.intersection(idx.closure(i)), u)
             for i in live)
         with monkeypatch.context() as patch:
             calls = _recording_solve_sat(patch)
-            assert _uninstallable(u.packages, u, idx) == expected
+            assert _uninstallable(u.packages, u) == expected
         queries += len(calls)
     assert conflicted > 0
     assert queries < conflicted
@@ -695,13 +685,14 @@ SPLIT_NEEDS = dict(pkgs=["p/1", "q/1", "r/1"],
 
 
 def test_pass_does_not_believe_forged_closure_ends():
-    # closure_ends forged to claim that no closure holds a conflict end
+    # closure_ends forged to claim that no closure holds a conflict end;
+    # the pass takes the universe alone, so the forged index cannot reach it
     u = tiny_universe(**SPLIT_NEEDS)
     idx = ClosureIndex(u)
     idx.closure_ends = [frozenset()] * len(idx.packages)
-    p, q, r = (package_id(idx.packages, P(s)) for s in SPLIT_NEEDS["pkgs"])
-    assert repo.installable_ids({p, q, r}, idx, math.inf) == {q, r}
-    verdict = is_admissible({p, q, r}, idx)
+    p, q, r = (package_id(u.order, P(s)) for s in SPLIT_NEEDS["pkgs"])
+    assert repo.installable_ids({p, q, r}, u, math.inf) == {q, r}
+    verdict = is_admissible({p, q, r}, u)
     assert (verdict.kind, verdict.subjects) == ("trimmedness", (p,))
 
 
@@ -710,7 +701,13 @@ def test_pass_reads_no_closure(monkeypatch):
     rng = random.Random(67)
     planted = with_dead_ends(clustered_universe(rng, 150, conflicts=30),
                              tops=3, blocked=2)
-    for u in (tiny_universe(**SPLIT_NEEDS), planted):
+    # slices with their own ids: the blocked dead ends' closure, and the
+    # largest closure of a clustered package
+    largest = max(planted.order,
+                  key=lambda p: len(oracle.reachable(p, planted)))
+    slices = [repo.closure_universe(planted, p)
+              for p in (P("blocked0/1"), largest)]
+    for u in (tiny_universe(**SPLIT_NEEDS), planted, *slices):
         idx = ClosureIndex(u)
         with pytest.raises(AssertionError):
             idx.closure(0)
@@ -718,18 +715,18 @@ def test_pass_reads_no_closure(monkeypatch):
         unique = frozenset(names.setdefault(p.name, p) for p in u.order)
         for r in (u.packages, unique):
             expected = _per_package(r, u)
-            assert _uninstallable(r, u, idx) == expected
-            members = idx.id_set(r)
+            assert _uninstallable(r, u) == expected
+            members = id_set(u, r)
             for p in sorted(r)[:40]:
-                assert repo.installable_in(package_id(idx.packages, p),
-                                           members, idx, math.inf) == \
+                assert repo.installable_in(package_id(u.order, p),
+                                           members, u, math.inf) == \
                     (p not in expected), p
-            verdict = _admissible(r, u, idx=idx)
+            verdict = _admissible(r, u)
             reference = _reference_verdict(r, u, None)
             assert (verdict.kind, verdict.detail) == \
                 ((None, "") if reference is None else reference[:2])
-        trimmedness = [idx.packages[v.subjects[0]]
-                       for v in check_testing(u, idx)
+        trimmedness = [u.order[v.subjects[0]]
+                       for v in check_testing(u)
                        if v.kind == "trimmedness"]
         assert trimmedness == _per_package(u.testing, u) != []
 
