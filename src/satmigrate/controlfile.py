@@ -17,9 +17,9 @@ without one gets a fresh one. A parsed block's lines and each of its
 dependency fields are walked once, and an error names the first defect
 in text order.
 
-A stanza is a slotted ``PackageStanza``; each constraint is a
-``VersionConstraint``, a named tuple, so ``repo.build_universe`` hashes
-and compares constraints at C level. Packages are interned as integer
+A stanza is a ``PackageStanza`` and each constraint a
+``VersionConstraint``, both named tuples, so ``repo.build_universe``
+hashes and compares them at C level. Packages are interned as integer
 ids afterwards, once, by ``repo.build_universe``.
 """
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 RELATIONS = ("<<", "<=", "=", ">=", ">>")
@@ -249,7 +248,7 @@ def _parse_alternative(text: str, start: int, end: int) -> VersionConstraint:
 
 
 def _parse_groups(text: str, sep: str, cache: dict | None
-                  ) -> list[list[VersionConstraint]]:
+                  ) -> tuple[tuple[VersionConstraint, ...], ...]:
     """The comma-separated groups of text, each split at sep into its
     alternatives; with sep "," each group is one alternative.
 
@@ -267,16 +266,16 @@ def _parse_groups(text: str, sep: str, cache: dict | None
     groups = []
     start = 0
     for group in text.split(","):
-        alternatives = [get(chunk.strip()) for chunk in group.split(sep)]
+        alternatives = tuple(map(get, map(str.strip, group.split(sep))))
         if not all(alternatives):  # a constraint is a non-empty tuple
             alternatives = _parse_group(text, start, group, sep, cache)
         groups.append(alternatives)
         start += len(group) + 1
-    return groups
+    return tuple(groups)
 
 
 def _parse_group(text: str, start: int, group: str, sep: str, cache: dict
-                 ) -> list[VersionConstraint]:
+                 ) -> tuple[VersionConstraint, ...]:
     """The alternatives of group, which starts at offset start of text, in
     order; each piece's offset is the length of the pieces and separators
     before it, and one the cache lacks is parsed there and added."""
@@ -289,53 +288,51 @@ def _parse_group(text: str, start: int, group: str, sep: str, cache: dict
             constraint = cache[key] = _parse_alternative(text, start, end)
         alternatives.append(constraint)
         start = end + 1
-    return alternatives
+    return tuple(alternatives)
 
 
 def parse_dependency_expr(text: str, cache: dict | None = None
-                          ) -> list[list[VersionConstraint]]:
+                          ) -> tuple[tuple[VersionConstraint, ...], ...]:
     """Parse comma-separated AND-groups of '|'-separated alternatives."""
     if not text.strip():
-        return []
+        return ()
     return _parse_groups(text, "|", cache)
 
 
 def parse_conflict_expr(text: str, cache: dict | None = None
-                        ) -> list[VersionConstraint]:
+                        ) -> tuple[VersionConstraint, ...]:
     """Parse a comma-separated conflict list (alternatives are not allowed)."""
     if not text.strip():
-        return []
+        return ()
     if "|" in text:
         raise MalformedDependency(text, text.find("|"), "'|' not allowed in conflicts")
-    return [constraint for constraint, in _parse_groups(text, ",", cache)]
+    return tuple([c for c, in _parse_groups(text, ",", cache)])
 
 
-def parse_provides(text: str, cache: dict | None = None) -> list[str]:
+def parse_provides(text: str, cache: dict | None = None) -> tuple[str, ...]:
     """Parse a Provides list; versioned provides are reduced to their name."""
     if not text.strip():
-        return []
-    return [constraint.name for constraint, in _parse_groups(text, ",", cache)]
+        return ()
+    return tuple([c.name for c, in _parse_groups(text, ",", cache)])
 
 
 # ---------------------------------------------------------------------------
 # Stanza parsing
 
 
-@dataclass(slots=True)
-class PackageStanza:
+class PackageStanza(NamedTuple):
     """One parsed Packages stanza.
 
     ``depends`` holds AND-groups of alternatives; ``conflicts`` is a flat
-    constraint list (Breaks is folded in); ``provides`` lists virtual names.
-    The architecture field is retained but ignored by the model.
+    constraint tuple (Breaks is folded in); ``provides`` holds virtual
+    names. Every relation field, and each group, is a tuple.
     """
 
     name: str
     version: str
-    depends: list[list[VersionConstraint]] = field(default_factory=list)
-    conflicts: list[VersionConstraint] = field(default_factory=list)
-    provides: list[str] = field(default_factory=list)
-    architecture: str | None = None
+    depends: tuple[tuple[VersionConstraint, ...], ...] = ()
+    conflicts: tuple[VersionConstraint, ...] = ()
+    provides: tuple[str, ...] = ()
 
 
 # a line break, then any blank lines, then a line break: str patterns take
@@ -409,15 +406,14 @@ def _parse_stanza(block: str, index: int, cache: dict, versions: set[str]
     # an empty one, which holds no relation
     depends, pre_depends, conflicts, breaks, provides = map(
         fields.get, _RELATION_FIELDS)
-    depends = _parse_groups(depends, "|", cache) if depends else []
+    depends = _parse_groups(depends, "|", cache) if depends else ()
     if pre_depends:
         depends += _parse_groups(pre_depends, "|", cache)
-    conflicts = parse_conflict_expr(conflicts, cache) if conflicts else []
+    conflicts = parse_conflict_expr(conflicts, cache) if conflicts else ()
     if breaks:
         conflicts += parse_conflict_expr(breaks, cache)
-    provides = parse_provides(provides, cache) if provides else []
-    return PackageStanza(name, version, depends, conflicts, provides,
-                         fields.get("architecture"))
+    provides = parse_provides(provides, cache) if provides else ()
+    return PackageStanza(name, version, depends, conflicts, provides)
 
 
 def parse_packages_stream(data: bytes | str, cache: dict | None = None

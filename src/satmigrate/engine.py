@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
 from .encoder import EncodedProblem, PolicyRules
-from .repo import PACKAGE_ORDER, Package, Universe
+from .repo import Package, Universe
 from .satcore import SolveStatus, SolveTimedOut
 
 MODES = ("max", "min-nontrivial", "target")
@@ -459,7 +459,7 @@ def render_hints(result: MigrationResult) -> str:
 
 
 def render_report(result: MigrationResult) -> str:
-    t_prime = sorted(result.t_prime, key=PACKAGE_ORDER)
+    t_prime = sorted(result.t_prime)
     lines = [
         f"encoding: {result.encoding_id}",
         f"delta: {result.delta}",
@@ -477,7 +477,7 @@ def render_report(result: MigrationResult) -> str:
 
 def structured_report(result: MigrationResult) -> dict:
     return {
-        "t_prime": [str(p) for p in sorted(result.t_prime, key=PACKAGE_ORDER)],
+        "t_prime": [str(p) for p in sorted(result.t_prime)],
         "migrated_in": [str(p) for p in result.migrated_in],
         "removed": [str(p) for p in result.removed],
         "delta": result.delta,

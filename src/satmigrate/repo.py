@@ -62,8 +62,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby, starmap
-from operator import attrgetter
-from typing import TYPE_CHECKING, Container, Iterable, Mapping, Sequence
+from typing import (TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple,
+                    Sequence)
 
 from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
@@ -80,9 +80,9 @@ class DuplicateIdentity(RepoError):
     """Two stanzas share (name, version) but disagree on metadata."""
 
 
-@dataclass(frozen=True, order=True)
-class Package:
-    """A package is a name plus a version; identity and order are by both."""
+class Package(NamedTuple):
+    """A package is a name plus a version; a named tuple, so identity
+    and order are its plain (name, version) tuple's, at C level."""
 
     name: str
     version: str
@@ -98,16 +98,11 @@ class Package:
         return cls(name, version)
 
 
-# Package's own order as a C-level sort key: sorting with it compares no
-# dataclass instances.
-PACKAGE_ORDER = attrgetter("name", "version")
-
-
 def package_id(packages: Sequence[Package], p: Package) -> int | None:
     """p's id, its position in ``packages`` (a universe's ``order``), or
     None. The one Package → id lookup: it bisects, as ``order`` is sorted
     by Package's own (name, version) string order."""
-    i = bisect_left(packages, PACKAGE_ORDER(p), key=PACKAGE_ORDER)
+    i = bisect_left(packages, p)
     return i if i < len(packages) and packages[i] == p else None
 
 
@@ -208,7 +203,7 @@ def make_universe(packages: Iterable[Package],
     pkgs, t, u = frozenset(packages), frozenset(testing), frozenset(unstable)
     if t | u != pkgs:
         raise ValueError("packages must equal testing ∪ unstable")
-    order = tuple(sorted(pkgs, key=PACKAGE_ORDER))
+    order = tuple(sorted(pkgs))
     id_of = partial(package_id, order)
     deps = []
     for p in order:

@@ -475,13 +475,16 @@ def two_walk_groups(text: str, sep: str):
     text is walked again by offsets, so that the error carries its offset
     into text."""
     try:
-        return [[_parse_alternative(chunk.strip(), 0, len(chunk.strip()))
-                 for chunk in group.split(sep)] for group in text.split(",")]
+        return tuple(tuple(_parse_alternative(chunk.strip(), 0,
+                                              len(chunk.strip()))
+                           for chunk in group.split(sep))
+                     for group in text.split(","))
     except MalformedDependency:
         pass
-    return [[_parse_alternative(text, astart, aend)
-             for astart, aend in _split_offsets(text, sep, gstart, gend)]
-            for gstart, gend in _split_offsets(text, ",", 0, len(text))]
+    return tuple(tuple(_parse_alternative(text, astart, aend)
+                       for astart, aend in _split_offsets(text, sep, gstart,
+                                                          gend))
+                 for gstart, gend in _split_offsets(text, ",", 0, len(text)))
 
 
 def clause_satisfied(clause, true_atoms) -> bool:

@@ -22,19 +22,18 @@ from .oracle import (block_fields, canonical_version, stanza_blocks,
 
 # -- rendering, the inverse of the parsers ------------------------------------
 
-def format_dependency_expr(groups: list[list[VersionConstraint]]) -> str:
+def format_dependency_expr(groups: tuple[tuple[VersionConstraint, ...], ...]
+                           ) -> str:
     """Canonical rendering; reproduces accepted input token for token."""
     return ", ".join(" | ".join(str(alt) for alt in group) for group in groups)
 
 
-def format_conflict_expr(constraints: list[VersionConstraint]) -> str:
+def format_conflict_expr(constraints: tuple[VersionConstraint, ...]) -> str:
     return ", ".join(str(c) for c in constraints)
 
 
 def render_stanza(stanza: PackageStanza) -> str:
     lines = [f"Package: {stanza.name}", f"Version: {stanza.version}"]
-    if stanza.architecture:
-        lines.append(f"Architecture: {stanza.architecture}")
     if stanza.depends:
         lines.append(f"Depends: {format_dependency_expr(stanza.depends)}")
     if stanza.conflicts:
@@ -136,16 +135,16 @@ def test_version_order_is_total_on_random_sample():
 # -- dependency grammar -------------------------------------------------------
 
 def test_single_bare_name():
-    assert parse_dependency_expr("b") == [[VersionConstraint("b")]]
+    assert parse_dependency_expr("b") == ((VersionConstraint("b"),),)
 
 
 def test_groups_and_alternatives():
     # hand parse: two AND-groups, the first with two alternatives
     groups = parse_dependency_expr("b (>= 2) | c, d (<< 1)")
-    assert groups == [
-        [VersionConstraint("b", ">=", "2"), VersionConstraint("c")],
-        [VersionConstraint("d", "<<", "1")],
-    ]
+    assert groups == (
+        (VersionConstraint("b", ">=", "2"), VersionConstraint("c")),
+        (VersionConstraint("d", "<<", "1"),),
+    )
 
 
 def test_empty_bound_is_malformed():
@@ -180,15 +179,15 @@ def test_uncached_parse_of_valid_text_never_walks_offsets(monkeypatch):
 
     monkeypatch.setattr(controlfile_mod, "_parse_alternative", recording)
     groups = parse_dependency_expr("b (>= 2) | c, d (<< 1), b (>= 2)")
-    assert groups == [
-        [VersionConstraint("b", ">=", "2"), VersionConstraint("c")],
-        [VersionConstraint("d", "<<", "1")],
-        [VersionConstraint("b", ">=", "2")],
-    ]
+    assert groups == (
+        (VersionConstraint("b", ">=", "2"), VersionConstraint("c")),
+        (VersionConstraint("d", "<<", "1"),),
+        (VersionConstraint("b", ">=", "2"),),
+    )
     assert groups[2][0] is groups[0][0]  # parsed once
-    assert parse_conflict_expr("a, b (<< 2)") == [
-        VersionConstraint("a"), VersionConstraint("b", "<<", "2")]
-    assert parse_provides("x, y (= 2)") == ["x", "y"]
+    assert parse_conflict_expr("a, b (<< 2)") == (
+        VersionConstraint("a"), VersionConstraint("b", "<<", "2"))
+    assert parse_provides("x, y (= 2)") == ("x", "y")
     assert parsed == ["b (>= 2)", "c", "d (<< 1)", "a", "b (<< 2)", "x",
                       "y (= 2)"]
 
@@ -217,10 +216,11 @@ def _random_field(rng: random.Random, sep: str) -> str:
 
 
 def _groups_or_error(parse, *args):
+    """The groups, a tuple, or the error's text, offset and reason, a list."""
     try:
         return parse(*args)
     except MalformedDependency as exc:
-        return exc.text, exc.offset, exc.reason
+        return [exc.text, exc.offset, exc.reason]
 
 
 def test_one_walk_parse_matches_the_two_walk_reference():
@@ -233,7 +233,7 @@ def test_one_walk_parse_matches_the_two_walk_reference():
         sep = rng.choice("|,")
         text = _random_field(rng, sep)
         want = _groups_or_error(two_walk_groups, text, sep)
-        errors += isinstance(want, tuple)
+        errors += isinstance(want, list)
         for cache in ({}, shared):
             assert _groups_or_error(_parse_groups, text, sep, cache) == want, \
                 text
@@ -242,19 +242,19 @@ def test_one_walk_parse_matches_the_two_walk_reference():
 
 def test_architecture_qualifier_is_dropped():
     # the model has one architecture; "b:any" relates to b
-    assert parse_dependency_expr("b:any (>= 1) | c:native") == [
-        [VersionConstraint("b", ">=", "1"), VersionConstraint("c")]]
+    assert parse_dependency_expr("b:any (>= 1) | c:native") == (
+        (VersionConstraint("b", ">=", "1"), VersionConstraint("c")),)
 
 
 def test_conflicts_reject_alternatives():
-    assert parse_conflict_expr("a, b (<< 2)") == [
-        VersionConstraint("a"), VersionConstraint("b", "<<", "2")]
+    assert parse_conflict_expr("a, b (<< 2)") == (
+        VersionConstraint("a"), VersionConstraint("b", "<<", "2"))
     with pytest.raises(MalformedDependency):
         parse_conflict_expr("a | b")
 
 
 def test_provides_reduce_to_names():
-    assert parse_provides("x, y (= 2)") == ["x", "y"]
+    assert parse_provides("x, y (= 2)") == ("x", "y")
 
 
 def _tokens(text: str) -> list[str]:
@@ -282,17 +282,19 @@ def test_minimal_stanza():
     assert len(stanzas) == 1
     assert stanzas[0].name == "a"
     assert stanzas[0].version == "1.0"
-    assert stanzas[0].depends == []
-    assert stanzas[0].conflicts == []
+    assert stanzas[0].depends == ()
+    assert stanzas[0].conflicts == ()
+    # every empty relation field is the one shared empty tuple
+    assert stanzas[0].depends is stanzas[0].conflicts is stanzas[0].provides
 
 
 def test_stanza_with_depends():
     stanzas = parse_packages_stream(
         "Package: a\nVersion: 1\nDepends: b (>= 2), c | d\n\n")
-    assert stanzas[0].depends == [
-        [VersionConstraint("b", ">=", "2")],
-        [VersionConstraint("c"), VersionConstraint("d")],
-    ]
+    assert stanzas[0].depends == (
+        (VersionConstraint("b", ">=", "2"),),
+        (VersionConstraint("c"), VersionConstraint("d")),
+    )
 
 
 def test_missing_version_reports_field_and_index():
@@ -312,25 +314,26 @@ def test_continuation_lines_and_unknown_fields():
     text = ("Package: a\nVersion: 1\nMaintainer: someone\n"
             "Depends: b,\n c | d\nDescription: stuff\n continued text\n\n")
     stanzas = parse_packages_stream(text)
-    assert stanzas[0].depends == [
-        [VersionConstraint("b")],
-        [VersionConstraint("c"), VersionConstraint("d")],
-    ]
+    assert stanzas[0].depends == (
+        (VersionConstraint("b"),),
+        (VersionConstraint("c"), VersionConstraint("d")),
+    )
 
 
 def test_breaks_and_predepends_are_folded_in():
     text = ("Package: a\nVersion: 1\nPre-Depends: e\n"
             "Conflicts: b\nBreaks: c (<< 2)\n\n")
     stanza = parse_packages_stream(text)[0]
-    assert stanza.depends == [[VersionConstraint("e")]]
-    assert stanza.conflicts == [VersionConstraint("b"),
-                                VersionConstraint("c", "<<", "2")]
+    assert stanza.depends == ((VersionConstraint("e"),),)
+    assert stanza.conflicts == (VersionConstraint("b"),
+                                VersionConstraint("c", "<<", "2"))
 
 
-def test_architecture_parsed_but_carried_only():
-    stanza = parse_packages_stream(
-        "Package: a\nVersion: 1\nArchitecture: amd64\n\n")[0]
-    assert stanza.architecture == "amd64"
+def test_architecture_field_is_ignored():
+    # the model has one architecture; the field is unknown like any other
+    plain = "Package: a\nVersion: 1\nDepends: b\n"
+    tagged = "Package: a\nVersion: 1\nArchitecture: amd64\nDepends: b\n"
+    assert parse_packages_stream(tagged) == parse_packages_stream(plain)
 
 
 def test_bytes_input_accepted():
@@ -447,9 +450,10 @@ def test_stanza_roundtrip_random_constraints():
                         f"n{rng.randint(0, 5)}",
                         rng.choice(["<<", "<=", "=", ">=", ">>"]),
                         random_version(rng)))
-            depends.append(group)
+            depends.append(tuple(group))
         stanza = PackageStanza(name=f"p{rng.randint(0, 9)}",
-                               version=random_version(rng), depends=depends)
+                               version=random_version(rng),
+                               depends=tuple(depends))
         assert parse_packages_stream(render_packages([stanza])) == [stanza]
 
 
@@ -461,7 +465,7 @@ def test_utf8_maintainer_with_byte_0x85_parses():
             "Depends: b\n\nPackage: b\nVersion: 1\n").encode("utf-8")
     stanzas = parse_packages_stream(data)
     assert [(s.name, s.version) for s in stanzas] == [("a", "1"), ("b", "1")]
-    assert stanzas[0].depends == [[VersionConstraint("b")]]
+    assert stanzas[0].depends == ((VersionConstraint("b"),),)
 
 
 @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
@@ -534,6 +538,13 @@ def test_shared_cache_gives_the_stanzas_of_separate_parses():
     # constraint object
     assert unstable[1] is testing[0] and unstable[2] is testing[1]
     assert unstable[0].depends[0][0] is testing[1].depends[0][0]
+    # so the stanza both files share cannot be changed through either
+    shared = unstable[1]
+    with pytest.raises(AttributeError):
+        shared.depends = ()
+    with pytest.raises(AttributeError):
+        shared.conflicts.append(VersionConstraint("x"))
+    assert shared == parse_packages_stream(_SHARED)[0]
 
 
 def test_separate_parses_share_nothing():
@@ -611,10 +622,10 @@ def test_repeated_alternative_is_one_object_across_fields_and_files():
         "Package: b\nVersion: 1\nPre-Depends: e | c (>= 2)\nBreaks: d\n"
         "Provides: c (>= 2)\n", cache)
     c_2, d = first.depends[0][0], first.depends[1][0]
-    assert second.depends == [[first.conflicts[0], c_2]]
+    assert second.depends == ((first.conflicts[0], c_2),)
     assert second.depends[0][0] is first.conflicts[0]
     assert second.depends[0][1] is c_2 and second.conflicts[0] is d
-    assert second.provides == ["c"] and second.provides[0] is c_2.name
+    assert second.provides == ("c",) and second.provides[0] is c_2.name
 
 
 def test_block_never_finds_an_alternatives_constraint():

@@ -213,6 +213,16 @@ def test_package_id_bisects_the_string_order():
                     "a/0", "c/2"):
         assert package_id(order, P(unknown)) is None, unknown
     assert package_id((), P("a/1")) is None
+    # a Package is its plain (name, version) tuple: equal, ordered and
+    # hashed as it, so a plain sorted() gives the order package_id bisects
+    for p, q in zip(order, order[1:]):
+        assert p == (p.name, p.version) and hash(p) == hash((p.name, p.version))
+        assert p < q and (p.name, p.version) < q and p < (q.name, q.version)
+    shuffled = list(order)
+    random.Random(5).shuffle(shuffled)
+    assert tuple(sorted(shuffled)) == order
+    assert [package_id(sorted(shuffled), p) for p in shuffled] \
+        == [order.index(p) for p in shuffled]
 
 
 def test_an_unknown_package_has_no_atom_and_no_id():
