@@ -3,10 +3,10 @@
 from .controlfile import (PackageStanza, VersionConstraint, compare_versions,
                           parse_dependency_expr, parse_packages_stream)
 from .closure import ClosureIndex
-from .encoder import EncodedProblem, PolicyRules, build_encoding
+from .encoder import EncodedProblem, build_encoding
 from .engine import (MigrationRequest, MigrationResult, render_hints,
                      solve_migration)
-from .repo import Package, Universe, build_universe, is_admissible
+from .repo import Package, PolicyRules, Universe, build_universe, is_admissible
 
 __version__ = "0.1.0"
 

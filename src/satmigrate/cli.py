@@ -27,9 +27,8 @@ from pathlib import Path
 
 from . import controlfile, encoder, engine, repo, satcore
 from .closure import ClosureIndex
-from .encoder import PolicyRules
 from .engine import MigrationRequest
-from .repo import Package, Universe
+from .repo import Package, PolicyRules, Universe
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,39 +65,10 @@ def _load_universe(args) -> Universe:
     return repo.build_universe(repos[0], repos[1])
 
 
-def _parse_policy_literal(token: str) -> tuple[int, Package]:
-    sign = -1 if token.startswith("-") else 1
-    return sign, Package.parse(token[1:] if token[:1] in ("+", "-") else token)
-
-
-def load_policy(text: str) -> PolicyRules:
-    """Line-oriented policy file: `group: [+|-]name/ver ...` and
-    `clause: [+|-]name/ver ...`; blank lines and '#' comments ignored."""
-    rules = PolicyRules()
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep or key.strip() not in ("group", "clause"):
-            raise ValueError(f"policy line {number}: cannot parse {line!r}")
-        try:
-            literals = [_parse_policy_literal(tok) for tok in rest.split()]
-        except ValueError as exc:
-            raise ValueError(f"policy line {number}: {exc}") from None
-        if not literals:
-            raise ValueError(f"policy line {number}: empty rule")
-        if key.strip() == "group":
-            rules.groups.append(literals)
-        else:
-            rules.extra_clauses.append(literals)
-    return rules
-
-
 def _request_from_args(args, mode: str, target: Package | None = None) -> MigrationRequest:
     policy = None
     if args.policy:
-        policy = load_policy(Path(args.policy).read_text())
+        policy = PolicyRules.parse(Path(args.policy).read_text())
     solver = None
     if args.solver:
         import shlex
@@ -229,7 +199,8 @@ def cmd_stats(args) -> int:
     def _distribution(values):
         ordered = sorted(values) or [0]
         n = len(ordered)
-        # the median: the mean of the two middle values when n is even
+        # the median: the mean of the two middle values when n is even,
+        # truncated to an int
         median = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
         return {"min": ordered[0], "median": int(median), "max": ordered[-1]}
 

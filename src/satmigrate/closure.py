@@ -11,7 +11,7 @@ verify its users' answers on the universe alone. Downstream code speaks
 ids; only reports and explanations name Packages.
 
 Building an index builds no table; it keeps the universe's ``packages``,
-``deps``, ``conflict_pairs`` and ``partners`` as they are. Everything
+``deps`` and ``partners`` as they are. Everything
 else is built on first read, once, and kept: the successors, their
 strongly connected components, ``closure_ends`` and ``easy_ids`` by the
 first read of the conflict ends (the p4 and p5 encodings, ``stats``);
@@ -152,11 +152,11 @@ class ClosureIndex:
     """Immutable closure data for one universe, for the encoder and
     ``stats`` only.
 
-    The ids, ``packages``, ``deps``, ``conflict_pairs`` and ``partners``
-    are the universe's own (the same objects): a package's id is its rank
-    in sorted order, ``deps[i]`` holds i's disjunctions, each as its
-    members' ids, ascending, and ``partners[i]`` i's conflict partners,
-    ascending (see ``Universe``). ``closure_ends[i]`` holds the conflict
+    The ids, ``packages``, ``deps`` and ``partners`` are the universe's
+    own (the same objects): a package's id is its rank in sorted order,
+    ``deps[i]`` holds i's disjunctions, each as its members' ids,
+    ascending, and ``partners[i]`` i's conflict partners, ascending (see
+    ``Universe``). ``closure_ends[i]`` holds the conflict
     ends inside i's closure; it and the id-valued methods speak in these
     ids. The Package-level members translate ids back, with
     ``repo.package_id`` and no Package → id table of their own.
@@ -169,7 +169,6 @@ class ClosureIndex:
     def __init__(self, universe: Universe):
         self.packages: tuple[Package, ...] = universe.order
         self.deps = universe.deps
-        self.conflict_pairs = universe.conflict_pairs
         self.partners = universe.partners
         self._relevant: dict[frozenset[int], frozenset[int]] = {}
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 from . import satcore
 from .closure import ClosureIndex
-from .repo import Package, Universe, package_id, policy_rule_text
+from .repo import Package, PolicyRules, ResolvedRules, Universe, package_id
 
 DEFAULT_P2_BOUND = 10
 
@@ -46,10 +46,6 @@ class ConflictsPresent(EncoderError):
 
 class UniverseTooLarge(EncoderError):
     """p2 requested beyond its configured package bound."""
-
-
-class UnknownPackage(EncoderError, ValueError):
-    """A policy rule references a package outside the universe."""
 
 
 class NoChangeCandidates(EncoderError):
@@ -102,26 +98,6 @@ class AtomTable:
                   for i, (context, member) in
                   enumerate(self.inst_pairs, start=self.num_package_atoms + 1)]
         return "".join(lines)
-
-
-@dataclass
-class PolicyRules:
-    """Validness rules: all-or-none groups plus raw extra clauses, both over
-    signed package literals (+1 means "in T'")."""
-
-    groups: list[list[tuple[int, Package]]] = field(default_factory=list)
-    extra_clauses: list[list[tuple[int, Package]]] = field(default_factory=list)
-
-    def rule_ids(self, packages: Sequence[Package]) -> list[tuple[int, ...]]:
-        """The ids of each rule's packages, groups before clauses, each
-        found once by ``repo.package_id``."""
-        def known(pkg: Package) -> int:
-            i = package_id(packages, pkg)
-            if i is None:
-                raise UnknownPackage(f"policy references unknown package {pkg}")
-            return i
-        return [tuple(known(pkg) for _, pkg in rule)
-                for rule in (*self.groups, *self.extra_clauses)]
 
 
 @dataclass
@@ -263,19 +239,17 @@ def uniqueness_clauses(problem: EncodedProblem):
     problem.close_block("u", start)
 
 
-def policy_clauses(rules: PolicyRules, problem: EncodedProblem):
-    """All-or-none groups become implications between every ordered pair of
-    literals; extra clauses pass through."""
-    rule_ids = iter(rules.rule_ids(problem.atoms.packages))
-    for group, ids in zip(rules.groups, rule_ids):
-        desc = policy_rule_text(group)
-        lits = [sign * (i + 1) for (sign, _), i in zip(group, ids)]
+def policy_clauses(rules: ResolvedRules, problem: EncodedProblem):
+    """The resolved rules (``repo.PolicyRules.literals``), whose package
+    atoms are the problem's: all-or-none groups become implications
+    between every ordered pair of literals; extra clauses pass through."""
+    for is_group, text, lits in rules:
+        if not is_group:
+            problem.add(lits, ("v", "clause", text))
+            continue
         for a, b in product(lits, repeat=2):
             if a != b:
-                problem.add((-a, b), ("v", "group", desc))
-    for clause, ids in zip(rules.extra_clauses, rule_ids):
-        problem.add(tuple(sign * (i + 1) for (sign, _), i in zip(clause, ids)),
-                    ("v", "clause", policy_rule_text(clause)))
+                problem.add((-a, b), ("v", "group", text))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +334,8 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
 
     Clause order: uniqueness; the e, i, d and c families, each over the
     contexts in package order and the members in package order; policy.
+    The policy is resolved (``repo.PolicyRules.literals``) after the
+    refusals, so a refused encoding is reported before an unknown package.
 
     With ``lazy`` no context is tracked yet: every package gets p1-style
     dependency clauses, and ``track_contexts`` adds the contexts later.
@@ -378,7 +354,7 @@ def build_encoding(u: Universe, idx: ClosureIndex | None, name: str,
     uniqueness_clauses(problem)
     _context_blocks(problem, idx, scheme, atoms.contexts, ids)
     if rules is not None:
-        policy_clauses(rules, problem)
+        policy_clauses(rules.literals(u.order), problem)
     return problem
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
+from itertools import islice
 
 from . import encoder, repo, satcore
 from .closure import ClosureIndex
-from .encoder import EncodedProblem, PolicyRules
-from .repo import Package, Universe
+from .encoder import EncodedProblem
+from .repo import Package, PolicyRules, ResolvedRules, Universe
 from .satcore import SolveStatus, SolveTimedOut
 
 MODES = ("max", "min-nontrivial", "target")
@@ -49,10 +51,6 @@ class Unsolvable(EngineError):
 
 class ActuallySolvable(EngineError):
     """An explanation was requested for a package that does migrate."""
-
-
-class RefuseUnverified(EngineError):
-    """Hints were requested for a result that failed verification."""
 
 
 class VerificationFailed(EngineError):
@@ -106,7 +104,6 @@ class MigrationResult:
     migrated_in: tuple[Package, ...]
     removed: tuple[Package, ...]
     delta: int
-    verified: bool
     optimum: int
     externally_claimed: bool
     encoding_id: str
@@ -138,7 +135,8 @@ def decode_solution(true_atoms, atoms: encoder.AtomTable) -> frozenset[int]:
     return frozenset(atom - 1 for atom in true_atoms if atom <= n)
 
 
-def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
+def _restore_shared(t_prime: frozenset[int], u: Universe,
+                    rules: ResolvedRules,
                     deadline: float = math.inf) -> frozenset[int]:
     """Re-add dropped packages that carry no objective weight.
 
@@ -147,11 +145,10 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
     nothing. Re-adding such a package preserves the objective value and the
     installability of everything already chosen (growing a repository never
     invalidates an installation witness), so only the package's own
-    installability (``repo.installable_in``), uniqueness and the policy
-    need re-checking. T′ and the answer are sets of u's ids.
+    installability (``repo.installable_in``), uniqueness and the resolved
+    policy rules need re-checking. T′ and the answer are sets of u's ids.
     """
     packages = u.order
-    rule_ids = () if policy is None else policy.rule_ids(packages)
     chosen = set(t_prime)
     names = {packages[i].name for i in chosen}
     for i in sorted((u.testing_ids & u.unstable_ids) - chosen):
@@ -160,7 +157,7 @@ def _restore_shared(t_prime: frozenset[int], u: Universe, policy,
             continue
         chosen.add(i)
         if repo.installable_in(i, chosen, u, deadline) and \
-                repo.policy_violation(chosen, policy, rule_ids) is None:
+                repo.policy_violation(chosen, rules) is None:
             names.add(name)
         else:
             chosen.remove(i)
@@ -189,19 +186,20 @@ def _solve(problem: EncodedProblem, deadline: float,
 
 
 def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
-                    problem: EncodedProblem, optimum: int | None = None
-                    ) -> tuple[MigrationResult | None, frozenset[int]]:
+                    problem: EncodedProblem, rules: ResolvedRules
+                    ) -> tuple[frozenset[int], int, satcore.SolveResult]:
     """Solve the problem by rounds, all by the request's deadline.
 
     Each round solves the problem, checks the solver's claims against a
     recount of the soft clauses, decodes the model, restores the shared
-    packages and re-verifies the result from the universe alone: the index
-    serves the encoding and ``encoder.track_contexts`` only. While a
-    member of the result is not installable, the round tracks the
-    contexts of every such member (``encoder.track_contexts``) and the
-    next round solves again. The result's warnings are the last round's.
-    T′ stays ids, returned beside the result, which is None when it misses
-    a given ``optimum``: its Packages are built for reports.
+    packages and re-verifies the result from the universe and the
+    request's resolved policy ``rules`` alone: the index serves the
+    encoding and ``encoder.track_contexts`` only. While a member of the
+    result is not installable, the round tracks the contexts of every
+    such member (``encoder.track_contexts``) and the next round solves
+    again. Returns the last round's T′, as ids, its recount of satisfied
+    soft clauses and the solver's result: ``_report`` builds the
+    Packages of an answer that is kept.
 
     The answer is the requested encoding's optimum. Every clause that a
     round holds is one of the full instance's or implied by it, so each
@@ -224,19 +222,25 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
                 f"solver claimed cost {result.claimed_cost}, recount implies"
                 f" {len(problem.soft) - recount}")
         chosen = _restore_shared(
-            decode_solution(result.true_atoms, problem.atoms), u, req.policy,
+            decode_solution(result.true_atoms, problem.atoms), u, rules,
             req.deadline)
-        verdict = repo.is_admissible(chosen, u, req.policy, req.deadline)
+        verdict = repo.is_admissible(chosen, u, rules, req.deadline)
         if verdict:
             break
         if verdict.kind != "trimmedness" or not encoder.track_contexts(
                 problem, idx, verdict.subjects):
             raise VerificationFailed(
                 f"decoded repository failed verification: {verdict.detail}")
-    if optimum is not None and recount != optimum:
-        return None, chosen
-    warnings = ("external solver returned a model without an optimality"
-                " claim",) if result.status is SolveStatus.SAT else ()
+    return chosen, recount, result
+
+
+def _report(u: Universe, problem: EncodedProblem, chosen: frozenset[int],
+            optimum: int, solved: satcore.SolveResult,
+            warnings: tuple[str, ...] = ()) -> MigrationResult:
+    """T′ (u's ids) as a result, with the warnings, then the solver's."""
+    if solved.status is SolveStatus.SAT:
+        warnings += ("external solver returned a model without an"
+                     " optimality claim",)
     packages = u.order.__getitem__
     migrated_in = tuple(map(packages, sorted(chosen - u.testing_ids)))
     removed = tuple(map(packages, sorted(u.testing_ids - chosen)))
@@ -245,12 +249,11 @@ def _solve_verified(req: MigrationRequest, u: Universe, idx: ClosureIndex,
         migrated_in=migrated_in,
         removed=removed,
         delta=len(migrated_in) + len(removed),
-        verified=True,
-        optimum=recount,
-        externally_claimed=result.externally_claimed,
+        optimum=optimum,
+        externally_claimed=solved.externally_claimed,
         encoding_id=problem.encoding_id,
         warnings=warnings,
-    ), chosen
+    )
 
 
 def _decide_in_closure(req: MigrationRequest, u: Universe):
@@ -301,67 +304,67 @@ def _decide_in_closure(req: MigrationRequest, u: Universe):
 
 
 def solve_migration(req: MigrationRequest, u: Universe) -> MigrationResult:
-    return _solve_encoded(req, u)[0]
+    return next(_verified_answers(req, u))
 
 
-def _solve_encoded(req: MigrationRequest, u: Universe
-                   ) -> tuple[MigrationResult, EncodedProblem, ClosureIndex,
-                              frozenset[int]]:
-    """solve_migration, also returning the encoding it solved (objective
-    attached, with the contexts its rounds tracked), the closure index it
-    built and the result's T′ as the universe's ids, for further solves.
+def alternative_optima(req: MigrationRequest, u: Universe,
+                       limit: int) -> list[MigrationResult]:
+    """The first answer and up to `limit` alternatives to it."""
+    return list(islice(_verified_answers(req, u), limit + 1))
+
+
+def _verified_answers(req: MigrationRequest, u: Universe
+                      ) -> Iterator[MigrationResult]:
+    """The request's verified answers: its optimum, then alternatives with
+    the same objective value. It owns the request's state: the closure
+    index, the encoding and the policy, resolved once
+    (``repo.PolicyRules.literals``) after the build and before any round.
 
     The solve starts from the lazy encoding (``encoder.build_encoding``),
     which tracks no context, and ``_solve_verified`` adds contexts as its
-    rounds need them. When a round has no model, ``Unsolvable`` carries
-    the full instance, built then and not solved, with the objective
-    attached: its clauses are the ones a core names.
-
-    Only a solved answer is checked against testing's assumptions: their
+    rounds need them. When the first answer's rounds find no model,
+    ``Unsolvable`` carries the full instance, built then and not solved,
+    with the objective attached: its clauses are the ones a core names.
+    Only the first answer is checked against testing's assumptions: their
     violations come first among its warnings. A solve that raises runs no
-    check, since nothing would print its warnings."""
+    check, since nothing would print its warnings.
+
+    Each alternative adds a blocking clause over the candidate package
+    atoms (id i has atom i + 1) that excludes the last answer's T′, and
+    is solved and verified as the first answer is, by the same deadline,
+    on the problem with the contexts that earlier rounds tracked. The
+    answers end at the first alternative that has no model, runs out of
+    time or misses the optimum.
+    """
     if req.mode == "target" and req.policy is None and req.encoding != "p4":
         _decide_in_closure(req, u)
     idx = ClosureIndex(u)
     problem = encoder.build_encoding(u, idx, req.encoding, req.policy,
                                      lazy=True)
     attach_objective(req, u, problem)
+    rules = () if req.policy is None else req.policy.literals(u.order)
     try:
-        result, chosen = _solve_verified(req, u, idx, problem)
+        chosen, optimum, solved = _solve_verified(req, u, idx, problem, rules)
     except Unsolvable as exc:
         full = encoder.build_encoding(u, idx, req.encoding, req.policy)
         attach_objective(req, u, full)
         raise Unsolvable(str(exc), full) from None
     violations = repo.check_testing(u, req.deadline)
-    result.warnings = tuple(f"testing violates assumptions: {violation.detail}"
-                            for violation in violations) + result.warnings
-    return result, problem, idx, chosen
-
-
-def alternative_optima(req: MigrationRequest, u: Universe,
-                       limit: int) -> list[MigrationResult]:
-    """Diagnostic re-solving: exclude each found optimum, by its T′'s ids,
-    with a blocking clause over the candidate package atoms (id i has atom
-    i + 1), up to `limit` alternatives with the same objective value. Every
-    alternative is solved and verified as the first result is, by rounds
-    and by the same deadline, on the problem with the contexts that
-    earlier rounds tracked; the search stops at the first alternative that
-    has no model or runs out of time."""
-    first, problem, idx, chosen = _solve_encoded(req, u)
-    results = [first]
+    yield _report(u, problem, chosen, optimum, solved, tuple(
+        f"testing violates assumptions: {violation.detail}"
+        for violation in violations))
     candidates = sorted(abs(lit) for lit, in problem.soft)  # atom order
-    while candidates and len(results) < limit + 1:
+    while candidates:
         problem.add([-atom if atom - 1 in chosen else atom
                      for atom in candidates], ("blocking",))
         try:
-            result, chosen = _solve_verified(req, u, idx, problem,
-                                             first.optimum)
+            chosen, recount, solved = _solve_verified(req, u, idx, problem,
+                                                      rules)
         except (Unsolvable, SolveTimedOut):
-            break
-        if result is None:
-            break
-        results.append(result)
-    return results
+            return
+        if recount != optimum:
+            return
+        yield _report(u, problem, chosen, optimum, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +451,6 @@ def render_hints(result: MigrationResult) -> str:
     implied by the incoming package); `remove` lines name removals with no
     incoming replacement.
     """
-    if not result.verified:
-        raise RefuseUnverified("refusing to render hints for unverified result")
     lines = []
     if result.migrated_in:
         lines.append("easy " + " ".join(str(p) for p in result.migrated_in))
@@ -469,7 +470,7 @@ def render_report(result: MigrationResult) -> str:
         "migrated-in: " + (" ".join(map(str, result.migrated_in)) or "(none)"),
         "removed: " + (" ".join(map(str, result.removed)) or "(none)"),
         "t-prime: " + (" ".join(map(str, t_prime)) or "(empty)"),
-        f"verified: {'yes' if result.verified else 'no'}",
+        "verified: yes",
     ]
     lines += [f"warning: {w}" for w in result.warnings]
     return "\n".join(lines) + "\n"
@@ -481,13 +482,13 @@ def structured_report(result: MigrationResult) -> dict:
         "migrated_in": [str(p) for p in result.migrated_in],
         "removed": [str(p) for p in result.removed],
         "delta": result.delta,
-        "verified": result.verified,
+        "verified": True,
         "optimum": {"count": result.optimum,
                     "externally_claimed": result.externally_claimed},
         "explanation": None,
         "encoding": result.encoding_id,
         "warnings": list(result.warnings),
-        "hints": render_hints(result) if result.verified else None,
+        "hints": render_hints(result),
     }
 
 

@@ -16,6 +16,10 @@ so they read none of the preprocessing whose answers they verify; they
 read and name ids, policies included: Packages appear only in parsed
 input, reports and explanations.
 
+A policy lives here whole: ``PolicyRules.parse`` reads a policy file,
+and ``PolicyRules.literals``, the one place where its Packages become
+ids, resolves it for ``policy_violation`` and the encoder alike.
+
 ``installable_ids`` decides installability for every member of a
 repository r at once, on sets of ids, from the universe's own tables
 alone (``deps``, ``partners`` and ``dependents``), in three exact steps:
@@ -59,17 +63,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import groupby, starmap
-from typing import (TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple,
-                    Sequence)
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from . import controlfile, satcore
 from .controlfile import PackageStanza, VersionConstraint
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .encoder import PolicyRules
 
 
 class RepoError(Exception):
@@ -78,6 +78,10 @@ class RepoError(Exception):
 
 class DuplicateIdentity(RepoError):
     """Two stanzas share (name, version) but disagree on metadata."""
+
+
+class UnknownPackage(RepoError, ValueError):
+    """A policy rule references a package outside the universe."""
 
 
 class Package(NamedTuple):
@@ -511,47 +515,90 @@ def policy_rule_text(rule) -> str:
     return " ".join(f"{'+' if sign > 0 else '-'}{pkg}" for sign, pkg in rule)
 
 
-def policy_violation(chosen: set[int], policy: "PolicyRules | None",
-                     rule_ids: Sequence[tuple[int, ...]]
+def _policy_literal(token: str) -> tuple[int, Package]:
+    sign = -1 if token.startswith("-") else 1
+    return sign, Package.parse(token[1:] if token[:1] in ("+", "-") else token)
+
+
+# A resolved policy: each rule as (is_group, its text, its signed package
+# atoms), where atom i + 1 stands for the package of id i
+ResolvedRules = Sequence[tuple[bool, str, tuple[int, ...]]]
+
+
+@dataclass
+class PolicyRules:
+    """Validness rules: all-or-none groups plus raw extra clauses, both over
+    signed package literals (+1 means "in T'")."""
+
+    groups: list[list[tuple[int, Package]]] = field(default_factory=list)
+    extra_clauses: list[list[tuple[int, Package]]] = field(default_factory=list)
+
+    @classmethod
+    def parse(cls, text: str) -> PolicyRules:
+        """Line-oriented policy file: `group: [+|-]name/ver ...` and
+        `clause: [+|-]name/ver ...`; blank lines and '#' comments ignored."""
+        rules = cls()
+        for number, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, rest = line.partition(":")
+            key = key.strip()
+            if not sep or key not in ("group", "clause"):
+                raise ValueError(f"policy line {number}: cannot parse {line!r}")
+            try:
+                literals = [_policy_literal(token) for token in rest.split()]
+            except ValueError as exc:
+                raise ValueError(f"policy line {number}: {exc}") from None
+            if not literals:
+                raise ValueError(f"policy line {number}: empty rule")
+            (rules.groups if key == "group" else rules.extra_clauses).append(
+                literals)
+        return rules
+
+    def literals(self, packages: Sequence[Package]) -> ResolvedRules:
+        """Each rule, groups first, as (is_group, text, signed package
+        atoms) on ``packages`` (a universe's ``order``). The one place
+        where a policy's Packages become ids, each by ``package_id``; a
+        package outside ``packages`` raises ``UnknownPackage``."""
+        def atom(sign: int, pkg: Package) -> int:
+            i = package_id(packages, pkg)
+            if i is None:
+                raise UnknownPackage(f"policy references unknown package {pkg}")
+            return sign * (i + 1)
+        return [(is_group, policy_rule_text(rule), tuple(starmap(atom, rule)))
+                for is_group, rules in ((True, self.groups),
+                                        (False, self.extra_clauses))
+                for rule in rules]
+
+
+def policy_violation(chosen: Container[int], rules: ResolvedRules
                      ) -> AdmissibilityVerdict | None:
-    """The verdict on the first rule of the policy, if any, that chosen
-    breaks, groups before clauses, or None. ``rule_ids`` is the policy's
-    ``rule_ids`` on the packages that chosen's ids index. A group holds
-    when all or none of its literals do, a clause when one does."""
-    if policy is None:
-        return None
-    rules = iter(rule_ids)
-    for group, ids in zip(policy.groups, rules):
-        if len({(i in chosen) == (sign > 0)
-                for (sign, _), i in zip(group, ids)}) > 1:
-            return AdmissibilityVerdict(
-                False, "policy", "group not all-or-none: " +
-                policy_rule_text(group), ids)
-    for clause, ids in zip(policy.extra_clauses, rules):
-        if not any((i in chosen) == (sign > 0)
-                   for (sign, _), i in zip(clause, ids)):
-            return AdmissibilityVerdict(
-                False, "policy", "clause unsatisfied: " +
-                policy_rule_text(clause), ids)
+    """The verdict on the first of the resolved rules
+    (``PolicyRules.literals``) that chosen, a set of ids, breaks, or None.
+    A group holds when all or none of its literals do, a clause when one
+    does; the verdict's subjects are the rule's ids."""
+    for is_group, text, atoms in rules:
+        held = {(abs(atom) - 1 in chosen) == (atom > 0) for atom in atoms}
+        if (len(held) > 1) if is_group else (True not in held):
+            what = "group not all-or-none" if is_group else "clause unsatisfied"
+            return AdmissibilityVerdict(False, "policy", f"{what}: {text}",
+                                        tuple(abs(atom) - 1 for atom in atoms))
     return None
 
 
-def is_admissible(chosen: set[int], u: Universe,
-                  policy: "PolicyRules | None" = None,
+def is_admissible(chosen: set[int], u: Universe, rules: ResolvedRules = (),
                   deadline: float = math.inf) -> AdmissibilityVerdict:
-    """Check Uniqueness, Trimmedness and the policy rules on a migration,
-    a set of u's ids.
+    """Check Uniqueness, Trimmedness and the resolved policy rules
+    (``PolicyRules.literals``) on a migration, a set of u's ids.
 
     Reports the first witnessed violation in a deterministic order. A
     trimmedness verdict's subjects are every member that is not
-    installable, in sorted order; its detail names the first. A policy
-    that names a package outside the universe raises
-    ``encoder.UnknownPackage``, a ValueError, before any check.
+    installable, in sorted order; its detail names the first.
     """
     packages = u.order
     if chosen and (min(chosen) < 0 or max(chosen) >= len(packages)):
         raise ValueError("candidate repository references unknown packages")
-    rule_ids = () if policy is None else policy.rule_ids(packages)
     members = [(i, packages[i]) for i in sorted(chosen)]  # in name order
     for (a, first), (b, p) in zip(members, members[1:]):
         if first.name == p.name:
@@ -563,7 +610,7 @@ def is_admissible(chosen: set[int], u: Universe,
         return AdmissibilityVerdict(
             False, "trimmedness", f"{packages[broken[0]]} is not installable",
             broken)
-    violation = policy_violation(chosen, policy, rule_ids)
+    violation = policy_violation(chosen, rules)
     return AdmissibilityVerdict(True) if violation is None else violation
 
 

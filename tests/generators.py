@@ -55,9 +55,8 @@ def relevant_conflicts(idx: ClosureIndex, p: Package
     """Conflicts with both endpoints inside p's dependency closure."""
     inside = set(idx.closure(package_id(idx.packages, p)))
     pkgs = idx.packages
-    return frozenset(pair for a, b in idx.conflict_pairs
-                     if a in inside and b in inside
-                     for pair in ((pkgs[a], pkgs[b]), (pkgs[b], pkgs[a])))
+    return frozenset((pkgs[a], pkgs[b]) for a in inside
+                     for b in idx.partners[a] if b in inside)
 
 
 class _Unread:

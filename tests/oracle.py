@@ -33,8 +33,8 @@ from satmigrate import encoder, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import (MalformedDependency, _char_order,
                                     _parse_alternative, _split_version)
-from satmigrate.encoder import EncodedProblem, PolicyRules
-from satmigrate.repo import Package, RepoError, Universe
+from satmigrate.encoder import EncodedProblem
+from satmigrate.repo import Package, PolicyRules, RepoError, Universe
 from satmigrate.satcore import (NotUnsat, SatCoreError, SolveResult,
                                 SolveStatus, literal_true, solve_sat)
 
@@ -379,7 +379,7 @@ def normalized_encoding(u: Universe, idx: ClosureIndex,
                     ("d", c, m, targets))
     for c, members in tracked.items():
         inside = set(members)
-        for a, b in idx.conflict_pairs:
+        for a, b in u.conflict_pairs:
             if a in inside and b in inside:
                 add((-inst[c, a], -inst[c, b]), ("c", c, a, b))
     return problem

@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 from satmigrate.cli import (DEFAULT_TIMEOUT, EXIT_ERROR, EXIT_OK, EXIT_TIMEOUT,
-                            EXIT_UNSOLVABLE, EXIT_VIOLATIONS, load_policy,
-                            main)
-from satmigrate.repo import Package
+                            EXIT_UNSOLVABLE, EXIT_VIOLATIONS, main)
+from satmigrate.repo import Package, PolicyRules
 
 from .generators import forbid_closures
 from .oracle import parse_dimacs
@@ -407,17 +406,17 @@ def test_every_subcommand_structured_output_parses(repos, tmp_path, capsys):
 
 
 def test_policy_file_parsing():
-    rules = load_policy("# comment\n\ngroup: +a/1 -b/2\nclause: c/3\n")
+    rules = PolicyRules.parse("# comment\n\ngroup: +a/1 -b/2\nclause: c/3\n")
     assert rules.groups == [[(1, Package("a", "1")), (-1, Package("b", "2"))]]
     assert rules.extra_clauses == [[(1, Package("c", "3"))]]
     with pytest.raises(ValueError):
-        load_policy("bogus line\n")
+        PolicyRules.parse("bogus line\n")
     with pytest.raises(ValueError):
-        load_policy("group:\n")
+        PolicyRules.parse("group:\n")
     # a bad literal names its line, as a bad line does
     with pytest.raises(ValueError, match="^policy line 2: package spec must"
                        " be name/version, got 'nonsense'$"):
-        load_policy("clause: a/1\ngroup: +a/1 nonsense\n")
+        PolicyRules.parse("clause: a/1\ngroup: +a/1 nonsense\n")
 
 
 def test_timeout_exit_code(repos, capsys, monkeypatch):
@@ -774,6 +773,39 @@ def test_explain_refusals_read_the_whole_universe(
     # universe decides the refusal
     code = main(["explain", *repos(testing, unstable), "--encoding",
                  encoding, package])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+P2_REFUSAL = "16 packages exceed the p2 bound 10"
+GHOST = "policy references unknown package ghost/1"
+
+
+@pytest.mark.parametrize("command,policy,message", [
+    (["migrate", "--encoding", "p2-oracle"], "clause: +ghost/1", P2_REFUSAL),
+    (["explain", "--encoding", "p2-oracle", "mutt/2.2"], "clause: +ghost/1",
+     P2_REFUSAL),
+    (["emit", "--encoding", "p2-oracle", "OUT"], "group: +ghost/1",
+     P2_REFUSAL),
+    (["migrate", "--mode", "target", "--target", "libc6/2.31"],
+     "clause: +ghost/1", GHOST),
+    (["emit", "--mode", "target", "--target", "libc6/2.31", "OUT"],
+     "clause: +ghost/1", GHOST),
+    (["explain", "libc6/2.31"], "clause: +ghost/1", GHOST),
+    (["migrate", "--encoding", "p2-oracle"], "clause: +ghost/1 nonsense",
+     "policy line 1: package spec must be name/version, got 'nonsense'"),
+], ids=["migrate-p2", "explain-p2", "emit-p2", "migrate-target",
+        "emit-target", "explain-target", "malformed"])
+def test_a_policy_is_resolved_after_the_encodings_refusals(
+        repos, capsys, tmp_path, command, policy, message):
+    # the encoding's refusals come first, then the policy's unknown
+    # package, then the objective's refusal of a target that is no
+    # candidate; a policy file that does not parse is refused before all
+    (tmp_path / "policy").write_text(policy + "\n")
+    argv = [str(tmp_path / "out.wcnf") if arg == "OUT" else arg
+            for arg in command]
+    code = main([*argv, *repos(GOLDEN_TESTING, GOLDEN_UNSTABLE),
+                 "--policy", str(tmp_path / "policy")])
     assert code == EXIT_ERROR
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

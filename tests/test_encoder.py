@@ -9,10 +9,11 @@ from satmigrate import engine, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.encoder import (AtomTable, ConflictsPresent,
                                 NoChangeCandidates, NotAMigrationCandidate,
-                                PolicyRules, UniverseTooLarge, UnknownPackage,
-                                build_encoding, check_target, instance_stats,
-                                soft_max, target_clause, track_contexts)
-from satmigrate.repo import make_universe, package_id
+                                UniverseTooLarge, build_encoding, check_target,
+                                instance_stats, soft_max, target_clause,
+                                track_contexts)
+from satmigrate.repo import (PolicyRules, UnknownPackage, make_universe,
+                             package_id)
 from satmigrate.satcore import SolveStatus
 
 from .generators import (P, clustered_universe, is_easy, pkg_atom,

@@ -11,22 +11,23 @@ from types import SimpleNamespace
 
 import pytest
 
+import satmigrate.closure as closure_mod
 import satmigrate.encoder as encoder_mod
 import satmigrate.satcore as satcore_mod
 from satmigrate import cli, engine, repo
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
-from satmigrate.encoder import (NotAMigrationCandidate, PolicyRules,
-                                build_encoding, check_target, target_clause)
+from satmigrate.encoder import (NotAMigrationCandidate, build_encoding,
+                                check_target, target_clause)
 from satmigrate.engine import (ActuallySolvable,
                                MigrationRequest, OptimumMismatch,
-                               RefuseUnverified, SolveTimedOut, Unsolvable,
+                               SolveTimedOut, Unsolvable,
                                alternative_optima, decode_solution,
                                dump_structured, explain_non_migration,
                                render_hints,
                                render_report, solve_migration,
                                structured_report)
-from satmigrate.repo import Package, is_admissible, package_id
+from satmigrate.repo import Package, PolicyRules, is_admissible, package_id
 
 from . import oracle
 from .generators import (P, clustered_universe, id_set, pkg_atom,
@@ -40,8 +41,26 @@ def _upgrade_universe():
 
 
 def _admissible(t_prime, u, policy=None):
-    """repo.is_admissible on a T' of Packages, such as a result's."""
-    return is_admissible(id_set(u, t_prime), u, policy)
+    """repo.is_admissible on a T' of Packages, such as a result's, under
+    the policy's rules resolved on u."""
+    rules = () if policy is None else policy.literals(u.order)
+    return is_admissible(id_set(u, t_prime), u, rules)
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """Every encoding that encoder.build_encoding returns, in build order:
+    after a solve, the last one is the encoding its rounds solved, with
+    the contexts they tracked."""
+    problems = []
+    build = encoder_mod.build_encoding
+
+    def probe(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(encoder_mod, "build_encoding", probe)
+    return problems
 
 
 # -- solve_migration --------------------------------------------------------------
@@ -55,7 +74,7 @@ def test_simple_upgrade_max_mode():
     assert result.t_prime == {P("a/2")}
     assert result.delta == 2
     assert result.optimum == 2
-    assert result.verified
+    assert _admissible(result.t_prime, u)
 
 
 def test_encodings_agree_on_mid_scale_universes():
@@ -70,7 +89,7 @@ def test_encodings_agree_on_mid_scale_universes():
             req = MigrationRequest(mode="max", encoding=encoding,
                                    deadline=time.monotonic() + 10.0)
             result = solve_migration(req, u)
-            assert result.verified and _admissible(result.t_prime, u)
+            assert _admissible(result.t_prime, u)
             optima.add(result.optimum)
         assert len(optima) == 1, (size, optima)
 
@@ -91,8 +110,9 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
         answers = []
         for rules in (None, policy):
             expected = oracle.restore_shared(t_prime, u, rules)
-            restored_ids = engine._restore_shared(id_set(u, t_prime), u,
-                                                  rules)
+            restored_ids = engine._restore_shared(
+                id_set(u, t_prime), u,
+                () if rules is None else rules.literals(u.order))
             assert restored_ids == id_set(u, expected)
             answers.append(expected)
         restored += len(answers[0] - t_prime)
@@ -101,16 +121,17 @@ def test_restore_shared_on_ids_matches_the_package_level_loop():
 
 
 def test_policy_is_checked_on_the_packages_it_names(monkeypatch):
-    # a rule reads only whether its own packages are members, so the
-    # encoder, the restore and the check look up those packages alone
+    # a rule reads only whether its own packages are members, so resolving
+    # the policy, for the encoder and for the rounds, looks up those
+    # packages alone
     received = []
-    original = encoder_mod.package_id
+    original = repo.package_id
 
     def recording(packages, p):
         received.append(p)
         return original(packages, p)
 
-    monkeypatch.setattr(encoder_mod, "package_id", recording)
+    monkeypatch.setattr(repo, "package_id", recording)
     rng = random.Random(89)
     checked = 0
     for _ in range(4):
@@ -160,8 +181,7 @@ def test_one_round_turns_no_id_into_a_package(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     result = solve_migration(MigrationRequest(mode="max"), u)
-    assert result.verified
-    decoded, restored, verdict = calls  # one round
+    decoded, restored, verdict = calls  # one round, whose answer passes
     assert verdict and len(decoded) < len(restored) == len(result.t_prime)
     assert hashed == [] and lookups == []
 
@@ -454,7 +474,7 @@ def test_alternative_optima_in_min_modes_match_the_oracle(mode):
         assert len(projections) == len(results)
         assert projections <= optimal
         for r in results:
-            assert r.verified and _admissible(r.t_prime, u)
+            assert _admissible(r.t_prime, u)
             assert r.optimum == len(candidates) - fewest
             assert target is None or target in r.t_prime
         stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
@@ -549,21 +569,23 @@ def _full_optimum(req, u, idx):
     return satcore_mod.count_satisfied(full.soft, result.true_atoms)
 
 
-def test_rounds_reach_the_full_instance_optimum(monkeypatch):
+def test_rounds_reach_the_full_instance_optimum(monkeypatch, built):
     # dense clusters, where the first round's answer often fails the check;
-    # a failed check names its members as ids, so the rounds look up no
-    # Package as an id (a target-mode request looks up its target before
-    # them)
+    # a failed check names its members as ids, and a policy is resolved
+    # before the first round, so the rounds look up no Package as an id
+    # through any module's binding of package_id (a target-mode request
+    # looks up its target before them)
     rng = random.Random(109)
     refined = {}
     lookups, solving = [], [False]
-    original_package_id = repo.package_id
     original_rounds = engine._solve_verified
 
-    def package_id(packages, p):
-        if solving[0]:
-            lookups.append(p)
-        return original_package_id(packages, p)
+    def counting(original):
+        def package_id(packages, p):
+            if solving[0]:
+                lookups.append(p)
+            return original(packages, p)
+        return package_id
 
     def rounds(*args, **kwargs):
         solving[0] = True
@@ -572,7 +594,8 @@ def test_rounds_reach_the_full_instance_optimum(monkeypatch):
         finally:
             solving[0] = False
 
-    monkeypatch.setattr(repo, "package_id", package_id)
+    for owner in (repo, encoder_mod, closure_mod):
+        monkeypatch.setattr(owner, "package_id", counting(owner.package_id))
     monkeypatch.setattr(engine, "_solve_verified", rounds)
     for _ in range(6):
         size = rng.randint(50, 90)
@@ -594,10 +617,11 @@ def test_rounds_reach_the_full_instance_optimum(monkeypatch):
             for case, req in requests:
                 expected = _full_optimum(req, u, idx)
                 try:
-                    result, problem, _, _ = engine._solve_encoded(req, u)
+                    result = solve_migration(req, u)
                 except Unsolvable:
                     assert expected is None, (case, encoding)
                     continue
+                problem = built[-1]
                 assert result.optimum == expected, (case, encoding)
                 assert _admissible(result.t_prime, u, req.policy)
                 key = case, encoding
@@ -608,7 +632,7 @@ def test_rounds_reach_the_full_instance_optimum(monkeypatch):
     assert lookups == []
 
 
-def test_a_first_round_that_passes_tracks_no_context():
+def test_a_first_round_that_passes_tracks_no_context(built):
     # a/2's closure holds the conflict of b/1 and c/1, so p5-pruned tracks
     # its context; but a/2 installs with b/1 alone, and the first round's
     # answer passes the check
@@ -618,14 +642,15 @@ def test_a_first_round_that_passes_tracks_no_context():
                       testing=["a/1", "b/1", "c/1"],
                       unstable=["a/2", "b/1", "c/1"])
     idx = ClosureIndex(u)
-    result, problem, _, _ = engine._solve_encoded(MigrationRequest(), u)
+    result = solve_migration(MigrationRequest(), u)
+    problem, = built
     assert result.migrated_in == (P("a/2"),)
     assert problem.atoms.num_inst_atoms == 0
     assert problem.encoding_id == "p5-pruned"
     assert build_encoding(u, idx, "p5-pruned").atoms.num_inst_atoms > 0
 
 
-def test_alternative_optima_in_max_mode_match_the_oracle():
+def test_alternative_optima_in_max_mode_match_the_oracle(built):
     # the alternatives are the optima's distinct projections onto the
     # candidates, found by enumerating every admissible set, up to limit + 1
     rng = random.Random(37)
@@ -647,10 +672,11 @@ def test_alternative_optima_in_max_mode_match_the_oracle():
         assert len(projections) == len(results)
         assert projections <= optimal
         for r in results:
-            assert r.verified and _admissible(r.t_prime, u)
+            assert _admissible(r.t_prime, u)
             assert r.optimum == most
         stopped["limit" if len(optimal) > limit + 1 else "optima"] += 1
-        refined += engine._solve_encoded(req, u)[1].atoms.num_inst_atoms > 0
+        solve_migration(req, u)
+        refined += built[-1].atoms.num_inst_atoms > 0
     assert min(stopped.values()) > 0, stopped
     assert refined > 0
 
@@ -850,10 +876,11 @@ def _closure_slice_query(p, r, idx):
             clauses.append((-atom[q], *map(atom.get, inside)))
             info.append(("inst-dep", q, inside if len(inside) < len(targets)
                          else targets))
-    for a, b in idx.conflict_pairs:
-        if a in atom and b in atom:
-            clauses.append((-atom[a], -atom[b]))
-            info.append(("inst-conflict", a, b))
+    for a in ids:
+        for b in idx.partners[a]:
+            if b > a and b in atom:
+                clauses.append((-atom[a], -atom[b]))
+                info.append(("inst-conflict", a, b))
     return clauses, info, len(ids)
 
 
@@ -1184,14 +1211,6 @@ def test_hints_empty_delta():
     assert render_hints(result) == ""
 
 
-def test_hints_refuse_unverified():
-    u = _upgrade_universe()
-    result = solve_migration(MigrationRequest(mode="max"), u)
-    result.verified = False
-    with pytest.raises(RefuseUnverified):
-        render_hints(result)
-
-
 def test_structured_report_round_trip():
     u = _upgrade_universe()
     result = solve_migration(MigrationRequest(mode="max"), u)
@@ -1300,7 +1319,7 @@ def test_alternative_optima_with_an_external_solver(tmp_path):
     assert [r.t_prime for r in results] == [{P("a/3")}, {P("a/2")}]
     for result in results:
         assert result.optimum == 2
-        assert result.verified and result.externally_claimed
+        assert result.externally_claimed
         assert _admissible(result.t_prime, u)
     embedded = alternative_optima(MigrationRequest(mode="max"), u, 5)
     assert {r.t_prime for r in results} == {r.t_prime for r in embedded}

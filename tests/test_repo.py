@@ -9,9 +9,10 @@ import pytest
 from satmigrate import engine, repo, satcore
 from satmigrate.closure import ClosureIndex
 from satmigrate.controlfile import parse_packages_stream
-from satmigrate.encoder import AtomTable, PolicyRules
-from satmigrate.repo import (DuplicateIdentity, build_universe, is_admissible,
-                             is_installable, package_id, check_testing)
+from satmigrate.encoder import AtomTable
+from satmigrate.repo import (DuplicateIdentity, PolicyRules, build_universe,
+                             is_admissible, is_installable, package_id,
+                             check_testing)
 
 from . import oracle
 from .generators import (P, clustered_universe, forbid_closures, id_set,
@@ -33,8 +34,10 @@ def _uninstallable(r, u):
 
 
 def _admissible(chosen, u, policy=None):
-    """repo.is_admissible on a set of Packages."""
-    return is_admissible(id_set(u, chosen), u, policy)
+    """repo.is_admissible on a set of Packages, under the policy's rules
+    resolved on u."""
+    rules = () if policy is None else policy.literals(u.order)
+    return is_admissible(id_set(u, chosen), u, rules)
 
 
 # -- build_universe ------------------------------------------------------------
@@ -409,7 +412,7 @@ def test_pass_equals_per_package_queries_on_mid_scale_universes(monkeypatch):
         seen["cycle"] += sum(
             any(i in idx.closure(q) for q in idx.closure(i) if q != i)
             for i in range(size))
-        seen["conflict"] += len(idx.conflict_pairs)
+        seen["conflict"] += len(u.conflict_pairs)
     assert min(seen.values()) > 0, seen
     statuses = {status for _, status in calls}
     assert {satcore.SolveStatus.SAT, satcore.SolveStatus.UNSAT} <= statuses
@@ -472,21 +475,23 @@ def test_is_admissible_matches_per_package_reference():
 
 
 def test_is_admissible_refuses_a_policy_naming_an_unknown_package():
-    # a/1 alone is admissible, so the check reaches the policy, and the
-    # unknown package would otherwise read as absent, keeping both rules
+    # the check reads resolved rules, and resolving refuses the unknown
+    # package. a/1 alone is admissible, so the check would reach the
+    # policy, and the unknown package would otherwise read as absent,
+    # keeping both rules
     u = tiny_universe(["a/1"])
     for policy in (PolicyRules(groups=[[(1, P("a/1")), (-1, P("ghost/1"))]]),
                    PolicyRules(extra_clauses=[[(-1, P("ghost/1"))]])):
-        with pytest.raises(ValueError,
+        with pytest.raises(repo.UnknownPackage,
                            match="^policy references unknown package ghost/1$"):
-            is_admissible({0}, u, policy)
+            is_admissible({0}, u, policy.literals(u.order))
     # {a/1, a/2} fails uniqueness, which is checked first; the policy's
-    # unknown package is refused all the same
+    # unknown package is refused all the same, as a ValueError
     u = tiny_universe(["a/1", "a/2"])
     policy = PolicyRules(extra_clauses=[[(1, P("ghost/1"))]])
     with pytest.raises(ValueError,
                        match="^policy references unknown package ghost/1$"):
-        is_admissible({0, 1}, u, policy)
+        is_admissible({0, 1}, u, policy.literals(u.order))
 
 
 # p needs q or r, which conflict: the closure holds a conflict, and the
@@ -578,7 +583,7 @@ def test_one_conflict_in_a_clustered_universe_needs_no_sat(monkeypatch):
     u = clustered_universe(random.Random(41), 200, conflicts=1,
                            empty_dep_prob=0.0)
     idx = ClosureIndex(u)
-    (a, b), = idx.conflict_pairs
+    (a, b), = u.conflict_pairs
     assert sum(a in idx.closure(i) and b in idx.closure(i)
                for i in range(len(idx.packages))) > 1
     expected = _per_package(u.packages, u)
@@ -594,7 +599,7 @@ def test_one_conflict_reaches_sat_only_where_closure_holds_both_ends(
     u = with_dead_ends(clustered_universe(random.Random(41), 200,
                                           conflicts=0, empty_dep_prob=0.0), 3)
     idx = ClosureIndex(u)
-    (a, b), = idx.conflict_pairs
+    (a, b), = u.conflict_pairs
     both = [i for i in range(len(idx.packages))
             if a in idx.closure(i) and b in idx.closure(i)]
     live = repo._live(id_set(u, u.packages), u)
@@ -748,7 +753,8 @@ def test_migrate_reads_no_closure(monkeypatch):
                       SPLIT_NEEDS["conflicts"], testing=["q/1", "r/1"])
     forbid_closures(monkeypatch)
     result = engine.solve_migration(engine.MigrationRequest(mode="max"), u)
-    assert result.verified and result.encoding_id == "p5-pruned"
+    assert _admissible(result.t_prime, u) and \
+        result.encoding_id == "p5-pruned"
     assert result.t_prime == {P("q/1"), P("r/1"), P("s/1")}
     assert result.migrated_in == (P("s/1"),)
 
@@ -852,7 +858,7 @@ def test_build_universe_tables_match_brute_force_expansion():
         assert list(idx.deps) == [
             tuple(tuple(sorted(ids[q] for q in d)) for d in dep[p])
             for p in order]
-        assert list(idx.conflict_pairs) == sorted(
+        assert list(u.conflict_pairs) == sorted(
             (ids[a], ids[b]) for a, b in conflicts if ids[a] < ids[b])
         provided = {v for x in [*t_stanzas, *u_stanzas] for v in x.provides}
         first = {(x.name, x.version): x for x in t_stanzas}
